@@ -6,6 +6,33 @@
 // that the heavy early rounds stay inside supernodes. It also provides
 // the closed-form α-β-γ cost functions (Eqns. 2–6) that the paper uses
 // to justify the redesign, and the gradient-packing utilities.
+//
+// # Payload ownership
+//
+// Send and SendRecv pass the payload slice itself, on both backends; no
+// message is copied on the way. One rule makes that safe, and every
+// body here — blocking or DES — is written to it:
+//
+//	A sent slice belongs to the receiver until the sender next hears
+//	from that peer.
+//
+// "Next hears" means a message the peer posted after it took the slice:
+// the other half of the same SendRecv does not count, because both
+// sides post before either receives. Until then the sender does not
+// write the slice. The receiver only reads it, and is done with it
+// before it posts anything further to the sender. Ranks are sequential,
+// so on the goroutine backend the peer's reads happen-before its next
+// post, which happens-before the sender's receive; on the DES backend
+// the same order is program order.
+//
+// What the bodies do under the rule: a range that is never written
+// again in the run (the caller's input, a finished chunk) is sent as
+// is; recursive halving/doubling sends the halves of its working
+// vector in place, because the half it gives away at distance d is
+// next written by the doubling exchange with the same peer; only the
+// ring's reduce-scatter stages a copy, in the rank's Scratch, because a
+// ring rank never hears from the neighbour it sends to. A result vector
+// is always fresh — it outlives the run, scratch does not.
 package allreduce
 
 import (
@@ -96,17 +123,7 @@ func RingSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
 	if p == 1 {
 		return out
 	}
-	hi := lo + len(data)
-	bounds := chunkBounds(total, p)
-	// The whole-vector segment is all p chunks (including empty ones,
-	// which the classic ring still circulates); interior segments
-	// resolve their chunk range from the bounds.
-	c0, c1 := 0, p
-	if lo != 0 || hi != total {
-		c0 = chunkIndexAt(bounds, lo)
-		c1 = chunkIndexAt(bounds, hi)
-	}
-	inSeg := func(c int) bool { return c0 <= c && c < c1 }
+	seg := newSegment(lo, len(data), total, p)
 
 	r := n.Rank
 	next := (r + 1) % p
@@ -114,70 +131,102 @@ func RingSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
 
 	// Reduce-scatter: in step s, send chunk (r-s) to the next rank and
 	// receive + reduce chunk (r-s-1) from the previous one — when the
-	// chunk belongs to this segment.
+	// chunk belongs to this segment. The partial chunk is rewritten by
+	// the allgather and this rank never hears from next, so it is sent
+	// as a copy staged in scratch.
 	for s := 0; s < p-1; s++ {
 		sendIdx := ((r-s)%p + p) % p
 		recvIdx := ((r-s-1)%p + p) % p
-		if inSeg(sendIdx) {
-			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
+		if seg.has(sendIdx) {
+			slo, shi := seg.chunk(sendIdx)
+			chunk := n.Scratch(shi - slo)
+			copy(chunk, out[slo:shi])
 			n.Send(next, chunk)
 		}
-		if inSeg(recvIdx) {
+		if seg.has(recvIdx) {
 			in := n.Recv(prev)
-			rlo := bounds[recvIdx] - lo
+			rlo, _ := seg.chunk(recvIdx)
 			for i, v := range in {
 				out[rlo+i] += v
 			}
 			n.ChargeReduce(len(in))
 		}
 	}
-	// Allgather: circulate the finished chunks around the ring.
+	// Allgather: circulate the finished chunks around the ring. A
+	// finished chunk is never written again, so it is sent as is.
 	for s := 0; s < p-1; s++ {
 		sendIdx := ((r+1-s)%p + p) % p
 		recvIdx := ((r-s)%p + p) % p
-		if inSeg(sendIdx) {
-			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
-			n.Send(next, chunk)
+		if seg.has(sendIdx) {
+			slo, shi := seg.chunk(sendIdx)
+			n.Send(next, out[slo:shi])
 		}
-		if inSeg(recvIdx) {
+		if seg.has(recvIdx) {
 			in := n.Recv(prev)
-			copy(out[bounds[recvIdx]-lo:], in)
+			rlo, _ := seg.chunk(recvIdx)
+			copy(out[rlo:], in)
 		}
 	}
 	return out
 }
 
-// chunkIndexAt returns the chunk index whose lower bound equals off,
-// panicking when off does not lie on a chunk boundary (a bucket that
-// was not chunk-aligned). Repeated bounds (empty chunks, total < p)
-// resolve to the first chunk starting at off.
-func chunkIndexAt(bounds []int, off int) int {
-	for c, b := range bounds {
-		if b == off {
-			return c
-		}
-		if b > off {
-			break
-		}
-	}
-	panic(fmt.Sprintf("allreduce: segment bound %d not on a chunk boundary %v", off, bounds))
+// segment is the part of a k-chunk partition of a total-element vector
+// that one call covers: elements [lo, lo+n), chunks [c0, c1). Chunk c
+// of the partition spans [c·total/k, (c+1)·total/k).
+type segment struct {
+	lo, total, k int
+	c0, c1       int
 }
 
-func chunkBounds(n, p int) []int {
-	b := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		b[i] = i * n / p
+// newSegment resolves the chunk range of [lo, lo+n). The whole-vector
+// segment is all k chunks (including empty ones, which the classic
+// ring still circulates); an interior segment's bounds must lie on the
+// partition.
+func newSegment(lo, n, total, k int) segment {
+	s := segment{lo: lo, total: total, k: k, c1: k}
+	if lo != 0 || lo+n != total {
+		s.c0 = chunkIndexAt(total, k, lo)
+		s.c1 = chunkIndexAt(total, k, lo+n)
 	}
-	return b
+	return s
+}
+
+// has reports whether chunk c belongs to the segment.
+func (s segment) has(c int) bool { return s.c0 <= c && c < s.c1 }
+
+// chunk returns chunk c's bounds relative to the segment's data.
+func (s segment) chunk(c int) (lo, hi int) {
+	return c*s.total/s.k - s.lo, (c+1)*s.total/s.k - s.lo
+}
+
+// chunkIndexAt returns the index of the chunk of the k-chunk partition
+// of total elements whose lower bound equals off, panicking when off
+// does not lie on a chunk boundary (a bucket that was not
+// chunk-aligned). Repeated bounds (empty chunks, total < k) resolve to
+// the first chunk starting at off.
+func chunkIndexAt(total, k, off int) int {
+	// The smallest c with c·total/k >= off is ceil(off·k/total).
+	c := 0
+	if total > 0 {
+		c = (off*k + total - 1) / total
+	}
+	if off >= 0 && c <= k && c*total/k == off {
+		return c
+	}
+	panic(fmt.Sprintf("allreduce: segment bound %d not on a chunk boundary %v", off, ChunkBounds(total, k)))
 }
 
 // ChunkBounds exposes the ring's chunk partition of an n-element
 // vector over p ranks: chunk i spans [b[i], b[i+1]). The collective
 // engine snaps ring bucket boundaries onto these bounds so each bucket
 // is a whole number of ring chunks (see RingSegment).
-func ChunkBounds(n, p int) []int { return chunkBounds(n, p) }
+func ChunkBounds(n, p int) []int {
+	b := make([]int, p+1)
+	for i := 0; i <= p; i++ {
+		b[i] = i * n / p
+	}
+	return b
+}
 
 // --- binomial tree -------------------------------------------------------
 
@@ -235,25 +284,25 @@ func BinomialTree(n *simnet.Node, data []float32) []float32 {
 // exchanges (distance pow2/2, ..., p/q) stay inside one supernode.
 func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
 	p := n.P()
-	out := append([]float32(nil), data...)
 	if p == 1 {
-		return out
+		return append([]float32(nil), data...)
 	}
-	pow2 := 1
-	for pow2*2 <= p {
-		pow2 *= 2
-	}
-	rem := p - pow2
+	pow2, rem := foldShape(p)
 	r := n.Rank
 
-	// Fold: ranks >= pow2 ship their vector to (rank - pow2), wait for
-	// the final result.
+	// Fold: ranks >= pow2 ship their vector to (rank - pow2) and wait
+	// for the final result. The input is never written, so it goes as
+	// is.
 	if r >= pow2 {
-		n.Send(r-pow2, out)
-		res := n.Recv(r - pow2)
-		copy(out, res)
-		return out
+		n.Send(r-pow2, data)
+		return append([]float32(nil), n.Recv(r-pow2)...)
 	}
+
+	// The working vector is the result vector, padded to a multiple of
+	// pow2 so halving is exact (the pad stays zero and is cut off).
+	work := make([]float32, padTo(len(data), pow2))
+	out := work[:len(data):len(data)]
+	copy(out, data)
 	if r < rem {
 		in := n.Recv(r + pow2)
 		for i, v := range in {
@@ -262,56 +311,42 @@ func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
 		n.ChargeReduce(len(in))
 	}
 
-	// Pad the working vector to a multiple of pow2 so halving is exact.
-	padded := len(out)
-	if padded%pow2 != 0 {
-		padded += pow2 - padded%pow2
-	}
-	work := make([]float32, padded)
-	copy(work, out)
-
 	// Reduce-scatter by recursive halving: exchange with peers at
 	// distance pow2/2, pow2/4, ..., 1, halving the live span each time.
-	type span struct{ off, cnt, peer, d int }
-	var history []span
-	off, cnt := 0, padded
+	// The half given away is sent in place: it is next written by the
+	// doubling exchange with the same peer.
+	off, cnt := 0, len(work)
 	for d := pow2 / 2; d >= 1; d /= 2 {
-		peer := r ^ d
 		half := cnt / 2
-		var sendOff, keepOff int
-		if r&d == 0 {
-			sendOff, keepOff = off+half, off
-		} else {
+		sendOff, keepOff := off+half, off
+		if r&d != 0 {
 			sendOff, keepOff = off, off+half
 		}
-		chunk := append([]float32(nil), work[sendOff:sendOff+half]...)
-		in := n.SendRecv(peer, chunk)
+		in := n.SendRecv(r^d, work[sendOff:sendOff+half])
 		for i, v := range in {
 			work[keepOff+i] += v
 		}
 		n.ChargeReduce(half)
-		history = append(history, span{off: keepOff, cnt: half, peer: peer, d: d})
 		off, cnt = keepOff, half
 	}
 
-	// Allgather by recursive doubling: replay the halving history in
-	// reverse. At reversed step i the rank owns exactly the span it
-	// kept at halving step i; the peer owns the complementary half of
-	// the parent span.
-	for i := len(history) - 1; i >= 0; i-- {
-		h := history[i]
-		chunk := append([]float32(nil), work[h.off:h.off+h.cnt]...)
-		in := n.SendRecv(h.peer, chunk)
-		var otherOff int
-		if r&h.d == 0 { // we kept the lower half, peer has the upper
-			otherOff = h.off + h.cnt
-		} else {
-			otherOff = h.off - h.cnt
+	// Allgather by recursive doubling: undo the halving, nearest peer
+	// first. Entering the step at distance d the rank owns [off,
+	// off+cnt), the span it kept there; the peer owns the other half of
+	// the parent span. The owned span is finished, so it is sent in
+	// place.
+	for d := 1; d < pow2; d *= 2 {
+		otherOff := off + cnt
+		if r&d != 0 {
+			otherOff = off - cnt
 		}
-		copy(work[otherOff:otherOff+h.cnt], in)
+		in := n.SendRecv(r^d, work[off:off+cnt])
+		copy(work[otherOff:otherOff+cnt], in)
+		if otherOff < off {
+			off = otherOff
+		}
+		cnt *= 2
 	}
-
-	copy(out, work[:len(out)])
 
 	// Unfold: ship the finished result to the folded partner.
 	if r < rem {
@@ -319,3 +354,16 @@ func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
 	}
 	return out
 }
+
+// foldShape splits p into the largest power of two below or at it and
+// the remainder that folds onto that core.
+func foldShape(p int) (pow2, rem int) {
+	pow2 = 1
+	for pow2*2 <= p {
+		pow2 *= 2
+	}
+	return pow2, p - pow2
+}
+
+// padTo rounds n up to a multiple of m.
+func padTo(n, m int) int { return (n + m - 1) / m * m }

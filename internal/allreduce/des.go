@@ -5,24 +5,27 @@ import (
 	"sync/atomic"
 
 	"swcaffe/internal/des"
-	"swcaffe/internal/topology"
 )
 
-// Discrete-event forms of the collective bodies: exact continuation-
-// passing transliterations of the blocking algorithms above, for the
-// single-threaded internal/des backend. Every arithmetic operation,
-// accumulation order, copy-vs-reference payload decision and
-// ChargeReduce call site matches the blocking body line for line —
-// the collectives are Kahn process networks (per-link FIFOs, blocking
-// receives, data-independent control flow), so any schedule produces
-// the same floats, and the goroutine backend stays the bit-identity
-// oracle these forms are tested against hex-exactly.
+// Discrete-event forms of the collective bodies: continuation-passing
+// transliterations of the blocking algorithms, for the single-threaded
+// internal/des backend. Every arithmetic operation, accumulation order,
+// message, payload range and ChargeReduce call site matches the
+// blocking body — the collectives are Kahn process networks (per-link
+// FIFOs, blocking receives, data-independent control flow), so any
+// schedule produces the same floats, and the goroutine backend stays
+// the bit-identity oracle these forms are tested against hex-exactly.
+// Payloads follow the package's ownership rule exactly as the blocking
+// bodies do: the same ranges go by reference, the same one is staged in
+// scratch.
 //
-// Control-flow convention: a Recv/SendRecv is always in tail position;
-// loop bodies become recursive closures stepping the loop index, and
-// the final continuation k receives the finished vector. Iterations
-// that skip communication recurse directly (depth bounded by p, fine
-// at the p=4096 scale the backend exists for).
+// Control-flow convention: a rank's progress through one call lives in
+// a small state struct; a Recv/SendRecv is always in tail position and
+// resumes a method of that struct. Each phase builds its continuation
+// once (a method value) and reuses it every round, so a call allocates
+// a constant number of objects however many rounds it runs; rounds that
+// skip communication are a loop, not a recursion. The final
+// continuation k receives the finished vector.
 
 // AlgorithmDES is the DES counterpart of Algorithm: every rank calls
 // it with its local vector, and k fires with the elementwise sum once
@@ -61,129 +64,150 @@ func RingSegmentDES(r *des.Rank, data []float32, lo, total int, k func([]float32
 		k(out)
 		return
 	}
-	hi := lo + len(data)
-	bounds := chunkBounds(total, p)
-	c0, c1 := 0, p
-	if lo != 0 || hi != total {
-		c0 = chunkIndexAt(bounds, lo)
-		c1 = chunkIndexAt(bounds, hi)
-	}
-	inSeg := func(c int) bool { return c0 <= c && c < c1 }
+	st := &ringDES{r: r, out: out, k: k, seg: newSegment(lo, len(data), total, p),
+		next: (r.Rank + 1) % p, prev: (r.Rank - 1 + p) % p}
+	st.onReduce, st.onGather = st.reduced, st.gathered
+	st.reduceScatter()
+}
 
-	rank := r.Rank
-	next := (rank + 1) % p
-	prev := (rank - 1 + p) % p
+// ringDES is one rank's progress through RingSegmentDES: s is the step
+// within the current phase, recvIdx the chunk its pending Recv brings.
+type ringDES struct {
+	r          *des.Rank
+	out        []float32
+	k          func([]float32)
+	seg        segment
+	next, prev int
+	s, recvIdx int
 
-	var rsStep, agStep func(s int)
-	rsStep = func(s int) {
-		if s == p-1 {
-			agStep(0)
+	onReduce, onGather func([]float32)
+}
+
+func (st *ringDES) reduceScatter() {
+	r, p := st.r, st.r.P()
+	for ; st.s < p-1; st.s++ {
+		sendIdx := ((r.Rank-st.s)%p + p) % p
+		st.recvIdx = ((r.Rank-st.s-1)%p + p) % p
+		if st.seg.has(sendIdx) {
+			slo, shi := st.seg.chunk(sendIdx)
+			chunk := r.Scratch(shi - slo)
+			copy(chunk, st.out[slo:shi])
+			r.Send(st.next, chunk)
+		}
+		if st.seg.has(st.recvIdx) {
+			r.Recv(st.prev, st.onReduce)
 			return
 		}
-		sendIdx := ((rank-s)%p + p) % p
-		recvIdx := ((rank-s-1)%p + p) % p
-		if inSeg(sendIdx) {
-			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
-			r.Send(next, chunk)
-		}
-		if inSeg(recvIdx) {
-			r.Recv(prev, func(in []float32) {
-				rlo := bounds[recvIdx] - lo
-				for i, v := range in {
-					out[rlo+i] += v
-				}
-				r.ChargeReduce(len(in))
-				rsStep(s + 1)
-			})
-			return
-		}
-		rsStep(s + 1)
 	}
-	agStep = func(s int) {
-		if s == p-1 {
-			k(out)
-			return
-		}
-		sendIdx := ((rank+1-s)%p + p) % p
-		recvIdx := ((rank-s)%p + p) % p
-		if inSeg(sendIdx) {
-			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
-			r.Send(next, chunk)
-		}
-		if inSeg(recvIdx) {
-			r.Recv(prev, func(in []float32) {
-				copy(out[bounds[recvIdx]-lo:], in)
-				agStep(s + 1)
-			})
-			return
-		}
-		agStep(s + 1)
+	st.s = 0
+	st.allgather()
+}
+
+func (st *ringDES) reduced(in []float32) {
+	rlo, _ := st.seg.chunk(st.recvIdx)
+	for i, v := range in {
+		st.out[rlo+i] += v
 	}
-	rsStep(0)
+	st.r.ChargeReduce(len(in))
+	st.s++
+	st.reduceScatter()
+}
+
+func (st *ringDES) allgather() {
+	r, p := st.r, st.r.P()
+	for ; st.s < p-1; st.s++ {
+		sendIdx := ((r.Rank+1-st.s)%p + p) % p
+		st.recvIdx = ((r.Rank-st.s)%p + p) % p
+		if st.seg.has(sendIdx) {
+			slo, shi := st.seg.chunk(sendIdx)
+			r.Send(st.next, st.out[slo:shi])
+		}
+		if st.seg.has(st.recvIdx) {
+			r.Recv(st.prev, st.onGather)
+			return
+		}
+	}
+	st.k(st.out)
+}
+
+func (st *ringDES) gathered(in []float32) {
+	rlo, _ := st.seg.chunk(st.recvIdx)
+	copy(st.out[rlo:], in)
+	st.s++
+	st.allgather()
 }
 
 // BinomialTreeDES is the DES form of BinomialTree.
 func BinomialTreeDES(r *des.Rank, data []float32, k func([]float32)) {
-	p := r.P()
-	out := append([]float32(nil), data...)
-	rank := r.Rank
+	st := &binomialDES{r: r, out: append([]float32(nil), data...), k: k, mask: 1}
+	st.onReduce = st.reduced
+	st.reduce()
+}
 
-	// Broadcast phase: climb to the first set bit (the parent link),
-	// then replay the down-send ladder from there. downSend contains no
-	// receives, so it runs inline.
-	downSend := func(mask int) {
-		for ; mask > 0; mask >>= 1 {
-			if rank+mask < p && rank&(mask-1) == 0 && rank&mask == 0 {
-				r.Send(rank+mask, out)
-			}
-		}
-		k(out)
-	}
-	bcast := func() {
-		mask := 1
-		for mask < p {
-			if rank&mask != 0 {
-				m := mask
-				r.Recv(rank-m, func(res []float32) {
-					copy(out, res)
-					downSend(m >> 1)
-				})
-				return
-			}
-			mask <<= 1
-		}
-		downSend(mask >> 1)
-	}
+// binomialDES is one rank's progress through BinomialTreeDES: mask is
+// the tree level its pending Recv belongs to.
+type binomialDES struct {
+	r    *des.Rank
+	out  []float32
+	k    func([]float32)
+	mask int
 
-	// Reduce phase (binomial reduce to root 0); a rank that ships to
-	// its parent breaks straight to the broadcast, as the blocking form
-	// does. The up-send is by reference, as in the blocking form.
-	var reduce func(mask int)
-	reduce = func(mask int) {
-		if mask >= p {
-			bcast()
+	onReduce func([]float32)
+}
+
+// reduce is the binomial reduce to root 0; a rank that ships to its
+// parent goes straight to the broadcast, as the blocking form does.
+func (st *binomialDES) reduce() {
+	r, p := st.r, st.r.P()
+	for ; st.mask < p; st.mask <<= 1 {
+		if r.Rank&st.mask != 0 {
+			r.Send(r.Rank-st.mask, st.out)
+			break
+		}
+		if r.Rank+st.mask < p {
+			r.Recv(r.Rank+st.mask, st.onReduce)
 			return
 		}
-		if rank&mask != 0 {
-			r.Send(rank-mask, out)
-			bcast()
-			return
-		}
-		if rank+mask < p {
-			r.Recv(rank+mask, func(in []float32) {
-				for i, v := range in {
-					out[i] += v
-				}
-				r.ChargeReduce(len(in))
-				reduce(mask << 1)
-			})
-			return
-		}
-		reduce(mask << 1)
 	}
-	reduce(1)
+	st.bcast()
+}
+
+func (st *binomialDES) reduced(in []float32) {
+	for i, v := range in {
+		st.out[i] += v
+	}
+	st.r.ChargeReduce(len(in))
+	st.mask <<= 1
+	st.reduce()
+}
+
+// bcast climbs to the first set bit (the parent link), then replays
+// the down-send ladder from there.
+func (st *binomialDES) bcast() {
+	r, p := st.r, st.r.P()
+	for st.mask = 1; st.mask < p; st.mask <<= 1 {
+		if r.Rank&st.mask != 0 {
+			r.Recv(r.Rank-st.mask, st.received)
+			return
+		}
+	}
+	st.downSend()
+}
+
+func (st *binomialDES) received(res []float32) {
+	copy(st.out, res)
+	st.downSend()
+}
+
+// downSend contains no receives, so it runs inline.
+func (st *binomialDES) downSend() {
+	r, p := st.r, st.r.P()
+	for mask := st.mask >> 1; mask > 0; mask >>= 1 {
+		if r.Rank+mask < p && r.Rank&(mask-1) == 0 && r.Rank&mask == 0 {
+			r.Send(r.Rank+mask, st.out)
+		}
+	}
+	st.k(st.out)
 }
 
 // RecursiveHalvingDoublingDES is the DES form of
@@ -192,111 +216,109 @@ func BinomialTreeDES(r *des.Rank, data []float32, k func([]float32)) {
 // calls it on an InGroup view.
 func RecursiveHalvingDoublingDES(r *des.Rank, data []float32, k func([]float32)) {
 	p := r.P()
-	out := append([]float32(nil), data...)
 	if p == 1 {
-		k(out)
+		k(append([]float32(nil), data...))
 		return
 	}
-	pow2 := 1
-	for pow2*2 <= p {
-		pow2 *= 2
-	}
-	rem := p - pow2
+	pow2, rem := foldShape(p)
 	rank := r.Rank
 
 	// Fold: excess ranks ship their vector down and wait for the final
 	// result.
 	if rank >= pow2 {
-		r.Send(rank-pow2, out)
-		r.Recv(rank-pow2, func(res []float32) {
-			copy(out, res)
-			k(out)
-		})
+		r.Send(rank-pow2, data)
+		r.Recv(rank-pow2, func(res []float32) { k(append([]float32(nil), res...)) })
 		return
 	}
 
-	core := func() {
-		padded := len(out)
-		if padded%pow2 != 0 {
-			padded += pow2 - padded%pow2
-		}
-		work := make([]float32, padded)
-		copy(work, out)
-
-		type span struct{ off, cnt, peer, d int }
-		var history []span
-		off, cnt := 0, padded
-
-		finish := func() {
-			copy(out, work[:len(out)])
-			if rank < rem {
-				r.Send(rank+pow2, out)
-			}
-			k(out)
-		}
-
-		// Allgather by recursive doubling: replay the halving history
-		// in reverse.
-		var double func(i int)
-		double = func(i int) {
-			if i < 0 {
-				finish()
-				return
-			}
-			h := history[i]
-			chunk := append([]float32(nil), work[h.off:h.off+h.cnt]...)
-			r.SendRecv(h.peer, chunk, func(in []float32) {
-				var otherOff int
-				if rank&h.d == 0 {
-					otherOff = h.off + h.cnt
-				} else {
-					otherOff = h.off - h.cnt
-				}
-				copy(work[otherOff:otherOff+h.cnt], in)
-				double(i - 1)
-			})
-		}
-
-		// Reduce-scatter by recursive halving.
-		var halve func(d int)
-		halve = func(d int) {
-			if d < 1 {
-				double(len(history) - 1)
-				return
-			}
-			peer := rank ^ d
-			half := cnt / 2
-			var sendOff, keepOff int
-			if rank&d == 0 {
-				sendOff, keepOff = off+half, off
-			} else {
-				sendOff, keepOff = off, off+half
-			}
-			chunk := append([]float32(nil), work[sendOff:sendOff+half]...)
-			r.SendRecv(peer, chunk, func(in []float32) {
-				for i, v := range in {
-					work[keepOff+i] += v
-				}
-				r.ChargeReduce(half)
-				history = append(history, span{off: keepOff, cnt: half, peer: peer, d: d})
-				off, cnt = keepOff, half
-				halve(d / 2)
-			})
-		}
-		halve(pow2 / 2)
-	}
-
+	work := make([]float32, padTo(len(data), pow2))
+	st := &rhdDES{r: r, work: work, out: work[:len(data):len(data)], k: k,
+		pow2: pow2, rem: rem, d: pow2 / 2, cnt: len(work)}
+	copy(st.out, data)
+	st.onHalve, st.onDouble = st.halved, st.doubled
 	if rank < rem {
-		r.Recv(rank+pow2, func(in []float32) {
-			for i, v := range in {
-				out[i] += v
-			}
-			r.ChargeReduce(len(in))
-			core()
-		})
+		r.Recv(rank+pow2, st.folded)
 		return
 	}
-	core()
+	st.halve()
+}
+
+// rhdDES is one core rank's progress through
+// RecursiveHalvingDoublingDES: [off, off+cnt) is the span it owns, d
+// the distance of the exchange in flight, other where that exchange's
+// payload lands (the kept half while halving, the peer's half while
+// doubling).
+type rhdDES struct {
+	r         *des.Rank
+	work, out []float32
+	k         func([]float32)
+	pow2, rem int
+
+	d, off, cnt, other int
+
+	onHalve, onDouble func([]float32)
+}
+
+func (st *rhdDES) folded(in []float32) {
+	for i, v := range in {
+		st.out[i] += v
+	}
+	st.r.ChargeReduce(len(in))
+	st.halve()
+}
+
+// halve posts the reduce-scatter exchange at distance d, or moves on to
+// the allgather once d has run out.
+func (st *rhdDES) halve() {
+	if st.d < 1 {
+		st.d = 1
+		st.double()
+		return
+	}
+	half := st.cnt / 2
+	sendOff := st.off + half
+	st.other = st.off
+	if st.r.Rank&st.d != 0 {
+		sendOff, st.other = st.off, st.off+half
+	}
+	st.r.SendRecv(st.r.Rank^st.d, st.work[sendOff:sendOff+half], st.onHalve)
+}
+
+func (st *rhdDES) halved(in []float32) {
+	for i, v := range in {
+		st.work[st.other+i] += v
+	}
+	st.off, st.cnt = st.other, st.cnt/2
+	st.r.ChargeReduce(st.cnt)
+	st.d /= 2
+	st.halve()
+}
+
+// double posts the allgather exchange at distance d, or finishes once
+// the span is whole again.
+func (st *rhdDES) double() {
+	if st.d >= st.pow2 {
+		if st.r.Rank < st.rem {
+			st.r.Send(st.r.Rank+st.pow2, st.out)
+		}
+		st.k(st.out)
+		return
+	}
+	st.other = st.off + st.cnt
+	if st.r.Rank&st.d != 0 {
+		st.other = st.off - st.cnt
+	}
+	st.r.SendRecv(st.r.Rank^st.d, st.work[st.off:st.off+st.cnt], st.onDouble)
+}
+
+func (st *rhdDES) doubled(in []float32) {
+	copy(st.work[st.other:st.other+st.cnt], in)
+	if st.other < st.off {
+		st.off = st.other
+	}
+	st.cnt *= 2
+	st.d *= 2
+	st.double()
 }
 
 // HierarchicalDES is the DES form of Hierarchical.
@@ -312,152 +334,108 @@ func HierarchicalDES(r *des.Rank, data []float32, k func([]float32)) {
 func HierarchicalSegmentDES(r *des.Rank, data []float32, lo, total int, k func([]float32)) {
 	hierPhaseDES(r, HierIntraReduceScatter)
 	out := append([]float32(nil), data...)
-	p := r.P()
-	if p == 1 {
+	if r.P() == 1 {
 		k(out)
 		return
 	}
-	groups := topology.Members(r.Mapping(), p)
-	K := len(groups[0])
-	for _, g := range groups {
-		if len(g) < K {
-			K = len(g)
-		}
-	}
-	hi := lo + len(data)
-	bounds := chunkBounds(total, K)
-	c0, c1 := 0, K
-	if lo != 0 || hi != total {
-		c0 = chunkIndexAt(bounds, lo)
-		c1 = chunkIndexAt(bounds, hi)
-	}
+	st := &hierDES{r: r, data: data, out: out, k: k,
+		h: newHierPlan(r.Supernodes(), r.Rank, lo, len(data), total)}
+	st.onA, st.onC = st.reducedA, st.gatheredC
+	st.phaseA()
+}
 
-	rank := r.Rank
-	var group []int
-	j := -1
-	for _, g := range groups {
-		for i, m := range g {
-			if m == rank {
-				j, group = i, g
-				break
-			}
-		}
-		if group != nil {
-			break
-		}
-	}
-	if group == nil {
-		panic(fmt.Sprintf("allreduce: rank %d missing from supernode groups %v", rank, groups))
-	}
+// hierDES is one rank's progress through HierarchicalSegmentDES: round
+// is the tournament round of the current intra phase, pt the partner of
+// the exchange in flight.
+type hierDES struct {
+	r         *des.Rank
+	data, out []float32
+	k         func([]float32)
+	h         hierPlan
+	round, pt int
 
-	chunkAt := func(c int) (int, int) { return bounds[c] - lo, bounds[c+1] - lo }
-	chunkLive := func(c int) bool {
-		if c < c0 || c >= c1 {
-			return false
-		}
-		clo, chi := chunkAt(c)
-		return clo != chi
-	}
-	g := len(group)
+	onA, onC func([]float32)
+}
 
-	// Phase C: intra-supernode allgather tournament; finished chunks
-	// are sent by reference, receivers copy out — as the blocking form.
-	var phaseC func(round int)
-	phaseC = func(round int) {
-		if round == tournamentRounds(g) {
-			k(out)
-			return
-		}
-		pt := tournamentPartner(j, round, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			phaseC(round + 1)
-			return
+// phaseA is the intra-supernode reduce-scatter tournament: the rank's
+// untouched input for the partner's chunk goes by reference, owner j
+// accumulates in tournament-round order — as the blocking form.
+func (st *hierDES) phaseA() {
+	for ; st.round < st.h.rounds; st.round++ {
+		if st.pt = st.h.partner(st.round); st.pt < 0 {
+			continue
 		}
 		var send []float32
-		if chunkLive(j) {
-			clo, chi := chunkAt(j)
-			send = out[clo:chi]
+		if st.h.live(st.pt) {
+			plo, phi := st.h.seg.chunk(st.pt)
+			send = st.data[plo:phi]
 		}
-		r.SendRecv(group[pt], send, func(in []float32) {
-			if chunkLive(pt) {
-				plo, _ := chunkAt(pt)
-				copy(out[plo:], in)
-			}
-			phaseC(round + 1)
-		})
+		st.r.SendRecv(st.h.group[st.pt], send, st.onA)
+		return
 	}
-	startC := func() {
-		hierPhaseDES(r, HierAllgather)
-		phaseC(0)
-	}
+	st.phaseB()
+}
 
-	// Phase B: RHD among chunk c's leaders on an InGroup view (j == c
-	// for at most one chunk of this rank).
-	var phaseB func(c int)
-	phaseB = func(c int) {
-		if c >= c1 {
-			startC()
-			return
+func (st *hierDES) reducedA(in []float32) {
+	if st.h.live(st.h.j) {
+		clo, _ := st.h.seg.chunk(st.h.j)
+		for x, v := range in {
+			st.out[clo+x] += v
 		}
-		if j != c {
-			phaseB(c + 1)
-			return
-		}
-		clo, chi := chunkAt(c)
-		if clo == chi {
-			phaseB(c + 1)
-			return
-		}
-		leaders := make([]int, len(groups))
-		for s, gg := range groups {
-			leaders[s] = gg[c]
-		}
-		if len(leaders) > 1 {
-			sub := r.InGroup(leaders)
-			RecursiveHalvingDoublingDES(sub, out[clo:chi], func(red []float32) {
-				copy(out[clo:chi], red)
-				phaseB(c + 1)
-			})
-			return
-		}
-		phaseB(c + 1)
+		st.r.ChargeReduce(len(in))
 	}
-	startB := func() {
-		hierPhaseDES(r, HierLeaderRHD)
-		phaseB(c0)
-	}
+	st.round++
+	st.phaseA()
+}
 
-	// Phase A: intra-supernode reduce-scatter tournament; sends are
-	// copies, owner j accumulates in tournament-round order — as the
-	// blocking form.
-	var phaseA func(round int)
-	phaseA = func(round int) {
-		if round == tournamentRounds(g) {
-			startB()
-			return
-		}
-		pt := tournamentPartner(j, round, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			phaseA(round + 1)
-			return
+// phaseB is the RHD among chunk j's leaders on an InGroup view.
+func (st *hierDES) phaseB() {
+	hierPhaseDES(st.r, HierLeaderRHD)
+	if leaders := st.h.leaders(); leaders != nil {
+		clo, chi := st.h.seg.chunk(st.h.j)
+		RecursiveHalvingDoublingDES(st.r.InGroup(leaders), st.out[clo:chi], st.reducedB)
+		return
+	}
+	st.startC()
+}
+
+func (st *hierDES) reducedB(red []float32) {
+	clo, _ := st.h.seg.chunk(st.h.j)
+	copy(st.out[clo:], red)
+	st.startC()
+}
+
+func (st *hierDES) startC() {
+	hierPhaseDES(st.r, HierAllgather)
+	st.round = 0
+	st.phaseC()
+}
+
+// phaseC is the intra-supernode allgather tournament; finished chunks
+// are sent by reference, receivers copy out — as the blocking form.
+func (st *hierDES) phaseC() {
+	for ; st.round < st.h.rounds; st.round++ {
+		if st.pt = st.h.partner(st.round); st.pt < 0 {
+			continue
 		}
 		var send []float32
-		if chunkLive(pt) {
-			plo, phi := chunkAt(pt)
-			send = append([]float32(nil), out[plo:phi]...)
+		if st.h.live(st.h.j) {
+			clo, chi := st.h.seg.chunk(st.h.j)
+			send = st.out[clo:chi]
 		}
-		r.SendRecv(group[pt], send, func(in []float32) {
-			if chunkLive(j) {
-				clo, _ := chunkAt(j)
-				for x, v := range in {
-					out[clo+x] += v
-				}
-				r.ChargeReduce(len(in))
-			}
-			phaseA(round + 1)
-		})
+		st.r.SendRecv(st.h.group[st.pt], send, st.onC)
+		return
 	}
-	phaseA(0)
+	st.k(st.out)
+}
+
+func (st *hierDES) gatheredC(in []float32) {
+	if st.h.live(st.pt) {
+		plo, _ := st.h.seg.chunk(st.pt)
+		copy(st.out[plo:], in)
+	}
+	st.round++
+	st.phaseC()
 }
 
 // hierPhaseHookDES is the DES twin of hierPhaseHook: it fires on every

@@ -1,8 +1,6 @@
 package allreduce
 
 import (
-	"fmt"
-
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
@@ -58,53 +56,7 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 	if p == 1 {
 		return out
 	}
-	groups := topology.Members(n.Mapping(), p)
-	K := len(groups[0])
-	for _, g := range groups {
-		if len(g) < K {
-			K = len(g)
-		}
-	}
-	hi := lo + len(data)
-	bounds := chunkBounds(total, K)
-	c0, c1 := 0, K
-	if lo != 0 || hi != total {
-		c0 = chunkIndexAt(bounds, lo)
-		c1 = chunkIndexAt(bounds, hi)
-	}
-
-	// Locate this rank within its physical supernode group.
-	r := n.Rank
-	var group []int
-	j := -1
-	for _, g := range groups {
-		for i, m := range g {
-			if m == r {
-				j, group = i, g
-				break
-			}
-		}
-		if group != nil {
-			break
-		}
-	}
-	if group == nil {
-		panic(fmt.Sprintf("allreduce: rank %d missing from supernode groups %v", r, groups))
-	}
-
-	chunkAt := func(c int) (int, int) { return bounds[c] - lo, bounds[c+1] - lo }
-	// chunkLive reports whether chunk c carries traffic in this call:
-	// it exists (c < K), falls in the segment, and is non-empty. The
-	// predicate is the same on both ends of an exchange, so partners
-	// always agree on whether to meet.
-	chunkLive := func(c int) bool {
-		if c < c0 || c >= c1 {
-			return false
-		}
-		clo, chi := chunkAt(c)
-		return clo != chi
-	}
-	g := len(group)
+	h := newHierPlan(n.Supernodes(), n.Rank, lo, len(data), total)
 
 	// Phase A: intra-supernode reduce-scatter as a round-robin
 	// tournament of pairwise exchanges — every pair of members meets
@@ -114,22 +66,25 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 	// data for chunk pt and receives pt's contribution to chunk i;
 	// owner j therefore accumulates peer contributions in tournament-
 	// round order — a fixed association schedule shared by the barrier
-	// form and every segment. Sends are copies: the sender's backing
-	// array is overwritten in phase C before the (buffered) message is
-	// necessarily consumed.
-	for r := 0; r < tournamentRounds(g); r++ {
-		pt := tournamentPartner(j, r, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
+	// form and every segment. What i ships is its untouched input for
+	// chunk pt (phase A writes only chunk j), so it goes by reference,
+	// straight from data, which nobody writes during the run. Its own
+	// copy of chunk pt, in out, is next written in phase C, on pt's
+	// phase-C message — which pt posts only after it has consumed every
+	// phase-A wire — so even that would be safe to send.
+	for r := 0; r < h.rounds; r++ {
+		pt := h.partner(r)
+		if pt < 0 {
 			continue
 		}
 		var send []float32
-		if chunkLive(pt) {
-			plo, phi := chunkAt(pt)
-			send = append([]float32(nil), out[plo:phi]...)
+		if h.live(pt) {
+			plo, phi := h.seg.chunk(pt)
+			send = data[plo:phi]
 		}
-		in := n.SendRecv(group[pt], send)
-		if chunkLive(j) {
-			clo, _ := chunkAt(j)
+		in := n.SendRecv(h.group[pt], send)
+		if h.live(h.j) {
+			clo, _ := h.seg.chunk(h.j)
 			for x, v := range in {
 				out[clo+x] += v
 			}
@@ -137,28 +92,15 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 		}
 	}
 
-	// Phase B: recursive halving/doubling among chunk c's leaders —
-	// the c-th member of every supernode (K = min group size, so every
+	// Phase B: recursive halving/doubling among chunk j's leaders —
+	// the j-th member of every supernode (K = min group size, so every
 	// group has one). The leader groups are disjoint rank sets running
 	// concurrently, each over its own 1/K share of the vector.
 	hierPhase(n, HierLeaderRHD)
-	for c := c0; c < c1; c++ {
-		if j != c {
-			continue
-		}
-		clo, chi := chunkAt(c)
-		if clo == chi {
-			continue
-		}
-		leaders := make([]int, len(groups))
-		for s, g := range groups {
-			leaders[s] = g[c]
-		}
-		if len(leaders) > 1 {
-			sub := n.InGroup(leaders)
-			red := RecursiveHalvingDoubling(sub, out[clo:chi])
-			copy(out[clo:chi], red)
-		}
+	if leaders := h.leaders(); leaders != nil {
+		clo, chi := h.seg.chunk(h.j)
+		red := RecursiveHalvingDoubling(n.InGroup(leaders), out[clo:chi])
+		copy(out[clo:chi], red)
 	}
 
 	// Phase C: intra-supernode allgather, the same pairwise tournament
@@ -167,23 +109,75 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 	// g-1 rounds. The finished chunk is sent by reference: its owner
 	// never rewrites it within this run, and receivers copy out.
 	hierPhase(n, HierAllgather)
-	for r := 0; r < tournamentRounds(g); r++ {
-		pt := tournamentPartner(j, r, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
+	for r := 0; r < h.rounds; r++ {
+		pt := h.partner(r)
+		if pt < 0 {
 			continue
 		}
 		var send []float32
-		if chunkLive(j) {
-			clo, chi := chunkAt(j)
+		if h.live(h.j) {
+			clo, chi := h.seg.chunk(h.j)
 			send = out[clo:chi]
 		}
-		in := n.SendRecv(group[pt], send)
-		if chunkLive(pt) {
-			plo, _ := chunkAt(pt)
+		in := n.SendRecv(h.group[pt], send)
+		if h.live(pt) {
+			plo, _ := h.seg.chunk(pt)
 			copy(out[plo:], in)
 		}
 	}
 	return out
+}
+
+// hierPlan is one rank's view of a hierarchical flush: its supernode
+// group, its position j in it (the chunk it owns), and the segment of
+// the K-chunk partition the call covers. The blocking body and its DES
+// twin both walk it, so the schedule is decided in one place.
+type hierPlan struct {
+	lay    *topology.Layout
+	group  []int // world ranks of this rank's supernode, ascending
+	j      int   // this rank's index in group
+	rounds int   // tournament rounds per intra phase
+	seg    segment
+}
+
+func newHierPlan(lay *topology.Layout, rank, lo, n, total int) hierPlan {
+	group := lay.Groups[lay.GroupOf[rank]]
+	return hierPlan{lay: lay, group: group, j: lay.IndexOf[rank],
+		rounds: tournamentRounds(len(group)),
+		seg:    newSegment(lo, n, total, lay.MinSize)}
+}
+
+// live reports whether chunk c carries traffic in this call: it exists
+// (c < K), falls in the segment, and is non-empty. The predicate is
+// the same on both ends of an exchange, so partners always agree on
+// whether to meet.
+func (h *hierPlan) live(c int) bool {
+	if !h.seg.has(c) {
+		return false
+	}
+	lo, hi := h.seg.chunk(c)
+	return lo != hi
+}
+
+// partner returns this rank's tournament partner in round r, or -1 when
+// it sits the round out: a bye, or an exchange in which neither side's
+// chunk is live.
+func (h *hierPlan) partner(r int) int {
+	pt := tournamentPartner(h.j, r, len(h.group))
+	if pt < 0 || (!h.live(pt) && !h.live(h.j)) {
+		return -1
+	}
+	return pt
+}
+
+// leaders returns the leader group this rank joins in phase B — the
+// j-th member of every supernode — or nil when it has no inter-
+// supernode work: its chunk is not live, or there is one supernode.
+func (h *hierPlan) leaders() []int {
+	if !h.live(h.j) || len(h.lay.Groups) < 2 {
+		return nil
+	}
+	return h.lay.Leaders(h.j)
 }
 
 // tournamentRounds returns the round count of the all-pairs exchange
@@ -233,4 +227,4 @@ func tournamentPartner(j, r, g int) int {
 // engine snaps hierarchical bucket boundaries onto these bounds so
 // each bucket is a whole number of leader-owned chunks (see
 // HierarchicalSegment).
-func HierChunkBounds(n, k int) []int { return chunkBounds(n, k) }
+func HierChunkBounds(n, k int) []int { return ChunkBounds(n, k) }

@@ -1,0 +1,275 @@
+package allreduce
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"testing"
+
+	"swcaffe/internal/des"
+	"swcaffe/internal/detrand"
+	"swcaffe/internal/simnet"
+	"swcaffe/internal/topology"
+)
+
+var propertySeed = flag.Uint64("property-seed", 20260928, "base seed of TestCollectiveProperty's generated cases")
+
+const propertyCases = 48
+
+// outcome is everything a collective run must reproduce: each rank's
+// output (copied out — RunGather's slice is the cluster's) and the
+// simulated statistics.
+type outcome struct {
+	outs   [][]float32
+	clocks []float64
+	time   float64
+	census [3]int64
+}
+
+func (o outcome) diff(want outcome, stats bool) string {
+	for r := range want.outs {
+		if len(o.outs[r]) != len(want.outs[r]) {
+			return fmt.Sprintf("rank %d: %d elems, want %d", r, len(o.outs[r]), len(want.outs[r]))
+		}
+		for i := range want.outs[r] {
+			if got, w := math.Float32bits(o.outs[r][i]), math.Float32bits(want.outs[r][i]); got != w {
+				return fmt.Sprintf("rank %d elem %d: %#08x, want %#08x", r, i, got, w)
+			}
+		}
+	}
+	if !stats {
+		return ""
+	}
+	for r := range want.clocks {
+		if o.clocks[r] != want.clocks[r] {
+			return fmt.Sprintf("rank %d clock %v, want %v", r, o.clocks[r], want.clocks[r])
+		}
+	}
+	if o.time != want.time || o.census != want.census {
+		return fmt.Sprintf("makespan %v census %v, want %v %v", o.time, o.census, want.time, want.census)
+	}
+	return ""
+}
+
+func copyOuts(outs [][]float32) [][]float32 {
+	c := make([][]float32, len(outs))
+	for r, o := range outs {
+		c[r] = append([]float32{}, o...)
+	}
+	return c
+}
+
+// propertyCase is one generated (shape, payload, segment) point. The
+// segment [lo, hi) of the total-element vector is what every rank
+// reduces: chunk-aligned for the ring (p chunks) and the hierarchical
+// schedule (MinSize chunks), anywhere for the element-uniform two.
+type propertyCase struct {
+	seed   uint64
+	p, q   int
+	m      topology.Mapping
+	total  int
+	inputs [][]float32
+}
+
+func genCase(seed uint64) propertyCase {
+	rng := detrand.New(seed)
+	c := propertyCase{seed: seed, p: 1 + rng.Intn(40), q: 1 + rng.Intn(9)}
+	c.m = topology.AdjacentMapping{Q: c.q}
+	if rng.Intn(2) == 1 {
+		c.m = topology.RoundRobinMapping{Q: c.q}
+	}
+	switch rng.Intn(4) {
+	case 0: // empty
+	case 1: // shorter than the rank count
+		c.total = rng.Intn(c.p)
+	case 2: // ragged
+		c.total = c.p*(1+rng.Intn(6)) + rng.Intn(c.p)
+	case 3: // a multiple of p
+		c.total = c.p * (1 + rng.Intn(6))
+	}
+	c.inputs = make([][]float32, c.p)
+	for r := range c.inputs {
+		c.inputs[r] = make([]float32, c.total)
+		for i := range c.inputs[r] {
+			c.inputs[r][i] = float32(rng.Intn(17) - 8)
+		}
+	}
+	return c
+}
+
+// segmentOn picks two bounds of the k-chunk partition (k = 0: any two
+// offsets) in order.
+func (c propertyCase) segmentOn(rng *detrand.RNG, k int) (lo, hi int) {
+	pick := func() int { return rng.Intn(c.total + 1) }
+	if k > 0 {
+		bounds := ChunkBounds(c.total, k)
+		pick = func() int { return bounds[rng.Intn(len(bounds))] }
+	}
+	lo, hi = pick(), pick()
+	if rng.Intn(3) == 0 {
+		lo, hi = 0, c.total // the one-shot form
+	}
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// fault says where the victim rank dies: before it communicates (peers
+// are left parked on it, wires queued for it) or as it finishes.
+type fault struct {
+	victim int
+	early  bool
+}
+
+var noFault = fault{victim: -1}
+
+// runSim runs body on cl, with f's victim panicking, and returns the
+// outcome or the recovered panic.
+func runSim(cl *simnet.Cluster, f fault, body func(n *simnet.Node) []float32) (o outcome, failed any) {
+	defer func() { failed = recover() }()
+	res, outs := cl.RunGather(func(n *simnet.Node) []float32 {
+		if n.Rank == f.victim && f.early {
+			panic("boom")
+		}
+		out := body(n)
+		if n.Rank == f.victim {
+			panic("boom")
+		}
+		return out
+	})
+	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
+}
+
+func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32))) (o outcome, failed any) {
+	defer func() { failed = recover() }()
+	res, outs := cl.RunGather(func(r *des.Rank) {
+		if r.Rank == f.victim && f.early {
+			panic("boom")
+		}
+		k := r.Finish
+		if r.Rank == f.victim {
+			k = func([]float32) { panic("boom") }
+		}
+		body(r, k)
+	})
+	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
+}
+
+// TestCollectiveProperty generates cluster shapes, mappings, lengths
+// and segments and checks, for every algorithm on both backends: the
+// output is the exact sum (small integers, so every association order
+// agrees), the inputs are untouched, and the DES run reproduces the
+// goroutine run's clocks, makespan and census. Each case then runs
+// twice more on one cluster — recycled scratch, pooled links — and once
+// after a recovered rank panic, and must reproduce the fresh cluster's
+// outcome every time. Replay a failure with -property-seed.
+func TestCollectiveProperty(t *testing.T) {
+	for i := 0; i < propertyCases; i++ {
+		c := genCase(*propertySeed + uint64(i))
+		net := sunwayQ(c.q)
+		rng := detrand.New(c.seed ^ 0x5eed)
+		pristine := copyOuts(c.inputs)
+		for _, name := range Names() {
+			k := 0
+			switch name {
+			case NameRing:
+				k = c.p
+			case NameHierarchical:
+				k = topology.MinGroupSize(c.m, c.p)
+			}
+			lo, hi := c.segmentOn(rng, k)
+			f := fault{victim: rng.Intn(c.p), early: rng.Intn(2) == 0}
+			label := fmt.Sprintf("seed %d (-property-seed %d, case %d): %s p=%d q=%d %s total=%d seg=[%d,%d) fault=%+v",
+				c.seed, *propertySeed, i, name, c.p, c.q, c.m.Name(), c.total, lo, hi, f)
+
+			var sim func(n *simnet.Node) []float32
+			var dsv func(r *des.Rank, k func([]float32))
+			switch name {
+			case NameRing:
+				sim = func(n *simnet.Node) []float32 { return RingSegment(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
+				dsv = func(r *des.Rank, k func([]float32)) { RingSegmentDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k) }
+			case NameHierarchical:
+				sim = func(n *simnet.Node) []float32 { return HierarchicalSegment(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
+				dsv = func(r *des.Rank, k func([]float32)) {
+					HierarchicalSegmentDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k)
+				}
+			default:
+				alg, _ := ByName(name)
+				algDES, _ := ByNameDES(name)
+				sim = func(n *simnet.Node) []float32 { return alg(n, c.inputs[n.Rank][lo:hi]) }
+				dsv = func(r *des.Rank, k func([]float32)) { algDES(r, c.inputs[r.Rank][lo:hi], k) }
+			}
+
+			sum := make([]float32, hi-lo)
+			for _, in := range c.inputs {
+				for x, v := range in[lo:hi] {
+					sum[x] += v
+				}
+			}
+			want := outcome{outs: make([][]float32, c.p)}
+			for r := range want.outs {
+				want.outs[r] = sum
+			}
+
+			fresh, failed := runSim(simnet.NewCluster(net, c.m, c.p), noFault, sim)
+			if failed != nil {
+				t.Fatalf("%s: goroutine run panicked: %v", label, failed)
+			}
+			if d := fresh.diff(want, false); d != "" {
+				t.Fatalf("%s: goroutine vs reference sum: %s", label, d)
+			}
+			freshDES, failed := runDES(des.NewCluster(net, c.m, c.p), noFault, dsv)
+			if failed != nil {
+				t.Fatalf("%s: DES run panicked: %v", label, failed)
+			}
+			if d := freshDES.diff(fresh, true); d != "" {
+				t.Fatalf("%s: DES vs goroutine: %s", label, d)
+			}
+
+			// Leaked goroutines count against the race detector's limit,
+			// so only small worlds strand their peers.
+			simFault := f
+			if c.p > 8 {
+				simFault.early = false
+			}
+			scl, dcl := simnet.NewCluster(net, c.m, c.p), des.NewCluster(net, c.m, c.p)
+			for _, step := range []struct {
+				what string
+				f    fault
+			}{{"first run", noFault}, {"warm run", noFault}, {"faulted run", f}, {"run after the fault", noFault}} {
+				sf := step.f
+				if sf.victim >= 0 {
+					sf = simFault
+				}
+				got, failed := runSim(scl, sf, sim)
+				gotDES, failedDES := runDES(dcl, step.f, dsv)
+				if step.f.victim >= 0 {
+					if np, ok := failed.(simnet.NodePanic); !ok || np.FailedRank() != f.victim {
+						t.Fatalf("%s: goroutine %s: recovered %v, want NodePanic on rank %d", label, step.what, failed, f.victim)
+					}
+					if rp, ok := failedDES.(des.RankPanic); !ok || rp.FailedRank() != f.victim {
+						t.Fatalf("%s: DES %s: recovered %v, want RankPanic on rank %d", label, step.what, failedDES, f.victim)
+					}
+					continue
+				}
+				if failed != nil || failedDES != nil {
+					t.Fatalf("%s: %s panicked: goroutine %v, DES %v", label, step.what, failed, failedDES)
+				}
+				if d := got.diff(fresh, true); d != "" {
+					t.Fatalf("%s: goroutine %s vs fresh cluster: %s", label, step.what, d)
+				}
+				if d := gotDES.diff(fresh, true); d != "" {
+					t.Fatalf("%s: DES %s vs fresh cluster: %s", label, step.what, d)
+				}
+			}
+		}
+		for r := range pristine {
+			for x := range pristine[r] {
+				if c.inputs[r][x] != pristine[r][x] {
+					t.Fatalf("seed %d: input of rank %d modified at %d", c.seed, r, x)
+				}
+			}
+		}
+	}
+}

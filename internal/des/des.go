@@ -29,13 +29,18 @@ package des
 import (
 	"fmt"
 	"sort"
+	"sync"
 
+	"swcaffe/internal/scratch"
 	"swcaffe/internal/topology"
 )
 
 // Cluster couples a network parameter set, a rank mapping and the
 // cluster size for discrete-event collective runs. The fields mirror
-// simnet.Cluster so trainer configuration translates one-to-one.
+// simnet.Cluster so trainer configuration translates one-to-one. Net,
+// Mapping and P are fixed at NewCluster (the supernode layout is
+// resolved there); BytesPerElem and ReduceOnCPE may be set before a
+// run.
 type Cluster struct {
 	Net     *topology.Network
 	Mapping topology.Mapping
@@ -47,6 +52,17 @@ type Cluster struct {
 
 	// ReduceOnCPE selects the CPE-cluster reduction rate.
 	ReduceOnCPE bool
+
+	layout *topology.Layout
+
+	// pool holds the runState of the last run that completed cleanly
+	// and fully drained — the rule simnet.Cluster follows. A run that
+	// panicked, deadlocked or left a wire or a waiter behind never
+	// returns its state here: it is dropped whole, so nothing stale
+	// (a queued wire, a parked continuation, scratch a dead rank still
+	// references) can reach a later run.
+	mu   sync.Mutex
+	pool *runState
 }
 
 // NewCluster builds a DES cluster of p nodes.
@@ -54,52 +70,63 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	if p <= 0 {
 		panic("des: cluster size must be positive")
 	}
-	return &Cluster{Net: net, Mapping: mapping, P: p, BytesPerElem: 4}
+	return &Cluster{Net: net, Mapping: mapping, P: p, BytesPerElem: 4,
+		layout: topology.NewLayout(mapping, p)}
 }
 
 func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
 	bytes := int64(float64(elems) * c.BytesPerElem)
-	same := topology.SameSupernode(c.Mapping, a, b, c.P)
-	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(same)
+	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(c.layout.Same(a, b))
 }
 
+// wire is one queued message. Wires live in runState.wires and are
+// chained by index: next is the following wire on the same link, or
+// the following free slot once the wire is delivered.
 type wire struct {
 	data     []float32
 	sendTime float64
+	next     int32
 }
 
-// waiter is a rank parked on a link waiting for a wire. sendElems is
-// the outgoing payload size of a SendRecv (-1 for a plain Recv): the
-// full-duplex exchange charges one α+βn for the larger direction, so
-// the cost is resolved only when the incoming wire is known.
+// waiter is the receiver parked on a link (always the link's dst).
+// sendElems is the outgoing payload size of a SendRecv (-1 for a plain
+// Recv): the full-duplex exchange charges one α+βn for the larger
+// direction, so the cost is resolved only when the incoming wire is
+// known.
 type waiter struct {
-	rank      int // world rank, for the event tie-break key
-	clock     *float64
 	sendElems int
 	k         func([]float32)
 }
 
-// link is one directed (src, dst) FIFO. head indexes the first
-// undelivered wire so delivery is O(1) without reslicing churn.
+// link is one directed (src, dst) FIFO: a chain of wires from head to
+// tail (head < 0 = empty) and at most one parked waiter, held by value
+// (w.k == nil = none).
 type link struct {
-	queue []wire
-	head  int
-	w     *waiter
+	key        uint64 // src<<32 | dst
+	head, tail int32
+	w          waiter
 }
 
-// event is one scheduled continuation.
+func (l *link) parked() bool { return l.w.k != nil }
+
+func (l *link) ends() [2]int { return [2]int{int(l.key >> 32), int(uint32(l.key))} }
+
+// event is one scheduled resumption: at time, set rank's clock and call
+// k(data). It carries no closure — matching a message allocates
+// nothing.
 type event struct {
 	time float64
 	rank int
 	seq  int64
-	fn   func()
+	k    func([]float32)
+	data []float32
 }
 
 // eventHeap is a hand-rolled binary min-heap over (time, rank, seq).
 type eventHeap []event
 
 func (h eventHeap) before(i, j int) bool {
-	a, b := h[i], h[j]
+	a, b := &h[i], &h[j]
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -127,7 +154,7 @@ func (h *eventHeap) pop() event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // release the closure
+	old[n] = event{} // release the continuation and payload
 	*h = old[:n]
 	i := 0
 	for {
@@ -148,36 +175,160 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// runState is the private state of one RunGather: links, the event
-// heap, and the traffic census (plain ints — the whole run is one
-// goroutine).
+// runState is the state of one RunGather, reused by the next when the
+// run ends clean (see Cluster.pool): ranks, clocks, links, wires, the
+// event heap, per-rank scratch and the traffic census (plain ints — the
+// whole run is one goroutine). Links are found through an
+// open-addressing table over their (src, dst) key; a warm run on the
+// same schedule finds every link it needs and every wire slot free.
 type runState struct {
-	cluster  *Cluster
-	links    map[[2]int]*link
+	cluster *Cluster
+	ranks   []Rank
+	clocks  []float64
+	results [][]float32
+	scratch []scratch.Arena
+
+	links    []link
+	slots    []int32 // open addressing: index into links + 1, 0 = empty
+	wires    []wire
+	freeWire int32 // head of the free-wire chain, -1 = none
+
 	heap     eventHeap
 	seq      int64
+	cur      int // world rank whose code is running, for RankPanic
 	finished int
-	results  [][]float32
+	parked   int // waiters parked and not yet matched
 
-	msgs       int64
+	msgs       int64 // wires posted
+	delivered  int64 // wires matched to a waiter
 	crossMsgs  int64
 	crossBytes int64
 }
 
-func (rs *runState) link(src, dst int) *link {
-	key := [2]int{src, dst}
-	l, ok := rs.links[key]
-	if !ok {
-		l = &link{}
-		rs.links[key] = l
+func newRunState(c *Cluster) *runState {
+	slots := 16
+	for slots < 4*c.P {
+		slots *= 2
 	}
-	return l
+	return &runState{
+		cluster: c,
+		ranks:   make([]Rank, c.P),
+		clocks:  make([]float64, c.P),
+		results: make([][]float32, c.P),
+		scratch: make([]scratch.Arena, c.P),
+		slots:   make([]int32, slots),
+	}
+}
+
+// begin readies a fresh or recycled state for a run. A recycled state
+// comes from a drained run, so its links are empty and its heap is too;
+// only the per-run counters, the clocks and the scratch cursors move.
+func (rs *runState) begin() {
+	for i := range rs.ranks {
+		rs.clocks[i] = 0
+		rs.results[i] = nil
+		rs.scratch[i].Rewind()
+		rs.ranks[i] = Rank{Rank: i, cluster: rs.cluster, run: rs, clock: &rs.clocks[i]}
+	}
+	rs.freeWire = -1
+	rs.wires = rs.wires[:0]
+	rs.seq, rs.finished = 0, 0
+	rs.msgs, rs.delivered, rs.crossMsgs, rs.crossBytes = 0, 0, 0, 0
+}
+
+func slotOf(key uint64, mask int) int {
+	return int((key*0x9E3779B97F4A7C15)>>32) & mask
+}
+
+// link returns the (src, dst) link, creating it on first use. The
+// pointer is valid until the next call (creation may move the table).
+func (rs *runState) link(src, dst int) *link {
+	key := uint64(src)<<32 | uint64(dst)
+	mask := len(rs.slots) - 1
+	i := slotOf(key, mask)
+	for rs.slots[i] != 0 {
+		if l := &rs.links[rs.slots[i]-1]; l.key == key {
+			return l
+		}
+		i = (i + 1) & mask
+	}
+	rs.links = append(rs.links, link{key: key, head: -1, tail: -1})
+	rs.slots[i] = int32(len(rs.links))
+	if 2*len(rs.links) > len(rs.slots) {
+		rs.slots = make([]int32, 2*len(rs.slots))
+		mask = len(rs.slots) - 1
+		for li := range rs.links {
+			j := slotOf(rs.links[li].key, mask)
+			for rs.slots[j] != 0 {
+				j = (j + 1) & mask
+			}
+			rs.slots[j] = int32(li + 1)
+		}
+	}
+	return &rs.links[len(rs.links)-1]
+}
+
+// post queues data on the (src, dst) link, counts it, and resolves a
+// waiter already parked there.
+func (rs *runState) post(src, dst int, data []float32, now float64) {
+	rs.msgs++
+	if !rs.cluster.layout.Same(src, dst) {
+		rs.crossMsgs++
+		rs.crossBytes += int64(float64(len(data)) * rs.cluster.BytesPerElem)
+	}
+	wi := rs.freeWire
+	if wi >= 0 {
+		rs.freeWire = rs.wires[wi].next
+		rs.wires[wi] = wire{data: data, sendTime: now, next: -1}
+	} else {
+		wi = int32(len(rs.wires))
+		rs.wires = append(rs.wires, wire{data: data, sendTime: now, next: -1})
+	}
+	l := rs.link(src, dst)
+	if l.head < 0 {
+		l.head = wi
+	} else {
+		rs.wires[l.tail].next = wi
+	}
+	l.tail = wi
+	if l.parked() {
+		rs.match(l, src, dst)
+	}
+}
+
+// match resolves the link's parked waiter against its head wire and
+// schedules the continuation on the heap at the arrival time.
+func (rs *runState) match(l *link, src, dst int) {
+	w := l.w
+	l.w = waiter{}
+	rs.parked--
+	wi := l.head
+	m := rs.wires[wi]
+	l.head = m.next
+	rs.wires[wi] = wire{next: rs.freeWire}
+	rs.freeWire = wi
+	rs.delivered++
+	elems := len(m.data)
+	if w.sendElems > elems {
+		elems = w.sendElems
+	}
+	alpha, transfer := rs.cluster.linkCost(src, dst, elems)
+	t := rs.clocks[dst]
+	if m.sendTime > t {
+		t = m.sendTime
+	}
+	// Associate exactly as simnet.Recv does — (start + α) + βn — so
+	// clocks stay bit-identical to the goroutine backend.
+	t = t + alpha + transfer
+	rs.heap.push(event{time: t, rank: dst, seq: rs.seq, k: w.k, data: m.data})
+	rs.seq++
 }
 
 // Rank is the per-rank handle passed to DES collective bodies: the
 // continuation-passing twin of simnet.Node, with the same world/group
 // view semantics (InGroup shares the clock and the world-rank link
-// namespace; group views do not nest).
+// namespace; group views do not nest). A handle belongs to the run that
+// made it and must not be used after that run returns.
 type Rank struct {
 	Rank    int
 	cluster *Cluster
@@ -211,8 +362,25 @@ func (r *Rank) world(x int) int {
 	return x
 }
 
-// Mapping exposes the cluster's rank-to-supernode mapping.
-func (r *Rank) Mapping() topology.Mapping { return r.cluster.Mapping }
+// Supernodes returns the cluster's supernode layout, resolved once at
+// NewCluster. It describes the world communicator, so it is refused on
+// a group view.
+func (r *Rank) Supernodes() *topology.Layout {
+	if r.group != nil {
+		panic("des: the supernode layout is defined on the world view")
+	}
+	return r.cluster.layout
+}
+
+// Scratch returns n float32s of unspecified content from the rank's
+// cluster-owned bump arena — staging for a payload the body builds and
+// sends. The arena is rewound when the next run starts and never within
+// one, so the slice stays valid (for this rank and for a peer it was
+// sent to) until RunGather returns; it must not be returned as the
+// rank's result. A failed run's arenas are dropped with its state.
+func (r *Rank) Scratch(n int) []float32 {
+	return r.run.scratch[r.WorldRank()].Take(n)
+}
 
 // InGroup returns a sub-communicator view restricted to the ordered
 // world-rank subset ranks, sharing this rank's clock — the exact
@@ -234,40 +402,29 @@ func (r *Rank) InGroup(ranks []int) *Rank {
 	return &Rank{Rank: idx, cluster: r.cluster, run: r.run, clock: r.clock, group: ranks}
 }
 
-func (r *Rank) countMsg(src, dst, elems int) {
-	r.run.msgs++
-	if !topology.SameSupernode(r.cluster.Mapping, src, dst, r.cluster.P) {
-		r.run.crossMsgs++
-		r.run.crossBytes += int64(float64(elems) * r.cluster.BytesPerElem)
-	}
-}
-
 // Send posts data to peer and occupies the sender for the full α+βn,
 // exactly as simnet.Node.Send. It never parks: control returns to the
-// caller inline.
+// caller inline. The payload travels by reference — see the ownership
+// rule in internal/allreduce.
 func (r *Rank) Send(peer int, data []float32) {
 	src, dst := r.WorldRank(), r.world(peer)
 	if dst == src {
 		panic("des: send to self")
 	}
 	alpha, transfer := r.cluster.linkCost(src, dst, len(data))
-	r.countMsg(src, dst, len(data))
-	l := r.run.link(src, dst)
-	l.queue = append(l.queue, wire{data: data, sendTime: *r.clock})
+	r.run.post(src, dst, data, *r.clock)
 	*r.clock += alpha + transfer
-	if l.w != nil {
-		r.run.match(src, dst, l)
-	}
 }
 
 // Recv parks the rank until a message from peer arrives, then resumes
 // k with the payload; the clock advances to
 // max(local, remote-send) + α + βn first, as simnet.Node.Recv. Code
 // after a Recv call runs before the continuation — structure rank
-// programs so Recv is a tail call.
+// programs so Recv is a tail call. The engine keeps k only until it
+// fires, so one continuation may serve every round of a phase.
 func (r *Rank) Recv(peer int, k func([]float32)) {
 	src, dst := r.world(peer), r.WorldRank()
-	r.park(src, dst, -1, k)
+	r.run.park(src, dst, -1, k)
 }
 
 // SendRecv posts sendData to peer and parks for the reply; the
@@ -278,55 +435,20 @@ func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
 	if dst == src {
 		panic("des: sendrecv with self")
 	}
-	r.countMsg(src, dst, len(sendData))
-	l := r.run.link(src, dst)
-	l.queue = append(l.queue, wire{data: sendData, sendTime: *r.clock})
-	if l.w != nil {
-		r.run.match(src, dst, l)
-	}
-	r.park(dst, src, len(sendData), k)
+	r.run.post(src, dst, sendData, *r.clock)
+	r.run.park(dst, src, len(sendData), k)
 }
 
-func (r *Rank) park(src, dst, sendElems int, k func([]float32)) {
-	l := r.run.link(src, dst)
-	if l.w != nil {
+func (rs *runState) park(src, dst, sendElems int, k func([]float32)) {
+	l := rs.link(src, dst)
+	if l.parked() {
 		panic(fmt.Sprintf("des: second receiver parked on link [%d %d]", src, dst))
 	}
-	l.w = &waiter{rank: r.WorldRank(), clock: r.clock, sendElems: sendElems, k: k}
-	if l.head < len(l.queue) {
-		r.run.match(src, dst, l)
+	l.w = waiter{sendElems: sendElems, k: k}
+	rs.parked++
+	if l.head >= 0 {
+		rs.match(l, src, dst)
 	}
-}
-
-// match resolves the link's parked waiter against its head wire and
-// schedules the continuation on the heap at the arrival time.
-func (rs *runState) match(src, dst int, l *link) {
-	w := l.w
-	l.w = nil
-	m := l.queue[l.head]
-	l.queue[l.head] = wire{}
-	l.head++
-	if l.head == len(l.queue) {
-		l.queue, l.head = l.queue[:0], 0
-	}
-	elems := len(m.data)
-	if w.sendElems > elems {
-		elems = w.sendElems
-	}
-	alpha, transfer := rs.cluster.linkCost(src, dst, elems)
-	t := *w.clock
-	if m.sendTime > t {
-		t = m.sendTime
-	}
-	// Associate exactly as simnet.Recv does — (start + α) + βn — so
-	// clocks stay bit-identical to the goroutine backend.
-	t = t + alpha + transfer
-	clock, k, data := w.clock, w.k, m.data
-	rs.heap.push(event{time: t, rank: w.rank, seq: rs.seq, fn: func() {
-		*clock = t
-		k(data)
-	}})
-	rs.seq++
 }
 
 // ChargeReduce accounts a local elementwise reduction of elems values,
@@ -400,98 +522,97 @@ func (c *Cluster) Run(body func(r *Rank)) Result {
 	return res
 }
 
-// RunGather executes body on every rank of a fresh run (zeroed clocks,
-// empty links) and drains the event heap to completion. The body runs
-// rank code inline until the first park; each rank must eventually
-// call Finish with its result. The returned slice is freshly allocated
-// per run. A panic in rank code propagates as RankPanic; the run state
-// is discarded, so the cluster is reusable afterwards — and unlike the
-// goroutine backend, a failed run strands nothing: there are no
-// goroutines to leak.
+// RunGather executes body on every rank of a clean run (zeroed clocks,
+// empty links, rewound scratch) and drains the event heap to
+// completion. The body runs rank code inline until the first park; each
+// rank must eventually call Finish with its result. The returned slice
+// follows simnet.Cluster.RunGather's contract: it is owned by the
+// cluster and valid only until the next Run/RunGather.
+//
+// A panic in rank code propagates as RankPanic, and a deadlock or an
+// unconsumed message as a plain panic; in each case the run state is
+// dropped, never reused, so the cluster is reusable afterwards — and
+// unlike the goroutine backend, a failed run strands nothing: there are
+// no goroutines to leak.
 func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
-	rs := &runState{
-		cluster: c,
-		links:   make(map[[2]int]*link),
-		results: make([][]float32, c.P),
+	c.mu.Lock()
+	rs := c.pool
+	c.pool = nil
+	c.mu.Unlock()
+	if rs == nil {
+		rs = newRunState(c)
 	}
-	ranks := make([]*Rank, c.P)
-	for i := range ranks {
-		ranks[i] = &Rank{Rank: i, cluster: c, run: rs, clock: new(float64)}
-	}
-	for _, r := range ranks {
-		seed(r, body)
-	}
-	for len(rs.heap) > 0 {
-		runEvent(rs.heap.pop())
-	}
+	rs.begin()
+	rs.execute(body)
 	if rs.finished != c.P {
 		panic(fmt.Sprintf("des: deadlock — %d of %d ranks finished, parked waiters on links %v",
-			rs.finished, c.P, rs.parkedLinks()))
+			rs.finished, c.P, rs.linksWhere((*link).parked)))
 	}
-	// A completed collective must have consumed every message it sent;
-	// iterate the links in sorted key order so the panic is
-	// deterministic.
-	keys := make([][2]int, 0, len(rs.links))
-	for k := range rs.links {
-		keys = append(keys, k)
+	// A completed collective must have consumed every message it sent.
+	// The counters decide that; the sorted scan only names the link.
+	if rs.delivered != rs.msgs {
+		panic(fmt.Sprintf("des: unconsumed message on link %v",
+			rs.linksWhere(func(l *link) bool { return l.head >= 0 })[0]))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		if l := rs.links[k]; l.head < len(l.queue) {
-			panic(fmt.Sprintf("des: unconsumed message on link %v", k))
-		}
-	}
-	res := Result{Clocks: make([]float64, c.P), Msgs: rs.msgs,
+	res := Result{Clocks: append([]float64(nil), rs.clocks...), Msgs: rs.msgs,
 		CrossMsgs: rs.crossMsgs, CrossBytes: rs.crossBytes}
-	for i, r := range ranks {
-		res.Clocks[i] = *r.clock
-		if *r.clock > res.Time {
-			res.Time = *r.clock
+	for _, t := range res.Clocks {
+		if t > res.Time {
+			res.Time = t
 		}
+	}
+	// A waiter still parked (a receive nothing was ever sent to, on a
+	// rank that finished anyway) is legal but would resume in a later
+	// run, so such a state is not recycled either.
+	if rs.parked == 0 {
+		c.mu.Lock()
+		c.pool = rs
+		c.mu.Unlock()
 	}
 	return res, rs.results
 }
 
-// parkedLinks lists the (src, dst) keys with a parked waiter, sorted,
-// for the deadlock diagnostic.
-func (rs *runState) parkedLinks() [][2]int {
-	var parked [][2]int
-	for k, l := range rs.links {
-		if l.w != nil {
-			parked = append(parked, k)
-		}
+// execute seeds every rank's body and drains the heap. One deferred
+// recover covers the lot: cur names the rank whose code is running.
+func (rs *runState) execute(body func(r *Rank)) {
+	defer rs.rewrap()
+	for i := range rs.ranks {
+		rs.cur = i
+		body(&rs.ranks[i])
 	}
-	sort.Slice(parked, func(i, j int) bool {
-		if parked[i][0] != parked[j][0] {
-			return parked[i][0] < parked[j][0]
-		}
-		return parked[i][1] < parked[j][1]
-	})
-	return parked
+	for len(rs.heap) > 0 {
+		ev := rs.heap.pop()
+		rs.cur = ev.rank
+		rs.clocks[ev.rank] = ev.time
+		ev.k(ev.data)
+	}
 }
 
-func seed(r *Rank, body func(r *Rank)) {
-	defer rewrap(r.Rank)
-	body(r)
-}
-
-func runEvent(ev event) {
-	defer rewrap(ev.rank)
-	ev.fn()
-}
-
-// rewrap converts a rank-code panic into RankPanic, preserving an
-// already-wrapped value from a nested frame.
-func rewrap(rank int) {
+// rewrap converts a rank-code panic into RankPanic, preserving a value
+// that is already one.
+func (rs *runState) rewrap() {
 	if rec := recover(); rec != nil {
 		if rp, ok := rec.(RankPanic); ok {
 			panic(rp)
 		}
-		panic(RankPanic{Rank: rank, Value: rec})
+		panic(RankPanic{Rank: rs.cur, Value: rec})
 	}
+}
+
+// linksWhere lists the (src, dst) ends of the links keep selects,
+// sorted, for the deadlock and unconsumed-message diagnostics.
+func (rs *runState) linksWhere(keep func(*link) bool) [][2]int {
+	var out [][2]int
+	for i := range rs.links {
+		if l := &rs.links[i]; keep(l) {
+			out = append(out, l.ends())
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
 }

@@ -309,3 +309,207 @@ func TestSecondWaiterPanics(t *testing.T) {
 		r.Finish(nil)
 	})
 }
+
+// shiftStorm is a p-rank ring-shift body whose continuations are built
+// once, up front: rank r sends payload to r+1 and receives from r-1,
+// shifts times. Nothing in it allocates per message, so whatever a run
+// of it allocates is the engine's.
+type shiftStorm struct {
+	p, shifts int
+	payload   []float32
+	ranks     []shifter
+}
+
+type shifter struct {
+	s      *shiftStorm
+	r      *Rank
+	k      int
+	onRecv func([]float32)
+}
+
+func newShiftStorm(p, shifts, elems int) *shiftStorm {
+	s := &shiftStorm{p: p, shifts: shifts, payload: make([]float32, elems), ranks: make([]shifter, p)}
+	for i := range s.ranks {
+		sh := &s.ranks[i]
+		sh.s = s
+		sh.onRecv = func([]float32) { sh.k++; sh.shift() }
+	}
+	return s
+}
+
+func (s *shiftStorm) body(r *Rank) {
+	sh := &s.ranks[r.Rank]
+	sh.r, sh.k = r, 0
+	sh.shift()
+}
+
+func (sh *shifter) shift() {
+	if sh.k == sh.s.shifts {
+		sh.r.Finish(nil)
+		return
+	}
+	sh.r.Send((sh.r.Rank+1)%sh.s.p, sh.s.payload)
+	sh.r.Recv((sh.r.Rank+sh.s.p-1)%sh.s.p, sh.onRecv)
+}
+
+// TestWarmStormAllocatesNothingPerMessage is the engine's allocation
+// budget: on a warm cluster a p = 1024 storm of 16 384 4 KiB messages
+// costs a constant two objects — the Result's clock copy and nothing
+// else — so the per-message cost is exactly zero: no event, wire,
+// waiter, link or continuation object.
+func TestWarmStormAllocatesNothingPerMessage(t *testing.T) {
+	const p, shifts = 1024, 16
+	c := NewCluster(topology.Sunway(), topology.RoundRobinMapping{Q: topology.SupernodeSize}, p)
+	storm := newShiftStorm(p, shifts, 1024)
+	if res := c.Run(storm.body); res.Msgs != p*shifts {
+		t.Fatalf("storm posted %d messages, want %d", res.Msgs, p*shifts)
+	}
+	const budget = 2
+	if got := testing.AllocsPerRun(5, func() { c.Run(storm.body) }); got > budget {
+		t.Fatalf("warm storm: %v allocations per run of %d messages, budget %d", got, p*shifts, budget)
+	}
+}
+
+// TestRunStateRecycling pins when a run's state goes back to the pool:
+// after a clean, fully drained run and never otherwise — and that a run
+// on the cluster after any of the failures matches a fresh cluster's.
+func TestRunStateRecycling(t *testing.T) {
+	storm := newShiftStorm(6, 3, 8)
+	want := testCluster(6).Run(storm.body)
+
+	c := testCluster(6)
+	check := func(after string) {
+		t.Helper()
+		got := c.Run(storm.body)
+		if got.Time != want.Time || got.Msgs != want.Msgs || got.CrossBytes != want.CrossBytes {
+			t.Fatalf("run after %s: %+v, want %+v", after, got, want)
+		}
+		for i := range want.Clocks {
+			if got.Clocks[i] != want.Clocks[i] {
+				t.Fatalf("run after %s: clock %d = %v, want %v", after, i, got.Clocks[i], want.Clocks[i])
+			}
+		}
+		if c.pool == nil {
+			t.Fatalf("clean run after %s did not recycle its state", after)
+		}
+	}
+	check("nothing")
+	first := c.pool
+	check("a clean run")
+	if c.pool != first {
+		t.Fatal("a clean run did not reuse the pooled state")
+	}
+
+	failing := []struct {
+		name string
+		body func(r *Rank)
+	}{
+		{"a rank panic with wires queued and waiters parked", func(r *Rank) {
+			if r.Rank == 4 {
+				panic("boom")
+			}
+			storm.body(r)
+		}},
+		{"a continuation panic", func(r *Rank) {
+			if r.Rank == 2 {
+				r.Send(3, storm.payload)
+				r.Recv(1, func([]float32) { panic("late") })
+				return
+			}
+			storm.body(r)
+		}},
+		{"a deadlock", func(r *Rank) {
+			if r.Rank == 0 {
+				r.Recv(5, func([]float32) { r.Finish(nil) })
+				return
+			}
+			r.Finish(nil)
+		}},
+		{"an unconsumed message", func(r *Rank) {
+			if r.Rank == 0 {
+				r.Send(1, storm.payload)
+			}
+			r.Finish(nil)
+		}},
+	}
+	for _, f := range failing {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: run did not panic", f.name)
+				}
+			}()
+			c.Run(f.body)
+		}()
+		if c.pool != nil {
+			t.Fatalf("%s: the failed run's state was recycled", f.name)
+		}
+		check(f.name)
+	}
+
+	// A receive nothing is ever sent to, on a rank that finishes anyway,
+	// is legal — but its waiter must not survive into the next run.
+	c.Run(func(r *Rank) {
+		if r.Rank == 0 {
+			r.Recv(5, func([]float32) { t.Error("stale waiter resumed") })
+		}
+		r.Finish(nil)
+	})
+	if c.pool != nil {
+		t.Fatal("a run that left a waiter parked was recycled")
+	}
+	check("a run that left a waiter parked")
+}
+
+// TestUnconsumedWireNamesFirstLink: the counters detect the leftover,
+// the fallback scan names the smallest (src, dst) link holding one.
+func TestUnconsumedWireNamesFirstLink(t *testing.T) {
+	c := testCluster(4)
+	defer func() {
+		if msg, _ := recover().(string); msg != "des: unconsumed message on link [1 3]" {
+			t.Fatalf("unexpected panic: %q", msg)
+		}
+	}()
+	c.Run(func(r *Rank) {
+		switch r.Rank {
+		case 2:
+			r.Send(0, []float32{1})
+		case 1:
+			r.Send(3, []float32{1})
+		}
+		r.Finish(nil)
+	})
+}
+
+// TestScratch: a rank's scratch is its own (group views included),
+// stays put for the whole run, and from the second run of a shape on
+// comes out of the same arena.
+func TestScratch(t *testing.T) {
+	c := testCluster(4)
+	var firstRun [4]*float32
+	body := func(r *Rank) {
+		a := r.Scratch(8)
+		b := r.InGroup([]int{r.Rank}).Scratch(8)
+		for i := range a {
+			a[i], b[i] = float32(r.Rank), float32(-r.Rank)
+		}
+		firstRun[r.Rank] = &a[0]
+		r.Send((r.Rank+1)%4, a)
+		r.Recv((r.Rank+3)%4, func(in []float32) {
+			for i := range in {
+				if in[i] != float32((r.Rank+3)%4) || a[i] != float32(r.Rank) || b[i] != float32(-r.Rank) {
+					t.Errorf("rank %d: scratch overlapped (in %v a %v b %v)", r.Rank, in, a, b)
+					break
+				}
+			}
+			r.Finish(nil)
+		})
+	}
+	c.Run(body) // sizes the arenas
+	c.Run(body) // first run served from them
+	warm := firstRun
+	c.Run(body)
+	if warm != firstRun {
+		t.Fatal("warm runs did not reuse the scratch arenas")
+	}
+}

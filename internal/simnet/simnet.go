@@ -17,11 +17,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"swcaffe/internal/scratch"
 	"swcaffe/internal/topology"
 )
 
 // Cluster couples a network parameter set, a rank mapping and the
-// per-node state for one collective run.
+// per-node state for one collective run. Net, Mapping and P are fixed
+// at NewCluster (the supernode layout is resolved there); BytesPerElem
+// and ReduceOnCPE may be set before a run.
 type Cluster struct {
 	Net     *topology.Network
 	Mapping topology.Mapping
@@ -35,6 +38,8 @@ type Cluster struct {
 	// ReduceOnCPE selects the CPE-cluster reduction rate (the paper's
 	// optimization) instead of the MPE rate.
 	ReduceOnCPE bool
+
+	layout *topology.Layout
 
 	// pool holds the runState of the last cleanly-completed Run for
 	// reuse (its channels are provably drained and nothing references
@@ -67,6 +72,13 @@ type runState struct {
 	// a later call's.
 	results [][]float32
 
+	// nodes, clocks and scratch are the per-rank handles, logical clocks
+	// and bump arenas (see Node.Scratch). They are private to the run
+	// for the reason results is: a stranded rank keeps using them.
+	nodes   []Node
+	clocks  []float64
+	scratch []scratch.Arena
+
 	// msgs and crossMsgs count the point-to-point messages of the run
 	// and the subset whose endpoints sit in different supernodes;
 	// crossBytes sums those messages' virtual wire sizes — the
@@ -97,6 +109,7 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	return &Cluster{
 		Net: net, Mapping: mapping, P: p,
 		BytesPerElem: 4,
+		layout:       topology.NewLayout(mapping, p),
 	}
 }
 
@@ -141,10 +154,26 @@ func (n *Node) world(r int) int {
 	return r
 }
 
-// Mapping exposes the cluster's rank-to-supernode mapping, so
-// topology-aware collective bodies can derive supernode membership
-// from the node handle alone.
-func (n *Node) Mapping() topology.Mapping { return n.cluster.Mapping }
+// Supernodes returns the cluster's supernode layout, resolved once at
+// NewCluster. It describes the world communicator, so it is refused on
+// a group view.
+func (n *Node) Supernodes() *topology.Layout {
+	if n.group != nil {
+		panic("simnet: the supernode layout is defined on the world view")
+	}
+	return n.cluster.layout
+}
+
+// Scratch returns k float32s of unspecified content from the rank's
+// cluster-owned bump arena — staging for a payload the body builds and
+// sends. The arena is rewound when the next run starts and never within
+// one, so the slice stays valid (for this rank and for a peer it was
+// sent to) until Run returns; it must not be returned as the rank's
+// result. A failed run's arenas are abandoned with the rest of its
+// state, so a stranded rank can keep using its own.
+func (n *Node) Scratch(k int) []float32 {
+	return n.run.scratch[n.WorldRank()].Take(k)
+}
 
 // InGroup returns a sub-communicator view of the node restricted to
 // the ordered world-rank subset ranks: the view's Rank is the node's
@@ -175,15 +204,14 @@ func (n *Node) InGroup(ranks []int) *Node {
 
 func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
 	bytes := int64(float64(elems) * c.BytesPerElem)
-	same := topology.SameSupernode(c.Mapping, a, b, c.P)
-	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(same)
+	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(c.layout.Same(a, b))
 }
 
 // countMsg records one posted message of elems payload elements for
 // the run's traffic census.
 func (n *Node) countMsg(src, dst, elems int) {
 	n.run.msgs.Add(1)
-	if !topology.SameSupernode(n.cluster.Mapping, src, dst, n.cluster.P) {
+	if !n.cluster.layout.Same(src, dst) {
 		n.run.crossMsgs.Add(1)
 		n.run.crossBytes.Add(int64(float64(elems) * n.cluster.BytesPerElem))
 	}
@@ -191,6 +219,8 @@ func (n *Node) countMsg(src, dst, elems int) {
 
 // Send posts data to peer. The send occupies the sender for the full
 // α+βn (blocking send, as the MPI_Send the paper's collectives use).
+// The payload travels by reference — see the ownership rule in
+// internal/allreduce.
 func (n *Node) Send(peer int, data []float32) {
 	src, dst := n.WorldRank(), n.world(peer)
 	if dst == src {
@@ -333,21 +363,25 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) 
 	c.pool = nil
 	c.mu.Unlock()
 	if rs == nil {
-		rs = &runState{inbox: make(map[[2]int]chan wire)}
-	}
-	if rs.results == nil {
-		rs.results = make([][]float32, c.P)
+		rs = &runState{
+			inbox:   make(map[[2]int]chan wire),
+			results: make([][]float32, c.P),
+			nodes:   make([]Node, c.P),
+			clocks:  make([]float64, c.P),
+			scratch: make([]scratch.Arena, c.P),
+		}
 	}
 	rs.msgs.Store(0)
 	rs.crossMsgs.Store(0)
 	rs.crossBytes.Store(0)
-	nodes := make([]*Node, c.P)
-	for r := 0; r < c.P; r++ {
-		nodes[r] = &Node{Rank: r, cluster: c, run: rs, clock: new(float64)}
+	for r := range rs.nodes {
+		rs.clocks[r] = 0
+		rs.scratch[r].Rewind()
+		rs.nodes[r] = Node{Rank: r, cluster: c, run: rs, clock: &rs.clocks[r]}
 	}
 	wg.Add(c.P)
 	panicCh := make(chan NodePanic, c.P)
-	for r := 0; r < c.P; r++ {
+	for r := range rs.nodes {
 		go func(nd *Node) {
 			defer wg.Done()
 			defer func() {
@@ -356,7 +390,7 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) 
 				}
 			}()
 			rs.results[nd.Rank] = body(nd)
-		}(nodes[r])
+		}(&rs.nodes[r])
 	}
 	// A panicking rank can leave peers blocked on its channels; do not
 	// insist on joining everyone before reporting the failure.
@@ -375,12 +409,11 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) 
 		panic(np)
 	default:
 	}
-	res := Result{Clocks: make([]float64, c.P), Msgs: rs.msgs.Load(),
+	res := Result{Clocks: append([]float64(nil), rs.clocks...), Msgs: rs.msgs.Load(),
 		CrossMsgs: rs.crossMsgs.Load(), CrossBytes: rs.crossBytes.Load()}
-	for r, nd := range nodes {
-		res.Clocks[r] = *nd.clock
-		if *nd.clock > res.Time {
-			res.Time = *nd.clock
+	for _, t := range res.Clocks {
+		if t > res.Time {
+			res.Time = t
 		}
 	}
 	// A completed collective must have consumed every message it sent

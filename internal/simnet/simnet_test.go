@@ -343,3 +343,62 @@ func TestCrossTrafficCensus(t *testing.T) {
 		t.Fatalf("census not reset: %+v", res)
 	}
 }
+
+// TestScratch: a rank's scratch is its own (group views included) and
+// holds for the whole run; a warm run of the same shape is served from
+// the same arenas; and a failed run's arenas are abandoned with its
+// state, so a rank it stranded can go on writing its own while the
+// next run stages into fresh ones.
+func TestScratch(t *testing.T) {
+	net := topology.Sunway()
+	cl := NewCluster(net, topology.AdjacentMapping{Q: net.SupernodeSize}, 3)
+	var base [3]*float32
+	ring := func(n *Node) {
+		a := n.Scratch(4)
+		b := n.InGroup([]int{n.Rank}).Scratch(4)
+		for i := range a {
+			a[i], b[i] = float32(n.Rank), float32(-n.Rank)
+		}
+		base[n.Rank] = &a[0]
+		n.Send((n.Rank+1)%3, a)
+		in := n.Recv((n.Rank + 2) % 3)
+		for i := range in {
+			if in[i] != float32((n.Rank+2)%3) || a[i] != float32(n.Rank) || b[i] != float32(-n.Rank) {
+				t.Errorf("rank %d: scratch overlapped (in %v a %v b %v)", n.Rank, in, a, b)
+				break
+			}
+		}
+	}
+	cl.Run(ring) // sizes the arenas
+	cl.Run(ring)
+	warm := base
+	cl.Run(ring)
+	if warm != base {
+		t.Fatal("warm runs did not reuse the scratch arenas")
+	}
+
+	// Rank 1 stages, then blocks forever on the rank that panics.
+	staged := make(chan []float32, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("injected rank panic was not re-raised")
+			}
+		}()
+		cl.Run(func(n *Node) {
+			switch n.Rank {
+			case 0:
+				staged <- <-staged // wait for rank 1 to stage
+				panic("injected fault")
+			case 1:
+				staged <- n.Scratch(4)
+				n.Recv(0)
+			}
+		})
+	}()
+	stranded := <-staged
+	cl.Run(ring)
+	if &stranded[0] == base[1] {
+		t.Fatal("the run after a failure reused the failed run's scratch")
+	}
+}

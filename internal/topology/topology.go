@@ -177,6 +177,53 @@ func Members(m Mapping, p int) [][]int {
 	return groups
 }
 
+// Layout is Members resolved once for a fixed (mapping, p): the groups,
+// each rank's position in them, and the per-chunk leader lists of the
+// hierarchical all-reduce. Both cluster backends build one at
+// construction, so a collective body looks its supernode up in O(1)
+// instead of rebuilding the membership on every rank of every flush,
+// and the per-message same-supernode test is two slice reads. A Layout
+// is immutable after NewLayout and safe to share between goroutines.
+type Layout struct {
+	Groups  [][]int // Members(m, p)
+	GroupOf []int   // world rank -> index into Groups
+	IndexOf []int   // world rank -> position within its group
+	MinSize int     // MinGroupSize(m, p)
+
+	leaders [][]int // [c][s] = Groups[s][c], c < MinSize
+}
+
+// NewLayout resolves the supernode membership of p ranks under m.
+func NewLayout(m Mapping, p int) *Layout {
+	l := &Layout{Groups: Members(m, p), GroupOf: make([]int, p), IndexOf: make([]int, p)}
+	for s, g := range l.Groups {
+		if l.MinSize == 0 || len(g) < l.MinSize {
+			l.MinSize = len(g)
+		}
+		for i, r := range g {
+			l.GroupOf[r], l.IndexOf[r] = s, i
+		}
+	}
+	flat := make([]int, l.MinSize*len(l.Groups))
+	l.leaders = make([][]int, l.MinSize)
+	for c := range l.leaders {
+		l.leaders[c] = flat[c*len(l.Groups) : (c+1)*len(l.Groups)]
+		for s, g := range l.Groups {
+			l.leaders[c][s] = g[c]
+		}
+	}
+	return l
+}
+
+// Same reports whether world ranks a and b share a supernode — the
+// memoised form of SameSupernode.
+func (l *Layout) Same(a, b int) bool { return l.GroupOf[a] == l.GroupOf[b] }
+
+// Leaders returns the c-th member of every supernode in supernode-index
+// order (c < MinSize): the leader group that reduces chunk c across
+// supernodes. The slice is shared; callers must not modify it.
+func (l *Layout) Leaders(c int) []int { return l.leaders[c] }
+
 // Leaders returns the leader of each occupied supernode — its
 // smallest-ranked member — in supernode-index order. The hierarchical
 // all-reduce generalizes this: member j of each group acts as the

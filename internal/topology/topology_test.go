@@ -190,3 +190,36 @@ func TestMembersLeadersMinGroupSize(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutMatchesMembers: the memoised layout must say exactly what
+// Members, MinGroupSize and SameSupernode say, for ragged shapes under
+// both mappings.
+func TestLayoutMatchesMembers(t *testing.T) {
+	for _, sh := range []struct{ p, q int }{{1, 4}, {8, 4}, {10, 4}, {7, 3}, {5, 1}, {3, 8}, {33, 8}} {
+		for _, m := range []Mapping{AdjacentMapping{Q: sh.q}, RoundRobinMapping{Q: sh.q}} {
+			l := NewLayout(m, sh.p)
+			groups := Members(m, sh.p)
+			if len(l.Groups) != len(groups) || l.MinSize != MinGroupSize(m, sh.p) {
+				t.Fatalf("p=%d q=%d %s: %d groups min %d, want %d min %d", sh.p, sh.q, m.Name(),
+					len(l.Groups), l.MinSize, len(groups), MinGroupSize(m, sh.p))
+			}
+			for a := 0; a < sh.p; a++ {
+				if got := l.Groups[l.GroupOf[a]][l.IndexOf[a]]; got != a {
+					t.Fatalf("p=%d q=%d %s: rank %d resolves to %d", sh.p, sh.q, m.Name(), a, got)
+				}
+				for b := 0; b < sh.p; b++ {
+					if l.Same(a, b) != SameSupernode(m, a, b, sh.p) {
+						t.Fatalf("p=%d q=%d %s: Same(%d,%d) disagrees with SameSupernode", sh.p, sh.q, m.Name(), a, b)
+					}
+				}
+			}
+			for c := 0; c < l.MinSize; c++ {
+				for s, g := range groups {
+					if l.Leaders(c)[s] != g[c] {
+						t.Fatalf("p=%d q=%d %s: Leaders(%d)[%d] = %d, want %d", sh.p, sh.q, m.Name(), c, s, l.Leaders(c)[s], g[c])
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,10 +6,8 @@ import (
 
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
-	"swcaffe/internal/des"
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/obs"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/tensor"
 )
 
@@ -205,12 +203,7 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	// Fresh communicator at p'. Ranks stranded in the abandoned
 	// cluster's run state keep their private channels; nothing they do
 	// can reach the new world.
-	t.cluster = simnet.NewCluster(t.cfg.Network, t.cfg.Mapping, t.cfg.Nodes)
-	t.cluster.ReduceOnCPE = true
-	if t.desCluster != nil {
-		t.desCluster = des.NewCluster(t.cfg.Network, t.cfg.Mapping, t.cfg.Nodes)
-		t.desCluster.ReduceOnCPE = true
-	}
+	t.newCommunicator()
 
 	// Discard the engine: bucket alignment and the plan selection both
 	// depend on p. The stranded ranks above may still read the old

@@ -203,12 +203,13 @@ const DefaultBucketBytes = collective.DefaultBucketBytes
 type DistTrainer struct {
 	cfg     DistConfig
 	Workers []*Worker
-	cluster *simnet.Cluster
 	nodes   *swnode.Cluster // nil in HostMath mode
 
-	// desCluster is the discrete-event communicator (nil unless
-	// cfg.Backend is BackendDES); when set, both step variants flush
-	// through the engine's DES path instead of cluster.RunGather.
+	// Exactly one communicator exists, the selected backend's (see
+	// newCommunicator): desCluster when cfg.Backend is BackendDES — both
+	// step variants then flush through the engine's DES path — and the
+	// goroutine cluster otherwise.
+	cluster    *simnet.Cluster
 	desCluster *des.Cluster
 
 	// CommTime accumulates simulated all-reduce time.
@@ -399,12 +400,8 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	default:
 		return nil, fmt.Errorf("train: unknown backend %q (valid: %q, %q)", cfg.Backend, BackendGoroutine, BackendDES)
 	}
-	t := &DistTrainer{cfg: cfg, cluster: simnet.NewCluster(cfg.Network, cfg.Mapping, cfg.Nodes)}
-	t.cluster.ReduceOnCPE = true
-	if cfg.Backend == BackendDES {
-		t.desCluster = des.NewCluster(cfg.Network, cfg.Mapping, cfg.Nodes)
-		t.desCluster.ReduceOnCPE = true
-	}
+	t := &DistTrainer{cfg: cfg}
+	t.newCommunicator()
 	if !cfg.HostMath {
 		switch {
 		case cfg.Backend == BackendDES:
@@ -485,6 +482,18 @@ func (t *DistTrainer) NodeStats() sw26010.Stats {
 		return sw26010.Stats{}
 	}
 	return t.nodes.Stats()
+}
+
+// newCommunicator builds the selected backend's communicator over the
+// current world (t.cfg.Nodes ranks), replacing any previous one.
+func (t *DistTrainer) newCommunicator() {
+	if t.cfg.Backend == BackendDES {
+		t.desCluster = des.NewCluster(t.cfg.Network, t.cfg.Mapping, t.cfg.Nodes)
+		t.desCluster.ReduceOnCPE = true
+		return
+	}
+	t.cluster = simnet.NewCluster(t.cfg.Network, t.cfg.Mapping, t.cfg.Nodes)
+	t.cluster.ReduceOnCPE = true
 }
 
 // Close drains the workers' simulated nodes, stops their CPE worker
