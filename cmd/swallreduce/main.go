@@ -103,6 +103,11 @@ func main() {
 	alg := flag.String("alg", allreduce.NameRHD, "algorithm: ring | binomial-tree | recursive-halving-doubling | hierarchical (hier)")
 	q := flag.Int("q", 16, "supernode size for the crossings table (TaihuLight's q=256 needs -nodes > 256 to cross)")
 	flag.Parse()
+	// -bytes is a float: NaN must fail too, so test for the good range.
+	if *nodes < 1 || *q < 1 || !(*bytes > 0) {
+		fmt.Fprintf(os.Stderr, "swallreduce: need -nodes >= 1, -q >= 1 and -bytes > 0 (got -nodes %d -q %d -bytes %g)\n", *nodes, *q, *bytes)
+		os.Exit(2)
+	}
 
 	experiments.Figure6(os.Stdout)
 	experiments.Figure7(os.Stdout, *bytes)

@@ -10,32 +10,14 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// gatherDES runs the DES form of an algorithm on a fresh event-driven
+// gatherDES runs a schedule's one-shot form on a fresh event-driven
 // cluster and returns every rank's output plus the run result.
-func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, alg AlgorithmDES) ([][]float32, des.Result) {
+func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule) ([][]float32, des.Result) {
 	cl := des.NewCluster(net, m, p)
 	res, out := cl.RunGather(func(r *des.Rank) {
-		alg(r, inputs[r.Rank], r.Finish)
+		s.RunDES(r, inputs[r.Rank], 0, len(inputs[r.Rank]), r.Finish)
 	})
 	return out, res
-}
-
-// desPairs returns the blocking/DES algorithm pairs under test.
-func desPairs() []struct {
-	name string
-	gor  Algorithm
-	des  AlgorithmDES
-} {
-	return []struct {
-		name string
-		gor  Algorithm
-		des  AlgorithmDES
-	}{
-		{NameRing, Ring, RingDES},
-		{NameBinomial, BinomialTree, BinomialTreeDES},
-		{NameRHD, RecursiveHalvingDoubling, RecursiveHalvingDoublingDES},
-		{NameHierarchical, Hierarchical, HierarchicalDES},
-	}
 }
 
 // randInputs builds full-precision random vectors. The KPN argument
@@ -53,8 +35,8 @@ func randInputs(p, length int) [][]float32 {
 	return inputs
 }
 
-// TestDESBitIdenticalToGoroutine: every algorithm's DES transliteration
-// must agree with the blocking goroutine form hex-exactly — outputs,
+// TestDESBitIdenticalToGoroutine: every schedule's event-backend run
+// must agree with its goroutine-backend run hex-exactly — outputs,
 // per-rank clocks, makespan, and the message census — across uniform,
 // ragged, power-of-two and prime shapes under both mappings.
 func TestDESBitIdenticalToGoroutine(t *testing.T) {
@@ -77,11 +59,10 @@ func TestDESBitIdenticalToGoroutine(t *testing.T) {
 		} {
 			for _, length := range lengths {
 				inputs := randInputs(sh.p, length)
-				for _, pair := range desPairs() {
-					wantOut, wantRes := gather(net, m, sh.p, inputs, pair.gor)
-					gotOut, gotRes := gatherDES(net, m, sh.p, inputs, pair.des)
-					label := pair.name
-					checkDESMatch(t, label, sh.p, sh.q, length, wantOut, wantRes, gotOut, gotRes)
+				for s := range schedules {
+					wantOut, wantRes := gather(net, m, sh.p, inputs, schedules[s].alg)
+					gotOut, gotRes := gatherDES(net, m, sh.p, inputs, Schedule(s))
+					checkDESMatch(t, schedules[s].name, sh.p, sh.q, length, wantOut, wantRes, gotOut, gotRes)
 				}
 			}
 		}
@@ -123,8 +104,8 @@ func TestDESDeterministicAcrossRuns(t *testing.T) {
 	net := sunwayQ(4)
 	m := topology.AdjacentMapping{Q: 4}
 	inputs := randInputs(10, 257)
-	out1, res1 := gatherDES(net, m, 10, inputs, HierarchicalDES)
-	out2, res2 := gatherDES(net, m, 10, inputs, HierarchicalDES)
+	out1, res1 := gatherDES(net, m, 10, inputs, schedHierarchical)
+	out2, res2 := gatherDES(net, m, 10, inputs, schedHierarchical)
 	if res1.Time != res2.Time || res1.Msgs != res2.Msgs {
 		t.Fatalf("DES not deterministic: %v/%d vs %v/%d", res1.Time, res1.Msgs, res2.Time, res2.Msgs)
 	}
@@ -137,8 +118,8 @@ func TestDESDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestDESHierPhaseHook: the DES hierarchical form must fire the same
-// phase-boundary hook sequence per rank as the blocking form fires.
+// TestDESHierPhaseHook: the hierarchical schedule must fire the same
+// phase-boundary hook sequence per rank on both backends.
 func TestDESHierPhaseHook(t *testing.T) {
 	net := sunwayQ(4)
 	m := topology.AdjacentMapping{Q: 4}
@@ -146,21 +127,21 @@ func TestDESHierPhaseHook(t *testing.T) {
 	inputs := randInputs(p, 64)
 
 	var mu sync.Mutex
+	record := func(into map[int][]HierPhase) PhaseHook {
+		return func(rank int, _ float64, phase HierPhase) {
+			mu.Lock()
+			into[rank] = append(into[rank], phase)
+			mu.Unlock()
+		}
+	}
 	gorPhases := make(map[int][]HierPhase)
-	prev := SetHierPhaseHook(func(n *simnet.Node, phase HierPhase) {
-		mu.Lock()
-		gorPhases[n.Rank] = append(gorPhases[n.Rank], phase)
-		mu.Unlock()
-	})
+	prev := SetHierPhaseHook(record(gorPhases))
 	gather(net, m, p, inputs, Hierarchical)
-	SetHierPhaseHook(prev)
 
 	desPhases := make(map[int][]HierPhase)
-	prevDES := SetHierPhaseHookDES(func(r *des.Rank, phase HierPhase) {
-		desPhases[r.Rank] = append(desPhases[r.Rank], phase)
-	})
-	gatherDES(net, m, p, inputs, HierarchicalDES)
-	SetHierPhaseHookDES(prevDES)
+	SetHierPhaseHook(record(desPhases))
+	gatherDES(net, m, p, inputs, schedHierarchical)
+	SetHierPhaseHook(prev)
 
 	for r := 0; r < p; r++ {
 		if len(gorPhases[r]) != 3 || len(desPhases[r]) != 3 {

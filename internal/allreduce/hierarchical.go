@@ -1,9 +1,6 @@
 package allreduce
 
-import (
-	"swcaffe/internal/simnet"
-	"swcaffe/internal/topology"
-)
+import "swcaffe/internal/topology"
 
 // Topology-hierarchical all-reduce (ROADMAP "Hierarchical / q-aware
 // collectives"). The paper's fix for the over-subscribed inter-
@@ -28,156 +25,158 @@ import (
 // (p <= q) makes phase B a no-op, and q = 1 makes every rank a
 // single-member group so phase B is exactly the flat RHD.
 
-// Hierarchical is the topology-hierarchical all-reduce. The supernode
-// membership comes from the cluster's mapping (see topology.Members),
-// so the schedule is topology-correct under both the adjacent and the
-// round-robin numbering without any renumbering trick.
-func Hierarchical(n *simnet.Node, data []float32) []float32 {
-	return HierarchicalSegment(n, data, 0, len(data))
+// hierCursor walks the three phases for one rank: its supernode group,
+// its position j in it (the chunk it owns), and the segment of the
+// K-chunk partition the call covers. Like RingSegment's, the segment's
+// bounds must lie on the partition — HierChunkBounds(total, K) — because
+// chunk j's association order (leader j's own value, then its group in
+// tournament-round order, then the RHD tree over supernodes) depends on
+// the chunk index; each bucket then executes exactly the full
+// schedule's per-chunk plan.
+//
+// Phases A and C are a round-robin tournament of pairwise full-duplex
+// exchanges: every pair of members meets exactly once per phase. In
+// phase A's exchange (j, pt), j ships its input for chunk pt — phase A
+// writes only chunk j, and nobody writes the input, so it goes by
+// reference — and adds pt's contribution to its chunk j; in phase C the
+// two hand over their finished chunks, which are never rewritten.
+// Phase B embeds the RHD cursor over chunk j's leaders — the j-th
+// member of every supernode (K = min group size, so every group has
+// one) — translating its leader indices to world ranks. A core leader
+// runs it in a scratch vector loaded from, and stored back to, its
+// chunk of the result (the chunk is not padded; the scratch is); a
+// folded leader ships and receives the chunk itself.
+type hierCursor struct {
+	group   []int // world ranks of this rank's supernode, ascending
+	j       int   // this rank's index in group
+	seg     segment
+	leaders []int // chunk j's leaders; nil when the rank has no inter-supernode work
+	solo    bool  // p = 1: the schedule ends at its first boundary
+	stage   uint8
+	round   int
 }
 
-// HierarchicalSegment runs the hierarchical all-reduce restricted to
-// the chunks of a larger packed vector that the segment
-// [lo, lo+len(data)) covers; total is the packed vector's full length.
-// Like RingSegment, the segment's bounds must lie on the algorithm's
-// chunk partition — HierChunkBounds(total, K) with K the mapping's
-// MinGroupSize — because chunk j's association order (leader j's own
-// value, then the remaining group members in ascending order, then
-// the RHD tree over supernodes) depends on the chunk index. Each
-// bucket executes exactly the full schedule's per-chunk plan, so
-// flushing a gradient bucket per segment is bit-identical to the
-// barrier Hierarchical over the whole packed vector — the primitive
-// behind the collective engine's hierarchical overlap. With lo=0,
-// total=len(data) the schedule degenerates to the one-shot form.
-func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
-	hierPhase(n, HierIntraReduceScatter)
-	out := append([]float32(nil), data...)
-	p := n.P()
-	if p == 1 {
-		return out
-	}
-	h := newHierPlan(n.Supernodes(), n.Rank, lo, len(data), total)
+const (
+	hierEnter uint8 = iota
+	hierIntraRS
+	hierEnterLeaders
+	hierLoad
+	hierLeaders
+	hierStore
+	hierEnterAllgather
+	hierGather
+	hierDone
+)
 
-	// Phase A: intra-supernode reduce-scatter as a round-robin
-	// tournament of pairwise exchanges — every pair of members meets
-	// exactly once per phase, and the full-duplex SendRecv charges one
-	// α+βn for the pair (the same discipline that makes RHD fast on
-	// simnet's blocking links). In the exchange (i, pt), i ships its
-	// data for chunk pt and receives pt's contribution to chunk i;
-	// owner j therefore accumulates peer contributions in tournament-
-	// round order — a fixed association schedule shared by the barrier
-	// form and every segment. What i ships is its untouched input for
-	// chunk pt (phase A writes only chunk j), so it goes by reference,
-	// straight from data, which nobody writes during the run. Its own
-	// copy of chunk pt, in out, is next written in phase C, on pt's
-	// phase-C message — which pt posts only after it has consumed every
-	// phase-A wire — so even that would be safe to send.
-	for r := 0; r < h.rounds; r++ {
-		pt := h.partner(r)
-		if pt < 0 {
-			continue
-		}
-		var send []float32
-		if h.live(pt) {
-			plo, phi := h.seg.chunk(pt)
-			send = data[plo:phi]
-		}
-		in := n.SendRecv(h.group[pt], send)
-		if h.live(h.j) {
-			clo, _ := h.seg.chunk(h.j)
-			for x, v := range in {
-				out[clo+x] += v
+// newHierCursor starts rank's hierarchical schedule, and the leader RHD
+// it embeds when the rank has inter-supernode work: its chunk is live
+// and there is more than one supernode. A leader's RHD rank is its
+// supernode's index, the order of the leader list.
+func newHierCursor(lay *topology.Layout, rank, p, lo, n, total int) (c hierCursor, rhd rhdCursor) {
+	c = hierCursor{group: lay.Groups[lay.GroupOf[rank]], j: lay.IndexOf[rank],
+		seg: newSegment(lo, n, total, lay.MinSize), solo: p == 1}
+	if c.live(c.j) && len(lay.Groups) > 1 {
+		c.leaders = lay.Leaders(c.j)
+		rhd = newRHDCursor(lay.GroupOf[rank], len(c.leaders), c.seg.span(result, c.j).len())
+	}
+	return c, rhd
+}
+
+func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
+	mine := c.seg.span(result, c.j)
+	for {
+		switch c.stage {
+		case hierEnter:
+			c.stage = hierIntraRS
+			if c.solo {
+				c.stage = hierDone
 			}
-			n.ChargeReduce(len(in))
+			rd.phase = HierIntraReduceScatter
+			return true
+		case hierIntraRS, hierGather:
+			for c.round < tournamentRounds(len(c.group)) {
+				pt := c.partner(c.round)
+				c.round++
+				if pt < 0 {
+					continue
+				}
+				theirs := c.seg.span(result, pt)
+				if c.stage == hierGather {
+					rd.exchange(c.group[pt], mine, theirs, false)
+				} else {
+					theirs.vec = input
+					rd.exchange(c.group[pt], theirs, mine, mine.len() > 0)
+				}
+				return true
+			}
+			c.round = 0
+			c.stage++
+		case hierEnterLeaders:
+			c.stage = hierEnterAllgather
+			if c.leaders != nil {
+				c.stage = hierLoad
+			}
+			rd.phase = HierLeaderRHD
+			return true
+		case hierLoad:
+			c.stage = hierLeaders
+			if !rhd.folded() {
+				rd.local, rd.send, rd.recv = true, mine, span{work, 0, rhd.vecLen()}
+				return true
+			}
+		case hierLeaders:
+			if rhd.next(rd) {
+				if rd.sendTo >= 0 {
+					rd.sendTo = c.leaders[rd.sendTo]
+				}
+				if rd.recvFrom >= 0 {
+					rd.recvFrom = c.leaders[rd.recvFrom]
+				}
+				rd.send, rd.recv = leaderSpan(rd.send, rhd.folded(), mine.lo), leaderSpan(rd.recv, rhd.folded(), mine.lo)
+				return true
+			}
+			c.stage = hierStore
+		case hierStore:
+			c.stage = hierEnterAllgather
+			if !rhd.folded() {
+				rd.local, rd.send, rd.recv = true, span{work, 0, mine.len()}, mine
+				return true
+			}
+		case hierEnterAllgather:
+			c.stage = hierGather
+			rd.phase = HierAllgather
+			return true
+		default:
+			return false
 		}
 	}
+}
 
-	// Phase B: recursive halving/doubling among chunk j's leaders —
-	// the j-th member of every supernode (K = min group size, so every
-	// group has one). The leader groups are disjoint rank sets running
-	// concurrently, each over its own 1/K share of the vector.
-	hierPhase(n, HierLeaderRHD)
-	if leaders := h.leaders(); leaders != nil {
-		clo, chi := h.seg.chunk(h.j)
-		red := RecursiveHalvingDoubling(n.InGroup(leaders), out[clo:chi])
-		copy(out[clo:chi], red)
+// leaderSpan places a range of the leader RHD's vector: in the scratch
+// vector on a core leader, in the chunk itself (at lo in the result) on
+// a folded one, whose "input" is that chunk too.
+func leaderSpan(s span, folded bool, lo int) span {
+	if folded {
+		return span{result, s.lo + lo, s.hi + lo}
 	}
-
-	// Phase C: intra-supernode allgather, the same pairwise tournament
-	// in reverse roles — each exchange hands over the two partners'
-	// finished chunks, so every member leaves with every chunk after
-	// g-1 rounds. The finished chunk is sent by reference: its owner
-	// never rewrites it within this run, and receivers copy out.
-	hierPhase(n, HierAllgather)
-	for r := 0; r < h.rounds; r++ {
-		pt := h.partner(r)
-		if pt < 0 {
-			continue
-		}
-		var send []float32
-		if h.live(h.j) {
-			clo, chi := h.seg.chunk(h.j)
-			send = out[clo:chi]
-		}
-		in := n.SendRecv(h.group[pt], send)
-		if h.live(pt) {
-			plo, _ := h.seg.chunk(pt)
-			copy(out[plo:], in)
-		}
-	}
-	return out
+	return span{work, s.lo, s.hi}
 }
 
-// hierPlan is one rank's view of a hierarchical flush: its supernode
-// group, its position j in it (the chunk it owns), and the segment of
-// the K-chunk partition the call covers. The blocking body and its DES
-// twin both walk it, so the schedule is decided in one place.
-type hierPlan struct {
-	lay    *topology.Layout
-	group  []int // world ranks of this rank's supernode, ascending
-	j      int   // this rank's index in group
-	rounds int   // tournament rounds per intra phase
-	seg    segment
-}
-
-func newHierPlan(lay *topology.Layout, rank, lo, n, total int) hierPlan {
-	group := lay.Groups[lay.GroupOf[rank]]
-	return hierPlan{lay: lay, group: group, j: lay.IndexOf[rank],
-		rounds: tournamentRounds(len(group)),
-		seg:    newSegment(lo, n, total, lay.MinSize)}
-}
-
-// live reports whether chunk c carries traffic in this call: it exists
-// (c < K), falls in the segment, and is non-empty. The predicate is
+// live reports whether chunk ch carries traffic in this call: it exists
+// (ch < K), falls in the segment, and is non-empty. The predicate is
 // the same on both ends of an exchange, so partners always agree on
 // whether to meet.
-func (h *hierPlan) live(c int) bool {
-	if !h.seg.has(c) {
-		return false
-	}
-	lo, hi := h.seg.chunk(c)
-	return lo != hi
-}
+func (c *hierCursor) live(ch int) bool { return c.seg.span(result, ch).len() > 0 }
 
 // partner returns this rank's tournament partner in round r, or -1 when
 // it sits the round out: a bye, or an exchange in which neither side's
 // chunk is live.
-func (h *hierPlan) partner(r int) int {
-	pt := tournamentPartner(h.j, r, len(h.group))
-	if pt < 0 || (!h.live(pt) && !h.live(h.j)) {
+func (c *hierCursor) partner(r int) int {
+	pt := tournamentPartner(c.j, r, len(c.group))
+	if pt < 0 || (!c.live(pt) && !c.live(c.j)) {
 		return -1
 	}
 	return pt
-}
-
-// leaders returns the leader group this rank joins in phase B — the
-// j-th member of every supernode — or nil when it has no inter-
-// supernode work: its chunk is not live, or there is one supernode.
-func (h *hierPlan) leaders() []int {
-	if !h.live(h.j) || len(h.lay.Groups) < 2 {
-		return nil
-	}
-	return h.lay.Leaders(h.j)
 }
 
 // tournamentRounds returns the round count of the all-pairs exchange

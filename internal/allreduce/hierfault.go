@@ -1,10 +1,6 @@
 package allreduce
 
-import (
-	"sync/atomic"
-
-	"swcaffe/internal/simnet"
-)
+import "sync/atomic"
 
 // Fault-injection seam for the hierarchical schedule. The flat
 // algorithms are killable from the collective engine's per-bucket
@@ -29,19 +25,24 @@ const (
 	HierAllgather HierPhase = "allgather"
 )
 
-// hierPhaseHook runs on every rank at each phase boundary of
-// HierarchicalSegment; the nil fast path keeps the production
-// schedule untouched. It is atomic rather than a plain var because
-// a killed collective strands its surviving rank goroutines without
-// joining them (see simnet.Cluster.Run), and a stranded rank may
-// still cross a phase boundary while the test goroutine re-arms the
+// PhaseHook observes a rank crossing a phase boundary: the rank, its
+// simulated clock on arrival, and the boundary. It is backend-neutral —
+// both interpreters fire it from the schedule's phase rounds.
+type PhaseHook func(rank int, clock float64, phase HierPhase)
+
+// hierPhaseHook runs on every rank at each phase boundary of the
+// hierarchical schedule, on either backend; the nil fast path keeps
+// the production schedule untouched. It is atomic rather than a plain
+// var because a killed collective strands its surviving rank goroutines
+// without joining them (see simnet.Cluster.Run), and a stranded rank
+// may still cross a phase boundary while the test goroutine re-arms the
 // hook for the next kill.
-var hierPhaseHook atomic.Pointer[func(n *simnet.Node, phase HierPhase)]
+var hierPhaseHook atomic.Pointer[PhaseHook]
 
 // SetHierPhaseHook installs (or, with nil, removes) the hierarchical
 // phase hook and returns the previous one so tests can restore it.
-func SetHierPhaseHook(h func(n *simnet.Node, phase HierPhase)) (prev func(n *simnet.Node, phase HierPhase)) {
-	var p *func(n *simnet.Node, phase HierPhase)
+func SetHierPhaseHook(h PhaseHook) (prev PhaseHook) {
+	var p *PhaseHook
 	if h != nil {
 		p = &h
 	}
@@ -51,8 +52,8 @@ func SetHierPhaseHook(h func(n *simnet.Node, phase HierPhase)) (prev func(n *sim
 	return nil
 }
 
-func hierPhase(n *simnet.Node, phase HierPhase) {
+func hierPhase(rank int, clock float64, phase HierPhase) {
 	if h := hierPhaseHook.Load(); h != nil {
-		(*h)(n, phase)
+		(*h)(rank, clock, phase)
 	}
 }

@@ -33,8 +33,8 @@ func TestHierarchicalPhaseKillQuiesces(t *testing.T) {
 			name := fmt.Sprintf("%s/rank%d", ph, victim)
 			inputs := intInputs(p, length)
 
-			SetHierPhaseHook(func(n *simnet.Node, got HierPhase) {
-				if n.Rank == victim && got == ph {
+			SetHierPhaseHook(func(rank int, _ float64, got HierPhase) {
+				if rank == victim && got == ph {
 					panic(fmt.Sprintf("injected@%s", got))
 				}
 			})

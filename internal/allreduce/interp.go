@@ -1,0 +1,170 @@
+package allreduce
+
+import (
+	"swcaffe/internal/des"
+	"swcaffe/internal/simnet"
+)
+
+// The two interpreters of a schedule cursor. They own every side effect
+// of a collective — the result vector, scratch, the messages, the
+// arithmetic, the reduction charge, the phase hook — and are the only
+// callers of Send, Recv, SendRecv and ChargeReduce in this package.
+// Both execute a round the same way, in the same order; they differ
+// only in how a receive returns: the blocking one waits for it, the
+// event one parks the call and is resumed with the payload.
+
+// frame holds the vectors of one call (see vector). The result is
+// always fresh — it outlives the run, scratch does not.
+type frame struct {
+	vecs [3][]float32
+	n    int
+}
+
+func newFrame(data []float32, resultLen int) frame {
+	f := frame{n: len(data)}
+	f.vecs[input], f.vecs[result] = data, make([]float32, resultLen)
+	copy(f.vecs[result], data)
+	return f
+}
+
+// out is the rank's result: the result vector without its pad.
+func (f *frame) out() []float32 { return f.vecs[result][:f.n:f.n] }
+
+func (f *frame) at(s span) []float32 { return f.vecs[s.vec][s.lo:s.hi] }
+
+// scratchNeed is how many floats of the rank's scratch rd takes: the
+// staged copy of its payload, or the work vector a local load fills.
+func (rd *round) scratchNeed() int {
+	switch {
+	case rd.stage:
+		return rd.send.len()
+	case rd.local && rd.recv.vec == work:
+		return rd.recv.hi
+	}
+	return 0
+}
+
+// prepare does rd's local part, given the scratch it needs, and returns
+// the payload to send (nil for a round that sends nothing).
+func (f *frame) prepare(rd *round, scratch []float32) []float32 {
+	switch {
+	case rd.local:
+		if rd.recv.vec == work {
+			f.vecs[work] = scratch
+		}
+		dst := f.at(rd.recv)
+		clear(dst[copy(dst, f.at(rd.send)):])
+		return nil
+	case rd.sendTo < 0:
+		return nil
+	case rd.stage:
+		copy(scratch, f.at(rd.send))
+		return scratch
+	}
+	return f.at(rd.send)
+}
+
+// land puts a received payload where rd says and reports whether it was
+// a reduction, to be charged.
+func (f *frame) land(rd *round, in []float32) bool {
+	dst := f.vecs[rd.recv.vec][rd.recv.lo:]
+	if !rd.reduce {
+		copy(dst, in)
+		return false
+	}
+	for i, v := range in {
+		dst[i] += v
+	}
+	return true
+}
+
+// runBlocking executes c on one rank of the goroutine backend. The
+// cursor and the round stay on this stack.
+func runBlocking(n *simnet.Node, c cursor, data []float32) []float32 {
+	f := newFrame(data, c.resultLen(len(data)))
+	var rd round
+	for c.next(&rd) {
+		if rd.phase != "" {
+			hierPhase(n.Rank, n.Clock(), rd.phase)
+			continue
+		}
+		var scratch, in []float32
+		if k := rd.scratchNeed(); k > 0 {
+			scratch = n.Scratch(k)
+		}
+		payload := f.prepare(&rd, scratch)
+		switch {
+		case rd.paired:
+			in = n.SendRecv(rd.sendTo, payload)
+		case rd.sendTo >= 0:
+			n.Send(rd.sendTo, payload)
+			fallthrough
+		default:
+			if rd.recvFrom < 0 {
+				continue
+			}
+			in = n.Recv(rd.recvFrom)
+		}
+		if f.land(&rd, in) {
+			n.ChargeReduce(len(in))
+		}
+	}
+	return f.out()
+}
+
+// desCall is one rank's call on the event backend: the cursor, the
+// round whose receive is parked, and the one continuation every receive
+// of the call resumes — so a call allocates a constant number of
+// objects however many rounds it runs.
+type desCall struct {
+	r      *des.Rank
+	c      cursor
+	rd     round
+	f      frame
+	k      func([]float32)
+	resume func([]float32)
+}
+
+// runResumable executes c on one rank of the event backend; k fires with the
+// result. A receive is always the last thing a step does.
+func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
+	st := &desCall{r: r, c: c, f: newFrame(data, c.resultLen(len(data))), k: k}
+	st.resume = st.landed
+	st.step()
+}
+
+func (st *desCall) step() {
+	r, rd := st.r, &st.rd
+	for st.c.next(rd) {
+		if rd.phase != "" {
+			hierPhase(r.Rank, r.Clock(), rd.phase)
+			continue
+		}
+		var scratch []float32
+		if k := rd.scratchNeed(); k > 0 {
+			scratch = r.Scratch(k)
+		}
+		payload := st.f.prepare(rd, scratch)
+		switch {
+		case rd.paired:
+			r.SendRecv(rd.sendTo, payload, st.resume)
+			return
+		case rd.sendTo >= 0:
+			r.Send(rd.sendTo, payload)
+			fallthrough
+		default:
+			if rd.recvFrom >= 0 {
+				r.Recv(rd.recvFrom, st.resume)
+				return
+			}
+		}
+	}
+	st.k(st.f.out())
+}
+
+func (st *desCall) landed(in []float32) {
+	if st.f.land(&st.rd, in) {
+		st.r.ChargeReduce(len(in))
+	}
+	st.step()
+}

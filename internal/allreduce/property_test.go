@@ -156,11 +156,99 @@ func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32)))
 	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
 }
 
+// walkSchedule steps the p cursors of one call against per-link FIFO
+// queues of payload lengths — no payloads, no backend — and checks the
+// schedule as data: every message is consumed by exactly one receive on
+// the peer it names, with the length that receive's landing range
+// expects; a full-duplex exchange is full-duplex on both ends; only the
+// ring's reduce-scatter stages its payload; every rank runs to the end
+// and no link is left holding a message. It returns the census a run
+// of the schedule must report (default 4-byte elements).
+func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (census [3]int64, bad string) {
+	type msg struct {
+		elems  int
+		paired bool
+	}
+	links := make(map[[2]int][]msg)
+	ranks := make([]struct {
+		c       cursor
+		rd      round
+		waiting bool
+		done    bool
+	}, p)
+	for r := range ranks {
+		ranks[r].c = newCursor(sched, r, p, lay, lo, n, total)
+	}
+	for progress := true; progress; {
+		progress = false
+		for r := range ranks {
+			w := &ranks[r]
+			for !w.done {
+				rd := &w.rd
+				if !w.waiting {
+					if !w.c.next(rd) {
+						w.done = true
+						break
+					}
+					progress = true
+					comm := rd.sendTo >= 0 || rd.recvFrom >= 0
+					if (rd.phase != "" || rd.local) && comm {
+						return census, fmt.Sprintf("rank %d: a phase or local round communicates: %+v", r, *rd)
+					}
+					if rd.paired && rd.sendTo != rd.recvFrom {
+						return census, fmt.Sprintf("rank %d: exchange with two peers: %+v", r, *rd)
+					}
+					if rd.stage && !(sched == schedRing && rd.sendTo >= 0 && (rd.recvFrom < 0 || rd.reduce)) {
+						return census, fmt.Sprintf("rank %d: staged send outside the ring reduce-scatter: %+v", r, *rd)
+					}
+					if rd.sendTo >= 0 {
+						if rd.sendTo == r || rd.sendTo >= p {
+							return census, fmt.Sprintf("rank %d: sends to %d", r, rd.sendTo)
+						}
+						key := [2]int{r, rd.sendTo}
+						links[key] = append(links[key], msg{rd.send.len(), rd.paired})
+						census[0]++
+						if !lay.Same(r, rd.sendTo) {
+							census[1]++
+							census[2] += int64(rd.send.len()) * 4
+						}
+					}
+					w.waiting = rd.recvFrom >= 0
+				}
+				if w.waiting {
+					key := [2]int{rd.recvFrom, r}
+					if len(links[key]) == 0 {
+						break // the peer has not posted yet
+					}
+					m := links[key][0]
+					links[key] = links[key][1:]
+					if m.elems != rd.recv.len() || m.paired != rd.paired {
+						return census, fmt.Sprintf("rank %d: receive %+v consumed message %+v from %d", r, *rd, m, rd.recvFrom)
+					}
+					w.waiting, progress = false, true
+				}
+			}
+		}
+	}
+	for r := range ranks {
+		if !ranks[r].done {
+			return census, fmt.Sprintf("deadlock: rank %d waits on %d", r, ranks[r].rd.recvFrom)
+		}
+	}
+	for key, q := range links {
+		if len(q) != 0 {
+			return census, fmt.Sprintf("link %v left holding %d messages", key, len(q))
+		}
+	}
+	return census, ""
+}
+
 // TestCollectiveProperty generates cluster shapes, mappings, lengths
 // and segments and checks, for every algorithm on both backends: the
 // output is the exact sum (small integers, so every association order
-// agrees), the inputs are untouched, and the DES run reproduces the
-// goroutine run's clocks, makespan and census. Each case then runs
+// agrees), the inputs are untouched, the schedule walked as data (see
+// walkSchedule) is well-formed and predicts the run's census, and the
+// DES run reproduces the goroutine run's clocks, makespan and census. Each case then runs
 // twice more on one cluster — recycled scratch, pooled links — and once
 // after a recovered rank panic, and must reproduce the fresh cluster's
 // outcome every time. Replay a failure with -property-seed.
@@ -183,23 +271,9 @@ func TestCollectiveProperty(t *testing.T) {
 			label := fmt.Sprintf("seed %d (-property-seed %d, case %d): %s p=%d q=%d %s total=%d seg=[%d,%d) fault=%+v",
 				c.seed, *propertySeed, i, name, c.p, c.q, c.m.Name(), c.total, lo, hi, f)
 
-			var sim func(n *simnet.Node) []float32
-			var dsv func(r *des.Rank, k func([]float32))
-			switch name {
-			case NameRing:
-				sim = func(n *simnet.Node) []float32 { return RingSegment(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
-				dsv = func(r *des.Rank, k func([]float32)) { RingSegmentDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k) }
-			case NameHierarchical:
-				sim = func(n *simnet.Node) []float32 { return HierarchicalSegment(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
-				dsv = func(r *des.Rank, k func([]float32)) {
-					HierarchicalSegmentDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k)
-				}
-			default:
-				alg, _ := ByName(name)
-				algDES, _ := ByNameDES(name)
-				sim = func(n *simnet.Node) []float32 { return alg(n, c.inputs[n.Rank][lo:hi]) }
-				dsv = func(r *des.Rank, k func([]float32)) { algDES(r, c.inputs[r.Rank][lo:hi], k) }
-			}
+			sched, _ := ScheduleByName(name)
+			sim := func(n *simnet.Node) []float32 { return sched.Run(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
+			dsv := func(r *des.Rank, k func([]float32)) { sched.RunDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k) }
 
 			sum := make([]float32, hi-lo)
 			for _, in := range c.inputs {
@@ -218,6 +292,11 @@ func TestCollectiveProperty(t *testing.T) {
 			}
 			if d := fresh.diff(want, false); d != "" {
 				t.Fatalf("%s: goroutine vs reference sum: %s", label, d)
+			}
+			if census, bad := walkSchedule(sched, topology.NewLayout(c.m, c.p), c.p, lo, hi-lo, c.total); bad != "" {
+				t.Fatalf("%s: schedule walk: %s", label, bad)
+			} else if census != fresh.census {
+				t.Fatalf("%s: schedule walk counts census %v, the live run %v", label, census, fresh.census)
 			}
 			freshDES, failed := runDES(des.NewCluster(net, c.m, c.p), noFault, dsv)
 			if failed != nil {

@@ -1,9 +1,6 @@
 package collective
 
 import (
-	"fmt"
-
-	"swcaffe/internal/allreduce"
 	"swcaffe/internal/des"
 	"swcaffe/internal/simnet"
 )
@@ -11,12 +8,12 @@ import (
 // Discrete-event flush path. The engine's bucket layout, staging,
 // commit protocol and attribution are backend-agnostic — only the
 // collective execution differs: instead of RunGather over rank
-// goroutines calling Strategy.Reduce, the DES backend runs the
-// continuation-passing algorithm forms on a des.Cluster. Dispatch is
-// by strategy name: the four built-ins have DES twins; a custom
-// Config.Algorithm body is a blocking function with no DES form, so
-// the trainer refuses to combine one with the DES backend and the
-// dispatch backstops that with a panic.
+// goroutines calling Strategy.Run, the DES backend calls
+// Strategy.RunDES on a des.Cluster — the same schedule, run by the
+// resumable interpreter. A custom Config.Algorithm body is a blocking
+// Go function, not a schedule, so the trainer refuses to combine one
+// with the DES backend and the custom strategy's RunDES backstops that
+// with a panic.
 
 // ReduceSegDES is the DES form of ReduceSeg: it runs the strategy's
 // collective over bucket b on one DES rank and fires done with the
@@ -26,7 +23,7 @@ func (e *Engine) ReduceSegDES(r *des.Rank, b int, pack []float32, done func([]fl
 		e.cfg.FlushHook(r.Rank, b)
 	}
 	bk := e.buckets[b]
-	e.reduceDES(r, pack[bk.Lo:bk.Hi], bk.Lo, func(out []float32) {
+	e.strat.RunDES(r, pack[bk.Lo:bk.Hi], bk.Lo, e.total, func(out []float32) {
 		r.ChargeReduce(len(out))
 		done(out)
 	})
@@ -38,30 +35,10 @@ func (e *Engine) ReduceFullDES(r *des.Rank, pack []float32, done func([]float32)
 	if e.cfg.FlushHook != nil {
 		e.cfg.FlushHook(r.Rank, 0)
 	}
-	e.reduceDES(r, pack, 0, func(out []float32) {
+	e.strat.RunDES(r, pack, 0, e.total, func(out []float32) {
 		r.ChargeReduce(len(out))
 		done(out)
 	})
-}
-
-// reduceDES dispatches to the DES twin of the active strategy's
-// collective body.
-func (e *Engine) reduceDES(r *des.Rank, seg []float32, lo int, k func([]float32)) {
-	if e.cfg.Algorithm != nil {
-		panic("collective: custom algorithm bodies have no DES form — run the goroutine backend")
-	}
-	switch e.strat.Name() {
-	case allreduce.NameRing:
-		allreduce.RingSegmentDES(r, seg, lo, e.total, k)
-	case allreduce.NameHierarchical:
-		allreduce.HierarchicalSegmentDES(r, seg, lo, e.total, k)
-	case allreduce.NameRHD:
-		allreduce.RecursiveHalvingDoublingDES(r, seg, k)
-	case allreduce.NameBinomial:
-		allreduce.BinomialTreeDES(r, seg, k)
-	default:
-		panic(fmt.Sprintf("collective: no DES form for algorithm %q", e.strat.Name()))
-	}
 }
 
 // FlushSegDES runs bucket b's collective over every rank of the DES

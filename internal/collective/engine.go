@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
-	"swcaffe/internal/des"
 	"swcaffe/internal/obs"
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
@@ -155,16 +154,15 @@ type Engine struct {
 	// anchors this step's flush windows on the cumulative trace
 	// timeline; hierNow/hierClks/clockSnaps capture the hierarchical
 	// schedule's internal phase clocks per rank per flush.
-	tracer          *obs.Tracer
-	tracePid        int
-	traceBase       float64
-	hierNow         [][3]float64   // per-rank phase-entry clocks of the flush in flight
-	hierClks        [][][3]float64 // [bucket][rank] snapshot at Commit
-	hierFull        [][3]float64   // barrier-flush snapshot
-	clockSnaps      [][]float64    // [bucket][rank] finishing clocks at Commit
-	clockFull       []float64
-	prevHierHook    func(n *simnet.Node, phase allreduce.HierPhase)
-	prevHierHookDES func(r *des.Rank, phase allreduce.HierPhase)
+	tracer       *obs.Tracer
+	tracePid     int
+	traceBase    float64
+	hierNow      [][3]float64   // per-rank phase-entry clocks of the flush in flight
+	hierClks     [][][3]float64 // [bucket][rank] snapshot at Commit
+	hierFull     [][3]float64   // barrier-flush snapshot
+	clockSnaps   [][]float64    // [bucket][rank] finishing clocks at Commit
+	clockFull    []float64
+	prevHierHook allreduce.PhaseHook
 }
 
 // BucketStat is the per-bucket attribution of one committed step: the
@@ -383,7 +381,7 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 		e.cfg.FlushHook(n.Rank, b)
 	}
 	bk := e.buckets[b]
-	out := e.strat.Reduce(n, pack[bk.Lo:bk.Hi], bk.Lo, e.total)
+	out := e.strat.Run(n, pack[bk.Lo:bk.Hi], bk.Lo, e.total)
 	n.ChargeReduce(len(out))
 	return out
 }
@@ -395,7 +393,7 @@ func (e *Engine) ReduceFull(n *simnet.Node, pack []float32) []float32 {
 	if e.cfg.FlushHook != nil {
 		e.cfg.FlushHook(n.Rank, 0)
 	}
-	out := e.strat.Reduce(n, pack, 0, e.total)
+	out := e.strat.Run(n, pack, 0, e.total)
 	n.ChargeReduce(len(out))
 	return out
 }
@@ -614,9 +612,7 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 	if tr == nil {
 		if e.hierNow != nil {
 			allreduce.SetHierPhaseHook(e.prevHierHook)
-			allreduce.SetHierPhaseHookDES(e.prevHierHookDES)
 			e.prevHierHook = nil
-			e.prevHierHookDES = nil
 			e.hierNow, e.hierClks, e.clockSnaps = nil, nil, nil
 			e.hierFull, e.clockFull = nil, nil
 		}
@@ -636,37 +632,21 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 		for b := range e.hierClks {
 			e.hierClks[b] = make([][3]float64, e.cfg.Ranks)
 		}
-		e.prevHierHook = allreduce.SetHierPhaseHook(func(n *simnet.Node, phase allreduce.HierPhase) {
-			if n.Rank < len(e.hierNow) {
+		// One hook serves both backends: the interpreters fire it with
+		// the rank and its clock, so Commit snapshots are backend-agnostic.
+		e.prevHierHook = allreduce.SetHierPhaseHook(func(rank int, clock float64, phase allreduce.HierPhase) {
+			if rank < len(e.hierNow) {
 				switch phase {
 				case allreduce.HierIntraReduceScatter:
-					e.hierNow[n.Rank][0] = n.Clock()
+					e.hierNow[rank][0] = clock
 				case allreduce.HierLeaderRHD:
-					e.hierNow[n.Rank][1] = n.Clock()
+					e.hierNow[rank][1] = clock
 				case allreduce.HierAllgather:
-					e.hierNow[n.Rank][2] = n.Clock()
+					e.hierNow[rank][2] = clock
 				}
 			}
 			if e.prevHierHook != nil {
-				e.prevHierHook(n, phase)
-			}
-		})
-		// The DES flush path fires the same boundaries through the DES
-		// twin hook; capture into the same hierNow so Commit snapshots
-		// are backend-agnostic.
-		e.prevHierHookDES = allreduce.SetHierPhaseHookDES(func(r *des.Rank, phase allreduce.HierPhase) {
-			if r.Rank < len(e.hierNow) {
-				switch phase {
-				case allreduce.HierIntraReduceScatter:
-					e.hierNow[r.Rank][0] = r.Clock()
-				case allreduce.HierLeaderRHD:
-					e.hierNow[r.Rank][1] = r.Clock()
-				case allreduce.HierAllgather:
-					e.hierNow[r.Rank][2] = r.Clock()
-				}
-			}
-			if e.prevHierHookDES != nil {
-				e.prevHierHookDES(r, phase)
+				e.prevHierHook(rank, clock, phase)
 			}
 		})
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"swcaffe/internal/allreduce"
+	"swcaffe/internal/des"
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
@@ -36,12 +37,16 @@ type Strategy interface {
 	// the cut — and falls back to the downward one.
 	Snap(cut, total, p int) int
 	SnapUp(cut, total, p int) int
-	// Reduce runs the collective over seg, the [lo, lo+len(seg))
+	// Run executes the collective over seg, the [lo, lo+len(seg))
 	// slice of the packed vector, on one simnet rank. On return every
 	// rank holds the elementwise sum — with the same association
 	// order the algorithm would use on the whole packed vector, so
-	// bucketed and barrier flushes agree bit for bit.
-	Reduce(n *simnet.Node, seg []float32, lo, total int) []float32
+	// bucketed and barrier flushes agree bit for bit. RunDES is the
+	// same collective on one rank of the event backend, k firing with
+	// the result. The built-in strategies get both from the one
+	// allreduce.Schedule they embed.
+	Run(n *simnet.Node, seg []float32, lo, total int) []float32
+	RunDES(r *des.Rank, seg []float32, lo, total int, k func([]float32))
 	// Cost prices the flush of the [lo, hi) bucket of a packed
 	// float32 vector of total elements with the closed-form α-β-γ
 	// model (paper Eqns. 2–6 plus allreduce.HierarchicalCost; see
@@ -54,25 +59,36 @@ type Strategy interface {
 	Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) allreduce.Cost
 }
 
-// uniform wraps an element-uniform algorithm (every element is
-// reduced with the same cross-rank association order regardless of
-// its position in the vector — recursive halving/doubling, binomial
-// tree, and by assumption any caller-supplied custom body): buckets
-// may cut anywhere.
+// uniform is the strategy of an element-uniform schedule (every
+// element is reduced with the same cross-rank association order
+// regardless of its position in the vector — recursive
+// halving/doubling, binomial tree): buckets may cut anywhere.
 type uniform struct {
-	name string
-	alg  allreduce.Algorithm
+	allreduce.Schedule
 	cost allreduce.CostFunc
 }
 
-func (u uniform) Name() string             { return u.name }
-func (u uniform) Snap(cut, _, _ int) int   { return cut }
-func (u uniform) SnapUp(cut, _, _ int) int { return cut }
-func (u uniform) Reduce(n *simnet.Node, seg []float32, _, _ int) []float32 {
-	return u.alg(n, seg)
-}
+func (uniform) Snap(cut, _, _ int) int   { return cut }
+func (uniform) SnapUp(cut, _, _ int) int { return cut }
 func (u uniform) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool) allreduce.Cost {
 	return u.cost(net, p, float64(hi-lo)*4, onCPE)
+}
+
+// custom wraps a caller-supplied body, by assumption element-uniform.
+// A body is a blocking Go function over simnet.Node, not a schedule
+// cursor, so only the goroutine backend can run it.
+type custom struct {
+	uniform
+	name string
+	alg  allreduce.Algorithm
+}
+
+func (c custom) Name() string { return c.name }
+func (c custom) Run(n *simnet.Node, seg []float32, _, _ int) []float32 {
+	return c.alg(n, seg)
+}
+func (custom) RunDES(*des.Rank, []float32, int, int, func([]float32)) {
+	panic("collective: custom algorithm bodies have no DES form — run the goroutine backend")
 }
 
 // snapChunkDown returns the largest bound of the k-chunk partition of
@@ -110,16 +126,10 @@ func snapChunkUp(cut, total, k int) int {
 // with a rotation order that depends on c, so buckets must be whole
 // runs of the global chunk partition and each bucket runs the full
 // ring's schedule restricted to its chunks (allreduce.RingSegment).
-type ringChunkAligned struct{}
-
-func (ringChunkAligned) Name() string { return allreduce.NameRing }
+type ringChunkAligned struct{ allreduce.Schedule }
 
 func (ringChunkAligned) Snap(cut, total, p int) int   { return snapChunkDown(cut, total, p) }
 func (ringChunkAligned) SnapUp(cut, total, p int) int { return snapChunkUp(cut, total, p) }
-
-func (ringChunkAligned) Reduce(n *simnet.Node, seg []float32, lo, total int) []float32 {
-	return allreduce.RingSegment(n, seg, lo, total)
-}
 
 func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool) allreduce.Cost {
 	return allreduce.RingCost(net, p, float64(hi-lo)*4, onCPE)
@@ -134,10 +144,9 @@ func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool
 // mapping must be the same one the executing simnet cluster uses —
 // the trainer passes its own through Config.Mapping.
 type hierChunkAligned struct {
+	allreduce.Schedule
 	mapping topology.Mapping
 }
-
-func (hierChunkAligned) Name() string { return allreduce.NameHierarchical }
 
 func (h hierChunkAligned) Snap(cut, total, p int) int {
 	return snapChunkDown(cut, total, topology.MinGroupSize(h.mapping, p))
@@ -145,10 +154,6 @@ func (h hierChunkAligned) Snap(cut, total, p int) int {
 
 func (h hierChunkAligned) SnapUp(cut, total, p int) int {
 	return snapChunkUp(cut, total, topology.MinGroupSize(h.mapping, p))
-}
-
-func (hierChunkAligned) Reduce(n *simnet.Node, seg []float32, lo, total int) []float32 {
-	return allreduce.HierarchicalSegment(n, seg, lo, total)
 }
 
 func (h hierChunkAligned) Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) allreduce.Cost {
@@ -176,21 +181,20 @@ func (h hierChunkAligned) Cost(net *topology.Network, p, lo, hi, total int, onCP
 // (Eqns. 5–6) when the mapping says ranks fill supernodes adjacently.
 // A nil mapping means the trainer default (round-robin at TaihuLight
 // q); NameAuto must be resolved by SelectPlan before coming here.
-func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mapping) (Strategy, error) {
+func StrategyFor(name string, body allreduce.Algorithm, mapping topology.Mapping) (Strategy, error) {
 	name = allreduce.Canonical(name)
 	if mapping == nil {
 		mapping = topology.RoundRobinMapping{Q: topology.SupernodeSize}
 	}
-	if custom != nil {
+	if body != nil {
 		cost, err := allreduce.CostByName(name)
 		if err != nil {
 			cost = allreduce.ImprovedRHDCost
 		}
-		label := name
-		if label == "" {
-			label = "custom"
+		if name == "" {
+			name = "custom"
 		}
-		return uniform{name: label, alg: custom, cost: cost}, nil
+		return custom{uniform: uniform{cost: cost}, name: name, alg: body}, nil
 	}
 	switch name {
 	case "":
@@ -198,15 +202,15 @@ func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mappi
 	case NameAuto:
 		return nil, fmt.Errorf("collective: %q is a selector directive, not a strategy — resolve it with SelectPlan", NameAuto)
 	}
-	switch name {
-	case allreduce.NameRing:
-		return ringChunkAligned{}, nil
-	case allreduce.NameHierarchical:
-		return hierChunkAligned{mapping: mapping}, nil
-	}
-	alg, err := allreduce.ByName(name)
+	sched, err := allreduce.ScheduleByName(name)
 	if err != nil {
 		return nil, err
+	}
+	switch name {
+	case allreduce.NameRing:
+		return ringChunkAligned{sched}, nil
+	case allreduce.NameHierarchical:
+		return hierChunkAligned{sched, mapping}, nil
 	}
 	cost, err := allreduce.CostByName(name)
 	if err != nil {
@@ -215,5 +219,5 @@ func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mappi
 	if name == allreduce.NameRHD && mapping.Name() == (topology.AdjacentMapping{}).Name() {
 		cost = allreduce.OriginalRHDCost
 	}
-	return uniform{name: name, alg: alg, cost: cost}, nil
+	return uniform{sched, cost}, nil
 }

@@ -1,12 +1,12 @@
 // Package des is the single-threaded discrete-event backend of the
-// cluster simulator: the same α+βn cost model and shared-clock rank
-// views as internal/simnet, but ranks run as callback continuations on
+// cluster simulator: the same α+βn cost model and per-rank clocks as
+// internal/simnet, but ranks run as callback continuations on
 // one binary-heap event queue instead of one goroutine each. A p=4096
 // collective costs zero goroutines, zero channel rendezvous and zero
 // OS scheduling — the refactor that makes paper-scale functional
 // sweeps (p = 1024/4096) feasible in CI.
 //
-// Determinism: events are keyed by (simTime, world rank, seq) with seq
+// Determinism: events are keyed by (simTime, rank, seq) with seq
 // a per-run monotonic counter, so ties on the simulated clock break
 // identically on every run and under every GOMAXPROCS. Because the
 // collective bodies form a Kahn process network over per-(src,dst)
@@ -324,17 +324,15 @@ func (rs *runState) match(l *link, src, dst int) {
 	rs.seq++
 }
 
-// Rank is the per-rank handle passed to DES collective bodies: the
-// continuation-passing twin of simnet.Node, with the same world/group
-// view semantics (InGroup shares the clock and the world-rank link
-// namespace; group views do not nest). A handle belongs to the run that
-// made it and must not be used after that run returns.
+// Rank is the per-rank handle passed to DES collective bodies — the
+// counterpart of simnet.Node, with receives that take a continuation.
+// Peers are always cluster ranks. A handle belongs to the run that made
+// it and must not be used after that run returns.
 type Rank struct {
 	Rank    int
 	cluster *Cluster
 	run     *runState
 	clock   *float64
-	group   []int // nil = world view; else group-rank -> world-rank
 	done    bool
 }
 
@@ -344,33 +342,12 @@ func (r *Rank) Clock() float64 { return *r.clock }
 // AdvanceClock adds local computation time.
 func (r *Rank) AdvanceClock(dt float64) { *r.clock += dt }
 
-// P returns the communicator size.
-func (r *Rank) P() int {
-	if r.group != nil {
-		return len(r.group)
-	}
-	return r.cluster.P
-}
-
-// WorldRank returns the rank's world-communicator rank.
-func (r *Rank) WorldRank() int { return r.world(r.Rank) }
-
-func (r *Rank) world(x int) int {
-	if r.group != nil {
-		return r.group[x]
-	}
-	return x
-}
+// P returns the cluster size.
+func (r *Rank) P() int { return r.cluster.P }
 
 // Supernodes returns the cluster's supernode layout, resolved once at
-// NewCluster. It describes the world communicator, so it is refused on
-// a group view.
-func (r *Rank) Supernodes() *topology.Layout {
-	if r.group != nil {
-		panic("des: the supernode layout is defined on the world view")
-	}
-	return r.cluster.layout
-}
+// NewCluster.
+func (r *Rank) Supernodes() *topology.Layout { return r.cluster.layout }
 
 // Scratch returns n float32s of unspecified content from the rank's
 // cluster-owned bump arena — staging for a payload the body builds and
@@ -379,27 +356,7 @@ func (r *Rank) Supernodes() *topology.Layout {
 // sent to) until RunGather returns; it must not be returned as the
 // rank's result. A failed run's arenas are dropped with its state.
 func (r *Rank) Scratch(n int) []float32 {
-	return r.run.scratch[r.WorldRank()].Take(n)
-}
-
-// InGroup returns a sub-communicator view restricted to the ordered
-// world-rank subset ranks, sharing this rank's clock — the exact
-// contract of simnet.Node.InGroup.
-func (r *Rank) InGroup(ranks []int) *Rank {
-	if r.group != nil {
-		panic("des: nested group views are not supported")
-	}
-	idx := -1
-	for i, wr := range ranks {
-		if wr == r.Rank {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("des: rank %d not a member of group %v", r.Rank, ranks))
-	}
-	return &Rank{Rank: idx, cluster: r.cluster, run: r.run, clock: r.clock, group: ranks}
+	return r.run.scratch[r.Rank].Take(n)
 }
 
 // Send posts data to peer and occupies the sender for the full α+βn,
@@ -407,7 +364,7 @@ func (r *Rank) InGroup(ranks []int) *Rank {
 // caller inline. The payload travels by reference — see the ownership
 // rule in internal/allreduce.
 func (r *Rank) Send(peer int, data []float32) {
-	src, dst := r.WorldRank(), r.world(peer)
+	src, dst := r.Rank, peer
 	if dst == src {
 		panic("des: send to self")
 	}
@@ -423,15 +380,14 @@ func (r *Rank) Send(peer int, data []float32) {
 // programs so Recv is a tail call. The engine keeps k only until it
 // fires, so one continuation may serve every round of a phase.
 func (r *Rank) Recv(peer int, k func([]float32)) {
-	src, dst := r.world(peer), r.WorldRank()
-	r.run.park(src, dst, -1, k)
+	r.run.park(peer, r.Rank, -1, k)
 }
 
 // SendRecv posts sendData to peer and parks for the reply; the
 // full-duplex pair charges one α+βn for the larger direction, as
 // simnet.Node.SendRecv. k receives the peer's payload.
 func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
-	src, dst := r.WorldRank(), r.world(peer)
+	src, dst := r.Rank, peer
 	if dst == src {
 		panic("des: sendrecv with self")
 	}
@@ -463,12 +419,9 @@ func (r *Rank) ChargeReduce(elems int) {
 }
 
 // Finish records the rank's result and marks its program complete.
-// Every rank body must call it exactly once, on the world view, as its
-// final act (the DES analogue of returning from a RunGather body).
+// Every rank body must call it exactly once, as its final act (the DES
+// analogue of returning from a RunGather body).
 func (r *Rank) Finish(out []float32) {
-	if r.group != nil {
-		panic("des: Finish called on a group view")
-	}
 	if r.done {
 		panic(fmt.Sprintf("des: rank %d finished twice", r.Rank))
 	}

@@ -244,50 +244,6 @@ func TestDoubleFinishPanics(t *testing.T) {
 	})
 }
 
-// TestInGroupViews: group views share the clock, translate ranks, and
-// refuse nesting and non-members — mirroring simnet.
-func TestInGroupViews(t *testing.T) {
-	c := testCluster(4)
-	c.Run(func(r *Rank) {
-		defer r.Finish(nil)
-		if r.Rank != 1 && r.Rank != 3 {
-			return
-		}
-		g := r.InGroup([]int{1, 3})
-		if g.P() != 2 {
-			t.Errorf("group P: got %d want 2", g.P())
-		}
-		if g.WorldRank() != r.Rank {
-			t.Errorf("world rank: got %d want %d", g.WorldRank(), r.Rank)
-		}
-		wantIdx := 0
-		if r.Rank == 3 {
-			wantIdx = 1
-		}
-		if g.Rank != wantIdx {
-			t.Errorf("group rank: got %d want %d", g.Rank, wantIdx)
-		}
-		g.AdvanceClock(1)
-		if r.Clock() != g.Clock() {
-			t.Errorf("group view does not share the clock")
-		}
-	})
-
-	func() {
-		defer func() {
-			if rp, ok := recover().(RankPanic); !ok || !strings.Contains(rp.Error(), "not a member") {
-				t.Fatalf("expected not-a-member panic")
-			}
-		}()
-		c.Run(func(r *Rank) {
-			if r.Rank == 0 {
-				r.InGroup([]int{1, 2})
-			}
-			r.Finish(nil)
-		})
-	}()
-}
-
 // TestSecondWaiterPanics: the at-most-one-parked-receiver invariant is
 // a scheduler assertion, not silent corruption.
 func TestSecondWaiterPanics(t *testing.T) {
@@ -481,15 +437,14 @@ func TestUnconsumedWireNamesFirstLink(t *testing.T) {
 	})
 }
 
-// TestScratch: a rank's scratch is its own (group views included),
-// stays put for the whole run, and from the second run of a shape on
+// TestScratch: a rank's scratch is its own, stays put for the whole run, and from the second run of a shape on
 // comes out of the same arena.
 func TestScratch(t *testing.T) {
 	c := testCluster(4)
 	var firstRun [4]*float32
 	body := func(r *Rank) {
 		a := r.Scratch(8)
-		b := r.InGroup([]int{r.Rank}).Scratch(8)
+		b := r.Scratch(8)
 		for i := range a {
 			a[i], b[i] = float32(r.Rank), float32(-r.Rank)
 		}

@@ -113,18 +113,16 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	}
 }
 
-// Node is the per-rank handle passed to collective algorithm bodies.
-// A node is either the world communicator's view of a rank (Rank =
-// world rank, P() = cluster size) or a group-restricted view obtained
-// from InGroup (Rank = index within the group, P() = group size); both
-// views share one logical clock and one message-channel namespace
-// keyed by world ranks.
+// Node is the per-rank handle passed to collective algorithm bodies:
+// the rank's number in the cluster, its logical clock, and the run's
+// message channels. Peers are always cluster ranks — a collective over
+// a subset of the ranks (the hierarchical schedule's leader phase)
+// names its peers by cluster rank like any other.
 type Node struct {
 	Rank    int
 	cluster *Cluster
 	run     *runState
 	clock   *float64
-	group   []int // nil = world communicator; else group-rank -> world-rank
 }
 
 // Clock returns the node's logical time in seconds.
@@ -133,36 +131,12 @@ func (n *Node) Clock() float64 { return *n.clock }
 // AdvanceClock adds local computation time.
 func (n *Node) AdvanceClock(dt float64) { *n.clock += dt }
 
-// P returns the communicator size: the cluster size on a world node,
-// the member count on a group view.
-func (n *Node) P() int {
-	if n.group != nil {
-		return len(n.group)
-	}
-	return n.cluster.P
-}
-
-// WorldRank returns the node's rank in the world communicator (equal
-// to Rank except on group views).
-func (n *Node) WorldRank() int { return n.world(n.Rank) }
-
-// world translates a communicator-local rank to a world rank.
-func (n *Node) world(r int) int {
-	if n.group != nil {
-		return n.group[r]
-	}
-	return r
-}
+// P returns the cluster size.
+func (n *Node) P() int { return n.cluster.P }
 
 // Supernodes returns the cluster's supernode layout, resolved once at
-// NewCluster. It describes the world communicator, so it is refused on
-// a group view.
-func (n *Node) Supernodes() *topology.Layout {
-	if n.group != nil {
-		panic("simnet: the supernode layout is defined on the world view")
-	}
-	return n.cluster.layout
-}
+// NewCluster.
+func (n *Node) Supernodes() *topology.Layout { return n.cluster.layout }
 
 // Scratch returns k float32s of unspecified content from the rank's
 // cluster-owned bump arena — staging for a payload the body builds and
@@ -172,34 +146,7 @@ func (n *Node) Supernodes() *topology.Layout {
 // result. A failed run's arenas are abandoned with the rest of its
 // state, so a stranded rank can keep using its own.
 func (n *Node) Scratch(k int) []float32 {
-	return n.run.scratch[n.WorldRank()].Take(k)
-}
-
-// InGroup returns a sub-communicator view of the node restricted to
-// the ordered world-rank subset ranks: the view's Rank is the node's
-// index within ranks and P() is len(ranks), while Send/Recv peers are
-// group indices translated back to world ranks. The view shares the
-// node's logical clock, so time spent inside a group collective is
-// charged to the rank like any other communication. The calling
-// node's world rank must appear in ranks; group views do not nest.
-// This is what lets the collective algorithms in internal/allreduce
-// run unmodified over a rank subset of one Cluster.Run — the
-// hierarchical all-reduce's intra-supernode and leader phases.
-func (n *Node) InGroup(ranks []int) *Node {
-	if n.group != nil {
-		panic("simnet: nested group views are not supported")
-	}
-	idx := -1
-	for i, r := range ranks {
-		if r == n.Rank {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("simnet: rank %d not a member of group %v", n.Rank, ranks))
-	}
-	return &Node{Rank: idx, cluster: n.cluster, run: n.run, clock: n.clock, group: ranks}
+	return n.run.scratch[n.Rank].Take(k)
 }
 
 func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
@@ -222,7 +169,7 @@ func (n *Node) countMsg(src, dst, elems int) {
 // The payload travels by reference — see the ownership rule in
 // internal/allreduce.
 func (n *Node) Send(peer int, data []float32) {
-	src, dst := n.WorldRank(), n.world(peer)
+	src, dst := n.Rank, peer
 	if dst == src {
 		panic("simnet: send to self")
 	}
@@ -235,7 +182,7 @@ func (n *Node) Send(peer int, data []float32) {
 // Recv blocks for a message from peer and advances the clock to the
 // arrival time: max(local, remote-send) + α + βn.
 func (n *Node) Recv(peer int) []float32 {
-	src, dst := n.world(peer), n.WorldRank()
+	src, dst := peer, n.Rank
 	m := <-n.run.channel(src, dst)
 	alpha, transfer := n.cluster.linkCost(src, dst, len(m.data))
 	start := *n.clock
@@ -250,7 +197,7 @@ func (n *Node) Recv(peer int) []float32 {
 // concurrently over the bidirectional link, so the node pays one
 // α+βn for the larger of the two transfers.
 func (n *Node) SendRecv(peer int, sendData []float32) []float32 {
-	src, dst := n.WorldRank(), n.world(peer)
+	src, dst := n.Rank, peer
 	if dst == src {
 		panic("simnet: sendrecv with self")
 	}

@@ -259,63 +259,6 @@ func TestSelfSendPanics(t *testing.T) {
 	})
 }
 
-// TestGroupViewCollective: a sub-communicator view must present group
-// ranks and size while routing messages (and paying link costs) by
-// world rank — the primitive behind group-restricted collectives.
-func TestGroupViewCollective(t *testing.T) {
-	net := topology.Sunway()
-	net.SupernodeSize = 2
-	cl := NewCluster(net, topology.AdjacentMapping{Q: 2}, 4)
-	group := []int{1, 3} // one rank from each supernode
-	sums := make([]float32, 4)
-	cl.Run(func(n *Node) {
-		if n.Rank != 1 && n.Rank != 3 {
-			return
-		}
-		g := n.InGroup(group)
-		if g.P() != 2 {
-			t.Errorf("group size %d", g.P())
-		}
-		if g.WorldRank() != n.Rank {
-			t.Errorf("world rank %d != %d", g.WorldRank(), n.Rank)
-		}
-		// Group-rank exchange: peer 1-g.Rank is the other member.
-		in := g.SendRecv(1-g.Rank, []float32{float32(n.Rank)})
-		sums[n.Rank] = float32(n.Rank) + in[0]
-	})
-	if sums[1] != 4 || sums[3] != 4 {
-		t.Fatalf("group exchange wrong: %v", sums)
-	}
-}
-
-// TestGroupViewSharesClock: time spent inside a group collective must
-// accumulate on the rank's world clock.
-func TestGroupViewSharesClock(t *testing.T) {
-	cl := twoNodes()
-	res := cl.Run(func(n *Node) {
-		g := n.InGroup([]int{0, 1})
-		g.SendRecv(1-g.Rank, make([]float32, 1<<16))
-		g.AdvanceClock(1.5)
-	})
-	if res.Time < 1.5 {
-		t.Fatalf("group-view clock did not reach the world result: %g", res.Time)
-	}
-}
-
-func TestGroupViewRejectsNonMember(t *testing.T) {
-	cl := twoNodes()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected non-member panic")
-		}
-	}()
-	cl.Run(func(n *Node) {
-		if n.Rank == 0 {
-			n.InGroup([]int{1})
-		}
-	})
-}
-
 // TestCrossTrafficCensus: Result must report the message count and the
 // cross-supernode share, with CrossBytes scaled by BytesPerElem.
 func TestCrossTrafficCensus(t *testing.T) {
@@ -344,7 +287,7 @@ func TestCrossTrafficCensus(t *testing.T) {
 	}
 }
 
-// TestScratch: a rank's scratch is its own (group views included) and
+// TestScratch: a rank's scratch is its own and
 // holds for the whole run; a warm run of the same shape is served from
 // the same arenas; and a failed run's arenas are abandoned with its
 // state, so a rank it stranded can go on writing its own while the
@@ -355,7 +298,7 @@ func TestScratch(t *testing.T) {
 	var base [3]*float32
 	ring := func(n *Node) {
 		a := n.Scratch(4)
-		b := n.InGroup([]int{n.Rank}).Scratch(4)
+		b := n.Scratch(4)
 		for i := range a {
 			a[i], b[i] = float32(n.Rank), float32(-n.Rank)
 		}
