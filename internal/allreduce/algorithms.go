@@ -40,9 +40,16 @@
 // vector in place, because the half it gives away at distance d is
 // next written by the doubling exchange with the same peer; only the
 // ring's reduce-scatter asks for a staged copy, in the rank's Scratch,
-// because a ring rank never hears from the neighbour it sends to. A
-// result vector is always fresh — it outlives the run, scratch does
-// not.
+// because a ring rank never hears from the neighbour it sends to.
+//
+// # Result lifetime
+//
+// A call's result vector comes from the rank's Scratch too, so one rule
+// covers everything a run hands out — the RunGather slice and the
+// vectors in it: they belong to the cluster and are valid until its
+// next run. A caller keeping a result across runs copies it. A failed
+// run's arenas are abandoned with its state, so a rank it stranded
+// writes its late result where no later run looks.
 package allreduce
 
 import (
@@ -54,7 +61,9 @@ import (
 
 // Algorithm is a collective all-reduce body: every rank calls it with
 // its local vector; on return every rank holds the elementwise sum
-// over all ranks. Implementations must not modify the input slice.
+// over all ranks. Implementations must not modify the input slice. The
+// built-in ones return cluster-owned memory, valid until the cluster's
+// next run (see "Result lifetime" above).
 type Algorithm func(n *simnet.Node, data []float32) []float32
 
 // Algorithm names for harness output.
@@ -136,9 +145,10 @@ func (s Schedule) Name() string { return schedules[s].name }
 
 // Run executes the schedule on one rank of the goroutine backend over
 // data, the [lo, lo+len(data)) segment of a total-element vector, and
-// returns the rank's result. The element-uniform schedules (binomial
-// tree, RHD) ignore lo and total; for the ring and the hierarchical
-// schedule see RingSegment and HierarchicalSegment.
+// returns the rank's result — cluster-owned, valid until the cluster's
+// next run. The element-uniform schedules (binomial tree, RHD) ignore
+// lo and total; for the ring and the hierarchical schedule see
+// RingSegment and HierarchicalSegment.
 func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int) []float32 {
 	return runBlocking(n, newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total), data)
 }

@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"runtime"
 	"testing"
 
 	"swcaffe/internal/des"
@@ -15,17 +16,18 @@ import (
 // allocated a send buffer per exchange, plus a continuation and an
 // event per exchange on the DES backend).
 //
-// What is left, per rank — goroutine backend: the result vector, the
-// rank's goroutine and its closure; the cursor and the round in flight
-// stay on the interpreter's stack. DES backend: the result vector, the
-// call's state (which holds the cursor), its one continuation, the
-// Finish method value. Per run, on both: the Result's clocks and a few
-// run-scoped objects. Measured: 3.1 and 4.0 per rank for every
-// schedule. The budgets leave slack for the runtime (goroutine reuse is
-// not exact), not for a per-round object: 12 of those would blow them.
+// What is left, per rank — goroutine backend: the rank's goroutine and
+// its closure; the cursor and the round in flight stay on the
+// interpreter's stack. DES backend: the call's state (which holds the
+// cursor), its one continuation, the Finish method value. The result
+// vector is the rank's arena memory on both. Per run, on both: the
+// Result's clocks and a few run-scoped objects. Measured: 2.1 and 3.0
+// per rank for every schedule. The budgets leave slack for the runtime
+// (goroutine reuse is not exact), not for a per-round object: 12 of
+// those would blow them.
 func TestRHDAllocationBudget(t *testing.T) {
 	const p, n = 64, 4096
-	const simPerRank, desPerRank = 4, 5
+	const simPerRank, desPerRank = 3, 4
 	net := sunwayQ(8)
 	m := topology.RoundRobinMapping{Q: 8}
 	inputs := intInputs(p, n)
@@ -48,6 +50,52 @@ func TestRHDAllocationBudget(t *testing.T) {
 		desRun()
 		if got := testing.AllocsPerRun(10, desRun); got > desPerRank*p {
 			t.Errorf("DES %s p=%d n=%d: %v allocations per run, budget %d per rank", sched.Name(), p, n, got, desPerRank)
+		}
+	}
+}
+
+// allocBytes is the heap bytes f allocates (MemStats.TotalAlloc, the
+// count the benchmark's host_alloc_bytes_per_op reads).
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmCollectiveAllocatesNoVector: the result of a collective is the
+// rank's arena memory, so a warm run at p = 32 over 2¹⁶ floats per rank
+// allocates less than n bytes in all — a quarter of one rank's vector,
+// where it used to allocate thirty-two of them — on either backend,
+// for every schedule.
+func TestWarmCollectiveAllocatesNoVector(t *testing.T) {
+	const p, n = 32, 1 << 16
+	net := sunwayQ(8)
+	m := topology.RoundRobinMapping{Q: 8}
+	inputs := intInputs(p, n)
+	for _, name := range Names() {
+		alg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, _ := ScheduleByName(name)
+		scl, dcl := simnet.NewCluster(net, m, p), des.NewCluster(net, m, p)
+		for _, run := range []struct {
+			backend string
+			f       func()
+		}{
+			{"goroutine", func() {
+				scl.RunGather(func(nd *simnet.Node) []float32 { return alg(nd, inputs[nd.Rank]) })
+			}},
+			{"DES", func() {
+				dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, inputs[r.Rank], 0, n, r.Finish) })
+			}},
+		} {
+			run.f() // cold: the run's vectors become the arenas
+			if got := allocBytes(run.f); got >= n {
+				t.Errorf("%s %s p=%d: a warm run of %d floats per rank allocated %d bytes, budget %d", run.backend, name, p, n, got, n)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ type vector uint8
 
 const (
 	input  vector = iota // the caller's data: never written, sent as is
-	result               // the fresh result vector, padded for RHD's exact halving
+	result               // the result vector (arena memory), padded for RHD's exact halving
 	work                 // the scratch sub-vector a hierarchical leader's RHD runs in
 )
 

@@ -13,17 +13,21 @@ import (
 // only in how a receive returns: the blocking one waits for it, the
 // event one parks the call and is resumed with the payload.
 
-// frame holds the vectors of one call (see vector). The result is
-// always fresh — it outlives the run, scratch does not.
+// frame holds the vectors of one call (see vector). The result, like
+// the staging, comes from the rank's arena (Scratch): it belongs to the
+// cluster and is valid until the cluster's next run.
 type frame struct {
 	vecs [3][]float32
 	n    int
 }
 
-func newFrame(data []float32, resultLen int) frame {
+// newFrame starts a call over data with res — arena memory of
+// unspecified content — as its result vector: the input, then a zeroed
+// pad.
+func newFrame(data, res []float32) frame {
 	f := frame{n: len(data)}
-	f.vecs[input], f.vecs[result] = data, make([]float32, resultLen)
-	copy(f.vecs[result], data)
+	f.vecs[input], f.vecs[result] = data, res
+	clear(res[copy(res, data):])
 	return f
 }
 
@@ -81,7 +85,7 @@ func (f *frame) land(rd *round, in []float32) bool {
 // runBlocking executes c on one rank of the goroutine backend. The
 // cursor and the round stay on this stack.
 func runBlocking(n *simnet.Node, c cursor, data []float32) []float32 {
-	f := newFrame(data, c.resultLen(len(data)))
+	f := newFrame(data, n.Scratch(c.resultLen(len(data))))
 	var rd round
 	for c.next(&rd) {
 		if rd.phase != "" {
@@ -128,7 +132,7 @@ type desCall struct {
 // runResumable executes c on one rank of the event backend; k fires with the
 // result. A receive is always the last thing a step does.
 func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
-	st := &desCall{r: r, c: c, f: newFrame(data, c.resultLen(len(data))), k: k}
+	st := &desCall{r: r, c: c, f: newFrame(data, r.Scratch(c.resultLen(len(data)))), k: k}
 	st.resume = st.landed
 	st.step()
 }

@@ -126,16 +126,15 @@ type Engine struct {
 	autoExposed float64
 
 	// Reused per-step staging. views holds each rank's packed-gradient
-	// buffer; it is replaced wholesale by ResetStaging so goroutines
-	// stranded by a failed collective keep only orphaned arrays.
+	// input buffer; it is replaced wholesale by ResetStaging so
+	// goroutines stranded by a failed collective keep only orphaned
+	// arrays. The reduced outputs are never held: Commit drains them.
 	views   [][]float32
 	cursors []int           // per-rank next-bucket index, reset per step
 	ready   []chan struct{} // cap-1 flush signal per bucket
 	counts  []int32         // per-bucket arrival counts, reset per step
 
-	reduced     [][][]float32 // [bucket][rank] reduced outputs
-	reducedFull [][]float32   // [rank] barrier (full-flush) outputs
-	commTimes   []float64     // per-bucket collective makespans
+	commTimes []float64 // per-bucket collective makespans
 
 	// Attribution: the selector's priced cost per bucket (fixed at
 	// New) and the realized per-bucket stats of the last committed
@@ -232,13 +231,13 @@ func New(cfg Config) (*Engine, error) {
 		e.candidates = cands
 		plan := bestPlan(cands)
 		e.plan = &plan
-		e.strat, err = StrategyFor(plan.Algorithm, nil, cfg.Mapping)
+		e.strat, err = StrategyFor(plan.Algorithm, nil, cfg.Mapping, cfg.Ranks)
 		if err != nil {
 			return nil, err
 		}
 		e.bucketBytes, e.autoExposed = plan.BucketBytes, plan.Exposed
 	} else {
-		strat, err := StrategyFor(cfg.AlgorithmName, cfg.Algorithm, cfg.Mapping)
+		strat, err := StrategyFor(cfg.AlgorithmName, cfg.Algorithm, cfg.Mapping, cfg.Ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -274,11 +273,6 @@ func New(cfg Config) (*Engine, error) {
 	e.counts = make([]int32, nb)
 	e.cursors = make([]int, nw)
 	e.commTimes = make([]float64, nb)
-	e.reduced = make([][][]float32, nb)
-	for b := range e.reduced {
-		e.reduced[b] = make([][]float32, nw)
-	}
-	e.reducedFull = make([][]float32, nw)
 	e.allocViews()
 	return e, nil
 }
@@ -408,14 +402,21 @@ func (e *Engine) PackFull(rank int, diffs [][]float32) {
 	}
 }
 
-// Commit stores bucket b's per-rank reduced outputs, its simulated
-// makespan, and its traffic census into the reused staging. Call only
-// on the clean path: a failed run's outputs must stay in the run's
+// Commit drains bucket b's per-rank reduced outputs — averaged
+// (1/Ranks) straight into grads[rank], that rank's parameter gradients
+// in pack order — and records the bucket's simulated makespan and
+// traffic census. outs belongs to the cluster and is overwritten by its
+// next run (see simnet.Cluster.RunGather), so the engine keeps no
+// reference to it: the drain is the result's whole lifetime here. On
+// the overlap path it runs on the flush loop while the rest of backward
+// still computes; it writes only parameters of layers the bucket's
+// readiness already covers, which no later backward layer touches.
+// Call only on the clean path: a failed run's outputs stay in the run's
 // private storage.
-func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result) {
-	copy(e.reduced[b], outs)
-	e.commTimes[b] = res.Time
+func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]float32) {
 	bk := e.buckets[b]
+	e.drain(outs, bk.Lo, bk.Hi, grads)
+	e.commTimes[b] = res.Time
 	st := &e.stats[b]
 	st.Index, st.Lo, st.Hi = b, bk.Lo, bk.Hi
 	st.Bytes = bk.Elems() * 4
@@ -430,10 +431,11 @@ func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result) {
 	}
 }
 
-// CommitFull stores the barrier flush's per-rank outputs, makespan and
-// census.
-func (e *Engine) CommitFull(outs [][]float32, res simnet.Result) {
-	copy(e.reducedFull, outs)
+// CommitFull is Commit for the barrier flush: it drains the whole
+// reduced vector into every rank's gradients and records the flush's
+// makespan and census.
+func (e *Engine) CommitFull(outs [][]float32, res simnet.Result, grads [][][]float32) {
+	e.drain(outs, 0, e.total, grads)
 	st := &e.fullStat
 	st.Index, st.Lo, st.Hi = 0, 0, e.total
 	st.Bytes = e.total * 4
@@ -448,40 +450,26 @@ func (e *Engine) CommitFull(outs [][]float32, res simnet.Result) {
 	}
 }
 
-// Unpack averages every committed bucket (1/Ranks) and scatters it
-// back into one rank's parameter gradients.
-func (e *Engine) Unpack(rank int, diffs [][]float32) {
-	for b := range e.buckets {
-		vec := e.reduced[b][rank]
-		allreduce.Scale(vec, e.cfg.Ranks)
-		e.scatter(vec, e.buckets[b].Lo, e.buckets[b].Hi, diffs)
-	}
-}
-
-// UnpackFull averages the barrier flush and scatters it back.
-func (e *Engine) UnpackFull(rank int, diffs [][]float32) {
-	vec := e.reducedFull[rank]
-	allreduce.Scale(vec, e.cfg.Ranks)
-	e.scatter(vec, 0, e.total, diffs)
-}
-
-// scatter copies vec (the reduced [lo,hi) range) into the parameter
-// gradients it overlaps. Buckets cut at element granularity, so a
-// parameter may span several buckets.
-func (e *Engine) scatter(vec []float32, lo, hi int, diffs [][]float32) {
+// drain writes the average of the reduced [lo, hi) range — outs[rank]
+// holds the sum over ranks — into the parameter gradients it overlaps,
+// one multiply-and-store sweep per rank (the sum itself is left as it
+// was). Buckets cut at element granularity, so a parameter may span
+// several buckets.
+func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) {
+	inv := float32(1) / float32(e.cfg.Ranks)
 	// First param whose end lies beyond lo.
-	i := sort.Search(len(e.offs), func(i int) bool {
+	first := sort.Search(len(e.offs), func(i int) bool {
 		return e.offs[i]+e.cfg.Params[i].Elems > lo
 	})
-	for ; i < len(e.offs) && e.offs[i] < hi; i++ {
-		a, b := e.offs[i], e.offs[i]+e.cfg.Params[i].Elems
-		if a < lo {
-			a = lo
+	for r, vec := range outs {
+		for i := first; i < len(e.offs) && e.offs[i] < hi; i++ {
+			off := e.offs[i]
+			a, b := max(off, lo), min(off+e.cfg.Params[i].Elems, hi)
+			diff := grads[r][i][a-off : b-off]
+			for j, v := range vec[a-lo : b-lo] {
+				diff[j] = v * inv
+			}
 		}
-		if b > hi {
-			b = hi
-		}
-		copy(diffs[i][a-e.offs[i]:b-e.offs[i]], vec[a-lo:b-lo])
 	}
 }
 
@@ -657,10 +645,11 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 // compute frontier).
 func (e *Engine) SetTraceBase(t float64) { e.traceBase = t }
 
-// ResetStaging re-allocates every buffer a rank goroutine stranded by
-// a failed collective might still read or write — the per-rank packed
-// buffers and their view slice — leaving the old arrays to the
-// stragglers. Failure-path only; the hot path reuses staging.
+// ResetStaging re-allocates the buffers a rank goroutine stranded by a
+// failed collective might still read — the per-rank packed inputs and
+// their view slice — leaving the old arrays to the stragglers. (What a
+// straggler writes is its abandoned run's own result memory; the engine
+// holds none.) Failure-path only; the hot path reuses staging.
 func (e *Engine) ResetStaging() {
 	e.allocViews()
 }
@@ -780,7 +769,7 @@ func PlanCandidates(netw *topology.Network, mapping topology.Mapping, p int, onC
 	params []ParamInfo, layers int, layerDone []float64, computeEnd float64) ([]Plan, error) {
 	cands := make([]Plan, 0, len(AutoAlgorithms))
 	for _, name := range AutoAlgorithms {
-		strat, err := StrategyFor(name, nil, mapping)
+		strat, err := StrategyFor(name, nil, mapping, p)
 		if err != nil {
 			return nil, err
 		}

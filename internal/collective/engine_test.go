@@ -204,7 +204,7 @@ func TestAutoBucketBeatsFixedDefault(t *testing.T) {
 		{Layer: 4, Elems: 9000}, {Layer: 6, Elems: 123},
 	}
 	done, end := uniformTimeline(8, 1e-4)
-	strat, err := StrategyFor(allreduce.NameRHD, nil, nil)
+	strat, err := StrategyFor(allreduce.NameRHD, nil, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

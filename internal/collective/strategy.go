@@ -136,30 +136,26 @@ func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool
 }
 
 // hierChunkAligned is the topology-hierarchical strategy: the
-// schedule assigns chunk c of the K-chunk leader partition
-// (K = topology.MinGroupSize under the active mapping) a
-// chunk-dependent association order, so buckets must land on
-// allreduce.HierChunkBounds and each bucket runs the full schedule
+// schedule assigns chunk c of the k-chunk leader partition
+// (k = topology.MinGroupSize of the strategy's p ranks under the active
+// mapping, resolved once by StrategyFor — it walks the whole
+// membership) a chunk-dependent association order, so buckets must land
+// on allreduce.HierChunkBounds and each bucket runs the full schedule
 // restricted to its chunks (allreduce.HierarchicalSegment). The
 // mapping must be the same one the executing simnet cluster uses —
 // the trainer passes its own through Config.Mapping.
 type hierChunkAligned struct {
 	allreduce.Schedule
-	mapping topology.Mapping
+	k int
 }
 
-func (h hierChunkAligned) Snap(cut, total, p int) int {
-	return snapChunkDown(cut, total, topology.MinGroupSize(h.mapping, p))
-}
-
-func (h hierChunkAligned) SnapUp(cut, total, p int) int {
-	return snapChunkUp(cut, total, topology.MinGroupSize(h.mapping, p))
-}
+func (h hierChunkAligned) Snap(cut, total, _ int) int   { return snapChunkDown(cut, total, h.k) }
+func (h hierChunkAligned) SnapUp(cut, total, _ int) int { return snapChunkUp(cut, total, h.k) }
 
 func (h hierChunkAligned) Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) allreduce.Cost {
 	// m = leader chunks the bucket spans (bucket bounds are snapped
 	// onto the chunk partition, so the count is exact).
-	k := topology.MinGroupSize(h.mapping, p)
+	k := h.k
 	m := 0
 	for c := 0; c < k; c++ {
 		if c*total/k < hi && (c+1)*total/k > lo {
@@ -180,8 +176,10 @@ func (h hierChunkAligned) Cost(net *topology.Network, p, lo, hi, total int, onCP
 // adjacent-numbering cost (Eqns. 2–4) instead of the round-robin one
 // (Eqns. 5–6) when the mapping says ranks fill supernodes adjacently.
 // A nil mapping means the trainer default (round-robin at TaihuLight
-// q); NameAuto must be resolved by SelectPlan before coming here.
-func StrategyFor(name string, body allreduce.Algorithm, mapping topology.Mapping) (Strategy, error) {
+// q); NameAuto must be resolved by SelectPlan before coming here. p is
+// the rank count the strategy will bucket and price for — the p its
+// methods are then called with.
+func StrategyFor(name string, body allreduce.Algorithm, mapping topology.Mapping, p int) (Strategy, error) {
 	name = allreduce.Canonical(name)
 	if mapping == nil {
 		mapping = topology.RoundRobinMapping{Q: topology.SupernodeSize}
@@ -210,7 +208,7 @@ func StrategyFor(name string, body allreduce.Algorithm, mapping topology.Mapping
 	case allreduce.NameRing:
 		return ringChunkAligned{sched}, nil
 	case allreduce.NameHierarchical:
-		return hierChunkAligned{sched, mapping}, nil
+		return hierChunkAligned{sched, topology.MinGroupSize(mapping, p)}, nil
 	}
 	cost, err := allreduce.CostByName(name)
 	if err != nil {

@@ -26,11 +26,22 @@ type Net struct {
 	needsDiff map[string]bool
 	lossBlob  string
 
+	// wired[i] is layer i's blobs and gradients, resolved by Setup — the
+	// only writer of blobs and diffs — so a pass indexes instead of
+	// looking names up.
+	wired []layerBlobs
+
 	// Param lookups are on the solver-update and gradient-pack hot
 	// paths; the layer graph is static after construction, so the
 	// flattened slices are built once (invalidated by AddLayer).
 	paramsCache    []*Param
 	learnableCache []*Param
+}
+
+// layerBlobs is one layer's view of the blob graph. A gradient entry is
+// nil where the blob has none (e.g. labels).
+type layerBlobs struct {
+	bottoms, tops, bottomDiffs, topDiffs []*tensor.Tensor
 }
 
 // NewNet creates an empty net with the given externally-fed input
@@ -124,10 +135,20 @@ func (n *Net) Setup(inputs map[string]*tensor.Tensor) error {
 			n.lossBlob = l.Tops()[0]
 		}
 	}
-	// Build the param caches while construction is still
-	// single-threaded; afterwards concurrent readers see a fixed slice.
+	// Build the param caches and the per-layer blob lists while
+	// construction is still single-threaded; afterwards concurrent
+	// readers see fixed slices.
 	n.Params()
 	n.LearnableParams()
+	n.wired = make([]layerBlobs, len(n.layers))
+	for i, l := range n.layers {
+		n.wired[i] = layerBlobs{
+			bottoms:     gather(l.Bottoms(), n.blobs),
+			tops:        gather(l.Tops(), n.blobs),
+			bottomDiffs: gather(l.Bottoms(), n.diffs),
+			topDiffs:    gather(l.Tops(), n.diffs),
+		}
+	}
 	return nil
 }
 
@@ -215,10 +236,9 @@ func (n *Net) ParamBytes() int64 {
 // Forward runs one forward pass and returns the loss (0 when the net
 // has no loss layer).
 func (n *Net) Forward(phase Phase) float32 {
-	for _, l := range n.layers {
-		bottoms := n.gather(l.Bottoms(), n.blobs)
-		tops := n.gather(l.Tops(), n.blobs)
-		l.Forward(bottoms, tops, phase)
+	for i, l := range n.layers {
+		w := &n.wired[i]
+		l.Forward(w.bottoms, w.tops, phase)
 	}
 	if n.lossBlob != "" {
 		return n.blobs[n.lossBlob].Data[0]
@@ -248,19 +268,15 @@ func (n *Net) BackwardEach(phase Phase, onLayer func(li int)) {
 		}
 	}
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		l := n.layers[i]
-		bottoms := n.gather(l.Bottoms(), n.blobs)
-		tops := n.gather(l.Tops(), n.blobs)
-		topDiffs := n.gather(l.Tops(), n.diffs)
-		bottomDiffs := n.gather(l.Bottoms(), n.diffs)
-		l.Backward(bottoms, tops, topDiffs, bottomDiffs, phase)
+		w := &n.wired[i]
+		n.layers[i].Backward(w.bottoms, w.tops, w.topDiffs, w.bottomDiffs, phase)
 		if onLayer != nil {
 			onLayer(i)
 		}
 	}
 }
 
-func (n *Net) gather(names []string, from map[string]*tensor.Tensor) []*tensor.Tensor {
+func gather(names []string, from map[string]*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(names))
 	for i, name := range names {
 		out[i] = from[name] // nil is allowed (e.g. label diffs)

@@ -350,11 +350,12 @@ func (r *Rank) P() int { return r.cluster.P }
 func (r *Rank) Supernodes() *topology.Layout { return r.cluster.layout }
 
 // Scratch returns n float32s of unspecified content from the rank's
-// cluster-owned bump arena — staging for a payload the body builds and
-// sends. The arena is rewound when the next run starts and never within
-// one, so the slice stays valid (for this rank and for a peer it was
-// sent to) until RunGather returns; it must not be returned as the
-// rank's result. A failed run's arenas are dropped with its state.
+// cluster-owned bump arena — a collective's result vector, or staging
+// for a payload the body builds and sends. The arena is rewound when
+// the cluster's next run starts and never within one, so the slice
+// stays valid until then: for this rank, for a peer it was sent to,
+// and for the caller of RunGather when the rank finishes with it. A
+// failed run's arenas are dropped with its state.
 func (r *Rank) Scratch(n int) []float32 {
 	return r.run.scratch[r.Rank].Take(n)
 }
@@ -478,9 +479,10 @@ func (c *Cluster) Run(body func(r *Rank)) Result {
 // RunGather executes body on every rank of a clean run (zeroed clocks,
 // empty links, rewound scratch) and drains the event heap to
 // completion. The body runs rank code inline until the first park; each
-// rank must eventually call Finish with its result. The returned slice
-// follows simnet.Cluster.RunGather's contract: it is owned by the
-// cluster and valid only until the next Run/RunGather.
+// rank must eventually call Finish with its result. What is returned
+// follows simnet.Cluster.RunGather's contract: the slice, and the
+// vectors in it that came from Scratch, are owned by the cluster and
+// valid only until its next Run/RunGather.
 //
 // A panic in rank code propagates as RankPanic, and a deadlock or an
 // unconsumed message as a plain panic; in each case the run state is

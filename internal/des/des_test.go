@@ -280,6 +280,7 @@ type shifter struct {
 	s      *shiftStorm
 	r      *Rank
 	k      int
+	out    []float32 // what the rank finishes with
 	onRecv func([]float32)
 }
 
@@ -295,13 +296,21 @@ func newShiftStorm(p, shifts, elems int) *shiftStorm {
 
 func (s *shiftStorm) body(r *Rank) {
 	sh := &s.ranks[r.Rank]
-	sh.r, sh.k = r, 0
+	sh.r, sh.k, sh.out = r, 0, nil
+	sh.shift()
+}
+
+// resultBody is body with a result: two floats of the rank's arena.
+func (s *shiftStorm) resultBody(r *Rank) {
+	sh := &s.ranks[r.Rank]
+	sh.r, sh.k, sh.out = r, 0, r.Scratch(2)
+	sh.out[0], sh.out[1] = float32(r.Rank), 1
 	sh.shift()
 }
 
 func (sh *shifter) shift() {
 	if sh.k == sh.s.shifts {
-		sh.r.Finish(nil)
+		sh.r.Finish(sh.out)
 		return
 	}
 	sh.r.Send((sh.r.Rank+1)%sh.s.p, sh.s.payload)
@@ -329,14 +338,24 @@ func TestWarmStormAllocatesNothingPerMessage(t *testing.T) {
 // TestRunStateRecycling pins when a run's state goes back to the pool:
 // after a clean, fully drained run and never otherwise — and that a run
 // on the cluster after any of the failures matches a fresh cluster's.
+// What a run returns follows its state: a rank's result is its arena
+// memory (Scratch), so a warm clean run hands back the previous run's
+// and a run after a failure never the failed run's.
 func TestRunStateRecycling(t *testing.T) {
 	storm := newShiftStorm(6, 3, 8)
 	want := testCluster(6).Run(storm.body)
 
 	c := testCluster(6)
+	var lastOut *float32 // rank 3's result memory in the last check
 	check := func(after string) {
 		t.Helper()
-		got := c.Run(storm.body)
+		got, outs := c.RunGather(storm.resultBody)
+		for r, out := range outs {
+			if len(out) != 2 || out[0] != float32(r) || out[1] != 1 {
+				t.Fatalf("run after %s: rank %d returned %v", after, r, out)
+			}
+		}
+		lastOut = &outs[3][0]
 		if got.Time != want.Time || got.Msgs != want.Msgs || got.CrossBytes != want.CrossBytes {
 			t.Fatalf("run after %s: %+v, want %+v", after, got, want)
 		}
@@ -350,10 +369,13 @@ func TestRunStateRecycling(t *testing.T) {
 		}
 	}
 	check("nothing")
-	first := c.pool
+	first, firstOut := c.pool, lastOut
 	check("a clean run")
 	if c.pool != first {
 		t.Fatal("a clean run did not reuse the pooled state")
+	}
+	if lastOut != firstOut {
+		t.Fatal("a warm clean run did not reuse the previous run's result memory")
 	}
 
 	failing := []struct {
@@ -400,7 +422,11 @@ func TestRunStateRecycling(t *testing.T) {
 		if c.pool != nil {
 			t.Fatalf("%s: the failed run's state was recycled", f.name)
 		}
+		before := lastOut
 		check(f.name)
+		if lastOut == before {
+			t.Fatalf("the run after %s reused the result memory the failed run had", f.name)
+		}
 	}
 
 	// A receive nothing is ever sent to, on a rank that finishes anyway,
@@ -437,8 +463,9 @@ func TestUnconsumedWireNamesFirstLink(t *testing.T) {
 	})
 }
 
-// TestScratch: a rank's scratch is its own, stays put for the whole run, and from the second run of a shape on
-// comes out of the same arena.
+// TestScratch: a rank's scratch is its own, stays put for the whole
+// run, and what a cold run was handed is the arena every later run of
+// the shape is served from.
 func TestScratch(t *testing.T) {
 	c := testCluster(4)
 	var firstRun [4]*float32
@@ -460,11 +487,10 @@ func TestScratch(t *testing.T) {
 			r.Finish(nil)
 		})
 	}
-	c.Run(body) // sizes the arenas
-	c.Run(body) // first run served from them
-	warm := firstRun
 	c.Run(body)
-	if warm != firstRun {
-		t.Fatal("warm runs did not reuse the scratch arenas")
+	cold := firstRun
+	c.Run(body)
+	if cold != firstRun {
+		t.Fatal("the warm run did not reuse the cold run's scratch")
 	}
 }

@@ -1,39 +1,61 @@
 // Package scratch is the per-rank bump allocator both cluster backends
 // hand to collective bodies (simnet.Node.Scratch, des.Rank.Scratch): a
-// body that must stage a payload takes it from its rank's arena
-// instead of the heap, and a warm run allocates nothing for it.
+// body takes its result vector and any payload it must stage from its
+// rank's arena instead of the heap, and a warm run allocates nothing
+// for them.
 package scratch
 
-// Arena hands out float32 slices carved from one backing array. It is
-// rewound — never freed — between runs, and sized from demand: a
-// request that does not fit falls back to the heap for this run, and
-// the next Rewind grows the backing array to the run's whole demand, so
-// after one run of a given shape every request is served in place.
-// A slice is valid until the next Rewind; its contents are whatever an
-// earlier run left there. One arena serves one rank, so it needs no
-// locking.
+// Arena hands out float32 slices carved from a list of blocks. A
+// request goes to the first block with room (first fit); when none has,
+// the arena allocates a block of exactly that size and keeps it, so the
+// vectors a cold run forced onto the heap are the arena from then on
+// and every later run of the same shape is served in place. Rewind —
+// between runs, never within one — makes every block available again;
+// nothing is ever freed. A slice is valid until the next Rewind; its
+// contents are whatever an earlier run left there. One arena serves one
+// rank, so it needs no locking.
 type Arena struct {
-	buf  []float32
-	off  int
-	need int // total taken since the last Rewind
+	blocks []block
+	// first is the first block that is not full: the scan starts there,
+	// so a run that refills its blocks exactly — the ring's p-1 staged
+	// chunks — takes each in constant time instead of walking the list.
+	first int
+}
+
+type block struct {
+	buf []float32
+	off int
 }
 
 // Take returns n float32s of unspecified content, capped at n.
 func (a *Arena) Take(n int) []float32 {
-	a.need += n
-	if a.off+n > len(a.buf) {
-		return make([]float32, n)
+	if n == 0 {
+		return nil
 	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
+	s := a.carve(n)
+	for a.first < len(a.blocks) && a.blocks[a.first].off == len(a.blocks[a.first].buf) {
+		a.first++
+	}
 	return s
 }
 
-// Rewind makes the whole arena available again, first growing it to
-// the demand of the run just finished.
-func (a *Arena) Rewind() {
-	if a.need > len(a.buf) {
-		a.buf = make([]float32, a.need)
+func (a *Arena) carve(n int) []float32 {
+	for i := a.first; i < len(a.blocks); i++ {
+		if b := &a.blocks[i]; b.off+n <= len(b.buf) {
+			s := b.buf[b.off : b.off+n : b.off+n]
+			b.off += n
+			return s
+		}
 	}
-	a.off, a.need = 0, 0
+	buf := make([]float32, n)
+	a.blocks = append(a.blocks, block{buf: buf, off: n})
+	return buf
+}
+
+// Rewind makes the whole arena available again.
+func (a *Arena) Rewind() {
+	for i := range a.blocks {
+		a.blocks[i].off = 0
+	}
+	a.first = 0
 }

@@ -139,12 +139,13 @@ func (n *Node) P() int { return n.cluster.P }
 func (n *Node) Supernodes() *topology.Layout { return n.cluster.layout }
 
 // Scratch returns k float32s of unspecified content from the rank's
-// cluster-owned bump arena — staging for a payload the body builds and
-// sends. The arena is rewound when the next run starts and never within
-// one, so the slice stays valid (for this rank and for a peer it was
-// sent to) until Run returns; it must not be returned as the rank's
-// result. A failed run's arenas are abandoned with the rest of its
-// state, so a stranded rank can keep using its own.
+// cluster-owned bump arena — a collective's result vector, or staging
+// for a payload the body builds and sends. The arena is rewound when
+// the cluster's next run starts and never within one, so the slice
+// stays valid until then: for this rank, for a peer it was sent to,
+// and for the caller of RunGather when the body returns it as the
+// rank's result. A failed run's arenas are abandoned with the rest of
+// its state, so a stranded rank can keep using its own.
 func (n *Node) Scratch(k int) []float32 {
 	return n.run.scratch[n.Rank].Take(k)
 }
@@ -296,13 +297,15 @@ func (c *Cluster) Run(body func(n *Node)) Result {
 
 // RunGather is Run for bodies that produce a per-rank result (the
 // shape of an all-reduce): it additionally returns the ranks' return
-// values, indexed by rank. The returned slice is owned by the cluster
-// and valid only until the next Run/RunGather — callers keeping
-// results across collectives must copy the entries out. Collecting
-// through here instead of through caller-owned shared storage matters
-// for failure isolation: a rank that outlives a peer's panic stores
-// its late result into the abandoned run's private slice, so reused
-// caller staging can never be corrupted across a recovered failure.
+// values, indexed by rank. Everything returned — the slice, and the
+// vectors in it when they came from Scratch, as every built-in
+// all-reduce's result does — is owned by the cluster and valid only
+// until its next Run/RunGather: a caller keeping a result across runs
+// copies it out. Collecting through here instead of through
+// caller-owned shared storage matters for failure isolation: a rank
+// that outlives a peer's panic writes and stores its late result in the
+// abandoned run's private memory, so nothing a caller reuses can be
+// corrupted across a recovered failure.
 func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) {
 	var wg sync.WaitGroup
 	c.mu.Lock()

@@ -195,6 +195,57 @@ func TestPanicDoesNotPoisonNextRun(t *testing.T) {
 			}
 		}
 	}
+
+	// The same isolation holds for what a run returns. A rank's result
+	// is its arena memory (Scratch): a warm clean run hands back the
+	// previous run's, a run after a failure never the failed run's — so
+	// a rank the failure stranded can finish and write its result as
+	// late as it likes without reaching a later run's outputs.
+	result := func(n *Node) []float32 {
+		out := n.Scratch(2)
+		out[0], out[1] = float32(n.Rank), 1
+		return out
+	}
+	_, outs := cl.RunGather(result)
+	first := &outs[1][0]
+	if _, outs = cl.RunGather(result); &outs[1][0] != first {
+		t.Fatal("a warm clean run did not reuse the previous run's result memory")
+	}
+
+	stranded, release, wrote := make(chan []float32, 1), make(chan struct{}), make(chan struct{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("injected rank panic was not re-raised")
+			}
+		}()
+		cl.RunGather(func(n *Node) []float32 {
+			out := result(n)
+			switch n.Rank {
+			case 0:
+				stranded <- <-stranded // rank 1 holds its result
+				panic("injected fault")
+			case 1:
+				stranded <- out
+				<-release // outlives the re-raise
+				out[0], out[1] = -9999, -9999
+				close(wrote)
+			}
+			return out
+		})
+	}()
+	late := <-stranded
+	_, outs = cl.RunGather(result)
+	if &outs[1][0] == &late[0] {
+		t.Fatal("the run after a rank panic reused the failed run's result memory")
+	}
+	close(release)
+	<-wrote
+	for r, out := range outs {
+		if out[0] != float32(r) || out[1] != 1 {
+			t.Fatalf("a stranded rank's late write reached the next run's outputs: rank %d = %v", r, out)
+		}
+	}
 }
 
 // TestPanicWithBlockedReceiverDoesNotPoisonNextRun injects the other
@@ -287,9 +338,9 @@ func TestCrossTrafficCensus(t *testing.T) {
 	}
 }
 
-// TestScratch: a rank's scratch is its own and
-// holds for the whole run; a warm run of the same shape is served from
-// the same arenas; and a failed run's arenas are abandoned with its
+// TestScratch: a rank's scratch is its own and holds for the whole run;
+// what a cold run was handed is the arena every later run of the shape
+// is served from; and a failed run's arenas are abandoned with its
 // state, so a rank it stranded can go on writing its own while the
 // next run stages into fresh ones.
 func TestScratch(t *testing.T) {
@@ -312,12 +363,11 @@ func TestScratch(t *testing.T) {
 			}
 		}
 	}
-	cl.Run(ring) // sizes the arenas
 	cl.Run(ring)
-	warm := base
+	cold := base
 	cl.Run(ring)
-	if warm != base {
-		t.Fatal("warm runs did not reuse the scratch arenas")
+	if cold != base {
+		t.Fatal("the warm run did not reuse the cold run's scratch")
 	}
 
 	// Rank 1 stages, then blocks forever on the rank that panics.

@@ -1,10 +1,13 @@
 package train
 
 import (
+	"runtime"
 	"testing"
 
 	"swcaffe/internal/allreduce"
+	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
+	"swcaffe/internal/tensor"
 	"swcaffe/internal/topology"
 )
 
@@ -49,4 +52,89 @@ func TestDESOverlapStepAllocationBudget(t *testing.T) {
 		}
 		d.Close()
 	}
+}
+
+// budgetFactory is a two-layer MLP whose packed gradient (about 0.56 MB,
+// nearly all of it fc1's) dwarfs everything a step allocates besides:
+// the byte budgets below hold a whole step, every rank included, under
+// a quarter of one rank's packed gradient.
+func budgetFactory(batch, classes int) func() (*core.Net, map[string]*tensor.Tensor, error) {
+	return func() (*core.Net, map[string]*tensor.Tensor, error) {
+		net := core.NewNet("budget", "data", "label")
+		net.AddLayers(
+			core.NewInnerProduct(core.InnerProductConfig{
+				Name: "fc1", Bottom: "data", Top: "fc1", NumOutput: 2048, BiasTerm: true}),
+			core.NewReLU("relu", "fc1", "fc1", 0),
+			core.NewInnerProduct(core.InnerProductConfig{
+				Name: "fc2", Bottom: "fc1", Top: "fc2", NumOutput: classes, BiasTerm: true}),
+			core.NewSoftmaxLoss("loss", "fc2", "label", "loss"),
+		)
+		inputs := map[string]*tensor.Tensor{
+			"data":  tensor.New(batch, 1, 8, 8),
+			"label": tensor.New(batch, 1, 1, 1),
+		}
+		if err := net.Setup(inputs); err != nil {
+			return nil, nil, err
+		}
+		return net, inputs, nil
+	}
+}
+
+// TestWarmStepAllocatesNoGradientVector: the reduced gradient lives in
+// the ranks' arenas and is drained at commit, so a warm Step — all
+// ranks together — allocates less than a quarter of one packed gradient
+// (MemStats.TotalAlloc, the benchmark's host_alloc_bytes_per_op), where
+// it used to allocate one per rank: the p = 8 overlap and barrier steps
+// of the goroutine backend and the p = 64 overlap step of the DES
+// backend (measured 10.7 kB, 5.6 kB and 93.6 kB against 557 kB).
+func TestWarmStepAllocatesNoGradientVector(t *testing.T) {
+	netw := topology.Sunway()
+	netw.SupernodeSize = 8
+	ds := dataset.NewClusters(2000, 3, 1, 8, 8, 0.4, 23)
+	for _, c := range []struct {
+		name    string
+		p       int
+		overlap bool
+		backend string
+		warm    int // steps until nothing is left to set up
+	}{
+		// A pooled node warms its four core groups one pass at a time.
+		{"goroutine overlap", 8, true, BackendGoroutine, 6},
+		{"goroutine barrier", 8, false, BackendGoroutine, 6},
+		{"DES overlap", 64, true, BackendDES, 2},
+	} {
+		cfg := desTwinConfig(c.p, netw, topology.AdjacentMapping{Q: 8}, allreduce.NameRHD, c.overlap, c.backend)
+		cfg.Timeline = false
+		d, err := NewDistTrainer(cfg, budgetFactory(cfg.SubBatch, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := 0
+		step := func() {
+			d.LoadShards(ds, it)
+			d.Step()
+			it++
+		}
+		for i := 0; i < c.warm; i++ { // the engine, the links, the arenas
+			step()
+		}
+		if c.overlap && len(d.LastStep.Buckets) < 2 {
+			t.Fatalf("%s: %d buckets, want an overlapped flush", c.name, len(d.LastStep.Buckets))
+		}
+		grad := uint64(d.Engine().TotalElems()) * 4
+		if got := allocBytes(step); got >= grad/4 {
+			t.Errorf("%s p=%d: a warm step allocated %d bytes, budget a quarter of the %d-byte packed gradient", c.name, c.p, got, grad)
+		}
+		d.Close()
+	}
+}
+
+// allocBytes is the heap bytes one call of step allocates (as in
+// internal/allreduce's tests).
+func allocBytes(step func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

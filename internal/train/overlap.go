@@ -26,8 +26,9 @@ import (
 // buckets reduced with the full ring's per-chunk schedule, so every
 // algorithm is now bit-identical under overlap), and optionally
 // auto-selects the bucket cap from the α-β cost model. This trainer
-// only drives the protocol: launch passes, flush ready buckets,
-// unpack, compose stats.
+// only drives the protocol: launch passes, flush ready buckets (each
+// flush's result is drained into the workers' gradients as it commits),
+// compose stats.
 
 // ensureTimeline lazily prices the per-layer modeled compute timeline
 // shared by both trainer variants. The node-backed passes advance
@@ -96,6 +97,10 @@ func (t *DistTrainer) ensureEngine() {
 		eng.SetTrace(t.cfg.Tracer, len(t.Workers))
 	}
 	t.engine = eng
+	t.grads = make([][][]float32, len(t.Workers))
+	for i, w := range t.Workers {
+		t.grads[i] = w.diffs
+	}
 }
 
 // stepOverlap is the bucketed-pipeline Step.
@@ -151,10 +156,12 @@ func (t *DistTrainer) stepOverlap() float32 {
 				panic(err)
 			}
 			b := b
-			// Per-rank outputs return through the run's private storage
-			// (see RunGather) and are committed to the reused staging only
-			// on the clean path, so a rank stranded by a failed collective
-			// can never write into a recovered trainer's next Step.
+			// Per-rank outputs return in the run's private storage (see
+			// RunGather), valid until the cluster's next run: Commit drains
+			// them into the workers' gradients right here, on the clean path
+			// only, so a rank stranded by a failed collective can never
+			// write into a recovered trainer's next Step. The drain touches
+			// only parameters every worker has already produced.
 			var res simnet.Result
 			var outs [][]float32
 			if t.desCluster != nil {
@@ -164,7 +171,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 					return eng.ReduceSeg(n, b, views[n.Rank])
 				})
 			}
-			eng.Commit(b, outs, res)
+			eng.Commit(b, outs, res, t.grads)
 		}
 		return nil
 	}()
@@ -188,9 +195,9 @@ func (t *DistTrainer) stepOverlap() float32 {
 	join()
 	compute := t.stepCompute()
 
-	// Average every bucket and update every replica identically.
-	for i, w := range t.Workers {
-		eng.Unpack(i, w.diffs)
+	// Every bucket was averaged into the gradients as it committed:
+	// update every replica identically.
+	for _, w := range t.Workers {
 		w.Solver.ApplyUpdate()
 	}
 	t.iter++

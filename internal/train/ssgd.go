@@ -45,8 +45,8 @@ type Worker struct {
 	lastEv *swnode.Event
 
 	// diffs caches the learnable-parameter gradient slices in pack
-	// order — the view the collective engine packs from and unpacks
-	// into.
+	// order — the view the collective engine packs from and drains the
+	// reduced gradient into.
 	diffs [][]float32
 }
 
@@ -259,6 +259,9 @@ type DistTrainer struct {
 	// packed staging and the makespan composition for both step
 	// variants (lazily built with the timeline).
 	engine *collective.Engine
+	// grads[rank] is worker rank's diffs: the engine's drain target,
+	// rebuilt with the engine (a Shrink re-ranks the workers).
+	grads [][][]float32
 
 	// Reused per-Step staging (both paths must stay allocation-free at
 	// steady state; the DistStep -benchmem benches pin this).
@@ -751,12 +754,12 @@ func (t *DistTrainer) stepBarrier() float32 {
 		eng.PackFull(i, w.diffs)
 	}
 	views := eng.RankViews()
-	// The per-rank outputs come back through the run's private storage
-	// (see RunGather): committing them to the reused staging only on
-	// the clean path keeps a rank stranded by a failed collective from
-	// ever writing into a recovered trainer's next Step. A failure
-	// marks the input staging dirty for the same reason, mirror-image:
-	// stranded ranks may still be reading it.
+	// The per-rank outputs come back in the run's private storage (see
+	// RunGather): draining them into the workers' gradients only on the
+	// clean path keeps a rank stranded by a failed collective from ever
+	// writing into a recovered trainer's next Step. A failure marks the
+	// input staging dirty for the same reason, mirror-image: stranded
+	// ranks may still be reading it.
 	res, outs := func() (simnet.Result, [][]float32) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -771,12 +774,11 @@ func (t *DistTrainer) stepBarrier() float32 {
 			return eng.ReduceFull(n, views[n.Rank])
 		})
 	}()
-	eng.CommitFull(outs, res)
+	// Average into the gradients and update every replica identically
+	// (line 10).
+	eng.CommitFull(outs, res, t.grads)
 	t.CommTime += res.Time
-
-	// Average and update every replica identically (line 10).
-	for i, w := range t.Workers {
-		eng.UnpackFull(i, w.diffs)
+	for _, w := range t.Workers {
 		w.Solver.ApplyUpdate()
 	}
 	t.iter++

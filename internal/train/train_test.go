@@ -402,18 +402,23 @@ func TestOverlapPassPanicPropagates(t *testing.T) {
 // fault) while workers are still mid-backward, Step must quiesce the
 // in-flight pass launches before re-raising — otherwise a caller that
 // recovers and Steps again races the stale passes on the reused
-// bucket staging. Run under -race by `make race`.
+// bucket staging. The fault hits the step's second flush, after the
+// first bucket's reduced gradient was already drained into the
+// workers' gradients: the half-drained step must leave nothing behind
+// that the recovered trainer's next Step can see. Run under -race by
+// `make race`.
 func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
-	const classes = 3
+	const classes, nodes = 3, 3
 	ds := dataset.NewClusters(500, classes, 1, 8, 8, 0.4, 34)
 	var poison atomic.Bool
+	var calls atomic.Int32 // collective calls since the poison was armed
 	alg := func(n *simnet.Node, data []float32) []float32 {
-		if poison.Load() {
+		if poison.Load() && calls.Add(1) > nodes {
 			panic("injected collective fault")
 		}
 		return allreduce.RecursiveHalvingDoubling(n, data)
 	}
-	d, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
+	d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8,
 		Solver:    core.SolverConfig{BaseLR: 0.05},
 		Algorithm: alg, Overlap: true, BucketBytes: 8 << 10}, deepFactory(8, classes))
 	if err != nil {
@@ -422,6 +427,9 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 	defer d.Close()
 	d.LoadShards(ds, 0)
 	d.Step() // healthy warmup
+	if d.Buckets() < 2 {
+		t.Fatalf("%d buckets: the fault needs a flush to follow a drained one", d.Buckets())
+	}
 
 	poison.Store(true)
 	d.LoadShards(ds, 1)
@@ -434,6 +442,17 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		d.Step()
 	}()
 	poison.Store(false)
+
+	// The failed step is half drained: the first bucket (the tail of the
+	// packed vector) holds the cluster average on every worker, the
+	// head still each worker's own gradient.
+	g0, g1 := d.Workers[0].Net.LearnableParams(), d.Workers[1].Net.LearnableParams()
+	if last := len(g0) - 1; tensor.MaxDiff(g0[last].Diff, g1[last].Diff) != 0 {
+		t.Fatal("the bucket flushed before the fault was not drained")
+	}
+	if tensor.MaxDiff(g0[0].Diff, g1[0].Diff) == 0 {
+		t.Fatal("the bucket the fault hit was drained anyway")
+	}
 
 	// Recover-and-reuse against a host-math twin, bit for bit.
 	twin, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
