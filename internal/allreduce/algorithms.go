@@ -19,32 +19,38 @@
 // # Payload ownership
 //
 // Send and SendRecv pass the payload slice itself, on both backends; no
-// message is copied on the way. One rule makes that safe, and every
-// cursor is written to it:
+// message is copied on the way, and no cursor stages one. One rule
+// makes that safe, and every cursor is written to it:
 //
 //	A sent slice belongs to the receiver until the sender next hears
-//	from that peer.
+//	from that peer, directly or through a chain of messages begun
+//	after the peer took the slice.
 //
-// "Next hears" means a message the peer posted after it took the slice:
-// the other half of the same SendRecv does not count, because both
-// sides post before either receives. Until then the sender does not
-// write the slice. The receiver only reads it, and is done with it
-// before it posts anything further to the sender. Ranks are sequential,
+// "Hears" means a message whose history includes the peer taking the
+// slice: one the peer posted afterwards, or one posted by a rank that
+// had itself heard so. The other half of the same SendRecv does not
+// count, because both sides post before either receives. Until then the
+// sender does not write the slice. The receiver only reads it, and is
+// done with it before it posts anything further. Ranks are sequential,
 // so on the goroutine backend the peer's reads happen-before its next
-// post, which happens-before the sender's receive; on the DES backend
-// the same order is program order.
+// post, each hop of the chain happens-before the next, and the last
+// happens-before the sender's receive; on the DES backend the same
+// order is program order. The schedule walk of the property test
+// checks the rule on every generated schedule, with vector clocks.
 //
 // What the cursors emit under the rule: a range that is never written
 // again in the run (the caller's input, a finished chunk) is sent as
 // is; recursive halving/doubling sends the halves of its working
 // vector in place, because the half it gives away at distance d is
-// next written by the doubling exchange with the same peer; only the
-// ring's reduce-scatter asks for a staged copy, in the rank's Scratch,
-// because a ring rank never hears from the neighbour it sends to.
+// next written by the doubling exchange with the same peer; and the
+// ring's reduce-scatter sends its partial chunks in place although a
+// ring rank never hears from the neighbour it sends to, because what
+// next writes the chunk is the finished chunk coming back around the
+// ring, which descends from the neighbour's reduce of that message.
 //
 // # Result lifetime
 //
-// A call's result vector comes from the rank's Scratch too, so one rule
+// A call's result vector comes from the rank's Scratch, so one rule
 // covers everything a run hands out — the RunGather slice and the
 // vectors in it: they belong to the cluster and are valid until its
 // next run. A caller keeping a result across runs copies it. A failed

@@ -42,14 +42,14 @@ func (s span) len() int { return s.hi - s.lo }
 // and zeroes what the copy leaves); or communication — an optional send
 // followed by an optional receive, or both at once as one full-duplex
 // exchange when paired. Peers are world ranks, -1 for none. The
-// payload received has exactly recv.len() elements.
+// payload sent is the range itself, never a copy, and the payload
+// received has exactly recv.len() elements.
 type round struct {
 	phase HierPhase
 	local bool
 
 	sendTo int
 	send   span
-	stage  bool // send a copy staged in scratch, not the range itself
 
 	recvFrom int
 	recv     span // where the payload lands
@@ -131,10 +131,13 @@ func (c *cursor) resultLen(n int) int {
 // of the 2(p-1) sends chunk (rank-t) mod p to the next rank and
 // receives chunk (rank-t-1) mod p from the previous one, whenever the
 // chunk belongs to the segment. The first p-1 steps are the
-// reduce-scatter — the partial chunk is rewritten by the allgather and
-// a ring rank never hears from the neighbour it sends to, so it goes as
-// a staged copy — the rest the allgather, whose finished chunks are
-// never written again and go as they are.
+// reduce-scatter, the rest the allgather, and every chunk goes as it
+// is. A finished chunk is never written again. The partial chunk sent
+// at scatter step s is next written by allgather step s, which copies
+// the finished chunk over it — and that chunk descends from the
+// neighbour's reduce of this very message, once around the ring and
+// back, so the neighbour's read came first although the rank never
+// hears from that neighbour directly.
 type ringCursor struct {
 	rank, p int
 	seg     segment
@@ -147,7 +150,7 @@ func (c *ringCursor) next(rd *round) bool {
 		c.t++
 		scatter := t < c.p-1
 		if ch := mod(c.rank-t, c.p); c.seg.has(ch) {
-			rd.sendTo, rd.send, rd.stage = (c.rank+1)%c.p, c.seg.span(result, ch), scatter
+			rd.sendTo, rd.send = (c.rank+1)%c.p, c.seg.span(result, ch)
 		}
 		if ch := mod(c.rank-t-1, c.p); c.seg.has(ch) {
 			rd.recvFrom, rd.recv, rd.reduce = mod(c.rank-1, c.p), c.seg.span(result, ch), scatter

@@ -42,15 +42,18 @@ import "swcaffe/internal/topology"
 // two hand over their finished chunks, which are never rewritten.
 // Phase B embeds the RHD cursor over chunk j's leaders — the j-th
 // member of every supernode (K = min group size, so every group has
-// one) — translating its leader indices to world ranks. A core leader
-// runs it in a scratch vector loaded from, and stored back to, its
-// chunk of the result (the chunk is not padded; the scratch is); a
-// folded leader ships and receives the chunk itself.
+// one) — translating its leader indices to world ranks. The RHD runs in
+// the chunk itself, in place in the result, wherever the chunk is the
+// RHD's whole vector: on a folded leader, which only ships and receives
+// it, and on a core leader whose chunk needs no pad. A core leader
+// whose chunk does runs it in a padded scratch vector loaded from, and
+// stored back to, the chunk.
 type hierCursor struct {
 	group   []int // world ranks of this rank's supernode, ascending
 	j       int   // this rank's index in group
 	seg     segment
 	leaders []int // chunk j's leaders; nil when the rank has no inter-supernode work
+	inPlace bool  // the leader RHD runs in the chunk, not in scratch
 	solo    bool  // p = 1: the schedule ends at its first boundary
 	stage   uint8
 	round   int
@@ -77,7 +80,9 @@ func newHierCursor(lay *topology.Layout, rank, p, lo, n, total int) (c hierCurso
 		seg: newSegment(lo, n, total, lay.MinSize), solo: p == 1}
 	if c.live(c.j) && len(lay.Groups) > 1 {
 		c.leaders = lay.Leaders(c.j)
-		rhd = newRHDCursor(lay.GroupOf[rank], len(c.leaders), c.seg.span(result, c.j).len())
+		n := c.seg.span(result, c.j).len()
+		rhd = newRHDCursor(lay.GroupOf[rank], len(c.leaders), n)
+		c.inPlace = rhd.vecLen() == n
 	}
 	return c, rhd
 }
@@ -120,7 +125,7 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 			return true
 		case hierLoad:
 			c.stage = hierLeaders
-			if !rhd.folded() {
+			if !c.inPlace {
 				rd.local, rd.send, rd.recv = true, mine, span{work, 0, rhd.vecLen()}
 				return true
 			}
@@ -132,13 +137,13 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 				if rd.recvFrom >= 0 {
 					rd.recvFrom = c.leaders[rd.recvFrom]
 				}
-				rd.send, rd.recv = leaderSpan(rd.send, rhd.folded(), mine.lo), leaderSpan(rd.recv, rhd.folded(), mine.lo)
+				rd.send, rd.recv = leaderSpan(rd.send, c.inPlace, mine.lo), leaderSpan(rd.recv, c.inPlace, mine.lo)
 				return true
 			}
 			c.stage = hierStore
 		case hierStore:
 			c.stage = hierEnterAllgather
-			if !rhd.folded() {
+			if !c.inPlace {
 				rd.local, rd.send, rd.recv = true, span{work, 0, mine.len()}, mine
 				return true
 			}
@@ -152,11 +157,12 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 	}
 }
 
-// leaderSpan places a range of the leader RHD's vector: in the scratch
-// vector on a core leader, in the chunk itself (at lo in the result) on
-// a folded one, whose "input" is that chunk too.
-func leaderSpan(s span, folded bool, lo int) span {
-	if folded {
+// leaderSpan places a range of the leader RHD's vector: in the chunk
+// itself (at lo in the result) when the RHD runs in place — a folded
+// leader's "input" is that chunk too — and in the scratch vector
+// otherwise.
+func leaderSpan(s span, inPlace bool, lo int) span {
+	if inPlace {
 		return span{result, s.lo + lo, s.hi + lo}
 	}
 	return span{work, s.lo, s.hi}

@@ -14,8 +14,8 @@ import (
 // event one parks the call and is resumed with the payload.
 
 // frame holds the vectors of one call (see vector). The result, like
-// the staging, comes from the rank's arena (Scratch): it belongs to the
-// cluster and is valid until the cluster's next run.
+// the work vector, comes from the rank's arena (Scratch): it belongs to
+// the cluster and is valid until the cluster's next run.
 type frame struct {
 	vecs [3][]float32
 	n    int
@@ -37,12 +37,9 @@ func (f *frame) out() []float32 { return f.vecs[result][:f.n:f.n] }
 func (f *frame) at(s span) []float32 { return f.vecs[s.vec][s.lo:s.hi] }
 
 // scratchNeed is how many floats of the rank's scratch rd takes: the
-// staged copy of its payload, or the work vector a local load fills.
+// work vector a local load fills.
 func (rd *round) scratchNeed() int {
-	switch {
-	case rd.stage:
-		return rd.send.len()
-	case rd.local && rd.recv.vec == work:
+	if rd.local && rd.recv.vec == work {
 		return rd.recv.hi
 	}
 	return 0
@@ -61,9 +58,6 @@ func (f *frame) prepare(rd *round, scratch []float32) []float32 {
 		return nil
 	case rd.sendTo < 0:
 		return nil
-	case rd.stage:
-		copy(scratch, f.at(rd.send))
-		return scratch
 	}
 	return f.at(rd.send)
 }

@@ -160,14 +160,27 @@ func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32)))
 // queues of payload lengths — no payloads, no backend — and checks the
 // schedule as data: every message is consumed by exactly one receive on
 // the peer it names, with the length that receive's landing range
-// expects; a full-duplex exchange is full-duplex on both ends; only the
-// ring's reduce-scatter stages its payload; every rank runs to the end
-// and no link is left holding a message. It returns the census a run
-// of the schedule must report (default 4-byte elements).
+// expects; a full-duplex exchange is full-duplex on both ends; every
+// rank runs to the end and no link is left holding a message. It also
+// checks the payload-ownership rule every send by reference rests on
+// (see the package comment), with vector clocks: a rank writes a range
+// it sent only after it has heard, directly or through a chain of
+// messages, from a point after the peer took it. It returns the census
+// a run of the schedule must report (default 4-byte elements).
 func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (census [3]int64, bad string) {
+	// loan is a range of the result or work vector a rank sent: the
+	// peer's from the post until the sender has seen the peer's clock
+	// reach taken, the value it had once the peer consumed the message.
+	type loan struct {
+		to    int
+		sp    span
+		taken int32 // 0: not consumed yet
+	}
 	type msg struct {
 		elems  int
 		paired bool
+		seen   []int32 // the sender's vector clock at the post
+		loan   *loan
 	}
 	links := make(map[[2]int][]msg)
 	ranks := make([]struct {
@@ -175,9 +188,28 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 		rd      round
 		waiting bool
 		done    bool
+		seen    []int32 // vector clock: seen[q] is the latest event of q this rank has heard of
+		loans   []*loan
 	}, p)
 	for r := range ranks {
 		ranks[r].c = newCursor(sched, r, p, lay, lo, n, total)
+		ranks[r].seen = make([]int32, p)
+	}
+	// writes reports the loan, if any, that rank r's write of wr breaks.
+	writes := func(r int, wr span) string {
+		w := &ranks[r]
+		out := w.loans[:0]
+		for _, l := range w.loans {
+			if l.taken != 0 && w.seen[l.to] >= l.taken {
+				continue // back with the sender for good
+			}
+			if l.sp.vec == wr.vec && l.sp.lo < wr.hi && wr.lo < l.sp.hi {
+				return fmt.Sprintf("rank %d writes %+v while rank %d still owns %+v of it", r, wr, l.to, l.sp)
+			}
+			out = append(out, l)
+		}
+		w.loans = out
+		return ""
 	}
 	for progress := true; progress; {
 		progress = false
@@ -191,6 +223,7 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 						break
 					}
 					progress = true
+					w.seen[r]++
 					comm := rd.sendTo >= 0 || rd.recvFrom >= 0
 					if (rd.phase != "" || rd.local) && comm {
 						return census, fmt.Sprintf("rank %d: a phase or local round communicates: %+v", r, *rd)
@@ -198,15 +231,22 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 					if rd.paired && rd.sendTo != rd.recvFrom {
 						return census, fmt.Sprintf("rank %d: exchange with two peers: %+v", r, *rd)
 					}
-					if rd.stage && !(sched == schedRing && rd.sendTo >= 0 && (rd.recvFrom < 0 || rd.reduce)) {
-						return census, fmt.Sprintf("rank %d: staged send outside the ring reduce-scatter: %+v", r, *rd)
+					if rd.local {
+						if bad := writes(r, rd.recv); bad != "" {
+							return census, bad
+						}
 					}
 					if rd.sendTo >= 0 {
 						if rd.sendTo == r || rd.sendTo >= p {
 							return census, fmt.Sprintf("rank %d: sends to %d", r, rd.sendTo)
 						}
+						m := msg{elems: rd.send.len(), paired: rd.paired, seen: append([]int32(nil), w.seen...)}
+						if rd.send.vec != input && rd.send.len() > 0 { // nobody writes an input
+							m.loan = &loan{to: rd.sendTo, sp: rd.send}
+							w.loans = append(w.loans, m.loan)
+						}
 						key := [2]int{r, rd.sendTo}
-						links[key] = append(links[key], msg{rd.send.len(), rd.paired})
+						links[key] = append(links[key], m)
 						census[0]++
 						if !lay.Same(r, rd.sendTo) {
 							census[1]++
@@ -224,6 +264,18 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 					links[key] = links[key][1:]
 					if m.elems != rd.recv.len() || m.paired != rd.paired {
 						return census, fmt.Sprintf("rank %d: receive %+v consumed message %+v from %d", r, *rd, m, rd.recvFrom)
+					}
+					// Taking the message is an event of its own: what this
+					// rank posted earlier in the same exchange predates it.
+					w.seen[r]++
+					if m.loan != nil {
+						m.loan.taken = w.seen[r]
+					}
+					for q, k := range m.seen {
+						w.seen[q] = max(w.seen[q], k)
+					}
+					if bad := writes(r, rd.recv); bad != "" {
+						return census, bad
 					}
 					w.waiting, progress = false, true
 				}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -403,19 +404,27 @@ func (e *Engine) PackFull(rank int, diffs [][]float32) {
 }
 
 // Commit drains bucket b's per-rank reduced outputs — averaged
-// (1/Ranks) straight into grads[rank], that rank's parameter gradients
-// in pack order — and records the bucket's simulated makespan and
-// traffic census. outs belongs to the cluster and is overwritten by its
-// next run (see simnet.Cluster.RunGather), so the engine keeps no
-// reference to it: the drain is the result's whole lifetime here. On
-// the overlap path it runs on the flush loop while the rest of backward
-// still computes; it writes only parameters of layers the bucket's
-// readiness already covers, which no later backward layer touches.
-// Call only on the clean path: a failed run's outputs stay in the run's
-// private storage.
-func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]float32) {
+// (1/Ranks) straight into the parameter gradients, in pack order — and
+// records the bucket's simulated makespan and traffic census. grads
+// holds one gradient set per model replica, and grads[r] receives rank
+// r's output. A trainer whose ranks share one model passes that one
+// set: rank 0's output is drained into it once, and every other rank's
+// output is compared to rank 0's bit for bit instead — the invariant
+// the sharing rests on, checked by a read-only sweep where a private
+// replica pays a multiply-and-store one. Commit returns the worst
+// mismatch that sweep found (see mismatch): 0, always, unless a
+// collective is broken, and 0 when every rank has its own set.
+//
+// outs belongs to the cluster and is overwritten by its next run (see
+// simnet.Cluster.RunGather), so the engine keeps no reference to it:
+// the drain is the result's whole lifetime here. On the overlap path it
+// runs on the flush loop while the rest of backward still computes; it
+// writes only parameters of layers the bucket's readiness already
+// covers, which no later backward layer touches. Call only on the clean
+// path: a failed run's outputs stay in the run's private storage.
+func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]float32) float64 {
 	bk := e.buckets[b]
-	e.drain(outs, bk.Lo, bk.Hi, grads)
+	diverged := e.drain(outs, bk.Lo, bk.Hi, grads)
 	e.commTimes[b] = res.Time
 	st := &e.stats[b]
 	st.Index, st.Lo, st.Hi = b, bk.Lo, bk.Hi
@@ -429,13 +438,14 @@ func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]
 		copy(e.hierClks[b], e.hierNow)
 		e.clockSnaps[b] = append(e.clockSnaps[b][:0], res.Clocks...)
 	}
+	return diverged
 }
 
 // CommitFull is Commit for the barrier flush: it drains the whole
-// reduced vector into every rank's gradients and records the flush's
-// makespan and census.
-func (e *Engine) CommitFull(outs [][]float32, res simnet.Result, grads [][][]float32) {
-	e.drain(outs, 0, e.total, grads)
+// reduced vector into the gradients and records the flush's makespan
+// and census.
+func (e *Engine) CommitFull(outs [][]float32, res simnet.Result, grads [][][]float32) float64 {
+	diverged := e.drain(outs, 0, e.total, grads)
 	st := &e.fullStat
 	st.Index, st.Lo, st.Hi = 0, 0, e.total
 	st.Bytes = e.total * 4
@@ -448,29 +458,54 @@ func (e *Engine) CommitFull(outs [][]float32, res simnet.Result, grads [][][]flo
 		e.hierFull = append(e.hierFull[:0], e.hierNow...)
 		e.clockFull = append(e.clockFull[:0], res.Clocks...)
 	}
+	return diverged
 }
 
 // drain writes the average of the reduced [lo, hi) range — outs[rank]
 // holds the sum over ranks — into the parameter gradients it overlaps,
-// one multiply-and-store sweep per rank (the sum itself is left as it
-// was). Buckets cut at element granularity, so a parameter may span
-// several buckets.
-func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) {
+// one multiply-and-store sweep per gradient set (the sum itself is left
+// as it was), and returns the worst mismatch between rank 0's output
+// and that of a rank without a set of its own. Buckets cut at element
+// granularity, so a parameter may span several buckets.
+func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diverged float64) {
 	inv := float32(1) / float32(e.cfg.Ranks)
 	// First param whose end lies beyond lo.
 	first := sort.Search(len(e.offs), func(i int) bool {
 		return e.offs[i]+e.cfg.Params[i].Elems > lo
 	})
-	for r, vec := range outs {
+	for r, grad := range grads {
+		vec := outs[r]
 		for i := first; i < len(e.offs) && e.offs[i] < hi; i++ {
 			off := e.offs[i]
 			a, b := max(off, lo), min(off+e.cfg.Params[i].Elems, hi)
-			diff := grads[r][i][a-off : b-off]
+			diff := grad[i][a-off : b-off]
 			for j, v := range vec[a-lo : b-lo] {
 				diff[j] = v * inv
 			}
 		}
 	}
+	for _, vec := range outs[len(grads):] {
+		diverged = max(diverged, mismatch(outs[0], vec))
+	}
+	return diverged
+}
+
+// mismatch is the largest |a[i] - b[i]| over the elements whose bits
+// differ, so it is 0 exactly when the two vectors are bit-identical: a
+// difference of bits that is none of value (signed zeros, NaN payloads)
+// counts as +Inf.
+func mismatch(a, b []float32) float64 {
+	var worst float64
+	for i, v := range a {
+		if w := b[i]; math.Float32bits(v) != math.Float32bits(w) {
+			d := math.Abs(float64(v) - float64(w))
+			if !(d > 0) {
+				d = math.Inf(1)
+			}
+			worst = max(worst, d)
+		}
+	}
+	return worst
 }
 
 // Compose chains the committed bucket collectives behind their

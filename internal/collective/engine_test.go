@@ -1,12 +1,18 @@
 package collective
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"swcaffe/internal/allreduce"
+	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
+
+// simnetResult stands in for the run a hand-made set of outputs did not
+// come from.
+var simnetResult = simnet.Result{Time: 1e-3, Msgs: 8}
 
 // uniformTimeline fabricates a priced backward timeline for a layer
 // stack: layer l's backward completes at (layers-l)·step after an
@@ -426,5 +432,84 @@ func TestEngineAutoAlgorithm(t *testing.T) {
 	}
 	if e3.Plan() != nil || e3.Auto() {
 		t.Fatal("fixed-algorithm engine claims a selected plan")
+	}
+}
+
+// TestCommitChecksRanksWithoutGradients: with one gradient set for all
+// ranks (a trainer whose ranks share one model) Commit drains rank 0's
+// reduced output, once, and compares every other rank's to it bit for
+// bit. Equal outputs report 0; one element of one rank off by one ulp —
+// or differing only in the sign of a zero — is reported, and does not
+// change what is drained. With a set per rank nothing is compared.
+func TestCommitChecksRanksWithoutGradients(t *testing.T) {
+	const ranks = 4
+	params := []ParamInfo{{Layer: 0, Elems: 5}, {Layer: 1, Elems: 3}}
+	cfg := testConfig(params, 2, ranks, allreduce.NameRHD)
+	cfg.BucketBytes = 8 // one bucket per layer
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Buckets()) != 2 {
+		t.Fatalf("%d buckets, want 2", len(e.Buckets()))
+	}
+	sum := []float32{4, -8, 0, 0.3, 12, 1e-3, -2, 7}
+	newOuts := func() [][]float32 {
+		outs := make([][]float32, ranks)
+		for r := range outs {
+			outs[r] = append([]float32(nil), sum...)
+		}
+		return outs
+	}
+	shared := [][][]float32{{make([]float32, 5), make([]float32, 3)}}
+	drained := func() []float32 { return append(append([]float32(nil), shared[0][0]...), shared[0][1]...) }
+
+	if d := e.CommitFull(newOuts(), simnetResult, shared); d != 0 {
+		t.Fatalf("identical outputs reported a mismatch of %g", d)
+	}
+	want := drained()
+	for i, v := range sum {
+		if want[i] != v/ranks {
+			t.Fatalf("drained[%d] = %v, want the average %v", i, want[i], v/ranks)
+		}
+	}
+
+	ulp := newOuts()
+	ulp[2][3] = math.Nextafter32(sum[3], 1)
+	if d := e.CommitFull(ulp, simnetResult, shared); !(d > 0) || d > 1e-7 {
+		t.Fatalf("rank 2 off by one ulp reported %g, want the ulp", d)
+	}
+	zero := newOuts()
+	zero[3][2] = float32(math.Copysign(0, -1))
+	if d := e.CommitFull(zero, simnetResult, shared); !math.IsInf(d, 1) {
+		t.Fatalf("rank 3 differing in the sign of a zero reported %g, want +Inf", d)
+	}
+	for i, v := range drained() {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("a diverged rank changed drained[%d]: %v, want rank 0's %v", i, v, want[i])
+		}
+	}
+
+	// A bucket commit sweeps its own range of the outputs only.
+	for b, bk := range e.Buckets() {
+		outs := make([][]float32, ranks)
+		for r := range outs {
+			outs[r] = append([]float32(nil), sum[bk.Lo:bk.Hi]...)
+		}
+		outs[1][0]++
+		if d := e.Commit(b, outs, simnetResult, shared); math.Abs(d-1) > 1e-6 {
+			t.Fatalf("bucket %d: rank 1 off by 1 reported %g", b, d)
+		}
+	}
+
+	private := make([][][]float32, ranks)
+	for r := range private {
+		private[r] = [][]float32{make([]float32, 5), make([]float32, 3)}
+	}
+	if d := e.CommitFull(ulp, simnetResult, private); d != 0 {
+		t.Fatalf("private gradient sets: reported %g, want no comparison", d)
+	}
+	if got, w := private[2][0][3], ulp[2][3]/ranks; got != w {
+		t.Fatalf("rank 2's own output was not drained into its set: %v, want %v", got, w)
 	}
 }

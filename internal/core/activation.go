@@ -98,6 +98,18 @@ func (l *DropoutLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	return [][4]int{in.Shape()}, nil
 }
 
+// The RNG cursor is per-replica state (ReplicaStateful): each replica
+// draws its masks from its own stream.
+
+func (l *DropoutLayer) ReplicaState() any {
+	rng := *l.rng
+	return &rng
+}
+
+func (l *DropoutLayer) SaveReplicaState(s any) { *s.(*detrand.RNG) = *l.rng }
+
+func (l *DropoutLayer) LoadReplicaState(s any) { *l.rng = *s.(*detrand.RNG) }
+
 func (l *DropoutLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	in, out := bottoms[0], tops[0]
 	if phase == Test || l.ratio == 0 {

@@ -69,6 +69,26 @@ func (l *BatchNormLayer) Params() []*Param {
 	return []*Param{l.runningMean, l.runningVar}
 }
 
+// The running statistics are per-replica state (ReplicaStateful): every
+// training forward folds the replica's own batch into them. A state
+// value is the mean then the variance, C floats each.
+
+func (l *BatchNormLayer) ReplicaState() any {
+	s := make([]float32, 2*l.c)
+	l.SaveReplicaState(s)
+	return s
+}
+
+func (l *BatchNormLayer) SaveReplicaState(s any) {
+	v := s.([]float32)
+	copy(v[copy(v, l.runningMean.Data.Data):], l.runningVar.Data.Data)
+}
+
+func (l *BatchNormLayer) LoadReplicaState(s any) {
+	v := s.([]float32)
+	copy(l.runningVar.Data.Data, v[copy(l.runningMean.Data.Data, v):])
+}
+
 func (l *BatchNormLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	in, out := bottoms[0], tops[0]
 	hw := in.H * in.W

@@ -84,6 +84,27 @@ type Layer interface {
 	Cost(dev perf.Device) LayerCost
 }
 
+// ReplicaStateful is the optional interface of a layer whose training
+// pass mutates state that belongs to one data-parallel replica, not to
+// the model: state a replica advances from its own shard or its own
+// random stream — batch-norm running statistics, a dropout RNG cursor —
+// as opposed to parameters, which every replica updates identically,
+// and workspace, which a pass writes before it reads. A trainer that
+// runs several replicas through one Net keeps one copy of this state
+// per replica and swaps it around each pass (Net.ReplicaState,
+// Net.LoadReplicaState, Net.SaveReplicaState); everything else a layer
+// holds it may share.
+type ReplicaStateful interface {
+	// ReplicaState returns a copy of the layer's current per-replica
+	// state. Call it after Setup.
+	ReplicaState() any
+	// SaveReplicaState overwrites s, a value this layer's ReplicaState
+	// returned, with the current state; LoadReplicaState makes s the
+	// current state.
+	SaveReplicaState(s any)
+	LoadReplicaState(s any)
+}
+
 // base carries the bookkeeping every layer shares.
 type base struct {
 	name    string

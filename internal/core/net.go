@@ -36,6 +36,10 @@ type Net struct {
 	// flattened slices are built once (invalidated by AddLayer).
 	paramsCache    []*Param
 	learnableCache []*Param
+
+	// stateful is the layers with per-replica state (see
+	// ReplicaStateful), in layer order; resolved by Setup.
+	stateful []ReplicaStateful
 }
 
 // layerBlobs is one layer's view of the blob graph. A gradient entry is
@@ -141,6 +145,7 @@ func (n *Net) Setup(inputs map[string]*tensor.Tensor) error {
 	n.Params()
 	n.LearnableParams()
 	n.wired = make([]layerBlobs, len(n.layers))
+	n.stateful = nil
 	for i, l := range n.layers {
 		n.wired[i] = layerBlobs{
 			bottoms:     gather(l.Bottoms(), n.blobs),
@@ -148,8 +153,45 @@ func (n *Net) Setup(inputs map[string]*tensor.Tensor) error {
 			bottomDiffs: gather(l.Bottoms(), n.diffs),
 			topDiffs:    gather(l.Tops(), n.diffs),
 		}
+		if rs, ok := l.(ReplicaStateful); ok {
+			n.stateful = append(n.stateful, rs)
+		}
 	}
 	return nil
+}
+
+// ReplicaState is one replica's copy of the per-replica state of a
+// net's layers (see ReplicaStateful): one entry per such layer, in
+// layer order. It is nil for a net with no such layer, and saving or
+// loading it is then free.
+type ReplicaState []any
+
+// ReplicaState returns a copy of the net's current per-replica state.
+func (n *Net) ReplicaState() ReplicaState {
+	if len(n.stateful) == 0 {
+		return nil
+	}
+	s := make(ReplicaState, len(n.stateful))
+	for i, l := range n.stateful {
+		s[i] = l.ReplicaState()
+	}
+	return s
+}
+
+// SaveReplicaState overwrites s, a value this net's ReplicaState
+// returned, with the net's current per-replica state.
+func (n *Net) SaveReplicaState(s ReplicaState) {
+	for i, l := range n.stateful {
+		l.SaveReplicaState(s[i])
+	}
+}
+
+// LoadReplicaState makes s the net's per-replica state: the net then
+// continues as the replica s was saved from.
+func (n *Net) LoadReplicaState(s ReplicaState) {
+	for i, l := range n.stateful {
+		l.LoadReplicaState(s[i])
+	}
 }
 
 // markGradientPaths computes which blobs require gradients: any blob

@@ -1,8 +1,8 @@
 // Package scratch is the per-rank bump allocator both cluster backends
 // hand to collective bodies (simnet.Node.Scratch, des.Rank.Scratch): a
-// body takes its result vector and any payload it must stage from its
-// rank's arena instead of the heap, and a warm run allocates nothing
-// for them.
+// body takes its result vector and any working vector it needs from
+// its rank's arena instead of the heap, and a warm run allocates
+// nothing for them.
 package scratch
 
 // Arena hands out float32 slices carved from a list of blocks. A
@@ -16,10 +16,6 @@ package scratch
 // rank, so it needs no locking.
 type Arena struct {
 	blocks []block
-	// first is the first block that is not full: the scan starts there,
-	// so a run that refills its blocks exactly — the ring's p-1 staged
-	// chunks — takes each in constant time instead of walking the list.
-	first int
 }
 
 type block struct {
@@ -32,15 +28,7 @@ func (a *Arena) Take(n int) []float32 {
 	if n == 0 {
 		return nil
 	}
-	s := a.carve(n)
-	for a.first < len(a.blocks) && a.blocks[a.first].off == len(a.blocks[a.first].buf) {
-		a.first++
-	}
-	return s
-}
-
-func (a *Arena) carve(n int) []float32 {
-	for i := a.first; i < len(a.blocks); i++ {
+	for i := range a.blocks {
 		if b := &a.blocks[i]; b.off+n <= len(b.buf) {
 			s := b.buf[b.off : b.off+n : b.off+n]
 			b.off += n
@@ -57,5 +45,4 @@ func (a *Arena) Rewind() {
 	for i := range a.blocks {
 		a.blocks[i].off = 0
 	}
-	a.first = 0
 }

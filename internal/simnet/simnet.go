@@ -139,11 +139,11 @@ func (n *Node) P() int { return n.cluster.P }
 func (n *Node) Supernodes() *topology.Layout { return n.cluster.layout }
 
 // Scratch returns k float32s of unspecified content from the rank's
-// cluster-owned bump arena — a collective's result vector, or staging
-// for a payload the body builds and sends. The arena is rewound when
-// the cluster's next run starts and never within one, so the slice
-// stays valid until then: for this rank, for a peer it was sent to,
-// and for the caller of RunGather when the body returns it as the
+// cluster-owned bump arena — a collective's result vector, or working
+// memory for a payload the body builds and sends. The arena is rewound
+// when the cluster's next run starts and never within one, so the
+// slice stays valid until then: for this rank, for a peer it was sent
+// to, and for the caller of RunGather when the body returns it as the
 // rank's result. A failed run's arenas are abandoned with the rest of
 // its state, so a stranded rank can keep using its own.
 func (n *Node) Scratch(k int) []float32 {

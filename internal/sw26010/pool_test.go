@@ -245,6 +245,59 @@ func TestCloseStopsWorkers(t *testing.T) {
 	}
 }
 
+// TestMeshBuiltToDemand: a launch builds the CPEs it runs on and no
+// more — one, without bus FIFOs, for the one-CPE pass launches the
+// trainers make, where it used to build all 64 with their 1024 FIFOs
+// (2.5 MB) — later, larger launches extend the mesh and keep what is
+// there, and a bus send to a position no launch has built panics
+// naming both CPEs.
+func TestMeshBuiltToDemand(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	cg := NewCoreGroup(nil)
+	defer cg.Close()
+	cg.RunN(1, func(pe *CPE) { pe.ChargeFlops(8) })
+	first := cg.pes[0]
+	if n := runtime.NumGoroutine(); cg.built != 1 || n > base+1 || first.rowIn[1] != nil {
+		t.Fatalf("after RunN(1): %d CPEs built, %d worker goroutines, bus FIFOs %v, want 1, 1 and none (a mesh of one has no peers)",
+			cg.built, n-base, first.rowIn[1] != nil)
+	}
+
+	msg := mustPanic(t, func() {
+		cg.RunN(1, func(pe *CPE) { pe.RowSend(3, []float32{1}) })
+	})
+	if !strings.Contains(msg, "CPE(0,0) sends to CPE(0,3)") {
+		t.Fatalf("a send to an unbuilt CPE panicked with %q, want both CPEs named", msg)
+	}
+
+	var got float32
+	cg.RunN(4, func(pe *CPE) {
+		switch pe.ID {
+		case 0: // built by the first launch, reaches one built by this
+			pe.RowSend(3, []float32{7})
+			got += pe.RowRecv(3)[0] // and is wired now that it has peers
+		case 3:
+			pe.RowSend(0, pe.RowRecv(0))
+		}
+	})
+	if cg.built != 4 || cg.pes[0] != first || got != 7 {
+		t.Fatalf("after RunN(4): %d CPEs built, CPE 0 rebuilt %v, CPE 3 received %g, want 4, false, 7", cg.built, cg.pes[0] != first, got)
+	}
+	cg.RunN(2, func(pe *CPE) {})
+	if cg.built != 4 {
+		t.Fatalf("a smaller launch changed the mesh: %d CPEs built, want 4", cg.built)
+	}
+
+	var count int64
+	cg.Run(func(pe *CPE) {
+		atomic.AddInt64(&count, 1)
+		pe.Barrier()
+	})
+	if cg.built != CPEsPerCG || count != CPEsPerCG {
+		t.Fatalf("after Run: %d CPEs built, %d ran, want %d", cg.built, count, CPEsPerCG)
+	}
+}
+
 // TestReleaseRecyclesNewestSameSize pins the documented recycling
 // contract: Release frees the most recently allocated outstanding
 // buffer of that size, even after an unrelated removal from the live

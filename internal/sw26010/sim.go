@@ -52,16 +52,19 @@ var errAborted = errors.New("sw26010: launch aborted by peer panic")
 // register buses. A CoreGroup is single-kernel: Run launches a kernel
 // across the mesh and returns its simulated execution time.
 //
-// Execution engine: the 64 CPE structs, their bus channels and their
-// worker goroutines are created once, on the first launch, and reused
-// for every subsequent launch (athread-style persistent thread pool).
-// RunN is a dispatch/join handshake over that pool; per-launch state
-// (clock, stats, LDM accounting) is reset in place, so steady-state
-// launches allocate nothing on the host. Launches on one CoreGroup are
-// serialized by an internal lock; simulated results are identical to
-// spawning fresh goroutines per launch, only the host-side cost
-// differs. Call Close when permanently done with a CoreGroup to stop
-// its workers (optional for process-lifetime groups).
+// Execution engine: the CPE structs, their bus channels and their
+// worker goroutines are created once and reused for every subsequent
+// launch (athread-style persistent thread pool). The mesh is built to
+// demand: a launch on n CPEs builds the positions below n that no
+// earlier launch has, so a CoreGroup that only ever runs one-CPE
+// launches pays for one CPE, not sixty-four. RunN is a dispatch/join
+// handshake over that pool; per-launch state (clock, stats, LDM
+// accounting) is reset in place, so steady-state launches allocate
+// nothing on the host. Launches on one CoreGroup are serialized by an
+// internal lock; simulated results are identical to spawning fresh
+// goroutines per launch, only the host-side cost differs. Call Close
+// when permanently done with a CoreGroup to stop its workers (optional
+// for process-lifetime groups).
 type CoreGroup struct {
 	Model *Model
 
@@ -74,12 +77,15 @@ type CoreGroup struct {
 	mu    sync.Mutex
 	stats Stats
 
-	// Persistent execution engine (lazily built by the first launch).
+	// Persistent execution engine, built by the launches that first
+	// need it (see ensureWorkers): pes has all 64 mesh positions, of
+	// which the first built hold a CPE with its worker and, in a mesh
+	// of more than one (see wired), its bus FIFOs.
 	launchMu sync.Mutex // serializes launches on this CoreGroup
 	pes      []*CPE
+	built    int
 	barrier  *barrier
 	done     chan workerResult
-	started  bool
 	closed   bool
 
 	// Per-launch state, written under launchMu before dispatch.
@@ -120,12 +126,10 @@ func (cg *CoreGroup) ResetStats() {
 func (cg *CoreGroup) Close() {
 	cg.launchMu.Lock()
 	defer cg.launchMu.Unlock()
-	if !cg.started || cg.closed {
-		cg.closed = true
-		return
-	}
-	for _, pe := range cg.pes {
-		close(pe.start)
+	if !cg.closed {
+		for _, pe := range cg.pes[:cg.built] {
+			close(pe.start)
+		}
 	}
 	cg.closed = true
 }
@@ -424,7 +428,16 @@ func (pe *CPE) ColSend(toRow int, data []float32) {
 	pe.busSend(pe.peer(toRow, pe.Col).colIn[pe.Row], message{data: data, ts: ts})
 }
 
-func (pe *CPE) peer(row, col int) *CPE { return pe.peers[row*MeshDim+col] }
+// peer returns the CPE at (row, col), which must be one the launches
+// so far have built: the buses of a position no launch ever reached do
+// not exist.
+func (pe *CPE) peer(row, col int) *CPE {
+	if p := pe.peers[row*MeshDim+col]; p != nil {
+		return p
+	}
+	panic(fmt.Sprintf("sw26010: CPE(%d,%d) sends to CPE(%d,%d), which no launch on this CoreGroup has built (the launch runs %d CPEs)",
+		pe.Row, pe.Col, row, col, pe.Active))
+}
 
 // Barrier synchronizes all CPEs of the launch and aligns their clocks
 // to the maximum (athread-style mesh synchronization).
@@ -513,31 +526,44 @@ func (cg *CoreGroup) Run(kernel func(pe *CPE)) float64 {
 	return cg.RunN(CPEsPerCG, kernel)
 }
 
-// ensureWorkers builds the persistent mesh — CPE structs, bus channels
-// and one worker goroutine per CPE — on the first launch.
-func (cg *CoreGroup) ensureWorkers() {
-	if cg.started {
-		return
+// ensureWorkers extends the persistent mesh to the first n positions:
+// a CPE struct and its worker goroutine for each position in
+// [built, n), and the bus FIFOs of every built CPE that lacks them —
+// unless the mesh is a single CPE, which has nobody to hear from (the
+// 16 FIFOs are 34 kB, nearly all a CPE costs, and the trainers' pass
+// launches never run a second one). Every CPE sees the whole position
+// table, so one built by an earlier launch reaches the new ones. Runs
+// under launchMu, before the dispatch whose start signal publishes the
+// new entries to the workers.
+func (cg *CoreGroup) ensureWorkers(n int) {
+	wired := cg.wired()
+	if cg.pes == nil {
+		cg.pes = make([]*CPE, CPEsPerCG)
+		cg.barrier = newBarrier()
+		cg.done = make(chan workerResult, CPEsPerCG)
 	}
-	cg.pes = make([]*CPE, CPEsPerCG)
-	cg.barrier = newBarrier()
-	cg.done = make(chan workerResult, CPEsPerCG)
-	for i := range cg.pes {
+	for i := cg.built; i < n; i++ {
 		pe := &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, cg: cg,
-			barrier: cg.barrier, start: make(chan struct{}, 1)}
+			barrier: cg.barrier, start: make(chan struct{}, 1), peers: cg.pes}
+		cg.pes[i] = pe
+		go cg.worker(pe)
+	}
+	cg.built = max(cg.built, n)
+	for _, pe := range cg.pes[wired:cg.wired()] {
 		for j := 0; j < MeshDim; j++ {
 			pe.rowIn[j] = make(chan message, cg.busDepth)
 			pe.colIn[j] = make(chan message, cg.busDepth)
 		}
-		cg.pes[i] = pe
 	}
-	for _, pe := range cg.pes {
-		pe.peers = cg.pes
+}
+
+// wired is how many of the built CPEs have their bus FIFOs: all of
+// them, or none while the mesh is a single CPE.
+func (cg *CoreGroup) wired() int {
+	if cg.built > 1 {
+		return cg.built
 	}
-	for _, pe := range cg.pes {
-		go cg.worker(pe)
-	}
-	cg.started = true
+	return 0
 }
 
 // worker is the persistent goroutine of one CPE: it waits for a
@@ -577,7 +603,7 @@ func (cg *CoreGroup) abortLaunch() {
 // into the next launch (after a panic, or when a kernel enqueued more
 // messages than its peers consumed).
 func (cg *CoreGroup) drainBuses() {
-	for _, pe := range cg.pes {
+	for _, pe := range cg.pes[:cg.wired()] {
 		for j := 0; j < MeshDim; j++ {
 			for len(pe.rowIn[j]) > 0 {
 				<-pe.rowIn[j]
@@ -589,9 +615,11 @@ func (cg *CoreGroup) drainBuses() {
 	}
 }
 
-// RunN launches kernel on the first n CPEs in row-major order. The
-// mesh buses are wired for all 64 positions, but only the first n
-// participate; DMA contention is charged for n active CPEs.
+// RunN launches kernel on the first n CPEs in row-major order. Only
+// they participate, and DMA contention is charged for n active CPEs; a
+// register-bus send may also target a position an earlier, larger
+// launch built (the message is drained afterwards), but one to a
+// position no launch has reached panics.
 //
 // RunN dispatches onto the persistent worker pool; concurrent calls on
 // one CoreGroup are serialized. If the kernel panics on any CPE the
@@ -607,7 +635,7 @@ func (cg *CoreGroup) RunN(n int, kernel func(pe *CPE)) float64 {
 	if cg.closed {
 		panic("sw26010: RunN on a closed CoreGroup")
 	}
-	cg.ensureWorkers()
+	cg.ensureWorkers(n)
 
 	// Reset per-launch state in place.
 	cg.kernel = kernel

@@ -129,6 +129,71 @@ func TestWarmStepAllocatesNoGradientVector(t *testing.T) {
 	}
 }
 
+// scaleFactory is the functional-scaling net the benchmark's training
+// workloads use (bench/net.go): conv 8x3x3 pad 1 → ReLU → fc 64 → ReLU
+// → fc classes on 1x8x8 inputs, about 33 k parameters.
+func scaleFactory(batch, classes int) func() (*core.Net, map[string]*tensor.Tensor, error) {
+	return func() (*core.Net, map[string]*tensor.Tensor, error) {
+		net := core.NewNet("funcscale", "data", "label")
+		net.AddLayers(
+			core.NewConv(core.ConvConfig{Name: "conv1", Bottom: "data", Top: "conv1",
+				NumOutput: 8, Kernel: 3, Stride: 1, Pad: 1, BiasTerm: true}),
+			core.NewReLU("relu1", "conv1", "conv1", 0),
+			core.NewInnerProduct(core.InnerProductConfig{
+				Name: "fc1", Bottom: "conv1", Top: "fc1", NumOutput: 64, BiasTerm: true}),
+			core.NewReLU("relu2", "fc1", "fc1", 0),
+			core.NewInnerProduct(core.InnerProductConfig{
+				Name: "fc2", Bottom: "fc1", Top: "fc2", NumOutput: classes, BiasTerm: true}),
+			core.NewSoftmaxLoss("loss", "fc2", "label", "loss"),
+		)
+		inputs := map[string]*tensor.Tensor{
+			"data":  tensor.New(batch, 1, 8, 8),
+			"label": tensor.New(batch, 1, 1, 1),
+		}
+		if err := net.Setup(inputs); err != nil {
+			return nil, nil, err
+		}
+		return net, inputs, nil
+	}
+}
+
+// TestDESTrainerAllocatesOneModel: the ranks of a DES cluster share one
+// model, so building a p = 256 trainer on the benchmark's net and
+// running two overlap steps allocates one net and, per rank, less than
+// 2.5 packed gradients: the rank's packed view and the result vectors
+// in its arena — one gradient each — and its links, node and shard
+// tensors. Measured 2.2; with a private replica per rank (parameters,
+// gradients, activations, momentum history) it was 5.5.
+func TestDESTrainerAllocatesOneModel(t *testing.T) {
+	const p = 256
+	build := scaleFactory(8, 4)
+	oneNet := allocBytes(func() {
+		if _, _, err := build(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ds := dataset.NewClusters(4096, 4, 1, 8, 8, 0.35, 23)
+	cfg := DistConfig{Nodes: p, SubBatch: 8, Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
+		Backend: BackendDES, Overlap: true, BucketBytes: 8 << 10}
+	var grad uint64
+	got := allocBytes(func() {
+		d, err := NewDistTrainer(cfg, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for it := 0; it < 2; it++ {
+			d.LoadShards(ds, it)
+			d.Step()
+		}
+		grad = uint64(d.Engine().TotalElems()) * 4
+	})
+	if budget := p*grad*5/2 + oneNet; got >= budget {
+		t.Errorf("a p=%d DES trainer and two steps allocated %d bytes = %.2f packed gradients (%d bytes) per rank, budget 2.5 and one net (%d bytes)",
+			p, got, float64(got-oneNet)/float64(p*grad), grad, oneNet)
+	}
+}
+
 // allocBytes is the heap bytes one call of step allocates (as in
 // internal/allreduce's tests).
 func allocBytes(step func()) uint64 {

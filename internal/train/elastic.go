@@ -61,7 +61,7 @@ func blobOf(name string, tn *tensor.Tensor) elastic.Blob {
 // Steps (the trainer is quiescent then, even after a recovered
 // failure: the failure path joins every pass before re-panicking).
 func (t *DistTrainer) Checkpoint() *elastic.State {
-	w := t.Workers[0]
+	w := t.replica(0)
 	st := &elastic.State{
 		Step:       t.iter,
 		World:      len(t.Workers),
@@ -90,38 +90,13 @@ func (t *DistTrainer) Checkpoint() *elastic.State {
 // architecture must. After Restore the trainer is bit-identical to
 // one that trained to st.Step and never stopped.
 func (t *DistTrainer) Restore(st *elastic.State) error {
-	for _, w := range t.Workers {
-		byName := make(map[string]*core.Param)
-		for _, p := range w.Net.Params() {
-			byName[p.Name] = p
+	for _, w := range t.replicas() {
+		if err := restoreReplica(w, st); err != nil {
+			return err
 		}
-		for _, b := range st.Params {
-			p, ok := byName[b.Name]
-			if !ok {
-				return fmt.Errorf("train: checkpoint param %q not in network", b.Name)
-			}
-			if p.Data.Len() != len(b.Data) {
-				return fmt.Errorf("train: checkpoint param %q has %d elems, network wants %d", b.Name, len(b.Data), p.Data.Len())
-			}
-			copy(p.Data.Data, b.Data)
-		}
-		learn := make(map[string]*core.Param)
-		for _, p := range w.Net.LearnableParams() {
-			learn[p.Name] = p
-		}
-		for _, b := range st.History {
-			name := b.Name[len("history/"):]
-			p, ok := learn[name]
-			if !ok {
-				return fmt.Errorf("train: checkpoint history %q not a learnable param", b.Name)
-			}
-			h := w.Solver.EnsureHistory(p)
-			if h.Len() != len(b.Data) {
-				return fmt.Errorf("train: checkpoint history %q has %d elems, solver wants %d", b.Name, len(b.Data), h.Len())
-			}
-			copy(h.Data, b.Data)
-		}
-		w.Solver.SetIter(st.SolverIter)
+	}
+	if t.shared() && t.Workers[0].state != nil {
+		t.restoreRankStates()
 	}
 	if st.HasSampler {
 		t.sampler = elastic.RestoreRNG(st.RNGSeed, st.RNGDraws)
@@ -129,6 +104,68 @@ func (t *DistTrainer) Restore(st *elastic.State) error {
 	t.iter = st.Step
 	t.traceInstant("restore", obs.I64("step", int64(st.Step)), obs.I64("ckpt_world", int64(st.World)))
 	return nil
+}
+
+// restoreReplica loads the checkpoint's parameters, momentum and solver
+// iteration into one model.
+func restoreReplica(w *Worker, st *elastic.State) error {
+	byName := make(map[string]*core.Param)
+	for _, p := range w.Net.Params() {
+		byName[p.Name] = p
+	}
+	for _, b := range st.Params {
+		p, ok := byName[b.Name]
+		if !ok {
+			return fmt.Errorf("train: checkpoint param %q not in network", b.Name)
+		}
+		if p.Data.Len() != len(b.Data) {
+			return fmt.Errorf("train: checkpoint param %q has %d elems, network wants %d", b.Name, len(b.Data), p.Data.Len())
+		}
+		copy(p.Data.Data, b.Data)
+	}
+	learn := make(map[string]*core.Param)
+	for _, p := range w.Net.LearnableParams() {
+		learn[p.Name] = p
+	}
+	for _, b := range st.History {
+		name := b.Name[len("history/"):]
+		p, ok := learn[name]
+		if !ok {
+			return fmt.Errorf("train: checkpoint history %q not a learnable param", b.Name)
+		}
+		h := w.Solver.EnsureHistory(p)
+		if h.Len() != len(b.Data) {
+			return fmt.Errorf("train: checkpoint history %q has %d elems, solver wants %d", b.Name, len(b.Data), h.Len())
+		}
+		copy(h.Data, b.Data)
+	}
+	w.Solver.SetIter(st.SolverIter)
+	return nil
+}
+
+// restoreRankStates finishes a Restore where the ranks share one model:
+// the shared net now holds the checkpoint's non-learnable parameters —
+// the running statistics a private replica would have had overwritten
+// in place — and every rank's saved state must restart from them while
+// keeping what a checkpoint does not carry (a private replica's RNG
+// cursors survive a Restore too).
+func (t *DistTrainer) restoreRankStates() {
+	net := t.Workers[0].Net
+	var stats []*core.Param
+	var restored [][]float32
+	for _, p := range net.Params() {
+		if !(p.LRMult > 0) {
+			stats = append(stats, p)
+			restored = append(restored, append([]float32(nil), p.Data.Data...))
+		}
+	}
+	for _, w := range t.Workers {
+		net.LoadReplicaState(w.state)
+		for i, p := range stats {
+			copy(p.Data.Data, restored[i])
+		}
+		net.SaveReplicaState(w.state)
+	}
 }
 
 // FailedRanks reports the workers whose most recent pass panicked

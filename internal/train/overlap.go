@@ -2,7 +2,6 @@ package train
 
 import (
 	"swcaffe/internal/collective"
-	"swcaffe/internal/core"
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/perf"
 	"swcaffe/internal/simnet"
@@ -97,9 +96,9 @@ func (t *DistTrainer) ensureEngine() {
 		eng.SetTrace(t.cfg.Tracer, len(t.Workers))
 	}
 	t.engine = eng
-	t.grads = make([][][]float32, len(t.Workers))
-	for i, w := range t.Workers {
-		t.grads[i] = w.diffs
+	t.grads = t.grads[:0]
+	for _, w := range t.replicas() {
+		t.grads = append(t.grads, w.diffs)
 	}
 }
 
@@ -108,7 +107,6 @@ func (t *DistTrainer) stepOverlap() float32 {
 	t.ensureEngine()
 	eng := t.engine
 	nb := len(eng.Buckets())
-	losses := t.losses
 	eng.BeginStep()
 
 	// Each worker's pass runs as a launch on its simulated node. The
@@ -118,15 +116,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 	// overlay come from layerDone, where the engine flushes buckets.
 	fp, step := t.cfg.Faults, t.iter
 	join, failed := t.launchPasses(true, func(i int, w *Worker, tick func(float64)) {
-		if fp != nil {
-			fp.Check(i, step, elastic.PhaseForward, -1)
-		}
-		w.Net.ZeroParamDiffs()
-		losses[i] = w.Net.Forward(core.Train)
-		if fp != nil {
-			fp.Check(i, step, elastic.PhaseBackward, -1)
-		}
-		w.Net.BackwardEach(core.Train, func(li int) {
+		t.pass(i, w, func(li int) {
 			if fp != nil {
 				// The overlap path packs incrementally: the pack fault
 				// fires (once) at the rank's first Produce of the step.
@@ -197,10 +187,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 
 	// Every bucket was averaged into the gradients as it committed:
 	// update every replica identically.
-	for _, w := range t.Workers {
-		w.Solver.ApplyUpdate()
-	}
-	t.iter++
+	t.applyUpdate()
 
 	// Modeled timeline: the engine chains the bucket collectives
 	// behind their production times on the node timelines; exposed
@@ -233,12 +220,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 	t.CommTime += commSum
 	t.ExposedCommTime += t.LastStep.Exposed
 	t.recordStep()
-
-	var mean float32
-	for _, l := range losses {
-		mean += l
-	}
-	return mean / float32(len(losses))
+	return t.meanLoss()
 }
 
 // Buckets reports the collective engine's bucket count (0 before the

@@ -22,10 +22,23 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// Worker is one simulated node of the data-parallel trainer: a full
-// model replica with its own solver state. All workers start from
-// identical parameters (the model builders seed deterministically) and
-// stay identical because every update uses the same averaged gradient.
+// Worker is one simulated node of the data-parallel trainer: a rank
+// with its input shard (Data, Labels) and a model replica, Net and
+// Solver. All replicas start from identical parameters (the model
+// builders seed deterministically) and stay identical because every
+// update uses the same averaged gradient.
+//
+// On the goroutine backend every worker owns its replica. On the DES
+// backend, whose passes run inline one after another, the replicas
+// would be bit-equal copies of one another, so there is one model per
+// cluster: every worker's Net and Solver alias it — parameters,
+// activations, gradients, momentum history — and a worker owns only
+// what differs between ranks: its shard tensors, which a pass copies
+// into the net's input blobs, and the layer state a replica advances
+// on its own (core.ReplicaStateful), which a pass loads before and
+// saves after. Between passes the shared net therefore holds the
+// per-replica state of whichever rank ran last; the parameters, being
+// every rank's, are always current.
 type Worker struct {
 	Rank   int
 	Net    *core.Net
@@ -48,6 +61,36 @@ type Worker struct {
 	// order — the view the collective engine packs from and drains the
 	// reduced gradient into.
 	diffs [][]float32
+
+	// state is the rank's copy of the net's per-replica layer state
+	// where the ranks share one model; nil for a private replica, and
+	// for a net without such layers.
+	state core.ReplicaState
+}
+
+// newReplica builds a worker around a model of its own; its input
+// tensors are the net's input blobs.
+func newReplica(solver core.SolverConfig, buildNet func() (*core.Net, map[string]*tensor.Tensor, error)) (*Worker, error) {
+	net, inputs, err := buildNet()
+	if err != nil {
+		return nil, err
+	}
+	w := &Worker{Net: net, Solver: core.NewSolver(net, solver), Data: inputs["data"], Labels: inputs["label"]}
+	for _, p := range net.LearnableParams() {
+		w.diffs = append(w.diffs, p.Diff.Data)
+	}
+	return w, nil
+}
+
+// rankView returns a worker that aliases w's model — net, solver,
+// gradient view — and owns what differs between the ranks sharing it:
+// copies of the net's input tensors and of its current per-replica
+// layer state.
+func (w *Worker) rankView() *Worker {
+	v := *w
+	v.Data, v.Labels = w.Data.Clone(), w.Labels.Clone()
+	v.state = w.Net.ReplicaState()
+	return &v
 }
 
 // DistConfig configures the functional SSGD trainer.
@@ -100,16 +143,22 @@ type DistConfig struct {
 
 	// Backend selects the execution backend. "" or BackendGoroutine
 	// (the default) is the goroutine simulator pair: one goroutine per
-	// simnet rank, launch goroutines on the swnode side. BackendDES is
-	// the single-threaded discrete-event backend: collectives run as
-	// continuation events on one binary-heap queue (internal/des) and
-	// passes execute inline on DES timeline nodes — zero goroutines,
-	// which is what makes p = 1024/4096 sweeps feasible. The DES
-	// backend is bit-identical to the goroutine backend (losses,
-	// params, StepStats, traffic census — the race-enabled goldens pin
-	// it at p ≤ 128) and implies timeline node mode; it rejects
-	// HostMath, fault injection and custom Algorithm bodies — the
-	// goroutine backend stays authoritative for those.
+	// simnet rank, launch goroutines on the swnode side, and a private
+	// model replica per rank. BackendDES is the single-threaded
+	// discrete-event backend: collectives run as continuation events on
+	// one binary-heap queue (internal/des) and passes execute inline on
+	// DES timeline nodes — zero goroutines — through one model that all
+	// ranks share (see Worker): one net is built, initialised, updated
+	// and restored per cluster, not p of them, which is what makes
+	// p = 1024/4096 sweeps feasible. Every commit checks that all ranks
+	// reduced to the same gradient bits (see ParamsDiverged), and the
+	// DES backend is bit-identical to the goroutine backend (losses,
+	// params, per-replica layer state, StepStats, traffic census — the
+	// race-enabled goldens pin it at p ≤ 128), whose private replicas
+	// are the oracle that the sharing is sound. It implies timeline
+	// node mode and rejects HostMath, fault injection and custom
+	// Algorithm bodies — the goroutine backend stays authoritative for
+	// those.
 	Backend string
 
 	// HostMath disables the per-worker simulated nodes: passes run as
@@ -259,9 +308,19 @@ type DistTrainer struct {
 	// packed staging and the makespan composition for both step
 	// variants (lazily built with the timeline).
 	engine *collective.Engine
-	// grads[rank] is worker rank's diffs: the engine's drain target,
-	// rebuilt with the engine (a Shrink re-ranks the workers).
+	// grads is the engine's drain target: the diffs of each distinct
+	// model (see replicas) — every worker's, indexed by rank, or the one
+	// set the ranks share. Rebuilt with the engine (a Shrink re-ranks
+	// the workers).
 	grads [][][]float32
+
+	// netData/netLabels are the input blobs of the one net the ranks
+	// share (nil where every rank has its own), and diverged the worst
+	// mismatch any commit found between rank 0's reduced gradient and
+	// another rank's — what ParamsDiverged reports in place of comparing
+	// replicas that no longer exist.
+	netData, netLabels *tensor.Tensor
+	diverged           float64
 
 	// Reused per-Step staging (both paths must stay allocation-free at
 	// steady state; the DistStep -benchmem benches pin this).
@@ -418,20 +477,22 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 			t.nodes.SetTracer(cfg.Tracer)
 		}
 	}
+	var model *Worker // the one model of a cluster whose ranks share it
 	for r := 0; r < cfg.Nodes; r++ {
-		net, inputs, err := buildNet()
-		if err != nil {
-			return nil, err
+		w := model
+		if w == nil {
+			var err error
+			if w, err = newReplica(cfg.Solver, buildNet); err != nil {
+				return nil, err
+			}
 		}
-		w := &Worker{
-			Rank: r, Net: net,
-			Solver: core.NewSolver(net, cfg.Solver),
-			Data:   inputs["data"],
-			Labels: inputs["label"],
+		if t.shared() {
+			if model == nil {
+				model, t.netData, t.netLabels = w, w.Data, w.Labels
+			}
+			w = model.rankView()
 		}
-		for _, p := range net.LearnableParams() {
-			w.diffs = append(w.diffs, p.Diff.Data)
-		}
+		w.Rank = r
 		if t.nodes != nil {
 			// One pass at a time per worker: the node's 4-CG decomposition
 			// is collapsed into one functional pass (Algorithm 1 lines
@@ -449,6 +510,70 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 
 // Iter returns the number of completed iterations.
 func (t *DistTrainer) Iter() int { return t.iter }
+
+// shared reports whether the ranks share one model (see Worker): on
+// the DES backend, whose passes run inline, one after another.
+func (t *DistTrainer) shared() bool { return t.cfg.Backend == BackendDES }
+
+// replicas returns the workers that stand for the distinct models:
+// all of them, or the first where the ranks share one.
+func (t *DistTrainer) replicas() []*Worker {
+	if t.shared() {
+		return t.Workers[:1]
+	}
+	return t.Workers
+}
+
+// replica returns rank's worker with its model replica ready to read:
+// where the ranks share one model, the shared net is first given this
+// rank's per-replica layer state, in place of that of whichever rank
+// ran last.
+func (t *DistTrainer) replica(rank int) *Worker {
+	w := t.Workers[rank]
+	if t.shared() {
+		w.Net.LoadReplicaState(w.state)
+	}
+	return w
+}
+
+// pass is rank i's forward and backward over its shard, leaving the
+// loss in t.losses[i] and the gradients in w.diffs; onLayer, when
+// non-nil, follows each layer's backward (see core.Net.BackwardEach).
+// Where the ranks share one model the net first becomes this rank's
+// replica — its shard in the input blobs, its per-replica layer state
+// loaded — and the state is saved back afterwards; the gradients last
+// only until the next rank's pass, so the caller packs them from
+// onLayer or right after.
+func (t *DistTrainer) pass(i int, w *Worker, onLayer func(li int)) {
+	fp, step := t.cfg.Faults, t.iter
+	if fp != nil {
+		fp.Check(i, step, elastic.PhaseForward, -1)
+	}
+	if t.shared() {
+		t.netData.CopyFrom(w.Data)
+		t.netLabels.CopyFrom(w.Labels)
+		w.Net.LoadReplicaState(w.state)
+	}
+	w.Net.ZeroParamDiffs()
+	t.losses[i] = w.Net.Forward(core.Train)
+	if fp != nil {
+		fp.Check(i, step, elastic.PhaseBackward, -1)
+	}
+	w.Net.BackwardEach(core.Train, onLayer)
+	if t.shared() {
+		w.Net.SaveReplicaState(w.state)
+	}
+}
+
+// applyUpdate closes a Step: every model takes the SGD update from the
+// averaged gradient the commits left in its diffs — identical on every
+// replica (Algorithm 1 line 10), and applied once where there is one.
+func (t *DistTrainer) applyUpdate() {
+	for _, w := range t.replicas() {
+		w.Solver.ApplyUpdate()
+	}
+	t.iter++
+}
 
 // Node returns worker rank's simulated node (nil in HostMath mode) for
 // stats and stream access. Indexed through the worker, not the node
@@ -721,37 +846,34 @@ func (t *DistTrainer) resetCommStaging() {
 func (t *DistTrainer) stepBarrier() float32 {
 	t.ensureEngine()
 	eng := t.engine
-	losses := t.losses
 	fp, step := t.cfg.Faults, t.iter
 	// Local forward/backward (the 4-CG compute of Algorithm 1 lines
 	// 3-8 collapses to one functional pass per node), one launch per
 	// worker on its simulated node.
 	join, _ := t.launchPasses(false, func(i int, w *Worker, tick func(float64)) {
-		if fp != nil {
-			fp.Check(i, step, elastic.PhaseForward, -1)
+		t.pass(i, w, nil)
+		if t.shared() {
+			eng.PackFull(i, w.diffs)
 		}
-		w.Net.ZeroParamDiffs()
-		losses[i] = w.Net.Forward(core.Train)
-		if fp != nil {
-			fp.Check(i, step, elastic.PhaseBackward, -1)
-		}
-		w.Net.Backward(core.Train)
 		tick(t.computeEnd)
 	})
 	join()
 	compute := t.stepCompute()
 
-	// Pack, all-reduce, average (Algorithm 1 line 9). views is
-	// captured locally so stranded ranks keep reading the orphaned
-	// staging after a failure-path reset (see stepOverlap).
-	for i, w := range t.Workers {
-		if fp != nil {
-			// A pack fault here dies on the calling goroutine — before
-			// any collective starts, so no staging is dirtied and the
-			// recovered trainer needs no orphaning.
-			fp.Check(i, step, elastic.PhasePack, -1)
+	// Pack, all-reduce, average (Algorithm 1 line 9); ranks sharing one
+	// model packed inside their passes. views is captured locally so
+	// stranded ranks keep reading the orphaned staging after a
+	// failure-path reset (see stepOverlap).
+	if !t.shared() {
+		for i, w := range t.Workers {
+			if fp != nil {
+				// A pack fault here dies on the calling goroutine — before
+				// any collective starts, so no staging is dirtied and the
+				// recovered trainer needs no orphaning.
+				fp.Check(i, step, elastic.PhasePack, -1)
+			}
+			eng.PackFull(i, w.diffs)
 		}
-		eng.PackFull(i, w.diffs)
 	}
 	views := eng.RankViews()
 	// The per-rank outputs come back in the run's private storage (see
@@ -776,12 +898,9 @@ func (t *DistTrainer) stepBarrier() float32 {
 	}()
 	// Average into the gradients and update every replica identically
 	// (line 10).
-	eng.CommitFull(outs, res, t.grads)
+	t.diverged = max(t.diverged, eng.CommitFull(outs, res, t.grads))
 	t.CommTime += res.Time
-	for _, w := range t.Workers {
-		w.Solver.ApplyUpdate()
-	}
-	t.iter++
+	t.applyUpdate()
 
 	// Barrier timeline: the per-node modeled compute makespans barrier,
 	// then the whole all-reduce is exposed. ComposeFull finalizes the
@@ -806,12 +925,16 @@ func (t *DistTrainer) stepBarrier() float32 {
 	t.ComputeTime += compute
 	t.ExposedCommTime += res.Time
 	t.recordStep()
+	return t.meanLoss()
+}
 
+// meanLoss is the Step's return value: the mean of the ranks' losses.
+func (t *DistTrainer) meanLoss() float32 {
 	var mean float32
-	for _, l := range losses {
+	for _, l := range t.losses {
 		mean += l
 	}
-	return mean / float32(len(losses))
+	return mean / float32(len(t.losses))
 }
 
 // LoadShards fills every worker's input tensors with consecutive
@@ -831,16 +954,18 @@ func (t *DistTrainer) LoadShards(ds dataset.Dataset, iteration int) {
 	}
 }
 
-// ParamsDiverged reports the maximum parameter difference between
-// worker replicas — a consistency invariant (must stay ~0) checked by
-// the failure-injection tests.
+// ParamsDiverged reports how far the ranks' models have drifted apart
+// — a consistency invariant (must stay 0) checked by the sweeps and the
+// failure-injection tests. Between private replicas it is the maximum
+// parameter difference now. Where the ranks share one model there is
+// nothing left to compare, so it is what would have made replicas
+// differ: the worst mismatch any commit so far found between rank 0's
+// reduced gradient, which the one update applies, and another rank's.
 func (t *DistTrainer) ParamsDiverged() float64 {
-	if len(t.Workers) < 2 {
-		return 0
-	}
-	base := t.Workers[0].Net.LearnableParams()
-	var worst float64
-	for _, w := range t.Workers[1:] {
+	worst := t.diverged
+	replicas := t.replicas()
+	base := replicas[0].Net.LearnableParams()
+	for _, w := range replicas[1:] {
 		other := w.Net.LearnableParams()
 		for i, p := range base {
 			if d := tensor.MaxDiff(p.Data, other[i].Data); d > worst {
