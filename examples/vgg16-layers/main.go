@@ -32,7 +32,7 @@ func main() {
 	for _, l := range shapes {
 		s := swdnn.ConvShape{B: 128, Ni: l.ni, Ri: l.c, Ci: l.c, No: l.no, K: 3, S: 1, P: 1}
 		impl, expl, best := swdnn.ConvPlans(hw, s, swdnn.Forward)
-		t := func(p *swdnn.Plan) string {
+		t := func(p swdnn.Plan) string {
 			if !p.Feasible {
 				return "-"
 			}

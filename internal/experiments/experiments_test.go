@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"io"
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"swcaffe/internal/sw26010"
@@ -453,6 +456,42 @@ func TestSumAblationClaims(t *testing.T) {
 	}
 }
 
+// TestSumAblationFixture: the mesh and vectors SumAblation keeps
+// between calls must not show in its rows — repeated and concurrent
+// calls (run under -race) agree, and every CPE time is bit-equal to
+// the kernel on a fresh CoreGroup with fresh vectors of that length.
+func TestSumAblationFixture(t *testing.T) {
+	want := SumAblation(io.Discard)
+	for i := 0; i < 2; i++ {
+		if got := SumAblation(io.Discard); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: rows %+v, first call %+v", i+2, got, want)
+		}
+	}
+	var got [2][]SumRow
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = SumAblation(io.Discard)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("concurrent call %d: rows %+v, want %+v", g, got[g], want)
+		}
+	}
+	for _, r := range want {
+		cg := sw26010.NewCoreGroup(nil)
+		fresh := swdnn.SumRun(cg, make([]float32, r.Elems), make([]float32, r.Elems))
+		cg.Close()
+		if math.Float64bits(r.CPETime) != math.Float64bits(fresh) {
+			t.Errorf("n=%d: CPETime %x, fresh CoreGroup %x", r.Elems, math.Float64bits(r.CPETime), math.Float64bits(fresh))
+		}
+	}
+}
+
 func TestMappingAblationClaims(t *testing.T) {
 	rows := MappingAblation(io.Discard)
 	for _, r := range rows {
@@ -538,7 +577,7 @@ func TestParallelGeneratorsDeterministic(t *testing.T) {
 			t.Fatalf("row %d out of order: %s != %s", i, rows[i].Name, l.Name)
 		}
 		imp, exp, best := swdnn.ConvPlans(hw, l.Shape, swdnn.Forward)
-		if *rows[i].Fwd.Implicit != *imp || *rows[i].Fwd.Explicit != *exp || rows[i].Fwd.Best.Name != best.Name {
+		if rows[i].Fwd.Implicit != imp || rows[i].Fwd.Explicit != exp || rows[i].Fwd.Best.Name != best.Name {
 			t.Fatalf("layer %s: parallel rows diverge from serial plans", l.Name)
 		}
 	}

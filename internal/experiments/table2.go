@@ -12,11 +12,11 @@ import (
 type Table2Row struct {
 	Name  string
 	Shape swdnn.ConvShape
-	// Per pass: implicit plan, explicit plan (nil-safe; check Feasible).
+	// Per pass: implicit plan, explicit plan, the faster (check Feasible).
 	Fwd, BwdW, BwdI struct {
-		Implicit *swdnn.Plan
-		Explicit *swdnn.Plan
-		Best     *swdnn.Plan
+		Implicit swdnn.Plan
+		Explicit swdnn.Plan
+		Best     swdnn.Plan
 	}
 }
 
@@ -70,8 +70,8 @@ func Table2(w io.Writer) []Table2Row {
 	fmt.Fprintln(tw, "conv\tNi\tNo\tCi/Ri\tfwd impl\tfwd expl\tGflops\twdiff impl\twdiff expl\tindiff impl\tindiff expl")
 	for i := range rows {
 		r := &rows[i]
-		t := func(p *swdnn.Plan) string {
-			if p == nil || !p.Feasible {
+		t := func(p swdnn.Plan) string {
+			if !p.Feasible {
 				return "-"
 			}
 			return fmt.Sprintf("%.2f", p.Time)

@@ -15,8 +15,10 @@ func init() {
 // affecting the accuracy by changing the LRN to BN", Sec. VI-A).
 // The grouped convolutions of the original are widened to full
 // connectivity, as all modern Caffe reimplementations do.
-func AlexNet(batch int) *ModelSpec {
-	b := newBuilder("alexnet-bn", batch, 3, 227, 1000)
+func AlexNet(batch int) *ModelSpec { return shared("alexnet-bn", batch, alexNet) }
+
+func alexNet(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 227, 1000)
 
 	t := b.conv("conv1", "data", 96, 11, 4, 0)
 	t = b.bn("conv1/bn", t)
@@ -54,8 +56,10 @@ func AlexNet(batch int) *ModelSpec {
 
 // AlexNetLRN builds the original AlexNet with LRN layers, kept as the
 // ablation partner of the BN refinement.
-func AlexNetLRN(batch int) *ModelSpec {
-	b := newBuilder("alexnet-lrn", batch, 3, 227, 1000)
+func AlexNetLRN(batch int) *ModelSpec { return shared("alexnet-lrn", batch, alexNetLRN) }
+
+func alexNetLRN(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 227, 1000)
 
 	t := b.conv("conv1", "data", 96, 11, 4, 0)
 	t = b.relu("relu1", t)
@@ -100,8 +104,10 @@ func vggBlock(b *builder, stage string, bottom string, n, channels int) string {
 
 // VGG16 builds VGG-16 (configuration D of Simonyan & Zisserman),
 // the paper's Table II / Fig. 9 workload.
-func VGG16(batch int) *ModelSpec {
-	b := newBuilder("vgg16", batch, 3, 224, 1000)
+func VGG16(batch int) *ModelSpec { return shared("vgg16", batch, vgg16) }
+
+func vgg16(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 224, 1000)
 	t := vggBlock(b, "1", "data", 2, 64)
 	t = vggBlock(b, "2", t, 2, 128)
 	t = vggBlock(b, "3", t, 3, 256)
@@ -119,8 +125,10 @@ func VGG16(batch int) *ModelSpec {
 }
 
 // VGG19 builds VGG-19 (configuration E).
-func VGG19(batch int) *ModelSpec {
-	b := newBuilder("vgg19", batch, 3, 224, 1000)
+func VGG19(batch int) *ModelSpec { return shared("vgg19", batch, vgg19) }
+
+func vgg19(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 224, 1000)
 	t := vggBlock(b, "1", "data", 2, 64)
 	t = vggBlock(b, "2", t, 2, 128)
 	t = vggBlock(b, "3", t, 4, 256)

@@ -12,6 +12,7 @@ package models
 
 import (
 	"fmt"
+	"sync"
 
 	"swcaffe/internal/core"
 	"swcaffe/internal/perf"
@@ -136,14 +137,17 @@ func (l *LayerSpec) Cost(dev perf.Device) core.LayerCost {
 	}
 }
 
-// ModelSpec is a shape-resolved network description.
+// ModelSpec is a shape-resolved network description. There is one per
+// (name, batch) in the process and every constructor and ByName hand
+// out that same pointer, so a spec is immutable once built: read it,
+// price it, materialize it with Net (each call builds a net that owns
+// its own tensors), but never write through it.
 type ModelSpec struct {
 	Name     string
 	Batch    int
 	InputDim [4]int // (B, C, H, W) of the data blob
 	Classes  int
 	Layers   []LayerSpec
-	shapes   map[string][4]int
 }
 
 // ParamCount returns the total learnable parameter count.
@@ -195,21 +199,40 @@ func (m *ModelSpec) Flops() float64 {
 
 // --- builder ----------------------------------------------------------
 
+type specKey struct {
+	name  string
+	batch int
+}
+
+var specs sync.Map // specKey -> *ModelSpec
+
+// shared returns the process's one spec for (name, batch), building it
+// on first use. A hit is lock-free; a racing first miss builds twice
+// and keeps one, which is safe because the builders are pure.
+func shared(name string, batch int, build func(name string, batch int) *ModelSpec) *ModelSpec {
+	key := specKey{name, batch}
+	m, ok := specs.Load(key)
+	if !ok {
+		m, _ = specs.LoadOrStore(key, build(name, batch))
+	}
+	return m.(*ModelSpec)
+}
+
 type builder struct {
-	m *ModelSpec
+	m      *ModelSpec
+	shapes map[string][4]int // blob name -> shape; dropped with the builder
 }
 
 func newBuilder(name string, batch, channels, size, classes int) *builder {
 	m := &ModelSpec{
 		Name: name, Batch: batch, Classes: classes,
 		InputDim: [4]int{batch, channels, size, size},
-		shapes:   map[string][4]int{"data": {batch, channels, size, size}, "label": {batch, 1, 1, 1}},
 	}
-	return &builder{m: m}
+	return &builder{m: m, shapes: map[string][4]int{"data": m.InputDim, "label": {batch, 1, 1, 1}}}
 }
 
 func (b *builder) shape(blob string) [4]int {
-	s, ok := b.m.shapes[blob]
+	s, ok := b.shapes[blob]
 	if !ok {
 		panic(fmt.Sprintf("models: %s: blob %q undefined", b.m.Name, blob))
 	}
@@ -218,7 +241,7 @@ func (b *builder) shape(blob string) [4]int {
 
 func (b *builder) add(l LayerSpec, out [4]int) {
 	l.OutShape = out
-	b.m.shapes[l.Top] = out
+	b.shapes[l.Top] = out
 	b.m.Layers = append(b.m.Layers, l)
 }
 
@@ -382,15 +405,6 @@ func (m *ModelSpec) InputTensors() map[string]*tensor.Tensor {
 		"data":  tensor.New(d[0], d[1], d[2], d[3]),
 		"label": tensor.New(d[0], 1, 1, 1),
 	}
-}
-
-// WithBatch rebuilds the same architecture at a different batch size.
-func (m *ModelSpec) WithBatch(batch int) *ModelSpec {
-	f, ok := registry[m.Name]
-	if !ok {
-		panic(fmt.Sprintf("models: %q not registered", m.Name))
-	}
-	return f(batch)
 }
 
 var registry = map[string]func(batch int) *ModelSpec{}

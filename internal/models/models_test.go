@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"swcaffe/internal/core"
@@ -116,22 +117,89 @@ func TestSpecCostsPositive(t *testing.T) {
 	}
 }
 
-func TestWithBatchRebuilds(t *testing.T) {
-	build, _ := ByName("vgg16")
-	s8 := build(8)
-	s32 := s8.WithBatch(32)
-	if s32.Batch != 32 || s32.InputDim[0] != 32 {
-		t.Fatalf("WithBatch dims: %+v", s32.InputDim)
+// TestSpecSharedPerNameAndBatch: every route to a spec returns the one
+// pointer for (name, batch), a hit allocates nothing, and another
+// batch is another spec of the same architecture.
+func TestSpecSharedPerNameAndBatch(t *testing.T) {
+	ctors := map[string]func(int) *ModelSpec{
+		"alexnet-bn": AlexNet, "alexnet-lrn": AlexNetLRN, "vgg16": VGG16,
+		"vgg19": VGG19, "resnet50": ResNet50, "googlenet": GoogLeNet,
+	}
+	for _, name := range Names() {
+		build, _ := ByName(name)
+		spec := build(8)
+		if spec.Name != name || spec.Batch != 8 || spec.InputDim[0] != 8 {
+			t.Fatalf("%s: built %s at batch %d, dims %+v", name, spec.Name, spec.Batch, spec.InputDim)
+		}
+		if build(8) != spec || ctors[name](8) != spec {
+			t.Errorf("%s: a second call built a second spec", name)
+		}
+	}
+	resnet, _ := ByName("resnet50")
+	if n := testing.AllocsPerRun(100, func() { resnet(8) }); n != 0 {
+		t.Errorf("warm ByName(resnet50)(8): %v allocs/op, want 0", n)
+	}
+
+	s8, s32 := VGG16(8), VGG16(32)
+	if s8 == s32 || s32.Batch != 32 || s32.InputDim[0] != 32 {
+		t.Fatalf("batch 32 spec: %+v", s32.InputDim)
 	}
 	if s8.ParamCount() != s32.ParamCount() {
 		t.Fatal("parameter count must not depend on batch")
 	}
-	// Compute cost grows with batch.
 	dev := perf.NewSWCG()
 	_, t8 := s8.Cost(dev)
 	_, t32 := s32.Cost(dev)
 	if t32.Total() <= t8.Total() {
 		t.Fatal("larger batch must cost more")
+	}
+}
+
+// TestSpecSharedUnderConcurrency (run under -race): goroutines racing
+// on a (name, batch) nobody has asked for yet all get one pointer.
+func TestSpecSharedUnderConcurrency(t *testing.T) {
+	const goroutines = 16
+	got := make([]*ModelSpec, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = GoogLeNet(11)
+		}()
+	}
+	wg.Wait()
+	for g, spec := range got {
+		if spec == nil || spec != got[0] {
+			t.Fatalf("goroutine %d got %p, goroutine 0 got %p", g, spec, got[0])
+		}
+	}
+}
+
+// TestNetsFromSharedSpecOwnTheirTensors: the spec is shared, the nets
+// materialized from it are not — writing one net's parameters must not
+// show in the other's.
+func TestNetsFromSharedSpecOwnTheirTensors(t *testing.T) {
+	spec := GoogLeNet(1)
+	nets := [2]*core.Net{spec.Net(), spec.Net()}
+	for _, n := range nets {
+		if err := n.Setup(spec.InputTensors()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := nets[0].LearnableParams(), nets[1].LearnableParams()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("%d vs %d learnable params", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] == b[i] || a[i].Data == b[i].Data || a[i].Diff == b[i].Diff {
+			t.Fatalf("param %d is shared between the two nets", i)
+		}
+		b[i].Data.Data[0], b[i].Diff.Data[0] = 0, 0
+		a[i].Data.Data[0], a[i].Diff.Data[0] = 7, 7
+		if b[i].Data.Data[0] != 0 || b[i].Diff.Data[0] != 0 {
+			t.Fatalf("param %d: a write to one net reached the other", i)
+		}
 	}
 }
 

@@ -29,8 +29,10 @@ func bottleneck(b *builder, name, bottom string, mid, out, stride int, project b
 // ResNet50 builds ResNet-50 (He et al.), the paper's scalability
 // workload (Fig. 10: sub-mini-batch 32 and 64). Parameter payload
 // ≈ 97.7 MB as quoted in Sec. VI-C.
-func ResNet50(batch int) *ModelSpec {
-	b := newBuilder("resnet50", batch, 3, 224, 1000)
+func ResNet50(batch int) *ModelSpec { return shared("resnet50", batch, resNet50) }
+
+func resNet50(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 224, 1000)
 	t := b.convBNReLU("conv1", "data", 64, 7, 2, 3, true)
 	t = b.pool("pool1", t, core.MaxPool, 3, 2, 0, false)
 
@@ -89,8 +91,10 @@ func inception(b *builder, name, bottom string, c1, r3, c3, r5, c5, pp int) stri
 // are training-schedule aids disabled in throughput measurements).
 // Its many sub-64-channel branches are why the paper measures only
 // 23% of K40m throughput on SW26010 (Sec. VI-B).
-func GoogLeNet(batch int) *ModelSpec {
-	b := newBuilder("googlenet", batch, 3, 224, 1000)
+func GoogLeNet(batch int) *ModelSpec { return shared("googlenet", batch, googLeNet) }
+
+func googLeNet(name string, batch int) *ModelSpec {
+	b := newBuilder(name, batch, 3, 224, 1000)
 	t := b.conv("conv1/7x7_s2", "data", 64, 7, 2, 3)
 	t = b.relu("conv1/relu_7x7", t)
 	t = b.pool("pool1/3x3_s2", t, core.MaxPool, 3, 2, 0, false)
@@ -123,7 +127,8 @@ func GoogLeNet(batch int) *ModelSpec {
 	return b.m
 }
 
-// ByName returns a registered model builder.
+// ByName returns a registered model constructor; like the exported
+// ones it hands out the shared spec for (name, batch).
 func ByName(name string) (func(batch int) *ModelSpec, bool) {
 	f, ok := registry[name]
 	return f, ok

@@ -17,10 +17,10 @@ func TestPlanCacheConcurrentIdentical(t *testing.T) {
 	swdnn.ResetPlanCache()
 	hw := sw26010.Default()
 	shape := swdnn.ConvShape{B: 128, Ni: 256, Ri: 56, Ci: 56, No: 256, K: 3, S: 1, P: 1}
-	wantGEMM := *swdnn.GEMMPlan(hw, 512, 384, 3136)
-	wantNoRLC := *swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136)
-	wantImp := *swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward)
-	wantExp := *swdnn.ConvExplicitPlan(hw, shape, swdnn.Forward)
+	wantGEMM := swdnn.GEMMPlan(hw, 512, 384, 3136)
+	wantNoRLC := swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136)
+	wantImp := swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward)
+	wantExp := swdnn.ConvExplicitPlan(hw, shape, swdnn.Forward)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -32,16 +32,16 @@ func TestPlanCacheConcurrentIdentical(t *testing.T) {
 			// identical parameters: value-keying must share entries.
 			myHW := sw26010.Default()
 			for i := 0; i < 50; i++ {
-				if p := swdnn.GEMMPlan(myHW, 512, 384, 3136); *p != wantGEMM {
-					t.Errorf("GEMMPlan diverged under concurrency: %+v != %+v", *p, wantGEMM)
+				if p := swdnn.GEMMPlan(myHW, 512, 384, 3136); p != wantGEMM {
+					t.Errorf("GEMMPlan diverged under concurrency: %+v != %+v", p, wantGEMM)
 					return
 				}
-				if p := swdnn.GEMMPlanNoRLC(myHW, 512, 384, 3136); *p != wantNoRLC {
+				if p := swdnn.GEMMPlanNoRLC(myHW, 512, 384, 3136); p != wantNoRLC {
 					t.Errorf("GEMMPlanNoRLC diverged under concurrency")
 					return
 				}
 				imp, exp, best := swdnn.ConvPlans(myHW, shape, swdnn.Forward)
-				if *imp != wantImp || *exp != wantExp {
+				if imp != wantImp || exp != wantExp {
 					t.Errorf("ConvPlans diverged under concurrency")
 					return
 				}
@@ -66,18 +66,20 @@ func TestPlanCacheConcurrentIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMutationIsolation: mutating a returned plan must not
-// poison later queries, and mutating the hardware model must miss the
-// cache instead of returning a stale plan.
+// TestPlanCacheMutationIsolation: a planner returns a value, so
+// mutating it must leave the cached plan unchanged for later queries,
+// and mutating the hardware model must miss the cache instead of
+// returning a stale plan.
 func TestPlanCacheMutationIsolation(t *testing.T) {
 	swdnn.ResetPlanCache()
 	hw := sw26010.Default()
 	p1 := swdnn.GEMMPlan(hw, 256, 256, 256)
-	want := *p1
+	want := p1
 	p1.Time = -1
 	p1.Name = "clobbered"
-	if p2 := swdnn.GEMMPlan(hw, 256, 256, 256); *p2 != want {
-		t.Fatalf("cached plan was poisoned by caller mutation: %+v", *p2)
+	p1.Block[0] = -1
+	if p2 := swdnn.GEMMPlan(hw, 256, 256, 256); p2 != want {
+		t.Fatalf("cached plan was poisoned by caller mutation: %+v", p2)
 	}
 
 	slow := sw26010.Default()
@@ -85,6 +87,32 @@ func TestPlanCacheMutationIsolation(t *testing.T) {
 	pSlow := swdnn.GEMMPlan(slow, 256, 256, 256)
 	if pSlow.Time <= want.Time {
 		t.Fatalf("mutated model returned stale cached plan: %g <= %g", pSlow.Time, want.Time)
+	}
+}
+
+// TestWarmPlannersAllocateNothing: plans are values, so a cache hit —
+// and the uncached streaming planners — put nothing on the heap.
+func TestWarmPlannersAllocateNothing(t *testing.T) {
+	hw := sw26010.Default()
+	shape := swdnn.ConvShape{B: 128, Ni: 256, Ri: 56, Ci: 56, No: 256, K: 3, S: 1, P: 1}
+	var sink float64
+	planners := map[string]func(){
+		"ConvPlans": func() {
+			_, _, best := swdnn.ConvPlans(hw, shape, swdnn.Forward)
+			sink += best.Time
+		},
+		"GEMMPlan":        func() { sink += swdnn.GEMMPlan(hw, 512, 384, 3136).Time },
+		"ElementwisePlan": func() { sink += swdnn.ElementwisePlan(hw, 1<<20, 1, 1, 1).Time },
+		"BatchNormPlan":   func() { sink += swdnn.BatchNormPlan(hw, 1<<20).Time },
+	}
+	for name, query := range planners {
+		query() // warm the cache
+		if n := testing.AllocsPerRun(100, query); n != 0 {
+			t.Errorf("warm %s: %v allocs/op, want 0", name, n)
+		}
+	}
+	if sink <= 0 {
+		t.Fatal("planners returned no time")
 	}
 }
 

@@ -185,7 +185,7 @@ func minChannels(s ConvShape) int {
 
 // ConvImplicitPlan prices the implicit-GEMM convolution for one pass.
 // Results are memoized per (model, shape, pass).
-func ConvImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) *Plan {
+func ConvImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	return cachedPlan(convKey(hw, opConvImplicit, s, pass), func() Plan {
 		return convImplicitPlan(hw, s, pass)
 	})
@@ -193,7 +193,7 @@ func ConvImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) *Plan {
 
 func convImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	if err := s.Validate(); err != nil {
-		return *Infeasible("implicit", err.Error())
+		return Infeasible("implicit", err.Error())
 	}
 	minC := minChannels(s)
 	threshold := implicitMinChannelsFwd
@@ -201,7 +201,7 @@ func convImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 		threshold = implicitMinChannelsBwd
 	}
 	if minC < threshold {
-		return *Infeasible("implicit",
+		return Infeasible("implicit",
 			"channel count too small for SIMD/register-communication blocking")
 	}
 	ro, co := s.OutDims()
@@ -244,7 +244,7 @@ func convImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 // im2col (skipped for 1x1/stride-1 where the input already is the
 // column matrix, as Caffe does), a per-image GEMM, and col2im on the
 // input-gradient path. Results are memoized per (model, shape, pass).
-func ConvExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) *Plan {
+func ConvExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	return cachedPlan(convKey(hw, opConvExplicit, s, pass), func() Plan {
 		return convExplicitPlan(hw, s, pass)
 	})
@@ -252,7 +252,7 @@ func ConvExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) *Plan {
 
 func convExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	if err := s.Validate(); err != nil {
-		return *Infeasible("explicit", err.Error())
+		return Infeasible("explicit", err.Error())
 	}
 	ro, co := s.OutDims()
 	flops := s.Flops()
@@ -292,7 +292,7 @@ func convExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 // ConvPlans returns (implicit, explicit, best) for the given pass —
 // the mixed-strategy selection swCaffe performs during its first two
 // training iterations (Sec. VI-A).
-func ConvPlans(hw *sw26010.Model, s ConvShape, pass Pass) (implicit, explicit, best *Plan) {
+func ConvPlans(hw *sw26010.Model, s ConvShape, pass Pass) (implicit, explicit, best Plan) {
 	implicit = ConvImplicitPlan(hw, s, pass)
 	explicit = ConvExplicitPlan(hw, s, pass)
 	best = Best(implicit, explicit)

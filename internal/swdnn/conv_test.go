@@ -2,6 +2,7 @@ package swdnn
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -276,28 +277,42 @@ func TestOneByOneConvSkipsLowering(t *testing.T) {
 }
 
 func TestBestPlanSelection(t *testing.T) {
-	a := &Plan{Name: "a", Feasible: true, Time: 2}
-	b := &Plan{Name: "b", Feasible: true, Time: 1}
+	a := Plan{Name: "a", Feasible: true, Time: 2}
+	b := Plan{Name: "b", Feasible: true, Time: 1}
 	c := Infeasible("c", "nope")
 	if got := Best(a, b, c); got.Name != "b" {
 		t.Fatalf("Best picked %s", got.Name)
 	}
-	if got := Best(c); got.Feasible {
-		t.Fatal("Best of infeasible plans must be infeasible")
+	if got := Best(c, a); got.Name != "a" {
+		t.Fatalf("Best must skip infeasible plans, got %s", got.Name)
 	}
-	if got := Best(c, nil, a); got.Name != "a" {
-		t.Fatalf("Best must skip nil and infeasible, got %s", got.Name)
+	// Equal times: the earlier argument wins, whichever it is.
+	tie := Plan{Name: "tie", Feasible: true, Time: 1}
+	if got := Best(a, b, tie); got.Name != "b" {
+		t.Fatalf("Best on a tie picked %s, want the earlier b", got.Name)
+	}
+	if got := Best(tie, b); got.Name != "tie" {
+		t.Fatalf("Best on a tie picked %s, want the earlier tie", got.Name)
+	}
+	d := Infeasible("d", "neither")
+	got := Best(c, d)
+	if got.Feasible || got.Name != "best" {
+		t.Fatalf("Best of infeasible plans must be infeasible, got %+v", got)
+	}
+	for _, want := range []string{"c: nope", "d: neither"} {
+		if !strings.Contains(got.Reason, want) {
+			t.Fatalf("Reason %q does not list %q", got.Reason, want)
+		}
 	}
 }
 
 func TestPlanGflops(t *testing.T) {
-	p := &Plan{Feasible: true, Time: 2, Flops: 4e9}
+	p := Plan{Feasible: true, Time: 2, Flops: 4e9}
 	if g := p.Gflops(); g != 2 {
 		t.Fatalf("Gflops = %g", g)
 	}
-	var nilPlan *Plan
-	if nilPlan.Gflops() != 0 {
-		t.Fatal("nil plan Gflops must be 0")
+	if Infeasible("x", "nope").Gflops() != 0 {
+		t.Fatal("infeasible plan Gflops must be 0")
 	}
 }
 

@@ -329,11 +329,11 @@ func priceGEMM(hw *sw26010.Model, m, k, n, bm, bk, bn int) (Plan, bool) {
 
 // GEMMPlan prices C[m×n] += A[m×k]·B[k×n] on one core group without
 // executing it. It walks the same macro-block schedule as GEMMRun.
-func GEMMPlan(hw *sw26010.Model, m, k, n int) *Plan {
+func GEMMPlan(hw *sw26010.Model, m, k, n int) Plan {
 	return gemmPlanNamed(hw, "gemm", m, k, n)
 }
 
-func gemmPlanNamed(hw *sw26010.Model, name string, m, k, n int) *Plan {
+func gemmPlanNamed(hw *sw26010.Model, name string, m, k, n int) Plan {
 	if m <= 0 || k <= 0 || n <= 0 {
 		return Infeasible(name, "non-positive dimension")
 	}
@@ -354,7 +354,7 @@ func gemmPlanNamed(hw *sw26010.Model, name string, m, k, n int) *Plan {
 // DMA the remote A and B tiles from main memory instead of receiving
 // them over the row/column buses, multiplying the A/B traffic by the
 // mesh dimension. This is the Principle-4 ablation.
-func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) *Plan {
+func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) Plan {
 	return cachedPlan(gemmKey(hw, opGEMMNoRLC, m, k, n), func() Plan {
 		bm, bk, bn := choosePlanBlocks(hw, m, k, n)
 		p, ok := priceGEMM(hw, m, k, n, bm, bk, bn)

@@ -177,7 +177,7 @@ func Im2colRun(cg *sw26010.CoreGroup, src []float32, s ConvShape, dst []float32)
 // volume is read B·Ni·K²·Ro input rows (Ci values each, strided) and
 // written B·Ni·K²·Ro column-matrix lines (Co values each), exactly the
 // per-row DMA schedule of Fig. 4.
-func Im2colPlan(hw *sw26010.Model, s ConvShape) *Plan {
+func Im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 	return cachedPlan(convKey(hw, opIm2col, s, 0), func() Plan {
 		return im2colPlan(hw, s)
 	})
@@ -208,7 +208,7 @@ func im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 // Col2imPlan prices the adjoint scatter. It moves the same volume as
 // im2col but the put side is a read-modify-write accumulation into
 // overlapping rows, so the write path is charged twice (read + write).
-func Col2imPlan(hw *sw26010.Model, s ConvShape) *Plan {
+func Col2imPlan(hw *sw26010.Model, s ConvShape) Plan {
 	p := Im2colPlan(hw, s)
 	p.Name = "col2im"
 	extra := p.DMATime * 0.5

@@ -64,7 +64,7 @@ func statsRecord(t float64, st sw26010.Stats) record {
 	}
 }
 
-func planRecord(p *swdnn.Plan) record {
+func planRecord(p swdnn.Plan) record {
 	if !p.Feasible {
 		return record{"feasible": "false"}
 	}

@@ -17,10 +17,7 @@
 // the winner).
 package swdnn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Plan is the costed execution schedule of one kernel invocation on a
 // single core group.
@@ -45,17 +42,14 @@ type Plan struct {
 }
 
 // Gflops returns the achieved computational rate of the plan.
-func (p *Plan) Gflops() float64 {
-	if p == nil || !p.Feasible || p.Time <= 0 {
+func (p Plan) Gflops() float64 {
+	if !p.Feasible || p.Time <= 0 {
 		return 0
 	}
 	return p.Flops / p.Time / 1e9
 }
 
-func (p *Plan) String() string {
-	if p == nil {
-		return "Plan(nil)"
-	}
+func (p Plan) String() string {
 	if !p.Feasible {
 		return fmt.Sprintf("Plan{%s: infeasible: %s}", p.Name, p.Reason)
 	}
@@ -64,31 +58,28 @@ func (p *Plan) String() string {
 }
 
 // Infeasible builds an infeasible plan with an explanatory reason.
-func Infeasible(name, reason string) *Plan {
-	return &Plan{Name: name, Feasible: false, Reason: reason}
+func Infeasible(name, reason string) Plan {
+	return Plan{Name: name, Feasible: false, Reason: reason}
 }
 
-// Best returns the fastest feasible plan, or an infeasible plan when
-// none is feasible. This mirrors swCaffe's first-two-iterations
-// autotuning (Sec. VI-A).
-func Best(plans ...*Plan) *Plan {
-	feasible := plans[:0:0]
-	for _, p := range plans {
-		if p != nil && p.Feasible {
-			feasible = append(feasible, p)
+// Best returns the fastest feasible plan (the earliest argument on a
+// tie), or an infeasible plan when none is feasible. This mirrors
+// swCaffe's first-two-iterations autotuning (Sec. VI-A).
+func Best(plans ...Plan) Plan {
+	best := -1
+	for i := range plans {
+		if plans[i].Feasible && (best < 0 || plans[i].Time < plans[best].Time) {
+			best = i
 		}
 	}
-	if len(feasible) == 0 {
-		reasons := ""
-		for _, p := range plans {
-			if p != nil {
-				reasons += p.Name + ": " + p.Reason + "; "
-			}
-		}
-		return Infeasible("best", "no feasible plan ("+reasons+")")
+	if best >= 0 {
+		return plans[best]
 	}
-	sort.Slice(feasible, func(i, j int) bool { return feasible[i].Time < feasible[j].Time })
-	return feasible[0]
+	reasons := ""
+	for i := range plans {
+		reasons += plans[i].Name + ": " + plans[i].Reason + "; "
+	}
+	return Infeasible("best", "no feasible plan ("+reasons+")")
 }
 
 // Tuning constants shared by the kernel planners. They absorb the

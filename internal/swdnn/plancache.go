@@ -22,9 +22,10 @@ import (
 // A racing first miss computes the entry twice; both computations are
 // deterministic and identical, so whichever lands is correct.
 //
-// Mutation safety: cached Plans are stored by value and copied out on
-// every hit, so callers may freely mutate what they receive (e.g.
-// Col2imPlan derives from Im2colPlan's result).
+// Mutation safety: Plans are stored and returned by value — a Plan is
+// strings, numbers and a [3]int, so what a caller receives is its own
+// copy, a hit allocates nothing, and callers may freely mutate the
+// result (e.g. Col2imPlan derives from Im2colPlan's).
 
 type planOp uint8
 
@@ -73,19 +74,17 @@ func convKey(hw *sw26010.Model, op planOp, s ConvShape, pass Pass) planKey {
 		dims: [8]int{s.B, s.Ni, s.Ri, s.Ci, s.No, s.K, s.S, s.P}}
 }
 
-// cachedPlan returns a private copy of the memoized Plan for key,
-// computing and storing it on first use.
-func cachedPlan(key planKey, compute func() Plan) *Plan {
+// cachedPlan returns the memoized Plan for key, computing and storing
+// it on first use.
+func cachedPlan(key planKey, compute func() Plan) Plan {
 	if v, ok := planCache.Load(key); ok {
 		planCacheHits.Add(1)
-		p := v.(Plan)
-		return &p
+		return v.(Plan)
 	}
 	planCacheMisses.Add(1)
 	p := compute()
 	planCache.Store(key, p)
-	out := p
-	return &out
+	return p
 }
 
 // cachedBlocks memoizes a tiling search returning (bm, bk, bn).

@@ -16,10 +16,10 @@ func TestPlanCacheRoundTrip(t *testing.T) {
 	hw := sw26010.Default()
 	shape := swdnn.ConvShape{B: 128, Ni: 256, Ri: 56, Ci: 56, No: 256, K: 3, S: 1, P: 1}
 
-	wantGEMM := *swdnn.GEMMPlan(hw, 512, 384, 3136)
-	wantNoRLC := *swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136)
-	wantImp := *swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward)
-	wantExp := *swdnn.ConvExplicitPlan(hw, shape, swdnn.BackwardInput)
+	wantGEMM := swdnn.GEMMPlan(hw, 512, 384, 3136)
+	wantNoRLC := swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136)
+	wantImp := swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward)
+	wantExp := swdnn.ConvExplicitPlan(hw, shape, swdnn.BackwardInput)
 	size := swdnn.PlanCacheSize()
 	if size == 0 {
 		t.Fatal("no entries memoized")
@@ -43,16 +43,16 @@ func TestPlanCacheRoundTrip(t *testing.T) {
 	if loaded != n {
 		t.Fatalf("loaded %d of %d entries", loaded, n)
 	}
-	if got := *swdnn.GEMMPlan(hw, 512, 384, 3136); got != wantGEMM {
+	if got := swdnn.GEMMPlan(hw, 512, 384, 3136); got != wantGEMM {
 		t.Fatalf("GEMM plan changed across persistence: %+v != %+v", got, wantGEMM)
 	}
-	if got := *swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136); got != wantNoRLC {
+	if got := swdnn.GEMMPlanNoRLC(hw, 512, 384, 3136); got != wantNoRLC {
 		t.Fatal("no-RLC plan changed across persistence")
 	}
-	if got := *swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward); got != wantImp {
+	if got := swdnn.ConvImplicitPlan(hw, shape, swdnn.Forward); got != wantImp {
 		t.Fatal("implicit conv plan changed across persistence")
 	}
-	if got := *swdnn.ConvExplicitPlan(hw, shape, swdnn.BackwardInput); got != wantExp {
+	if got := swdnn.ConvExplicitPlan(hw, shape, swdnn.BackwardInput); got != wantExp {
 		t.Fatal("explicit conv plan changed across persistence")
 	}
 	hits, misses := swdnn.PlanCacheCounters()

@@ -39,7 +39,7 @@ func (p PoolShape) OutDims() (ro, co int) {
 // the same volume). Each CPE handles whole K-row bands of the input
 // when they fit in LDM, otherwise column chunks via strided DMA
 // (Sec. IV-D).
-func PoolPlan(hw *sw26010.Model, s PoolShape) *Plan {
+func PoolPlan(hw *sw26010.Model, s PoolShape) Plan {
 	ro, co := s.OutDims()
 	inBytes := 4 * float64(s.B*s.C*s.Ri*s.Ci)
 	outBytes := 4 * float64(s.B*s.C*ro*co)
@@ -57,7 +57,7 @@ func PoolPlan(hw *sw26010.Model, s PoolShape) *Plan {
 	dma := inBytes/getBW + outBytes/putBW
 	compute := hw.ComputeTime(float64(s.B*s.C*ro*co*s.K*s.K)/simdEfficiency, sw26010.CPEsPerCG)
 
-	return &Plan{
+	return Plan{
 		Name: "pool", Feasible: true,
 		Time:        combine(dma, compute, 0) + kernelLaunch,
 		DMATime:     dma,
@@ -71,13 +71,13 @@ func PoolPlan(hw *sw26010.Model, s PoolShape) *Plan {
 // dropout, scale, eltwise-add, SGD update...) that reads rIn tensors
 // of n float32 values and writes wOut tensors, with flopsPerElem
 // arithmetic per element.
-func ElementwisePlan(hw *sw26010.Model, n int, rIn, wOut int, flopsPerElem float64) *Plan {
+func ElementwisePlan(hw *sw26010.Model, n int, rIn, wOut int, flopsPerElem float64) Plan {
 	bytes := 4 * float64(n) * float64(rIn+wOut)
 	chunk := int64(hw.LDMBudget / 2)
 	bw := hw.DMABandwidth(sw26010.DMAGet, chunk, sw26010.CPEsPerCG, chunk)
 	dma := bytes / bw
 	compute := hw.ComputeTime(float64(n)*flopsPerElem/simdEfficiency, sw26010.CPEsPerCG)
-	return &Plan{
+	return Plan{
 		Name: "elementwise", Feasible: true,
 		Time:        combine(dma, compute, 0) + kernelLaunch,
 		DMATime:     dma,
@@ -89,7 +89,7 @@ func ElementwisePlan(hw *sw26010.Model, n int, rIn, wOut int, flopsPerElem float
 
 // BatchNormPlan prices one batch-normalization pass over (B, C, H, W):
 // two reduction sweeps (mean, variance) plus one normalization sweep.
-func BatchNormPlan(hw *sw26010.Model, n int) *Plan {
+func BatchNormPlan(hw *sw26010.Model, n int) Plan {
 	p := ElementwisePlan(hw, n, 3, 1, 8)
 	p.Name = "batchnorm"
 	return p
@@ -100,7 +100,7 @@ func BatchNormPlan(hw *sw26010.Model, n int) *Plan {
 // with strided DMA gathers and SIMD shuffles. One of the two sides
 // necessarily moves in small blocks, so the achieved bandwidth follows
 // the strided curve with the batch (innermost RCNB dim) as block.
-func TransformPlan(hw *sw26010.Model, b, c, h, w int) *Plan {
+func TransformPlan(hw *sw26010.Model, b, c, h, w int) Plan {
 	n := b * c * h * w
 	bytes := 8 * float64(n) // read once + write once
 	block := int64(b * 4)   // RCNB innermost run
@@ -110,7 +110,7 @@ func TransformPlan(hw *sw26010.Model, b, c, h, w int) *Plan {
 	bw := hw.DMABandwidth(sw26010.DMAGet, int64(hw.LDMBudget/2), sw26010.CPEsPerCG, block)
 	dma := bytes / bw
 	compute := hw.ComputeTime(float64(n)*2/simdEfficiency, sw26010.CPEsPerCG)
-	return &Plan{
+	return Plan{
 		Name: "transform", Feasible: true,
 		Time:        combine(dma, compute, 0) + kernelLaunch,
 		DMATime:     dma,
@@ -122,7 +122,7 @@ func TransformPlan(hw *sw26010.Model, b, c, h, w int) *Plan {
 
 // SoftmaxPlan prices a softmax over (B, C): three sweeps (max,
 // exp/sum, normalize) with transcendental cost.
-func SoftmaxPlan(hw *sw26010.Model, b, c int) *Plan {
+func SoftmaxPlan(hw *sw26010.Model, b, c int) Plan {
 	n := b * c
 	p := ElementwisePlan(hw, n, 3, 1, 20)
 	p.Name = "softmax"
@@ -131,8 +131,8 @@ func SoftmaxPlan(hw *sw26010.Model, b, c int) *Plan {
 
 // InnerProductPlan prices a fully-connected layer pass as the GEMM it
 // is (paper Sec. IV-A): forward (B, Cin)·(Cin, Cout).
-func InnerProductPlan(hw *sw26010.Model, b, cin, cout int, pass Pass) *Plan {
-	var p *Plan
+func InnerProductPlan(hw *sw26010.Model, b, cin, cout int, pass Pass) Plan {
+	var p Plan
 	switch pass {
 	case Forward:
 		p = gemmPlanNamed(hw, "inner-product", b, cin, cout)
