@@ -283,21 +283,6 @@ func BenchmarkAllreducePack(b *testing.B) {
 	}
 }
 
-// BenchmarkAllreduceScale measures the 1/N averaging sweep over a
-// packed 1M-element gradient.
-func BenchmarkAllreduceScale(b *testing.B) {
-	v := make([]float32, 1<<20)
-	for i := range v {
-		v[i] = float32(i%13) * 0.25
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(v)) * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		allreduce.Scale(v, 4)
-	}
-}
-
 // Distributed-step benchmarks: barrier vs bucketed overlap on a
 // multi-layer net. Besides host cost, each reports the modeled
 // iteration time, which the overlapped pipeline must reduce.

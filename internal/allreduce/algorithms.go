@@ -5,7 +5,7 @@
 // same algorithm run under a round-robin rank-to-supernode mapping so
 // that the heavy early rounds stay inside supernodes. It also provides
 // the closed-form α-β-γ cost functions (Eqns. 2–6) that the paper uses
-// to justify the redesign, and the gradient-packing utilities.
+// to justify the redesign.
 //
 // # One description, two interpreters
 //
@@ -19,8 +19,10 @@
 // # Payload ownership
 //
 // Send and SendRecv pass the payload slice itself, on both backends; no
-// message is copied on the way, and no cursor stages one. One rule
-// makes that safe, and every cursor is written to it:
+// message is copied on the way, no cursor stages one, and every range
+// sent is a range of the vector being reduced — there is no untouched
+// input to send from. One rule makes that safe, and every cursor is
+// written to it:
 //
 //	A sent slice belongs to the receiver until the sender next hears
 //	from that peer, directly or through a chain of messages begun
@@ -38,24 +40,32 @@
 // order is program order. The schedule walk of the property test
 // checks the rule on every generated schedule, with vector clocks.
 //
-// What the cursors emit under the rule: a range that is never written
-// again in the run (the caller's input, a finished chunk) is sent as
-// is; recursive halving/doubling sends the halves of its working
-// vector in place, because the half it gives away at distance d is
-// next written by the doubling exchange with the same peer; and the
-// ring's reduce-scatter sends its partial chunks in place although a
-// ring rank never hears from the neighbour it sends to, because what
-// next writes the chunk is the finished chunk coming back around the
-// ring, which descends from the neighbour's reduce of that message.
+// What the cursors emit under the rule: a finished chunk is never
+// written again in the run; recursive halving/doubling sends the
+// halves of its working vector in place, because the half it gives away
+// at distance d is next written by the doubling exchange with the same
+// peer; a rank folded out of RHD's power-of-two core, and a member
+// shipping a chunk to its owner in the hierarchical reduce-scatter, send
+// a range that is next written by what the very peer that took it sends
+// back (the unfold, the allgather); and the ring's reduce-scatter sends
+// its partial chunks in place although a ring rank never hears from the
+// neighbour it sends to, because what next writes the chunk is the
+// finished chunk coming back around the ring, which descends from the
+// neighbour's reduce of that message.
 //
 // # Result lifetime
 //
-// A call's result vector comes from the rank's Scratch, so one rule
-// covers everything a run hands out — the RunGather slice and the
-// vectors in it: they belong to the cluster and are valid until its
-// next run. A caller keeping a result across runs copies it. A failed
-// run's arenas are abandoned with its state, so a rank it stranded
-// writes its late result where no later run looks.
+// A schedule reduces the vector it is given where it lies (Schedule.Run,
+// Schedule.RunDES): the result is that vector, the caller's, as long-
+// lived as the caller makes it. Only the one-shot Algorithm forms (Ring,
+// BinomialTree, RecursiveHalvingDoubling, Hierarchical) leave their
+// input alone and return memory taken from the rank's Scratch, under the
+// rule that covers everything a run hands out — the RunGather slice and
+// the arena vectors in it belong to the cluster and are valid until its
+// next run; a caller keeping one across runs copies it. A rank stranded
+// by a failed run finishes late, into whichever of the two it was given:
+// a failed run's arenas are abandoned with its state, and a caller that
+// lent its own vectors stops using them (collective.Engine.ResetStaging).
 package allreduce
 
 import (
@@ -65,11 +75,11 @@ import (
 	"swcaffe/internal/simnet"
 )
 
-// Algorithm is a collective all-reduce body: every rank calls it with
-// its local vector; on return every rank holds the elementwise sum
-// over all ranks. Implementations must not modify the input slice. The
-// built-in ones return cluster-owned memory, valid until the cluster's
-// next run (see "Result lifetime" above).
+// Algorithm is a collective all-reduce body in its one-shot form: every
+// rank calls it with its local vector; on return every rank holds the
+// elementwise sum over all ranks. Implementations must not modify the
+// input slice. The built-in ones return cluster-owned memory, valid
+// until the cluster's next run (see "Result lifetime" above).
 type Algorithm func(n *simnet.Node, data []float32) []float32
 
 // Algorithm names for harness output.
@@ -149,20 +159,40 @@ func ByName(name string) (Algorithm, error) {
 // Name returns the schedule's registered name.
 func (s Schedule) Name() string { return schedules[s].name }
 
-// Run executes the schedule on one rank of the goroutine backend over
-// data, the [lo, lo+len(data)) segment of a total-element vector, and
-// returns the rank's result — cluster-owned, valid until the cluster's
-// next run. The element-uniform schedules (binomial tree, RHD) ignore
-// lo and total; for the ring and the hierarchical schedule see
-// RingSegment and HierarchicalSegment.
+// Run reduces data in place on one rank of the goroutine backend and
+// returns it: data is the [lo, lo+len(data)) segment of a total-element
+// vector, and on return holds the elementwise sum over all ranks. The
+// element-uniform schedules (binomial tree, RHD) ignore lo and total.
+//
+// The ring and the hierarchical schedule reduce chunk c of their
+// partition of the whole vector (ChunkBounds, HierChunkBounds) in an
+// order that depends on c, so a segment's bounds must lie on the
+// partition — Run panics otherwise — and the call executes exactly the
+// full schedule's steps for the chunks the segment covers: reducing a
+// vector segment by segment is bit-identical to reducing it at once,
+// which is what lets the collective engine flush it in buckets.
+//
+// Flat RHD halves exactly, so a rank of its power-of-two core works the
+// vector padded to a multiple of that power — fewer than p elements
+// past len(data), inside data's own capacity: they are zeroed and
+// overwritten, and a vector without the capacity panics.
 func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int) []float32 {
 	return runBlocking(n, newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total), data)
 }
 
-// RunDES is Run on the discrete-event backend: k fires with the rank's
-// result once its schedule completes.
+// RunDES is Run on the discrete-event backend: k fires with data once
+// the rank's schedule completes.
 func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, k func([]float32)) {
 	runResumable(r, newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total), data, k)
+}
+
+// oneShot is the boundary of the Algorithm forms: it runs the schedule
+// in a copy of data taken from the rank's arena, so the input is left
+// alone and the result belongs to the cluster.
+func (s Schedule) oneShot(n *simnet.Node, data []float32, lo, total int) []float32 {
+	c := newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total)
+	res := n.Scratch(c.resultLen(len(data)))
+	return runBlocking(n, c, res[:copy(res, data)])
 }
 
 // Ring is the bandwidth-optimal ring all-reduce (paper ref [15]):
@@ -170,35 +200,13 @@ func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, k func([]fl
 // around a logical ring. Its latency term is 2(p-1)α, which the paper
 // rejects for the high-latency Sunway network.
 func Ring(n *simnet.Node, data []float32) []float32 {
-	return schedRing.Run(n, data, 0, len(data))
-}
-
-// RingSegment runs the ring all-reduce restricted to the chunks of a
-// larger packed vector that the segment [lo, lo+len(data)) covers.
-// total is the packed vector's full length; the segment's bounds must
-// both lie on ChunkBounds(total, p) (the engine's chunk-aligned
-// bucketing guarantees this — RingSegment panics otherwise).
-//
-// Each chunk c of the full ring is reduced by a rotation that folds
-// rank values in the fixed order c, c+1, ..., c-1 (mod p) — an order
-// that depends on the chunk index, which is why the plain ring is not
-// element-uniform and naive bucketing breaks bit-identity. RingSegment
-// executes exactly the full ring's per-chunk schedule (step s: send
-// chunk (r-s) mod p, receive and reduce chunk (r-s-1) mod p), skipping
-// the steps whose chunk falls outside the segment. Every element is
-// therefore reduced with precisely the association order the one-shot
-// Ring over the whole packed vector would use, so flushing a gradient
-// bucket per segment is bit-identical to the barrier ring — the
-// primitive behind the collective engine's ring overlap. With
-// lo=0, total=len(data) the schedule degenerates to the classic ring.
-func RingSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
-	return schedRing.Run(n, data, lo, total)
+	return schedRing.oneShot(n, data, 0, len(data))
 }
 
 // ChunkBounds exposes the ring's chunk partition of an n-element
 // vector over p ranks: chunk i spans [b[i], b[i+1]). The collective
 // engine snaps ring bucket boundaries onto these bounds so each bucket
-// is a whole number of ring chunks (see RingSegment).
+// is a whole number of ring chunks (see Schedule.Run).
 func ChunkBounds(n, p int) []int {
 	b := make([]int, p+1)
 	for i := 0; i <= p; i++ {
@@ -211,7 +219,7 @@ func ChunkBounds(n, p int) []int {
 // result back down: 2·log p rounds each moving the full vector. This
 // is the naive MPI_Reduce + MPI_Bcast composition.
 func BinomialTree(n *simnet.Node, data []float32) []float32 {
-	return schedBinomial.Run(n, data, 0, len(data))
+	return schedBinomial.oneShot(n, data, 0, len(data))
 }
 
 // RecursiveHalvingDoubling is the Rabenseifner all-reduce of MPICH
@@ -224,7 +232,7 @@ func BinomialTree(n *simnet.Node, data []float32) []float32 {
 // mapping: under topology.RoundRobinMapping the large early halving
 // exchanges (distance pow2/2, ..., p/q) stay inside one supernode.
 func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
-	return schedRHD.Run(n, data, 0, len(data))
+	return schedRHD.oneShot(n, data, 0, len(data))
 }
 
 // Hierarchical is the topology-hierarchical all-reduce (see
@@ -233,21 +241,5 @@ func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
 // under both the adjacent and the round-robin numbering without any
 // renumbering trick.
 func Hierarchical(n *simnet.Node, data []float32) []float32 {
-	return schedHierarchical.Run(n, data, 0, len(data))
-}
-
-// HierarchicalSegment runs the hierarchical all-reduce restricted to
-// the chunks of a larger packed vector that the segment
-// [lo, lo+len(data)) covers; total is the packed vector's full length.
-// Like RingSegment, the segment's bounds must lie on the algorithm's
-// chunk partition — HierChunkBounds(total, K) with K the mapping's
-// MinGroupSize — because chunk j's association order depends on the
-// chunk index. Each bucket executes exactly the full schedule's
-// per-chunk plan, so flushing a gradient bucket per segment is
-// bit-identical to the barrier Hierarchical over the whole packed
-// vector — the primitive behind the collective engine's hierarchical
-// overlap. With lo=0, total=len(data) the schedule degenerates to the
-// one-shot form.
-func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
-	return schedHierarchical.Run(n, data, lo, total)
+	return schedHierarchical.oneShot(n, data, 0, len(data))
 }

@@ -164,30 +164,16 @@ func TestRoundRobinMappingFasterAtScale(t *testing.T) {
 
 // TestRingSegmentBitIdenticalToFullRing is the primitive behind the
 // chunk-aligned ring overlap: splitting the vector at chunk bounds and
-// reducing each segment with RingSegment must reproduce the one-shot
-// Ring bit for bit — including ragged lengths (len%p != 0), len < p
-// (empty chunks) and single-chunk segments.
+// reducing each segment where it lies (Schedule.Run) must reproduce the
+// one-shot Ring bit for bit — including ragged lengths (len%p != 0),
+// len < p (empty chunks) and single-chunk segments.
 func TestRingSegmentBitIdenticalToFullRing(t *testing.T) {
 	net := topology.Sunway()
+	m := topology.AdjacentMapping{Q: net.SupernodeSize}
 	for _, p := range []int{2, 3, 4, 5, 8} {
 		for _, length := range []int{1, 3, 7, 64, 1001} {
-			rng := rand.New(rand.NewSource(int64(p*7919 + length)))
-			inputs := make([][]float32, p)
-			for r := range inputs {
-				inputs[r] = make([]float32, length)
-				for i := range inputs[r] {
-					inputs[r][i] = float32(rng.NormFloat64())
-				}
-			}
-			full := make([][]float32, p)
-			cl := simnet.NewCluster(net, topology.AdjacentMapping{Q: net.SupernodeSize}, p)
-			var mu sync.Mutex
-			cl.Run(func(n *simnet.Node) {
-				out := Ring(n, inputs[n.Rank])
-				mu.Lock()
-				full[n.Rank] = out
-				mu.Unlock()
-			})
+			inputs := randInputs(p, length)
+			full, _ := gather(net, m, p, inputs, Ring)
 
 			// Cut the vector into segments at chunk bounds: one segment
 			// per run of ~2 chunks, exercising single- and multi-chunk
@@ -200,32 +186,18 @@ func TestRingSegmentBitIdenticalToFullRing(t *testing.T) {
 			if cuts[len(cuts)-1] != length {
 				cuts = append(cuts, length)
 			}
-			got := make([][]float32, p)
-			for r := range got {
-				got[r] = make([]float32, 0, length)
-			}
+			got := padded(inputs)
 			for s := 0; s+1 < len(cuts); s++ {
 				lo, hi := cuts[s], cuts[s+1]
 				if lo == hi {
 					continue
 				}
-				seg := make([][]float32, p)
-				cl2 := simnet.NewCluster(net, topology.AdjacentMapping{Q: net.SupernodeSize}, p)
-				cl2.Run(func(n *simnet.Node) {
-					out := RingSegment(n, inputs[n.Rank][lo:hi], lo, length)
-					mu.Lock()
-					seg[n.Rank] = out
-					mu.Unlock()
+				simnet.NewCluster(net, m, p).Run(func(n *simnet.Node) {
+					schedRing.Run(n, got[n.Rank][lo:hi], lo, length)
 				})
-				for r := range got {
-					got[r] = append(got[r], seg[r]...)
-				}
 			}
 			for r := 0; r < p; r++ {
-				if len(got[r]) != length {
-					t.Fatalf("p=%d len=%d rank %d: segments reassembled %d elems", p, length, r, len(got[r]))
-				}
-				for i := range got[r] {
+				for i := range full[r] {
 					if got[r][i] != full[r][i] {
 						t.Fatalf("p=%d len=%d rank %d elem %d: segment result %g != full ring %g (must be bit-identical)",
 							p, length, r, i, got[r][i], full[r][i])
@@ -249,6 +221,6 @@ func TestRingSegmentRejectsUnalignedBounds(t *testing.T) {
 		}
 	}()
 	cl.Run(func(n *simnet.Node) {
-		RingSegment(n, data[1:3], 1, 100) // 1 is not on ChunkBounds(100, 4)
+		schedRing.Run(n, data[1:3], 1, 100) // 1 is not on ChunkBounds(100, 4)
 	})
 }

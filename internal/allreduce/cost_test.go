@@ -189,36 +189,6 @@ func TestHierarchicalCostStructure(t *testing.T) {
 	}
 }
 
-func TestPacker(t *testing.T) {
-	p := NewPacker([]int{3, 0, 2})
-	if p.Len() != 5 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	frags := [][]float32{{1, 2, 3}, {}, {4, 5}}
-	packed := p.Pack(frags)
-	want := []float32{1, 2, 3, 4, 5}
-	for i := range want {
-		if packed[i] != want[i] {
-			t.Fatalf("packed[%d] = %g", i, packed[i])
-		}
-	}
-	out := [][]float32{make([]float32, 3), {}, make([]float32, 2)}
-	p.Unpack(packed, out)
-	if out[0][2] != 3 || out[2][1] != 5 {
-		t.Fatal("unpack wrong")
-	}
-	Scale(packed, 5)
-	if packed[4] != 1 {
-		t.Fatalf("Scale: %g", packed[4])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected fragment mismatch panic")
-		}
-	}()
-	p.Pack([][]float32{{1}})
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range Names() {
 		if _, err := ByName(name); err != nil {

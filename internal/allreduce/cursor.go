@@ -19,13 +19,12 @@ import (
 // Adding an algorithm is one cursor type with a next method, one case
 // in cursor.next/newCursor and one row in the schedules table.
 
-// vector names one of the three buffers a call works with.
+// vector names one of the two buffers a call works with.
 type vector uint8
 
 const (
-	input  vector = iota // the caller's data: never written, sent as is
-	result               // the result vector (arena memory), padded for RHD's exact halving
-	work                 // the scratch sub-vector a hierarchical leader's RHD runs in
+	result vector = iota // the caller's vector, reduced where it lies; RHD's exact halving pads it inside its capacity
+	work                 // the scratch sub-vector a padded hierarchical leader's RHD runs in
 )
 
 // span is the element range [lo, hi) of a vector.
@@ -42,8 +41,10 @@ func (s span) len() int { return s.hi - s.lo }
 // and zeroes what the copy leaves); or communication — an optional send
 // followed by an optional receive, or both at once as one full-duplex
 // exchange when paired. Peers are world ranks, -1 for none. The
-// payload sent is the range itself, never a copy, and the payload
-// received has exactly recv.len() elements.
+// payload sent is the range itself, never a copy — of the vector being
+// reduced, or of work: there is no untouched input to send from, so
+// every send is a loan under the package's ownership rule — and the
+// payload received has exactly recv.len() elements.
 type round struct {
 	phase HierPhase
 	local bool
@@ -115,9 +116,8 @@ func (c *cursor) next(rd *round) bool {
 	}
 }
 
-// resultLen is the length of the result vector for an n-element input:
-// n, except on a core rank of the flat RHD, whose result is its padded
-// working vector.
+// resultLen is the length the call works the n-element vector at: n,
+// except on a core rank of the flat RHD, which pads it for exact halves.
 func (c *cursor) resultLen(n int) int {
 	if c.kind == schedRHD {
 		return c.rhd.vecLen()
@@ -257,9 +257,9 @@ func (c *treeCursor) next(rd *round) bool {
 // --- recursive halving / doubling ----------------------------------------
 
 // rhdCursor walks the Rabenseifner all-reduce over p ranks numbered
-// 0..p-1. Ranks beyond the power-of-two core ship their input down —
-// it is never written, so it goes as is — and wait for the result; a
-// core rank folds its partner in, halves at distance pow2/2 … 1 and
+// 0..p-1. Ranks beyond the power-of-two core ship their vector down and
+// wait for the result, which the same partner sends into it; a core
+// rank folds its partner in, halves at distance pow2/2 … 1 and
 // doubles back at 1 … pow2/2 inside one vector padded to a multiple of
 // pow2 (so every half is exact; the pad is cut off the result), then
 // unfolds. Every range goes in place: the half given away at distance
@@ -310,7 +310,7 @@ func (c *rhdCursor) next(rd *round) bool {
 			c.stage = rhdHalve
 			if c.folded() {
 				c.stage = rhdDone
-				rd.sendTo, rd.send = c.rank-c.pow2, span{input, 0, c.n}
+				rd.sendTo, rd.send = c.rank-c.pow2, whole
 				rd.recvFrom, rd.recv = c.rank-c.pow2, whole
 				return true
 			}

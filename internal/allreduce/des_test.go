@@ -10,12 +10,14 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// gatherDES runs a schedule's one-shot form on a fresh event-driven
-// cluster and returns every rank's output plus the run result.
+// gatherDES runs a schedule over a padded copy of inputs on a fresh
+// event-driven cluster and returns every rank's output — the copy,
+// reduced in place — plus the run result.
 func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule) ([][]float32, des.Result) {
 	cl := des.NewCluster(net, m, p)
+	data := padded(inputs)
 	res, out := cl.RunGather(func(r *des.Rank) {
-		s.RunDES(r, inputs[r.Rank], 0, len(inputs[r.Rank]), r.Finish)
+		s.RunDES(r, data[r.Rank], 0, len(data[r.Rank]), r.Finish)
 	})
 	return out, res
 }

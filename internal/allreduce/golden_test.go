@@ -26,8 +26,9 @@ const goldenPath = "testdata/collectives.golden"
 // census of a goroutine-backend run on full-precision random inputs.
 // The backend identity tests compare one backend with the other, which
 // says nothing once both run the same description; this file is the
-// reference neither can move. It goes through ByName, RingSegment and
-// HierarchicalSegment only, so it runs unchanged on any revision.
+// reference neither can move. It goes through the one-shot forms only
+// (ByName, and Schedule.oneShot for the interior segments), the ones
+// whose contract has not changed since the file was generated.
 // Regenerate with -update only for an intended change of schedule,
 // association order or cost model.
 func TestCollectivesGolden(t *testing.T) {
@@ -50,12 +51,14 @@ func TestCollectivesGolden(t *testing.T) {
 					pb := ChunkBounds(n, p)
 					lo, hi := pb[p/3], pb[(2*p+2)/3]
 					goldenCase(&got, cl, fmt.Sprintf("%s p=%d q=%d %s n=%d [%d,%d)", NameRing, p, q, m.Name(), n, lo, hi),
-						func(nd *simnet.Node) []float32 { return RingSegment(nd, inputs[nd.Rank][lo:hi], lo, n) })
+						func(nd *simnet.Node) []float32 { return schedRing.oneShot(nd, inputs[nd.Rank][lo:hi], lo, n) })
 					k := topology.MinGroupSize(m, p)
 					hb := HierChunkBounds(n, k)
 					hlo, hhi := hb[k/3], hb[(2*k+2)/3]
 					goldenCase(&got, cl, fmt.Sprintf("%s p=%d q=%d %s n=%d [%d,%d)", NameHierarchical, p, q, m.Name(), n, hlo, hhi),
-						func(nd *simnet.Node) []float32 { return HierarchicalSegment(nd, inputs[nd.Rank][hlo:hhi], hlo, n) })
+						func(nd *simnet.Node) []float32 {
+							return schedHierarchical.oneShot(nd, inputs[nd.Rank][hlo:hhi], hlo, n)
+						})
 					cases += len(Names()) + 2
 				}
 			}

@@ -27,27 +27,28 @@ import "swcaffe/internal/topology"
 
 // hierCursor walks the three phases for one rank: its supernode group,
 // its position j in it (the chunk it owns), and the segment of the
-// K-chunk partition the call covers. Like RingSegment's, the segment's
+// K-chunk partition the call covers. Like the ring's, the segment's
 // bounds must lie on the partition — HierChunkBounds(total, K) — because
 // chunk j's association order (leader j's own value, then its group in
 // tournament-round order, then the RHD tree over supernodes) depends on
 // the chunk index; each bucket then executes exactly the full
-// schedule's per-chunk plan.
+// schedule's per-chunk plan, so flushing a gradient bucket per segment
+// is bit-identical to the one flush over the whole packed vector.
 //
 // Phases A and C are a round-robin tournament of pairwise full-duplex
 // exchanges: every pair of members meets exactly once per phase. In
-// phase A's exchange (j, pt), j ships its input for chunk pt — phase A
-// writes only chunk j, and nobody writes the input, so it goes by
-// reference — and adds pt's contribution to its chunk j; in phase C the
-// two hand over their finished chunks, which are never rewritten.
+// phase A's exchange (j, pt), j ships its own chunk pt — phase A writes
+// only chunk j, and what next writes chunk pt is phase C's exchange
+// with pt itself, so it goes by reference — and adds pt's contribution
+// to its chunk j; in phase C the two hand over their finished chunks,
+// which are never rewritten.
 // Phase B embeds the RHD cursor over chunk j's leaders — the j-th
 // member of every supernode (K = min group size, so every group has
 // one) — translating its leader indices to world ranks. The RHD runs in
-// the chunk itself, in place in the result, wherever the chunk is the
-// RHD's whole vector: on a folded leader, which only ships and receives
-// it, and on a core leader whose chunk needs no pad. A core leader
-// whose chunk does runs it in a padded scratch vector loaded from, and
-// stored back to, the chunk.
+// the chunk itself wherever the chunk is the RHD's whole vector: on a
+// folded leader, which only ships and receives it, and on a core leader
+// whose chunk needs no pad. A core leader whose chunk does runs it in a
+// padded scratch vector loaded from, and stored back to, the chunk.
 type hierCursor struct {
 	group   []int // world ranks of this rank's supernode, ascending
 	j       int   // this rank's index in group
@@ -109,7 +110,6 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 				if c.stage == hierGather {
 					rd.exchange(c.group[pt], mine, theirs, false)
 				} else {
-					theirs.vec = input
 					rd.exchange(c.group[pt], theirs, mine, mine.len() > 0)
 				}
 				return true
@@ -158,9 +158,8 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 }
 
 // leaderSpan places a range of the leader RHD's vector: in the chunk
-// itself (at lo in the result) when the RHD runs in place — a folded
-// leader's "input" is that chunk too — and in the scratch vector
-// otherwise.
+// itself (at lo in the result) when the RHD runs in place, and in the
+// scratch vector otherwise.
 func leaderSpan(s span, inPlace bool, lo int) span {
 	if inPlace {
 		return span{result, s.lo + lo, s.hi + lo}
@@ -230,6 +229,5 @@ func tournamentPartner(j, r, g int) int {
 // of an n-element vector: k chunks (k = topology.MinGroupSize of the
 // active mapping), chunk c spanning [b[c], b[c+1]). The collective
 // engine snaps hierarchical bucket boundaries onto these bounds so
-// each bucket is a whole number of leader-owned chunks (see
-// HierarchicalSegment).
+// each bucket is a whole number of leader-owned chunks (see hierCursor).
 func HierChunkBounds(n, k int) []int { return ChunkBounds(n, k) }

@@ -1,7 +1,6 @@
 package allreduce
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -29,6 +28,17 @@ func gather(net *topology.Network, m topology.Mapping, p int, inputs [][]float32
 		mu.Unlock()
 	})
 	return out, res
+}
+
+// padded copies inputs into vectors with the spare capacity an in-place
+// call may pad into (flat RHD: fewer than p elements), so Schedule.Run
+// and RunDES can reduce them where they lie and leave inputs alone.
+func padded(inputs [][]float32) [][]float32 {
+	cp := make([][]float32, len(inputs))
+	for r, in := range inputs {
+		cp[r] = append(make([]float32, 0, len(in)+len(inputs)), in...)
+	}
+	return cp
 }
 
 // intInputs builds integer-valued float32 vectors. Integer sums below
@@ -92,10 +102,10 @@ func TestHierarchicalHexExactVsRing(t *testing.T) {
 }
 
 // TestHierarchicalSegmentBitIdenticalToFull: splitting the vector at
-// the schedule's chunk bounds and reducing each segment with
-// HierarchicalSegment must reproduce the one-shot Hierarchical bit for
-// bit on arbitrary (non-integer) payloads — the contract behind the
-// collective engine's hierarchical overlap.
+// the schedule's chunk bounds and reducing each segment where it lies
+// (Schedule.Run) must reproduce the one-shot Hierarchical bit for bit on
+// arbitrary (non-integer) payloads — the contract behind the collective
+// engine's hierarchical overlap.
 func TestHierarchicalSegmentBitIdenticalToFull(t *testing.T) {
 	shapes := []struct{ p, q int }{{8, 4}, {10, 4}, {6, 2}, {9, 3}}
 	for _, sh := range shapes {
@@ -103,38 +113,22 @@ func TestHierarchicalSegmentBitIdenticalToFull(t *testing.T) {
 		m := topology.AdjacentMapping{Q: sh.q}
 		K := topology.MinGroupSize(m, sh.p)
 		for _, length := range []int{3, 64, 1001} {
-			rng := rand.New(rand.NewSource(int64(sh.p*7919 + length)))
-			inputs := make([][]float32, sh.p)
-			for r := range inputs {
-				inputs[r] = make([]float32, length)
-				for i := range inputs[r] {
-					inputs[r][i] = float32(rng.NormFloat64())
-				}
-			}
+			inputs := randInputs(sh.p, length)
 			full, _ := gather(net, m, sh.p, inputs, Hierarchical)
 
 			bounds := HierChunkBounds(length, K)
-			got := make([][]float32, sh.p)
-			for r := range got {
-				got[r] = make([]float32, 0, length)
-			}
+			got := padded(inputs)
 			for c := 0; c < K; c++ {
 				lo, hi := bounds[c], bounds[c+1]
 				if lo == hi {
 					continue
 				}
-				seg, _ := gather(net, m, sh.p, inputs, func(n *simnet.Node, data []float32) []float32 {
-					return HierarchicalSegment(n, data[lo:hi], lo, length)
+				simnet.NewCluster(net, m, sh.p).Run(func(n *simnet.Node) {
+					schedHierarchical.Run(n, got[n.Rank][lo:hi], lo, length)
 				})
-				for r := range got {
-					got[r] = append(got[r], seg[r]...)
-				}
 			}
 			for r := 0; r < sh.p; r++ {
-				if len(got[r]) != length {
-					t.Fatalf("p=%d q=%d len=%d rank %d: segments reassembled %d elems", sh.p, sh.q, length, r, len(got[r]))
-				}
-				for i := range got[r] {
+				for i := range full[r] {
 					if got[r][i] != full[r][i] {
 						t.Fatalf("p=%d q=%d len=%d rank %d elem %d: segment %g != one-shot %g (must be bit-identical)",
 							sh.p, sh.q, length, r, i, got[r][i], full[r][i])
@@ -158,7 +152,7 @@ func TestHierarchicalSegmentRejectsUnalignedBounds(t *testing.T) {
 		}
 	}()
 	cl.Run(func(n *simnet.Node) {
-		HierarchicalSegment(n, data[1:3], 1, 100) // 1 not on HierChunkBounds(100, 2)
+		schedHierarchical.Run(n, data[1:3], 1, 100) // 1 not on HierChunkBounds(100, 2)
 	})
 }
 

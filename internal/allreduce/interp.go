@@ -1,37 +1,44 @@
 package allreduce
 
 import (
+	"fmt"
+
 	"swcaffe/internal/des"
 	"swcaffe/internal/simnet"
 )
 
 // The two interpreters of a schedule cursor. They own every side effect
-// of a collective — the result vector, scratch, the messages, the
-// arithmetic, the reduction charge, the phase hook — and are the only
-// callers of Send, Recv, SendRecv and ChargeReduce in this package.
-// Both execute a round the same way, in the same order; they differ
-// only in how a receive returns: the blocking one waits for it, the
-// event one parks the call and is resumed with the payload.
+// of a collective — the writes to the caller's vector, scratch, the
+// messages, the arithmetic, the reduction charge, the phase hook — and
+// are the only callers of Send, Recv, SendRecv and ChargeReduce in this
+// package. Both execute a round the same way, in the same order; they
+// differ only in how a receive returns: the blocking one waits for it,
+// the event one parks the call and is resumed with the payload.
 
-// frame holds the vectors of one call (see vector). The result, like
-// the work vector, comes from the rank's arena (Scratch): it belongs to
-// the cluster and is valid until the cluster's next run.
+// frame holds the vectors of one call (see vector). The result is the
+// caller's vector, reduced where it lies; only the work vector comes
+// from the rank's arena (Scratch).
 type frame struct {
-	vecs [3][]float32
+	vecs [2][]float32
 	n    int
 }
 
-// newFrame starts a call over data with res — arena memory of
-// unspecified content — as its result vector: the input, then a zeroed
-// pad.
-func newFrame(data, res []float32) frame {
+// newFrame starts a call that reduces data in place, worked at resLen
+// elements: the pad past len(data) lies inside data's own capacity and
+// is zeroed. A caller that hands over less capacity than the schedule's
+// pad needs has broken the in-place contract (see Schedule.Run).
+func newFrame(data []float32, resLen int) frame {
+	if cap(data) < resLen {
+		panic(fmt.Sprintf("allreduce: in-place vector of %d elements has capacity %d, the schedule pads it to %d",
+			len(data), cap(data), resLen))
+	}
 	f := frame{n: len(data)}
-	f.vecs[input], f.vecs[result] = data, res
-	clear(res[copy(res, data):])
+	f.vecs[result] = data[:resLen]
+	clear(f.vecs[result][f.n:])
 	return f
 }
 
-// out is the rank's result: the result vector without its pad.
+// out is the rank's result: the caller's vector again, without the pad.
 func (f *frame) out() []float32 { return f.vecs[result][:f.n:f.n] }
 
 func (f *frame) at(s span) []float32 { return f.vecs[s.vec][s.lo:s.hi] }
@@ -76,10 +83,10 @@ func (f *frame) land(rd *round, in []float32) bool {
 	return true
 }
 
-// runBlocking executes c on one rank of the goroutine backend. The
-// cursor and the round stay on this stack.
+// runBlocking executes c on one rank of the goroutine backend, reducing
+// data in place. The cursor and the round stay on this stack.
 func runBlocking(n *simnet.Node, c cursor, data []float32) []float32 {
-	f := newFrame(data, n.Scratch(c.resultLen(len(data))))
+	f := newFrame(data, c.resultLen(len(data)))
 	var rd round
 	for c.next(&rd) {
 		if rd.phase != "" {
@@ -123,10 +130,11 @@ type desCall struct {
 	resume func([]float32)
 }
 
-// runResumable executes c on one rank of the event backend; k fires with the
-// result. A receive is always the last thing a step does.
+// runResumable executes c on one rank of the event backend, reducing
+// data in place; k fires with the result. A receive is always the last
+// thing a step does.
 func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
-	st := &desCall{r: r, c: c, f: newFrame(data, r.Scratch(c.resultLen(len(data)))), k: k}
+	st := &desCall{r: r, c: c, f: newFrame(data, c.resultLen(len(data))), k: k}
 	st.resume = st.landed
 	st.step()
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"swcaffe/internal/des"
@@ -168,9 +169,10 @@ func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32)))
 // messages, from a point after the peer took it. It returns the census
 // a run of the schedule must report (default 4-byte elements).
 func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (census [3]int64, bad string) {
-	// loan is a range of the result or work vector a rank sent: the
-	// peer's from the post until the sender has seen the peer's clock
-	// reach taken, the value it had once the peer consumed the message.
+	// loan is a range a rank sent — every send is one, there is no
+	// vector nobody writes: the peer's from the post until the sender
+	// has seen the peer's clock reach taken, the value it had once the
+	// peer consumed the message.
 	type loan struct {
 		to    int
 		sp    span
@@ -241,7 +243,7 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 							return census, fmt.Sprintf("rank %d: sends to %d", r, rd.sendTo)
 						}
 						m := msg{elems: rd.send.len(), paired: rd.paired, seen: append([]int32(nil), w.seen...)}
-						if rd.send.vec != input && rd.send.len() > 0 { // nobody writes an input
+						if rd.send.len() > 0 {
 							m.loan = &loan{to: rd.sendTo, sp: rd.send}
 							w.loans = append(w.loans, m.loan)
 						}
@@ -298,12 +300,16 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 // TestCollectiveProperty generates cluster shapes, mappings, lengths
 // and segments and checks, for every algorithm on both backends: the
 // output is the exact sum (small integers, so every association order
-// agrees), the inputs are untouched, the schedule walked as data (see
-// walkSchedule) is well-formed and predicts the run's census, and the
-// DES run reproduces the goroutine run's clocks, makespan and census. Each case then runs
-// twice more on one cluster — recycled scratch, pooled links — and once
-// after a recovered rank panic, and must reproduce the fresh cluster's
-// outcome every time. Replay a failure with -property-seed.
+// agrees), the schedule walked as data (see walkSchedule) is well-formed
+// and predicts the run's census, and the DES run reproduces the
+// goroutine run's clocks, makespan and census. Every run reduces a
+// fresh copy of the inputs in place, with the capacity flat RHD pads
+// into; the one-shot form over the inputs themselves must then give the
+// same bits, clocks and census and leave the inputs untouched. Each
+// case then runs twice more on one cluster — recycled scratch, pooled
+// links — and once after a recovered rank panic, and must reproduce the
+// fresh cluster's outcome every time. Replay a failure with
+// -property-seed.
 func TestCollectiveProperty(t *testing.T) {
 	for i := 0; i < propertyCases; i++ {
 		c := genCase(*propertySeed + uint64(i))
@@ -324,8 +330,20 @@ func TestCollectiveProperty(t *testing.T) {
 				c.seed, *propertySeed, i, name, c.p, c.q, c.m.Name(), c.total, lo, hi, f)
 
 			sched, _ := ScheduleByName(name)
-			sim := func(n *simnet.Node) []float32 { return sched.Run(n, c.inputs[n.Rank][lo:hi], lo, c.total) }
-			dsv := func(r *des.Rank, k func([]float32)) { sched.RunDES(r, c.inputs[r.Rank][lo:hi], lo, c.total, k) }
+			// Each in-place run gets its own copy: a run consumes it, and a
+			// rank a fault stranded may still be writing the last one.
+			inPlaceSim := func(cl *simnet.Cluster, f fault) (outcome, any) {
+				data := padded(c.inputs)
+				return runSim(cl, f, func(n *simnet.Node) []float32 {
+					return sched.Run(n, data[n.Rank][lo:hi], lo, c.total)
+				})
+			}
+			inPlaceDES := func(cl *des.Cluster, f fault) (outcome, any) {
+				data := padded(c.inputs)
+				return runDES(cl, f, func(r *des.Rank, k func([]float32)) {
+					sched.RunDES(r, data[r.Rank][lo:hi], lo, c.total, k)
+				})
+			}
 
 			sum := make([]float32, hi-lo)
 			for _, in := range c.inputs {
@@ -338,7 +356,7 @@ func TestCollectiveProperty(t *testing.T) {
 				want.outs[r] = sum
 			}
 
-			fresh, failed := runSim(simnet.NewCluster(net, c.m, c.p), noFault, sim)
+			fresh, failed := inPlaceSim(simnet.NewCluster(net, c.m, c.p), noFault)
 			if failed != nil {
 				t.Fatalf("%s: goroutine run panicked: %v", label, failed)
 			}
@@ -350,12 +368,28 @@ func TestCollectiveProperty(t *testing.T) {
 			} else if census != fresh.census {
 				t.Fatalf("%s: schedule walk counts census %v, the live run %v", label, census, fresh.census)
 			}
-			freshDES, failed := runDES(des.NewCluster(net, c.m, c.p), noFault, dsv)
+			freshDES, failed := inPlaceDES(des.NewCluster(net, c.m, c.p), noFault)
 			if failed != nil {
 				t.Fatalf("%s: DES run panicked: %v", label, failed)
 			}
 			if d := freshDES.diff(fresh, true); d != "" {
 				t.Fatalf("%s: DES vs goroutine: %s", label, d)
+			}
+
+			oneShot, failed := runSim(simnet.NewCluster(net, c.m, c.p), noFault,
+				func(n *simnet.Node) []float32 { return sched.oneShot(n, c.inputs[n.Rank][lo:hi], lo, c.total) })
+			if failed != nil {
+				t.Fatalf("%s: one-shot run panicked: %v", label, failed)
+			}
+			if d := oneShot.diff(fresh, true); d != "" {
+				t.Fatalf("%s: one-shot vs in place: %s", label, d)
+			}
+			for r := range pristine {
+				for x := range pristine[r] {
+					if c.inputs[r][x] != pristine[r][x] {
+						t.Fatalf("%s: the one-shot form modified the input of rank %d at %d", label, r, x)
+					}
+				}
 			}
 
 			// Leaked goroutines count against the race detector's limit,
@@ -373,8 +407,8 @@ func TestCollectiveProperty(t *testing.T) {
 				if sf.victim >= 0 {
 					sf = simFault
 				}
-				got, failed := runSim(scl, sf, sim)
-				gotDES, failedDES := runDES(dcl, step.f, dsv)
+				got, failed := inPlaceSim(scl, sf)
+				gotDES, failedDES := inPlaceDES(dcl, step.f)
 				if step.f.victim >= 0 {
 					if np, ok := failed.(simnet.NodePanic); !ok || np.FailedRank() != f.victim {
 						t.Fatalf("%s: goroutine %s: recovered %v, want NodePanic on rank %d", label, step.what, failed, f.victim)
@@ -395,12 +429,26 @@ func TestCollectiveProperty(t *testing.T) {
 				}
 			}
 		}
-		for r := range pristine {
-			for x := range pristine[r] {
-				if c.inputs[r][x] != pristine[r][x] {
-					t.Fatalf("seed %d: input of rank %d modified at %d", c.seed, r, x)
-				}
-			}
-		}
+	}
+}
+
+// TestInPlaceShortCapacityPanics: a core rank of flat RHD pads its
+// vector inside the vector's own capacity; a caller that hands over
+// less has broken the contract of Schedule.Run and is told so, on
+// either backend, before a message moves.
+func TestInPlaceShortCapacityPanics(t *testing.T) {
+	const p, n = 3, 5 // the core of 2 pads 5 elements to 6
+	net, m := sunwayQ(4), topology.AdjacentMapping{Q: 4}
+	const want = "in-place vector of 5 elements has capacity 5, the schedule pads it to 6"
+	inputs := intInputs(p, n)
+	_, failed := runSim(simnet.NewCluster(net, m, p), noFault,
+		func(nd *simnet.Node) []float32 { return schedRHD.Run(nd, inputs[nd.Rank], 0, n) })
+	if np, ok := failed.(simnet.NodePanic); !ok || !strings.Contains(fmt.Sprint(np.Value), want) {
+		t.Errorf("goroutine backend: recovered %v, want a NodePanic saying %q", failed, want)
+	}
+	_, failed = runDES(des.NewCluster(net, m, p), noFault,
+		func(r *des.Rank, k func([]float32)) { schedRHD.RunDES(r, inputs[r.Rank], 0, n, k) })
+	if rp, ok := failed.(des.RankPanic); !ok || !strings.Contains(fmt.Sprint(rp.Value), want) {
+		t.Errorf("DES backend: recovered %v, want a RankPanic saying %q", failed, want)
 	}
 }

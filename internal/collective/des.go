@@ -43,9 +43,9 @@ func (e *Engine) ReduceFullDES(r *des.Rank, pack []float32, done func([]float32)
 
 // FlushSegDES runs bucket b's collective over every rank of the DES
 // cluster and returns the makespan/census (as a simnet.Result, so
-// Commit works unchanged) and the per-rank reduced outputs — the
-// cluster's, valid until its next run: commit them before flushing
-// again.
+// Commit works unchanged) and the per-rank reduced outputs — bucket b's
+// range of each view, reduced in place: commit them before flushing
+// again (see Bucket).
 func (e *Engine) FlushSegDES(c *des.Cluster, b int) (simnet.Result, [][]float32) {
 	views := e.views
 	res, outs := c.RunGather(func(r *des.Rank) {

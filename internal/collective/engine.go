@@ -54,6 +54,13 @@ type ParamInfo struct {
 // gradient vector, ready the moment ReadyLayer's backward completes
 // (backward produces the packed vector tail-first, so buckets are
 // contiguous suffix-extending ranges and flush in slice order).
+//
+// A bucket is reduced where it lies in each rank's view, and a schedule
+// that pads (flat RHD, fewer than Ranks elements) spills past Hi. What
+// lies there is dead: the buckets flushed earlier in the step, each
+// committed — drained into the gradients — before the next one flushes,
+// and then the slack every view carries past the packed vector. Produce
+// only ever writes below the Lo of the bucket in flight.
 type Bucket struct {
 	Lo, Hi     int
 	ReadyLayer int
@@ -126,10 +133,11 @@ type Engine struct {
 	bucketBytes int // the effective cap (selected when auto)
 	autoExposed float64
 
-	// Reused per-step staging. views holds each rank's packed-gradient
-	// input buffer; it is replaced wholesale by ResetStaging so
+	// Reused per-step staging. views holds each rank's packed gradient,
+	// which the flushes reduce in place (see Bucket): input and output
+	// are the same memory. It is replaced wholesale by ResetStaging so
 	// goroutines stranded by a failed collective keep only orphaned
-	// arrays. The reduced outputs are never held: Commit drains them.
+	// arrays, to read and to write.
 	views   [][]float32
 	cursors []int           // per-rank next-bucket index, reset per step
 	ready   []chan struct{} // cap-1 flush signal per bucket
@@ -278,10 +286,14 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// allocViews gives every rank its packed view, with the slack past the
+// packed vector that a padding schedule spills into when it reduces the
+// tail bucket or the whole vector: flat RHD pads to a multiple of its
+// power-of-two core, so by fewer than Ranks elements.
 func (e *Engine) allocViews() {
 	e.views = make([][]float32, e.cfg.Ranks)
 	for r := range e.views {
-		e.views[r] = make([]float32, e.total)
+		e.views[r] = make([]float32, e.total, e.total+e.cfg.Ranks)
 	}
 }
 
@@ -364,13 +376,15 @@ func (e *Engine) Ready(b int) <-chan struct{} { return e.ready[b] }
 // RankViews returns the current per-rank packed-gradient buffers. The
 // flush caller must capture this slice locally and index it inside
 // the collective body, so ranks stranded by a failed run keep reading
-// the orphaned buffers after ResetStaging installs fresh ones.
+// and writing the orphaned buffers after ResetStaging installs fresh
+// ones.
 func (e *Engine) RankViews() [][]float32 { return e.views }
 
 // ReduceSeg runs the strategy's collective over bucket b on one
-// simnet rank, reading the rank's packed buffer through the caller's
-// captured view (see RankViews), and charges the final averaging
-// sweep.
+// simnet rank, in the rank's packed buffer — reached through the
+// caller's captured view (see RankViews) — and charges the final
+// averaging sweep. It returns the reduced bucket: that range of pack,
+// for every built-in strategy.
 func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 	if e.cfg.FlushHook != nil {
 		e.cfg.FlushHook(n.Rank, b)
@@ -382,8 +396,8 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 }
 
 // ReduceFull runs the strategy's collective over the whole packed
-// vector — the barrier flush. Bit-identical to flushing the buckets:
-// that is the strategies' contract.
+// vector, in place — the barrier flush. Bit-identical to flushing the
+// buckets: that is the strategies' contract.
 func (e *Engine) ReduceFull(n *simnet.Node, pack []float32) []float32 {
 	if e.cfg.FlushHook != nil {
 		e.cfg.FlushHook(n.Rank, 0)
@@ -415,13 +429,17 @@ func (e *Engine) PackFull(rank int, diffs [][]float32) {
 // mismatch that sweep found (see mismatch): 0, always, unless a
 // collective is broken, and 0 when every rank has its own set.
 //
-// outs belongs to the cluster and is overwritten by its next run (see
-// simnet.Cluster.RunGather), so the engine keeps no reference to it:
-// the drain is the result's whole lifetime here. On the overlap path it
-// runs on the flush loop while the rest of backward still computes; it
-// writes only parameters of layers the bucket's readiness already
-// covers, which no later backward layer touches. Call only on the clean
-// path: a failed run's outputs stay in the run's private storage.
+// outs[r] is what rank r's flush returned: bucket b's range of the
+// rank's view, reduced where it lay (a custom body returns memory of its
+// own instead, the cluster's until its next run). The engine keeps no
+// reference to it: the drain is the result's whole lifetime, and what
+// makes the range dead — free for a later bucket's pad to spill into
+// (see Bucket). So commit a bucket before flushing the next. On the
+// overlap path Commit runs on the flush loop while the rest of backward
+// still computes; it writes only parameters of layers the bucket's
+// readiness already covers, which no later backward layer touches. Call
+// only on the clean path: after a failed run the views belong to the
+// ranks it stranded (see ResetStaging).
 func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]float32) float64 {
 	bk := e.buckets[b]
 	diverged := e.drain(outs, bk.Lo, bk.Hi, grads)
@@ -681,10 +699,10 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 func (e *Engine) SetTraceBase(t float64) { e.traceBase = t }
 
 // ResetStaging re-allocates the buffers a rank goroutine stranded by a
-// failed collective might still read — the per-rank packed inputs and
-// their view slice — leaving the old arrays to the stragglers. (What a
-// straggler writes is its abandoned run's own result memory; the engine
-// holds none.) Failure-path only; the hot path reuses staging.
+// failed collective might still use — the per-rank packed views, which
+// it reads its gradients from and reduces them in, and their view slice
+// — leaving the old arrays to the stragglers. Failure-path only; the hot
+// path reuses staging.
 func (e *Engine) ResetStaging() {
 	e.allocViews()
 }

@@ -1,0 +1,146 @@
+package collective
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"swcaffe/internal/allreduce"
+	"swcaffe/internal/des"
+	"swcaffe/internal/detrand"
+	"swcaffe/internal/simnet"
+	"swcaffe/internal/topology"
+)
+
+// TestPaddedBucketsSpillOnlyIntoCommittedMemory: a flush reduces its
+// bucket where it lies in the rank's view, and flat RHD at p = 8 pads a
+// bucket to a multiple of 8 inside the view — past the bucket's Hi, over
+// buckets flushed earlier in the step and the slack past the packed
+// vector (see Bucket). The layout here makes every bucket pad and the
+// tail buckets smaller than the pad:
+//
+//	[0,1001) pads 7 over [1001,1008)    inside the next bucket
+//	[1001,1012) pads 5 over [1012,1017) exactly the next bucket
+//	[1012,1017) pads 3 over [1017,1020) exactly the next bucket
+//	[1017,1020) pads 5 over [1020,1025) the last bucket and the slack
+//	[1020,1021) pads 7 over [1021,1028) all slack, to its last element
+//
+// On both backends the bucketed step — each layer produced by every
+// rank, then whatever became ready flushed and committed, tail first —
+// must drain, at each Commit, exactly what the barrier flush drains and
+// what the one-shot RecursiveHalvingDoubling over the whole packed
+// vector returns, bit for bit on every rank.
+func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
+	const ranks = 8
+	sizes := []int{1001, 11, 5, 3, 1}
+	params := make([]ParamInfo, len(sizes))
+	for i, n := range sizes {
+		params[i] = ParamInfo{Layer: i, Elems: n}
+	}
+	cfg := testConfig(params, len(sizes), ranks, allreduce.NameRHD)
+	cfg.BucketBytes = 4 // one bucket per layer
+	netw, mapping := cfg.Network, topology.RoundRobinMapping{Q: cfg.Network.SupernodeSize}
+
+	rng := detrand.New(22)
+	diffs := make([][][]float32, ranks) // [rank][param]
+	packed := make([][]float32, ranks)
+	for r := range diffs {
+		for _, n := range sizes {
+			d := make([]float32, n)
+			for i := range d {
+				d[i] = 2*rng.Float32() - 1
+			}
+			diffs[r] = append(diffs[r], d)
+			packed[r] = append(packed[r], d...)
+		}
+	}
+	_, sums := simnet.NewCluster(netw, mapping, ranks).RunGather(func(n *simnet.Node) []float32 {
+		return allreduce.RecursiveHalvingDoubling(n, packed[n.Rank])
+	})
+	inv := float32(1) / ranks
+	// requireDrained compares the [lo, hi) range of every rank's
+	// gradients with the average of the one-shot sums.
+	requireDrained := func(label string, grads [][][]float32, lo, hi int) {
+		t.Helper()
+		for r := range grads {
+			off := 0
+			for pi, g := range grads[r] {
+				for i, v := range g {
+					if at := off + i; lo <= at && at < hi && math.Float32bits(v) != math.Float32bits(sums[r][at]*inv) {
+						t.Fatalf("%s: rank %d param %d elem %d (packed %d) = %v, want %v", label, r, pi, i, at, v, sums[r][at]*inv)
+					}
+				}
+				off += len(g)
+			}
+		}
+	}
+	newGrads := func() [][][]float32 {
+		grads := make([][][]float32, ranks)
+		for r := range grads {
+			for _, n := range sizes {
+				grads[r] = append(grads[r], make([]float32, n))
+			}
+		}
+		return grads
+	}
+
+	type backend struct {
+		name      string
+		flushFull func(e *Engine) (simnet.Result, [][]float32)
+		flushSeg  func(e *Engine, b int) (simnet.Result, [][]float32)
+	}
+	scl, dcl := simnet.NewCluster(netw, mapping, ranks), des.NewCluster(netw, mapping, ranks)
+	for _, be := range []backend{
+		{"goroutine",
+			func(e *Engine) (simnet.Result, [][]float32) {
+				views := e.RankViews()
+				return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceFull(n, views[n.Rank]) })
+			},
+			func(e *Engine, b int) (simnet.Result, [][]float32) {
+				views := e.RankViews()
+				return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceSeg(n, b, views[n.Rank]) })
+			}},
+		{"DES",
+			func(e *Engine) (simnet.Result, [][]float32) { return e.FlushFullDES(dcl) },
+			func(e *Engine, b int) (simnet.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
+	} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nb := len(e.Buckets()); nb != len(sizes) {
+			t.Fatalf("%d buckets, want one per layer: %+v", nb, e.Buckets())
+		}
+		for step := 0; step < 2; step++ { // the second over views the first left full of sums and pads
+			label := fmt.Sprintf("%s step %d", be.name, step)
+
+			grads := newGrads()
+			for r := range diffs {
+				e.PackFull(r, diffs[r])
+			}
+			res, outs := be.flushFull(e)
+			e.CommitFull(outs, res, grads)
+			requireDrained(label+" barrier", grads, 0, e.TotalElems())
+
+			grads = newGrads()
+			e.BeginStep()
+			b := 0
+			for li := len(sizes) - 1; li >= 0; li-- {
+				for r := range diffs {
+					e.Produce(r, li, diffs[r])
+				}
+				for ; b < len(e.Buckets()) && e.Buckets()[b].ReadyLayer == li; b++ {
+					<-e.Ready(b)
+					res, outs := be.flushSeg(e, b)
+					e.Commit(b, outs, res, grads)
+					bk := e.Buckets()[b]
+					requireDrained(fmt.Sprintf("%s bucket %d %+v at its commit", label, b, bk), grads, bk.Lo, bk.Hi)
+				}
+			}
+			if b != len(e.Buckets()) {
+				t.Fatalf("%s: flushed %d of %d buckets", label, b, len(e.Buckets()))
+			}
+			requireDrained(label+" overlap", grads, 0, e.TotalElems())
+		}
+	}
+}

@@ -38,13 +38,16 @@ type Strategy interface {
 	Snap(cut, total, p int) int
 	SnapUp(cut, total, p int) int
 	// Run executes the collective over seg, the [lo, lo+len(seg))
-	// slice of the packed vector, on one simnet rank. On return every
-	// rank holds the elementwise sum — with the same association
-	// order the algorithm would use on the whole packed vector, so
-	// bucketed and barrier flushes agree bit for bit. RunDES is the
-	// same collective on one rank of the event backend, k firing with
-	// the result. The built-in strategies get both from the one
-	// allreduce.Schedule they embed.
+	// slice of the packed vector, on one simnet rank, and returns the
+	// rank's result: the elementwise sum over all ranks — with the
+	// same association order the algorithm would use on the whole
+	// packed vector, so bucketed and barrier flushes agree bit for
+	// bit. RunDES is the same collective on one rank of the event
+	// backend, k firing with the result. The built-in strategies get
+	// both from the one allreduce.Schedule they embed, which reduces
+	// seg where it lies and returns it, padding inside seg's capacity
+	// (see allreduce.Schedule.Run); a custom body leaves seg alone and
+	// returns memory of its own.
 	Run(n *simnet.Node, seg []float32, lo, total int) []float32
 	RunDES(r *des.Rank, seg []float32, lo, total int, k func([]float32))
 	// Cost prices the flush of the [lo, hi) bucket of a packed
@@ -125,7 +128,7 @@ func snapChunkUp(cut, total, k int) int {
 // ringChunkAligned is the ring's strategy: the ring reduces chunk c
 // with a rotation order that depends on c, so buckets must be whole
 // runs of the global chunk partition and each bucket runs the full
-// ring's schedule restricted to its chunks (allreduce.RingSegment).
+// ring's schedule restricted to its chunks (allreduce.Schedule.Run).
 type ringChunkAligned struct{ allreduce.Schedule }
 
 func (ringChunkAligned) Snap(cut, total, p int) int   { return snapChunkDown(cut, total, p) }
@@ -141,7 +144,7 @@ func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool
 // mapping, resolved once by StrategyFor — it walks the whole
 // membership) a chunk-dependent association order, so buckets must land
 // on allreduce.HierChunkBounds and each bucket runs the full schedule
-// restricted to its chunks (allreduce.HierarchicalSegment). The
+// restricted to its chunks (allreduce.Schedule.Run). The
 // mapping must be the same one the executing simnet cluster uses —
 // the trainer passes its own through Config.Mapping.
 type hierChunkAligned struct {

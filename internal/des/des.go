@@ -350,8 +350,8 @@ func (r *Rank) P() int { return r.cluster.P }
 func (r *Rank) Supernodes() *topology.Layout { return r.cluster.layout }
 
 // Scratch returns n float32s of unspecified content from the rank's
-// cluster-owned bump arena — a collective's result vector, or working
-// memory for a payload the body builds and sends. The arena is rewound
+// cluster-owned bump arena — a one-shot collective's result vector, or
+// working memory for a payload the body builds and sends. The arena is rewound
 // when the cluster's next run starts and never within one, so the
 // slice stays valid until then: for this rank, for a peer it was sent
 // to, and for the caller of RunGather when the rank finishes with it.

@@ -1,8 +1,11 @@
 // Package scratch is the per-rank bump allocator both cluster backends
 // hand to collective bodies (simnet.Node.Scratch, des.Rank.Scratch): a
-// body takes its result vector and any working vector it needs from
-// its rank's arena instead of the heap, and a warm run allocates
-// nothing for them.
+// body takes the working vectors it needs from its rank's arena instead
+// of the heap, and a warm run allocates nothing for them. The schedules
+// of internal/allreduce reduce the caller's vector where it lies and
+// take only what cannot live there — the padded copy a hierarchical
+// leader halves its chunk in — and their one-shot forms, which promise
+// to leave the input alone, the result vector too.
 package scratch
 
 // Arena hands out float32 slices carved from a list of blocks. A

@@ -139,8 +139,8 @@ func (n *Node) P() int { return n.cluster.P }
 func (n *Node) Supernodes() *topology.Layout { return n.cluster.layout }
 
 // Scratch returns k float32s of unspecified content from the rank's
-// cluster-owned bump arena — a collective's result vector, or working
-// memory for a payload the body builds and sends. The arena is rewound
+// cluster-owned bump arena — a one-shot collective's result vector, or
+// working memory for a payload the body builds and sends. The arena is rewound
 // when the cluster's next run starts and never within one, so the
 // slice stays valid until then: for this rank, for a peer it was sent
 // to, and for the caller of RunGather when the body returns it as the
@@ -298,14 +298,16 @@ func (c *Cluster) Run(body func(n *Node)) Result {
 // RunGather is Run for bodies that produce a per-rank result (the
 // shape of an all-reduce): it additionally returns the ranks' return
 // values, indexed by rank. Everything returned — the slice, and the
-// vectors in it when they came from Scratch, as every built-in
-// all-reduce's result does — is owned by the cluster and valid only
-// until its next Run/RunGather: a caller keeping a result across runs
-// copies it out. Collecting through here instead of through
+// vectors in it when they came from Scratch, as a one-shot
+// allreduce.Algorithm's result does — is owned by the cluster and valid
+// only until its next Run/RunGather: a caller keeping a result across
+// runs copies it out. Collecting through here instead of through
 // caller-owned shared storage matters for failure isolation: a rank
-// that outlives a peer's panic writes and stores its late result in the
-// abandoned run's private memory, so nothing a caller reuses can be
-// corrupted across a recovered failure.
+// that outlives a peer's panic stores its late result in the abandoned
+// run's private memory. A body that instead reduces a vector of the
+// caller's in place (allreduce.Schedule.Run) returns that vector, and a
+// stranded rank writes it late: the caller abandons such vectors after
+// a failed run, as collective.Engine.ResetStaging does.
 func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) {
 	var wg sync.WaitGroup
 	c.mu.Lock()

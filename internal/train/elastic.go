@@ -243,9 +243,9 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	t.newCommunicator()
 
 	// Discard the engine: bucket alignment and the plan selection both
-	// depend on p. The stranded ranks above may still read the old
-	// engine's staging, but they hold the only references to it now, so
-	// no orphaning dance is needed.
+	// depend on p. The stranded ranks above may still read and write the
+	// old engine's staging, but they hold the only references to it now,
+	// so no orphaning dance is needed.
 	t.engine = nil
 	t.commDirty = false
 	t.losses = make([]float32, len(survivors))

@@ -16,7 +16,7 @@ import (
 // rotation order that depends on the chunk index, so naive bucketing
 // breaks bit-identity — the collective engine snaps ring buckets onto
 // the global chunk partition and reduces each with the full ring's
-// per-chunk schedule (allreduce.RingSegment). Losses and every
+// per-chunk schedule (allreduce.Schedule.Run). Losses and every
 // replica's parameters must match the one-shot barrier ring bit for
 // bit, power-of-two p and not (ragged chunk bounds). Run under -race
 // by `make race`.
@@ -275,7 +275,7 @@ func hierNet(q int) (*topology.Network, topology.Mapping) {
 // own value, tournament-ordered peers, the RHD tree over supernodes),
 // so the collective engine snaps hierarchical buckets onto
 // allreduce.HierChunkBounds and reduces each with the full schedule
-// restricted to the bucket (allreduce.HierarchicalSegment). Losses
+// restricted to the bucket (allreduce.Schedule.Run). Losses
 // and every replica's parameters must match the one-shot barrier
 // hierarchical bit for bit — across the pooled-node, timeline-only
 // and host-math trainer paths. Run under -race by `make race`.

@@ -133,9 +133,12 @@ func (t *DistTrainer) stepOverlap() float32 {
 	// poisoned worker can never complete a bucket: without the failed
 	// arm the loop would wait forever on a signal that cannot come.
 	//
-	// views is captured locally on purpose: ranks stranded by a failed
-	// collective keep reading through this snapshot, so the engine can
-	// re-allocate its staging for the next Step without racing them.
+	// views is captured locally on purpose. A flush reduces each rank's
+	// bucket where it lies in its view, so a rank stranded by a failed
+	// collective keeps reading *and writing* through this snapshot; the
+	// failure path below marks the staging dirty, the next Step orphans
+	// it to the stragglers (resetCommStaging) and nothing they still do
+	// can reach a recovered trainer.
 	views := eng.RankViews()
 	flushErr := func() (r any) {
 		defer func() { r = recover() }()
@@ -146,12 +149,11 @@ func (t *DistTrainer) stepOverlap() float32 {
 				panic(err)
 			}
 			b := b
-			// Per-rank outputs return in the run's private storage (see
-			// RunGather), valid until the cluster's next run: Commit drains
-			// them into the workers' gradients right here, on the clean path
-			// only, so a rank stranded by a failed collective can never
-			// write into a recovered trainer's next Step. The drain touches
-			// only parameters every worker has already produced.
+			// outs[r] is bucket b's range of rank r's view, reduced in place.
+			// Commit drains it into the workers' gradients right here — on
+			// the clean path only, and before the next flush, whose pad may
+			// spill into it (see collective.Bucket). The drain touches only
+			// parameters every worker has already produced.
 			var res simnet.Result
 			var outs [][]float32
 			if t.desCluster != nil {
@@ -161,7 +163,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 					return eng.ReduceSeg(n, b, views[n.Rank])
 				})
 			}
-			eng.Commit(b, outs, res, t.grads)
+			t.diverged = max(t.diverged, eng.Commit(b, outs, res, t.grads))
 		}
 		return nil
 	}()
@@ -173,8 +175,8 @@ func (t *DistTrainer) stepOverlap() float32 {
 		// also clears the node-level pass poison by re-raising it, which
 		// we swallow in favor of the root failure. Ranks stranded by a
 		// failed collective cannot be quiesced (simnet does not join
-		// them) and may still read the packed-input staging, so mark it
-		// for re-allocation instead.
+		// them) and may still read and write the packed staging, so mark
+		// it for re-allocation instead.
 		t.commDirty = true
 		func() {
 			defer func() { recover() }()

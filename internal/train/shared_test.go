@@ -9,6 +9,7 @@ import (
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
 	"swcaffe/internal/tensor"
+	"swcaffe/internal/topology"
 )
 
 // The DES backend runs every rank through one shared model; the
@@ -175,5 +176,73 @@ func TestDESSharedModelElasticMatchesGoroutine(t *testing.T) {
 			stepTwins(t, "shrunk and restored", g, d, ds, 2, 4)
 			requireSameState(t, "in the end", g, d)
 		})
+	}
+}
+
+// TestOverlapStepFoldsCommitDivergence: on a shared model there are no
+// replicas to compare, so ParamsDiverged reports what the commits found
+// between rank 0's reduced gradient and every other rank's — on the
+// overlap path too, which used to discard it. A hierarchical flush
+// reduces in the ranks' views, so a phase hook can break one: at rank
+// 1's allgather boundary it flips one bit of the chunk rank 1 owns and
+// is about to hand to its supernode (rank 0 included), which the other
+// supernode's ranks receive intact from their own leader. The step must
+// report it; the untouched twin must report 0.
+func TestOverlapStepFoldsCommitDivergence(t *testing.T) {
+	const p, victim = 8, 1
+	netw, mapping := hierNet(4) // two supernodes of four
+	ds := dataset.NewClusters(2000, 3, 1, 3, 3, 0.4, 31)
+	build := func() *DistTrainer {
+		cfg := desTwinConfig(p, netw, mapping, allreduce.NameHierarchical, true, BackendDES)
+		cfg.BucketBytes = 128
+		d, err := NewDistTrainer(cfg, mlpFactory(cfg.SubBatch, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		d.LoadShards(ds, 0)
+		d.Step()
+		return d
+	}
+	clean, broken := build(), build()
+
+	eng := broken.Engine()
+	buckets := eng.Buckets()
+	if len(buckets) < 2 {
+		t.Fatalf("%d buckets, want an overlapped flush", len(buckets))
+	}
+	// The first element of the chunk the victim leads: it sits at index
+	// victim of its supernode, under the adjacent mapping.
+	at := allreduce.HierChunkBounds(eng.TotalElems(), topology.MinGroupSize(mapping, p))[victim]
+	flush, flipped := -1, false
+	prev := allreduce.SetHierPhaseHook(func(rank int, _ float64, phase allreduce.HierPhase) {
+		if rank != victim {
+			return
+		}
+		switch phase {
+		case allreduce.HierIntraReduceScatter:
+			flush++
+		case allreduce.HierAllgather:
+			if bk := buckets[flush]; bk.Lo <= at && at < bk.Hi {
+				v := &eng.RankViews()[victim][at]
+				*v = math.Float32frombits(math.Float32bits(*v) ^ 1)
+				flipped = true
+			}
+		}
+	})
+	broken.LoadShards(ds, 1)
+	broken.Step()
+	allreduce.SetHierPhaseHook(prev)
+	clean.LoadShards(ds, 1)
+	clean.Step()
+
+	if !flipped {
+		t.Fatalf("no flush of %d covered element %d", flush+1, at)
+	}
+	if d := broken.ParamsDiverged(); !(d > 0) {
+		t.Errorf("a flush whose ranks disagree went unreported: ParamsDiverged() = %g", d)
+	}
+	if d := clean.ParamsDiverged(); d != 0 {
+		t.Errorf("the untouched twin reports divergence %g", d)
 	}
 }

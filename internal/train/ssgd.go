@@ -111,7 +111,7 @@ type DistConfig struct {
 	// uniform algorithms (the default recursive halving/doubling, the
 	// binomial tree, custom bodies) bucket freely, and the ring gets
 	// chunk-aligned buckets reduced with the full ring's per-chunk
-	// schedule (allreduce.RingSegment).
+	// schedule (allreduce.Schedule.Run).
 	Overlap bool
 	// AlgorithmName selects a built-in collective by name (see
 	// allreduce.ByName) together with its bucketing strategy and cost
@@ -328,9 +328,10 @@ type DistTrainer struct {
 
 	// commDirty is set when a collective panicked out of a Step. simnet
 	// does not join ranks stranded by a peer's failure, and those ranks
-	// still hold references into the engine's reused input staging —
-	// so the next Step must re-allocate that staging and orphan the
-	// old buffers to them instead of racing them. Failure-path-only;
+	// still hold references into the engine's reused packed staging,
+	// which they read and reduce in place — so the next Step must
+	// re-allocate that staging and orphan the old buffers to them
+	// instead of racing them. Failure-path-only;
 	// the hot path stays allocation-free.
 	commDirty bool
 
@@ -834,8 +835,8 @@ func (t *DistTrainer) Step() float32 {
 }
 
 // resetCommStaging re-allocates every buffer a rank goroutine stranded
-// by a failed collective might still read, leaving the old buffers to
-// the stragglers (see commDirty).
+// by a failed collective might still read or write, leaving the old
+// buffers to the stragglers (see commDirty).
 func (t *DistTrainer) resetCommStaging() {
 	t.commDirty = false
 	if t.engine != nil {
@@ -862,7 +863,7 @@ func (t *DistTrainer) stepBarrier() float32 {
 
 	// Pack, all-reduce, average (Algorithm 1 line 9); ranks sharing one
 	// model packed inside their passes. views is captured locally so
-	// stranded ranks keep reading the orphaned staging after a
+	// stranded ranks keep using the orphaned staging after a
 	// failure-path reset (see stepOverlap).
 	if !t.shared() {
 		for i, w := range t.Workers {
@@ -876,12 +877,11 @@ func (t *DistTrainer) stepBarrier() float32 {
 		}
 	}
 	views := eng.RankViews()
-	// The per-rank outputs come back in the run's private storage (see
-	// RunGather): draining them into the workers' gradients only on the
-	// clean path keeps a rank stranded by a failed collective from ever
-	// writing into a recovered trainer's next Step. A failure marks the
-	// input staging dirty for the same reason, mirror-image: stranded
-	// ranks may still be reading it.
+	// The flush reduces every rank's view in place and outs[r] is that
+	// view. A failure marks the staging dirty: ranks it stranded may
+	// still be reading and writing it, so the next Step orphans it to
+	// them, and draining only on the clean path keeps anything they
+	// produce out of a recovered trainer.
 	res, outs := func() (simnet.Result, [][]float32) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -49,7 +49,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_PR10.json}"
 BENCHTIME="${2:-1s}"
-PATTERN='^(BenchmarkSimGEMM64|BenchmarkSimGEMM128|BenchmarkSimGEMMRagged|BenchmarkSimConvExplicit|BenchmarkConvPlanSelection|BenchmarkGEMMPlanWarm|BenchmarkGEMMPlanCold|BenchmarkTable2|BenchmarkSolverUpdate|BenchmarkAllreducePack|BenchmarkAllreduceScale|BenchmarkDistStepBarrier|BenchmarkDistStepOverlap|BenchmarkDistStepBarrierHostMath|BenchmarkDistStepOverlapHostMath|BenchmarkDistStepOverlapFixedDefault|BenchmarkDistStepOverlapAuto|BenchmarkDistStepBarrierRing|BenchmarkDistStepOverlapRingFixedDefault|BenchmarkDistStepOverlapRingAuto|BenchmarkDistStepBarrierHier|BenchmarkDistStepOverlapHierFixedDefault|BenchmarkDistStepOverlapHierAuto|BenchmarkDistStepOverlapAlgAuto|BenchmarkDistStepOverlapTimeline|BenchmarkDistStepTracedOff|BenchmarkDistStepTracedOn|BenchmarkDistStepBarrierDES|BenchmarkDistStepOverlapDES|BenchmarkDistStepOverlapIOStripe1|BenchmarkDistStepOverlapIOAuto|BenchmarkCGTrainerStep|BenchmarkCheckpointSave|BenchmarkCheckpointRestore|BenchmarkShrinkRecovery)$'
+PATTERN='^(BenchmarkSimGEMM64|BenchmarkSimGEMM128|BenchmarkSimGEMMRagged|BenchmarkSimConvExplicit|BenchmarkConvPlanSelection|BenchmarkGEMMPlanWarm|BenchmarkGEMMPlanCold|BenchmarkTable2|BenchmarkSolverUpdate|BenchmarkAllreducePack|BenchmarkDistStepBarrier|BenchmarkDistStepOverlap|BenchmarkDistStepBarrierHostMath|BenchmarkDistStepOverlapHostMath|BenchmarkDistStepOverlapFixedDefault|BenchmarkDistStepOverlapAuto|BenchmarkDistStepBarrierRing|BenchmarkDistStepOverlapRingFixedDefault|BenchmarkDistStepOverlapRingAuto|BenchmarkDistStepBarrierHier|BenchmarkDistStepOverlapHierFixedDefault|BenchmarkDistStepOverlapHierAuto|BenchmarkDistStepOverlapAlgAuto|BenchmarkDistStepOverlapTimeline|BenchmarkDistStepTracedOff|BenchmarkDistStepTracedOn|BenchmarkDistStepBarrierDES|BenchmarkDistStepOverlapDES|BenchmarkDistStepOverlapIOStripe1|BenchmarkDistStepOverlapIOAuto|BenchmarkCGTrainerStep|BenchmarkCheckpointSave|BenchmarkCheckpointRestore|BenchmarkShrinkRecovery)$'
 # Sweep wall-clock columns run once each regardless of BENCHTIME: one
 # functional sweep is seconds of work and its own repetition.
 SWEEP_PATTERN='^(BenchmarkFuncScaleP128Goroutine|BenchmarkFuncScaleP128DES|BenchmarkFuncScaleP1024DES)$'
