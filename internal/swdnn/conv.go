@@ -328,7 +328,7 @@ func RefConvForward(src, weights, bias []float32, s ConvShape, dst []float32) {
 							if ix < 0 || ix >= s.Ci {
 								continue
 							}
-							acc += src[rowBase+ix] * weights[wBase+ky*s.K+kx]
+							acc += float32(src[rowBase+ix] * weights[wBase+ky*s.K+kx])
 						}
 					}
 				}
@@ -348,8 +348,9 @@ func ConvExplicitRun(cg *sw26010.CoreGroup, src, weights, bias []float32, s Conv
 	kdim := s.K * s.K * s.Ni
 	// Pooled column buffer: Im2colRun writes every element, so no
 	// clearing is needed on reuse.
-	col := getStaging(kdim * ro * co)
-	defer putStaging(col)
+	colBox := getStaging(kdim * ro * co)
+	defer putStaging(colBox)
+	col := *colBox
 	t := Im2colRun(cg, src, s, col)
 	clear(dst[:s.No*ro*co])
 	t += GEMMRun(cg, weights, col, dst, s.No, kdim, ro*co)

@@ -36,14 +36,12 @@ func GEMMRun(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n int) float64 {
 	// Ragged dims stage through pooled zero-padded buffers (the MPE
 	// staging copy swCaffe performs); steady-state this allocates
 	// nothing.
-	ap := getStaging(mp * kp)
-	bp := getStaging(kp * np)
-	cp := getStaging(mp * np)
-	padMatrix(a, m, k, mp, kp, ap)
-	padMatrix(b, k, n, kp, np, bp)
-	padMatrix(c, m, n, mp, np, cp)
-	t := gemmPadded(cg, ap, bp, cp, mp, kp, np)
-	unpadMatrix(cp, c, m, n, np)
+	ap, bp, cp := getStaging(mp*kp), getStaging(kp*np), getStaging(mp*np)
+	padMatrix(a, m, k, mp, kp, *ap)
+	padMatrix(b, k, n, kp, np, *bp)
+	padMatrix(c, m, n, mp, np, *cp)
+	t := gemmPadded(cg, *ap, *bp, *cp, mp, kp, np)
+	unpadMatrix(*cp, c, m, n, np)
 	putStaging(ap)
 	putStaging(bp)
 	putStaging(cp)
@@ -63,24 +61,28 @@ func pad8(x int) int { return (x + mesh - 1) / mesh * mesh }
 
 // stagingPool recycles the zero-padded staging matrices (and the
 // explicit convolution's column buffers) across kernel invocations.
-// Pointers to slices are pooled so Put itself does not allocate.
+// It holds *[]float32 boxes, and the box a caller got is the box it
+// hands back, so neither Get nor Put allocates once the pool is warm.
 var stagingPool sync.Pool
 
-// getStaging returns a length-n buffer whose contents are
-// unspecified; callers must fully overwrite or clear it.
-func getStaging(n int) []float32 {
-	if v := stagingPool.Get(); v != nil {
-		bp := v.(*[]float32)
-		if cap(*bp) >= n {
-			return (*bp)[:n]
-		}
-		// Too small for this shape: let it go and grow a fresh one.
+// getStaging returns a pooled box holding a length-n buffer whose
+// contents are unspecified; callers must fully overwrite or clear it,
+// and return the same box with putStaging. A buffer too small for n is
+// replaced inside its box, so a warm call allocates nothing.
+func getStaging(n int) *[]float32 {
+	bp, _ := stagingPool.Get().(*[]float32)
+	if bp == nil {
+		bp = new([]float32)
 	}
-	return make([]float32, n)
+	if cap(*bp) < n {
+		*bp = make([]float32, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
 }
 
-func putStaging(s []float32) {
-	stagingPool.Put(&s)
+func putStaging(bp *[]float32) {
+	stagingPool.Put(bp)
 }
 
 // padMatrix zero-pads an (r x c) matrix into the (rp x cp) buffer dst.
@@ -151,41 +153,11 @@ func gemmPadded(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n int) float64 {
 }
 
 // microGEMM is the host-side stand-in for the CPE's register-blocked
-// SIMD inner loop: ct[tm×tn] += a[tm×tk]·b[tk×tn]. The j loop is
-// blocked 4 wide with the bounds checks hoisted via re-slicing; the
-// per-element accumulation order is unchanged, so results stay
-// bit-identical to the straight loop.
+// SIMD inner loop: ct[tm×tn] += a[tm×tk]·b[tk×tn]. It is RefGEMM's body
+// without the argument check (gemmPadded sizes every tile): packed SSE2
+// on amd64, gemmNNGo elsewhere, the same bits either way.
 func microGEMM(ct, a, b []float32, tm, tk, tn int) {
-	for ii := 0; ii < tm; ii++ {
-		arow := a[ii*tk : (ii+1)*tk]
-		crow := ct[ii*tn : (ii+1)*tn]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpy(crow, b[kk*tn:(kk+1)*tn], av)
-		}
-	}
-}
-
-// axpy computes crow[j] += av * brow[j] with a 4-wide unroll. crow and
-// brow must have equal length; the re-slice pins that for the bounds-
-// check eliminator.
-func axpy(crow, brow []float32, av float32) {
-	n := len(crow)
-	brow = brow[:n]
-	jj := 0
-	for ; jj+4 <= n; jj += 4 {
-		c := crow[jj : jj+4 : jj+4]
-		b4 := brow[jj : jj+4 : jj+4]
-		c[0] += av * b4[0]
-		c[1] += av * b4[1]
-		c[2] += av * b4[2]
-		c[3] += av * b4[3]
-	}
-	for ; jj < n; jj++ {
-		crow[jj] += av * brow[jj]
-	}
+	gemmNN(a, b, ct, tm, tk, tn)
 }
 
 // chooseGEMMBlocks picks macro-block dimensions (multiples of 8, at
@@ -378,12 +350,51 @@ func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) Plan {
 	})
 }
 
-// RefGEMM is the plain host reference C += A·B used by the test suite
-// and by the functional layer math (the "MPE-only" baseline). The
-// inner loop shares microGEMM's 4-wide axpy; accumulation order per
-// element is identical to the naive triple loop.
+// The host reference GEMMs. Each has one portable body here (gemmNNGo,
+// gemmTNGo, gemmNTGo), compiled on every GOARCH, and the body it runs
+// (gemmNN, gemmTN, gemmNT) comes from gemm_amd64.go on amd64, where the
+// arithmetic is packed SSE2, and from gemm_noasm.go elsewhere, where it
+// is the portable body itself. The two give the same bits: MULPS and
+// ADDPS round every lane exactly as MULSS and ADDSS round a scalar, and
+// both add each element's terms in the order stated below. The one
+// difference is which NaN comes out when two NaNs meet in an add; it is
+// a NaN either way.
+//
+// The portable bodies round every product before adding it
+// (float32(x*y)): without the conversion the compiler may fuse the
+// multiply-add on targets that have one (arm64 does), and the kernels
+// would then compute other bits there than on amd64.
+
+// RefGEMM computes C[m×n] += A[m×k]·B[k×n], row-major: the host
+// reference used by the test suite and by the functional layer math
+// (the "MPE-only" baseline). Element (i, j) adds A[i,kk]·B[kk,j] for
+// kk ascending and skips the terms whose A coefficient is zero, so a
+// zero activation costs nothing and an infinite B entry behind it
+// yields no NaN.
 func RefGEMM(a, b, c []float32, m, k, n int) {
 	checkGEMMArgs(a, b, c, m, k, n)
+	gemmNN(a, b, c, m, k, n)
+}
+
+// RefGEMMTransA computes C[m×n] += Aᵀ·B where A is [k×m] and B is
+// [k×n]. Element (i, j) adds A[kk,i]·B[kk,j] for kk ascending,
+// skipping zero coefficients, as RefGEMM does.
+func RefGEMMTransA(a, b, c []float32, m, k, n int) {
+	checkGEMMArgs(a, b, c, m, k, n)
+	gemmTN(a, b, c, m, k, n)
+}
+
+// RefGEMMTransB computes C[m×n] += A·Bᵀ where A is [m×k] and B is
+// [n×k]. Element (i, j) sums s = +0 + A[i,0]·B[j,0] + A[i,1]·B[j,1] + …
+// for kk ascending, with no term skipped, and then adds s to C[i,j].
+func RefGEMMTransB(a, b, c []float32, m, k, n int) {
+	checkGEMMArgs(a, b, c, m, k, n)
+	gemmNT(a, b, c, m, k, n)
+}
+
+// gemmNNGo is the portable body of RefGEMM and microGEMM: for each row
+// of A, one axpy per non-zero coefficient.
+func gemmNNGo(a, b, c []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
@@ -391,13 +402,14 @@ func RefGEMM(a, b, c []float32, m, k, n int) {
 			if av == 0 {
 				continue
 			}
-			axpy(crow, b[kk*n:(kk+1)*n], av)
+			axpyGo(crow, b[kk*n:(kk+1)*n], av)
 		}
 	}
 }
 
-// RefGEMMTransA computes C[m×n] += Aᵀ·B where A is [k×m].
-func RefGEMMTransA(a, b, c []float32, m, k, n int) {
+// gemmTNGo is the portable body of RefGEMMTransA: for each row of A,
+// one axpy per non-zero coefficient, into the C row it scales.
+func gemmTNGo(a, b, c []float32, m, k, n int) {
 	for kk := 0; kk < k; kk++ {
 		arow := a[kk*m : (kk+1)*m]
 		brow := b[kk*n : (kk+1)*n]
@@ -405,16 +417,15 @@ func RefGEMMTransA(a, b, c []float32, m, k, n int) {
 			if av == 0 {
 				continue
 			}
-			axpy(c[i*n:(i+1)*n], brow, av)
+			axpyGo(c[i*n:(i+1)*n], brow, av)
 		}
 	}
 }
 
-// RefGEMMTransB computes C[m×n] += A·Bᵀ where B is [n×k]. Four output
-// columns are produced per sweep of A's row, with one independent
-// accumulator each — every accumulator still sums in kk order, so
-// results match the one-column-at-a-time loop bit for bit.
-func RefGEMMTransB(a, b, c []float32, m, k, n int) {
+// gemmNTGo is the portable body of RefGEMMTransB. Four output columns
+// are produced per sweep of A's row, with one independent accumulator
+// each; every accumulator still sums in kk order.
+func gemmNTGo(a, b, c []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
@@ -426,10 +437,10 @@ func RefGEMMTransB(a, b, c []float32, m, k, n int) {
 			b3 := b[(j+3)*k : (j+4)*k]
 			var s0, s1, s2, s3 float32
 			for kk, av := range arow {
-				s0 += av * b0[kk]
-				s1 += av * b1[kk]
-				s2 += av * b2[kk]
-				s3 += av * b3[kk]
+				s0 += float32(av * b0[kk])
+				s1 += float32(av * b1[kk])
+				s2 += float32(av * b2[kk])
+				s3 += float32(av * b3[kk])
 			}
 			crow[j] += s0
 			crow[j+1] += s1
@@ -437,12 +448,38 @@ func RefGEMMTransB(a, b, c []float32, m, k, n int) {
 			crow[j+3] += s3
 		}
 		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			crow[j] += s
+			crow[j] += dotGo(arow, b[j*k:(j+1)*k])
 		}
 	}
+}
+
+// axpyGo computes crow[j] += av·brow[j] with a 4-wide unroll. crow and
+// brow must have equal length; the re-slice pins that for the bounds-
+// check eliminator.
+func axpyGo(crow, brow []float32, av float32) {
+	n := len(crow)
+	brow = brow[:n]
+	jj := 0
+	for ; jj+4 <= n; jj += 4 {
+		c := crow[jj : jj+4 : jj+4]
+		b4 := brow[jj : jj+4 : jj+4]
+		c[0] += float32(av * b4[0])
+		c[1] += float32(av * b4[1])
+		c[2] += float32(av * b4[2])
+		c[3] += float32(av * b4[3])
+	}
+	for ; jj < n; jj++ {
+		crow[jj] += float32(av * brow[jj])
+	}
+}
+
+// dotGo returns +0 + a[0]·b[0] + a[1]·b[1] + …, rounding each product
+// and each sum, in index order; len(b) >= len(a).
+func dotGo(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s float32
+	for kk, av := range a {
+		s += float32(av * b[kk])
+	}
+	return s
 }

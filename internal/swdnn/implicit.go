@@ -103,7 +103,7 @@ func ConvImplicitRun(cg *sw26010.CoreGroup, x, w []float32, s ConvShape, y []flo
 								}
 								src := in[ic*s.B : (ic+1)*s.B]
 								for b := 0; b < s.B; b++ {
-									out[b] += f * src[b]
+									out[b] += float32(f * src[b])
 								}
 							}
 						}
