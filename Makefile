@@ -40,8 +40,10 @@ shuffle:
 	echo "go test -count=1 -shuffle=$$seed ./internal/..."; \
 	$(GO) test -count=1 -shuffle=$$seed ./internal/...
 
+# bench runs the two-clock benchmark of bench/ (workloads and bounds
+# in BENCHMARK.json, method in bench/README.md).
 bench:
-	scripts/bench.sh
+	bash bench/run.sh
 
 clean:
 	$(GO) clean -testcache

@@ -63,8 +63,6 @@ func main() {
 	bucketKB := flag.Int("bucket-kb", 0, "overlap bucket size in KB (0 = default)")
 	autoBucket := flag.Bool("auto-bucket", false, "multi-node: let the collective engine pick the bucket size from the α-β cost model (overrides -bucket-kb)")
 	alg := flag.String("alg", "", "multi-node all-reduce: ring | binomial-tree | recursive-halving-doubling | hierarchical (hier) | auto (default RHD; auto lets the engine's plan selector pick the algorithm and bucket cap; the engine keeps every choice bit-identical under -overlap)")
-	hostMath := flag.Bool("hostmath", false, "multi-node: run worker passes as host goroutines instead of launches on per-worker simulated swnode.Nodes (numerics identical; skips the node timelines)")
-	timeline := flag.Bool("timeline", false, "multi-node: timeline-only simulated nodes (no CPE pools) — identical numerics and StepStats, scales to hundreds of nodes")
 	checkpointDir := flag.String("checkpoint-dir", "", "multi-node: directory for periodic on-disk checkpoints (versioned gob, atomic rename)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "multi-node: checkpoint every N completed iterations (0 = never; an in-memory step-0 checkpoint is still kept whenever -faultplan is set)")
 	resume := flag.String("resume", "", "multi-node: checkpoint file to restore before training (bit-exact: the resumed run continues the saved run's stream)")
@@ -78,36 +76,54 @@ func main() {
 	ioBatchKB := flag.Int("io-batch-kb", 0, "with -io: modeled mini-batch bytes per reader in KB (0 = the actual input tensor size)")
 	flag.Parse()
 
+	// Usage errors are refused up front, before any output, with one
+	// stderr line and exit status 2 (the flag package's own).
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "swtrain: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	if *nodes < 1 || *batch < 1 || *classes < 1 {
+		usage("-nodes, -batch and -classes must be at least 1")
+	}
+	if *qSize < 0 {
+		usage("-q must not be negative")
+	}
 	// Validate -alg up front: an unknown name lists the registry
 	// instead of surfacing a bare construction error.
 	if *alg != "" && allreduce.Canonical(*alg) != collective.NameAuto {
 		if _, err := allreduce.ByName(*alg); err != nil {
-			fmt.Fprintf(os.Stderr, "swtrain: unknown -alg %q; valid: %s | %s\n",
-				*alg, strings.Join(allreduce.Names(), " | "), collective.NameAuto)
-			os.Exit(2)
+			usage("unknown -alg %q; valid: %s | %s", *alg, strings.Join(allreduce.Names(), " | "), collective.NameAuto)
 		}
 	}
 
 	elasticUsed := *checkpointDir != "" || *checkpointEvery > 0 || *resume != "" || *faultplan != ""
 	obsUsed := *traceOut != "" || *showMetrics || *explainPlan || *qSize > 0
 	if (elasticUsed || obsUsed) && (*cg4 || *nodes == 1) {
-		fmt.Fprintln(os.Stderr, "swtrain: -checkpoint-dir/-checkpoint-every/-resume/-faultplan/-trace/-metrics/-explain-plan/-q are multi-node flags")
-		os.Exit(2)
+		usage("-checkpoint-dir/-checkpoint-every/-resume/-faultplan/-trace/-metrics/-explain-plan/-q are multi-node flags")
 	}
 	if !*ioPipe && (*stripeCount != 0 || *ioBatchKB != 0) {
-		fmt.Fprintln(os.Stderr, "swtrain: -stripes/-io-batch-kb need -io")
-		os.Exit(2)
+		usage("-stripes/-io-batch-kb need -io")
 	}
 	if *ioPipe && *nodes == 1 && !*cg4 {
-		fmt.Fprintln(os.Stderr, "swtrain: -io needs a trainer with an input pipeline (-cg4 or -nodes > 1)")
-		os.Exit(2)
+		usage("-io needs a trainer with an input pipeline (-cg4 or -nodes > 1)")
+	}
+	if *cg4 {
+		if *nodes != 4 || *overlap || *bucketKB != 0 {
+			// -nodes defaults to 4, which -cg4 repurposes as the CG count.
+			usage("-cg4 is single-node; it conflicts with -nodes/-overlap/-bucket-kb")
+		}
+		// With -net the netdef declares its own input batch, which
+		// becomes the per-CG quarter batch; the built-in architecture
+		// splits -batch four ways.
+		if *netFile == "" && *batch%4 != 0 {
+			usage("-cg4 needs -batch divisible by 4")
+		}
 	}
 	var faults *elastic.FaultPlan
 	if *faultplan != "" {
 		var err error
 		if faults, err = elastic.ParseFaultPlan(*faultplan); err != nil {
-			fmt.Fprintln(os.Stderr, "swtrain:", err)
-			os.Exit(2)
+			usage("%v", err)
 		}
 	}
 
@@ -135,20 +151,8 @@ func main() {
 	}
 
 	if *cg4 {
-		if *nodes != 4 || *overlap || *bucketKB != 0 {
-			// -nodes defaults to 4, which -cg4 repurposes as the CG count.
-			fmt.Fprintln(os.Stderr, "swtrain: -cg4 is single-node; it conflicts with -nodes/-overlap/-bucket-kb")
-			os.Exit(1)
-		}
-		// With -net the netdef declares its own input batch, which
-		// becomes the per-CG quarter batch; the built-in architecture
-		// splits -batch four ways.
 		qbuild := build
 		if *netFile == "" {
-			if *batch%4 != 0 {
-				fmt.Fprintln(os.Stderr, "swtrain: -cg4 needs -batch divisible by 4")
-				os.Exit(1)
-			}
 			q := *batch / 4
 			qbuild = func() (*core.Net, map[string]*tensor.Tensor, error) { return buildNet(q, *classes) }
 		}
@@ -241,8 +245,7 @@ func main() {
 	trainer, err := train.NewDistTrainer(train.DistConfig{
 		Nodes: *nodes, SubBatch: *batch, Solver: solverCfg,
 		Overlap: *overlap, BucketBytes: *bucketKB << 10, AutoBucket: *autoBucket,
-		AlgorithmName: *alg, HostMath: *hostMath, Timeline: *timeline,
-		Network: network, Faults: faults, Tracer: tracer, IO: ioCfg,
+		AlgorithmName: *alg, Network: network, Faults: faults, Tracer: tracer, IO: ioCfg,
 	}, build)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -320,6 +323,10 @@ func main() {
 				it, loss, trainer.CommTime, st.Msgs, st.CrossMsgs, st.CrossBytes)
 		}
 	}
+	if n := faults.Pending(); n > 0 {
+		fmt.Fprintf(os.Stderr, "swtrain: %d planned fault(s) never fired (rank out of range, or step beyond -iters)\n", n)
+		os.Exit(1)
+	}
 	if d := trainer.ParamsDiverged(); d > 1e-6 {
 		fmt.Fprintf(os.Stderr, "replica divergence: %g\n", d)
 		os.Exit(1)
@@ -345,10 +352,8 @@ func main() {
 				plan.Algorithm, collective.AutoAlgorithms, plan.Exposed)
 		}
 	}
-	if !*hostMath {
-		fmt.Printf("cluster runtime: %d simulated nodes, modeled compute %.4fs, node-timeline frontier %.4fs, %d launches on rank 0\n",
-			len(trainer.Workers), trainer.ComputeTime, trainer.Node(0).SimTime(), trainer.Node(0).Launches())
-	}
+	fmt.Printf("cluster runtime: %d simulated nodes, modeled compute %.4fs, node-timeline frontier %.4fs, %d launches on rank 0\n",
+		len(trainer.Workers), trainer.ComputeTime, trainer.Node(0).SimTime(), trainer.Node(0).Launches())
 	if *ioPipe {
 		storage, readers, ioBytes := trainer.IOStorage()
 		layout := fmt.Sprintf("stripes=%d", storage.StripeCount)

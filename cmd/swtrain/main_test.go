@@ -1,0 +1,108 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bin is the swtrain binary, built once for the whole package.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "swtrain-test")
+	if err != nil {
+		panic(err)
+	}
+	bin = filepath.Join(dir, "swtrain")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		panic("go build: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+func run(args ...string) (stdout, stderr string, exit int, err error) {
+	var o, e bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err = cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit, err = ee.ExitCode(), nil
+	}
+	return o.String(), e.String(), exit, err
+}
+
+// TestBadFlagsExitTwo: no classes, a negative supernode size and the
+// -cg4 conflicts are refused before any work, with one line on stderr
+// — not with a divide-by-zero panic, silently, or with exit 1.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "2", "-classes", "0"},
+		{"-q", "-3"},
+		{"-nodes", "0"},
+		{"-batch", "0"},
+		{"-cg4", "-nodes", "2"},
+		{"-cg4", "-overlap"},
+		{"-cg4", "-batch", "6"},
+	} {
+		stdout, stderr, exit, err := run(args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if exit != 2 {
+			t.Errorf("%v: exit %d, want 2", args, exit)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed %d bytes to stdout before refusing", args, len(stdout))
+		}
+		if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "swtrain: ") || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%v: stderr is not a one-line message:\n%s", args, stderr)
+		}
+	}
+}
+
+// TestRemovedModeFlags: the backend alone picks the node a pass runs
+// on, so -hostmath and -timeline are unknown flags — a usage error.
+func TestRemovedModeFlags(t *testing.T) {
+	for _, flag := range []string{"-hostmath", "-timeline"} {
+		stdout, stderr, exit, err := run(flag, "-nodes", "2", "-iters", "1", "-batch", "4")
+		if err != nil {
+			t.Fatalf("%s: %v", flag, err)
+		}
+		if exit != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stdout %q, stderr:\n%s", flag, exit, stdout, stderr)
+		}
+	}
+}
+
+// TestUnfiredFaultFails: a fault plan naming a rank the world does not
+// have can never fire, so the run must not report a clean recovery.
+func TestUnfiredFaultFails(t *testing.T) {
+	_, stderr, exit, err := run("-nodes", "2", "-iters", "2", "-batch", "4", "-faultplan", "5@0:forward")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exit != 1 || !strings.Contains(stderr, "swtrain: 1 planned fault(s) never fired") {
+		t.Errorf("exit %d, stderr:\n%s", exit, stderr)
+	}
+}
+
+func TestGoodRun(t *testing.T) {
+	stdout, stderr, exit, err := run("-nodes", "4", "-iters", "2", "-batch", "4")
+	if err != nil || exit != 0 {
+		t.Fatalf("exit %d, err %v, stderr:\n%s", exit, err, stderr)
+	}
+	for _, want := range []string{"replicas consistent across 4 nodes", "cluster runtime: 4 simulated nodes"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("output lacks %q:\n%s", want, stdout)
+		}
+	}
+}

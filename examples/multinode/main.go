@@ -107,12 +107,11 @@ func main() {
 	// Collective engine: overlap the all-reduce with backward, once
 	// per algorithm — the engine keeps the ring bit-identical under
 	// overlap via chunk-aligned buckets, and -auto picks the bucket
-	// cap from the α-β cost model. Timeline-only nodes (no CPE pools)
-	// keep the demo light; numerics are identical either way.
+	// cap from the α-β cost model.
 	for _, alg := range []string{allreduce.NameRHD, allreduce.NameRing} {
 		t, err := train.NewDistTrainer(train.DistConfig{
 			Nodes: nodes, SubBatch: subBatch, Solver: solverCfg,
-			Overlap: true, AutoBucket: true, AlgorithmName: alg, Timeline: true,
+			Overlap: true, AutoBucket: true, AlgorithmName: alg,
 		}, func() (*core.Net, map[string]*tensor.Tensor, error) { return buildNet(subBatch) })
 		if err != nil {
 			log.Fatal(err)

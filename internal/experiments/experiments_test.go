@@ -301,11 +301,8 @@ func TestFunctionalScalingClaims(t *testing.T) {
 	if last.Backend != train.BackendDES || last.Nodes != 1024 {
 		t.Fatalf("sweep should end with the discrete-event p=1024 point, got %+v", last)
 	}
-	if g := rows[5]; g.Backend == train.BackendDES || !g.Timeline || g.Nodes != 128 {
-		t.Fatalf("goroutine tiers should end with the timeline-mode p=128 point, got %+v", g)
-	}
-	if rows[0].Timeline {
-		t.Fatalf("small node counts should run on pooled nodes, got %+v", rows[0])
+	if g := rows[5]; g.Backend == train.BackendDES || g.Nodes != 128 {
+		t.Fatalf("goroutine tiers should end with the pooled p=128 point, got %+v", g)
 	}
 	for _, r := range rows {
 		b, o := r.Barrier.Stats, r.Overlap.Stats

@@ -181,51 +181,44 @@ func funcScaleNet(batch, classes int) (*core.Net, map[string]*tensor.Tensor, err
 // supernode adjacent-mapped variant of the network (q = 2 puts real
 // supernode crossings in reach of simulable node counts; the stock
 // TaihuLight q = 256 would leave every test-sized cluster inside one
-// supernode). Timeline marks the rows executed on timeline-only nodes
-// (no CPE pools), which is what lets the sweep reach p in the
-// hundreds.
+// supernode).
 type FunctionalScalingRow struct {
-	Nodes    int
-	Timeline bool
-	Backend  string // train.BackendDES for event-driven rows, else goroutine
-	Barrier  train.FunctionalPoint
-	Overlap  train.FunctionalPoint
-	Hier     train.FunctionalPoint
+	Nodes   int
+	Backend string // train.BackendDES for event-driven rows, else goroutine
+	Barrier train.FunctionalPoint
+	Overlap train.FunctionalPoint
+	Hier    train.FunctionalPoint
 }
 
 var (
-	functionalNodeCounts         = []int{2, 4, 8}
-	functionalTimelineNodeCounts = []int{16, 64, 128}
+	functionalNodeCounts = []int{2, 4, 8, 16, 64, 128}
 	// The discrete-event tier: single-threaded event-driven scheduling
 	// makes the paper's machine sizes functional, not just priced. The
-	// goroutine tiers stop at 128 because p live goroutine ranks per
+	// goroutine tier stops at 128 because p live goroutine ranks per
 	// collective stop being fast long before they stop being correct.
 	functionalDESNodeCounts = []int{512, 1024}
 )
 
-// functionalTier is one (rank list, node mode, backend) slice of the
+// functionalTier is one (rank list, backend) slice of the
 // functional-scaling sweep.
 type functionalTier struct {
-	nodes    []int
-	timeline bool
-	backend  string
+	nodes   []int
+	backend string
 }
 
 // FunctionalScaling executes the multi-node cluster runtime end to end
 // — every worker's passes as stream launches on its own simulated
 // swnode.Node, collectives over simnet — and reports the measured
 // modeled step decompositions, barrier vs bucketed overlap. It is the
-// functional complement of Figs. 10/11's closed-form curves: same
-// machinery the distributed trainer tests pin bit-identical to host
-// math, so these numbers are executed, not priced. Beyond p=8 the
-// sweep switches the nodes to timeline-only mode (identical numerics
-// and StepStats, no CPE pools) and continues into the
-// hundreds-of-nodes regime.
+// functional complement of Figs. 10/11's closed-form curves: the
+// machinery the distributed trainer tests pin bit-identical across
+// backends, so these numbers are executed, not priced. The goroutine
+// tier runs pooled nodes up to p = 128; the DES tier carries the sweep
+// to the paper's machine sizes.
 func FunctionalScaling(w io.Writer) []FunctionalScalingRow {
 	rows := functionalSweepRows([]functionalTier{
 		{nodes: functionalNodeCounts},
-		{nodes: functionalTimelineNodeCounts, timeline: true},
-		{nodes: functionalDESNodeCounts, timeline: true, backend: train.BackendDES},
+		{nodes: functionalDESNodeCounts, backend: train.BackendDES},
 	})
 	printFunctionalTable(w, rows)
 	return rows
@@ -233,17 +226,10 @@ func FunctionalScaling(w io.Writer) []FunctionalScalingRow {
 
 // FunctionalScalingAt is the parameterized entry behind `swbench
 // funcscale -p ... -backend ...`: one tier at the caller's rank list
-// and backend. Rank counts past 8 run timeline-only nodes (the CPE
-// pools add nothing to the step decomposition and cap the reachable
-// p); the DES backend implies timeline nodes regardless.
+// and backend, which alone picks the nodes (pooled on the goroutine
+// backend, DES nodes on the DES backend).
 func FunctionalScalingAt(w io.Writer, ranks []int, backend string) []FunctionalScalingRow {
-	timeline := backend == train.BackendDES
-	for _, p := range ranks {
-		if p > 8 {
-			timeline = true
-		}
-	}
-	rows := functionalSweepRows([]functionalTier{{nodes: ranks, timeline: timeline, backend: backend}})
+	rows := functionalSweepRows([]functionalTier{{nodes: ranks, backend: backend}})
 	printFunctionalTable(w, rows)
 	return rows
 }
@@ -276,7 +262,7 @@ func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	parallelFor(3*len(tiers), func(i int) {
 		ti, arm := i/3, i%3
 		tier := tiers[ti]
-		base := train.FunctionalSweepConfig{Timeline: tier.timeline, Backend: tier.backend}
+		base := train.FunctionalSweepConfig{Backend: tier.backend}
 		switch arm {
 		case 0:
 			arms[ti][0] = sweep(base, tier.nodes)
@@ -294,7 +280,7 @@ func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	var rows []FunctionalScalingRow
 	for ti, tier := range tiers {
 		for i, p := range tier.nodes {
-			rows = append(rows, FunctionalScalingRow{Nodes: p, Timeline: tier.timeline, Backend: tier.backend,
+			rows = append(rows, FunctionalScalingRow{Nodes: p, Backend: tier.backend,
 				Barrier: arms[ti][0][i], Overlap: arms[ti][1][i], Hier: arms[ti][2][i]})
 		}
 	}
@@ -312,9 +298,6 @@ func printFunctionalTable(w io.Writer, rows []FunctionalScalingRow) {
 			gain = b.StepTime / o.StepTime
 		}
 		mode := "pooled"
-		if r.Timeline {
-			mode = "timeline"
-		}
 		if r.Backend == train.BackendDES {
 			mode = "des"
 		}
@@ -358,8 +341,7 @@ func FunctionalScalingIO(w io.Writer, ranks []int, backend string) []IOScalingRo
 		p := ranks[pi]
 		d, err := train.NewDistTrainer(train.DistConfig{
 			Nodes: p, SubBatch: 8, Solver: solver,
-			Overlap: true, BucketBytes: 8 << 10,
-			Timeline: p > 8 || backend == train.BackendDES, Backend: backend,
+			Overlap: true, BucketBytes: 8 << 10, Backend: backend,
 			IO: &train.IOConfig{
 				Storage: pario.DefaultTaihuLight(1), BatchBytes: batchBytes, AutoStripe: arm == 1,
 			},

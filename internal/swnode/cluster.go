@@ -26,7 +26,16 @@ type Cluster struct {
 // NewCluster builds p simulated nodes around one hardware model (nil
 // selects the calibrated default). CPE worker pools spin up lazily on
 // each node's first launch, so an idle cluster costs no goroutines.
-func NewCluster(p int, m *sw26010.Model) *Cluster {
+func NewCluster(p int, m *sw26010.Model) *Cluster { return newCluster(p, m, NewNode) }
+
+// NewDESCluster builds p DES nodes for the discrete-event backend (see
+// NewDESNode): the full stream/event/scheduler semantics and per-node
+// modeled timelines with no CoreGroups and zero goroutines anywhere —
+// launches run inline on the driver, which is what lets functional
+// sweeps reach p = 1024/4096.
+func NewDESCluster(p int, m *sw26010.Model) *Cluster { return newCluster(p, m, NewDESNode) }
+
+func newCluster(p int, m *sw26010.Model, mk func(*sw26010.Model) *Node) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("swnode: cluster size %d must be positive", p))
 	}
@@ -35,53 +44,12 @@ func NewCluster(p int, m *sw26010.Model) *Cluster {
 	}
 	c := &Cluster{nodes: make([]*Node, p)}
 	for i := range c.nodes {
-		c.nodes[i] = NewNode(m)
+		c.nodes[i] = mk(m)
 	}
 	return c
 }
 
-// NewTimelineCluster builds p timeline-only nodes (see
-// NewTimelineNode): the full stream/event/scheduler semantics and
-// per-node modeled timelines with no CPE pools at all, so the
-// functional cluster runtime scales to p in the hundreds without
-// p×64 simulated-mesh goroutines.
-func NewTimelineCluster(p int, m *sw26010.Model) *Cluster {
-	if p <= 0 {
-		panic(fmt.Sprintf("swnode: cluster size %d must be positive", p))
-	}
-	if m == nil {
-		m = sw26010.Default()
-	}
-	c := &Cluster{nodes: make([]*Node, p)}
-	for i := range c.nodes {
-		c.nodes[i] = NewTimelineNode(m)
-	}
-	return c
-}
-
-// NewDESCluster builds p inline-execution timeline nodes for the
-// discrete-event backend (see NewDESNode): the full stream/event/
-// scheduler semantics and per-node modeled timelines with zero
-// goroutines anywhere — launches run inline on the driver, which is
-// what lets functional sweeps reach p = 1024/4096.
-func NewDESCluster(p int, m *sw26010.Model) *Cluster {
-	if p <= 0 {
-		panic(fmt.Sprintf("swnode: cluster size %d must be positive", p))
-	}
-	if m == nil {
-		m = sw26010.Default()
-	}
-	c := &Cluster{nodes: make([]*Node, p)}
-	for i := range c.nodes {
-		c.nodes[i] = NewDESNode(m)
-	}
-	return c
-}
-
-// Timeline reports whether the cluster's nodes are timeline-only.
-func (c *Cluster) Timeline() bool { return c.nodes[0].Timeline() }
-
-// DES reports whether the cluster's nodes run launches inline.
+// DES reports whether the cluster's nodes are DES nodes.
 func (c *Cluster) DES() bool { return c.nodes[0].DES() }
 
 // Size returns the number of nodes.

@@ -37,9 +37,8 @@ const Unpinned = -1
 type Node struct {
 	Model *sw26010.Model
 
-	cgs      [sw26010.CoreGroups]*sw26010.CoreGroup
-	timeline bool // no CoreGroups: LaunchFunc-only, DAG timeline intact
-	des      bool // timeline node that runs launches inline (no goroutines)
+	cgs [sw26010.CoreGroups]*sw26010.CoreGroup
+	des bool // no CoreGroups: LaunchFunc-only, run inline (no goroutines)
 
 	mu       sync.Mutex
 	load     [sw26010.CoreGroups]float64 // cumulative scheduling weight per CG
@@ -58,65 +57,45 @@ type Node struct {
 // (nil selects the calibrated default). The CoreGroups' CPE worker
 // pools are created lazily by their first launch.
 func NewNode(m *sw26010.Model) *Node {
-	if m == nil {
-		m = sw26010.Default()
-	}
-	n := &Node{Model: m}
-	for i := range n.speed {
-		n.speed[i] = 1
-	}
+	n := newNode(m, false)
 	for i := range n.cgs {
-		n.cgs[i] = sw26010.NewCoreGroup(m)
+		n.cgs[i] = sw26010.NewCoreGroup(n.Model)
 	}
 	return n
 }
 
-// NewTimelineNode builds a lightweight node with no CoreGroups behind
-// it: launches must go through Stream.LaunchFunc, which executes on
-// the host goroutine and is charged the modeled seconds it returns.
-// Stream ordering, event dependencies, the deterministic 4-slot
-// least-loaded scheduler and the modeled [SimStart, SimEnd] timeline
-// all behave exactly as on a pooled node — only the simulated CPE
-// meshes (and their worker goroutines, 64 per CoreGroup) are absent,
-// which is what lets a functional sweep run the cluster runtime at
-// hundreds of nodes.
-func NewTimelineNode(m *sw26010.Model) *Node {
+// NewDESNode builds a node for the discrete-event backend, with no
+// CoreGroups behind it: launches go through Stream.LaunchFunc, run
+// inline on the submitting goroutine and are charged the modeled
+// seconds they return. Stream ordering, event dependencies, the
+// deterministic 4-slot least-loaded scheduler and the modeled
+// [SimStart, SimEnd] timeline all behave exactly as on a pooled node.
+// Running inline is valid because DES launches are only submitted from
+// one single-threaded driver, so every dependency's done channel is
+// already closed when a launch is placed — the DAG resolves in
+// submission order. A p = 4096 sweep therefore costs zero goroutines
+// on the compute side too.
+func NewDESNode(m *sw26010.Model) *Node { return newNode(m, true) }
+
+func newNode(m *sw26010.Model, des bool) *Node {
 	if m == nil {
 		m = sw26010.Default()
 	}
-	n := &Node{Model: m, timeline: true}
+	n := &Node{Model: m, des: des}
 	for i := range n.speed {
 		n.speed[i] = 1
 	}
 	return n
 }
 
-// NewDESNode builds a timeline-only node for the discrete-event
-// backend: identical stream/event/scheduler semantics and modeled
-// timeline as NewTimelineNode, but every launch executes inline on the
-// submitting goroutine instead of on a launch goroutine. Valid because
-// DES-mode launches are only submitted from one single-threaded
-// driver, so every dependency's done channel is already closed when a
-// launch is placed — the DAG resolves in submission order. A p = 4096
-// sweep therefore costs zero goroutines on the compute side too.
-func NewDESNode(m *sw26010.Model) *Node {
-	n := NewTimelineNode(m)
-	n.des = true
-	return n
-}
-
-// Timeline reports whether this is a timeline-only node (no CPE
-// pools; LaunchFunc-only).
-func (n *Node) Timeline() bool { return n.timeline }
-
-// DES reports whether this node runs launches inline (see NewDESNode).
+// DES reports whether this is a DES node (see NewDESNode).
 func (n *Node) DES() bool { return n.des }
 
 // CG returns CoreGroup i (0..3) for direct, synchronous use. Panics
-// on a timeline-only node, which has no CoreGroups.
+// on a DES node, which has no CoreGroups.
 func (n *Node) CG(i int) *sw26010.CoreGroup {
-	if n.timeline {
-		panic("swnode: CG access on a timeline-only node")
+	if n.des {
+		panic("swnode: CG access on a DES node, which has no CoreGroups")
 	}
 	return n.cgs[i]
 }
@@ -267,7 +246,7 @@ func (n *Node) SimTime() float64 {
 }
 
 // Stats returns the summed simulated activity of all four CoreGroups
-// (zero on a timeline-only node, which runs no mesh kernels).
+// (zero on a DES node, which runs no mesh kernels).
 func (n *Node) Stats() sw26010.Stats {
 	var agg sw26010.Stats
 	for _, cg := range n.cgs {

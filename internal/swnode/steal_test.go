@@ -13,7 +13,7 @@ import (
 // pins — the bit-compat guarantee that lets a trainer switch to
 // soft-pinned streams without moving a single launch.
 func TestSoftPinHealthyNodeMatchesHardPin(t *testing.T) {
-	node := swnode.NewTimelineNode(nil)
+	node := swnode.NewDESNode(nil)
 	defer node.Close()
 	streams := make([]*swnode.Stream, sw26010.CoreGroups)
 	for i := range streams {
@@ -35,7 +35,7 @@ func TestSoftPinHealthyNodeMatchesHardPin(t *testing.T) {
 // identical runs place identically.
 func TestSoftPinStealsFromSkewedLoad(t *testing.T) {
 	run := func() []int {
-		node := swnode.NewTimelineNode(nil)
+		node := swnode.NewDESNode(nil)
 		defer node.Close()
 		// Skew CG0: a hard-pinned launch with heavy weight.
 		node.PinnedStream(0).LaunchFunc(10, func() float64 { return 10 })
@@ -65,7 +65,7 @@ func TestSoftPinStealsFromSkewedLoad(t *testing.T) {
 		}
 	}
 	// A hard pin under the same skew never moves.
-	node := swnode.NewTimelineNode(nil)
+	node := swnode.NewDESNode(nil)
 	defer node.Close()
 	node.PinnedStream(0).LaunchFunc(10, func() float64 { return 10 })
 	hard := node.PinnedStream(0)
@@ -81,7 +81,7 @@ func TestSoftPinStealsFromSkewedLoad(t *testing.T) {
 // effective loads, so soft-pinned and unpinned work drains away from
 // it; the healthy speed of 1 changes no bits.
 func TestDegradedCGSpeed(t *testing.T) {
-	node := swnode.NewTimelineNode(nil)
+	node := swnode.NewDESNode(nil)
 	defer node.Close()
 	node.SetCGSpeed(2, 0.25)
 

@@ -105,18 +105,19 @@ func (s *Stream) Launch(kernel func(cg *sw26010.CoreGroup) float64, deps ...*Eve
 // kernel); placement uses cumulative assigned weight only, never
 // completion times, so it is reproducible.
 func (s *Stream) LaunchWeighted(weight float64, kernel func(cg *sw26010.CoreGroup) float64, deps ...*Event) *Event {
-	if s.node.timeline {
-		panic("swnode: CoreGroup launch on a timeline-only node; use LaunchFunc")
+	if s.node.des {
+		panic("swnode: CoreGroup launch on a DES node, which has no CoreGroups; use LaunchFunc")
 	}
 	return s.launch(weight, func(e *Event) float64 { return kernel(s.node.cgs[e.cg]) }, deps)
 }
 
-// LaunchFunc submits fn as a launch that runs on the host goroutine
-// with no CoreGroup behind it: fn executes once the launch's ordering
-// constraints resolve and the launch is charged exactly the modeled
-// seconds fn returns. This is the only launch a timeline-only node
-// accepts, and it also works on pooled nodes (for work that needs
-// scheduling and a timeline but no simulated mesh).
+// LaunchFunc submits fn as a launch that runs on the host with no
+// CoreGroup behind it: fn executes once the launch's ordering
+// constraints resolve — on a launch goroutine, or inline on a DES node
+// — and the launch is charged exactly the modeled seconds fn returns.
+// This is the only launch a DES node accepts, and it also works on
+// pooled nodes (for work that needs scheduling and a timeline but no
+// simulated mesh).
 func (s *Stream) LaunchFunc(weight float64, fn func() float64, deps ...*Event) *Event {
 	return s.launch(weight, func(*Event) float64 { return fn() }, deps)
 }

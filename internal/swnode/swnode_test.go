@@ -329,14 +329,14 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestTimelineNodeLaunchFunc: timeline-only nodes run LaunchFunc
-// launches with full stream/dependency ordering and modeled times but
-// no CoreGroups; CoreGroup launches and CG access must be refused.
-func TestTimelineNodeLaunchFunc(t *testing.T) {
-	node := swnode.NewTimelineNode(nil)
+// TestDESNodeLaunchFunc: DES nodes run LaunchFunc launches inline with
+// full stream/dependency ordering and modeled times but no CoreGroups;
+// CoreGroup launches and CG access must be refused.
+func TestDESNodeLaunchFunc(t *testing.T) {
+	node := swnode.NewDESNode(nil)
 	defer node.Close()
-	if !node.Timeline() {
-		t.Fatal("not a timeline node")
+	if !node.DES() {
+		t.Fatal("not a DES node")
 	}
 
 	var order []int
@@ -373,13 +373,13 @@ func TestTimelineNodeLaunchFunc(t *testing.T) {
 		t.Fatalf("SimTime %g, want 22", got)
 	}
 	if st := node.Stats(); st.Flops != 0 {
-		t.Fatalf("timeline node reported mesh activity: %+v", st)
+		t.Fatalf("DES node reported mesh activity: %+v", st)
 	}
 
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("CoreGroup launch accepted on a timeline node")
+				t.Fatal("CoreGroup launch accepted on a DES node")
 			}
 		}()
 		node.NewStream().Launch(func(cg *sw26010.CoreGroup) float64 { return 0 })
@@ -387,7 +387,7 @@ func TestTimelineNodeLaunchFunc(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("CG access accepted on a timeline node")
+				t.Fatal("CG access accepted on a DES node")
 			}
 		}()
 		node.CG(0)

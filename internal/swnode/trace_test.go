@@ -8,12 +8,12 @@ import (
 	"swcaffe/internal/obs"
 )
 
-// Tracing a timeline node must record one span per successful launch
-// on the CG track it was placed on, covering exactly the modeled
+// Tracing a DES node must record one span per successful launch on the
+// CG track it was placed on, covering exactly the modeled
 // [SimStart, SimEnd] window — and must not move the modeled clocks.
-func TestTracedTimelineLaunchSpans(t *testing.T) {
+func TestTracedDESLaunchSpans(t *testing.T) {
 	run := func(tr *obs.Tracer) (simTimes []float64) {
-		n := NewTimelineNode(nil)
+		n := NewDESNode(nil)
 		defer n.Close()
 		n.SetTracer(tr, 3)
 		s := n.NewStream()
@@ -95,7 +95,7 @@ func TestTracedPooledLaunchAndFailure(t *testing.T) {
 
 // Detaching mid-run stops span emission for later launches only.
 func TestSetTracerDetach(t *testing.T) {
-	n := NewTimelineNode(nil)
+	n := NewDESNode(nil)
 	defer n.Close()
 	tr := obs.New()
 	n.SetTracer(tr, 0)

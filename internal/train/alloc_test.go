@@ -104,7 +104,6 @@ func TestWarmStepAllocatesNoGradientVector(t *testing.T) {
 		{"DES overlap", 64, true, BackendDES, 2},
 	} {
 		cfg := desTwinConfig(c.p, netw, topology.AdjacentMapping{Q: 8}, allreduce.NameRHD, c.overlap, c.backend)
-		cfg.Timeline = false
 		d, err := NewDistTrainer(cfg, budgetFactory(cfg.SubBatch, 3))
 		if err != nil {
 			t.Fatal(err)

@@ -16,8 +16,9 @@ import (
 )
 
 // desTwinConfig builds the shared DistConfig for one backend-golden
-// arm. The goroutine twin runs timeline nodes, matching the node mode
-// the DES backend implies, so the only variable is the scheduler.
+// arm: the backend is the only variable, and it picks both the
+// scheduler and the node — pooled CoreGroup launches on the goroutine
+// twin, inline DES nodes on the other.
 func desTwinConfig(p int, netw *topology.Network, m topology.Mapping, alg string, overlap bool, backend string) DistConfig {
 	return DistConfig{
 		Nodes: p, SubBatch: 4,
@@ -27,7 +28,6 @@ func desTwinConfig(p int, netw *topology.Network, m topology.Mapping, alg string
 		AlgorithmName: alg,
 		Overlap:       overlap,
 		BucketBytes:   2 << 10,
-		Timeline:      true,
 		Backend:       backend,
 	}
 }
@@ -118,19 +118,13 @@ func TestDESBackendBitIdenticalToGoroutine(t *testing.T) {
 }
 
 // TestDESBackendRejectsIncompatibleConfig pins the validation surface:
-// the DES backend cannot host blocking custom algorithm bodies, host
-// math, or the fault machinery (the goroutine backend stays the
-// failure oracle).
+// the DES backend cannot host blocking custom algorithm bodies or the
+// fault machinery (the goroutine backend stays the failure oracle).
 func TestDESBackendRejectsIncompatibleConfig(t *testing.T) {
 	netw, mapping := hierNet(2)
 	base := desTwinConfig(4, netw, mapping, allreduce.NameRing, false, BackendDES)
 
 	bad := base
-	bad.HostMath = true
-	if _, err := NewDistTrainer(bad, mlpFactory(4, 3)); err == nil {
-		t.Fatal("HostMath + DES accepted")
-	}
-	bad = base
 	bad.Faults = elastic.NewFaultPlan()
 	if _, err := NewDistTrainer(bad, mlpFactory(4, 3)); err == nil {
 		t.Fatal("Faults + DES accepted")

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sort"
 
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
@@ -168,26 +167,19 @@ func (t *DistTrainer) restoreRankStates() {
 	}
 }
 
-// FailedRanks reports the workers whose most recent pass panicked
-// (poisoned streams in node mode; recorded pass panics in HostMath
-// mode). Call it after recovering from a failed Step and before
-// Shrink or the next Step — both clear the poison. Ranks that died
-// inside a collective do not poison their pass stream; identify those
-// from the recovered panic value via elastic.FailedRank.
+// FailedRanks reports the workers whose most recent pass panicked —
+// those whose pass stream is poisoned. Call it after recovering from a
+// failed Step and before Shrink or the next Step — both clear the
+// poison. Ranks that died inside a collective do not poison their pass
+// stream; identify those from the recovered panic value via
+// elastic.FailedRank.
 func (t *DistTrainer) FailedRanks() []int {
 	var failed []int
-	if t.nodes != nil {
-		for i, w := range t.Workers {
-			if w.stream.Poisoned() {
-				failed = append(failed, i)
-			}
+	for i, w := range t.Workers {
+		if w.stream.Poisoned() {
+			failed = append(failed, i)
 		}
-		return failed
 	}
-	t.hostMu.Lock()
-	failed = append(failed, t.hostFailed...)
-	t.hostMu.Unlock()
-	sort.Ints(failed)
 	return failed
 }
 
@@ -224,9 +216,7 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 		if dead[r] {
 			// Idempotent: the node may be closed again by Cluster.Close
 			// when the trainer winds down.
-			if w.node != nil {
-				w.node.Close()
-			}
+			w.node.Close()
 			continue
 		}
 		survivors = append(survivors, w)

@@ -15,19 +15,11 @@ import (
 // Elastic goldens: checkpoint/restore is bit-exact, a killed rank
 // shrinks the world and training continues hex-identically to a
 // fresh p'-world restored from the same checkpoint, and plan
-// selection re-runs for the new shape. Every test drives the three
-// execution paths (HostMath goroutines, pooled CPE nodes, timeline
-// nodes) or pins why one suffices.
+// selection re-runs for the new shape. The goldens that inject faults
+// drive elasticModes: the pooled path alone, because the DES backend
+// rejects fault plans and the goroutine backend is the failure oracle.
 
-var elasticModes = []struct {
-	name     string
-	hostMath bool
-	timeline bool
-}{
-	{"hostmath", true, false},
-	{"pooled", false, false},
-	{"timeline", false, true},
-}
+var elasticModes = distPaths[:1]
 
 // stepRecover runs one Step, converting a panic into a value.
 func stepRecover(d *DistTrainer) (loss float32, pan any) {
@@ -37,7 +29,7 @@ func stepRecover(d *DistTrainer) (loss float32, pan any) {
 }
 
 // victims identifies the failed ranks after a recovered Step: pass
-// failures via FailedRanks (poisoned streams / host bookkeeping),
+// failures via FailedRanks (poisoned pass streams),
 // collective failures via the rank the panic value carries.
 func victims(d *DistTrainer, pan any) []int {
 	if failed := d.FailedRanks(); len(failed) > 0 {
@@ -94,7 +86,7 @@ func requireSameBlobs(t *testing.T, label string, a, b []elastic.Blob) {
 // world shrinks to p' = 7, the last checkpoint is restored, and
 // training continues. The final state must be hex-identical to a
 // fresh 7-rank trainer restored from the same checkpoint and trained
-// over the same iterations — on all three execution paths.
+// over the same iterations.
 func TestShrinkContinueGolden(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 61)
@@ -103,8 +95,7 @@ func TestShrinkContinueGolden(t *testing.T) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			d, err := NewDistTrainer(DistConfig{Nodes: 8, SubBatch: 4, Solver: cfg,
-				Overlap: true, BucketBytes: 8 << 10,
-				HostMath: mode.hostMath, Timeline: mode.timeline,
+				Overlap: true, BucketBytes: 8 << 10, Backend: mode.backend,
 				Faults: elastic.MustParseFaultPlan("3@5:flush-bucket-0")},
 				deepFactory(4, classes))
 			if err != nil {
@@ -149,8 +140,7 @@ func TestShrinkContinueGolden(t *testing.T) {
 			// A fresh p' = 7 trainer restored from the same checkpoint
 			// must reproduce the continuation bit for bit.
 			fresh, err := NewDistTrainer(DistConfig{Nodes: 7, SubBatch: 4, Solver: cfg,
-				Overlap: true, BucketBytes: 8 << 10,
-				HostMath: mode.hostMath, Timeline: mode.timeline},
+				Overlap: true, BucketBytes: 8 << 10, Backend: mode.backend},
 				deepFactory(4, classes))
 			if err != nil {
 				t.Fatal(err)
@@ -184,8 +174,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 17)
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
 	build := func() (*DistTrainer, error) {
-		return NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2, Solver: cfg,
-			HostMath: true}, mlpFactory(2, classes))
+		return NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2, Solver: cfg}, mlpFactory(2, classes))
 	}
 
 	t.Run("shards", func(t *testing.T) {
@@ -349,7 +338,7 @@ func TestShrinkReselectsPlan(t *testing.T) {
 
 // TestPassFaultRecoverContinuesClean injects a fault into every pass
 // phase (forward, backward, pack) and the collective flush, on both
-// step variants and all three execution paths. Each time: the Step
+// step variants. Each time: the Step
 // panics, the victim is identifiable, and — because the failure path
 // quiesces in-flight passes and never applies a partial update — the
 // same full-size world simply retries the iteration and finishes
@@ -379,8 +368,7 @@ func TestPassFaultRecoverContinuesClean(t *testing.T) {
 				build := func(faults *elastic.FaultPlan) *DistTrainer {
 					d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2,
 						Solver: cfg, Overlap: tc.overlap, BucketBytes: 8 << 10,
-						HostMath: mode.hostMath, Timeline: mode.timeline,
-						Faults: faults}, mlpFactory(2, classes))
+						Backend: mode.backend, Faults: faults}, mlpFactory(2, classes))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -472,8 +460,7 @@ func TestHierarchicalFaultRecover(t *testing.T) {
 func TestShrinkValidation(t *testing.T) {
 	const classes = 3
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-	d, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 2, Solver: cfg,
-		HostMath: true}, mlpFactory(2, classes))
+	d, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 2, Solver: cfg}, mlpFactory(2, classes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,64 +127,17 @@ func TestAutoBucketOverlapBitIdenticalAndNoWorse(t *testing.T) {
 	}
 }
 
-// TestTimelineClusterBitIdenticalToHostMath: timeline-only nodes (no
-// CPE pools) must leave numerics and modeled StepStats bit-identical
-// to the host-math trainer, for both step variants.
-func TestTimelineClusterBitIdenticalToHostMath(t *testing.T) {
-	const classes = 3
-	ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 47)
-	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-	for _, overlap := range []bool{false, true} {
-		mk := func(hostMath bool) *DistTrainer {
-			d, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8, Solver: cfg,
-				Overlap: overlap, BucketBytes: 8 << 10,
-				Timeline: true, HostMath: hostMath}, deepFactory(8, classes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
-		sim, host := mk(false), mk(true)
-		for it := 0; it < 10; it++ {
-			sim.LoadShards(ds, it)
-			host.LoadShards(ds, it)
-			if ls, lh := sim.Step(), host.Step(); ls != lh {
-				t.Fatalf("overlap=%v iter %d: loss %v != host-math %v", overlap, it, ls, lh)
-			}
-			if !sim.LastStep.Equal(host.LastStep) {
-				t.Fatalf("overlap=%v iter %d: StepStats %+v != host-math %+v", overlap, it, sim.LastStep, host.LastStep)
-			}
-		}
-		for r := 0; r < 3; r++ {
-			sp := sim.Workers[r].Net.LearnableParams()
-			hp := host.Workers[r].Net.LearnableParams()
-			for i := range sp {
-				if d := tensor.MaxDiff(sp[i].Data, hp[i].Data); d != 0 {
-					t.Fatalf("overlap=%v rank %d param %d: timeline runtime deviates by %g", overlap, r, i, d)
-				}
-			}
-		}
-		if !sim.Node(0).Timeline() {
-			t.Fatal("trainer did not run on timeline nodes")
-		}
-		if sim.Node(0).Launches() == 0 || sim.Node(0).SimTime() <= 0 {
-			t.Fatal("no launches landed on the timeline nodes")
-		}
-		sim.Close()
-		host.Close()
-	}
-}
-
-// TestTimelineClusterP128Smoke is the functional-scaling smoke at p in
-// the hundreds: 128 timeline nodes run real synchronous steps (the
-// CI-pinned regime the pooled runtime cannot afford), replicas stay
-// bit-consistent, and the modeled decomposition is sane.
-func TestTimelineClusterP128Smoke(t *testing.T) {
+// TestPooledClusterP128Smoke is the functional-scaling smoke at p in
+// the hundreds on the goroutine backend: 128 pooled nodes run real
+// synchronous steps, private replicas stay bit-consistent, the
+// modeled decomposition is sane, and every rank's passes landed on its
+// own node.
+func TestPooledClusterP128Smoke(t *testing.T) {
 	const p, classes = 128, 3
 	ds := dataset.NewClusters(4096, classes, 1, 3, 3, 0.4, 53)
 	d, err := NewDistTrainer(DistConfig{Nodes: p, SubBatch: 2,
 		Solver:  core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		Overlap: true, BucketBytes: 1 << 10, Timeline: true}, mlpFactory(2, classes))
+		Overlap: true, BucketBytes: 1 << 10}, mlpFactory(2, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +157,8 @@ func TestTimelineClusterP128Smoke(t *testing.T) {
 		t.Fatalf("overlap exposed everything at p=%d: %+v", p, st)
 	}
 	for _, r := range []int{0, p - 1} {
-		if d.Node(r) == nil || !d.Node(r).Timeline() || d.Node(r).Launches() == 0 {
-			t.Fatalf("rank %d did not run on a timeline node", r)
+		if n := d.Node(r); n.DES() || n.Launches() == 0 {
+			t.Fatalf("rank %d did not run on a pooled node", r)
 		}
 	}
 }
@@ -277,30 +230,29 @@ func hierNet(q int) (*topology.Network, topology.Mapping) {
 // allreduce.HierChunkBounds and reduces each with the full schedule
 // restricted to the bucket (allreduce.Schedule.Run). Losses
 // and every replica's parameters must match the one-shot barrier
-// hierarchical bit for bit — across the pooled-node, timeline-only
-// and host-math trainer paths. Run under -race by `make race`.
+// hierarchical bit for bit — on pooled nodes and on the DES backend.
+// Run under -race by `make race`.
 func TestHierarchicalOverlapBitIdenticalToBarrier(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 61)
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
 	for _, nodes := range []int{4, 6} { // 2 and 3 supernodes of q=2
 		netw, mapping := hierNet(2)
-		mk := func(overlap, timeline, hostMath bool) *DistTrainer {
+		mk := func(overlap bool, backend string) *DistTrainer {
 			d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8, Solver: cfg,
 				Network: netw, Mapping: mapping,
 				AlgorithmName: allreduce.NameHierarchical,
 				Overlap:       overlap, BucketBytes: 8 << 10,
-				Timeline: timeline, HostMath: hostMath}, deepFactory(8, classes))
+				Backend: backend}, deepFactory(8, classes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
 		}
-		barrier := mk(false, false, false)
-		overlap := mk(true, false, false)
-		tlOverlap := mk(true, true, false)
-		hmOverlap := mk(true, false, true)
-		all := []*DistTrainer{barrier, overlap, tlOverlap, hmOverlap}
+		barrier := mk(false, BackendGoroutine)
+		overlap := mk(true, BackendGoroutine)
+		desOverlap := mk(true, BackendDES)
+		all := []*DistTrainer{barrier, overlap, desOverlap}
 		for _, d := range all {
 			defer d.Close()
 		}
@@ -355,7 +307,7 @@ func TestHierarchicalFlatSumsHexExact(t *testing.T) {
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
 	mk := func(alg string) *DistTrainer {
 		d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8, Solver: cfg,
-			Network: netw, Mapping: mapping, AlgorithmName: alg, HostMath: true},
+			Network: netw, Mapping: mapping, AlgorithmName: alg},
 			deepFactory(8, classes))
 		if err != nil {
 			t.Fatal(err)

@@ -70,14 +70,9 @@ func (t *DistTrainer) StepHistory(dst []StepStats) []StepStats {
 func (t *DistTrainer) HistoryLen() int { return t.histLen }
 
 // Launches reports the total stream launches submitted across the
-// workers' simulated nodes (0 in HostMath mode) — the value swtrain
-// exports as the swnode.launches gauge.
-func (t *DistTrainer) Launches() int {
-	if t.nodes == nil {
-		return 0
-	}
-	return t.nodes.Launches()
-}
+// workers' simulated nodes — the value swtrain exports as the
+// swnode.launches gauge.
+func (t *DistTrainer) Launches() int { return t.nodes.Launches() }
 
 // ExplainPlan writes a human-readable audit of the collective engine's
 // plan: the selector's per-algorithm candidate sweep (when the plan

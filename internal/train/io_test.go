@@ -23,16 +23,14 @@ import (
 func TestPrefetchBitIdentical(t *testing.T) {
 	const classes = 3
 	solver := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-	paths := append([]distPath{}, distPaths...)
-	for _, path := range paths {
+	for _, path := range distPaths {
 		for _, overlap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/overlap%v", path.name, overlap), func(t *testing.T) {
 				ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 61)
 				mk := func() *DistTrainer {
 					d, err := NewDistTrainer(DistConfig{
 						Nodes: 4, SubBatch: 8, Solver: solver,
-						Overlap: overlap, BucketBytes: 8 << 10,
-						HostMath: path.hostMath, Timeline: path.timeline,
+						Overlap: overlap, BucketBytes: 8 << 10, Backend: path.backend,
 						IO: &IOConfig{Storage: pario.DefaultTaihuLight(1), BatchBytes: 1 << 20},
 					}, deepFactory(8, classes))
 					if err != nil {
@@ -81,7 +79,7 @@ func TestIOComposition(t *testing.T) {
 	d, err := NewDistTrainer(DistConfig{
 		Nodes: 4, SubBatch: 8,
 		Solver:  core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		Overlap: true, BucketBytes: 8 << 10, Timeline: true, Tracer: tracer,
+		Overlap: true, BucketBytes: 8 << 10, Tracer: tracer,
 		IO: &IOConfig{Storage: pario.DefaultTaihuLight(1), BatchBytes: 256 << 20},
 	}, deepFactory(8, classes))
 	if err != nil {
@@ -215,8 +213,7 @@ func TestIOSmokeP128(t *testing.T) {
 			Nodes: 128, SubBatch: 4,
 			Solver:  core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
 			Network: netw, Mapping: mapping,
-			Overlap: true, BucketBytes: 8 << 10, AutoBucket: false,
-			Timeline: true, IO: io,
+			Overlap: true, BucketBytes: 8 << 10, AutoBucket: false, IO: io,
 		}, deepFactory(4, classes))
 		if err != nil {
 			t.Fatal(err)

@@ -12,22 +12,21 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// distPath names one execution path of the trainer matrix.
+// distPath names one execution path of the trainer matrix: the backend
+// and, with it, the node every pass runs on.
 type distPath struct {
-	name     string
-	hostMath bool
-	timeline bool
+	name    string
+	backend string
 }
 
 var distPaths = []distPath{
-	{name: "hostmath", hostMath: true},
-	{name: "pooled"},
-	{name: "timeline", timeline: true},
+	{name: "pooled", backend: BackendGoroutine},
+	{name: "des", backend: BackendDES},
 }
 
 // TestTracedRunBitIdentical is the tentpole golden: an enabled tracer
-// observes the modeled times but must not perturb them. On every
-// execution path (host-math, pooled nodes, timeline nodes) a traced
+// observes the modeled times but must not perturb them. On both
+// execution paths (pooled nodes, DES nodes) a traced
 // trainer's losses, parameters and full StepStats must be
 // bit-identical to an untraced twin — including under overlap with the
 // hierarchical schedule, whose tracing installs the allreduce phase
@@ -61,7 +60,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 				ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 47)
 				mk := func(tr *obs.Tracer) *DistTrainer {
 					c := DistConfig{Nodes: 4, SubBatch: 8, Solver: cfg,
-						HostMath: path.hostMath, Timeline: path.timeline, Tracer: tr}
+						Backend: path.backend, Tracer: tr}
 					tc.mutate(&c)
 					d, err := NewDistTrainer(c, deepFactory(8, classes))
 					if err != nil {
@@ -101,8 +100,8 @@ func TestTracedRunBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				out := buf.String()
-				if !path.hostMath && !strings.Contains(out, `"pass"`) {
-					t.Fatal("node-backed traced run emitted no pass spans")
+				if !strings.Contains(out, `"pass"`) {
+					t.Fatal("traced run emitted no pass spans")
 				}
 				if tc.name == "overlap-hier" {
 					for _, phase := range []string{"hier:intra-rs", "hier:leader-rhd", "hier:allgather"} {
@@ -140,7 +139,7 @@ func TestStepStatsInvariants(t *testing.T) {
 				mk := func(overlap bool) *DistTrainer {
 					d, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 8, Solver: cfg,
 						AlgorithmName: alg, Overlap: overlap, BucketBytes: 8 << 10,
-						HostMath: path.hostMath, Timeline: path.timeline}, deepFactory(8, classes))
+						Backend: path.backend}, deepFactory(8, classes))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -215,7 +214,7 @@ func TestStepHistoryRing(t *testing.T) {
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 59)
 	tr, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 4,
 		Solver:      core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		HistorySize: 4, HostMath: true}, mlpFactory(4, classes))
+		HistorySize: 4}, mlpFactory(4, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestFunctionalSweepCarriesHistory(t *testing.T) {
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 61)
 	pts, err := FunctionalSweep(mlpFactory(4, classes), ds, []int{2}, FunctionalSweepConfig{
 		SubBatch: 4, Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		Iters: 3, Timeline: true,
+		Iters: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +285,7 @@ func TestElasticTraceInstants(t *testing.T) {
 	tracer := obs.New()
 	tr, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 4,
 		Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		Tracer: tracer, HostMath: true}, mlpFactory(4, classes))
+		Tracer: tracer}, mlpFactory(4, classes))
 	if err != nil {
 		t.Fatal(err)
 	}

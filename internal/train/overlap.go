@@ -129,9 +129,9 @@ func (t *DistTrainer) stepOverlap() float32 {
 
 	// Flush loop: bucket b's collective starts the moment the last
 	// worker produced it, concurrent with the remaining backward. A
-	// pass panic is recovered into its launch Event (node mode), so a
-	// poisoned worker can never complete a bucket: without the failed
-	// arm the loop would wait forever on a signal that cannot come.
+	// pass panic is recovered into its launch Event, so a poisoned
+	// worker can never complete a bucket: without the failed arm the
+	// loop would wait forever on a signal that cannot come.
 	//
 	// views is captured locally on purpose. A flush reduces each rank's
 	// bucket where it lies in its view, so a rank stranded by a failed

@@ -16,7 +16,7 @@ import (
 // against the live worker tensors. The shards are the deterministic
 // dataset.Shard views (exactly the direct path's indices), so a
 // prefetched run is bit-identical to an unprefetched one — losses,
-// parameters, StepStats; the race-enabled golden pins it on all three
+// parameters, StepStats; the race-enabled golden pins it on both
 // execution paths. The *modeled* read times live in io.go: this thread
 // moves the bytes, the analytic model prices them, and neither
 // observes the other.

@@ -249,16 +249,9 @@ type FunctionalSweepConfig struct {
 	Network       *topology.Network
 	Mapping       topology.Mapping
 
-	// Timeline runs the workers' simulated nodes in timeline-only mode
-	// (no CPE pools), which is what lets the sweep execute the cluster
-	// runtime at p in the hundreds; numerics and modeled StepStats are
-	// bit-identical to the pooled nodes.
-	Timeline bool
-
 	// Backend selects the execution backend per DistConfig.Backend:
 	// BackendDES runs the sweep on the single-threaded discrete-event
-	// backend (implies timeline node semantics), which is what makes
-	// p = 1024/4096 points feasible.
+	// backend, which is what makes p = 1024/4096 points feasible.
 	Backend string
 
 	// IO prices each point's shard reads per DistConfig.IO (readers
@@ -290,7 +283,7 @@ func FunctionalSweep(build func() (*core.Net, map[string]*tensor.Tensor, error),
 			Nodes: p, SubBatch: cfg.SubBatch, Solver: cfg.Solver,
 			Overlap: cfg.Overlap, BucketBytes: cfg.BucketBytes, AutoBucket: cfg.AutoBucket,
 			Algorithm: cfg.Algorithm, AlgorithmName: cfg.AlgorithmName,
-			Network: cfg.Network, Mapping: cfg.Mapping, Timeline: cfg.Timeline,
+			Network: cfg.Network, Mapping: cfg.Mapping,
 			Backend: cfg.Backend, IO: cfg.IO,
 		}, build)
 		if err != nil {

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
@@ -46,8 +45,8 @@ type Worker struct {
 	Data   *tensor.Tensor
 	Labels *tensor.Tensor
 
-	// node/stream are the worker's simulated SW26010 (nil in HostMath
-	// mode): every forward/backward pass runs as a stream launch on it,
+	// node/stream are the worker's simulated SW26010: every
+	// forward/backward pass runs as a stream launch on it,
 	// charged with the modeled compute cost. lastEv is the pass
 	// launch of the current Step; its own simulated duration is the
 	// worker's per-step compute (reading it per-launch, rather than
@@ -134,44 +133,27 @@ type DistConfig struct {
 	// (default one SW26010 core group).
 	Device perf.Device
 
-	// Timeline runs each worker's simulated node in timeline-only mode
-	// (no CPE pools): passes execute on the host launch goroutine and
-	// are charged the identical priced cost, so numerics and StepStats
-	// stay bit-identical while a functional sweep can reach p in the
-	// hundreds. Ignored when HostMath is set.
-	Timeline bool
-
-	// Backend selects the execution backend. "" or BackendGoroutine
-	// (the default) is the goroutine simulator pair: one goroutine per
-	// simnet rank, launch goroutines on the swnode side, and a private
-	// model replica per rank. BackendDES is the single-threaded
+	// Backend selects the execution backend, and with it the node every
+	// worker's passes run on. "" or BackendGoroutine (the default) is
+	// the goroutine simulator pair: one goroutine per simnet rank, a
+	// pooled swnode.Node per worker whose passes run as CoreGroup
+	// launches, and a private model replica per rank — the functional
+	// and concurrency oracle at small p. Its nodes own CPE worker
+	// pools: call Close when done. BackendDES is the single-threaded
 	// discrete-event backend: collectives run as continuation events on
 	// one binary-heap queue (internal/des) and passes execute inline on
-	// DES timeline nodes — zero goroutines — through one model that all
-	// ranks share (see Worker): one net is built, initialised, updated
-	// and restored per cluster, not p of them, which is what makes
-	// p = 1024/4096 sweeps feasible. Every commit checks that all ranks
-	// reduced to the same gradient bits (see ParamsDiverged), and the
-	// DES backend is bit-identical to the goroutine backend (losses,
-	// params, per-replica layer state, StepStats, traffic census — the
-	// race-enabled goldens pin it at p ≤ 128), whose private replicas
-	// are the oracle that the sharing is sound. It implies timeline
-	// node mode and rejects HostMath, fault injection and custom
-	// Algorithm bodies — the goroutine backend stays authoritative for
-	// those.
+	// DES nodes (swnode.NewDESNode) — zero goroutines — through one
+	// model that all ranks share (see Worker): one net is built,
+	// initialised, updated and restored per cluster, not p of them,
+	// which is what makes p = 1024/4096 sweeps feasible. Every commit
+	// checks that all ranks reduced to the same gradient bits (see
+	// ParamsDiverged), and the DES backend is bit-identical to the
+	// goroutine backend (losses, params, per-replica layer state,
+	// StepStats, traffic census — the race-enabled goldens pin it at
+	// p ≤ 128), whose private replicas are the oracle that the sharing
+	// is sound. It rejects fault injection and custom Algorithm bodies
+	// — the goroutine backend stays authoritative for those.
 	Backend string
-
-	// HostMath disables the per-worker simulated nodes: passes run as
-	// plain host goroutines and the compute leg of StepStats comes from
-	// the priced timeline alone (the pre-cluster-runtime behavior).
-	// The default (false) gives every worker its own swnode.Node, so
-	// each pass executes as a stream launch on a simulated CoreGroup
-	// and the StepStats compute leg is read off the node timelines.
-	// Parameters are bit-identical either way (the test suite pins it);
-	// HostMath exists for huge throwaway sweeps where spinning up N CPE
-	// worker pools is not worth it. Node-backed trainers own goroutine
-	// pools: call Close when done.
-	HostMath bool
 
 	// Faults, when non-nil, is a deterministic fault-injection plan:
 	// matching (rank, step, phase) checkpoints inside the passes and
@@ -185,8 +167,9 @@ type DistConfig struct {
 	// and hierarchical phases as collective spans (via the engine), and
 	// elastic events as instants. Tracing observes the modeled times —
 	// parameters and StepStats stay bit-identical to an untraced run,
-	// and the nil default costs the hot paths nothing (the -benchmem
-	// TracedOff bench pins 0 extra allocs/op).
+	// and the nil default costs the hot paths nothing (the untraced
+	// allocation budgets of alloc_test.go and the benchmark's
+	// dist_train_p8 bytes-per-op gate hold it).
 	Tracer *obs.Tracer
 
 	// HistorySize bounds the StepHistory ring (<= 0 selects
@@ -252,7 +235,7 @@ const DefaultBucketBytes = collective.DefaultBucketBytes
 type DistTrainer struct {
 	cfg     DistConfig
 	Workers []*Worker
-	nodes   *swnode.Cluster // nil in HostMath mode
+	nodes   *swnode.Cluster // pooled nodes, or DES nodes on BackendDES
 
 	// Exactly one communicator exists, the selected backend's (see
 	// newCommunicator): desCluster when cfg.Backend is BackendDES — both
@@ -264,8 +247,8 @@ type DistTrainer struct {
 	// CommTime accumulates simulated all-reduce time.
 	CommTime float64
 	// ComputeTime accumulates the modeled per-step compute makespan
-	// (max over the workers' node timelines; priced timeline in
-	// HostMath mode — the two agree by construction).
+	// (max over the workers' pass launches, each charged the priced
+	// pass cost).
 	ComputeTime float64
 	// ExposedCommTime accumulates only the communication that was not
 	// hidden behind backward compute on the modeled timeline (equals
@@ -323,7 +306,7 @@ type DistTrainer struct {
 	diverged           float64
 
 	// Reused per-Step staging (both paths must stay allocation-free at
-	// steady state; the DistStep -benchmem benches pin this).
+	// steady state; the allocation budgets of alloc_test.go pin this).
 	losses []float32
 
 	// commDirty is set when a collective panicked out of a Step. simnet
@@ -360,13 +343,6 @@ type DistTrainer struct {
 	// prefetch is the functional double-buffered input thread (see
 	// AttachInput); nil means LoadShards fills worker tensors directly.
 	prefetch *inputPrefetcher
-
-	// HostMath-mode pass-failure bookkeeping: the recover-and-record
-	// twin of node-mode event poisoning, so fault recovery works
-	// uniformly across execution modes.
-	hostMu     sync.Mutex
-	hostErr    any
-	hostFailed []int
 }
 
 // StepStats is the modeled time decomposition of one Step of the
@@ -451,9 +427,6 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	switch cfg.Backend {
 	case "", BackendGoroutine:
 	case BackendDES:
-		if cfg.HostMath {
-			return nil, fmt.Errorf("train: backend %q is incompatible with HostMath", cfg.Backend)
-		}
 		if cfg.Faults != nil {
 			return nil, fmt.Errorf("train: backend %q does not support fault injection — the goroutine backend is the failure oracle", cfg.Backend)
 		}
@@ -465,18 +438,13 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	}
 	t := &DistTrainer{cfg: cfg}
 	t.newCommunicator()
-	if !cfg.HostMath {
-		switch {
-		case cfg.Backend == BackendDES:
-			t.nodes = swnode.NewDESCluster(cfg.Nodes, nil)
-		case cfg.Timeline:
-			t.nodes = swnode.NewTimelineCluster(cfg.Nodes, nil)
-		default:
-			t.nodes = swnode.NewCluster(cfg.Nodes, nil)
-		}
-		if cfg.Tracer != nil {
-			t.nodes.SetTracer(cfg.Tracer)
-		}
+	if cfg.Backend == BackendDES {
+		t.nodes = swnode.NewDESCluster(cfg.Nodes, nil)
+	} else {
+		t.nodes = swnode.NewCluster(cfg.Nodes, nil)
+	}
+	if cfg.Tracer != nil {
+		t.nodes.SetTracer(cfg.Tracer)
 	}
 	var model *Worker // the one model of a cluster whose ranks share it
 	for r := 0; r < cfg.Nodes; r++ {
@@ -494,15 +462,13 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 			w = model.rankView()
 		}
 		w.Rank = r
-		if t.nodes != nil {
-			// One pass at a time per worker: the node's 4-CG decomposition
-			// is collapsed into one functional pass (Algorithm 1 lines
-			// 3-8). The stream is unpinned so the launch's plan-priced
-			// weight drives the deterministic least-loaded placement.
-			w.node = t.nodes.Node(r)
-			w.stream = w.node.NewStream()
-			w.stream.SetLabel("pass")
-		}
+		// One pass at a time per worker: the node's 4-CG decomposition
+		// is collapsed into one functional pass (Algorithm 1 lines 3-8).
+		// The stream is unpinned so the launch's plan-priced weight
+		// drives the deterministic least-loaded placement.
+		w.node = t.nodes.Node(r)
+		w.stream = w.node.NewStream()
+		w.stream.SetLabel("pass")
 		t.Workers = append(t.Workers, w)
 	}
 	t.losses = make([]float32, cfg.Nodes)
@@ -576,25 +542,21 @@ func (t *DistTrainer) applyUpdate() {
 	t.iter++
 }
 
-// Node returns worker rank's simulated node (nil in HostMath mode) for
-// stats and stream access. Indexed through the worker, not the node
-// cluster: after a Shrink the surviving re-ranked workers keep their
-// original nodes, so rank i's node need not be cluster slot i.
-func (t *DistTrainer) Node(rank int) *swnode.Node {
-	if t.nodes == nil {
-		return nil
-	}
-	return t.Workers[rank].node
-}
+// Node returns worker rank's simulated node — pooled, or a DES node on
+// BackendDES — for stats and stream access. Indexed through the
+// worker, not the node cluster: after a Shrink the surviving re-ranked
+// workers keep their original nodes, so rank i's node need not be
+// cluster slot i.
+func (t *DistTrainer) Node(rank int) *swnode.Node { return t.Workers[rank].node }
 
 // PassPlacements reports, for each worker, which of its node's four
-// CoreGroup slots the most recent pass launch was placed on (nil in
-// HostMath mode, or before the first Step). Placement is decided by
-// the deterministic least-loaded scheduler from the launches'
-// plan-priced weights, so two identical trainers always report
-// identical sequences — pinned by the placement-determinism test.
+// CoreGroup slots the most recent pass launch was placed on (nil
+// before the first Step). Placement is decided by the deterministic
+// least-loaded scheduler from the launches' plan-priced weights, so
+// two identical trainers always report identical sequences — pinned by
+// the placement-determinism test.
 func (t *DistTrainer) PassPlacements() []int {
-	if t.nodes == nil || t.iter == 0 {
+	if t.iter == 0 {
 		return nil
 	}
 	out := make([]int, len(t.Workers))
@@ -604,14 +566,9 @@ func (t *DistTrainer) PassPlacements() []int {
 	return out
 }
 
-// NodeStats sums the simulated activity across every worker's node
-// (zero in HostMath mode).
-func (t *DistTrainer) NodeStats() sw26010.Stats {
-	if t.nodes == nil {
-		return sw26010.Stats{}
-	}
-	return t.nodes.Stats()
-}
+// NodeStats sums the simulated mesh activity across every worker's
+// node (zero on BackendDES, whose nodes have no CoreGroups).
+func (t *DistTrainer) NodeStats() sw26010.Stats { return t.nodes.Stats() }
 
 // newCommunicator builds the selected backend's communicator over the
 // current world (t.cfg.Nodes ranks), replacing any previous one.
@@ -627,177 +584,106 @@ func (t *DistTrainer) newCommunicator() {
 
 // Close drains the workers' simulated nodes, stops their CPE worker
 // pools and stops the input prefetch thread. The trainer must not be
-// used after Close. Safe to defer in every mode.
+// used after Close. Safe to defer on either backend.
 func (t *DistTrainer) Close() {
 	t.detachInput()
-	if t.nodes != nil {
-		t.nodes.Close()
-	}
+	t.nodes.Close()
 }
 
-// launchPasses starts pass for every worker concurrently — as one
-// stream launch per worker on its simulated node, or as plain host
-// goroutines in HostMath mode — and returns a join function plus a
-// failure channel. pass receives tick, which charges modeled seconds
-// to the worker's CPE clock (a no-op on the host path, where the
-// priced timeline stands in). The caller may overlap work between
-// launch and join; node-mode completion ordering is the usual
-// stream/event happens-before.
+// launchPasses starts pass for every worker as one stream launch on
+// its simulated node and returns a join function plus a failure
+// channel. There are two arms, one per backend. On a pooled node the
+// pass runs on a CoreGroup and tick charges modeled seconds to its CPE
+// clock; the caller may overlap work between launch and join, and
+// completion ordering is the usual stream/event happens-before. On a
+// DES node the pass runs inline, before launchPasses returns, and tick
+// accumulates the same priced seconds into the launch's charge.
 //
 // failed matters to callers that block on signals a pass produces
-// mid-flight (the overlap flush loop): a pass panic is recovered —
-// into its launch Event in node mode, into the trainer's host-side
-// bookkeeping in HostMath mode — so a poisoned worker goes quiet
-// instead of crashing; without a side channel the caller would wait
-// forever on a signal that never comes. failed delivers the first
-// pass panic after every pass has quiesced (healthy workers never
-// block on the cap-1 bucket signals, so quiescence is guaranteed).
-// It is nil when watch is false: callers that join immediately, like
-// the barrier path, get their panic from join, which re-raises the
-// first pass failure once on every execution mode.
+// mid-flight (the overlap flush loop): a pass panic is recovered into
+// its launch Event, so a poisoned worker goes quiet instead of
+// crashing; without a side channel the caller would wait forever on a
+// signal that never comes. failed delivers the first pass panic after
+// every pass has quiesced (healthy workers never block on the cap-1
+// bucket signals, so quiescence is guaranteed). It is nil when watch
+// is false: callers that join immediately, like the barrier path, get
+// their panic from join, which re-raises the first pass failure once.
 func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick func(float64))) (join func(), failed <-chan any) {
-	if t.nodes != nil {
-		// Recovery bookkeeping, a no-op on the healthy path: a failed
-		// launch poisons its stream's future launches, so continue
-		// poisoned workers on a fresh stream — a recovered trainer must
-		// not silently skip their passes.
-		for _, w := range t.Workers {
-			if w.stream.Poisoned() {
-				w.stream = w.node.NewStream()
-				w.stream.SetLabel("pass")
-			}
+	// Recovery bookkeeping, a no-op on the healthy path: a failed launch
+	// poisons its stream's future launches, so continue poisoned workers
+	// on a fresh stream — a recovered trainer must not silently skip
+	// their passes.
+	for _, w := range t.Workers {
+		if w.stream.Poisoned() {
+			w.stream = w.node.NewStream()
+			w.stream.SetLabel("pass")
 		}
-		// The launch weight is the swdnn-plan-priced pass cost, so the
-		// deterministic least-loaded scheduler places passes by modeled
-		// kernel cost rather than launch count (ensureTimeline has run
-		// by the time either step variant launches).
-		weight := t.computeEnd
-		timeline := t.nodes.Timeline()
+	}
+	// The launch weight is the swdnn-plan-priced pass cost, so the
+	// deterministic least-loaded scheduler places passes by modeled
+	// kernel cost rather than launch count (ensureTimeline has run by
+	// the time either step variant launches).
+	weight := t.computeEnd
+	if t.nodes.DES() {
 		for i, w := range t.Workers {
-			i, w := i, w
-			if timeline {
-				// Timeline-only node: the pass executes on the launch
-				// goroutine and is charged the identical priced cost the
-				// pooled path's CPE clock would accumulate.
-				w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
-					var clock float64
-					pass(i, w, func(dt float64) { clock += dt })
-					return clock
-				})
-				continue
-			}
-			w.lastEv = w.stream.LaunchWeighted(weight, func(cg *sw26010.CoreGroup) float64 {
-				return cg.RunN(1, func(pe *sw26010.CPE) {
-					pass(i, w, pe.AdvanceClock)
-				})
+			w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
+				var clock float64
+				pass(i, w, func(dt float64) { clock += dt })
+				return clock
 			})
 		}
-		var fc chan any
-		if watch && t.nodes.DES() {
-			// DES nodes ran every pass inline during the launch loop
-			// above, so a failure — impossible today, since the DES
-			// backend rejects fault plans, but kept symmetric — is
-			// already known: surface it synchronously, no watcher
-			// goroutine.
-			fc = make(chan any, 1)
-			var first any
-			for _, w := range t.Workers {
-				e := w.lastEv
-				func() {
-					defer func() {
-						if r := recover(); r != nil && first == nil {
-							first = r
-						}
-					}()
-					e.Wait()
-				}()
-			}
-			if first != nil {
-				fc <- first
-			}
-			return t.nodes.Sync, fc
+		if !watch {
+			return t.nodes.Sync, nil
 		}
-		if watch {
-			// Snapshot the events: the watcher can outlive this Step, and
-			// the next Step overwrites each worker's lastEv.
-			events := make([]*swnode.Event, len(t.Workers))
-			for i, w := range t.Workers {
-				events[i] = w.lastEv
+		// Every pass already ran inline, so a failure — impossible today,
+		// since the DES backend rejects fault plans — is already known:
+		// surface it synchronously, no watcher goroutine.
+		fc := make(chan any, 1)
+		for _, w := range t.Workers {
+			if r := passFailure(w.lastEv); r != nil {
+				fc <- r
+				break
 			}
-			fc = make(chan any, 1)
-			//swvet:ignore straygo: fault watcher; drains by construction — it only blocks on event Waits the scheduler is already committed to firing
-			go func() {
-				var first any
-				for _, e := range events {
-					func() {
-						defer func() {
-							if r := recover(); r != nil && first == nil {
-								first = r
-							}
-						}()
-						e.Wait()
-					}()
-				}
-				if first != nil {
-					fc <- first
-				}
-			}()
 		}
 		return t.nodes.Sync, fc
 	}
-	// HostMath: plain goroutines with the same recovery semantics as
-	// the node path — a pass panic is recorded (first value wins, all
-	// victim ranks noted for FailedRanks) and re-raised once from join,
-	// so fault injection and shrink-and-continue work identically on
-	// the sweep path.
-	t.hostMu.Lock()
-	t.hostErr = nil
-	t.hostFailed = t.hostFailed[:0]
-	t.hostMu.Unlock()
-	var wg sync.WaitGroup
-	wg.Add(len(t.Workers))
 	for i, w := range t.Workers {
-		//swvet:ignore straygo: the HostMath sweep path's per-rank workers; joined by wg.Wait inside join before Step returns
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					t.hostMu.Lock()
-					if t.hostErr == nil {
-						t.hostErr = r
-					}
-					t.hostFailed = append(t.hostFailed, i)
-					t.hostMu.Unlock()
-				}
-			}()
-			pass(i, w, func(float64) {})
-		}(i, w)
+		w.lastEv = w.stream.LaunchWeighted(weight, func(cg *sw26010.CoreGroup) float64 {
+			return cg.RunN(1, func(pe *sw26010.CPE) {
+				pass(i, w, pe.AdvanceClock)
+			})
+		})
 	}
-	join = func() {
-		wg.Wait()
-		t.hostMu.Lock()
-		err := t.hostErr
-		t.hostErr = nil // re-raise once, like Node.Sync
-		t.hostMu.Unlock()
-		if err != nil {
-			panic(err)
-		}
+	if !watch {
+		return t.nodes.Sync, nil
 	}
-	var fc chan any
-	if watch {
-		fc = make(chan any, 1)
-		//swvet:ignore straygo: fault watcher on the HostMath path; exits once wg.Wait releases it
-		go func() {
-			wg.Wait()
-			t.hostMu.Lock()
-			err := t.hostErr
-			t.hostMu.Unlock()
-			if err != nil {
-				fc <- err
+	// Snapshot the events: the watcher can outlive this Step, and the
+	// next Step overwrites each worker's lastEv.
+	events := make([]*swnode.Event, len(t.Workers))
+	for i, w := range t.Workers {
+		events[i] = w.lastEv
+	}
+	fc := make(chan any, 1)
+	//swvet:ignore straygo: fault watcher; drains by construction — it only blocks on event Waits the scheduler is already committed to firing
+	go func() {
+		var first any
+		for _, e := range events {
+			if r := passFailure(e); r != nil && first == nil {
+				first = r
 			}
-		}()
-	}
-	return join, fc
+		}
+		if first != nil {
+			fc <- first
+		}
+	}()
+	return t.nodes.Sync, fc
+}
+
+// passFailure waits for one pass launch and returns its panic, or nil.
+func passFailure(e *swnode.Event) (r any) {
+	defer func() { r = recover() }()
+	e.Wait()
+	return nil
 }
 
 // stepCompute closes out the compute leg of one Step: the maximum of
@@ -807,9 +693,6 @@ func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick 
 // differencing the cumulative node timeline instead would shed
 // floating-point bits as the timeline grows. Call after join.
 func (t *DistTrainer) stepCompute() float64 {
-	if t.nodes == nil {
-		return t.computeEnd
-	}
 	var max float64
 	for _, w := range t.Workers {
 		if d := w.lastEv.Wait(); d > max {

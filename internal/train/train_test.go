@@ -250,78 +250,78 @@ func TestOverlapReducesModeledStepTime(t *testing.T) {
 	}
 }
 
-// TestClusterRuntimeBitIdenticalToHostMath is the golden for the
-// multi-node cluster runtime: running every worker's passes as stream
-// launches on its own simulated swnode.Node (the default) must produce
-// losses and parameters bit-identical to the host-math trainer
-// (HostMath: true, the pre-cluster-runtime execution), for both the
-// barrier and the bucketed-overlap paths, power-of-two and not. The
-// simulated nodes are execution machinery only. Run under -race by
-// `make race`, this doubles as the N-node concurrency check.
-func TestClusterRuntimeBitIdenticalToHostMath(t *testing.T) {
+// TestClusterRuntimeBitIdenticalToDES is the golden for the multi-node
+// cluster runtime: running every worker's passes as CoreGroup launches
+// on its own pooled swnode.Node (the goroutine backend) must produce
+// losses, StepStats and parameters bit-identical to the DES backend,
+// whose passes run inline on DES nodes, for both the barrier and the
+// bucketed-overlap paths, power-of-two and not. The pooled nodes are
+// execution machinery only. Run under -race by `make race`, this
+// doubles as the N-node concurrency check.
+func TestClusterRuntimeBitIdenticalToDES(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 31)
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
 	for _, overlap := range []bool{false, true} {
 		for _, nodes := range []int{4, 3} {
-			mk := func(hostMath bool) *DistTrainer {
+			mk := func(backend string) *DistTrainer {
 				d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8, Solver: cfg,
-					Overlap: overlap, BucketBytes: 8 << 10, HostMath: hostMath},
+					Overlap: overlap, BucketBytes: 8 << 10, Backend: backend},
 					deepFactory(8, classes))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return d
 			}
-			sim, host := mk(false), mk(true)
+			pooled, des := mk(BackendGoroutine), mk(BackendDES)
 			// 20 iterations: long enough that differencing the cumulative
 			// node timeline (instead of reading each launch's own
-			// duration) would shed float bits and break StepStats
-			// equality around iteration 10.
+			// duration) would shed float bits and break the compute leg's
+			// equality with the priced pass cost around iteration 10.
 			for it := 0; it < 20; it++ {
-				sim.LoadShards(ds, it)
-				host.LoadShards(ds, it)
-				ls, lh := sim.Step(), host.Step()
-				if ls != lh {
-					t.Fatalf("overlap=%v nodes=%d iter %d: loss %v != host-math loss %v",
-						overlap, nodes, it, ls, lh)
+				pooled.LoadShards(ds, it)
+				des.LoadShards(ds, it)
+				lp, ld := pooled.Step(), des.Step()
+				if lp != ld {
+					t.Fatalf("overlap=%v nodes=%d iter %d: pooled loss %v != DES loss %v",
+						overlap, nodes, it, lp, ld)
 				}
-				// The modeled decompositions must agree too: the node
-				// timelines advance by exactly the priced per-layer costs.
-				if !sim.LastStep.Equal(host.LastStep) {
-					t.Fatalf("overlap=%v nodes=%d iter %d: StepStats %+v != host-math %+v",
-						overlap, nodes, it, sim.LastStep, host.LastStep)
+				if !pooled.LastStep.Equal(des.LastStep) {
+					t.Fatalf("overlap=%v nodes=%d iter %d: pooled StepStats %+v != DES %+v",
+						overlap, nodes, it, pooled.LastStep, des.LastStep)
+				}
+				// The CPE clocks advance by exactly the priced pass cost.
+				if pooled.LastStep.Compute != pooled.computeEnd {
+					t.Fatalf("overlap=%v nodes=%d iter %d: pooled compute leg %v != priced %v",
+						overlap, nodes, it, pooled.LastStep.Compute, pooled.computeEnd)
 				}
 			}
+			dp := des.Workers[0].Net.LearnableParams()
 			for r := 0; r < nodes; r++ {
-				sp := sim.Workers[r].Net.LearnableParams()
-				hp := host.Workers[r].Net.LearnableParams()
-				for i := range sp {
-					if d := tensor.MaxDiff(sp[i].Data, hp[i].Data); d != 0 {
-						t.Fatalf("overlap=%v nodes=%d rank %d param %d: cluster runtime deviates by %g (must be bit-identical)",
+				pp := pooled.Workers[r].Net.LearnableParams()
+				for i := range pp {
+					if d := tensor.MaxDiff(pp[i].Data, dp[i].Data); d != 0 {
+						t.Fatalf("overlap=%v nodes=%d rank %d param %d: pooled runtime deviates by %g from DES (must be bit-identical)",
 							overlap, nodes, r, i, d)
 					}
 				}
 			}
 			// The passes really ran on the simulated nodes: every worker
 			// has a node timeline and the trainer accumulated compute.
-			if sim.ComputeTime <= 0 {
+			if pooled.ComputeTime <= 0 {
 				t.Fatal("no modeled compute accumulated on the cluster runtime")
 			}
 			for r := 0; r < nodes; r++ {
-				nd := sim.Node(r)
-				if nd == nil || nd.Launches() == 0 {
+				nd := pooled.Node(r)
+				if nd.Launches() == 0 {
 					t.Fatalf("rank %d: no launches on its simulated node", r)
 				}
 				if nd.SimTime() <= 0 {
 					t.Fatalf("rank %d: empty node timeline", r)
 				}
 			}
-			if host.Node(0) != nil {
-				t.Fatal("HostMath trainer should have no simulated nodes")
-			}
-			sim.Close()
-			host.Close()
+			pooled.Close()
+			des.Close()
 		}
 	}
 }
@@ -362,23 +362,30 @@ func TestOverlapPassPanicPropagates(t *testing.T) {
 
 	// Recover-and-reuse: with the fault removed, the same trainer must
 	// run clean steps again (no stale bucket tokens, node poison or
-	// timeline skew from the failed Step), tracking a fresh host-math
-	// twin bit for bit.
-	twin, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
+	// timeline skew from the failed Step).
+	requireTracksTwin(t, d, DistConfig{Nodes: 3, SubBatch: 8,
 		Solver:  core.SolverConfig{BaseLR: 0.05},
-		Overlap: true, BucketBytes: 8 << 10, HostMath: true}, deepFactory(8, classes))
+		Overlap: true, BucketBytes: 8 << 10}, classes, ds)
+}
+
+// requireTracksTwin steps d, recovered from a failed step 1, over
+// iterations 2–4 next to a fresh twin (cfg, deepFactory's net with
+// classes outputs) that replays the healthy step 0 first, and requires
+// the two to agree bit for bit: losses, modeled compute, replica
+// consistency and parameters.
+func requireTracksTwin(t *testing.T, d *DistTrainer, cfg DistConfig, classes int, ds dataset.Dataset) {
+	t.Helper()
+	twin, err := NewDistTrainer(cfg, deepFactory(cfg.SubBatch, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer twin.Close()
-	// Replay the healthy prefix on the twin so parameters align.
 	twin.LoadShards(ds, 0)
 	twin.Step()
 	for it := 2; it < 5; it++ {
 		d.LoadShards(ds, it)
 		twin.LoadShards(ds, it)
-		ld, lt := d.Step(), twin.Step()
-		if ld != lt {
+		if ld, lt := d.Step(), twin.Step(); ld != lt {
 			t.Fatalf("iter %d after recovery: loss %v != twin %v", it, ld, lt)
 		}
 		if d.LastStep.Compute != twin.LastStep.Compute {
@@ -454,32 +461,10 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		t.Fatal("the bucket the fault hit was drained anyway")
 	}
 
-	// Recover-and-reuse against a host-math twin, bit for bit.
-	twin, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
+	// Recover-and-reuse against a fresh twin, bit for bit.
+	requireTracksTwin(t, d, DistConfig{Nodes: 3, SubBatch: 8,
 		Solver:  core.SolverConfig{BaseLR: 0.05},
-		Overlap: true, BucketBytes: 8 << 10, HostMath: true}, deepFactory(8, classes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	twin.LoadShards(ds, 0)
-	twin.Step()
-	for it := 2; it < 5; it++ {
-		d.LoadShards(ds, it)
-		twin.LoadShards(ds, it)
-		if ld, lt := d.Step(), twin.Step(); ld != lt {
-			t.Fatalf("iter %d after recovery: loss %v != twin %v", it, ld, lt)
-		}
-	}
-	if div := d.ParamsDiverged(); div != 0 {
-		t.Fatalf("replicas diverged by %g after recovery", div)
-	}
-	p, q := d.Workers[0].Net.LearnableParams(), twin.Workers[0].Net.LearnableParams()
-	for i := range p {
-		if diff := tensor.MaxDiff(p[i].Data, q[i].Data); diff != 0 {
-			t.Fatalf("param %d deviates by %g from the twin after recovery", i, diff)
-		}
-	}
+		Overlap: true, BucketBytes: 8 << 10}, classes, ds)
 }
 
 // TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer: a rank that
@@ -526,31 +511,9 @@ func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 
 	// Step again immediately: the stranded ranks from the failed
 	// collective are still sleeping and will store their results while
-	// these steps run. Compare against a host-math twin bit for bit.
-	twin, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
-		Solver: core.SolverConfig{BaseLR: 0.05}, HostMath: true}, deepFactory(8, classes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	twin.LoadShards(ds, 0)
-	twin.Step()
-	for it := 2; it < 5; it++ {
-		d.LoadShards(ds, it)
-		twin.LoadShards(ds, it)
-		if ld, lt := d.Step(), twin.Step(); ld != lt {
-			t.Fatalf("iter %d after recovery: loss %v != twin %v", it, ld, lt)
-		}
-	}
-	if div := d.ParamsDiverged(); div != 0 {
-		t.Fatalf("replicas diverged by %g after recovery", div)
-	}
-	p, q := d.Workers[0].Net.LearnableParams(), twin.Workers[0].Net.LearnableParams()
-	for i := range p {
-		if diff := tensor.MaxDiff(p[i].Data, q[i].Data); diff != 0 {
-			t.Fatalf("param %d deviates by %g from the twin after recovery", i, diff)
-		}
-	}
+	// these steps run. Compare against a fresh twin bit for bit.
+	requireTracksTwin(t, d, DistConfig{Nodes: 3, SubBatch: 8,
+		Solver: core.SolverConfig{BaseLR: 0.05}}, classes, ds)
 }
 
 // TestCGTrainerMatchesSeedTrainerBitForBit pins the simulated-CG
