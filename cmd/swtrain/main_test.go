@@ -95,6 +95,38 @@ func TestUnfiredFaultFails(t *testing.T) {
 	}
 }
 
+// TestBarrierReportsOneBucket: a barrier run flushes the whole packed
+// vector once a step, whatever -bucket-kb says, so the engine summary,
+// the plan audit's active line and its last-step table all report that
+// one bucket — not the overlap layout the cap would have cut.
+func TestBarrierReportsOneBucket(t *testing.T) {
+	stdout, stderr, exit, err := run("-nodes", "4", "-iters", "2", "-batch", "4", "-bucket-kb", "1", "-explain-plan")
+	if err != nil || exit != 0 {
+		t.Fatalf("exit %d, err %v, stderr:\n%s", exit, err, stderr)
+	}
+	var summary, active string
+	rows := 0 // last-step table rows: "  <bucket index> <lo> <hi> ..."
+	for _, line := range strings.Split(stdout, "\n") {
+		switch {
+		case strings.HasPrefix(line, "collective engine: "):
+			summary = line
+		case strings.HasPrefix(line, "active: "):
+			active = line
+		case len(line) > 2 && strings.HasPrefix(line, "  ") && line[2] >= '0' && line[2] <= '9':
+			rows++
+		}
+	}
+	if !strings.Contains(summary, ", 1 buckets over ") {
+		t.Errorf("engine summary does not report one bucket: %q", summary)
+	}
+	if !strings.Contains(active, ", 1 buckets over ") {
+		t.Errorf("plan audit does not report one bucket: %q", active)
+	}
+	if rows != 1 {
+		t.Errorf("last-step table has %d rows, want 1:\n%s", rows, stdout)
+	}
+}
+
 func TestGoodRun(t *testing.T) {
 	stdout, stderr, exit, err := run("-nodes", "4", "-iters", "2", "-batch", "4")
 	if err != nil || exit != 0 {

@@ -10,10 +10,11 @@ import (
 // collective execution differs: instead of RunGather over rank
 // goroutines calling Strategy.Run, the DES backend calls
 // Strategy.RunDES on a des.Cluster — the same schedule, run by the
-// resumable interpreter. A custom Config.Algorithm body is a blocking
-// Go function, not a schedule, so the trainer refuses to combine one
-// with the DES backend and the custom strategy's RunDES backstops that
-// with a panic.
+// resumable interpreter. Both modes flush here: the barrier is the
+// one-bucket layout (Config.Barrier). A custom Config.Algorithm body is
+// a blocking Go function, not a schedule, so the trainer refuses to
+// combine one with the DES backend and the custom strategy's RunDES
+// backstops that with a panic.
 
 // ReduceSegDES is the DES form of ReduceSeg: it runs the strategy's
 // collective over bucket b on one DES rank and fires done with the
@@ -29,18 +30,6 @@ func (e *Engine) ReduceSegDES(r *des.Rank, b int, pack []float32, done func([]fl
 	})
 }
 
-// ReduceFullDES is the DES form of ReduceFull — the barrier flush over
-// the whole packed vector.
-func (e *Engine) ReduceFullDES(r *des.Rank, pack []float32, done func([]float32)) {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(r.Rank, 0)
-	}
-	e.strat.RunDES(r, pack, 0, e.total, func(out []float32) {
-		r.ChargeReduce(len(out))
-		done(out)
-	})
-}
-
 // FlushSegDES runs bucket b's collective over every rank of the DES
 // cluster and returns the makespan/census (as a simnet.Result, so
 // Commit works unchanged) and the per-rank reduced outputs — bucket b's
@@ -50,16 +39,6 @@ func (e *Engine) FlushSegDES(c *des.Cluster, b int) (simnet.Result, [][]float32)
 	views := e.views
 	res, outs := c.RunGather(func(r *des.Rank) {
 		e.ReduceSegDES(r, b, views[r.Rank], r.Finish)
-	})
-	return desResult(res), outs
-}
-
-// FlushFullDES runs the barrier flush over every rank of the DES
-// cluster.
-func (e *Engine) FlushFullDES(c *des.Cluster) (simnet.Result, [][]float32) {
-	views := e.views
-	res, outs := c.RunGather(func(r *des.Rank) {
-		e.ReduceFullDES(r, views[r.Rank], r.Finish)
 	})
 	return desResult(res), outs
 }

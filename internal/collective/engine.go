@@ -104,12 +104,19 @@ type Config struct {
 	BucketBytes int
 	AutoBucket  bool
 
+	// Barrier lays the packed vector out as one bucket, [0, total), even
+	// when total is 0: the barrier trainer's single flush, ready when
+	// layer 0's backward — the last to run — completes. Compose starts it
+	// at the compute barrier and exposes it in full. Selection still
+	// runs, and picks the strategy; only the layout ignores its cap.
+	Barrier bool
+
 	// FlushHook, when non-nil, runs on each rank's goroutine at the
-	// top of every bucket reduce (ReduceSeg with the bucket index;
-	// ReduceFull — the barrier's single flush — as bucket 0). It is
-	// the fault-injection seam: a hook that panics dies inside the
-	// simnet run, exercising the production collective-failure path.
-	// The hook must be safe for concurrent calls from rank goroutines.
+	// top of every bucket reduce (ReduceSeg and ReduceSegDES, with the
+	// bucket index; the barrier's single flush is bucket 0). It is the
+	// fault-injection seam: a hook that panics dies inside the simnet
+	// run, exercising the production collective-failure path. The hook
+	// must be safe for concurrent calls from rank goroutines.
 	FlushHook func(rank, bucket int)
 }
 
@@ -130,8 +137,7 @@ type Engine struct {
 	layerParams [][]int // per forward layer: param indices in pack order
 
 	buckets     []Bucket
-	bucketBytes int // the effective cap (selected when auto)
-	autoExposed float64
+	bucketBytes int // the effective cap (selected when auto; the whole vector under Barrier)
 
 	// Reused per-step staging. views holds each rank's packed gradient,
 	// which the flushes reduce in place (see Bucket): input and output
@@ -147,13 +153,11 @@ type Engine struct {
 
 	// Attribution: the selector's priced cost per bucket (fixed at
 	// New) and the realized per-bucket stats of the last committed
-	// step, filled by Commit/CommitFull and finalized by
-	// Compose/ComposeFull. candidates is the full per-algorithm sweep
-	// behind an auto plan, kept for explain-plan reports.
+	// step, filled by Commit and finalized by Compose. candidates is the
+	// full per-algorithm sweep behind an auto plan, kept for
+	// explain-plan reports.
 	prices     []float64
-	fullPrice  float64
 	stats      []BucketStat
-	fullStat   BucketStat
 	candidates []Plan
 
 	bytesMetric *obs.Counter // comm.bytes.<algorithm>, cached to keep Commit allocation-free
@@ -167,9 +171,7 @@ type Engine struct {
 	traceBase    float64
 	hierNow      [][3]float64   // per-rank phase-entry clocks of the flush in flight
 	hierClks     [][][3]float64 // [bucket][rank] snapshot at Commit
-	hierFull     [][3]float64   // barrier-flush snapshot
 	clockSnaps   [][]float64    // [bucket][rank] finishing clocks at Commit
-	clockFull    []float64
 	prevHierHook allreduce.PhaseHook
 }
 
@@ -202,8 +204,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("collective: need at least one rank, got %d", cfg.Ranks)
 	}
 	// An empty parameter set is legal (a fully frozen net): the engine
-	// degenerates to zero buckets and an empty full-flush, matching
-	// the pre-engine trainer's behavior.
+	// degenerates to zero buckets, or under Barrier to one empty flush,
+	// matching the pre-engine trainer's behavior.
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("collective: nil network")
 	}
@@ -244,7 +246,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.bucketBytes, e.autoExposed = plan.BucketBytes, plan.Exposed
+		e.bucketBytes = plan.BucketBytes
 	} else {
 		strat, err := StrategyFor(cfg.AlgorithmName, cfg.Algorithm, cfg.Mapping, cfg.Ranks)
 		if err != nil {
@@ -253,20 +255,25 @@ func New(cfg Config) (*Engine, error) {
 		e.strat = strat
 		e.bucketBytes = cfg.BucketBytes
 		if cfg.AutoBucket {
-			e.bucketBytes, e.autoExposed = SelectBucketBytes(strat, cfg.Network, cfg.Ranks, cfg.ReduceOnCPE,
+			e.bucketBytes, _ = SelectBucketBytes(strat, cfg.Network, cfg.Ranks, cfg.ReduceOnCPE,
 				cfg.Params, cfg.Layers, cfg.LayerDone, cfg.ComputeEnd)
 		} else if e.bucketBytes <= 0 {
 			e.bucketBytes = DefaultBucketBytes
 		}
 	}
-	e.buckets = layoutBuckets(e.strat, cfg.Params, e.offs, e.total, cfg.Ranks, e.bucketBytes, cfg.Layers)
+	if cfg.Barrier {
+		e.buckets = []Bucket{{Lo: 0, Hi: e.total, ReadyLayer: 0}}
+		e.bucketBytes = e.total * 4
+	} else {
+		e.buckets = layoutBuckets(e.strat, cfg.Params, e.offs, e.total, cfg.Ranks, e.bucketBytes, cfg.Layers)
+	}
 
+	// An empty vector is priced at nothing: a frozen net's barrier flush.
 	e.prices = make([]float64, len(e.buckets))
 	for b, bk := range e.buckets {
-		e.prices[b] = e.strat.Cost(cfg.Network, cfg.Ranks, bk.Lo, bk.Hi, e.total, cfg.ReduceOnCPE).Total()
-	}
-	if e.total > 0 {
-		e.fullPrice = e.strat.Cost(cfg.Network, cfg.Ranks, 0, e.total, e.total, cfg.ReduceOnCPE).Total()
+		if bk.Elems() > 0 {
+			e.prices[b] = e.strat.Cost(cfg.Network, cfg.Ranks, bk.Lo, bk.Hi, e.total, cfg.ReduceOnCPE).Total()
+		}
 	}
 	e.stats = make([]BucketStat, len(e.buckets))
 	e.bytesMetric = obs.Default().Counter("comm.bytes." + e.strat.Name())
@@ -302,14 +309,12 @@ func (e *Engine) allocViews() {
 func (e *Engine) Buckets() []Bucket { return e.buckets }
 
 // BucketBytes reports the effective bucket cap — the configured or
-// auto-selected size.
+// auto-selected size, or under Config.Barrier the one bucket's bytes.
 func (e *Engine) BucketBytes() int { return e.bucketBytes }
 
 // Auto reports whether the cap was chosen by the α-β selector —
-// either Config.AutoBucket or the full 2-D plan selection — and
-// AutoExposed the selector's exposed-communication estimate for it.
-func (e *Engine) Auto() bool           { return e.cfg.AutoBucket || e.plan != nil }
-func (e *Engine) AutoExposed() float64 { return e.autoExposed }
+// either Config.AutoBucket or the full 2-D plan selection.
+func (e *Engine) Auto() bool { return e.cfg.AutoBucket || e.plan != nil }
 
 // Plan returns the 2-D selector's decision, or nil when the algorithm
 // was fixed by configuration rather than chosen by SelectPlan.
@@ -320,10 +325,6 @@ func (e *Engine) Plan() *Plan { return e.plan }
 // sweep order — or nil when the algorithm was fixed by configuration.
 // This is the audit trail swtrain -explain-plan prints.
 func (e *Engine) Candidates() []Plan { return e.candidates }
-
-// PricedBucket returns the selector's α-β cost estimate for bucket b
-// of the active layout.
-func (e *Engine) PricedBucket(b int) float64 { return e.prices[b] }
 
 // StrategyName names the active bucketing strategy.
 func (e *Engine) StrategyName() string { return e.strat.Name() }
@@ -395,28 +396,6 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 	return out
 }
 
-// ReduceFull runs the strategy's collective over the whole packed
-// vector, in place — the barrier flush. Bit-identical to flushing the
-// buckets: that is the strategies' contract.
-func (e *Engine) ReduceFull(n *simnet.Node, pack []float32) []float32 {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(n.Rank, 0)
-	}
-	out := e.strat.Run(n, pack, 0, e.total)
-	n.ChargeReduce(len(out))
-	return out
-}
-
-// PackFull copies every parameter gradient of one rank into its
-// packed buffer (the barrier path's packing; Produce does it
-// incrementally for the overlap path).
-func (e *Engine) PackFull(rank int, diffs [][]float32) {
-	pack := e.views[rank]
-	for pi := range e.cfg.Params {
-		copy(pack[e.offs[pi]:], diffs[pi])
-	}
-}
-
 // Commit drains bucket b's per-rank reduced outputs — averaged
 // (1/Ranks) straight into the parameter gradients, in pack order — and
 // records the bucket's simulated makespan and traffic census. grads
@@ -455,26 +434,6 @@ func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]
 	if e.tracer != nil && e.hierClks != nil {
 		copy(e.hierClks[b], e.hierNow)
 		e.clockSnaps[b] = append(e.clockSnaps[b][:0], res.Clocks...)
-	}
-	return diverged
-}
-
-// CommitFull is Commit for the barrier flush: it drains the whole
-// reduced vector into the gradients and records the flush's makespan
-// and census.
-func (e *Engine) CommitFull(outs [][]float32, res simnet.Result, grads [][][]float32) float64 {
-	diverged := e.drain(outs, 0, e.total, grads)
-	st := &e.fullStat
-	st.Index, st.Lo, st.Hi = 0, 0, e.total
-	st.Bytes = e.total * 4
-	st.Algorithm = e.strat.Name()
-	st.Comm = res.Time
-	st.Priced = e.fullPrice
-	st.Msgs, st.CrossMsgs, st.CrossBytes = res.Msgs, res.CrossMsgs, res.CrossBytes
-	e.bytesMetric.Add(int64(st.Bytes))
-	if e.tracer != nil && e.hierNow != nil {
-		e.hierFull = append(e.hierFull[:0], e.hierNow...)
-		e.clockFull = append(e.clockFull[:0], res.Clocks...)
 	}
 	return diverged
 }
@@ -529,8 +488,12 @@ func mismatch(a, b []float32) float64 {
 // Compose chains the committed bucket collectives behind their
 // modeled production times (LayerDone[ReadyLayer] is where every
 // node's clock stood when the bucket was flushed) and returns the
-// summed communication plus the modeled step time given the measured
-// compute makespan. Exposed communication is stepTime - compute.
+// summed communication, the exposed part of it and the modeled step
+// time given the measured compute makespan. Exposed communication is
+// stepTime - compute. Under Config.Barrier the one bucket is ready at
+// compute itself, the barrier, and the flush is exposed in full: the
+// exposed time is its makespan, not (compute + comm) - compute, which
+// need not equal it bit for bit.
 //
 // As a side effect Compose finalizes the per-bucket attribution of
 // LastBuckets — each bucket's flush window [Start, End] and its
@@ -539,15 +502,18 @@ func mismatch(a, b []float32) float64 {
 // monotone — and, when a tracer is attached, emits the step's flush
 // and hierarchical-phase spans. Attribution observes the same
 // arithmetic the return values use; it never changes it.
-func (e *Engine) Compose(compute float64) (commSum, stepTime float64) {
+func (e *Engine) Compose(compute float64) (commSum, exposed, stepTime float64) {
 	var commEnd float64
 	for b, bk := range e.buckets {
-		start := e.cfg.LayerDone[bk.ReadyLayer]
+		st := &e.stats[b]
+		st.ReadyAt = compute
+		if !e.cfg.Barrier {
+			st.ReadyAt = e.cfg.LayerDone[bk.ReadyLayer]
+		}
+		start := st.ReadyAt
 		if commEnd > start {
 			start = commEnd
 		}
-		st := &e.stats[b]
-		st.ReadyAt = e.cfg.LayerDone[bk.ReadyLayer]
 		st.Start = start
 		floor := compute
 		if commEnd > floor {
@@ -556,9 +522,12 @@ func (e *Engine) Compose(compute float64) (commSum, stepTime float64) {
 		commEnd = start + e.commTimes[b]
 		commSum += e.commTimes[b]
 		st.End = commEnd
-		if exp := commEnd - floor; exp > 0 {
+		switch exp := commEnd - floor; {
+		case e.cfg.Barrier:
+			st.Exposed = e.commTimes[b]
+		case exp > 0:
 			st.Exposed = exp
-		} else {
+		default:
 			st.Exposed = 0
 		}
 	}
@@ -566,42 +535,20 @@ func (e *Engine) Compose(compute float64) (commSum, stepTime float64) {
 	if commEnd > stepTime {
 		stepTime = commEnd
 	}
-	if e.tracer != nil {
-		e.emitFlushSpans(e.stats, e.hierClks, e.clockSnaps)
+	exposed = stepTime - compute
+	if e.cfg.Barrier {
+		exposed = commSum
 	}
-	return commSum, stepTime
-}
-
-// ComposeFull finalizes the barrier flush's attribution: the single
-// full-vector collective starts at the compute barrier and is exposed
-// in full. Call after CommitFull; no-op arithmetic (the trainer's
-// compute + res.Time composition stays where it is).
-func (e *Engine) ComposeFull(compute float64) {
-	st := &e.fullStat
-	st.ReadyAt = compute
-	st.Start = compute
-	st.End = compute + st.Comm
-	st.Exposed = st.Comm
 	if e.tracer != nil {
-		full := []BucketStat{e.fullStat}
-		var hier [][][3]float64
-		var clocks [][]float64
-		if e.hierNow != nil {
-			hier = [][][3]float64{e.hierFull}
-			clocks = [][]float64{e.clockFull}
-		}
-		e.emitFlushSpans(full, hier, clocks)
+		e.emitFlushSpans()
 	}
+	return commSum, exposed, stepTime
 }
 
 // LastBuckets returns the per-bucket attribution of the last composed
-// overlapped step, in flush order. The slice is reused across steps —
-// callers keeping it must copy.
+// step, in flush order. The slice is reused across steps — callers
+// keeping it must copy.
 func (e *Engine) LastBuckets() []BucketStat { return e.stats }
-
-// FullStat returns the attribution of the last committed barrier
-// flush.
-func (e *Engine) FullStat() BucketStat { return e.fullStat }
 
 // emitFlushSpans draws one span per committed flush on the engine's
 // cluster track (pid = tracePid, tid 0), carrying the bucket's layout,
@@ -609,10 +556,10 @@ func (e *Engine) FullStat() BucketStat { return e.fullStat }
 // hierarchical schedule, the three internal phase spans per rank on
 // each rank's CommLane, placed from the phase-entry clocks the hook
 // captured (collective-relative, so they anchor at the flush start).
-func (e *Engine) emitFlushSpans(stats []BucketStat, hier [][][3]float64, clocks [][]float64) {
+func (e *Engine) emitFlushSpans() {
 	base := e.traceBase
-	for i := range stats {
-		st := &stats[i]
+	for i := range e.stats {
+		st := &e.stats[i]
 		e.tracer.Span(e.tracePid, 0, fmt.Sprintf("flush[%d] %s", st.Index, st.Algorithm),
 			base+st.Start, base+st.End,
 			obs.Str("algorithm", st.Algorithm),
@@ -624,26 +571,26 @@ func (e *Engine) emitFlushSpans(stats []BucketStat, hier [][][3]float64, clocks 
 			obs.I64("msgs", st.Msgs),
 			obs.I64("cross_msgs", st.CrossMsgs),
 			obs.I64("cross_bytes", st.CrossBytes))
-		if hier == nil || i >= len(hier) || hier[i] == nil {
+		if e.hierClks == nil {
 			continue
 		}
 		s := base + st.Start
-		for r, c := range hier[i] {
-			if r >= len(clocks[i]) {
+		clocks := e.clockSnaps[i]
+		for r, c := range e.hierClks[i] {
+			if r >= len(clocks) {
 				break
 			}
-			end := clocks[i][r]
 			e.tracer.Span(r, CommLane, "hier:intra-rs", s+c[0], s+c[1])
 			e.tracer.Span(r, CommLane, "hier:leader-rhd", s+c[1], s+c[2])
-			e.tracer.Span(r, CommLane, "hier:allgather", s+c[2], s+end)
+			e.tracer.Span(r, CommLane, "hier:allgather", s+c[2], s+clocks[r])
 		}
 	}
 }
 
-// SetTrace attaches a tracer to the engine: Compose/ComposeFull emit
-// one flush span per committed collective on the (pid, 0) cluster
-// track, and — when the active strategy is the hierarchical schedule —
-// the engine installs the allreduce hierarchical phase hook to capture
+// SetTrace attaches a tracer to the engine: Compose emits one flush
+// span per committed bucket (the barrier's one included) on the (pid,
+// 0) cluster track, and — when the active strategy is the hierarchical
+// schedule — the engine installs the allreduce hierarchical phase hook to capture
 // each rank's intra-RS / leader-RHD / allgather boundary clocks,
 // drawn as per-rank phase spans on CommLane. The previous phase hook
 // is chained (fault injection keeps working under tracing) and
@@ -655,7 +602,6 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 			allreduce.SetHierPhaseHook(e.prevHierHook)
 			e.prevHierHook = nil
 			e.hierNow, e.hierClks, e.clockSnaps = nil, nil, nil
-			e.hierFull, e.clockFull = nil, nil
 		}
 		e.tracer = nil
 		return

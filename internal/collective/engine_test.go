@@ -261,6 +261,13 @@ func TestEngineConfigValidation(t *testing.T) {
 	} else if len(e.Buckets()) != 0 || e.TotalElems() != 0 {
 		t.Fatalf("frozen net engine not degenerate: %+v", e.Buckets())
 	}
+	// Under Barrier it keeps its one flush, empty and priced at nothing.
+	frozen.Barrier = true
+	if e, err := New(frozen); err != nil {
+		t.Fatalf("frozen barrier net rejected: %v", err)
+	} else if bks := e.Buckets(); len(bks) != 1 || bks[0] != (Bucket{}) || e.prices[0] != 0 {
+		t.Fatalf("frozen barrier engine: buckets %+v, priced %v; want one empty flush", bks, e.prices)
+	}
 	for name, mutate := range map[string]func(*Config){
 		"no ranks":     func(c *Config) { c.Ranks = 0 },
 		"nil network":  func(c *Config) { c.Network = nil },
@@ -440,7 +447,8 @@ func TestEngineAutoAlgorithm(t *testing.T) {
 // reduced output, once, and compares every other rank's to it bit for
 // bit. Equal outputs report 0; one element of one rank off by one ulp —
 // or differing only in the sign of a zero — is reported, and does not
-// change what is drained. With a set per rank nothing is compared.
+// change what is drained. With a set per rank nothing is compared. The
+// whole-vector checks commit the one bucket of a barrier engine.
 func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	const ranks = 4
 	params := []ParamInfo{{Layer: 0, Elems: 5}, {Layer: 1, Elems: 3}}
@@ -453,6 +461,14 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	if len(e.Buckets()) != 2 {
 		t.Fatalf("%d buckets, want 2", len(e.Buckets()))
 	}
+	cfg.Barrier = true
+	full, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bks := full.Buckets(); len(bks) != 1 || bks[0] != (Bucket{Lo: 0, Hi: 8, ReadyLayer: 0}) {
+		t.Fatalf("barrier layout %+v, want the one bucket [0, 8)", bks)
+	}
 	sum := []float32{4, -8, 0, 0.3, 12, 1e-3, -2, 7}
 	newOuts := func() [][]float32 {
 		outs := make([][]float32, ranks)
@@ -464,7 +480,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	shared := [][][]float32{{make([]float32, 5), make([]float32, 3)}}
 	drained := func() []float32 { return append(append([]float32(nil), shared[0][0]...), shared[0][1]...) }
 
-	if d := e.CommitFull(newOuts(), simnetResult, shared); d != 0 {
+	if d := full.Commit(0, newOuts(), simnetResult, shared); d != 0 {
 		t.Fatalf("identical outputs reported a mismatch of %g", d)
 	}
 	want := drained()
@@ -476,12 +492,12 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 
 	ulp := newOuts()
 	ulp[2][3] = math.Nextafter32(sum[3], 1)
-	if d := e.CommitFull(ulp, simnetResult, shared); !(d > 0) || d > 1e-7 {
+	if d := full.Commit(0, ulp, simnetResult, shared); !(d > 0) || d > 1e-7 {
 		t.Fatalf("rank 2 off by one ulp reported %g, want the ulp", d)
 	}
 	zero := newOuts()
 	zero[3][2] = float32(math.Copysign(0, -1))
-	if d := e.CommitFull(zero, simnetResult, shared); !math.IsInf(d, 1) {
+	if d := full.Commit(0, zero, simnetResult, shared); !math.IsInf(d, 1) {
 		t.Fatalf("rank 3 differing in the sign of a zero reported %g, want +Inf", d)
 	}
 	for i, v := range drained() {
@@ -506,7 +522,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	for r := range private {
 		private[r] = [][]float32{make([]float32, 5), make([]float32, 3)}
 	}
-	if d := e.CommitFull(ulp, simnetResult, private); d != 0 {
+	if d := full.Commit(0, ulp, simnetResult, private); d != 0 {
 		t.Fatalf("private gradient sets: reported %g, want no comparison", d)
 	}
 	if got, w := private[2][0][3], ulp[2][3]/ranks; got != w {

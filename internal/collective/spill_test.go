@@ -25,11 +25,11 @@ import (
 //	[1017,1020) pads 5 over [1020,1025) the last bucket and the slack
 //	[1020,1021) pads 7 over [1021,1028) all slack, to its last element
 //
-// On both backends the bucketed step — each layer produced by every
-// rank, then whatever became ready flushed and committed, tail first —
-// must drain, at each Commit, exactly what the barrier flush drains and
-// what the one-shot RecursiveHalvingDoubling over the whole packed
-// vector returns, bit for bit on every rank.
+// On both backends the step — each layer produced by every rank, then
+// whatever became ready flushed and committed, tail first — must drain,
+// at each Commit, exactly what the one-shot RecursiveHalvingDoubling
+// over the whole packed vector returns, bit for bit on every rank: with
+// one bucket per layer, and with the barrier's one bucket.
 func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 	const ranks = 8
 	sizes := []int{1001, 11, 5, 3, 1}
@@ -85,62 +85,53 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 	}
 
 	type backend struct {
-		name      string
-		flushFull func(e *Engine) (simnet.Result, [][]float32)
-		flushSeg  func(e *Engine, b int) (simnet.Result, [][]float32)
+		name  string
+		flush func(e *Engine, b int) (simnet.Result, [][]float32)
 	}
 	scl, dcl := simnet.NewCluster(netw, mapping, ranks), des.NewCluster(netw, mapping, ranks)
+	barrier := cfg
+	barrier.Barrier = true
 	for _, be := range []backend{
-		{"goroutine",
-			func(e *Engine) (simnet.Result, [][]float32) {
-				views := e.RankViews()
-				return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceFull(n, views[n.Rank]) })
-			},
-			func(e *Engine, b int) (simnet.Result, [][]float32) {
-				views := e.RankViews()
-				return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceSeg(n, b, views[n.Rank]) })
-			}},
-		{"DES",
-			func(e *Engine) (simnet.Result, [][]float32) { return e.FlushFullDES(dcl) },
-			func(e *Engine, b int) (simnet.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
+		{"goroutine", func(e *Engine, b int) (simnet.Result, [][]float32) {
+			views := e.RankViews()
+			return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceSeg(n, b, views[n.Rank]) })
+		}},
+		{"DES", func(e *Engine, b int) (simnet.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
 	} {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nb := len(e.Buckets()); nb != len(sizes) {
-			t.Fatalf("%d buckets, want one per layer: %+v", nb, e.Buckets())
-		}
-		for step := 0; step < 2; step++ { // the second over views the first left full of sums and pads
-			label := fmt.Sprintf("%s step %d", be.name, step)
-
-			grads := newGrads()
-			for r := range diffs {
-				e.PackFull(r, diffs[r])
+		for _, mode := range []struct {
+			name    string
+			cfg     Config
+			buckets int
+		}{{"barrier", barrier, 1}, {"overlap", cfg, len(sizes)}} {
+			e, err := New(mode.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			res, outs := be.flushFull(e)
-			e.CommitFull(outs, res, grads)
-			requireDrained(label+" barrier", grads, 0, e.TotalElems())
-
-			grads = newGrads()
-			e.BeginStep()
-			b := 0
-			for li := len(sizes) - 1; li >= 0; li-- {
-				for r := range diffs {
-					e.Produce(r, li, diffs[r])
+			if nb := len(e.Buckets()); nb != mode.buckets {
+				t.Fatalf("%s: %d buckets, want %d: %+v", mode.name, nb, mode.buckets, e.Buckets())
+			}
+			for step := 0; step < 2; step++ { // the second over views the first left full of sums and pads
+				label := fmt.Sprintf("%s %s step %d", be.name, mode.name, step)
+				grads := newGrads()
+				e.BeginStep()
+				b := 0
+				for li := len(sizes) - 1; li >= 0; li-- {
+					for r := range diffs {
+						e.Produce(r, li, diffs[r])
+					}
+					for ; b < len(e.Buckets()) && e.Buckets()[b].ReadyLayer == li; b++ {
+						<-e.Ready(b)
+						res, outs := be.flush(e, b)
+						e.Commit(b, outs, res, grads)
+						bk := e.Buckets()[b]
+						requireDrained(fmt.Sprintf("%s bucket %d %+v at its commit", label, b, bk), grads, bk.Lo, bk.Hi)
+					}
 				}
-				for ; b < len(e.Buckets()) && e.Buckets()[b].ReadyLayer == li; b++ {
-					<-e.Ready(b)
-					res, outs := be.flushSeg(e, b)
-					e.Commit(b, outs, res, grads)
-					bk := e.Buckets()[b]
-					requireDrained(fmt.Sprintf("%s bucket %d %+v at its commit", label, b, bk), grads, bk.Lo, bk.Hi)
+				if b != len(e.Buckets()) {
+					t.Fatalf("%s: flushed %d of %d buckets", label, b, len(e.Buckets()))
 				}
+				requireDrained(label, grads, 0, e.TotalElems())
 			}
-			if b != len(e.Buckets()) {
-				t.Fatalf("%s: flushed %d of %d buckets", label, b, len(e.Buckets()))
-			}
-			requireDrained(label+" overlap", grads, 0, e.TotalElems())
 		}
 	}
 }

@@ -31,12 +31,12 @@ const (
 	PhaseForward Phase = "forward"
 	// PhaseBackward fires between forward and backward.
 	PhaseBackward Phase = "backward"
-	// PhasePack fires as the rank packs gradients (before its first
-	// Produce under overlap; before PackFull under the barrier).
+	// PhasePack fires as the rank packs gradients: before its first
+	// Produce of the step, in barrier and overlap mode alike.
 	PhasePack Phase = "pack"
 	// PhaseFlush fires inside the collective, at the top of the
 	// rank's reduce of one bucket ("flush-bucket-k" in plan syntax;
-	// the barrier path's single full flush is bucket 0).
+	// the barrier's one bucket, the whole packed vector, is bucket 0).
 	PhaseFlush Phase = "flush"
 )
 

@@ -119,16 +119,6 @@ func (c *Cluster) MaxSimTime() float64 {
 	return t
 }
 
-// Stats sums the simulated activity of every node's CoreGroups.
-func (c *Cluster) Stats() sw26010.Stats {
-	var agg sw26010.Stats
-	for _, n := range c.nodes {
-		s := n.Stats()
-		agg.Add(&s)
-	}
-	return agg
-}
-
 // Close drains every node and stops its CPE worker pools. The cluster
 // must not be used afterwards.
 func (c *Cluster) Close() {

@@ -296,8 +296,8 @@ func TestHierarchicalOverlapBitIdenticalToBarrier(t *testing.T) {
 
 // TestHierarchicalFlatSumsHexExact: a hierarchical trainer and a flat
 // RHD trainer fed integer-valued gradients must produce hex-identical
-// packed sums. The engines' full flushes run over the same simnet
-// cluster with integer payloads (sums below 2^24 are exact in float32
+// packed sums. The engines' barrier flushes — each one bucket, the
+// whole packed vector — run over the same simnet cluster with integer payloads (sums below 2^24 are exact in float32
 // regardless of association order), pinning flat-vs-hierarchical
 // agreement at the trainer's flush layer rather than just inside
 // internal/allreduce.
@@ -321,6 +321,9 @@ func TestHierarchicalFlatSumsHexExact(t *testing.T) {
 	// Drive both engines' barrier flush directly with integer payloads.
 	for _, d := range []*DistTrainer{flat, hier} {
 		d.ensureEngine()
+		if nb := d.Buckets(); nb != 1 {
+			t.Fatalf("barrier trainer has %d buckets, want 1", nb)
+		}
 	}
 	fe, he := flat.Engine(), hier.Engine()
 	for r := 0; r < nodes; r++ {
@@ -335,7 +338,7 @@ func TestHierarchicalFlatSumsHexExact(t *testing.T) {
 		eng := d.Engine()
 		views := eng.RankViews()
 		_, o := d.cluster.RunGather(func(n *simnet.Node) []float32 {
-			return eng.ReduceFull(n, views[n.Rank])
+			return eng.ReduceSeg(n, 0, views[n.Rank])
 		})
 		cp := make([][]float32, nodes)
 		for r := range o {

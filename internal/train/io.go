@@ -24,7 +24,7 @@ const ioTraceLane = 1
 // ensureIO lazily resolves cfg.IO into the priced read model: fills
 // the storage defaults, fixes the reader count to the world size, runs
 // the stripe-count advisor when asked, and precomputes the per-step
-// concurrent read time. Called by both step variants after
+// concurrent read time. Called by Step (through composeIO) after
 // ensureTimeline, so the advisor's hide window — the priced compute
 // leg of one step — is available. Compute is a conservative floor of
 // the hide window (realized steps only add communication time, which
@@ -84,8 +84,8 @@ func (t *DistTrainer) ioStats(step int, hideWindow float64) (read, exposed float
 	return read, exposed
 }
 
-// composeIO folds the priced I/O stage into LastStep (assembled by the
-// step variant without I/O), accumulates the trainer-level totals, and
+// composeIO folds the priced I/O stage into LastStep (assembled by
+// Step without I/O), accumulates the trainer-level totals, and
 // emits the per-batch read span on the tracer's io lane. Must run
 // before recordStep so the history ring and metrics see the final
 // decomposition.

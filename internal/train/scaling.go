@@ -325,14 +325,3 @@ func FunctionalSweep(build func() (*core.Net, map[string]*tensor.Tensor, error),
 	}
 	return out, nil
 }
-
-// IdealSpeedup is the linear reference line of Fig. 10.
-func IdealSpeedup(nodes int) float64 { return float64(nodes) }
-
-// EfficiencyAt returns parallel efficiency S(p)/p.
-func EfficiencyAt(pt ScalePoint) float64 {
-	if pt.Nodes == 0 {
-		return 0
-	}
-	return pt.Speedup / float64(pt.Nodes)
-}

@@ -101,12 +101,13 @@ type DistConfig struct {
 	Mapping   topology.Mapping
 	Algorithm allreduce.Algorithm
 
-	// Overlap selects the bucketed trainer: per-layer gradients are
-	// flushed into buckets as backward produces them, and each
-	// bucket's all-reduce starts immediately, overlapping the
-	// remaining backward compute instead of barriering after it
-	// (paper Sec. V-A). The collective engine keeps every algorithm
-	// bit-identical to the barrier trainer under overlap: element-
+	// Overlap selects the bucketed layout: the packed gradients are cut
+	// into per-layer buckets, and each bucket's all-reduce starts as
+	// soon as backward has produced it, overlapping the remaining
+	// backward compute instead of barriering after it (paper Sec. V-A).
+	// Without it the step flushes one bucket, the whole packed vector,
+	// after backward (collective.Config.Barrier). The collective engine
+	// keeps every algorithm bit-identical between the two: element-
 	// uniform algorithms (the default recursive halving/doubling, the
 	// binomial tree, custom bodies) bucket freely, and the ring gets
 	// chunk-aligned buckets reduced with the full ring's per-chunk
@@ -219,7 +220,7 @@ const (
 	BackendDES       = "des"
 )
 
-// DefaultBucketBytes is the overlapped trainer's fixed bucket cap
+// DefaultBucketBytes is the overlapped layout's fixed bucket cap
 // when auto-selection is off (re-exported from the collective
 // engine): large enough to amortize the per-collective latency, small
 // enough that several buckets are in flight across a deep net's
@@ -238,9 +239,9 @@ type DistTrainer struct {
 	nodes   *swnode.Cluster // pooled nodes, or DES nodes on BackendDES
 
 	// Exactly one communicator exists, the selected backend's (see
-	// newCommunicator): desCluster when cfg.Backend is BackendDES — both
-	// step variants then flush through the engine's DES path — and the
-	// goroutine cluster otherwise.
+	// newCommunicator): desCluster when cfg.Backend is BackendDES — Step
+	// then flushes through the engine's DES path — and the goroutine
+	// cluster otherwise.
 	cluster    *simnet.Cluster
 	desCluster *des.Cluster
 
@@ -288,8 +289,8 @@ type DistTrainer struct {
 	computeEnd float64   // modeled forward + full backward time
 
 	// engine owns bucket construction, flush signalling, the per-rank
-	// packed staging and the makespan composition for both step
-	// variants (lazily built with the timeline).
+	// packed staging and the makespan composition of both modes (lazily
+	// built with the timeline).
 	engine *collective.Engine
 	// grads is the engine's drain target: the diffs of each distinct
 	// model (see replicas) — every worker's, indexed by rank, or the one
@@ -305,7 +306,7 @@ type DistTrainer struct {
 	netData, netLabels *tensor.Tensor
 	diverged           float64
 
-	// Reused per-Step staging (both paths must stay allocation-free at
+	// Reused per-Step staging (both modes must stay allocation-free at
 	// steady state; the allocation budgets of alloc_test.go pin this).
 	losses []float32
 
@@ -369,7 +370,7 @@ type StepStats struct {
 	Msgs, CrossMsgs, CrossBytes int64
 
 	// Buckets is the per-flush attribution (one entry per gradient
-	// bucket on the overlap path; the single barrier flush otherwise):
+	// bucket; the barrier's one bucket is the whole packed vector):
 	// layout position, priced vs. realized cost, flush window, exposed
 	// contribution, census. The backing array is reused across Steps —
 	// copy before the next Step to keep it.
@@ -566,10 +567,6 @@ func (t *DistTrainer) PassPlacements() []int {
 	return out
 }
 
-// NodeStats sums the simulated mesh activity across every worker's
-// node (zero on BackendDES, whose nodes have no CoreGroups).
-func (t *DistTrainer) NodeStats() sw26010.Stats { return t.nodes.Stats() }
-
 // newCommunicator builds the selected backend's communicator over the
 // current world (t.cfg.Nodes ranks), replacing any previous one.
 func (t *DistTrainer) newCommunicator() {
@@ -594,21 +591,19 @@ func (t *DistTrainer) Close() {
 // its simulated node and returns a join function plus a failure
 // channel. There are two arms, one per backend. On a pooled node the
 // pass runs on a CoreGroup and tick charges modeled seconds to its CPE
-// clock; the caller may overlap work between launch and join, and
+// clock; the caller overlaps the flushes between launch and join, and
 // completion ordering is the usual stream/event happens-before. On a
 // DES node the pass runs inline, before launchPasses returns, and tick
 // accumulates the same priced seconds into the launch's charge.
 //
-// failed matters to callers that block on signals a pass produces
-// mid-flight (the overlap flush loop): a pass panic is recovered into
+// failed is there because the caller blocks on signals a pass produces
+// mid-flight (the step's flush loop): a pass panic is recovered into
 // its launch Event, so a poisoned worker goes quiet instead of
 // crashing; without a side channel the caller would wait forever on a
 // signal that never comes. failed delivers the first pass panic after
 // every pass has quiesced (healthy workers never block on the cap-1
-// bucket signals, so quiescence is guaranteed). It is nil when watch
-// is false: callers that join immediately, like the barrier path, get
-// their panic from join, which re-raises the first pass failure once.
-func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick func(float64))) (join func(), failed <-chan any) {
+// bucket signals, so quiescence is guaranteed).
+func (t *DistTrainer) launchPasses(pass func(i int, w *Worker, tick func(float64))) (join func(), failed <-chan any) {
 	// Recovery bookkeeping, a no-op on the healthy path: a failed launch
 	// poisons its stream's future launches, so continue poisoned workers
 	// on a fresh stream — a recovered trainer must not silently skip
@@ -622,7 +617,7 @@ func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick 
 	// The launch weight is the swdnn-plan-priced pass cost, so the
 	// deterministic least-loaded scheduler places passes by modeled
 	// kernel cost rather than launch count (ensureTimeline has run by
-	// the time either step variant launches).
+	// the time Step launches).
 	weight := t.computeEnd
 	if t.nodes.DES() {
 		for i, w := range t.Workers {
@@ -631,9 +626,6 @@ func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick 
 				pass(i, w, func(dt float64) { clock += dt })
 				return clock
 			})
-		}
-		if !watch {
-			return t.nodes.Sync, nil
 		}
 		// Every pass already ran inline, so a failure — impossible today,
 		// since the DES backend rejects fault plans — is already known:
@@ -653,9 +645,6 @@ func (t *DistTrainer) launchPasses(watch bool, pass func(i int, w *Worker, tick 
 				pass(i, w, pe.AdvanceClock)
 			})
 		})
-	}
-	if !watch {
-		return t.nodes.Sync, nil
 	}
 	// Snapshot the events: the watcher can outlive this Step, and the
 	// next Step overwrites each worker's lastEv.
@@ -700,115 +689,6 @@ func (t *DistTrainer) stepCompute() float64 {
 		}
 	}
 	return max
-}
-
-// Step runs one synchronous iteration over the shards loaded into each
-// worker's Data/Labels tensors and returns the mean loss across
-// workers. With cfg.Overlap it runs the bucketed pipeline; otherwise
-// the strict pack → reduce → unpack barrier.
-func (t *DistTrainer) Step() float32 {
-	t.stepNo.Store(int64(t.iter))
-	if t.commDirty {
-		t.resetCommStaging()
-	}
-	if t.cfg.Overlap {
-		return t.stepOverlap()
-	}
-	return t.stepBarrier()
-}
-
-// resetCommStaging re-allocates every buffer a rank goroutine stranded
-// by a failed collective might still read or write, leaving the old
-// buffers to the stragglers (see commDirty).
-func (t *DistTrainer) resetCommStaging() {
-	t.commDirty = false
-	if t.engine != nil {
-		t.engine.ResetStaging()
-	}
-}
-
-func (t *DistTrainer) stepBarrier() float32 {
-	t.ensureEngine()
-	eng := t.engine
-	fp, step := t.cfg.Faults, t.iter
-	// Local forward/backward (the 4-CG compute of Algorithm 1 lines
-	// 3-8 collapses to one functional pass per node), one launch per
-	// worker on its simulated node.
-	join, _ := t.launchPasses(false, func(i int, w *Worker, tick func(float64)) {
-		t.pass(i, w, nil)
-		if t.shared() {
-			eng.PackFull(i, w.diffs)
-		}
-		tick(t.computeEnd)
-	})
-	join()
-	compute := t.stepCompute()
-
-	// Pack, all-reduce, average (Algorithm 1 line 9); ranks sharing one
-	// model packed inside their passes. views is captured locally so
-	// stranded ranks keep using the orphaned staging after a
-	// failure-path reset (see stepOverlap).
-	if !t.shared() {
-		for i, w := range t.Workers {
-			if fp != nil {
-				// A pack fault here dies on the calling goroutine — before
-				// any collective starts, so no staging is dirtied and the
-				// recovered trainer needs no orphaning.
-				fp.Check(i, step, elastic.PhasePack, -1)
-			}
-			eng.PackFull(i, w.diffs)
-		}
-	}
-	views := eng.RankViews()
-	// The flush reduces every rank's view in place and outs[r] is that
-	// view. A failure marks the staging dirty: ranks it stranded may
-	// still be reading and writing it, so the next Step orphans it to
-	// them, and draining only on the clean path keeps anything they
-	// produce out of a recovered trainer.
-	res, outs := func() (simnet.Result, [][]float32) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.commDirty = true
-				panic(r)
-			}
-		}()
-		if t.desCluster != nil {
-			return eng.FlushFullDES(t.desCluster)
-		}
-		return t.cluster.RunGather(func(n *simnet.Node) []float32 {
-			return eng.ReduceFull(n, views[n.Rank])
-		})
-	}()
-	// Average into the gradients and update every replica identically
-	// (line 10).
-	t.diverged = max(t.diverged, eng.CommitFull(outs, res, t.grads))
-	t.CommTime += res.Time
-	t.applyUpdate()
-
-	// Barrier timeline: the per-node modeled compute makespans barrier,
-	// then the whole all-reduce is exposed. ComposeFull finalizes the
-	// single flush's attribution window (and emits its spans when
-	// traced) without touching the arithmetic below.
-	if t.cfg.Tracer != nil {
-		eng.SetTraceBase(t.traceTime)
-	}
-	eng.ComposeFull(compute)
-	t.bucketScratch = append(t.bucketScratch[:0], eng.FullStat())
-	t.LastStep = StepStats{
-		Compute:    compute,
-		Comm:       res.Time,
-		Exposed:    res.Time,
-		StepTime:   compute + res.Time,
-		Msgs:       res.Msgs,
-		CrossMsgs:  res.CrossMsgs,
-		CrossBytes: res.CrossBytes,
-		Buckets:    t.bucketScratch,
-	}
-	t.composeIO(step)
-	t.ComputeTime += compute
-	t.ExposedCommTime += res.Time
-	t.recordStep()
-	return t.meanLoss()
 }
 
 // meanLoss is the Step's return value: the mean of the ranks' losses.

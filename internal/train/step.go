@@ -7,32 +7,32 @@ import (
 	"swcaffe/internal/simnet"
 )
 
-// Bucketed gradient overlap (paper Sec. V-A, ROADMAP "allreduce
-// pipelining"). Backward propagation produces layer gradients
-// last-to-first; instead of packing everything and barriering on one
-// all-reduce, the overlapped trainer flushes each gradient bucket's
-// all-reduce the moment every worker has produced it, while the
-// remaining backward layers keep computing. Real wall-clock overlap
-// happens on the host (the collective runs while worker goroutines
-// are still in backward), and the modeled timeline composes
-// per-bucket communication behind the per-layer backward costs priced
-// on cfg.Device.
+// One Step, both modes (paper Algorithm 1 line 9 and Sec. V-A).
+// Backward propagation produces layer gradients last-to-first, and
+// every rank packs each layer's gradients into its view as they appear
+// (Produce). The collective engine partitions the packed vector into
+// buckets and signals each one the moment every worker has produced
+// it; the step flushes it — all-reduce, then the average drained into
+// the gradients (Commit) — and finally composes the modeled timeline.
 //
-// The bucket construction, flush signalling, collective schedules and
-// timeline composition all live in internal/collective: the engine
-// partitions the packed gradient vector into contiguous buckets
-// (snapped to each algorithm's alignment — the ring gets chunk-aligned
-// buckets reduced with the full ring's per-chunk schedule, so every
-// algorithm is now bit-identical under overlap), and optionally
-// auto-selects the bucket cap from the α-β cost model. This trainer
-// only drives the protocol: launch passes, flush ready buckets (each
-// flush's result is drained into the workers' gradients as it commits),
-// compose stats.
+// Overlap only changes the layout. Under cfg.Overlap the buckets are
+// contiguous ranges cut at layer boundaries (snapped to each
+// algorithm's alignment — the ring gets chunk-aligned buckets reduced
+// with the full ring's per-chunk schedule, so every algorithm is
+// bit-identical under overlap), optionally sized by the α-β selector,
+// and each bucket's all-reduce runs while the remaining backward layers
+// keep computing: on the host, since the collective runs while worker
+// passes are still in backward, and on the modeled clock, where Compose
+// chains per-bucket communication behind the per-layer backward costs
+// priced on cfg.Device. Without it the layout is one bucket,
+// [0, total), ready when the last layer's backward completes: the
+// barrier, whose flush Compose places at the end of compute and exposes
+// in full.
 
-// ensureTimeline lazily prices the per-layer modeled compute timeline
-// shared by both trainer variants. The node-backed passes advance
-// their CPE clocks to exactly these offsets, so layerDone doubles as
-// the per-node modeled production time of each layer's gradient.
+// ensureTimeline lazily prices the per-layer modeled compute timeline.
+// The node-backed passes advance their CPE clocks to exactly these
+// offsets, so layerDone doubles as the per-node modeled production time
+// of each layer's gradient.
 func (t *DistTrainer) ensureTimeline() {
 	if t.layerDone != nil {
 		return
@@ -51,10 +51,10 @@ func (t *DistTrainer) ensureTimeline() {
 	}
 }
 
-// ensureEngine lazily builds the collective engine both step variants
-// flush through: the priced timeline feeds its auto-bucket selector
-// and makespan composition, and its per-rank packed staging replaces
-// the per-trainer buffers the pre-engine paths kept by hand.
+// ensureEngine lazily builds the collective engine the step flushes
+// through: the priced timeline feeds its auto-bucket selector and
+// makespan composition, and its per-rank packed staging replaces the
+// per-trainer buffers the pre-engine paths kept by hand.
 func (t *DistTrainer) ensureEngine() {
 	t.ensureTimeline()
 	if t.engine != nil {
@@ -82,6 +82,7 @@ func (t *DistTrainer) ensureEngine() {
 		AlgorithmName: t.cfg.AlgorithmName,
 		BucketBytes:   t.cfg.BucketBytes,
 		AutoBucket:    t.cfg.AutoBucket,
+		Barrier:       !t.cfg.Overlap,
 		FlushHook:     t.flushHook(),
 	})
 	if err != nil {
@@ -102,8 +103,18 @@ func (t *DistTrainer) ensureEngine() {
 	}
 }
 
-// stepOverlap is the bucketed-pipeline Step.
-func (t *DistTrainer) stepOverlap() float32 {
+// Step runs one synchronous iteration over the shards loaded into each
+// worker's Data/Labels tensors and returns the mean loss across
+// workers: the passes pack their gradients layer by layer, each bucket
+// is all-reduced and averaged into the gradients as soon as every
+// worker has produced it, and every replica takes the same update.
+// cfg.Overlap picks the layout — per-layer buckets, or the barrier's
+// one.
+func (t *DistTrainer) Step() float32 {
+	t.stepNo.Store(int64(t.iter))
+	if t.commDirty {
+		t.resetCommStaging()
+	}
 	t.ensureEngine()
 	eng := t.engine
 	nb := len(eng.Buckets())
@@ -115,11 +126,11 @@ func (t *DistTrainer) stepOverlap() float32 {
 	// and shed bits); the per-layer production offsets of the modeled
 	// overlay come from layerDone, where the engine flushes buckets.
 	fp, step := t.cfg.Faults, t.iter
-	join, failed := t.launchPasses(true, func(i int, w *Worker, tick func(float64)) {
+	join, failed := t.launchPasses(func(i int, w *Worker, tick func(float64)) {
 		t.pass(i, w, func(li int) {
 			if fp != nil {
-				// The overlap path packs incrementally: the pack fault
-				// fires (once) at the rank's first Produce of the step.
+				// Packing is incremental: the pack fault fires (once) at
+				// the rank's first Produce of the step.
 				fp.Check(i, step, elastic.PhasePack, -1)
 			}
 			eng.Produce(i, li, w.diffs)
@@ -193,13 +204,14 @@ func (t *DistTrainer) stepOverlap() float32 {
 
 	// Modeled timeline: the engine chains the bucket collectives
 	// behind their production times on the node timelines; exposed
-	// communication is whatever outlives backward. Compose also
-	// finalizes the per-bucket attribution (and emits the step's flush
-	// spans when traced) — observation only, same arithmetic.
+	// communication is whatever outlives backward, and the barrier's
+	// whole flush. Compose also finalizes the per-bucket attribution
+	// (and emits the step's flush spans when traced) — observation only,
+	// same arithmetic.
 	if t.cfg.Tracer != nil {
 		eng.SetTraceBase(t.traceTime)
 	}
-	commSum, stepTime := eng.Compose(compute)
+	commSum, exposed, stepTime := eng.Compose(compute)
 	t.bucketScratch = append(t.bucketScratch[:0], eng.LastBuckets()...)
 	var msgs, xMsgs, xBytes int64
 	for i := range t.bucketScratch {
@@ -210,7 +222,7 @@ func (t *DistTrainer) stepOverlap() float32 {
 	t.LastStep = StepStats{
 		Compute:    compute,
 		Comm:       commSum,
-		Exposed:    stepTime - compute,
+		Exposed:    exposed,
 		StepTime:   stepTime,
 		Msgs:       msgs,
 		CrossMsgs:  xMsgs,
@@ -225,8 +237,18 @@ func (t *DistTrainer) stepOverlap() float32 {
 	return t.meanLoss()
 }
 
-// Buckets reports the collective engine's bucket count (0 before the
-// first Step builds the engine).
+// resetCommStaging re-allocates every buffer a rank goroutine stranded
+// by a failed collective might still read or write, leaving the old
+// buffers to the stragglers (see commDirty).
+func (t *DistTrainer) resetCommStaging() {
+	t.commDirty = false
+	if t.engine != nil {
+		t.engine.ResetStaging()
+	}
+}
+
+// Buckets reports the collective engine's bucket count — 1 for the
+// barrier — or 0 before the first Step builds the engine.
 func (t *DistTrainer) Buckets() int {
 	if t.engine == nil {
 		return 0

@@ -290,6 +290,24 @@ func TestClusterRuntimeBitIdenticalToDES(t *testing.T) {
 					t.Fatalf("overlap=%v nodes=%d iter %d: pooled StepStats %+v != DES %+v",
 						overlap, nodes, it, pooled.LastStep, des.LastStep)
 				}
+				// Every bucket the engine lays out is flushed, and the
+				// barrier is the one bucket: ready at the compute barrier,
+				// started there and exposed in full.
+				for _, d := range []*DistTrainer{pooled, des} {
+					st := d.LastStep
+					if len(st.Buckets) != d.Buckets() {
+						t.Fatalf("overlap=%v nodes=%d iter %d: %d flushes, engine lays out %d buckets",
+							overlap, nodes, it, len(st.Buckets), d.Buckets())
+					}
+					if overlap {
+						continue
+					}
+					if b := st.Buckets; len(b) != 1 || b[0].ReadyAt != st.Compute || b[0].Start != st.Compute ||
+						b[0].Exposed != b[0].Comm || b[0].Lo != 0 || b[0].Hi != d.Engine().TotalElems() {
+						t.Fatalf("nodes=%d iter %d: barrier flushes %+v, want one [0, total) at compute %v, exposed in full",
+							nodes, it, b, st.Compute)
+					}
+				}
 				// The CPE clocks advance by exactly the priced pass cost.
 				if pooled.LastStep.Compute != pooled.computeEnd {
 					t.Fatalf("overlap=%v nodes=%d iter %d: pooled compute leg %v != priced %v",
