@@ -7,9 +7,8 @@ GO ?= go
 
 check: fmt vet lint build test
 
-# lint runs swvet, the repo's determinism-contract analyzers
-# (internal/analysis): wallclock, rawrand, maporder, straygo,
-# printless. Non-zero exit on any unsuppressed finding; see the
+# lint runs swvet, the repo's static analyzers (internal/analysis):
+# wallclock, rawrand, maporder, straygo, printless, deadexport. Non-zero exit on any unsuppressed finding; see the
 # "Static analysis" section of the README for the suppression policy.
 lint:
 	$(GO) run ./cmd/swvet ./...

@@ -21,6 +21,10 @@ func main() {
 	verbose := flag.Bool("v", false, "print every layer (default: conv/fc/pool only)")
 	flag.Parse()
 
+	if *batch < 1 {
+		fmt.Fprintln(os.Stderr, "swmodel: -batch must be at least 1")
+		os.Exit(2)
+	}
 	build, ok := models.ByName(*model)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "swmodel: unknown model %q; have %v\n", *model, models.Names())

@@ -88,6 +88,12 @@ func main() {
 	if *qSize < 0 {
 		usage("-q must not be negative")
 	}
+	if arrays := pario.DefaultTaihuLight(0).Arrays; *stripeCount < 0 || *stripeCount > arrays {
+		usage("-stripes must be in [0, %d], the disk arrays the store stripes over", arrays)
+	}
+	if *bucketKB < 0 || *ioBatchKB < 0 {
+		usage("-bucket-kb and -io-batch-kb must not be negative")
+	}
 	// Validate -alg up front: an unknown name lists the registry
 	// instead of surfacing a bare construction error.
 	if *alg != "" && allreduce.Canonical(*alg) != collective.NameAuto {

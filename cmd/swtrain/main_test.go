@@ -40,9 +40,10 @@ func run(args ...string) (stdout, stderr string, exit int, err error) {
 	return o.String(), e.String(), exit, err
 }
 
-// TestBadFlagsExitTwo: no classes, a negative supernode size and the
-// -cg4 conflicts are refused before any work, with one line on stderr
-// — not with a divide-by-zero panic, silently, or with exit 1.
+// TestBadFlagsExitTwo: no classes, a negative supernode size, a stripe
+// count the 32-array store cannot hold, negative sizes and the -cg4
+// conflicts are refused before any work, with one line on stderr — not
+// with a divide-by-zero panic, silently, or with exit 1.
 func TestBadFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nodes", "2", "-classes", "0"},
@@ -52,6 +53,10 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-cg4", "-nodes", "2"},
 		{"-cg4", "-overlap"},
 		{"-cg4", "-batch", "6"},
+		{"-nodes", "4", "-iters", "2", "-batch", "4", "-io", "-stripes", "64"},
+		{"-io", "-stripes", "-3"},
+		{"-bucket-kb", "-5"},
+		{"-io", "-io-batch-kb", "-1"},
 	} {
 		stdout, stderr, exit, err := run(args...)
 		if err != nil {

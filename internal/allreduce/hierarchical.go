@@ -230,4 +230,6 @@ func tournamentPartner(j, r, g int) int {
 // active mapping), chunk c spanning [b[c], b[c+1]). The collective
 // engine snaps hierarchical bucket boundaries onto these bounds so
 // each bucket is a whole number of leader-owned chunks (see hierCursor).
+//
+//swvet:ignore deadexport: test oracle; the bucket-bound tests of allreduce, collective and train check layouts against the hierarchical partition
 func HierChunkBounds(n, k int) []int { return ChunkBounds(n, k) }

@@ -7,7 +7,10 @@
 // goroutines live only inside the pooled runtimes, and library code
 // never prints. This package mechanizes those contracts as analyzers
 // over go/ast + go/types, stdlib-only, so violations fail `make check`
-// instead of surfacing weeks later as flaky bit-identity goldens.
+// instead of surfacing weeks later as flaky bit-identity goldens. One
+// more analyzer, deadexport, holds a design line rather than a
+// determinism one: no exported internal/ identifier outlives its last
+// non-test caller.
 //
 // Findings are suppressed, one line at a time, with an annotated
 // comment carrying a mandatory reason:
@@ -59,6 +62,7 @@ type Pass struct {
 
 	analyzer string
 	report   func(Finding)
+	refs     *refIndex // the module's non-test references, for analyzers that need them
 }
 
 // Reportf records a finding at pos.
@@ -103,6 +107,8 @@ type Analyzer struct {
 	// Doc is the one-line catalog entry shown by `swvet -catalog`.
 	Doc string
 	Run func(*Pass)
+
+	needsRefs bool // the Runner indexes the whole module's references first
 }
 
 // All returns the full analyzer catalog in canonical order. The set
@@ -115,6 +121,7 @@ func All() []*Analyzer {
 		Maporder(),
 		Straygo(),
 		Printless(),
+		Deadexport(),
 	}
 }
 

@@ -76,6 +76,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 		{"maporder.txt", one(Maporder()), []string{"swcaffe/internal/obs"}},
 		{"straygo.txt", one(Straygo()), []string{"swcaffe/internal/train", "swcaffe/internal/swnode", "swcaffe/cmd/tool"}},
 		{"printless.txt", one(Printless()), []string{"swcaffe/internal/core", "swcaffe/cmd/tool"}},
+		{"deadexport.txt", one(Deadexport()), []string{"swcaffe/internal/perf"}},
 		{"ignore.txt", All(), []string{"swcaffe/internal/pario"}},
 		{"all.txt", All(), nil},
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -36,6 +37,20 @@ func (r *Runner) Run(prefixes ...string) (*Result, error) {
 		return nil, err
 	}
 
+	// Module-wide analyzers see every package, whatever the prefixes.
+	var refs *refIndex
+	if slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.needsRefs }) {
+		all := make([]*pkgInfo, 0, len(paths))
+		for _, path := range paths {
+			pi, err := ld.load(path)
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, pi)
+		}
+		refs = buildRefs(all)
+	}
+
 	var raw []Finding
 	res := &Result{}
 	for _, path := range paths {
@@ -67,6 +82,7 @@ func (r *Runner) Run(prefixes ...string) (*Result, error) {
 				Pkg:      pi.pkg,
 				Info:     pi.info,
 				analyzer: a.Name,
+				refs:     refs,
 				report: func(f Finding) {
 					for _, s := range sups[f.Pos.Filename] {
 						if s.analyzer == f.Analyzer && s.target() == f.Pos.Line {

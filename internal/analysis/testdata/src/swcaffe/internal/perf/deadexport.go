@@ -1,0 +1,26 @@
+// Package perf is a fixture: exported identifiers for the deadexport
+// analyzer's golden test. cmd/tool uses Square; everything else here
+// is reached by nothing outside a _test.go file.
+package perf
+
+// Dead is referenced by no other declaration. Its own method's
+// receiver does not count as a reference.
+type Dead struct{} // finding
+
+func (d Dead) area() float64 { return 0 }
+
+// TestOnly is called only from deadexport_test.go, which the loader
+// never parses.
+func TestOnly() int { return 2 } // finding
+
+// Square is used by cmd/tool.
+type Square struct{}
+
+// Area is only ever called through an anonymous interface assertion in
+// cmd/tool; a selection of the name anywhere in the module exempts it.
+func (Square) Area() float64 { return 1 } // no finding
+
+// Kept carries an explained exception.
+//
+//swvet:ignore deadexport: fixture; a surviving test needs it as an oracle
+func Kept() int { return 3 }

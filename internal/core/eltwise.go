@@ -194,53 +194,3 @@ func (l *ConcatLayer) Cost(dev perf.Device) LayerCost {
 		Backward: dev.Elementwise(l.n, 1, 1, 0),
 	}
 }
-
-// TransformLayer is the paper's tensor-transformation layer
-// (Sec. IV-C): it transposes a blob between the NCHW and RCNB layouts
-// around runs of implicit-GEMM convolutions. In this functional
-// implementation the data round-trips exactly; its value for the
-// reproduction is the device cost it contributes.
-type TransformLayer struct {
-	base
-	to    tensor.Layout
-	shape [4]int
-}
-
-// NewTransform builds a layout-transform layer.
-func NewTransform(name, bottom, top string, to tensor.Layout) *TransformLayer {
-	l := &TransformLayer{to: to}
-	l.name, l.typ = name, "Transform"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
-}
-
-func (l *TransformLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
-	in, err := checkOneBottom(l, bottoms)
-	if err != nil {
-		return nil, err
-	}
-	l.shape = in.Shape()
-	return [][4]int{in.Shape()}, nil
-}
-
-func (l *TransformLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
-	in, out := bottoms[0], tops[0]
-	out.Layout = l.to
-	tensor.TransformInto(in, out)
-}
-
-func (l *TransformLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
-	if bottomDiffs[0] == nil {
-		return
-	}
-	// Gradient of a transposition is the inverse transposition.
-	dy := topDiffs[0]
-	tmp := tensor.Transform(dy, bottomDiffs[0].Layout)
-	bottomDiffs[0].AXPY(1, tmp)
-}
-
-func (l *TransformLayer) Cost(dev perf.Device) LayerCost {
-	t := dev.Transform(l.shape[0], l.shape[1], l.shape[2], l.shape[3])
-	return LayerCost{Forward: t, Backward: t}
-}

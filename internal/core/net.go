@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"swcaffe/internal/perf"
@@ -221,19 +220,6 @@ func (n *Net) markGradientPaths() {
 
 // Blob returns a blob tensor by name, or nil.
 func (n *Net) Blob(name string) *tensor.Tensor { return n.blobs[name] }
-
-// BlobDiff returns a blob's gradient tensor by name, or nil.
-func (n *Net) BlobDiff(name string) *tensor.Tensor { return n.diffs[name] }
-
-// BlobNames returns all blob names, sorted.
-func (n *Net) BlobNames() []string {
-	out := make([]string, 0, len(n.blobs))
-	for name := range n.blobs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Params returns every parameter of every layer, in layer order. The
 // slice is cached (callers must not mutate it).

@@ -43,9 +43,6 @@ func TestNetSetupShapes(t *testing.T) {
 	if b := net.Blob("fc"); b == nil || b.Shape() != [4]int{4, 3, 1, 1} {
 		t.Fatalf("fc shape %v", net.Blob("fc"))
 	}
-	if len(net.BlobNames()) == 0 {
-		t.Fatal("no blob names")
-	}
 	// Conv (w+b) + FC (w+b) = 4 learnable params.
 	if got := len(net.LearnableParams()); got != 4 {
 		t.Fatalf("learnable params = %d, want 4", got)
@@ -112,8 +109,8 @@ func TestGradientAccumulationAcrossFanOut(t *testing.T) {
 	net.Forward(Train)
 	net.Backward(Train)
 	// d(loss)/da through the eltwise layer is twice d(loss)/d(twice).
-	da := net.BlobDiff("a")
-	dt := net.BlobDiff("twice")
+	da := net.diffs["a"]
+	dt := net.diffs["twice"]
 	for i := range da.Data {
 		if diff := da.Data[i] - 2*dt.Data[i]; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("fan-out gradient not summed at %d: %g vs 2*%g", i, da.Data[i], dt.Data[i])
@@ -178,20 +175,6 @@ func TestSolverLRPolicies(t *testing.T) {
 	if got := step.Rate(1, 250); math.Abs(got-0.01) > 1e-12 {
 		t.Fatalf("step: %g", got)
 	}
-	poly := PolyLR{MaxIter: 100, Power: 1}
-	if got := poly.Rate(1, 50); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("poly: %g", got)
-	}
-	if got := poly.Rate(1, 100); got != 0 {
-		t.Fatalf("poly at max: %g", got)
-	}
-	ms := MultiStepLR{Steps: []int{10, 20}, Gamma: 0.5}
-	if got := ms.Rate(1, 15); got != 0.5 {
-		t.Fatalf("multistep: %g", got)
-	}
-	if got := ms.Rate(1, 25); got != 0.25 {
-		t.Fatalf("multistep: %g", got)
-	}
 }
 
 func TestSolverMomentumUpdateMath(t *testing.T) {
@@ -254,8 +237,8 @@ func TestInPlaceLayerSharesBlob(t *testing.T) {
 		t.Fatal("conv1 missing")
 	}
 	found := 0
-	for _, name := range net.BlobNames() {
-		if name == "conv1" {
+	for _, b := range net.blobs {
+		if b == net.Blob("conv1") {
 			found++
 		}
 	}

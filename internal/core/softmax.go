@@ -43,10 +43,6 @@ func (l *SoftmaxLossLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	return [][4]int{{1, 1, 1, 1}}, nil
 }
 
-// Prob returns the class probabilities computed by the last Forward,
-// as a (B, C) row-major slice.
-func (l *SoftmaxLossLayer) Prob() []float32 { return l.prob[:l.b*l.c] }
-
 func (l *SoftmaxLossLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	scores, labels := bottoms[0], bottoms[1]
 	var loss float64

@@ -30,37 +30,6 @@ func (p StepLR) Rate(baseLR float64, iter int) float64 {
 	return baseLR * math.Pow(p.Gamma, float64(iter/p.StepSize))
 }
 
-// PolyLR decays polynomially to zero at MaxIter.
-type PolyLR struct {
-	MaxIter int
-	Power   float64
-}
-
-// Rate implements the "poly" policy.
-func (p PolyLR) Rate(baseLR float64, iter int) float64 {
-	if iter >= p.MaxIter {
-		return 0
-	}
-	return baseLR * math.Pow(1-float64(iter)/float64(p.MaxIter), p.Power)
-}
-
-// MultiStepLR multiplies by Gamma at each listed iteration.
-type MultiStepLR struct {
-	Steps []int
-	Gamma float64
-}
-
-// Rate implements the "multistep" policy.
-func (p MultiStepLR) Rate(baseLR float64, iter int) float64 {
-	lr := baseLR
-	for _, s := range p.Steps {
-		if iter >= s {
-			lr *= p.Gamma
-		}
-	}
-	return lr
-}
-
 // SolverConfig holds the SGD hyper-parameters.
 type SolverConfig struct {
 	BaseLR      float64
@@ -98,9 +67,6 @@ func NewSolver(net *Net, cfg SolverConfig) *Solver {
 
 // Iter returns the number of completed iterations.
 func (s *Solver) Iter() int { return s.iter }
-
-// Net returns the solver's net.
-func (s *Solver) Net() *Net { return s.net }
 
 // LR returns the learning rate for the current iteration.
 func (s *Solver) LR() float64 { return s.cfg.Policy.Rate(s.cfg.BaseLR, s.iter) }
@@ -185,6 +151,8 @@ func (s *Solver) clipGradients() {
 
 // CheckFinite panics with a diagnostic if any parameter or gradient is
 // NaN/Inf — a debugging aid for failure-injection tests.
+//
+//swvet:ignore deadexport: safety check nothing calls yet; TestSolverCheckFiniteCatchesNaN pins it
 func (s *Solver) CheckFinite() {
 	for _, p := range s.net.Params() {
 		for i, v := range p.Data.Data {

@@ -1,8 +1,6 @@
-// Package dataset provides deterministic synthetic datasets standing
-// in for ImageNet (which we cannot ship): a pseudo-ImageNet of random
-// images with stable per-index content for the I/O and throughput
-// experiments, and a separable Gaussian-cluster task on which the
-// functional training stack demonstrably converges.
+// Package dataset provides deterministic synthetic training data (we
+// cannot ship ImageNet): a separable Gaussian-cluster task on which
+// the functional training stack demonstrably converges.
 package dataset
 
 import (
@@ -14,54 +12,11 @@ import (
 type Dataset interface {
 	// Len returns the number of examples.
 	Len() int
-	// Classes returns the number of label classes.
-	Classes() int
 	// Example writes example i into dst (shaped (1, C, H, W)) and
 	// returns its label.
 	Example(i int, dst []float32) int
 	// Dims returns the (C, H, W) of one example.
 	Dims() (c, h, w int)
-}
-
-// SyntheticImageNet is a deterministic stand-in for the 1000-way
-// ImageNet dataset: example i is a reproducible pseudo-random image
-// whose class is i mod classes. Content is generated on the fly, so a
-// "dataset" of a million 224x224 images costs no storage.
-type SyntheticImageNet struct {
-	N       int
-	C, H, W int
-	K       int // classes
-}
-
-// NewSyntheticImageNet builds the standard 1000-class 3x224x224
-// synthetic set with n examples.
-func NewSyntheticImageNet(n int) *SyntheticImageNet {
-	return &SyntheticImageNet{N: n, C: 3, H: 224, W: 224, K: 1000}
-}
-
-// Len implements Dataset.
-func (d *SyntheticImageNet) Len() int { return d.N }
-
-// Classes implements Dataset.
-func (d *SyntheticImageNet) Classes() int { return d.K }
-
-// Dims implements Dataset.
-func (d *SyntheticImageNet) Dims() (int, int, int) { return d.C, d.H, d.W }
-
-// Example implements Dataset. The image depends only on i.
-func (d *SyntheticImageNet) Example(i int, dst []float32) int {
-	need := d.C * d.H * d.W
-	if len(dst) < need {
-		panic("dataset: destination too small")
-	}
-	rng := detrand.New(uint64(i)*2654435761 + 1)
-	lbl := i % d.K
-	// Class-dependent mean so the data is not pure noise.
-	mean := float32(lbl%16)/16 - 0.5
-	for j := 0; j < need; j++ {
-		dst[j] = mean + float32(rng.NormFloat64())*0.25
-	}
-	return lbl
 }
 
 // Clusters is a linearly separable Gaussian-cluster classification
@@ -92,9 +47,6 @@ func NewClusters(n, k, c, h, w int, noise float64, seed int64) *Clusters {
 
 // Len implements Dataset.
 func (d *Clusters) Len() int { return d.N }
-
-// Classes implements Dataset.
-func (d *Clusters) Classes() int { return d.K }
 
 // Dims implements Dataset.
 func (d *Clusters) Dims() (int, int, int) { return d.C, d.H, d.W }

@@ -7,51 +7,6 @@ import (
 	"swcaffe/internal/tensor"
 )
 
-func TestSyntheticImageNetDeterminism(t *testing.T) {
-	ds := NewSyntheticImageNet(1000)
-	c, h, w := ds.Dims()
-	if c != 3 || h != 224 || w != 224 {
-		t.Fatalf("dims %d,%d,%d", c, h, w)
-	}
-	a := make([]float32, c*h*w)
-	b := make([]float32, c*h*w)
-	la := ds.Example(123, a)
-	lb := ds.Example(123, b)
-	if la != lb {
-		t.Fatal("labels differ between calls")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("example content not deterministic")
-		}
-	}
-	// Different indices give different content.
-	ds.Example(124, b)
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	if same > len(a)/100 {
-		t.Fatalf("examples 123 and 124 share %d values", same)
-	}
-	if ds.Classes() != 1000 || ds.Len() != 1000 {
-		t.Fatal("metadata wrong")
-	}
-}
-
-func TestSyntheticImageNetLabels(t *testing.T) {
-	ds := NewSyntheticImageNet(5000)
-	buf := make([]float32, 3*224*224)
-	for _, i := range []int{0, 999, 1000, 4999} {
-		lbl := ds.Example(i, buf)
-		if lbl != i%1000 {
-			t.Fatalf("label(%d) = %d", i, lbl)
-		}
-	}
-}
-
 func TestClustersSeparable(t *testing.T) {
 	ds := NewClusters(1000, 3, 1, 4, 4, 0.1, 1)
 	c, h, w := ds.Dims()

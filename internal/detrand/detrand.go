@@ -75,17 +75,3 @@ func (r *RNG) NormFloat64() float64 {
 	v := r.Float64()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0, n)
-// via Fisher–Yates, consuming exactly n-1 draws.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -159,8 +159,17 @@ func TestRNGCursorRestore(t *testing.T) {
 	}
 }
 
+func mustParseFaultPlan(t *testing.T, spec string) *FaultPlan {
+	t.Helper()
+	p, err := ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestParseFaultPlan(t *testing.T) {
-	p := MustParseFaultPlan("3@5:flush-bucket-0, 1@2:forward")
+	p := mustParseFaultPlan(t, "3@5:flush-bucket-0, 1@2:forward")
 	if p.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", p.Pending())
 	}
@@ -172,7 +181,7 @@ func TestParseFaultPlan(t *testing.T) {
 }
 
 func TestFaultPlanCheckFiresOnceAtExactCoordinates(t *testing.T) {
-	p := MustParseFaultPlan("2@3:flush-bucket-1")
+	p := mustParseFaultPlan(t, "2@3:flush-bucket-1")
 	// Wrong rank / step / phase / bucket: no fire.
 	p.Check(1, 3, PhaseFlush, 1)
 	p.Check(2, 2, PhaseFlush, 1)
@@ -200,7 +209,7 @@ func TestFaultPlanCheckFiresOnceAtExactCoordinates(t *testing.T) {
 	}
 
 	// A bucket of -1 matches the first flush attempted.
-	q := MustParseFaultPlan("0@0:flush")
+	q := mustParseFaultPlan(t, "0@0:flush")
 	anyBucket := func() (r any) {
 		defer func() { r = recover() }()
 		q.Check(0, 0, PhaseFlush, 5)

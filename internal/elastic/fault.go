@@ -92,11 +92,6 @@ type FaultPlan struct {
 	faults []Fault
 }
 
-// NewFaultPlan builds a plan from explicit faults.
-func NewFaultPlan(faults ...Fault) *FaultPlan {
-	return &FaultPlan{faults: faults}
-}
-
 // ParseFaultPlan parses a comma-separated plan in CLI syntax:
 //
 //	r@s:phase
@@ -144,15 +139,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		return nil, fmt.Errorf("elastic: empty fault plan %q", spec)
 	}
 	return p, nil
-}
-
-// MustParseFaultPlan is ParseFaultPlan for static specs in tests.
-func MustParseFaultPlan(spec string) *FaultPlan {
-	p, err := ParseFaultPlan(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Check panics with an Injected value if the plan holds an unfired

@@ -353,6 +353,8 @@ func (b *builder) convBNReLU(name, bottom string, out, k, s, p int, withReLU boo
 // Net materializes the spec into a functional core.Net ready for
 // Setup. The caller supplies the data/label tensors via core.Net.Setup
 // using InputTensors.
+//
+//swvet:ignore deadexport: test oracle; the functional tests of train, collective, allreduce, experiments and netdef build their nets through it
 func (m *ModelSpec) Net() *core.Net {
 	n := core.NewNet(m.Name, "data", "label")
 	for i := range m.Layers {
@@ -399,6 +401,8 @@ func (m *ModelSpec) Net() *core.Net {
 }
 
 // InputTensors allocates data and label tensors matching the spec.
+//
+//swvet:ignore deadexport: test oracle; the models tests feed the functional nets through it
 func (m *ModelSpec) InputTensors() map[string]*tensor.Tensor {
 	d := m.InputDim
 	return map[string]*tensor.Tensor{

@@ -3,13 +3,12 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry holds named counters, gauges and histograms and produces
+// Registry holds named counters and gauges and produces
 // deterministic snapshots: metrics print sorted by name, so two runs
 // with the same workload emit byte-identical `swtrain -metrics`
 // blocks. Instruments are cheap (atomics) and creation is idempotent —
@@ -20,7 +19,6 @@ type Registry struct {
 	fcnts  map[string]*FloatCounter
 	gauges map[string]*Gauge
 	gfuncs map[string]func() float64
-	hists  map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -30,7 +28,6 @@ func NewRegistry() *Registry {
 		fcnts:  make(map[string]*FloatCounter),
 		gauges: make(map[string]*Gauge),
 		gfuncs: make(map[string]func() float64),
-		hists:  make(map[string]*Histogram),
 	}
 }
 
@@ -83,39 +80,6 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram accumulates value observations, reporting count/sum/
-// min/max/mean. It keeps moments, not buckets — enough to summarize a
-// modeled distribution deterministically without config.
-type Histogram struct {
-	mu       sync.Mutex
-	count    int64
-	sum      float64
-	min, max float64
-}
-
-func (h *Histogram) Observe(x float64) {
-	h.mu.Lock()
-	if h.count == 0 || x < h.min {
-		h.min = x
-	}
-	if h.count == 0 || x > h.max {
-		h.max = x
-	}
-	h.count++
-	h.sum += x
-	h.mu.Unlock()
-}
-
-// Stats returns (count, sum, min, max). min/max are NaN when empty.
-func (h *Histogram) Stats() (count int64, sum, min, max float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0, 0, math.NaN(), math.NaN()
-	}
-	return h.count, h.sum, h.min, h.max
-}
-
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
@@ -161,18 +125,6 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Reset drops every instrument and registered gauge func. Tests and
 // fresh swtrain runs use it to start from a clean registry.
 func (r *Registry) Reset() {
@@ -181,7 +133,6 @@ func (r *Registry) Reset() {
 	r.fcnts = make(map[string]*FloatCounter)
 	r.gauges = make(map[string]*Gauge)
 	r.gfuncs = make(map[string]func() float64)
-	r.hists = make(map[string]*Histogram)
 	r.mu.Unlock()
 }
 
@@ -193,10 +144,10 @@ type Sample struct {
 
 // Snapshot returns every instrument's current value sorted by name.
 // Integer counters print as integers; floats with %g (shortest exact
-// round-trip); histograms as count/sum/min/max/mean.
+// round-trip).
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counts)+len(r.fcnts)+len(r.gauges)+len(r.gfuncs)+len(r.hists))
+	out := make([]Sample, 0, len(r.counts)+len(r.fcnts)+len(r.gauges)+len(r.gfuncs))
 	for _, name := range sortedKeys(r.counts) {
 		out = append(out, Sample{Name: name, Value: fmt.Sprintf("%d", r.counts[name].Value())})
 	}
@@ -208,15 +159,6 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	for _, name := range sortedKeys(r.gfuncs) {
 		out = append(out, Sample{Name: name, Value: fmt.Sprintf("%g", r.gfuncs[name]())})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		count, sum, min, max := r.hists[name].Stats()
-		if count == 0 {
-			out = append(out, Sample{Name: name, Value: "count=0"})
-		} else {
-			out = append(out, Sample{Name: name, Value: fmt.Sprintf(
-				"count=%d sum=%g min=%g max=%g mean=%g", count, sum, min, max, sum/float64(count))})
-		}
 	}
 	r.mu.Unlock()
 	// The per-kind blocks above are each name-sorted; this merge sort

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +15,6 @@ func TestRegistryInstrumentsIdempotent(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("Gauge not idempotent")
 	}
-	if r.Histogram("h") != r.Histogram("h") {
-		t.Fatal("Histogram not idempotent")
-	}
 	if r.FloatCounter("f") != r.FloatCounter("f") {
 		t.Fatal("FloatCounter not idempotent")
 	}
@@ -30,16 +26,13 @@ func TestSnapshotSortedAndFormatted(t *testing.T) {
 	r.Gauge("a.gauge").Set(1.5)
 	r.FloatCounter("m.float").Add(2.25)
 	r.GaugeFunc("k.func", func() float64 { return 7 })
-	h := r.Histogram("b.hist")
-	h.Observe(1)
-	h.Observe(3)
 
 	snap := r.Snapshot()
 	names := make([]string, len(snap))
 	for i, s := range snap {
 		names[i] = s.Name
 	}
-	want := []string{"a.gauge", "b.hist", "k.func", "m.float", "z.count"}
+	want := []string{"a.gauge", "k.func", "m.float", "z.count"}
 	if len(names) != len(want) {
 		t.Fatalf("got %v, want %v", names, want)
 	}
@@ -60,17 +53,6 @@ func TestSnapshotSortedAndFormatted(t *testing.T) {
 	}
 	if byName["k.func"] != "7" {
 		t.Fatalf("gauge func value = %q", byName["k.func"])
-	}
-	if byName["b.hist"] != "count=2 sum=4 min=1 max=3 mean=2" {
-		t.Fatalf("histogram value = %q", byName["b.hist"])
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := &Histogram{}
-	count, sum, min, max := h.Stats()
-	if count != 0 || sum != 0 || !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Fatalf("empty histogram stats = %d %g %g %g", count, sum, min, max)
 	}
 }
 
@@ -99,7 +81,6 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("c").Inc()
 				r.FloatCounter("f").Add(0.5)
 				r.Gauge("g").Set(float64(j))
-				r.Histogram("h").Observe(float64(j))
 			}
 		}()
 	}
@@ -109,9 +90,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.FloatCounter("f").Value(); got != 800 {
 		t.Fatalf("float counter = %g, want 800", got)
-	}
-	if count, _, _, _ := r.Histogram("h").Stats(); count != 1600 {
-		t.Fatalf("histogram count = %d, want 1600", count)
 	}
 }
 

@@ -68,10 +68,6 @@ func New() *Tracer {
 	return &Tracer{procs: make(map[int]string), threads: make(map[[2]int]string)}
 }
 
-// Enabled reports whether the tracer records anything (false on nil —
-// the zero-cost disabled state every hot path checks).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Span records a completed [start, end] slice (simulated seconds) on
 // the (pid, tid) track.
 func (t *Tracer) Span(pid, tid int, name string, start, end float64, attrs ...Attr) {

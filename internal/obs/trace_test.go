@@ -11,9 +11,6 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	// None of these may panic.
 	tr.Span(0, 0, "x", 0, 1)
 	tr.Instant(0, 0, "x", 0)

@@ -37,9 +37,6 @@ type Device interface {
 	BatchNorm(n int) float64
 	// Softmax prices a softmax over (b, c).
 	Softmax(b, c int) float64
-	// Transform prices a layout transposition of (b, c, h, w)
-	// (SW26010-only; zero elsewhere).
-	Transform(b, c, h, w int) float64
 	// InputOverhead is the host-side data path cost per image
 	// (decode + host staging + PCIe for the GPU). The paper measures
 	// that this is >40% of AlexNet iteration time on the K40m, while
@@ -86,10 +83,6 @@ func (d *SWCG) Elementwise(n, rIn, wOut int, flopsPerElem float64) float64 {
 func (d *SWCG) BatchNorm(n int) float64 { return swdnn.BatchNormPlan(d.HW, n).Time }
 
 func (d *SWCG) Softmax(b, c int) float64 { return swdnn.SoftmaxPlan(d.HW, b, c).Time }
-
-func (d *SWCG) Transform(b, c, h, w int) float64 {
-	return swdnn.TransformPlan(d.HW, b, c, h, w).Time
-}
 
 // InputOverhead on SW26010 is negligible: CPEs DMA the staged batch
 // from main memory directly (Sec. VI-B).
@@ -163,8 +156,6 @@ func (d *Roofline) Elementwise(n, rIn, wOut int, flopsPerElem float64) float64 {
 func (d *Roofline) BatchNorm(n int) float64 { return d.Elementwise(n, 3, 1, 8) }
 
 func (d *Roofline) Softmax(b, c int) float64 { return d.Elementwise(b*c, 3, 1, 20) }
-
-func (d *Roofline) Transform(b, c, h, w int) float64 { return 0 }
 
 func (d *Roofline) InputOverhead(images int) float64 {
 	return d.PerImageHost * float64(images)

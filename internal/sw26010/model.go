@@ -28,7 +28,6 @@ const (
 	CoreGroups    = 4
 	LDMBytes      = 64 * 1024 // 64 KB scratchpad per CPE
 	ClockHz       = 1.45e9    // MPE and CPE clock
-	SIMDBits      = 256       // vector width
 	FlopsPerCycle = 8         // 256-bit FMA pipeline, double precision
 
 	// RLCGranule is the register-communication message size: one
@@ -40,8 +39,6 @@ const (
 const (
 	CPEPeakFlops = ClockHz * FlopsPerCycle  // 11.6 GFlops per CPE
 	CGPeakFlops  = CPEPeakFlops * CPEsPerCG // 742.4 GFlops per CG
-	ChipPeak     = CGPeakFlops * CoreGroups // ~2.97 TFlops (paper rounds to 3.02)
-	MPEPeakFlops = 11.6e9                   // MPE contributes 11.6 GFlops
 	GB           = 1e9                      // decimal GB used throughout the paper
 )
 

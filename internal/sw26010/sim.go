@@ -238,9 +238,6 @@ func (pe *CPE) Release(n int) {
 	}
 }
 
-// LDMUsed returns the live LDM bytes.
-func (pe *CPE) LDMUsed() int { return pe.ldmUsed }
-
 // --- DMA ------------------------------------------------------------
 
 // DMAGet copies len(dst) float32 values from main memory (src) into
@@ -417,15 +414,6 @@ func (pe *CPE) ColRecv(fromRow int) []float32 {
 	msg := pe.busRecv(pe.colIn[fromRow])
 	pe.chargeRLCRecv(msg.ts, int64(len(msg.data))*4)
 	return msg.data
-}
-
-// ColSend performs a P2P transfer to (toRow, Col).
-func (pe *CPE) ColSend(toRow int, data []float32) {
-	if toRow == pe.Row {
-		panic("sw26010: ColSend to self")
-	}
-	ts := pe.chargeRLCSend(int64(len(data)) * 4)
-	pe.busSend(pe.peer(toRow, pe.Col).colIn[pe.Row], message{data: data, ts: ts})
 }
 
 // peer returns the CPE at (row, col), which must be one the launches

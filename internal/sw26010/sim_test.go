@@ -176,16 +176,16 @@ func TestLDMAccounting(t *testing.T) {
 	cg := NewCoreGroup(nil)
 	cg.RunN(1, func(pe *CPE) {
 		a := pe.Alloc(100)
-		if pe.LDMUsed() != 400 {
-			t.Errorf("LDMUsed = %d, want 400", pe.LDMUsed())
+		if pe.ldmUsed != 400 {
+			t.Errorf("live LDM bytes = %d, want 400", pe.ldmUsed)
 		}
 		b := pe.Alloc(50)
 		pe.Release(100)
 		pe.Release(50)
 		_ = a
 		_ = b
-		if pe.LDMUsed() != 0 {
-			t.Errorf("LDMUsed = %d after release", pe.LDMUsed())
+		if pe.ldmUsed != 0 {
+			t.Errorf("live LDM bytes = %d after release", pe.ldmUsed)
 		}
 	})
 	if ht := cg.Stats().LDMHighTide; ht != 600 {

@@ -5,31 +5,6 @@ import (
 	"swcaffe/internal/swnode"
 )
 
-// Stream-accepting kernel entry points. Each submits the synchronous
-// *Run kernel as one launch on a swnode stream and returns its Event,
-// so independent GEMMs, convolutions and summations from different
-// streams execute concurrently across the node's four CoreGroups while
-// per-launch simulated times stay identical to the synchronous calls.
-// Operand slices must stay untouched by the caller until the returned
-// Event resolves (stream order and explicit deps express producer/
-// consumer hazards).
-
-// GEMMAsync launches C += A·B on st (see GEMMRun).
-func GEMMAsync(st *swnode.Stream, a, b, c []float32, m, k, n int, deps ...*swnode.Event) *swnode.Event {
-	checkGEMMArgs(a, b, c, m, k, n)
-	return st.Launch(func(cg *sw26010.CoreGroup) float64 {
-		return GEMMRun(cg, a, b, c, m, k, n)
-	}, deps...)
-}
-
-// ConvExplicitAsync launches the explicit-GEMM forward convolution of
-// one image on st (see ConvExplicitRun).
-func ConvExplicitAsync(st *swnode.Stream, src, weights, bias []float32, s ConvShape, dst []float32, deps ...*swnode.Event) *swnode.Event {
-	return st.Launch(func(cg *sw26010.CoreGroup) float64 {
-		return ConvExplicitRun(cg, src, weights, bias, s, dst)
-	}, deps...)
-}
-
 // SumAsync launches the elementwise accumulation acc += addend on st
 // (see SumRun) — the CPE-cluster gradient summation of Algorithm 1
 // line 8, which the 4-CG trainer chains behind its quarter-batch

@@ -3,14 +3,15 @@ package swdnn_test
 import (
 	"testing"
 
+	"swcaffe/internal/sw26010"
 	"swcaffe/internal/swdnn"
 	"swcaffe/internal/swnode"
 )
 
-// TestAsyncEntryPointsMatchSync: the stream-accepting wrappers must
-// produce the same outputs and simulated times as their synchronous
-// counterparts, with hazards expressed through stream order and
-// events (conv -> sum chained on one stream here).
+// TestAsyncEntryPointsMatchSync: the stream-accepting SumAsync must
+// produce the same output and simulated time as SumRun, with the
+// hazard on its producer expressed through stream order and an event
+// (conv -> sum chained on one stream here).
 func TestAsyncEntryPointsMatchSync(t *testing.T) {
 	node := swnode.NewNode(nil)
 	defer node.Close()
@@ -33,7 +34,8 @@ func TestAsyncEntryPointsMatchSync(t *testing.T) {
 	// Synchronous reference on a fresh CoreGroup.
 	refDst := make([]float32, s.No*ro*co)
 	refAcc := make([]float32, len(refDst))
-	cg := node.CG(3)
+	cg := sw26010.NewCoreGroup(nil)
+	defer cg.Close()
 	tConv := swdnn.ConvExplicitRun(cg, src, w, bias, s, refDst)
 	tSum := swdnn.SumRun(cg, refAcc, refDst)
 
@@ -41,7 +43,9 @@ func TestAsyncEntryPointsMatchSync(t *testing.T) {
 	dst := make([]float32, s.No*ro*co)
 	acc := make([]float32, len(dst))
 	st := node.NewStream()
-	evConv := swdnn.ConvExplicitAsync(st, src, w, bias, s, dst)
+	evConv := st.Launch(func(cg *sw26010.CoreGroup) float64 {
+		return swdnn.ConvExplicitRun(cg, src, w, bias, s, dst)
+	})
 	evSum := swdnn.SumAsync(st, acc, dst, evConv)
 	if got := evConv.Wait(); got != tConv {
 		t.Fatalf("async conv simulated time %v != sync %v", got, tConv)
@@ -65,8 +69,8 @@ func TestAsyncEntryPointsMatchSync(t *testing.T) {
 	// Bad arguments surface on the caller, not inside a goroutine.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("GEMMAsync with short operands must panic synchronously")
+			t.Fatal("SumAsync with mismatched operands must panic synchronously")
 		}
 	}()
-	swdnn.GEMMAsync(st, make([]float32, 4), make([]float32, 4), make([]float32, 4), 8, 8, 8)
+	swdnn.SumAsync(st, make([]float32, 4), make([]float32, 3))
 }

@@ -208,6 +208,8 @@ func im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 // Col2imPlan prices the adjoint scatter. It moves the same volume as
 // im2col but the put side is a read-modify-write accumulation into
 // overlapping rows, so the write path is charged twice (read + write).
+//
+//swvet:ignore deadexport: invariance.json pins plan_col2im
 func Col2imPlan(hw *sw26010.Model, s ConvShape) Plan {
 	p := Im2colPlan(hw, s)
 	p.Name = "col2im"

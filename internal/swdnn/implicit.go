@@ -25,6 +25,8 @@ import (
 // This functional kernel exists to validate the implicit plan's
 // algorithm at small shapes; the analytic ConvImplicitPlan prices the
 // full-scale equivalent.
+//
+//swvet:ignore deadexport: invariance.json pins conv_implicit
 func ConvImplicitRun(cg *sw26010.CoreGroup, x, w []float32, s ConvShape, y []float32) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err

@@ -20,8 +20,14 @@ func runImplicit(t *testing.T, cg *sw26010.CoreGroup, s ConvShape, srcNCHW, wOIN
 	inRC := tensor.Transform(in, tensor.RCNB)
 
 	// Filter (No, Ni, K, K) -> (K, K, No, Ni).
-	wT := &tensor.Tensor{N: s.No, C: s.Ni, H: s.K, W: s.K, Layout: tensor.NCHW, Data: wOINK}
-	wKK := tensor.FilterToKKNoNi(wT)
+	wKK := make([]float32, len(wOINK))
+	for o := 0; o < s.No; o++ {
+		for i := 0; i < s.Ni; i++ {
+			for kk := 0; kk < s.K*s.K; kk++ {
+				wKK[(kk*s.No+o)*s.Ni+i] = wOINK[(o*s.Ni+i)*s.K*s.K+kk]
+			}
+		}
+	}
 
 	yRC := make([]float32, ro*co*s.No*s.B)
 	if _, err := ConvImplicitRun(cg, inRC.Data, wKK, s, yRC); err != nil {

@@ -18,6 +18,8 @@ import (
 // mesh: each CPE claims whole channels; per channel it DMA-gets K-row
 // bands into LDM and emits one pooled row per band (the "multiple K
 // rows" plan of Sec. IV-D). Returns the simulated time.
+//
+//swvet:ignore deadexport: invariance.json pins pool_max
 func PoolMaxRun(cg *sw26010.CoreGroup, src []float32, s PoolShape, dst []float32) float64 {
 	if s.B != 1 {
 		panic("swdnn: PoolMaxRun is per-image (B must be 1)")
@@ -67,6 +69,8 @@ func PoolMaxRun(cg *sw26010.CoreGroup, src []float32, s PoolShape, dst []float32
 }
 
 // RefPoolMax is the host reference for PoolMaxRun.
+//
+//swvet:ignore deadexport: test oracle; TestPoolMaxRunMatchesRef checks the pinned PoolMaxRun against it
 func RefPoolMax(src []float32, s PoolShape, dst []float32) {
 	ro, co := s.OutDims()
 	for c := 0; c < s.C; c++ {
@@ -98,6 +102,8 @@ func RefPoolMax(src []float32, s PoolShape, dst []float32) {
 // mesh (Sec. IV-C): each CPE claims (h, w) pixel positions, gathers
 // the (N, C) plane of its pixel with strided DMA and writes it back
 // contiguously in the RCNB order. Returns the simulated time.
+//
+//swvet:ignore deadexport: invariance.json pins transform
 func TransformRun(cg *sw26010.CoreGroup, src *tensor.Tensor, dst *tensor.Tensor) float64 {
 	if src.Layout != tensor.NCHW || dst.Layout != tensor.RCNB || !src.SameShape(dst) {
 		panic("swdnn: TransformRun wants NCHW src and RCNB dst of equal shape")

@@ -100,6 +100,8 @@ func BatchNormPlan(hw *sw26010.Model, n int) Plan {
 // with strided DMA gathers and SIMD shuffles. One of the two sides
 // necessarily moves in small blocks, so the achieved bandwidth follows
 // the strided curve with the batch (innermost RCNB dim) as block.
+//
+//swvet:ignore deadexport: invariance.json pins plan_transform
 func TransformPlan(hw *sw26010.Model, b, c, h, w int) Plan {
 	n := b * c * h * w
 	bytes := 8 * float64(n) // read once + write once

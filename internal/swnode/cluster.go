@@ -52,10 +52,7 @@ func newCluster(p int, m *sw26010.Model, mk func(*sw26010.Model) *Node) *Cluster
 // DES reports whether the cluster's nodes are DES nodes.
 func (c *Cluster) DES() bool { return c.nodes[0].DES() }
 
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Node returns node i (0..Size-1).
+// Node returns node i (0..p-1).
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // SetTracer attaches tr to every node, using each node's rank as its
@@ -94,29 +91,6 @@ func (c *Cluster) Sync() {
 	if first != nil {
 		panic(first)
 	}
-}
-
-// SimTimes appends each node's modeled makespan to dst (reusing its
-// capacity) and returns it. Call after Sync.
-func (c *Cluster) SimTimes(dst []float64) []float64 {
-	dst = dst[:0]
-	for _, n := range c.nodes {
-		dst = append(dst, n.SimTime())
-	}
-	return dst
-}
-
-// MaxSimTime returns the latest modeled makespan over all nodes — the
-// cluster-wide compute frontier a collective barriers on. Call after
-// Sync.
-func (c *Cluster) MaxSimTime() float64 {
-	var t float64
-	for _, n := range c.nodes {
-		if st := n.SimTime(); st > t {
-			t = st
-		}
-	}
-	return t
 }
 
 // Close drains every node and stops its CPE worker pools. The cluster

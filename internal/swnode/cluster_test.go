@@ -28,27 +28,21 @@ func TestClusterNodesAreIndependent(t *testing.T) {
 		}
 	}
 	cl.Sync()
-	times := cl.SimTimes(nil)
-	for i, st := range times {
-		if st != float64(i+1) {
+	for i := 0; i < p; i++ {
+		if st := cl.Node(i).SimTime(); st != float64(i+1) {
 			t.Fatalf("node %d makespan %g, want %d (timelines must be independent)", i, st, i+1)
 		}
-	}
-	if mt := cl.MaxSimTime(); mt != float64(p) {
-		t.Fatalf("cluster frontier %g, want %d", mt, p)
-	}
-	if cl.Size() != p {
-		t.Fatalf("Size() = %d", cl.Size())
 	}
 }
 
 // TestClusterDeterministicTimes: the same launch program yields
 // bit-identical per-node simulated times across two fresh clusters.
 func TestClusterDeterministicTimes(t *testing.T) {
+	const p = 3
 	run := func() []float64 {
-		cl := swnode.NewCluster(3, nil)
+		cl := swnode.NewCluster(p, nil)
 		defer cl.Close()
-		for i := 0; i < cl.Size(); i++ {
+		for i := 0; i < p; i++ {
 			st := cl.Node(i).PinnedStream(i % sw26010.CoreGroups)
 			for j := 0; j < 5; j++ {
 				cost := float64(i*7+j+1) * 1e-6
@@ -58,7 +52,11 @@ func TestClusterDeterministicTimes(t *testing.T) {
 			}
 		}
 		cl.Sync()
-		return cl.SimTimes(nil)
+		times := make([]float64, p)
+		for i := range times {
+			times[i] = cl.Node(i).SimTime()
+		}
+		return times
 	}
 	a, b := run(), run()
 	for i := range a {

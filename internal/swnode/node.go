@@ -42,7 +42,6 @@ type Node struct {
 
 	mu       sync.Mutex
 	load     [sw26010.CoreGroups]float64 // cumulative scheduling weight per CG
-	speed    [sw26010.CoreGroups]float64 // relative CG speed (1 = healthy)
 	lastOnCG [sw26010.CoreGroups]*Event  // tail of each CG's assignment chain
 	launches int
 	firstErr any
@@ -81,24 +80,11 @@ func newNode(m *sw26010.Model, des bool) *Node {
 	if m == nil {
 		m = sw26010.Default()
 	}
-	n := &Node{Model: m, des: des}
-	for i := range n.speed {
-		n.speed[i] = 1
-	}
-	return n
+	return &Node{Model: m, des: des}
 }
 
 // DES reports whether this is a DES node (see NewDESNode).
 func (n *Node) DES() bool { return n.des }
-
-// CG returns CoreGroup i (0..3) for direct, synchronous use. Panics
-// on a DES node, which has no CoreGroups.
-func (n *Node) CG(i int) *sw26010.CoreGroup {
-	if n.des {
-		panic("swnode: CG access on a DES node, which has no CoreGroups")
-	}
-	return n.cgs[i]
-}
 
 // NewStream returns a stream whose launches the scheduler places on
 // the least-loaded CoreGroup (deterministically: cumulative assigned
@@ -115,77 +101,17 @@ func (n *Node) PinnedStream(cg int) *Stream {
 	return &Stream{node: n, pin: cg}
 }
 
-// SoftPinnedStream returns a stream that prefers CoreGroup cg but
-// lets the scheduler steal a launch onto the least-loaded CG when the
-// preference's backlog is strictly worse even after the steal (see
-// placeSoft) — the work-stealing placement that rebalances degraded
-// or skewed per-CG loads mid-step. On a balanced healthy node the
-// steal condition never triggers, so a soft pin places exactly like a
-// hard pin; determinism is unchanged either way, because the decision
-// depends only on the launch/weight/speed sequence.
-func (n *Node) SoftPinnedStream(cg int) *Stream {
-	if cg < 0 || cg >= sw26010.CoreGroups {
-		panic(fmt.Sprintf("swnode: pin to CG %d out of range", cg))
-	}
-	return &Stream{node: n, pin: cg, soft: true}
-}
-
-// SetCGSpeed declares CoreGroup cg's relative speed (1 = healthy,
-// 0.5 = half speed — a degraded CG). Subsequent launches placed on cg
-// are charged duration/s on the modeled timeline, and the scheduler
-// weighs cg's backlog by 1/s, so unpinned and soft-pinned work drains
-// away from slow CoreGroups. Speeds are part of the launch sequence
-// for determinism purposes: runs that set the same speeds at the same
-// points place identically. The default speed of 1 is exact — x/1
-// changes no bits — so a node that never calls SetCGSpeed schedules
-// and prices launches bit-identically to a build without speeds.
-func (n *Node) SetCGSpeed(cg int, s float64) {
-	if cg < 0 || cg >= sw26010.CoreGroups {
-		panic(fmt.Sprintf("swnode: CG %d out of range", cg))
-	}
-	if s <= 0 {
-		panic(fmt.Sprintf("swnode: CG speed %v must be positive", s))
-	}
-	n.mu.Lock()
-	n.speed[cg] = s
-	n.mu.Unlock()
-}
-
-// effLoad is the scheduler's view of a CoreGroup's backlog: cumulative
-// assigned weight divided by speed, i.e. the modeled time the CG needs
-// to drain what it has been handed. Called with n.mu held.
-func (n *Node) effLoad(i int) float64 { return n.load[i] / n.speed[i] }
-
 // leastLoaded picks the placement for an unpinned launch. Called with
-// n.mu held; depends only on the sequence of prior Launch calls (and
-// SetCGSpeed calls), so placement is reproducible.
+// n.mu held; depends only on the sequence of prior Launch calls, so
+// placement is reproducible.
 func (n *Node) leastLoaded() int {
 	best := 0
 	for i := 1; i < sw26010.CoreGroups; i++ {
-		if n.effLoad(i) < n.effLoad(best) {
+		if n.load[i] < n.load[best] {
 			best = i
 		}
 	}
 	return best
-}
-
-// placeSoft picks the placement for a soft-pinned launch: the
-// preferred CoreGroup, unless stealing strictly improves this
-// launch's modeled start — the preferred CG's effective backlog
-// exceeds the least-loaded CG's even after the latter absorbs this
-// launch's weight. The decision reads only cumulative weights and
-// speeds under n.mu (never completion times or host scheduling), so
-// rebalancing away from degraded or skewed CGs is as deterministic as
-// the pinned placement it overrides. Called with n.mu held.
-func (n *Node) placeSoft(pref int, weight float64) int {
-	best := n.leastLoaded()
-	if best == pref {
-		return pref
-	}
-	if n.effLoad(pref) > n.effLoad(best)+weight/n.speed[best] {
-		return best
-	}
-	return pref
 }
 
 // SetTracer attaches an obs.Tracer to the node: every subsequent

@@ -15,8 +15,7 @@ import (
 // handling the failure, continue on a fresh stream.
 type Stream struct {
 	node *Node
-	pin  int  // CoreGroup index, or Unpinned
-	soft bool // pin is a preference the scheduler may steal from
+	pin  int // CoreGroup index, or Unpinned
 
 	mu    sync.Mutex
 	tail  *Event
@@ -35,10 +34,9 @@ func (s *Stream) SetLabel(name string) {
 // Event is the completion handle of one launch. It resolves when the
 // launch's kernel (and every launch it waits on) has finished.
 type Event struct {
-	node  *Node
-	cg    int
-	speed float64 // the placed CG's speed at launch time
-	done  chan struct{}
+	node *Node
+	cg   int
+	done chan struct{}
 
 	// Written by the launch goroutine before done is closed.
 	simTime  float64 // the kernel's own simulated duration
@@ -55,6 +53,8 @@ type Event struct {
 
 // CGIndex reports which CoreGroup the launch was placed on (decided
 // synchronously at Launch time).
+//
+//swvet:ignore deadexport: test oracle; the placement tests of swnode and TestWeightedPassPlacementDeterministic read it
 func (e *Event) CGIndex() int { return e.cg }
 
 // Done reports whether the launch has completed without blocking.
@@ -80,10 +80,14 @@ func (e *Event) Wait() float64 {
 
 // SimStart returns the modeled start time of the launch on the node
 // timeline. Valid after Wait (or Node.Sync).
+//
+//swvet:ignore deadexport: test oracle; TestStreamOrdering and the swnode trace tests check the modeled timeline with it
 func (e *Event) SimStart() float64 { return e.simStart }
 
 // SimEnd returns the modeled completion time of the launch on the
 // node timeline. Valid after Wait (or Node.Sync).
+//
+//swvet:ignore deadexport: test oracle; TestStreamOrdering and the swnode trace tests check the modeled timeline with it
 func (e *Event) SimEnd() float64 { return e.simEnd }
 
 // Launch submits kernel to the stream with scheduling weight 1. See
@@ -137,12 +141,10 @@ func (s *Stream) launch(weight float64, exec func(e *Event) float64, deps []*Eve
 	cg := s.pin
 	if cg == Unpinned {
 		cg = n.leastLoaded()
-	} else if s.soft {
-		cg = n.placeSoft(cg, weight)
 	}
 	n.load[cg] += weight
 	n.launches++
-	e := &Event{node: n, cg: cg, speed: n.speed[cg], done: make(chan struct{})}
+	e := &Event{node: n, cg: cg, done: make(chan struct{})}
 	if n.tracer != nil {
 		e.tracer, e.tracePid, e.label = n.tracer, n.tracePid, s.label
 		if e.label == "" {
@@ -248,11 +250,6 @@ func (e *Event) run(exec func(e *Event) float64, cgPrev *Event, waits []*Event) 
 		}
 	}()
 	t := exec(e)
-	if e.speed != 1 {
-		// A degraded CG (SetCGSpeed) stretches the kernel's modeled
-		// duration; the healthy case stays bit-exact.
-		t /= e.speed
-	}
 	e.simTime = t
 	e.simEnd = start + t
 	if e.tracer != nil {

@@ -77,7 +77,9 @@ func TestConcurrentLaunchesMatchGolden(t *testing.T) {
 			cg.Close()
 		}
 		outs[i] = c
-		events[i] = swdnn.GEMMAsync(node.NewStream(), a, b, c, m, k, n)
+		events[i] = node.NewStream().Launch(func(cg *sw26010.CoreGroup) float64 {
+			return swdnn.GEMMRun(cg, a, b, c, m, k, n)
+		})
 	}
 	node.Sync()
 
@@ -384,14 +386,6 @@ func TestDESNodeLaunchFunc(t *testing.T) {
 		}()
 		node.NewStream().Launch(func(cg *sw26010.CoreGroup) float64 { return 0 })
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("CG access accepted on a DES node")
-			}
-		}()
-		node.CG(0)
-	}()
 }
 
 // TestLaunchFuncOnPooledNode: LaunchFunc also works on pooled nodes,
@@ -406,4 +400,60 @@ func TestLaunchFuncOnPooledNode(t *testing.T) {
 	if cg := ev.CGIndex(); cg < 0 || cg >= sw26010.CoreGroups {
 		t.Fatalf("unscheduled CG slot %d", cg)
 	}
+}
+
+// TestNodeCloseIdempotent is the regression test for the shrink
+// protocol's double-close: a failed rank's node is closed directly
+// when the world shrinks, and again when the cluster winds down. The
+// second (and any concurrent) Close must be a quiet no-op — never a
+// second drain of the replaced stream's events.
+func TestNodeCloseIdempotent(t *testing.T) {
+	cluster := swnode.NewCluster(2, nil)
+	node := cluster.Node(0)
+
+	// Poison a stream, recover, and continue on a replacement — the
+	// state a trainer is in right before it shrinks away this node.
+	bad := node.PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 {
+		return cg.RunN(1, func(pe *sw26010.CPE) { panic("injected") })
+	})
+	func() {
+		defer func() { recover() }()
+		bad.Wait()
+	}()
+	func() {
+		defer func() { recover() }()
+		node.Sync()
+	}()
+	repl := node.PinnedStream(0)
+	if e := repl.Launch(func(cg *sw26010.CoreGroup) float64 {
+		return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(1) })
+	}); e.Wait() != 1 {
+		t.Fatal("replacement stream unusable")
+	}
+
+	// Shrink closes the failed node directly; cluster teardown closes
+	// it again; a paranoid caller closes the cluster twice. All quiet,
+	// including concurrently.
+	node.Close()
+	cluster.Close()
+	cluster.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			node.Close()
+		}()
+	}
+	wg.Wait()
+
+	// A closed node refuses new launches rather than deadlocking.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("launch on closed node did not panic")
+			}
+		}()
+		node.NewStream().Launch(func(cg *sw26010.CoreGroup) float64 { return 0 })
+	}()
 }

@@ -6,21 +6,23 @@ package tensor
 // (Sec. IV-C): a 4-D dimension transposition between the explicit-GEMM
 // data arrangement (B, N, R, C) and the implicit-GEMM arrangement
 // (R, C, N, B).
+//
+//swvet:ignore deadexport: test oracle; the implicit-conv and TransformRun tests convert layouts on the host with it
 func Transform(src *Tensor, to Layout) *Tensor {
 	if src.Layout == to {
 		return src.Clone()
 	}
 	dst := &Tensor{N: src.N, C: src.C, H: src.H, W: src.W, Layout: to,
 		Data: make([]float32, src.Len())}
-	TransformInto(src, dst)
+	transformInto(src, dst)
 	return dst
 }
 
-// TransformInto converts src into dst, which must have the same logical
+// transformInto converts src into dst, which must have the same logical
 // shape. It works for any pair of layouts, including identical ones.
-func TransformInto(src, dst *Tensor) {
+func transformInto(src, dst *Tensor) {
 	if !src.SameShape(dst) {
-		panic("tensor: TransformInto shape mismatch")
+		panic("tensor: transformInto shape mismatch")
 	}
 	if src.Layout == dst.Layout {
 		copy(dst.Data, src.Data)
@@ -61,46 +63,6 @@ func TransformInto(src, dst *Tensor) {
 					for iw := 0; iw < w; iw++ {
 						dst.Data[dst.Index(in, ic, ih, iw)] = src.Data[src.Index(in, ic, ih, iw)]
 					}
-				}
-			}
-		}
-	}
-}
-
-// FilterToKKNoNi converts a filter tensor from Caffe layout
-// (No, Ni, K, K) to the implicit-GEMM layout (K, K, No, Ni), as
-// described in Sec. IV-C. Filters are local to a convolution layer so
-// only these two arrangements occur. The result is returned as a plain
-// float32 slice indexed [((kh*K+kw)*No + no)*Ni + ni].
-func FilterToKKNoNi(f *Tensor) []float32 {
-	no, ni, kh, kw := f.N, f.C, f.H, f.W
-	out := make([]float32, f.Len())
-	for o := 0; o < no; o++ {
-		for i := 0; i < ni; i++ {
-			base := (o*ni + i) * kh * kw
-			for y := 0; y < kh; y++ {
-				for x := 0; x < kw; x++ {
-					out[((y*kw+x)*no+o)*ni+i] = f.Data[base+y*kw+x]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// FilterFromKKNoNi is the inverse of FilterToKKNoNi, writing into an
-// (No, Ni, K, K) tensor.
-func FilterFromKKNoNi(data []float32, f *Tensor) {
-	no, ni, kh, kw := f.N, f.C, f.H, f.W
-	if len(data) != f.Len() {
-		panic("tensor: FilterFromKKNoNi length mismatch")
-	}
-	for o := 0; o < no; o++ {
-		for i := 0; i < ni; i++ {
-			base := (o*ni + i) * kh * kw
-			for y := 0; y < kh; y++ {
-				for x := 0; x < kw; x++ {
-					f.Data[base+y*kw+x] = data[((y*kw+x)*no+o)*ni+i]
 				}
 			}
 		}

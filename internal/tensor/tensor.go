@@ -63,15 +63,13 @@ func New(n, c, h, w int) *Tensor {
 }
 
 // NewWithLayout allocates a zero-filled tensor with an explicit layout.
+//
+//swvet:ignore deadexport: test helper; the swdnn kernel tests and invariance.json scenarios allocate RCNB tensors with it
 func NewWithLayout(n, c, h, w int, l Layout) *Tensor {
 	t := New(n, c, h, w)
 	t.Layout = l
 	return t
 }
-
-// NewVec allocates a 1-D tensor of length n, stored as shape (1,n,1,1).
-// It is used for biases and batch-norm statistics.
-func NewVec(n int) *Tensor { return New(1, n, 1, 1) }
 
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return t.N * t.C * t.H * t.W }
@@ -101,23 +99,12 @@ func (t *Tensor) Index(n, c, h, w int) int {
 }
 
 // At returns the logical element (n, c, h, w).
+//
+//swvet:ignore deadexport: test helper of the core layer tests
 func (t *Tensor) At(n, c, h, w int) float32 { return t.Data[t.Index(n, c, h, w)] }
 
 // Set stores v at logical element (n, c, h, w).
 func (t *Tensor) Set(n, c, h, w int, v float32) { t.Data[t.Index(n, c, h, w)] = v }
-
-// Reshape reinterprets the tensor with a new logical shape of the same
-// total length. Only valid for NCHW tensors, where the linearization is
-// shape-agnostic.
-func (t *Tensor) Reshape(n, c, h, w int) *Tensor {
-	if n*c*h*w != t.Len() {
-		panic(fmt.Sprintf("tensor: reshape (%d,%d,%d,%d) incompatible with len %d", n, c, h, w, t.Len()))
-	}
-	if t.Layout != NCHW {
-		panic("tensor: reshape requires NCHW layout")
-	}
-	return &Tensor{N: n, C: c, H: h, W: w, Layout: NCHW, Data: t.Data}
-}
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
@@ -200,6 +187,8 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) {
 
 // Dot returns the flat inner product of two same-shaped tensors,
 // accumulated in float64 for stability.
+//
+//swvet:ignore deadexport: test helper; the core gradient checks use it
 func (t *Tensor) Dot(o *Tensor) float64 {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Dot length mismatch")
@@ -230,6 +219,8 @@ func (t *Tensor) Sum() float64 {
 }
 
 // MaxAbs returns max |x|.
+//
+//swvet:ignore deadexport: test helper of the core and models tests
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
@@ -250,6 +241,8 @@ func (t *Tensor) String() string {
 
 // AllClose reports whether every pair of corresponding elements differs
 // by at most atol + rtol*|b|.
+//
+//swvet:ignore deadexport: test helper of the tensor, core, dataset and swdnn tests
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if len(a.Data) != len(b.Data) {
 		return false

@@ -101,36 +101,6 @@ func TestTransformRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFilterLayoutRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := New(6, 4, 3, 3)
-	f.FillGaussian(rng, 0, 1)
-	packed := FilterToKKNoNi(f)
-	g := New(6, 4, 3, 3)
-	FilterFromKKNoNi(packed, g)
-	if !AllClose(f, g, 0, 0) {
-		t.Fatal("filter layout round trip failed")
-	}
-}
-
-func TestReshape(t *testing.T) {
-	tt := New(2, 3, 4, 5)
-	r := tt.Reshape(6, 20, 1, 1)
-	if r.Len() != tt.Len() {
-		t.Fatal("reshape changed length")
-	}
-	r.Data[0] = 9
-	if tt.Data[0] != 9 {
-		t.Fatal("reshape must share storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("incompatible reshape must panic")
-		}
-	}()
-	tt.Reshape(7, 1, 1, 1)
-}
-
 func TestAXPYDotSum(t *testing.T) {
 	a := New(1, 4, 1, 1)
 	b := New(1, 4, 1, 1)

@@ -146,12 +146,6 @@ func (m RoundRobinMapping) Supernode(r, p int) int {
 // Name implements Mapping.
 func (m RoundRobinMapping) Name() string { return "round-robin" }
 
-// SameSupernode reports whether two logical ranks map to the same
-// physical supernode under the mapping.
-func SameSupernode(m Mapping, a, b, p int) bool {
-	return m.Supernode(a, p) == m.Supernode(b, p)
-}
-
 // Members returns the physical supernode groups of p ranks under the
 // mapping: one ordered (ascending world rank) member list per occupied
 // supernode, listed in supernode-index order. This is the membership
@@ -216,7 +210,7 @@ func NewLayout(m Mapping, p int) *Layout {
 }
 
 // Same reports whether world ranks a and b share a supernode — the
-// memoised form of SameSupernode.
+// memoised form of comparing Mapping.Supernode.
 func (l *Layout) Same(a, b int) bool { return l.GroupOf[a] == l.GroupOf[b] }
 
 // Leaders returns the c-th member of every supernode in supernode-index
@@ -228,6 +222,8 @@ func (l *Layout) Leaders(c int) []int { return l.leaders[c] }
 // smallest-ranked member — in supernode-index order. The hierarchical
 // all-reduce generalizes this: member j of each group acts as the
 // supernode's leader for chunk j of the packed vector.
+//
+//swvet:ignore deadexport: test oracle; the topology tests check Layout.Leaders against it
 func Leaders(m Mapping, p int) []int {
 	groups := Members(m, p)
 	out := make([]int, len(groups))
@@ -257,6 +253,8 @@ func MinGroupSize(m Mapping, p int) int {
 
 // Validate checks that a mapping distributes p ranks over supernodes
 // of at most q nodes; used by property tests.
+//
+//swvet:ignore deadexport: safety check nothing calls yet; TestMappingsCoverAllSupernodes pins it
 func Validate(m Mapping, p, q int) error {
 	counts := map[int]int{}
 	for r := 0; r < p; r++ {

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// sameSupernode reports whether two logical ranks map to the same
+// physical supernode under the mapping.
+func sameSupernode(m Mapping, a, b, p int) bool {
+	return m.Supernode(a, p) == m.Supernode(b, p)
+}
+
 func TestMappingsCoverAllSupernodes(t *testing.T) {
 	for _, p := range []int{8, 64, 256, 1024} {
 		for _, q := range []int{4, 64, 256} {
@@ -53,7 +59,7 @@ func TestRoundRobinKeepsSmallDistancesLocal(t *testing.T) {
 	m := RoundRobinMapping{Q: q}
 	for d := p / 2; d >= s; d /= 2 {
 		for _, r := range []int{0, 5, 100, 999 - d} {
-			if !SameSupernode(m, r, r+d, p) {
+			if !sameSupernode(m, r, r+d, p) {
 				t.Fatalf("distance %d exchange (%d,%d) should be intra-supernode", d, r, r+d)
 			}
 		}
@@ -61,7 +67,7 @@ func TestRoundRobinKeepsSmallDistancesLocal(t *testing.T) {
 	// While under adjacent numbering the same distances all cross.
 	adj := AdjacentMapping{Q: q}
 	for d := p / 2; d >= q; d /= 2 {
-		if SameSupernode(adj, 0, d, p) {
+		if sameSupernode(adj, 0, d, p) {
 			t.Fatalf("adjacent: distance %d from 0 should cross supernodes", d)
 		}
 	}
@@ -192,7 +198,7 @@ func TestMembersLeadersMinGroupSize(t *testing.T) {
 }
 
 // TestLayoutMatchesMembers: the memoised layout must say exactly what
-// Members, MinGroupSize and SameSupernode say, for ragged shapes under
+// Members, MinGroupSize and sameSupernode say, for ragged shapes under
 // both mappings.
 func TestLayoutMatchesMembers(t *testing.T) {
 	for _, sh := range []struct{ p, q int }{{1, 4}, {8, 4}, {10, 4}, {7, 3}, {5, 1}, {3, 8}, {33, 8}} {
@@ -208,8 +214,8 @@ func TestLayoutMatchesMembers(t *testing.T) {
 					t.Fatalf("p=%d q=%d %s: rank %d resolves to %d", sh.p, sh.q, m.Name(), a, got)
 				}
 				for b := 0; b < sh.p; b++ {
-					if l.Same(a, b) != SameSupernode(m, a, b, sh.p) {
-						t.Fatalf("p=%d q=%d %s: Same(%d,%d) disagrees with SameSupernode", sh.p, sh.q, m.Name(), a, b)
+					if l.Same(a, b) != sameSupernode(m, a, b, sh.p) {
+						t.Fatalf("p=%d q=%d %s: Same(%d,%d) disagrees with sameSupernode", sh.p, sh.q, m.Name(), a, b)
 					}
 				}
 			}

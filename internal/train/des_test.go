@@ -125,7 +125,7 @@ func TestDESBackendRejectsIncompatibleConfig(t *testing.T) {
 	base := desTwinConfig(4, netw, mapping, allreduce.NameRing, false, BackendDES)
 
 	bad := base
-	bad.Faults = elastic.NewFaultPlan()
+	bad.Faults = &elastic.FaultPlan{}
 	if _, err := NewDistTrainer(bad, mlpFactory(4, 3)); err == nil {
 		t.Fatal("Faults + DES accepted")
 	}
@@ -188,7 +188,7 @@ func TestDESSweepLeaksNoGoroutines(t *testing.T) {
 
 	// Goroutine backend + injected collective fault: the failure path
 	// must quiesce every in-flight pass and rank (nothing left parked).
-	fp := elastic.NewFaultPlan(elastic.Fault{Rank: 1, Step: 0, Phase: elastic.PhaseFlush, Bucket: -1})
+	fp := mustParseFaultPlan(t, "1@0:flush")
 	gcfg := desTwinConfig(8, netw, mapping, allreduce.NameRing, true, BackendGoroutine)
 	gcfg.Faults = fp
 	g, err := NewDistTrainer(gcfg, mlpFactory(gcfg.SubBatch, classes))

@@ -255,16 +255,16 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 // restored trainer consumes the identical sample stream — including
 // across a shrink, where the smaller world simply draws fewer samples
 // per step from the same stream.
+//
+//swvet:ignore deadexport: the sampler cursor is a field of the versioned checkpoint schema; the elastic tests drive it
 func (t *DistTrainer) UseSampler(seed uint64) { t.sampler = elastic.NewRNG(seed) }
-
-// Sampler returns the trainer's checkpointable RNG (nil unless
-// UseSampler was called or a sampler-bearing checkpoint restored).
-func (t *DistTrainer) Sampler() *elastic.RNG { return t.sampler }
 
 // LoadRandomShards fills every worker's inputs by sampling with the
 // trainer's checkpointable RNG — the "random sampling prior to each
 // iteration" of Sec. V-B, in a form whose exact position survives
 // checkpoint/restore.
+//
+//swvet:ignore deadexport: the sampler cursor is a field of the versioned checkpoint schema; the elastic tests drive it
 func (t *DistTrainer) LoadRandomShards(ds dataset.Dataset) {
 	if t.sampler == nil {
 		panic("train: LoadRandomShards before UseSampler (or a sampler-bearing Restore)")

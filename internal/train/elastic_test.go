@@ -81,6 +81,15 @@ func requireSameBlobs(t *testing.T, label string, a, b []elastic.Blob) {
 	}
 }
 
+func mustParseFaultPlan(t *testing.T, spec string) *elastic.FaultPlan {
+	t.Helper()
+	p, err := elastic.ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestShrinkContinueGolden is the acceptance golden: at p = 8 rank 3
 // is killed at step 5 inside the collective (flush of bucket 0), the
 // world shrinks to p' = 7, the last checkpoint is restored, and
@@ -96,7 +105,7 @@ func TestShrinkContinueGolden(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			d, err := NewDistTrainer(DistConfig{Nodes: 8, SubBatch: 4, Solver: cfg,
 				Overlap: true, BucketBytes: 8 << 10, Backend: mode.backend,
-				Faults: elastic.MustParseFaultPlan("3@5:flush-bucket-0")},
+				Faults: mustParseFaultPlan(t, "3@5:flush-bucket-0")},
 				deepFactory(4, classes))
 			if err != nil {
 				t.Fatal(err)
@@ -254,7 +263,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if err := resumed.Restore(st); err != nil {
 			t.Fatal(err)
 		}
-		if resumed.Sampler() == nil {
+		if resumed.sampler == nil {
 			t.Fatal("restore did not install the sampler")
 		}
 		for resumed.Iter() < 10 {
@@ -262,8 +271,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			resumed.Step()
 		}
 		requireSameState(t, "sampler resumed vs straight-through", resumed, straight)
-		rs, rd := resumed.Sampler().Cursor()
-		ss, sd := straight.Sampler().Cursor()
+		rs, rd := resumed.sampler.Cursor()
+		ss, sd := straight.sampler.Cursor()
 		if rs != ss || rd != sd {
 			t.Fatalf("sampler cursors diverged: (%d,%d) vs (%d,%d)", rs, rd, ss, sd)
 		}
@@ -364,7 +373,7 @@ func TestPassFaultRecoverContinuesClean(t *testing.T) {
 		for _, tc := range cases {
 			mode, tc := mode, tc
 			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				fp := elastic.MustParseFaultPlan(tc.fault)
+				fp := mustParseFaultPlan(t, tc.fault)
 				build := func(faults *elastic.FaultPlan) *DistTrainer {
 					d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2,
 						Solver: cfg, Overlap: tc.overlap, BucketBytes: 8 << 10,
@@ -428,7 +437,7 @@ func TestHierarchicalFaultRecover(t *testing.T) {
 		}
 		return d
 	}
-	d := build(elastic.MustParseFaultPlan("4@2:flush-bucket-0"))
+	d := build(mustParseFaultPlan(t, "4@2:flush-bucket-0"))
 	twin := build(nil)
 	defer d.Close()
 	defer twin.Close()

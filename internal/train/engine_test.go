@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"swcaffe/internal/allreduce"
+	"swcaffe/internal/collective"
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
 	"swcaffe/internal/simnet"
@@ -75,7 +76,7 @@ func TestRingOverlapBitIdenticalToBarrier(t *testing.T) {
 // TestAutoBucketOverlapBitIdenticalAndNoWorse: the α-β-selected bucket
 // cap must keep the overlap bit-identical to the barrier path and
 // produce modeled exposed communication no worse than the fixed
-// DefaultBucketBytes cap (which, for this small net, degenerates to a
+// collective.DefaultBucketBytes cap (which, for this small net, degenerates to a
 // single barrier-shaped bucket).
 func TestAutoBucketOverlapBitIdenticalAndNoWorse(t *testing.T) {
 	const classes = 3
@@ -90,7 +91,7 @@ func TestAutoBucketOverlapBitIdenticalAndNoWorse(t *testing.T) {
 		return d
 	}
 	barrier := mk(false, false, 0)
-	fixed := mk(true, false, DefaultBucketBytes)
+	fixed := mk(true, false, collective.DefaultBucketBytes)
 	auto := mk(true, true, 0)
 	defer barrier.Close()
 	defer fixed.Close()
@@ -114,9 +115,9 @@ func TestAutoBucketOverlapBitIdenticalAndNoWorse(t *testing.T) {
 	if !auto.Engine().Auto() {
 		t.Fatal("auto trainer did not auto-select")
 	}
-	if auto.Engine().BucketBytes() >= DefaultBucketBytes {
+	if auto.Engine().BucketBytes() >= collective.DefaultBucketBytes {
 		t.Fatalf("auto selected %d bytes; expected finer than the %d default for this tiny net",
-			auto.Engine().BucketBytes(), DefaultBucketBytes)
+			auto.Engine().BucketBytes(), collective.DefaultBucketBytes)
 	}
 	if auto.LastStep.Exposed > fixed.LastStep.Exposed {
 		t.Fatalf("auto-bucket exposed %g worse than fixed default %g",
@@ -163,6 +164,16 @@ func TestPooledClusterP128Smoke(t *testing.T) {
 	}
 }
 
+// passPlacements reports, for each worker, which of its node's four
+// CoreGroup slots the most recent pass launch was placed on.
+func passPlacements(d *DistTrainer) []int {
+	out := make([]int, len(d.Workers))
+	for i, w := range d.Workers {
+		out[i] = w.lastEv.CGIndex()
+	}
+	return out
+}
+
 // TestWeightedPassPlacementDeterministic pins the scheduler-cost-hint
 // wiring: pass launches carry the swdnn-plan-priced pass cost as their
 // scheduling weight on unpinned streams, so the least-loaded placement
@@ -189,7 +200,7 @@ func TestWeightedPassPlacementDeterministic(t *testing.T) {
 		b.LoadShards(ds, it)
 		a.Step()
 		b.Step()
-		pa, pb := a.PassPlacements(), b.PassPlacements()
+		pa, pb := passPlacements(a), passPlacements(b)
 		if len(pa) != 2 || len(pb) != 2 {
 			t.Fatalf("iter %d: placements %v / %v", it, pa, pb)
 		}

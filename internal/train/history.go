@@ -66,9 +66,6 @@ func (t *DistTrainer) StepHistory(dst []StepStats) []StepStats {
 	return dst
 }
 
-// HistoryLen reports how many steps the ring currently retains.
-func (t *DistTrainer) HistoryLen() int { return t.histLen }
-
 // Launches reports the total stream launches submitted across the
 // workers' simulated nodes — the value swtrain exports as the
 // swnode.launches gauge.

@@ -35,14 +35,7 @@ func (t *DistTrainer) ensureIO() {
 		return
 	}
 	io := t.cfg.IO
-	t.ioStorage = io.Storage
-	if t.ioStorage.Arrays == 0 {
-		stripes := t.ioStorage.StripeCount
-		if stripes <= 0 {
-			stripes = 1
-		}
-		t.ioStorage = pario.DefaultTaihuLight(stripes)
-	}
+	t.ioStorage = io.storage()
 	t.ioReaders = io.Readers
 	if t.ioReaders <= 0 {
 		t.ioReaders = len(t.Workers)
@@ -59,6 +52,21 @@ func (t *DistTrainer) ensureIO() {
 	}
 	t.ioReadTime = t.ioStorage.ReadTime(t.ioReaders, t.ioBytes)
 	t.ioReady = true
+}
+
+// storage resolves the storage defaults: a zero Arrays field selects
+// pario.DefaultTaihuLight at StripeCount, single-split when that is
+// zero too.
+func (io *IOConfig) storage() pario.Config {
+	s := io.Storage
+	if s.Arrays == 0 {
+		stripes := s.StripeCount
+		if stripes == 0 {
+			stripes = 1
+		}
+		s = pario.DefaultTaihuLight(stripes)
+	}
+	return s
 }
 
 // ioStats prices the I/O stage of the step whose zero-based index is

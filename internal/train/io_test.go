@@ -368,3 +368,28 @@ func TestShrinkReplansIO(t *testing.T) {
 		t.Fatal("post-shrink step priced no I/O")
 	}
 }
+
+// TestBadStorageRejected: NewDistTrainer validates the resolved
+// storage layout, so a stripe count outside [1, 32] on the 32-array
+// store is an error instead of a silently priced layout.
+func TestBadStorageRejected(t *testing.T) {
+	for _, io := range []*IOConfig{
+		{Storage: pario.DefaultTaihuLight(64)},
+		{Storage: pario.Config{StripeCount: -3}},
+	} {
+		d, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 2, IO: io}, mlpFactory(2, 3))
+		if err == nil {
+			d.Close()
+			t.Fatalf("storage %+v accepted", io.Storage)
+		}
+		if !strings.Contains(err.Error(), "stripe count") {
+			t.Fatalf("storage %+v: unexpected error %v", io.Storage, err)
+		}
+	}
+	d, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 2,
+		IO: &IOConfig{Storage: pario.DefaultTaihuLight(64), AutoStripe: true}}, mlpFactory(2, 3))
+	if err != nil {
+		t.Fatalf("the stripe advisor picks its own count, yet: %v", err)
+	}
+	d.Close()
+}

@@ -219,8 +219,8 @@ func TestStepHistoryRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if tr.HistoryLen() != 0 {
-		t.Fatalf("fresh trainer retains %d steps", tr.HistoryLen())
+	if n := len(tr.StepHistory(nil)); n != 0 {
+		t.Fatalf("fresh trainer retains %d steps", n)
 	}
 	var want []StepStats
 	for it := 0; it < 6; it++ {
@@ -230,9 +230,6 @@ func TestStepHistoryRing(t *testing.T) {
 		st := tr.LastStep
 		st.Buckets = append(st.Buckets[:0:0], st.Buckets...)
 		want = append(want, st)
-	}
-	if tr.HistoryLen() != 4 {
-		t.Fatalf("HistoryLen = %d, want 4", tr.HistoryLen())
 	}
 	got := tr.StepHistory(nil)
 	if len(got) != 4 {

@@ -196,7 +196,8 @@ type IOConfig struct {
 	// Storage is the striped disk-array model. A zero Arrays field
 	// selects pario.DefaultTaihuLight (32 arrays at 2 GB/s, 256 MB
 	// stripes) at Storage.StripeCount (or single-split when that is
-	// also zero).
+	// also zero). NewDistTrainer rejects a resolved layout that
+	// pario.Config.Validate rejects.
 	Storage pario.Config
 	// AutoStripe hands Storage.StripeCount to pario.SelectStripe — the
 	// I/O analogue of AlgorithmName = "auto" — which sweeps power-of-two
@@ -219,13 +220,6 @@ const (
 	BackendGoroutine = "goroutine"
 	BackendDES       = "des"
 )
-
-// DefaultBucketBytes is the overlapped layout's fixed bucket cap
-// when auto-selection is off (re-exported from the collective
-// engine): large enough to amortize the per-collective latency, small
-// enough that several buckets are in flight across a deep net's
-// backward.
-const DefaultBucketBytes = collective.DefaultBucketBytes
 
 // DistTrainer drives Algorithm 1 across simulated nodes: every
 // iteration each worker computes gradients on its own shard — as
@@ -425,6 +419,15 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 			}
 		}
 	}
+	if io := cfg.IO; io != nil {
+		s := io.storage()
+		if io.AutoStripe {
+			s.StripeCount = 1 // the advisor picks it from [1, Arrays]
+		}
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("train: IO storage: %w", err)
+		}
+	}
 	switch cfg.Backend {
 	case "", BackendGoroutine:
 	case BackendDES:
@@ -549,23 +552,6 @@ func (t *DistTrainer) applyUpdate() {
 // workers keep their original nodes, so rank i's node need not be
 // cluster slot i.
 func (t *DistTrainer) Node(rank int) *swnode.Node { return t.Workers[rank].node }
-
-// PassPlacements reports, for each worker, which of its node's four
-// CoreGroup slots the most recent pass launch was placed on (nil
-// before the first Step). Placement is decided by the deterministic
-// least-loaded scheduler from the launches' plan-priced weights, so
-// two identical trainers always report identical sequences — pinned by
-// the placement-determinism test.
-func (t *DistTrainer) PassPlacements() []int {
-	if t.iter == 0 {
-		return nil
-	}
-	out := make([]int, len(t.Workers))
-	for i, w := range t.Workers {
-		out[i] = w.lastEv.CGIndex()
-	}
-	return out
-}
 
 // newCommunicator builds the selected backend's communicator over the
 // current world (t.cfg.Nodes ranks), replacing any previous one.
@@ -810,21 +796,6 @@ func NewCGTrainer(build func() (*core.Net, map[string]*tensor.Tensor, error), so
 
 // Node exposes the underlying simulated node (stats, stream access).
 func (t *CGTrainer) Node() *swnode.Node { return t.node }
-
-// EnableWorkStealing switches the four pass streams from hard pins to
-// soft pins: a pass whose CG carries a strictly worse effective
-// backlog (a degraded CG via Node.SetCGSpeed, or skewed accumulated
-// load) is stolen onto the least-loaded CG instead of queueing behind
-// it. On a balanced healthy node the steal condition never triggers,
-// so placements — and therefore modeled times — are unchanged;
-// numerics are unchanged in every case, since any CG computes the
-// same kernel bits. Call it between Steps (stream order is re-rooted,
-// which is safe only while the node is quiescent).
-func (t *CGTrainer) EnableWorkStealing() {
-	for i := range t.streams {
-		t.streams[i] = t.node.SoftPinnedStream(i)
-	}
-}
 
 // AttachInput wires ds as the trainer's prefetched input pipeline: a
 // core.DataFeeder (the paper's per-worker I/O thread) reads the union
