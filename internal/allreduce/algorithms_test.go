@@ -1,8 +1,10 @@
 package allreduce
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,4 +225,37 @@ func TestRingSegmentRejectsUnalignedBounds(t *testing.T) {
 	cl.Run(func(n *simnet.Node) {
 		schedRing.Run(n, data[1:3], 1, 100) // 1 is not on ChunkBounds(100, 4)
 	})
+}
+
+// TestLandChecksPayloadLength: a payload lands in exactly recv.len()
+// elements, copied or reduced, and one of any other length is refused
+// with the round named, not truncated or landed short.
+func TestLandChecksPayloadLength(t *testing.T) {
+	for _, reduce := range []bool{false, true} {
+		data := []float32{1, 1, 1, 1, 1, 1, 1, 1}
+		f := newFrame(data, len(data))
+		rd := round{sendTo: -1, recvFrom: 3, recv: span{result, 2, 6}, reduce: reduce}
+		if got := f.land(&rd, []float32{2, 3, 4, 5}); got != reduce {
+			t.Fatalf("reduce=%v: land reported a reduction %v", reduce, got)
+		}
+		want := []float32{1, 1, 2, 3, 4, 5, 1, 1}
+		if reduce {
+			want = []float32{1, 1, 3, 4, 5, 6, 1, 1}
+		}
+		for i := range want {
+			if data[i] != want[i] {
+				t.Fatalf("reduce=%v: landed %v, want %v", reduce, data, want)
+			}
+		}
+		for _, n := range []int{3, 5} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				f.land(&rd, make([]float32, n))
+				return ""
+			}()
+			if !strings.Contains(msg, fmt.Sprintf("received %d elements, want recv.len() = 4", n)) || !strings.Contains(msg, "recvFrom:3") {
+				t.Errorf("reduce=%v: a %d-element payload for a 4-element span panicked with %q, want the length and the round", reduce, n, msg)
+			}
+		}
+	}
 }

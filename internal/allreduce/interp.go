@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swcaffe/internal/des"
+	"swcaffe/internal/f32"
 	"swcaffe/internal/simnet"
 )
 
@@ -70,16 +71,19 @@ func (f *frame) prepare(rd *round, scratch []float32) []float32 {
 }
 
 // land puts a received payload where rd says and reports whether it was
-// a reduction, to be charged.
+// a reduction, to be charged. The payload must have exactly
+// rd.recv.len() elements (see round); one of any other length is a
+// broken schedule, not something to truncate or pad.
 func (f *frame) land(rd *round, in []float32) bool {
-	dst := f.vecs[rd.recv.vec][rd.recv.lo:]
+	dst := f.at(rd.recv)
+	if len(in) != len(dst) {
+		panic(fmt.Sprintf("allreduce: round %+v received %d elements, want recv.len() = %d", *rd, len(in), len(dst)))
+	}
 	if !rd.reduce {
 		copy(dst, in)
 		return false
 	}
-	for i, v := range in {
-		dst[i] += v
-	}
+	f32.Add(dst, in)
 	return true
 }
 

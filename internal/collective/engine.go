@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
+	"swcaffe/internal/f32"
 	"swcaffe/internal/obs"
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
@@ -470,8 +471,12 @@ func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diver
 // mismatch is the largest |a[i] - b[i]| over the elements whose bits
 // differ, so it is 0 exactly when the two vectors are bit-identical: a
 // difference of bits that is none of value (signed zeros, NaN payloads)
-// counts as +Inf.
+// counts as +Inf. The views are bit-equal in every passing run, so a
+// byte compare answers first and the scan runs only when it fails.
 func mismatch(a, b []float32) float64 {
+	if f32.BitsEqual(a, b) {
+		return 0
+	}
 	var worst float64
 	for i, v := range a {
 		if w := b[i]; math.Float32bits(v) != math.Float32bits(w) {

@@ -505,6 +505,27 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 			t.Fatalf("a diverged rank changed drained[%d]: %v, want rank 0's %v", i, v, want[i])
 		}
 	}
+	// Every view holds the same NaN at [6]: bit-identical, no mismatch.
+	// Then rank 1's gets another payload: no difference of value, a
+	// difference of bits.
+	nan := newOuts()
+	for r := range nan {
+		nan[r][6] = math.Float32frombits(0x7fc00000)
+	}
+	if d := full.Commit(0, nan, simnetResult, shared); d != 0 {
+		t.Fatalf("the same NaN in every view reported a mismatch of %g", d)
+	}
+	nan[1][6] = math.Float32frombits(0x7fc00001)
+	if d := full.Commit(0, nan, simnetResult, shared); !math.IsInf(d, 1) {
+		t.Fatalf("rank 1 holding another NaN payload than rank 0 reported %g, want +Inf", d)
+	}
+	// The byte compare answers only for equal views; a difference still
+	// reports the scan's exact worst |a - b|.
+	milli := newOuts()
+	milli[3][5] = 0
+	if d := full.Commit(0, milli, simnetResult, shared); d != float64(sum[5]) {
+		t.Fatalf("rank 3 off by %g reported %g, want exactly the difference", sum[5], d)
+	}
 
 	// A bucket commit sweeps its own range of the outputs only.
 	for b, bk := range e.Buckets() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"swcaffe/internal/detrand"
+	"swcaffe/internal/f32"
 
 	"swcaffe/internal/perf"
 	"swcaffe/internal/tensor"
@@ -34,29 +35,19 @@ func (l *ReLULayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	return [][4]int{in.Shape()}, nil
 }
 
+// Forward and Backward select per element without a branch (f32.ReLU,
+// f32.ReLUGrad): x where 0 < x, negSlope·x elsewhere, NaN and both zeros
+// included.
+
 func (l *ReLULayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
-	in, out := bottoms[0], tops[0]
-	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = l.negSlope * v
-		}
-	}
+	f32.ReLU(tops[0].Data, bottoms[0].Data, l.negSlope)
 }
 
 func (l *ReLULayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
 	if bottomDiffs[0] == nil {
 		return
 	}
-	in, dy, dx := bottoms[0], topDiffs[0], bottomDiffs[0]
-	for i, v := range in.Data {
-		if v > 0 {
-			dx.Data[i] += dy.Data[i]
-		} else {
-			dx.Data[i] += l.negSlope * dy.Data[i]
-		}
-	}
+	f32.ReLUGrad(bottomDiffs[0].Data, bottoms[0].Data, topDiffs[0].Data, l.negSlope)
 }
 
 func (l *ReLULayer) Cost(dev perf.Device) LayerCost {
@@ -140,7 +131,7 @@ func (l *DropoutLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottom
 	}
 	mask := l.mask[:l.n]
 	for i, m := range mask {
-		dx.Data[i] += dy.Data[i] * m
+		dx.Data[i] += float32(dy.Data[i] * m)
 	}
 }
 
@@ -201,7 +192,7 @@ func (l *ScaleLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 			g, b := l.gamma.Data.Data[c], l.beta.Data.Data[c]
 			off := (n*in.C + c) * hw
 			for i := 0; i < hw; i++ {
-				out.Data[off+i] = in.Data[off+i]*g + b
+				out.Data[off+i] = float32(in.Data[off+i]*g) + b
 			}
 		}
 	}
@@ -215,7 +206,7 @@ func (l *ScaleLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDi
 			off := (n*in.C + c) * hw
 			var dg, db float32
 			for i := 0; i < hw; i++ {
-				dg += dy.Data[off+i] * in.Data[off+i]
+				dg += float32(dy.Data[off+i] * in.Data[off+i])
 				db += dy.Data[off+i]
 			}
 			l.gamma.Diff.Data[c] += dg
@@ -223,7 +214,7 @@ func (l *ScaleLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDi
 			if bottomDiffs[0] != nil {
 				g := l.gamma.Data.Data[c]
 				for i := 0; i < hw; i++ {
-					bottomDiffs[0].Data[off+i] += dy.Data[off+i] * g
+					bottomDiffs[0].Data[off+i] += float32(dy.Data[off+i] * g)
 				}
 			}
 		}

@@ -1,0 +1,87 @@
+// Package f32 holds the elementwise float32 loops under the training
+// step and the collectives: the reduce that lands a received payload,
+// the ReLU forward and backward, and the bitwise replica compare.
+//
+// Each arithmetic primitive has one portable body here (addGo, reluGo,
+// reluGradGo), compiled on every GOARCH. The body it runs comes from
+// f32_amd64.s on amd64, where the arithmetic is packed SSE2, and from
+// f32_noasm.go elsewhere, where it is the portable body itself. The two
+// give the same bits: every lane is one element and sees exactly the
+// operations the Go loop applies to it, and ADDPS/MULPS round a lane as
+// ADDSS/MULSS round a scalar. The ReLU select is a mask and a blend, so
+// it picks the same operand the Go branch picks, for ±0, ±Inf and NaN
+// as for any other value. The one difference is which NaN comes out
+// when two NaNs meet in an add; it is a NaN either way.
+//
+// The exported wrappers re-slice every operand to exactly the length
+// the assembly reads, so a short operand panics here, in Go, and never
+// lets the assembly read or write past a slice. Operands may be the
+// same slice (an in-place ReLU) but must not otherwise overlap.
+package f32
+
+import (
+	"bytes"
+	"unsafe"
+)
+
+// Add computes dst[i] += src[i] for i < len(dst). src must have at
+// least len(dst) elements.
+func Add(dst, src []float32) { add(dst, src[:len(dst)]) }
+
+// ReLU sets out[i] to in[i] where 0 < in[i] and to s·in[i] elsewhere
+// (NaN included), for i < len(out). in must have at least len(out)
+// elements; it may be out itself.
+func ReLU(out, in []float32, s float32) { relu(out, in[:len(out)], s) }
+
+// ReLUGrad adds dy[i] to dx[i] where 0 < in[i] and s·dy[i] elsewhere,
+// rounding the product before the add, for i < len(dx). in and dy must
+// have at least len(dx) elements.
+func ReLUGrad(dx, in, dy []float32, s float32) {
+	n := len(dx)
+	reluGrad(dx, in[:n], dy[:n], s)
+}
+
+// BitsEqual reports whether a and b have the same length and the same
+// bits, element for element: +0 and −0 differ, and so do NaNs with
+// different payloads, while one NaN equals itself. It compares the two
+// as bytes, which the runtime does many bytes at a time.
+func BitsEqual(a, b []float32) bool { return bytes.Equal(asBytes(a), asBytes(b)) }
+
+// asBytes views v's elements as 4·len(v) bytes in memory order.
+func asBytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
+// addGo is Add's portable body; len(src) == len(dst).
+func addGo(dst, src []float32) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// reluGo is ReLU's portable body; len(in) == len(out).
+func reluGo(out, in []float32, s float32) {
+	in = in[:len(out)]
+	for i, v := range in {
+		if 0 < v {
+			out[i] = v
+		} else {
+			out[i] = float32(s * v)
+		}
+	}
+}
+
+// reluGradGo is ReLUGrad's portable body; in and dy have len(dx)
+// elements. The product is rounded explicitly, so that no target fuses
+// it into the add.
+func reluGradGo(dx, in, dy []float32, s float32) {
+	in, dy = in[:len(dx)], dy[:len(dx)]
+	for i, v := range in {
+		if 0 < v {
+			dx[i] += dy[i]
+		} else {
+			dx[i] += float32(s * dy[i])
+		}
+	}
+}

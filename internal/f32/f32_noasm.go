@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package f32
+
+// Off amd64 the primitives run their portable bodies.
+
+func add(dst, src []float32) { addGo(dst, src) }
+
+func relu(out, in []float32, s float32) { reluGo(out, in, s) }
+
+func reluGrad(dx, in, dy []float32, s float32) { reluGradGo(dx, in, dy, s) }

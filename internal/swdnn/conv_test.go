@@ -1,6 +1,7 @@
 package swdnn
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -88,6 +89,73 @@ func TestCol2imIsAdjointOfIm2col(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Im2colRef and Col2imRef hoist each tap's in-bounds run out of the
+// per-element loop; they must still give the per-element loops' bits,
+// for every K 1–5, S 1–3 and P 0–K over small odd images, taps that fall
+// entirely in the padding included. The column matrix starts as NaN, so
+// an element the lowering forgot to clear shows up.
+func TestIm2colCol2imMatchNaiveLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := &gemmInputs{rng: rng, zeroFrac: 0.1, specials: true}
+	fill := func(v []float32) {
+		for i := range v {
+			v[i] = g.value()
+		}
+	}
+	shapes, emptyTaps := 0, 0
+	for k := 1; k <= 5; k++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= k; pad++ {
+				for _, ri := range []int{1, 3, 5, 7} {
+					for _, ci := range []int{1, 3, 5, 7} {
+						s := ConvShape{B: 1, Ni: 1 + rng.Intn(2), Ri: ri, Ci: ci, No: 1, K: k, S: stride, P: pad}
+						if s.Validate() != nil {
+							continue
+						}
+						shapes++
+						ro, co := s.OutDims()
+						for kx := 0; kx < k; kx++ {
+							if lo, hi := s.tapRange(kx, co); lo == hi {
+								emptyTaps++
+							}
+						}
+						src := make([]float32, s.Ni*s.Ri*s.Ci)
+						fill(src)
+						want := make([]float32, s.Ni*k*k*ro*co)
+						got := make([]float32, len(want))
+						for i := range got {
+							got[i] = float32(math.NaN())
+						}
+						im2colNaive(src, s, want)
+						Im2colRef(src, s, got)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%v: Im2colRef[%d] = %#08x, per-element loop %#08x", s, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+
+						col := make([]float32, len(want))
+						fill(col)
+						want = make([]float32, len(src))
+						fill(want)
+						got = append([]float32(nil), want...)
+						col2imNaive(col, s, want)
+						Col2imRef(col, s, got)
+						for i := range want {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("%v: Col2imRef[%d] = %#08x, per-element loop %#08x", s, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if shapes < 500 || emptyTaps == 0 {
+		t.Fatalf("%d shapes with %d taps entirely in the padding; the sweep lost its coverage", shapes, emptyTaps)
 	}
 }
 

@@ -3,6 +3,7 @@ package swdnn
 import (
 	"fmt"
 
+	"swcaffe/internal/f32"
 	"swcaffe/internal/sw26010"
 )
 
@@ -58,10 +59,26 @@ func (s ConvShape) String() string {
 
 // --- host reference im2col / col2im -----------------------------------
 
+// tapRange returns the outputs [lo, hi) of a row, out of co, whose tap
+// at kernel column kx reads inside the image row: 0 <= ox·S+kx−P < Ci.
+// The range is the same for every output row, and empty (lo == hi) when
+// the tap falls entirely in the padding.
+func (s ConvShape) tapRange(kx, co int) (lo, hi int) {
+	if d := s.P - kx; d > 0 {
+		lo = (d + s.S - 1) / s.S
+	}
+	if e := s.Ci - 1 + s.P - kx; e >= 0 {
+		hi = min(e/s.S+1, co)
+	}
+	return min(lo, hi), hi
+}
+
 // Im2colRef lowers one image (Ni, Ri, Ci) into the column matrix of
 // shape (Ni·K·K, Ro·Co), Caffe layout: row index is (c·K+ky)·K+kx,
 // column index is ho·Co+wo. Out-of-range taps read zero (implicit
-// padding).
+// padding). Each line of the matrix clears its padded edges and takes
+// its in-bounds run [lo, hi) from the input row, in one copy at unit
+// stride.
 func Im2colRef(src []float32, s ConvShape, dst []float32) {
 	ro, co := s.OutDims()
 	if len(src) < s.Ni*s.Ri*s.Ci || len(dst) < s.Ni*s.K*s.K*ro*co {
@@ -71,24 +88,25 @@ func Im2colRef(src []float32, s ConvShape, dst []float32) {
 	for c := 0; c < s.Ni; c++ {
 		for ky := 0; ky < s.K; ky++ {
 			for kx := 0; kx < s.K; kx++ {
+				lo, hi := s.tapRange(kx, co)
 				for oy := 0; oy < ro; oy++ {
+					line := dst[idx : idx+co]
+					idx += co
 					iy := oy*s.S + ky - s.P
-					if iy < 0 || iy >= s.Ri {
-						for ox := 0; ox < co; ox++ {
-							dst[idx] = 0
-							idx++
-						}
+					if iy < 0 || iy >= s.Ri || lo == hi {
+						clear(line)
 						continue
 					}
-					rowBase := (c*s.Ri + iy) * s.Ci
-					for ox := 0; ox < co; ox++ {
-						ix := ox*s.S + kx - s.P
-						if ix < 0 || ix >= s.Ci {
-							dst[idx] = 0
-						} else {
-							dst[idx] = src[rowBase+ix]
-						}
-						idx++
+					clear(line[:lo])
+					clear(line[hi:])
+					ix := (c*s.Ri+iy)*s.Ci + lo*s.S + kx - s.P
+					if s.S == 1 {
+						copy(line[lo:hi], src[ix:ix+hi-lo])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						line[ox] = src[ix]
+						ix += s.S
 					}
 				}
 			}
@@ -99,7 +117,9 @@ func Im2colRef(src []float32, s ConvShape, dst []float32) {
 // Col2imRef is the adjoint of Im2colRef: it accumulates the column
 // matrix back into an image (used by the backward pass for the input
 // gradient). dst must be zeroed by the caller when accumulation across
-// calls is not wanted.
+// calls is not wanted. Each line adds its in-bounds run [lo, hi) into
+// the input row, in one f32.Add at unit stride; every image element
+// still takes its terms in line order.
 func Col2imRef(col []float32, s ConvShape, dst []float32) {
 	ro, co := s.OutDims()
 	if len(dst) < s.Ni*s.Ri*s.Ci || len(col) < s.Ni*s.K*s.K*ro*co {
@@ -109,19 +129,22 @@ func Col2imRef(col []float32, s ConvShape, dst []float32) {
 	for c := 0; c < s.Ni; c++ {
 		for ky := 0; ky < s.K; ky++ {
 			for kx := 0; kx < s.K; kx++ {
+				lo, hi := s.tapRange(kx, co)
 				for oy := 0; oy < ro; oy++ {
+					line := col[idx+lo : idx+hi]
+					idx += co
 					iy := oy*s.S + ky - s.P
-					if iy < 0 || iy >= s.Ri {
-						idx += co
+					if iy < 0 || iy >= s.Ri || lo == hi {
 						continue
 					}
-					rowBase := (c*s.Ri + iy) * s.Ci
-					for ox := 0; ox < co; ox++ {
-						ix := ox*s.S + kx - s.P
-						if ix >= 0 && ix < s.Ci {
-							dst[rowBase+ix] += col[idx]
-						}
-						idx++
+					ix := (c*s.Ri+iy)*s.Ci + lo*s.S + kx - s.P
+					if s.S == 1 {
+						f32.Add(dst[ix:ix+len(line)], line)
+						continue
+					}
+					for _, v := range line {
+						dst[ix] += v
+						ix += s.S
 					}
 				}
 			}
