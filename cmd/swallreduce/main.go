@@ -104,8 +104,10 @@ func main() {
 	q := flag.Int("q", 16, "supernode size for the crossings table (TaihuLight's q=256 needs -nodes > 256 to cross)")
 	flag.Parse()
 	// -bytes is a float: NaN must fail too, so test for the good range.
-	if *nodes < 1 || *q < 1 || !(*bytes > 0) {
-		fmt.Fprintf(os.Stderr, "swallreduce: need -nodes >= 1, -q >= 1 and -bytes > 0 (got -nodes %d -q %d -bytes %g)\n", *nodes, *q, *bytes)
+	// Its cap keeps 2·p·bytes, the traffic census, inside an int64 up
+	// to p = 4096.
+	if *nodes < 1 || *q < 1 || !(*bytes > 0 && *bytes <= 1e15) {
+		fmt.Fprintf(os.Stderr, "swallreduce: need -nodes >= 1, -q >= 1 and 0 < -bytes <= 1e15 (got -nodes %d -q %d -bytes %g)\n", *nodes, *q, *bytes)
 		os.Exit(2)
 	}
 

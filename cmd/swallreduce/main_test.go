@@ -40,11 +40,13 @@ func run(args ...string) (stdout, stderr string, exit int, err error) {
 	return o.String(), e.String(), exit, err
 }
 
-// TestBadFlagsExitTwo: a cluster of no nodes, a supernode of no nodes
-// and an empty gradient are refused before any work, with one line on
-// stderr — not with a panic after three tables.
+// TestBadFlagsExitTwo: a cluster of no nodes, a supernode of no nodes,
+// an empty gradient and one the wire arithmetic cannot hold (infinite,
+// or past 1e15 bytes, where the int64 census wraps) are refused before
+// any work, with one line on stderr — not with a panic after three
+// tables, nor with infinite makespans.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{{"-nodes", "0"}, {"-q", "0"}, {"-bytes", "0"}} {
+	for _, args := range [][]string{{"-nodes", "0"}, {"-q", "0"}, {"-bytes", "0"}, {"-bytes", "Inf"}, {"-bytes", "1e30"}} {
 		stdout, stderr, exit, err := run(args...)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"swcaffe/internal/des"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
 // gatherDES runs a schedule over a padded copy of inputs on a fresh
 // event-driven cluster and returns every rank's output — the copy,
 // reduced in place — plus the run result.
-func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule) ([][]float32, des.Result) {
+func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule) ([][]float32, topology.Result) {
 	cl := des.NewCluster(net, m, p)
 	data := padded(inputs)
 	res, out := cl.RunGather(func(r *des.Rank) {
@@ -71,7 +70,7 @@ func TestDESBitIdenticalToGoroutine(t *testing.T) {
 	}
 }
 
-func checkDESMatch(t *testing.T, name string, p, q, length int, wantOut [][]float32, want simnet.Result, gotOut [][]float32, got des.Result) {
+func checkDESMatch(t *testing.T, name string, p, q, length int, wantOut [][]float32, want topology.Result, gotOut [][]float32, got topology.Result) {
 	t.Helper()
 	for r := 0; r < p; r++ {
 		if len(gotOut[r]) != len(wantOut[r]) {

@@ -17,7 +17,7 @@ func sunwayQ(q int) *topology.Network {
 }
 
 // gather runs alg on a fresh cluster and returns every rank's output.
-func gather(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, alg Algorithm) ([][]float32, simnet.Result) {
+func gather(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, alg Algorithm) ([][]float32, topology.Result) {
 	cl := simnet.NewCluster(net, m, p)
 	out := make([][]float32, p)
 	var mu sync.Mutex
@@ -198,7 +198,7 @@ func TestHierarchicalFewerCrossingsAndFasterThanFlatRHD(t *testing.T) {
 	net := sunwayQ(q)
 	m := topology.AdjacentMapping{Q: q}
 	inputs := intInputs(p, length)
-	run := func(alg Algorithm) simnet.Result {
+	run := func(alg Algorithm) topology.Result {
 		cl := simnet.NewCluster(net, m, p)
 		cl.BytesPerElem = 4096 // inflate to a bandwidth-bound virtual gradient
 		return cl.Run(func(n *simnet.Node) { alg(n, inputs[n.Rank]) })

@@ -2,7 +2,7 @@ package collective
 
 import (
 	"swcaffe/internal/des"
-	"swcaffe/internal/simnet"
+	"swcaffe/internal/topology"
 )
 
 // Discrete-event flush path. The engine's bucket layout, staging,
@@ -31,22 +31,12 @@ func (e *Engine) ReduceSegDES(r *des.Rank, b int, pack []float32, done func([]fl
 }
 
 // FlushSegDES runs bucket b's collective over every rank of the DES
-// cluster and returns the makespan/census (as a simnet.Result, so
-// Commit works unchanged) and the per-rank reduced outputs — bucket b's
-// range of each view, reduced in place: commit them before flushing
-// again (see Bucket).
-func (e *Engine) FlushSegDES(c *des.Cluster, b int) (simnet.Result, [][]float32) {
+// cluster and returns the makespan/census and the per-rank reduced
+// outputs — bucket b's range of each view, reduced in place: commit
+// them before flushing again (see Bucket).
+func (e *Engine) FlushSegDES(c *des.Cluster, b int) (topology.Result, [][]float32) {
 	views := e.views
-	res, outs := c.RunGather(func(r *des.Rank) {
+	return c.RunGather(func(r *des.Rank) {
 		e.ReduceSegDES(r, b, views[r.Rank], r.Finish)
 	})
-	return desResult(res), outs
-}
-
-// desResult converts a DES run result into the simnet.Result shape the
-// engine's commit/attribution path consumes (the fields and their
-// arithmetic are identical by construction).
-func desResult(r des.Result) simnet.Result {
-	return simnet.Result{Time: r.Time, Clocks: r.Clocks,
-		Msgs: r.Msgs, CrossMsgs: r.CrossMsgs, CrossBytes: r.CrossBytes}
 }

@@ -420,7 +420,7 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 // readiness already covers, which no later backward layer touches. Call
 // only on the clean path: after a failed run the views belong to the
 // ranks it stranded (see ResetStaging).
-func (e *Engine) Commit(b int, outs [][]float32, res simnet.Result, grads [][][]float32) float64 {
+func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][][]float32) float64 {
 	bk := e.buckets[b]
 	diverged := e.drain(outs, bk.Lo, bk.Hi, grads)
 	e.commTimes[b] = res.Time

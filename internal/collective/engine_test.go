@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"swcaffe/internal/allreduce"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
-// simnetResult stands in for the run a hand-made set of outputs did not
+// stubResult stands in for the run a hand-made set of outputs did not
 // come from.
-var simnetResult = simnet.Result{Time: 1e-3, Msgs: 8}
+var stubResult = topology.Result{Time: 1e-3, Msgs: 8}
 
 // uniformTimeline fabricates a priced backward timeline for a layer
 // stack: layer l's backward completes at (layers-l)·step after an
@@ -480,7 +479,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	shared := [][][]float32{{make([]float32, 5), make([]float32, 3)}}
 	drained := func() []float32 { return append(append([]float32(nil), shared[0][0]...), shared[0][1]...) }
 
-	if d := full.Commit(0, newOuts(), simnetResult, shared); d != 0 {
+	if d := full.Commit(0, newOuts(), stubResult, shared); d != 0 {
 		t.Fatalf("identical outputs reported a mismatch of %g", d)
 	}
 	want := drained()
@@ -492,12 +491,12 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 
 	ulp := newOuts()
 	ulp[2][3] = math.Nextafter32(sum[3], 1)
-	if d := full.Commit(0, ulp, simnetResult, shared); !(d > 0) || d > 1e-7 {
+	if d := full.Commit(0, ulp, stubResult, shared); !(d > 0) || d > 1e-7 {
 		t.Fatalf("rank 2 off by one ulp reported %g, want the ulp", d)
 	}
 	zero := newOuts()
 	zero[3][2] = float32(math.Copysign(0, -1))
-	if d := full.Commit(0, zero, simnetResult, shared); !math.IsInf(d, 1) {
+	if d := full.Commit(0, zero, stubResult, shared); !math.IsInf(d, 1) {
 		t.Fatalf("rank 3 differing in the sign of a zero reported %g, want +Inf", d)
 	}
 	for i, v := range drained() {
@@ -512,18 +511,18 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	for r := range nan {
 		nan[r][6] = math.Float32frombits(0x7fc00000)
 	}
-	if d := full.Commit(0, nan, simnetResult, shared); d != 0 {
+	if d := full.Commit(0, nan, stubResult, shared); d != 0 {
 		t.Fatalf("the same NaN in every view reported a mismatch of %g", d)
 	}
 	nan[1][6] = math.Float32frombits(0x7fc00001)
-	if d := full.Commit(0, nan, simnetResult, shared); !math.IsInf(d, 1) {
+	if d := full.Commit(0, nan, stubResult, shared); !math.IsInf(d, 1) {
 		t.Fatalf("rank 1 holding another NaN payload than rank 0 reported %g, want +Inf", d)
 	}
 	// The byte compare answers only for equal views; a difference still
 	// reports the scan's exact worst |a - b|.
 	milli := newOuts()
 	milli[3][5] = 0
-	if d := full.Commit(0, milli, simnetResult, shared); d != float64(sum[5]) {
+	if d := full.Commit(0, milli, stubResult, shared); d != float64(sum[5]) {
 		t.Fatalf("rank 3 off by %g reported %g, want exactly the difference", sum[5], d)
 	}
 
@@ -534,7 +533,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 			outs[r] = append([]float32(nil), sum[bk.Lo:bk.Hi]...)
 		}
 		outs[1][0]++
-		if d := e.Commit(b, outs, simnetResult, shared); math.Abs(d-1) > 1e-6 {
+		if d := e.Commit(b, outs, stubResult, shared); math.Abs(d-1) > 1e-6 {
 			t.Fatalf("bucket %d: rank 1 off by 1 reported %g", b, d)
 		}
 	}
@@ -543,7 +542,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	for r := range private {
 		private[r] = [][]float32{make([]float32, 5), make([]float32, 3)}
 	}
-	if d := full.Commit(0, ulp, simnetResult, private); d != 0 {
+	if d := full.Commit(0, ulp, stubResult, private); d != 0 {
 		t.Fatalf("private gradient sets: reported %g, want no comparison", d)
 	}
 	if got, w := private[2][0][3], ulp[2][3]/ranks; got != w {

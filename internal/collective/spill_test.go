@@ -86,17 +86,17 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 
 	type backend struct {
 		name  string
-		flush func(e *Engine, b int) (simnet.Result, [][]float32)
+		flush func(e *Engine, b int) (topology.Result, [][]float32)
 	}
 	scl, dcl := simnet.NewCluster(netw, mapping, ranks), des.NewCluster(netw, mapping, ranks)
 	barrier := cfg
 	barrier.Barrier = true
 	for _, be := range []backend{
-		{"goroutine", func(e *Engine, b int) (simnet.Result, [][]float32) {
+		{"goroutine", func(e *Engine, b int) (topology.Result, [][]float32) {
 			views := e.RankViews()
 			return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceSeg(n, b, views[n.Rank]) })
 		}},
-		{"DES", func(e *Engine, b int) (simnet.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
+		{"DES", func(e *Engine, b int) (topology.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
 	} {
 		for _, mode := range []struct {
 			name    string

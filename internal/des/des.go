@@ -1,5 +1,5 @@
 // Package des is the single-threaded discrete-event backend of the
-// cluster simulator: the same α+βn cost model and per-rank clocks as
+// cluster simulator: per-rank clocks priced by topology.Fabric, as in
 // internal/simnet, but ranks run as callback continuations on
 // one binary-heap event queue instead of one goroutine each. A p=4096
 // collective costs zero goroutines, zero channel rendezvous and zero
@@ -35,25 +35,11 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// Cluster couples a network parameter set, a rank mapping and the
-// cluster size for discrete-event collective runs. The fields mirror
-// simnet.Cluster so trainer configuration translates one-to-one. Net,
-// Mapping and P are fixed at NewCluster (the supernode layout is
-// resolved there); BytesPerElem and ReduceOnCPE may be set before a
-// run.
+// Cluster couples a pricer (network, rank mapping, cluster size and
+// the settable BytesPerElem and ReduceOnCPE) with the reusable state of
+// discrete-event collective runs.
 type Cluster struct {
-	Net     *topology.Network
-	Mapping topology.Mapping
-	P       int // number of nodes
-
-	// BytesPerElem is the virtual wire size of one payload element
-	// (default 4 = float32), as in simnet.
-	BytesPerElem float64
-
-	// ReduceOnCPE selects the CPE-cluster reduction rate.
-	ReduceOnCPE bool
-
-	layout *topology.Layout
+	topology.Fabric
 
 	// pool holds the runState of the last run that completed cleanly
 	// and fully drained — the rule simnet.Cluster follows. A run that
@@ -70,13 +56,7 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	if p <= 0 {
 		panic("des: cluster size must be positive")
 	}
-	return &Cluster{Net: net, Mapping: mapping, P: p, BytesPerElem: 4,
-		layout: topology.NewLayout(mapping, p)}
-}
-
-func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
-	bytes := int64(float64(elems) * c.BytesPerElem)
-	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(c.layout.Same(a, b))
+	return &Cluster{Fabric: topology.NewFabric(net, mapping, p)}
 }
 
 // wire is one queued message. Wires live in runState.wires and are
@@ -272,9 +252,9 @@ func (rs *runState) link(src, dst int) *link {
 // waiter already parked there.
 func (rs *runState) post(src, dst int, data []float32, now float64) {
 	rs.msgs++
-	if !rs.cluster.layout.Same(src, dst) {
+	if cross, bytes := rs.cluster.Cross(src, dst, len(data)); cross {
 		rs.crossMsgs++
-		rs.crossBytes += int64(float64(len(data)) * rs.cluster.BytesPerElem)
+		rs.crossBytes += bytes
 	}
 	wi := rs.freeWire
 	if wi >= 0 {
@@ -308,18 +288,7 @@ func (rs *runState) match(l *link, src, dst int) {
 	rs.wires[wi] = wire{next: rs.freeWire}
 	rs.freeWire = wi
 	rs.delivered++
-	elems := len(m.data)
-	if w.sendElems > elems {
-		elems = w.sendElems
-	}
-	alpha, transfer := rs.cluster.linkCost(src, dst, elems)
-	t := rs.clocks[dst]
-	if m.sendTime > t {
-		t = m.sendTime
-	}
-	// Associate exactly as simnet.Recv does — (start + α) + βn — so
-	// clocks stay bit-identical to the goroutine backend.
-	t = t + alpha + transfer
+	t := rs.cluster.Arrive(src, dst, max(len(m.data), w.sendElems), rs.clocks[dst], m.sendTime)
 	rs.heap.push(event{time: t, rank: dst, seq: rs.seq, k: w.k, data: m.data})
 	rs.seq++
 }
@@ -347,7 +316,7 @@ func (r *Rank) P() int { return r.cluster.P }
 
 // Supernodes returns the cluster's supernode layout, resolved once at
 // NewCluster.
-func (r *Rank) Supernodes() *topology.Layout { return r.cluster.layout }
+func (r *Rank) Supernodes() *topology.Layout { return r.cluster.Supernodes() }
 
 // Scratch returns n float32s of unspecified content from the rank's
 // cluster-owned bump arena — a one-shot collective's result vector, or
@@ -369,9 +338,8 @@ func (r *Rank) Send(peer int, data []float32) {
 	if dst == src {
 		panic("des: send to self")
 	}
-	alpha, transfer := r.cluster.linkCost(src, dst, len(data))
 	r.run.post(src, dst, data, *r.clock)
-	*r.clock += alpha + transfer
+	*r.clock = r.cluster.Send(src, dst, len(data), *r.clock)
 }
 
 // Recv parks the rank until a message from peer arrives, then resumes
@@ -410,14 +378,7 @@ func (rs *runState) park(src, dst, sendElems int, k func([]float32)) {
 
 // ChargeReduce accounts a local elementwise reduction of elems values,
 // as simnet.Node.ChargeReduce.
-func (r *Rank) ChargeReduce(elems int) {
-	bytes := float64(elems) * r.cluster.BytesPerElem
-	rate := r.cluster.Net.GammaMPE
-	if r.cluster.ReduceOnCPE {
-		rate = r.cluster.Net.GammaCPE
-	}
-	*r.clock += bytes * rate
-}
+func (r *Rank) ChargeReduce(elems int) { *r.clock = r.cluster.Reduce(elems, *r.clock) }
 
 // Finish records the rank's result and marks its program complete.
 // Every rank body must call it exactly once, as its final act (the DES
@@ -457,21 +418,10 @@ func (p RankPanic) Unwrap() error {
 	return nil
 }
 
-// Result summarizes one collective run: the same fields and arithmetic
-// as simnet.Result, kept as a separate type so des has no dependency
-// on the goroutine backend.
-type Result struct {
-	Time       float64
-	Clocks     []float64
-	Msgs       int64
-	CrossMsgs  int64
-	CrossBytes int64
-}
-
 // Run executes body on every rank and returns the makespan; the DES
 // analogue of simnet.Cluster.Run for bodies without a gathered result
 // (bodies still call Finish, with nil).
-func (c *Cluster) Run(body func(r *Rank)) Result {
+func (c *Cluster) Run(body func(r *Rank)) topology.Result {
 	res, _ := c.RunGather(body)
 	return res
 }
@@ -489,7 +439,7 @@ func (c *Cluster) Run(body func(r *Rank)) Result {
 // dropped, never reused, so the cluster is reusable afterwards — and
 // unlike the goroutine backend, a failed run strands nothing: there are
 // no goroutines to leak.
-func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
+func (c *Cluster) RunGather(body func(r *Rank)) (topology.Result, [][]float32) {
 	c.mu.Lock()
 	rs := c.pool
 	c.pool = nil
@@ -509,13 +459,7 @@ func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 		panic(fmt.Sprintf("des: unconsumed message on link %v",
 			rs.linksWhere(func(l *link) bool { return l.head >= 0 })[0]))
 	}
-	res := Result{Clocks: append([]float64(nil), rs.clocks...), Msgs: rs.msgs,
-		CrossMsgs: rs.crossMsgs, CrossBytes: rs.crossBytes}
-	for _, t := range res.Clocks {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
+	res := topology.NewResult(rs.clocks, rs.msgs, rs.crossMsgs, rs.crossBytes)
 	// A waiter still parked (a receive nothing was ever sent to, on a
 	// rank that finished anyway) is legal but would resume in a later
 	// run, so such a state is not recycled either.

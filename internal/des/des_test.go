@@ -13,13 +13,14 @@ func testCluster(p int) *Cluster {
 	return NewCluster(net, topology.AdjacentMapping{Q: 4}, p)
 }
 
-// TestPingPongClocks pins the Send/Recv clock arithmetic against the
-// cost model directly: a two-rank ping-pong where each leg's arrival
-// time is max(receiver clock, send time) + α + βn.
+// TestPingPongClocks pins the Send/Recv clock arithmetic to the
+// pricer: in a two-rank ping-pong every leg lands at Fabric.Arrive of
+// the receiver's clock and the send time, and every send leaves its
+// sender busy until Fabric.Send.
 func TestPingPongClocks(t *testing.T) {
 	c := testCluster(2)
 	payload := []float32{1, 2, 3, 4}
-	alpha, transfer := c.linkCost(0, 1, len(payload))
+	n := len(payload)
 
 	res, outs := c.RunGather(func(r *Rank) {
 		switch r.Rank {
@@ -36,14 +37,14 @@ func TestPingPongClocks(t *testing.T) {
 		}
 	})
 
-	// Rank 1's recv starts at max(0, send time 0); its echo send then
-	// advances it to 2(α+βn). Rank 0's recv starts at max(its own clock
-	// after the send, the echo's send time) = α+βn, landing at 2(α+βn).
-	leg := alpha + transfer
-	if got, want := res.Clocks[1], leg+leg; got != want {
+	// Rank 0 sends at 0; rank 1's receive lands at Arrive(0, 0) and its
+	// echo leaves at that time. Rank 0's receive starts from its own
+	// clock after the send.
+	ping := c.Arrive(0, 1, n, 0, 0)
+	if got, want := res.Clocks[1], c.Send(1, 0, n, ping); got != want {
 		t.Fatalf("rank 1 clock: got %v want %v", got, want)
 	}
-	if got, want := res.Clocks[0], leg+alpha+transfer; got != want {
+	if got, want := res.Clocks[0], c.Arrive(1, 0, n, c.Send(0, 1, n, 0), ping); got != want {
 		t.Fatalf("rank 0 clock: got %v want %v", got, want)
 	}
 	if res.Time != res.Clocks[0] {

@@ -1,10 +1,9 @@
 // Package simnet is a discrete-event message-passing simulator for
 // clusters: each node runs its part of a collective algorithm as a
-// goroutine with a logical clock; point-to-point transfers advance the
-// clocks by the α+βn cost model of the paper (Sec. V-A, ref [14]),
-// with β chosen per-link from the supernode topology. It plays the
-// role MPI plays in swCaffe: the collective algorithms in
-// internal/allreduce run unmodified on top of it.
+// goroutine with a logical clock, and every transfer and reduction is
+// priced by topology.Fabric. It plays the role MPI plays in swCaffe:
+// the collective algorithms in internal/allreduce run unmodified on top
+// of it.
 //
 // Payloads are real float32 slices, so the same runs validate
 // numerical correctness; for large-scale timing studies BytesPerElem
@@ -21,25 +20,11 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// Cluster couples a network parameter set, a rank mapping and the
-// per-node state for one collective run. Net, Mapping and P are fixed
-// at NewCluster (the supernode layout is resolved there); BytesPerElem
-// and ReduceOnCPE may be set before a run.
+// Cluster couples a pricer (network, rank mapping, cluster size and
+// the settable BytesPerElem and ReduceOnCPE) with the per-node state
+// for one collective run.
 type Cluster struct {
-	Net     *topology.Network
-	Mapping topology.Mapping
-	P       int // number of nodes
-
-	// BytesPerElem is the virtual wire size of one payload element
-	// (default 4 = float32). Raise it to simulate large gradients with
-	// small host buffers.
-	BytesPerElem float64
-
-	// ReduceOnCPE selects the CPE-cluster reduction rate (the paper's
-	// optimization) instead of the MPE rate.
-	ReduceOnCPE bool
-
-	layout *topology.Layout
+	topology.Fabric
 
 	// pool holds the runState of the last cleanly-completed Run for
 	// reuse (its channels are provably drained and nothing references
@@ -106,11 +91,7 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	if p <= 0 {
 		panic("simnet: cluster size must be positive")
 	}
-	return &Cluster{
-		Net: net, Mapping: mapping, P: p,
-		BytesPerElem: 4,
-		layout:       topology.NewLayout(mapping, p),
-	}
+	return &Cluster{Fabric: topology.NewFabric(net, mapping, p)}
 }
 
 // Node is the per-rank handle passed to collective algorithm bodies:
@@ -136,7 +117,7 @@ func (n *Node) P() int { return n.cluster.P }
 
 // Supernodes returns the cluster's supernode layout, resolved once at
 // NewCluster.
-func (n *Node) Supernodes() *topology.Layout { return n.cluster.layout }
+func (n *Node) Supernodes() *topology.Layout { return n.cluster.Supernodes() }
 
 // Scratch returns k float32s of unspecified content from the rank's
 // cluster-owned bump arena — a one-shot collective's result vector, or
@@ -150,18 +131,13 @@ func (n *Node) Scratch(k int) []float32 {
 	return n.run.scratch[n.Rank].Take(k)
 }
 
-func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
-	bytes := int64(float64(elems) * c.BytesPerElem)
-	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(c.layout.Same(a, b))
-}
-
 // countMsg records one posted message of elems payload elements for
 // the run's traffic census.
 func (n *Node) countMsg(src, dst, elems int) {
 	n.run.msgs.Add(1)
-	if !n.cluster.layout.Same(src, dst) {
+	if cross, bytes := n.cluster.Cross(src, dst, elems); cross {
 		n.run.crossMsgs.Add(1)
-		n.run.crossBytes.Add(int64(float64(elems) * n.cluster.BytesPerElem))
+		n.run.crossBytes.Add(bytes)
 	}
 }
 
@@ -174,10 +150,9 @@ func (n *Node) Send(peer int, data []float32) {
 	if dst == src {
 		panic("simnet: send to self")
 	}
-	alpha, transfer := n.cluster.linkCost(src, dst, len(data))
 	n.countMsg(src, dst, len(data))
 	n.run.channel(src, dst) <- wire{data: data, sendTime: *n.clock}
-	*n.clock += alpha + transfer
+	*n.clock = n.cluster.Send(src, dst, len(data), *n.clock)
 }
 
 // Recv blocks for a message from peer and advances the clock to the
@@ -185,12 +160,7 @@ func (n *Node) Send(peer int, data []float32) {
 func (n *Node) Recv(peer int) []float32 {
 	src, dst := peer, n.Rank
 	m := <-n.run.channel(src, dst)
-	alpha, transfer := n.cluster.linkCost(src, dst, len(m.data))
-	start := *n.clock
-	if m.sendTime > start {
-		start = m.sendTime
-	}
-	*n.clock = start + alpha + transfer
+	*n.clock = n.cluster.Arrive(src, dst, len(m.data), *n.clock, m.sendTime)
 	return m.data
 }
 
@@ -205,30 +175,14 @@ func (n *Node) SendRecv(peer int, sendData []float32) []float32 {
 	n.countMsg(src, dst, len(sendData))
 	n.run.channel(src, dst) <- wire{data: sendData, sendTime: *n.clock}
 	m := <-n.run.channel(dst, src)
-	elems := len(sendData)
-	if len(m.data) > elems {
-		elems = len(m.data)
-	}
-	alpha, transfer := n.cluster.linkCost(src, dst, elems)
-	start := *n.clock
-	if m.sendTime > start {
-		start = m.sendTime
-	}
-	*n.clock = start + alpha + transfer
+	*n.clock = n.cluster.Arrive(src, dst, max(len(sendData), len(m.data)), *n.clock, m.sendTime)
 	return m.data
 }
 
 // ChargeReduce accounts the local element-wise reduction of elems
 // values (three streams: two reads and one write), on the MPE or the
 // CPE clusters depending on the cluster configuration.
-func (n *Node) ChargeReduce(elems int) {
-	bytes := float64(elems) * n.cluster.BytesPerElem
-	rate := n.cluster.Net.GammaMPE
-	if n.cluster.ReduceOnCPE {
-		rate = n.cluster.Net.GammaCPE
-	}
-	*n.clock += bytes * rate
-}
+func (n *Node) ChargeReduce(elems int) { *n.clock = n.cluster.Reduce(elems, *n.clock) }
 
 // NodePanic is the panic value Run/RunGather re-raise when a rank's
 // body panics: the original value plus the world rank it died on.
@@ -258,21 +212,9 @@ func (p NodePanic) Unwrap() error {
 	return nil
 }
 
-// Result summarizes one collective run.
-type Result struct {
-	// Time is the makespan: the maximum finishing clock over nodes.
-	Time float64
-	// MaxClock per node, for skew inspection.
-	Clocks []float64
-	// Msgs counts the point-to-point messages the run posted;
-	// CrossMsgs the subset whose endpoints sit in different supernodes
-	// under the cluster's mapping, and CrossBytes those messages'
-	// summed virtual wire size — the over-subscribed central-switch
-	// traffic a topology-aware schedule minimizes.
-	Msgs       int64
-	CrossMsgs  int64
-	CrossBytes int64
-}
+// Result is topology.Result, kept under this name only because the
+// benchmark harness in bench/ names it.
+type Result = topology.Result
 
 // Run executes body on every rank concurrently and returns the
 // makespan. Each invocation starts from zeroed clocks and a fresh set
@@ -287,7 +229,7 @@ type Result struct {
 // and the next collective runs on clean state. The stranded goroutines
 // themselves stay parked until process exit — one bounded leak per
 // injected failure, the same trade an aborted MPI job makes.
-func (c *Cluster) Run(body func(n *Node)) Result {
+func (c *Cluster) Run(body func(n *Node)) topology.Result {
 	res, _ := c.RunGather(func(n *Node) []float32 {
 		body(n)
 		return nil
@@ -308,7 +250,7 @@ func (c *Cluster) Run(body func(n *Node)) Result {
 // caller's in place (allreduce.Schedule.Run) returns that vector, and a
 // stranded rank writes it late: the caller abandons such vectors after
 // a failed run, as collective.Engine.ResetStaging does.
-func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) {
+func (c *Cluster) RunGather(body func(n *Node) []float32) (topology.Result, [][]float32) {
 	var wg sync.WaitGroup
 	c.mu.Lock()
 	rs := c.pool
@@ -361,13 +303,7 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (Result, [][]float32) 
 		panic(np)
 	default:
 	}
-	res := Result{Clocks: append([]float64(nil), rs.clocks...), Msgs: rs.msgs.Load(),
-		CrossMsgs: rs.crossMsgs.Load(), CrossBytes: rs.crossBytes.Load()}
-	for _, t := range res.Clocks {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
+	res := topology.NewResult(rs.clocks, rs.msgs.Load(), rs.crossMsgs.Load(), rs.crossBytes.Load())
 	// A completed collective must have consumed every message it sent
 	// (an unconsumed wire on a clean exit is an algorithm bug worth
 	// failing loudly on). Only a state that passes this check goes back

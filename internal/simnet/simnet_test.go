@@ -24,9 +24,11 @@ func TestSendRecvPayload(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("payload corrupted: %v", got)
 	}
-	want := cl.Net.P2PTime(12, true)
-	if res.Time < want*0.99 {
-		t.Fatalf("makespan %g below the α+βn cost %g", res.Time, want)
+	if got, want := res.Clocks[0], cl.Send(0, 1, 3, 0); got != want {
+		t.Fatalf("sender clock %v, want Fabric.Send %v", got, want)
+	}
+	if got, want := res.Clocks[1], cl.Arrive(0, 1, 3, 0, 0); got != want || res.Time != want {
+		t.Fatalf("receiver clock %v, makespan %v, want Fabric.Arrive %v", got, res.Time, want)
 	}
 }
 

@@ -96,9 +96,11 @@ func (n *Network) Beta(sameSupernode bool) float64 {
 	return n.Beta2
 }
 
-// P2PTime returns the α+βn point-to-point time between two nodes.
+// P2PTime returns the α+βn point-to-point time between two nodes. The
+// product is rounded explicitly so that arm64 does not fuse it into the
+// add (see Fabric).
 func (n *Network) P2PTime(bytes int64, sameSupernode bool) float64 {
-	return n.Alpha(bytes) + float64(bytes)*n.Beta(sameSupernode)
+	return n.Alpha(bytes) + float64(float64(bytes)*n.Beta(sameSupernode))
 }
 
 // Bandwidth returns the effective P2P bandwidth (bytes/s) for a
@@ -173,8 +175,8 @@ func Members(m Mapping, p int) [][]int {
 
 // Layout is Members resolved once for a fixed (mapping, p): the groups,
 // each rank's position in them, and the per-chunk leader lists of the
-// hierarchical all-reduce. Both cluster backends build one at
-// construction, so a collective body looks its supernode up in O(1)
+// hierarchical all-reduce. Every Fabric resolves one at construction,
+// so a collective body looks its supernode up in O(1)
 // instead of rebuilding the membership on every rank of every flush,
 // and the per-message same-supernode test is two slice reads. A Layout
 // is immutable after NewLayout and safe to share between goroutines.

@@ -359,7 +359,7 @@ type StepStats struct {
 	ExposedIO float64
 
 	// Traffic census summed over the step's collectives (see
-	// simnet.Result): messages posted, the cross-supernode subset, and
+	// topology.Result): messages posted, the cross-supernode subset, and
 	// the cross-supernode virtual wire bytes.
 	Msgs, CrossMsgs, CrossBytes int64
 

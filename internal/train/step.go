@@ -5,6 +5,7 @@ import (
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/perf"
 	"swcaffe/internal/simnet"
+	"swcaffe/internal/topology"
 )
 
 // One Step, both modes (paper Algorithm 1 line 9 and Sec. V-A).
@@ -165,7 +166,7 @@ func (t *DistTrainer) Step() float32 {
 			// the clean path only, and before the next flush, whose pad may
 			// spill into it (see collective.Bucket). The drain touches only
 			// parameters every worker has already produced.
-			var res simnet.Result
+			var res topology.Result
 			var outs [][]float32
 			if t.desCluster != nil {
 				res, outs = eng.FlushSegDES(t.desCluster, b)
