@@ -35,9 +35,7 @@ func BNAblation(w io.Writer) []BNRow {
 		if dev.Name() == "SW26010" {
 			batch = 64 // per core group
 		}
-		_, lrnT := lrnBuild(batch).Cost(dev)
-		_, bnT := bnBuild(batch).Cost(dev)
-		r := BNRow{Device: dev.Name(), LRN: lrnT.Total(), BN: bnT.Total()}
+		r := BNRow{Device: dev.Name(), LRN: lrnBuild(batch).Total(dev).Total(), BN: bnBuild(batch).Total(dev).Total()}
 		rows = append(rows, r)
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%.2f\n", r.Device, fmtTime(r.LRN), fmtTime(r.BN), r.BN/r.LRN)
 	}

@@ -166,20 +166,50 @@ func (m *ModelSpec) ParamBytes() int64 { return m.ParamCount() * 4 }
 // in layer order plus the total.
 func (m *ModelSpec) Cost(dev perf.Device) (perLayer []core.LayerCost, total core.LayerCost) {
 	perLayer = make([]core.LayerCost, len(m.Layers))
+	return perLayer, m.price(dev, perLayer)
+}
+
+// price sums the layers' costs in layer order, storing each in
+// perLayer when it is non-nil.
+func (m *ModelSpec) price(dev perf.Device, perLayer []core.LayerCost) (total core.LayerCost) {
 	for i := range m.Layers {
 		c := m.Layers[i].Cost(dev)
-		perLayer[i] = c
+		if perLayer != nil {
+			perLayer[i] = c
+		}
 		total.Forward += c.Forward
 		total.Backward += c.Backward
 	}
-	return
+	return total
+}
+
+// totalKey names one network priced on one device's parameters.
+type totalKey struct {
+	spec *ModelSpec
+	dev  any // perf.Device.Key
+}
+
+var totals sync.Map // totalKey -> core.LayerCost
+
+// Total is Cost's total, bit for bit, without the per-layer slice. A
+// spec never changes and a device's prices depend only on its Key, so
+// each (spec, device key) is priced once per process and every later
+// call returns that sum: the evaluation prices each network once, not
+// once per figure, sweep point and ablation that asks for it.
+func (m *ModelSpec) Total(dev perf.Device) core.LayerCost {
+	key := totalKey{m, dev.Key()}
+	if t, ok := totals.Load(key); ok {
+		return t.(core.LayerCost)
+	}
+	t := m.price(dev, nil)
+	totals.Store(key, t)
+	return t
 }
 
 // IterationTime prices one full training iteration including the
 // device's host data path for the batch.
 func (m *ModelSpec) IterationTime(dev perf.Device) float64 {
-	_, total := m.Cost(dev)
-	return total.Total() + dev.InputOverhead(m.Batch)
+	return m.Total(dev).Total() + dev.InputOverhead(m.Batch)
 }
 
 // Flops returns the forward-pass multiply-add flops of the model.

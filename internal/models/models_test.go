@@ -1,12 +1,14 @@
 package models
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"swcaffe/internal/core"
 	"swcaffe/internal/perf"
+	"swcaffe/internal/swdnn"
 	"swcaffe/internal/tensor"
 )
 
@@ -152,6 +154,49 @@ func TestSpecSharedPerNameAndBatch(t *testing.T) {
 	_, t32 := s32.Cost(dev)
 	if t32.Total() <= t8.Total() {
 		t.Fatal("larger batch must cost more")
+	}
+}
+
+// TestTotalIsCostTotalPricedOnce: Total gives Cost's total bit for
+// bit on every network and device kind; a second call through another
+// device of equal parameters queries no planner; and a device whose
+// parameters changed is priced afresh, never served a stale sum.
+func TestTotalIsCostTotalPricedOnce(t *testing.T) {
+	same := func(a, b core.LayerCost) bool {
+		return math.Float64bits(a.Forward) == math.Float64bits(b.Forward) &&
+			math.Float64bits(a.Backward) == math.Float64bits(b.Backward)
+	}
+	for _, name := range Names() {
+		build, _ := ByName(name)
+		spec := build(8)
+		for _, dev := range []perf.Device{perf.NewSWCG(), perf.NewK40m(), perf.NewXeonCPU()} {
+			_, want := spec.Cost(dev)
+			if got := spec.Total(dev); !same(got, want) {
+				t.Fatalf("%s on %s: Total %+v, Cost's total %+v", name, dev.Name(), got, want)
+			}
+		}
+	}
+
+	vgg := VGG16(8)
+	want := vgg.Total(perf.NewSWCG())
+	h0, m0 := swdnn.PlanCacheCounters()
+	if got := vgg.Total(perf.NewSWCG()); !same(got, want) {
+		t.Fatalf("second Total %+v, first %+v", got, want)
+	}
+	if h1, m1 := swdnn.PlanCacheCounters(); h1 != h0 || m1 != m0 {
+		t.Fatalf("a memoized Total queried the planners: %d hits, %d misses", h1-h0, m1-m0)
+	}
+
+	slow := perf.NewSWCG()
+	slow.HW.DMAPeak /= 4
+	if got := vgg.Total(slow); got.Total() <= want.Total() {
+		t.Fatalf("quarter-bandwidth SW26010 priced %g, full bandwidth %g: stale memo", got.Total(), want.Total())
+	}
+	gpu := perf.NewK40m()
+	fast := vgg.Total(gpu)
+	gpu.PeakFlops /= 2
+	if got := vgg.Total(gpu); got.Total() <= fast.Total() {
+		t.Fatalf("half-peak K40m priced %g, full peak %g: stale memo", got.Total(), fast.Total())
 	}
 }
 

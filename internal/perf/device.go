@@ -42,6 +42,11 @@ type Device interface {
 	// that this is >40% of AlexNet iteration time on the K40m, while
 	// SW26010 CPEs read memory directly via DMA (Sec. VI-B).
 	InputOverhead(images int) float64
+	// Key is a comparable value that two devices share exactly when
+	// they price every operation alike, so a price may be memoized
+	// under it. It is the device's parameters by value: a device
+	// mutated in place gets a new key, never a stale price.
+	Key() any
 }
 
 // --- SW26010 ----------------------------------------------------------
@@ -57,6 +62,9 @@ type SWCG struct {
 func NewSWCG() *SWCG { return &SWCG{HW: sw26010.Default()} }
 
 func (d *SWCG) Name() string { return "SW26010" }
+
+// Key is the hardware model's value: the planners price from it alone.
+func (d *SWCG) Key() any { return *d.HW }
 
 func (d *SWCG) Conv(s swdnn.ConvShape, pass swdnn.Pass) float64 {
 	_, _, best := swdnn.ConvPlans(d.HW, s, pass)
@@ -110,6 +118,9 @@ type Roofline struct {
 }
 
 func (d *Roofline) Name() string { return d.DeviceName }
+
+// Key is the roofline's parameters by value.
+func (d *Roofline) Key() any { return *d }
 
 func (d *Roofline) op(flops, bytes, eff float64) float64 {
 	ct := flops / (d.PeakFlops * eff)

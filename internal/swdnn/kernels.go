@@ -3,6 +3,7 @@ package swdnn
 import (
 	"math"
 
+	"swcaffe/internal/f32"
 	"swcaffe/internal/sw26010"
 	"swcaffe/internal/tensor"
 )
@@ -132,7 +133,9 @@ func TransformRun(cg *sw26010.CoreGroup, src *tensor.Tensor, dst *tensor.Tensor)
 
 // SumRun accumulates addend into acc elementwise on the mesh — the
 // CPE-cluster gradient summation of Sec. V-A. Both live in simulated
-// main memory; chunks stream through LDM. Returns the simulated time.
+// main memory; chunks stream through LDM, where each CPE adds its pair
+// with f32.Add, packed and bit for bit the scalar loop. Returns the
+// simulated time.
 func SumRun(cg *sw26010.CoreGroup, acc, addend []float32) float64 {
 	if len(acc) != len(addend) {
 		panic("swdnn: SumRun length mismatch")
@@ -156,9 +159,7 @@ func SumRun(cg *sw26010.CoreGroup, acc, addend []float32) float64 {
 			nEl := hi - lo
 			pe.DMAGet(a[:nEl], acc[lo:hi])
 			pe.DMAGet(b[:nEl], addend[lo:hi])
-			for i := 0; i < nEl; i++ {
-				a[i] += b[i]
-			}
+			f32.Add(a[:nEl], b[:nEl])
 			pe.ChargeFlops(float64(nEl))
 			pe.DMAPut(acc[lo:hi], a[:nEl])
 		}

@@ -1,6 +1,7 @@
 package swdnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -85,6 +86,44 @@ func TestSumRunOddLengths(t *testing.T) {
 		for i := range acc {
 			if acc[i] != 3 {
 				t.Fatalf("n=%d: acc[%d] = %g", n, i, acc[i])
+			}
+		}
+	}
+}
+
+// TestSumRunBitsMatchScalarLoop: the packed add inside SumRun gives
+// the scalar loop's bits at ragged lengths (inside one chunk, across
+// chunk edges, with odd tails) over ±0, ±Inf, NaN, subnormals and
+// overflowing sums. A NaN result is compared as a class: which of two
+// NaNs an add returns is not part of the contract.
+func TestSumRunBitsMatchScalarLoop(t *testing.T) {
+	cg := sw26010.NewCoreGroup(nil)
+	rng := rand.New(rand.NewSource(34))
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32,
+	}
+	value := func() float32 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	for _, n := range []int{1, 3, 7, 1023, 1024, 1025, 4097, 64*1024 + 5} {
+		acc, addend, want := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range acc {
+			acc[i], addend[i] = value(), value()
+			want[i] = acc[i] + addend[i]
+		}
+		SumRun(cg, acc, addend)
+		for i, got := range acc {
+			if got != got && want[i] != want[i] {
+				continue
+			}
+			if math.Float32bits(got) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: acc[%d] = %g (%#08x), want %g (%#08x)",
+					n, i, got, math.Float32bits(got), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // O(candidates³) tiling searches entirely.
 //
 // Format: a version line followed by a gob stream of entries. The
-// version string is bumped whenever the key schema (planKey), the
+// version string is bumped whenever the entry schema (diskEntry), the
 // hardware model struct or any planner cost function changes meaning;
 // a mismatched or unreadable file is ignored on load (the cache is a
 // pure accelerator — recomputing is always correct). Floats round-trip
@@ -50,7 +50,7 @@ func SavePlanCache(path string) (int, error) {
 	var entries []diskEntry
 	planCache.Range(func(k, v any) bool {
 		key := k.(planKey)
-		e := diskEntry{Model: key.model, Op: uint8(key.op), Aux: key.aux, Dims: key.dims}
+		e := diskEntry{Model: internedValue(uint32(key.tag >> 16)), Op: uint8(key.tag >> 8), Aux: uint8(key.tag), Dims: key.dims}
 		switch val := v.(type) {
 		case Plan:
 			e.IsPlan = true
@@ -145,7 +145,7 @@ func LoadPlanCache(path string) (int, error) {
 			}
 			return loaded, fmt.Errorf("swdnn: plan cache %s corrupt after %d entries: %w", path, loaded, err)
 		}
-		key := planKey{model: e.Model, op: planOp(e.Op), aux: e.Aux, dims: e.Dims}
+		key := newPlanKey(internModel(e.Model), planOp(e.Op), e.Aux, e.Dims)
 		if e.IsPlan {
 			planCache.Store(key, e.Plan)
 		} else {

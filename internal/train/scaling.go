@@ -114,63 +114,75 @@ func (b Breakdown) CommFraction() float64 {
 	return b.Allreduce / t
 }
 
-// Iteration evaluates the analytic model for one configuration.
-func Iteration(cfg ScalingConfig) (Breakdown, error) {
-	var bd Breakdown
+// node is the part of an iteration that does not depend on the node
+// count: the compute and intra-node sum of one node, and the payload
+// its all-reduce moves. A sweep prices it once and reuses it at every p.
+type node struct {
+	compute, intraSum, paramBytes float64
+}
+
+// priceNode applies cfg's defaults and prices its node.
+func priceNode(cfg *ScalingConfig) (node, error) {
 	if err := cfg.defaults(); err != nil {
-		return bd, err
+		return node{}, err
 	}
 	build, ok := models.ByName(cfg.Model)
 	if !ok {
-		return bd, fmt.Errorf("train: unknown model %q", cfg.Model)
+		return node{}, fmt.Errorf("train: unknown model %q", cfg.Model)
 	}
-	perCG := cfg.SubBatch / sw26010.CoreGroups
-	spec := build(perCG)
-	_, total := spec.Cost(cfg.Device)
-	bd.Compute = total.Total()
-
+	spec := build(cfg.SubBatch / sw26010.CoreGroups)
 	paramBytes := float64(spec.ParamBytes())
-	// Intra-node summation: CG0 streams three remote gradients against
-	// its own (3 reads + 1 accumulate write per element) through LDM.
-	hw := sw26010.Default()
-	bd.IntraSum = 4 * paramBytes / hw.DMAPeak
+	return node{
+		compute: spec.Total(cfg.Device).Total(),
+		// Intra-node summation: CG0 streams three remote gradients
+		// against its own (3 reads + 1 accumulate write per element)
+		// through LDM.
+		intraSum:   4 * paramBytes / sw26010.Default().DMAPeak,
+		paramBytes: paramBytes,
+	}, nil
+}
 
-	if cfg.Nodes > 1 {
+// at composes n's iteration on p nodes.
+func (n node) at(cfg *ScalingConfig, p int) Breakdown {
+	bd := Breakdown{Compute: n.compute, IntraSum: n.intraSum}
+	if p > 1 {
 		var c allreduce.Cost
 		if cfg.Adjacent {
-			c = allreduce.OriginalRHDCost(cfg.Network, cfg.Nodes, paramBytes, cfg.ReduceOnCPE)
+			c = allreduce.OriginalRHDCost(cfg.Network, p, n.paramBytes, cfg.ReduceOnCPE)
 		} else {
-			c = allreduce.ImprovedRHDCost(cfg.Network, cfg.Nodes, paramBytes, cfg.ReduceOnCPE)
+			c = allreduce.ImprovedRHDCost(cfg.Network, p, n.paramBytes, cfg.ReduceOnCPE)
 		}
-		bd.Allreduce = c.Latency + (c.Intra+c.Inter)/effAt(cfg.Nodes, cfg.AllreduceEff) + c.Reduction
+		bd.Allreduce = c.Latency + (c.Intra+c.Inter)/effAt(p, cfg.AllreduceEff) + c.Reduction
 	}
-
 	if cfg.IO != nil {
 		pre := pario.Prefetcher{
 			Config:    *cfg.IO,
-			Procs:     cfg.Nodes,
+			Procs:     p,
 			BatchSize: pario.ImageNetBatchBytes(cfg.SubBatch),
 		}
 		bd.IO = pre.ExposedTime(bd.Compute + bd.IntraSum + bd.Allreduce)
 	}
-	return bd, nil
+	return bd
+}
+
+// Iteration evaluates the analytic model for one configuration.
+func Iteration(cfg ScalingConfig) (Breakdown, error) {
+	n, err := priceNode(&cfg)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	return n.at(&cfg, cfg.Nodes), nil
 }
 
 // Speedup returns the throughput speedup of p nodes over one node at
 // the same sub-batch — the y-axis of Fig. 10:
 // S(p) = p · T(1) / T(p).
 func Speedup(cfg ScalingConfig) (float64, error) {
-	single := cfg
-	single.Nodes = 1
-	b1, err := Iteration(single)
+	n, err := priceNode(&cfg)
 	if err != nil {
 		return 0, err
 	}
-	bp, err := Iteration(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return float64(cfg.Nodes) * b1.Total() / bp.Total(), nil
+	return float64(cfg.Nodes) * n.at(&cfg, 1).Total() / n.at(&cfg, cfg.Nodes).Total(), nil
 }
 
 // ThroughputImgPerSec returns images/second for the configuration.
@@ -191,25 +203,24 @@ type ScalePoint struct {
 	IterTime     float64
 }
 
-// Sweep evaluates the scaling curve at the given node counts.
+// Sweep evaluates the scaling curve at the given node counts. The node
+// is priced once; each point adds only its all-reduce and input terms.
 func Sweep(cfg ScalingConfig, nodes []int) ([]ScalePoint, error) {
-	single := cfg
-	single.Nodes = 1
-	b1, err := Iteration(single)
+	cfg.Nodes = 1 // the node is priced alone; each point brings its own p
+	n, err := priceNode(&cfg)
 	if err != nil {
 		return nil, err
 	}
+	t1 := n.at(&cfg, 1).Total()
 	out := make([]ScalePoint, 0, len(nodes))
 	for _, p := range nodes {
-		c := cfg
-		c.Nodes = p
-		bd, err := Iteration(c)
-		if err != nil {
-			return nil, err
+		if p <= 0 {
+			return nil, fmt.Errorf("train: need at least one node")
 		}
+		bd := n.at(&cfg, p)
 		out = append(out, ScalePoint{
 			Nodes:        p,
-			Speedup:      float64(p) * b1.Total() / bd.Total(),
+			Speedup:      float64(p) * t1 / bd.Total(),
 			CommFraction: bd.CommFraction(),
 			IterTime:     bd.Total(),
 		})

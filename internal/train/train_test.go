@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"swcaffe/internal/allreduce"
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
+	"swcaffe/internal/pario"
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/tensor"
 )
@@ -707,6 +709,48 @@ func TestCommFractionGrowsWithScale(t *testing.T) {
 		if pts[i].CommFraction <= pts[i-1].CommFraction {
 			t.Fatalf("comm fraction should grow with p: %+v", pts)
 		}
+	}
+}
+
+// TestSweepMatchesIteration: Sweep prices the node once and adds each
+// point's all-reduce and input terms, which gives bit for bit what one
+// Iteration per point and Speedup give, with and without the input
+// pipeline and under either mapping. A non-positive node count in the
+// list is still an error.
+func TestSweepMatchesIteration(t *testing.T) {
+	io := pario.DefaultTaihuLight(1)
+	nodes := []int{1, 2, 8, 64, 1024}
+	for _, cfg := range []ScalingConfig{
+		{Model: "alexnet-bn", SubBatch: 128},
+		{Model: "resnet50", SubBatch: 32, Adjacent: true},
+		{Model: "alexnet-bn", SubBatch: 64, IO: &io},
+	} {
+		pts, err := Sweep(cfg, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range nodes {
+			c := cfg
+			c.Nodes = p
+			bd, err := Iteration(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Speedup(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pts[i]
+			if got.Nodes != p || math.Float64bits(got.IterTime) != math.Float64bits(bd.Total()) ||
+				math.Float64bits(got.CommFraction) != math.Float64bits(bd.CommFraction()) ||
+				math.Float64bits(got.Speedup) != math.Float64bits(s) {
+				t.Fatalf("%s B=%d adjacent=%v io=%v p=%d: Sweep %+v, Iteration %g (comm %g), Speedup %g",
+					cfg.Model, cfg.SubBatch, cfg.Adjacent, cfg.IO != nil, p, got, bd.Total(), bd.CommFraction(), s)
+			}
+		}
+	}
+	if _, err := Sweep(ScalingConfig{Model: "alexnet-bn", SubBatch: 64}, []int{2, 0}); err == nil {
+		t.Fatal("a zero node count in the sweep must error")
 	}
 }
 
