@@ -6,18 +6,19 @@ import (
 )
 
 // pooledRuntimes are the packages allowed to launch goroutines: they
-// own worker pools with deterministic join points (the CPE pools, the
-// per-node stream schedulers, the simnet rank runner). Everywhere
-// else a bare `go` statement is the leak class PR 1 (CPE pool
-// predecessor) and PR 3 (simnet ghost receivers) each fixed once by
-// hand: a goroutine that outlives its Run and corrupts the next one.
-// The discrete-event scheduler (internal/des) is deliberately NOT
-// here: its whole contract is single-threaded execution, so a `go`
-// statement inside it is a finding, not a pooled runtime's business.
+// own worker pools with deterministic join points (the per-node stream
+// schedulers, the simnet rank runner). Everywhere else a bare `go`
+// statement is the leak class that the CPE engine and simnet's ghost
+// receivers each once fixed by hand: a goroutine that outlives its Run
+// and corrupts the next one.
+// The discrete-event scheduler (internal/des) and the CPE mesh
+// (internal/sw26010, whose CPEs are coroutines resumed by the launching
+// goroutine) are deliberately NOT here: both run single-threaded, so a
+// `go` statement inside either is a finding, not a pooled runtime's
+// business.
 var pooledRuntimes = map[string]bool{
-	"sw26010": true,
-	"swnode":  true,
-	"simnet":  true,
+	"swnode": true,
+	"simnet": true,
 }
 
 // Straygo flags goroutine launches outside the pooled runtimes and
@@ -25,7 +26,7 @@ var pooledRuntimes = map[string]bool{
 func Straygo() *Analyzer {
 	return &Analyzer{
 		Name: "straygo",
-		Doc:  "flag go statements outside the pooled runtimes (sw26010, swnode, simnet) and cmd/",
+		Doc:  "flag go statements outside the pooled runtimes (swnode, simnet) and cmd/",
 		Run:  runStraygo,
 	}
 }
@@ -41,7 +42,7 @@ func runStraygo(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "goroutine launched outside the pooled runtimes: route the work through sw26010/swnode/simnet, or suppress with the join-point that bounds its lifetime")
+				p.Reportf(g.Pos(), "goroutine launched outside the pooled runtimes: route the work through swnode/simnet, or suppress with the join-point that bounds its lifetime")
 			}
 			return true
 		})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"swcaffe/internal/models"
@@ -50,23 +51,13 @@ type SumRow struct {
 	CPETime float64
 }
 
-// sumFixture is what SumAblation keeps between calls: the mesh and one
-// pair of vectors as long as the largest size, built on first use.
-var sumFixture struct {
-	sync.Mutex
-	cg          *sw26010.CoreGroup
-	acc, addend []float32
-}
-
 // SumAblation runs the Sec. V-A summation comparison functionally on
 // the simulator across payload sizes: the CPE path wins once the
 // descriptor latency amortizes, which is why swCaffe packs gradients
-// before reducing. The mesh and the two vectors (sliced per size; they
-// stay all-zero, and the simulated times depend only on lengths) are
-// retained for the life of the process — about 32 MiB and one 64-worker
-// pool after the first call; concurrent calls take turns on them.
+// before reducing. The rows are computed once per process (see
+// sumRows); every call prints and returns a copy of them.
 func SumAblation(w io.Writer) []SumRow {
-	rows := sumRows()
+	rows := slices.Clone(sumRows())
 	section(w, "Ablation: gradient summation on MPE vs CPE clusters")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "elements\tMPE\tCPE mesh\tspeedup")
@@ -77,23 +68,22 @@ func SumAblation(w io.Writer) []SumRow {
 	return rows
 }
 
-// sumRows times both summations at each size, on the fixture.
-func sumRows() (rows []SumRow) {
+// sumRows times both summations at each size, once per process: the
+// simulated times depend only on the lengths, so the kernel runs on one
+// pair of all-zero vectors as long as the largest size, sliced per
+// size, on a mesh that is closed afterwards.
+var sumRows = sync.OnceValue(func() (rows []SumRow) {
 	sizes := [...]int{1 << 10, 1 << 14, 1 << 18, 1 << 22}
-	f := &sumFixture
-	f.Lock()
-	defer f.Unlock()
-	if f.cg == nil {
-		f.cg = sw26010.NewCoreGroup(nil)
-		f.acc = make([]float32, sizes[len(sizes)-1])
-		f.addend = make([]float32, len(f.acc))
-	}
+	cg := sw26010.NewCoreGroup(nil)
+	defer cg.Close()
+	acc := make([]float32, sizes[len(sizes)-1])
+	addend := make([]float32, len(acc))
 	for _, n := range sizes {
-		cpe := swdnn.SumRun(f.cg, f.acc[:n], f.addend[:n])
-		rows = append(rows, SumRow{Elems: n, MPETime: swdnn.MPESumTime(f.cg.Model, n), CPETime: cpe})
+		cpe := swdnn.SumRun(cg, acc[:n], addend[:n])
+		rows = append(rows, SumRow{Elems: n, MPETime: swdnn.MPESumTime(cg.Model, n), CPETime: cpe})
 	}
 	return rows
-}
+})
 
 // MappingRow is one cell of the mapping sensitivity sweep.
 type MappingRow struct {

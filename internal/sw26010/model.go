@@ -12,10 +12,10 @@
 //     curves of paper Fig. 2, RLC costs) used by kernel planners to
 //     estimate execution time of full-scale layers.
 //   - CoreGroup/CPE: a functional simulator in which CPEs are
-//     goroutines with real LDM buffers, DMA copies and register-bus
-//     channels; every operation also advances a per-CPE simulated
-//     clock using the same Model, so small-shape functional runs
-//     cross-validate the planner estimates.
+//     coroutines, resumed by the launching goroutine, with real LDM
+//     buffers, DMA copies and register-bus FIFOs; every operation also
+//     advances a per-CPE simulated clock using the same Model, so
+//     small-shape functional runs cross-validate the planner estimates.
 package sw26010
 
 import "fmt"

@@ -246,9 +246,10 @@ func TestCloseStopsWorkers(t *testing.T) {
 }
 
 // TestMeshBuiltToDemand: a launch builds the CPEs it runs on and no
-// more — one, without bus FIFOs, for the one-CPE pass launches the
+// more — one, with no FIFO storage, for the one-CPE pass launches the
 // trainers make, where it used to build all 64 with their 1024 FIFOs
-// (2.5 MB) — later, larger launches extend the mesh and keep what is
+// (2.5 MB); a FIFO holds a backing array only once something is sent
+// on it — later, larger launches extend the mesh and keep what is
 // there, and a bus send to a position no launch has built panics
 // naming both CPEs.
 func TestMeshBuiltToDemand(t *testing.T) {
@@ -258,9 +259,9 @@ func TestMeshBuiltToDemand(t *testing.T) {
 	defer cg.Close()
 	cg.RunN(1, func(pe *CPE) { pe.ChargeFlops(8) })
 	first := cg.pes[0]
-	if n := runtime.NumGoroutine(); cg.built != 1 || n > base+1 || first.rowIn[1] != nil {
-		t.Fatalf("after RunN(1): %d CPEs built, %d worker goroutines, bus FIFOs %v, want 1, 1 and none (a mesh of one has no peers)",
-			cg.built, n-base, first.rowIn[1] != nil)
+	if n := runtime.NumGoroutine(); cg.built != 1 || n > base+1 || first.rowIn[1].q != nil {
+		t.Fatalf("after RunN(1): %d CPEs built, %d coroutines, bus FIFO storage %v, want 1, 1 and none (a mesh of one has no peers)",
+			cg.built, n-base, first.rowIn[1].q != nil)
 	}
 
 	msg := mustPanic(t, func() {
@@ -323,4 +324,100 @@ func TestReleaseRecyclesNewestSameSize(t *testing.T) {
 		pe.Release(8)
 		pe.Release(8)
 	})
+}
+
+// TestDeadlockPanicsNamingWaits: a launch whose unfinished CPEs all
+// wait panics instead of hanging, with one line per waiting CPE naming
+// the bus and its source or the barrier, and the CoreGroup stays
+// usable. The launch runs on its own goroutine under a deadline so an
+// engine that hangs fails the test instead of the suite.
+func TestDeadlockPanicsNamingWaits(t *testing.T) {
+	cg := NewCoreGroup(nil)
+	launch := func(n int, kernel func(pe *CPE)) (elapsed float64, panicked any) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { panicked = recover() }()
+			elapsed = cg.RunN(n, kernel)
+		}()
+		select {
+		case <-done:
+			return elapsed, panicked
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunN still blocked 10 s after every CPE began to wait")
+			return 0, nil
+		}
+	}
+	_, r := launch(4, func(pe *CPE) {
+		switch pe.ID {
+		case 0:
+			pe.RowRecv(1)
+		case 1:
+			pe.ColRecv(1)
+		case 2:
+			pe.Barrier()
+		}
+	})
+	msg, _ := r.(string)
+	for _, want := range []string{
+		"launch deadlocked",
+		"CPE(0,0) waits on the row bus from CPE(0,1)",
+		"CPE(0,1) waits on the column bus from CPE(1,1)",
+		"CPE(0,2) waits at the barrier",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock panic %q does not contain %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "CPE(0,3)") {
+		t.Errorf("deadlock panic %q names CPE(0,3), which finished", msg)
+	}
+	if lines := strings.Count(msg, "\n"); lines != 3 {
+		t.Errorf("deadlock panic has %d CPE lines, want 3: %q", lines, msg)
+	}
+
+	kernel := func(pe *CPE) {
+		pe.ChargeFlops(float64(pe.ID) * 100)
+		pe.Barrier()
+		if pe.Col == 0 {
+			pe.RowBroadcast([]float32{1})
+		} else {
+			pe.RowRecv(0)
+		}
+	}
+	fresh := NewCoreGroup(nil)
+	defer fresh.Close()
+	want := fresh.Run(kernel)
+	if got, r := launch(CPEsPerCG, kernel); r != nil || got != want {
+		t.Fatalf("after a deadlock: launch took %g and panicked with %v, want %g from a fresh CoreGroup", got, r, want)
+	}
+	cg.Close()
+}
+
+// TestWarmLaunchAllocatesNothing: a warm 64-CPE launch with row and
+// column broadcasts, receives and two barriers allocates nothing on the
+// host — no per-launch abort channel, no FIFO growth.
+func TestWarmLaunchAllocatesNothing(t *testing.T) {
+	cg := NewCoreGroup(nil)
+	defer cg.Close()
+	kernel := func(pe *CPE) {
+		buf := pe.Alloc(8)
+		defer pe.Release(8)
+		if pe.Col == 0 {
+			pe.RowBroadcast(buf)
+		} else {
+			pe.RowRecv(0)
+		}
+		pe.Barrier()
+		if pe.Row == 0 {
+			pe.ColBroadcast(buf)
+		} else {
+			pe.ColRecv(0)
+		}
+		pe.Barrier()
+	}
+	cg.Run(kernel)
+	if n := testing.AllocsPerRun(20, func() { cg.Run(kernel) }); n != 0 {
+		t.Fatalf("warm launch allocates %g objects, want 0", n)
+	}
 }

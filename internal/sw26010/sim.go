@@ -3,6 +3,8 @@ package sw26010
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"strings"
 	"sync"
 )
 
@@ -43,59 +45,52 @@ type message struct {
 	ts   float64 // sender's simulated clock when the message entered the bus
 }
 
-// errAborted is the sentinel panic value used to unwind CPE goroutines
-// blocked on buses or barriers when a peer's kernel panics. Workers
-// recover it and return to the pool; it never escapes to callers.
-var errAborted = errors.New("sw26010: launch aborted by peer panic")
+// fifo is one register-bus queue from one source CPE, in send order:
+// a plain slice that keeps its backing array across launches. Sends
+// never block (occupancy is not part of the timing model).
+type fifo struct {
+	q    []message
+	head int
+}
+
+// errAborted is the sentinel panic that unwinds the CPEs of an aborted
+// launch. runKernel recovers it; it never escapes to callers.
+var errAborted = errors.New("sw26010: launch aborted")
 
 // CoreGroup is one of the four CGs of an SW26010: an 8x8 CPE mesh plus
 // register buses. A CoreGroup is single-kernel: Run launches a kernel
 // across the mesh and returns its simulated execution time.
 //
-// Execution engine: the CPE structs, their bus channels and their
-// worker goroutines are created once and reused for every subsequent
-// launch (athread-style persistent thread pool). The mesh is built to
-// demand: a launch on n CPEs builds the positions below n that no
-// earlier launch has, so a CoreGroup that only ever runs one-CPE
-// launches pays for one CPE, not sixty-four. RunN is a dispatch/join
-// handshake over that pool; per-launch state (clock, stats, LDM
-// accounting) is reset in place, so steady-state launches allocate
-// nothing on the host. Launches on one CoreGroup are serialized by an
-// internal lock; simulated results are identical to spawning fresh
-// goroutines per launch, only the host-side cost differs. Call Close
-// when permanently done with a CoreGroup to stop its workers (optional
-// for process-lifetime groups).
+// Each CPE is a persistent coroutine (iter.Pull), built by the first
+// launch that reaches its position. RunN resumes the launch's CPEs on
+// the calling goroutine from a FIFO run queue, first in CPE-ID order; a
+// CPE runs until its kernel returns or it waits on an empty bus FIFO or
+// the barrier, and the send or last arrival that ends the wait queues
+// it again. Simulated time never depends on that order. Warm launches
+// allocate nothing; launches on one CoreGroup are serialized, and
+// different CoreGroups run concurrently.
 type CoreGroup struct {
 	Model *Model
-
-	// busDepth is the FIFO depth of each bus queue. The hardware FIFO
-	// is 4 messages deep; the functional simulator uses a deeper
-	// buffer purely to avoid host-side goroutine stalls (occupancy is
-	// not part of the timing model).
-	busDepth int
 
 	mu    sync.Mutex
 	stats Stats
 
-	// Persistent execution engine, built by the launches that first
-	// need it (see ensureWorkers): pes has all 64 mesh positions, of
-	// which the first built hold a CPE with its worker and, in a mesh
-	// of more than one (see wired), its bus FIFOs.
 	launchMu sync.Mutex // serializes launches on this CoreGroup
-	pes      []*CPE
+	pes      [CPEsPerCG]*CPE
 	built    int
-	barrier  *barrier
-	done     chan workerResult
 	closed   bool
 
-	// Per-launch state, written under launchMu before dispatch.
-	kernel    func(pe *CPE)
-	abort     chan struct{}
-	abortOnce *sync.Once
-}
-
-type workerResult struct {
-	panicMsg string // non-empty when the kernel panicked with a real error
+	// Per-launch state, touched only by the launching goroutine and the
+	// coroutines it resumes.
+	kernel          func(pe *CPE)
+	n, finished     int
+	runq            [CPEsPerCG]*CPE // ring: each CPE is queued at most once
+	runHead, runLen int
+	queued          int     // messages sent and not yet received
+	arrived         int     // barrier arrivals of the current generation
+	barrierMax      float64 // their maximum clock
+	aborted         bool
+	failure         string // why the launch aborted, for the caller's panic
 }
 
 // NewCoreGroup builds a CG around the given hardware model.
@@ -103,7 +98,7 @@ func NewCoreGroup(m *Model) *CoreGroup {
 	if m == nil {
 		m = Default()
 	}
-	return &CoreGroup{Model: m, busDepth: 64}
+	return &CoreGroup{Model: m}
 }
 
 // Stats returns the accumulated statistics of all kernels run so far.
@@ -120,23 +115,22 @@ func (cg *CoreGroup) ResetStats() {
 	cg.stats = Stats{}
 }
 
-// Close stops the worker pool. The CoreGroup must not be used after
-// Close. Closing a CoreGroup that never ran a kernel is a no-op;
-// Close is idempotent.
+// Close ends the CPE coroutines. The CoreGroup must not be used after
+// Close; Close is idempotent.
 func (cg *CoreGroup) Close() {
 	cg.launchMu.Lock()
 	defer cg.launchMu.Unlock()
 	if !cg.closed {
 		for _, pe := range cg.pes[:cg.built] {
-			close(pe.start)
+			pe.stop()
 		}
 	}
 	cg.closed = true
 }
 
 // CPE is one computing processing element executing inside a kernel.
-// All methods must be called only from the goroutine that runs the
-// kernel body for this CPE.
+// Its methods are called only from the kernel body running on it. CPEs
+// run one at a time: a kernel waits on peers only via buses and Barrier.
 type CPE struct {
 	Row, Col int // mesh coordinates, 0..7
 	ID       int // Row*8 + Col
@@ -151,18 +145,14 @@ type CPE struct {
 	ldmLive [][]float32 // outstanding Alloc buffers (recycling bookkeeping)
 	ldmFree [][]float32 // released buffers available for reuse
 
-	// sent/received count bus messages enqueued by / dequeued on this
-	// CPE; the engine compares the totals after a launch to decide
-	// whether any FIFO needs draining before the next launch.
-	sent     int64
-	received int64
+	rowIn [MeshDim]fifo // rowIn[srcCol]: messages from (Row, srcCol)
+	colIn [MeshDim]fifo // colIn[srcRow]: messages from (srcRow, Col)
 
-	rowIn [MeshDim]chan message // rowIn[srcCol]: messages from (Row, srcCol)
-	colIn [MeshDim]chan message // colIn[srcRow]: messages from (srcRow, Col)
-
-	start   chan struct{} // launch dispatch signal from the host
-	barrier *barrier
-	peers   []*CPE
+	resume      func() (struct{}, bool) // runs the coroutine to its next yield
+	stop        func()
+	yield       func(struct{}) bool
+	waitBus     *fifo // the empty FIFO this CPE is parked on, if any
+	waitBarrier bool  // parked at the barrier
 }
 
 // Clock returns the CPE's simulated time in seconds since kernel launch.
@@ -334,93 +324,81 @@ func (pe *CPE) chargeRLCRecv(ts float64, bytes int64) {
 	pe.stats.RLCTime += t
 }
 
-// busSend enqueues a message, aborting if the launch is unwinding
-// after a peer panic (so no sender blocks forever on a full FIFO).
-func (pe *CPE) busSend(ch chan message, msg message) {
-	pe.sent++
-	select {
-	case ch <- msg:
-		return
-	default:
+// send enqueues msg on to's row (or column) FIFO from pe, and queues
+// to if it waits on that FIFO.
+func (pe *CPE) send(to *CPE, row bool, msg message) {
+	f := &to.colIn[pe.Row]
+	if row {
+		f = &to.rowIn[pe.Col]
 	}
-	select {
-	case ch <- msg:
-	case <-pe.cg.abort:
-		panic(errAborted)
+	f.q = append(f.q, msg)
+	pe.cg.queued++
+	if to.waitBus == f {
+		to.waitBus = nil
+		pe.cg.ready(to)
 	}
 }
 
-// busRecv dequeues a message, aborting if the launch is unwinding.
-func (pe *CPE) busRecv(ch chan message) message {
-	pe.received++
-	select {
-	case msg := <-ch:
-		return msg
-	default:
+// recv dequeues the next message on f, parking while f is empty, and
+// charges its transfer. The popped slot is zeroed so a drained FIFO
+// holds no payload.
+func (pe *CPE) recv(f *fifo) []float32 {
+	for f.head == len(f.q) {
+		pe.waitBus = f
+		pe.park()
 	}
-	select {
-	case msg := <-ch:
-		return msg
-	case <-pe.cg.abort:
-		panic(errAborted)
+	msg := f.q[f.head]
+	f.q[f.head] = message{}
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
 	}
+	pe.cg.queued--
+	pe.chargeRLCRecv(msg.ts, int64(len(msg.data))*4)
+	return msg.data
 }
 
 // RowBroadcast sends data to every other CPE in the same row (the
 // hardware broadcast mode of the row register bus).
 func (pe *CPE) RowBroadcast(data []float32) {
-	ts := pe.chargeRLCSend(int64(len(data)) * 4)
-	msg := message{data: data, ts: ts}
-	for c := 0; c < MeshDim; c++ {
-		if c == pe.Col {
-			continue
+	msg := message{data, pe.chargeRLCSend(int64(len(data)) * 4)}
+	for c := range MeshDim {
+		if c != pe.Col {
+			pe.send(pe.peer(pe.Row, c), true, msg)
 		}
-		pe.busSend(pe.peer(pe.Row, c).rowIn[pe.Col], msg)
 	}
 }
 
 // RowRecv receives a message sent on this row by the CPE in column
 // fromCol (either broadcast or P2P).
-func (pe *CPE) RowRecv(fromCol int) []float32 {
-	msg := pe.busRecv(pe.rowIn[fromCol])
-	pe.chargeRLCRecv(msg.ts, int64(len(msg.data))*4)
-	return msg.data
-}
+func (pe *CPE) RowRecv(fromCol int) []float32 { return pe.recv(&pe.rowIn[fromCol]) }
 
 // RowSend performs a P2P transfer to (Row, toCol).
 func (pe *CPE) RowSend(toCol int, data []float32) {
 	if toCol == pe.Col {
 		panic("sw26010: RowSend to self")
 	}
-	ts := pe.chargeRLCSend(int64(len(data)) * 4)
-	pe.busSend(pe.peer(pe.Row, toCol).rowIn[pe.Col], message{data: data, ts: ts})
+	pe.send(pe.peer(pe.Row, toCol), true, message{data, pe.chargeRLCSend(int64(len(data)) * 4)})
 }
 
 // ColBroadcast sends data to every other CPE in the same column.
 func (pe *CPE) ColBroadcast(data []float32) {
-	ts := pe.chargeRLCSend(int64(len(data)) * 4)
-	msg := message{data: data, ts: ts}
-	for r := 0; r < MeshDim; r++ {
-		if r == pe.Row {
-			continue
+	msg := message{data, pe.chargeRLCSend(int64(len(data)) * 4)}
+	for r := range MeshDim {
+		if r != pe.Row {
+			pe.send(pe.peer(r, pe.Col), false, msg)
 		}
-		pe.busSend(pe.peer(r, pe.Col).colIn[pe.Row], msg)
 	}
 }
 
 // ColRecv receives a message sent on this column by the CPE in row
 // fromRow.
-func (pe *CPE) ColRecv(fromRow int) []float32 {
-	msg := pe.busRecv(pe.colIn[fromRow])
-	pe.chargeRLCRecv(msg.ts, int64(len(msg.data))*4)
-	return msg.data
-}
+func (pe *CPE) ColRecv(fromRow int) []float32 { return pe.recv(&pe.colIn[fromRow]) }
 
 // peer returns the CPE at (row, col), which must be one the launches
 // so far have built: the buses of a position no launch ever reached do
 // not exist.
 func (pe *CPE) peer(row, col int) *CPE {
-	if p := pe.peers[row*MeshDim+col]; p != nil {
+	if p := pe.cg.pes[row*MeshDim+col]; p != nil {
 		return p
 	}
 	panic(fmt.Sprintf("sw26010: CPE(%d,%d) sends to CPE(%d,%d), which no launch on this CoreGroup has built (the launch runs %d CPEs)",
@@ -428,81 +406,38 @@ func (pe *CPE) peer(row, col int) *CPE {
 }
 
 // Barrier synchronizes all CPEs of the launch and aligns their clocks
-// to the maximum (athread-style mesh synchronization).
+// to the maximum (athread-style mesh synchronization): every arrival
+// but the last parks, and the last releases the others at the maximum.
 func (pe *CPE) Barrier() {
-	pe.clock = pe.barrier.wait(pe.clock)
+	cg := pe.cg
+	if pe.clock > cg.barrierMax {
+		cg.barrierMax = pe.clock
+	}
+	if cg.arrived++; cg.arrived < cg.n {
+		pe.waitBarrier = true
+		pe.park()
+		return
+	}
+	for _, w := range cg.pes[:cg.n] {
+		if w.waitBarrier {
+			w.waitBarrier, w.clock = false, cg.barrierMax
+			cg.ready(w)
+		}
+	}
+	pe.clock = cg.barrierMax
+	cg.arrived, cg.barrierMax = 0, 0
 }
 
-// --- barrier ----------------------------------------------------------
-
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	maxT    float64
-	// release is the clock every waiter of the just-completed
-	// generation aligns to. Reading maxT directly after waking would
-	// race with fast CPEs that already entered the next generation and
-	// raised maxT, making simulated time scheduling-dependent (a bug
-	// the pre-pool engine had). release can only be overwritten when
-	// the next generation completes, which requires every waiter of
-	// this generation to have returned first — so it is stable.
-	release float64
-	gen     int
-	aborted bool
-}
-
-func newBarrier() *barrier {
-	b := &barrier{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// reset prepares the barrier for a fresh launch of n participants.
-func (b *barrier) reset(n int) {
-	b.mu.Lock()
-	b.n = n
-	b.waiting = 0
-	b.maxT = 0
-	b.release = 0
-	b.aborted = false
-	b.mu.Unlock()
-}
-
-// abortAll wakes every waiter; they unwind with errAborted.
-func (b *barrier) abortAll() {
-	b.mu.Lock()
-	b.aborted = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *barrier) wait(t float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
+// park yields to the launching goroutine until a peer makes pe
+// runnable, and unwinds with errAborted if the launch is aborted.
+func (pe *CPE) park() {
+	if !pe.cg.aborted {
+		pe.yield(struct{}{})
+	}
+	if pe.cg.aborted {
+		pe.waitBus, pe.waitBarrier = nil, false
 		panic(errAborted)
 	}
-	if t > b.maxT {
-		b.maxT = t
-	}
-	b.waiting++
-	gen := b.gen
-	if b.waiting == b.n {
-		b.waiting = 0
-		b.release = b.maxT
-		b.gen++
-		b.cond.Broadcast()
-		return b.release
-	}
-	for gen == b.gen && !b.aborted {
-		b.cond.Wait()
-	}
-	if b.aborted {
-		panic(errAborted)
-	}
-	return b.release
 }
 
 // --- kernel launch ----------------------------------------------------
@@ -514,106 +449,99 @@ func (cg *CoreGroup) Run(kernel func(pe *CPE)) float64 {
 	return cg.RunN(CPEsPerCG, kernel)
 }
 
-// ensureWorkers extends the persistent mesh to the first n positions:
-// a CPE struct and its worker goroutine for each position in
-// [built, n), and the bus FIFOs of every built CPE that lacks them —
-// unless the mesh is a single CPE, which has nobody to hear from (the
-// 16 FIFOs are 34 kB, nearly all a CPE costs, and the trainers' pass
-// launches never run a second one). Every CPE sees the whole position
-// table, so one built by an earlier launch reaches the new ones. Runs
-// under launchMu, before the dispatch whose start signal publishes the
-// new entries to the workers.
-func (cg *CoreGroup) ensureWorkers(n int) {
-	wired := cg.wired()
-	if cg.pes == nil {
-		cg.pes = make([]*CPE, CPEsPerCG)
-		cg.barrier = newBarrier()
-		cg.done = make(chan workerResult, CPEsPerCG)
-	}
+// build extends the mesh to the first n positions: a CPE and its
+// coroutine for each position in [built, n).
+func (cg *CoreGroup) build(n int) {
 	for i := cg.built; i < n; i++ {
-		pe := &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, cg: cg,
-			barrier: cg.barrier, start: make(chan struct{}, 1), peers: cg.pes}
+		pe := &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, cg: cg}
+		pe.resume, pe.stop = iter.Pull(pe.run)
 		cg.pes[i] = pe
-		go cg.worker(pe)
 	}
 	cg.built = max(cg.built, n)
-	for _, pe := range cg.pes[wired:cg.wired()] {
-		for j := 0; j < MeshDim; j++ {
-			pe.rowIn[j] = make(chan message, cg.busDepth)
-			pe.colIn[j] = make(chan message, cg.busDepth)
-		}
+}
+
+// run is pe's coroutine: one kernel per launch, until Close stops it.
+func (pe *CPE) run(yield func(struct{}) bool) {
+	pe.yield = yield
+	for more := true; more; more = yield(struct{}{}) {
+		pe.cg.runKernel(pe)
+		pe.cg.finished++
 	}
 }
 
-// wired is how many of the built CPEs have their bus FIFOs: all of
-// them, or none while the mesh is a single CPE.
-func (cg *CoreGroup) wired() int {
-	if cg.built > 1 {
-		return cg.built
-	}
-	return 0
-}
-
-// worker is the persistent goroutine of one CPE: it waits for a
-// dispatch signal, runs the launch's kernel, reports, and loops.
-func (cg *CoreGroup) worker(pe *CPE) {
-	for range pe.start {
-		cg.done <- workerResult{panicMsg: cg.runKernel(pe)}
-	}
-}
-
-// runKernel executes the current kernel on pe, converting a panic into
-// a report for the host. A real kernel panic triggers launch abort so
-// peers blocked on buses or barriers unwind instead of leaking.
-func (cg *CoreGroup) runKernel(pe *CPE) (panicMsg string) {
+// runKernel executes the kernel on pe unless the launch is aborted. The
+// first real kernel panic is recorded for the caller and aborts it.
+func (cg *CoreGroup) runKernel(pe *CPE) {
 	defer func() {
-		if r := recover(); r != nil {
-			if r == errAborted {
-				return // unwound by a peer's panic; nothing to report
-			}
-			panicMsg = fmt.Sprintf("CPE(%d,%d): %v", pe.Row, pe.Col, r)
-			cg.abortLaunch()
+		if r := recover(); r != nil && r != errAborted && !cg.aborted {
+			cg.failure = fmt.Sprintf("kernel panic on CPE(%d,%d): %v", pe.Row, pe.Col, r)
+			cg.abort()
 		}
 	}()
-	cg.kernel(pe)
-	return ""
+	if !cg.aborted {
+		cg.kernel(pe)
+	}
 }
 
-// abortLaunch unblocks every CPE of the current launch exactly once.
-func (cg *CoreGroup) abortLaunch() {
-	cg.abortOnce.Do(func() {
-		close(cg.abort)
-		cg.barrier.abortAll()
-	})
+// ready appends pe to the run queue.
+func (cg *CoreGroup) ready(pe *CPE) {
+	cg.runq[(cg.runHead+cg.runLen)%CPEsPerCG] = pe
+	cg.runLen++
 }
 
-// drainBuses empties every bus FIFO so a leftover message cannot leak
-// into the next launch (after a panic, or when a kernel enqueued more
-// messages than its peers consumed).
-func (cg *CoreGroup) drainBuses() {
-	for _, pe := range cg.pes[:cg.wired()] {
-		for j := 0; j < MeshDim; j++ {
-			for len(pe.rowIn[j]) > 0 {
-				<-pe.rowIn[j]
-			}
-			for len(pe.colIn[j]) > 0 {
-				<-pe.colIn[j]
+// schedule resumes queued CPEs until the run queue is empty.
+func (cg *CoreGroup) schedule() {
+	for cg.runLen > 0 {
+		pe := cg.runq[cg.runHead]
+		cg.runHead = (cg.runHead + 1) % CPEsPerCG
+		cg.runLen--
+		pe.resume()
+	}
+}
+
+// abort marks the launch aborted and queues every parked CPE, which
+// unwinds with errAborted when resumed.
+func (cg *CoreGroup) abort() {
+	cg.aborted = true
+	for _, pe := range cg.pes[:cg.n] {
+		if pe.waitBus != nil || pe.waitBarrier {
+			pe.waitBus, pe.waitBarrier = nil, false
+			cg.ready(pe)
+		}
+	}
+}
+
+// deadlock describes a launch whose unfinished CPEs all wait: one line
+// per CPE naming the bus and its source, or the barrier.
+func (cg *CoreGroup) deadlock() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "launch deadlocked: %d of %d CPEs wait and none can run", cg.n-cg.finished, cg.n)
+	for _, pe := range cg.pes[:cg.n] {
+		if pe.waitBarrier {
+			fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits at the barrier", pe.Row, pe.Col)
+		}
+		for j := range MeshDim {
+			switch pe.waitBus {
+			case &pe.rowIn[j]:
+				fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits on the row bus from CPE(%d,%d)", pe.Row, pe.Col, pe.Row, j)
+			case &pe.colIn[j]:
+				fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits on the column bus from CPE(%d,%d)", pe.Row, pe.Col, j, pe.Col)
 			}
 		}
 	}
+	return b.String()
 }
 
 // RunN launches kernel on the first n CPEs in row-major order. Only
 // they participate, and DMA contention is charged for n active CPEs; a
 // register-bus send may also target a position an earlier, larger
-// launch built (the message is drained afterwards), but one to a
+// launch built (the message is dropped afterwards), but one to a
 // position no launch has reached panics.
 //
-// RunN dispatches onto the persistent worker pool; concurrent calls on
-// one CoreGroup are serialized. If the kernel panics on any CPE the
-// launch is aborted, every worker returns to the pool (no goroutine
-// leaks), the buses are drained, and the panic is re-raised on the
-// calling goroutine; the CoreGroup remains usable.
+// Concurrent calls on one CoreGroup are serialized. If the kernel
+// panics on any CPE, or every unfinished CPE waits (deadlock), the
+// launch aborts: every CPE unwinds, the buses are emptied, and the
+// panic is re-raised on the caller; the CoreGroup remains usable.
 func (cg *CoreGroup) RunN(n int, kernel func(pe *CPE)) float64 {
 	if n <= 0 || n > CPEsPerCG {
 		panic(fmt.Sprintf("sw26010: RunN n=%d out of range", n))
@@ -623,53 +551,44 @@ func (cg *CoreGroup) RunN(n int, kernel func(pe *CPE)) float64 {
 	if cg.closed {
 		panic("sw26010: RunN on a closed CoreGroup")
 	}
-	cg.ensureWorkers(n)
+	cg.build(n)
 
-	// Reset per-launch state in place.
-	cg.kernel = kernel
-	cg.abort = make(chan struct{})
-	cg.abortOnce = new(sync.Once)
-	cg.barrier.reset(n)
-	for i := 0; i < n; i++ {
-		pe := cg.pes[i]
+	// Reset per-launch state in place and queue the CPEs in ID order.
+	cg.kernel, cg.n = kernel, n
+	cg.finished, cg.arrived, cg.barrierMax = 0, 0, 0
+	cg.aborted, cg.failure = false, ""
+	for i, pe := range cg.pes[:n] {
 		pe.Active = n
 		pe.clock = 0
 		pe.stats = Stats{}
 		pe.ldmUsed, pe.ldmPeak = 0, 0
 		pe.ldmLive = pe.ldmLive[:0]
-		pe.sent, pe.received = 0, 0
+		cg.runq[i] = pe
 	}
-
-	// Dispatch and join.
-	for i := 0; i < n; i++ {
-		cg.pes[i].start <- struct{}{}
+	cg.runHead, cg.runLen = 0, n
+	cg.schedule()
+	if cg.finished < n {
+		cg.failure = cg.deadlock()
+		cg.abort()
+		cg.schedule()
 	}
-	var panicMsg string
-	for i := 0; i < n; i++ {
-		if r := <-cg.done; r.panicMsg != "" && panicMsg == "" {
-			panicMsg = r.panicMsg
-		}
-	}
-	if panicMsg != "" {
-		cg.drainBuses()
-		panic("sw26010: kernel panic on " + panicMsg)
-	}
+	cg.kernel = nil
 
 	// A well-formed kernel consumes every message it sends; if not,
-	// drain so the next launch starts with empty FIFOs.
-	var sent, received int64
-	for i := 0; i < n; i++ {
-		sent += cg.pes[i].sent
-		received += cg.pes[i].received
+	// drop the FIFOs so the next launch starts clean.
+	if cg.queued != 0 {
+		for _, pe := range cg.pes[:cg.built] {
+			pe.rowIn, pe.colIn = [MeshDim]fifo{}, [MeshDim]fifo{}
+		}
+		cg.queued = 0
 	}
-	if sent != received {
-		cg.drainBuses()
+	if cg.failure != "" {
+		panic("sw26010: " + cg.failure)
 	}
 
 	var maxClock float64
 	var agg Stats
-	for i := 0; i < n; i++ {
-		pe := cg.pes[i]
+	for _, pe := range cg.pes[:n] {
 		if pe.clock > maxClock {
 			maxClock = pe.clock
 		}

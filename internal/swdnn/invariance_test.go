@@ -1,6 +1,6 @@
 package swdnn_test
 
-// Engine-invariance harness. The execution engine (worker pool, plan
+// Engine-invariance harness. The execution engine (CPE coroutines, plan
 // cache, buffer pools) is host-side machinery only: simulated kernel
 // times and Stats must be bit-identical to the seed implementation.
 // This test runs a representative set of functional kernels and
@@ -278,7 +278,7 @@ func TestEngineInvariance(t *testing.T) {
 
 // TestEngineDeterminism runs the same kernel twice on one CoreGroup
 // and on a fresh CoreGroup and demands identical simulated times:
-// engine reuse (the persistent worker pool) must be invisible.
+// engine reuse (the persistent CPE coroutines) must be invisible.
 func TestEngineDeterminism(t *testing.T) {
 	mk := func() ([]float32, []float32, []float32) {
 		a := make([]float32, 96*96)

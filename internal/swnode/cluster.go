@@ -24,7 +24,7 @@ type Cluster struct {
 }
 
 // NewCluster builds p simulated nodes around one hardware model (nil
-// selects the calibrated default). CPE worker pools spin up lazily on
+// selects the calibrated default). CPE coroutines are built lazily by
 // each node's first launch, so an idle cluster costs no goroutines.
 func NewCluster(p int, m *sw26010.Model) *Cluster { return newCluster(p, m, NewNode) }
 
@@ -93,7 +93,7 @@ func (c *Cluster) Sync() {
 	}
 }
 
-// Close drains every node and stops its CPE worker pools. The cluster
+// Close drains every node and ends its CPE coroutines. The cluster
 // must not be used afterwards.
 func (c *Cluster) Close() {
 	for _, n := range c.nodes {

@@ -7,8 +7,9 @@
 // The design splits wall-clock concurrency from simulated time:
 //
 //   - Launches placed on different CoreGroups execute concurrently on
-//     the host (each CoreGroup owns its persistent CPE worker pool), so
-//     independent kernels overlap in real time.
+//     the host (each CoreGroup's CPEs are coroutines resumed by the
+//     goroutine running its launch), so independent kernels overlap in
+//     real time.
 //   - Simulated clocks stay deterministic: a launch's modeled interval
 //     [SimStart, SimEnd] is derived from a dependency DAG fixed
 //     synchronously at Launch time (program order within a Stream,
@@ -53,8 +54,8 @@ type Node struct {
 }
 
 // NewNode builds a node of four CoreGroups around one hardware model
-// (nil selects the calibrated default). The CoreGroups' CPE worker
-// pools are created lazily by their first launch.
+// (nil selects the calibrated default). The CoreGroups' CPE
+// coroutines are created lazily by their first launch.
 func NewNode(m *sw26010.Model) *Node {
 	n := newNode(m, false)
 	for i := range n.cgs {
@@ -185,8 +186,8 @@ func (n *Node) Stats() sw26010.Stats {
 	return agg
 }
 
-// Close drains outstanding launches and stops the CoreGroup worker
-// pools. The node must not be used afterwards. Close is idempotent —
+// Close drains outstanding launches and ends the CoreGroups' CPE
+// coroutines. The node must not be used afterwards. Close is idempotent —
 // a node reached through both a direct handle and Cluster.Close (the
 // shrink protocol closes a failed rank's node before the cluster
 // winds down) drains exactly once. The closed flag is set before the

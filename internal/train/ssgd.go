@@ -857,7 +857,7 @@ func (t *CGTrainer) fetchInput() {
 	t.ExposedReadTime += exposed
 }
 
-// Close stops the node's CPE worker pools (and the input-pipeline
+// Close ends the node's CPE coroutines (and the input-pipeline
 // feeder, if attached). The trainer must not be used after Close.
 func (t *CGTrainer) Close() {
 	if t.feeder != nil {
