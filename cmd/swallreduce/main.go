@@ -103,6 +103,11 @@ func main() {
 	alg := flag.String("alg", allreduce.NameRHD, "algorithm: ring | binomial-tree | recursive-halving-doubling | hierarchical (hier)")
 	q := flag.Int("q", 16, "supernode size for the crossings table (TaihuLight's q=256 needs -nodes > 256 to cross)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "swallreduce: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	// -bytes is a float: NaN must fail too, so test for the good range.
 	// Its cap keeps 2·p·bytes, the traffic census, inside an int64 up
 	// to p = 4096.

@@ -73,3 +73,18 @@ func TestGoodRun(t *testing.T) {
 		t.Errorf("live-run section missing from the output:\n%s", stdout)
 	}
 }
+
+// TestStrayArgumentExitsTwo: swallreduce takes no positional arguments, so a
+// stray one is refused with usage on stderr rather than ignored.
+func TestStrayArgumentExitsTwo(t *testing.T) {
+	stdout, stderr, exit, err := run("-nodes", "8", "bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exit != 2 || stdout != "" {
+		t.Errorf("exit %d with %d bytes on stdout, want exit 2 and none", exit, len(stdout))
+	}
+	if !strings.HasPrefix(stderr, "swallreduce: unexpected argument \"bogus\"\n") || !strings.Contains(stderr, "Usage of ") {
+		t.Errorf("stderr does not name the argument and print usage:\n%s", stderr)
+	}
+}

@@ -16,6 +16,11 @@ import (
 func main() {
 	verify := flag.Bool("verify", true, "cross-check the model against the functional simulator")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "swdma: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	experiments.Figure2(os.Stdout)
 	if !*verify {

@@ -20,6 +20,11 @@ func main() {
 	device := flag.String("device", "sw26010", "sw26010 | k40m | cpu | knl")
 	verbose := flag.Bool("v", false, "print every layer (default: conv/fc/pool only)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "swmodel: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *batch < 1 {
 		fmt.Fprintln(os.Stderr, "swmodel: -batch must be at least 1")

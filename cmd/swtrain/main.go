@@ -75,6 +75,11 @@ func main() {
 	stripeCount := flag.Int("stripes", 0, "with -io: dataset stripe count on the 32 disk arrays (0 = multi-node stripe advisor picks it; -cg4 defaults to single-split)")
 	ioBatchKB := flag.Int("io-batch-kb", 0, "with -io: modeled mini-batch bytes per reader in KB (0 = the actual input tensor size)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "swtrain: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Usage errors are refused up front, before any output, with one
 	// stderr line and exit status 2 (the flag package's own).

@@ -456,10 +456,7 @@ func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diver
 		for i := first; i < len(e.offs) && e.offs[i] < hi; i++ {
 			off := e.offs[i]
 			a, b := max(off, lo), min(off+e.cfg.Params[i].Elems, hi)
-			diff := grad[i][a-off : b-off]
-			for j, v := range vec[a-lo : b-lo] {
-				diff[j] = v * inv
-			}
+			f32.Scale(grad[i][a-off:b-off], vec[a-lo:b-lo], inv)
 		}
 	}
 	for _, vec := range outs[len(grads):] {

@@ -212,6 +212,64 @@ func TestSolverMomentumUpdateMath(t *testing.T) {
 	}
 }
 
+// TestSolverUpdateBitsOverSteps runs three momentum-SGD steps with
+// weight decay and the biases' LRMult 2 / DecayMult 0, and compares
+// every weight and history element bit for bit with Caffe's update
+// written out here. Momentum, the learning rates and the decay all
+// differ, and the history is nonzero from the second step, so passing
+// any two of them to the update in each other's place changes bits.
+func TestSolverUpdateBitsOverSteps(t *testing.T) {
+	net, inputs := buildTinyNet(t, 4)
+	rng := rand.New(rand.NewSource(35))
+	inputs["data"].FillGaussian(rng, 0, 1)
+	for i := range inputs["label"].Data {
+		inputs["label"].Data[i] = float32(i % 3)
+	}
+	cfg := SolverConfig{BaseLR: 0.05, Momentum: 0.9, WeightDecay: 0.01}
+	solver := NewSolver(net, cfg)
+	params := net.LearnableParams()
+	hist := make([][]float32, len(params))
+	biases := 0
+	for k, p := range params {
+		hist[k] = make([]float32, len(p.Data.Data))
+		if p.LRMult == 2 && p.DecayMult == 0 {
+			biases++
+		}
+	}
+	if biases != 2 {
+		t.Fatalf("%d params with LRMult 2 / DecayMult 0, want the conv and IP biases", biases)
+	}
+	mom := float32(cfg.Momentum)
+	for step := 0; step < 3; step++ {
+		net.ZeroParamDiffs()
+		net.Forward(Train)
+		net.Backward(Train)
+		want := make([][]float32, len(params))
+		for k, p := range params {
+			lr := float32(cfg.BaseLR * p.LRMult)
+			decay := float32(cfg.WeightDecay * p.DecayMult)
+			w := append([]float32(nil), p.Data.Data...)
+			for i, g := range p.Diff.Data {
+				g += float32(decay * w[i])
+				hist[k][i] = float32(mom*hist[k][i]) + float32(lr*g)
+				w[i] -= hist[k][i]
+			}
+			want[k] = w
+		}
+		solver.ApplyUpdate()
+		for k, p := range params {
+			h := solver.History(p).Data
+			for i := range want[k] {
+				if math.Float32bits(p.Data.Data[i]) != math.Float32bits(want[k][i]) ||
+					math.Float32bits(h[i]) != math.Float32bits(hist[k][i]) {
+					t.Fatalf("step %d param %d elem %d: w %g h %g, want w %g h %g",
+						step, k, i, p.Data.Data[i], h[i], want[k][i], hist[k][i])
+				}
+			}
+		}
+	}
+}
+
 func TestSolverGradientClipping(t *testing.T) {
 	net, inputs := buildTinyNet(t, 4)
 	rng := rand.New(rand.NewSource(23))

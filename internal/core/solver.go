@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"swcaffe/internal/f32"
 	"swcaffe/internal/tensor"
 )
 
@@ -97,13 +98,7 @@ func (s *Solver) ApplyUpdate() {
 		h := s.historyFor(p)
 		localLR := float32(lr * p.LRMult)
 		decay := float32(s.cfg.WeightDecay * p.DecayMult)
-		mom := float32(s.cfg.Momentum)
-		for i, g := range p.Diff.Data {
-			// Caffe: h = momentum*h + lr*(g + decay*w); w -= h
-			g += decay * p.Data.Data[i]
-			h.Data[i] = mom*h.Data[i] + localLR*g
-			p.Data.Data[i] -= h.Data[i]
-		}
+		f32.SGD(p.Data.Data, h.Data, p.Diff.Data, decay, localLR, float32(s.cfg.Momentum))
 	}
 	s.iter++
 }

@@ -1,9 +1,10 @@
 // Package f32 holds the elementwise float32 loops under the training
 // step and the collectives: the reduce that lands a received payload,
-// the ReLU forward and backward, and the bitwise replica compare.
+// the ReLU forward and backward, the scale that averages a reduced
+// gradient, the momentum-SGD update and the bitwise replica compare.
 //
 // Each arithmetic primitive has one portable body here (addGo, reluGo,
-// reluGradGo), compiled on every GOARCH. The body it runs comes from
+// reluGradGo, scaleGo, sgdGo), compiled on every GOARCH. The body it runs comes from
 // f32_amd64.s on amd64, where the arithmetic is packed SSE2, and from
 // f32_noasm.go elsewhere, where it is the portable body itself. The two
 // give the same bits: every lane is one element and sees exactly the
@@ -39,6 +40,22 @@ func ReLU(out, in []float32, s float32) { relu(out, in[:len(out)], s) }
 func ReLUGrad(dx, in, dy []float32, s float32) {
 	n := len(dx)
 	reluGrad(dx, in[:n], dy[:n], s)
+}
+
+// Scale sets dst[i] to s·src[i] for i < len(dst). src must have at
+// least len(dst) elements; it may be dst itself.
+func Scale(dst, src []float32, s float32) { scale(dst, src[:len(dst)], s) }
+
+// SGD is Caffe's momentum-SGD update of the weights w with history h
+// and gradient g, for i < len(w):
+//
+//	g' = g[i] + decay·w[i]; h[i] = mom·h[i] + lr·g'; w[i] −= h[i]
+//
+// Every product is rounded before the add that consumes it, and g is
+// left as it was. h and g must have at least len(w) elements.
+func SGD(w, h, g []float32, decay, lr, mom float32) {
+	n := len(w)
+	sgd(w, h[:n], g[:n], decay, lr, mom)
 }
 
 // BitsEqual reports whether a and b have the same length and the same
@@ -83,5 +100,26 @@ func reluGradGo(dx, in, dy []float32, s float32) {
 		} else {
 			dx[i] += float32(s * dy[i])
 		}
+	}
+}
+
+// scaleGo is Scale's portable body; len(src) == len(dst).
+func scaleGo(dst, src []float32, s float32) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = s * v
+	}
+}
+
+// sgdGo is SGD's portable body; h and g have len(w) elements. Each
+// product is rounded explicitly, so that no target fuses it into the
+// add that follows.
+func sgdGo(w, h, g []float32, decay, lr, mom float32) {
+	h, g = h[:len(w)], g[:len(w)]
+	for i, v := range g {
+		v += float32(decay * w[i])
+		hi := float32(mom*h[i]) + float32(lr*v)
+		h[i] = hi
+		w[i] -= hi
 	}
 }

@@ -19,3 +19,13 @@ func relu(out, in []float32, s float32)
 //
 //go:noescape
 func reluGrad(dx, in, dy []float32, s float32)
+
+// scale sets dst[i] = s·src[i].
+//
+//go:noescape
+func scale(dst, src []float32, s float32)
+
+// sgd applies h[i] = mom·h[i] + lr·(g[i] + decay·w[i]); w[i] −= h[i].
+//
+//go:noescape
+func sgd(w, h, g []float32, decay, lr, mom float32)

@@ -122,6 +122,40 @@ func TestPrimitivesMatchGoLoops(t *testing.T) {
 	}
 }
 
+// SGD and Scale run over whole parameters, so they are checked on
+// lengths well past the unrolled blocks, with every scalar drawn from
+// value: subnormals, ±0, ±Inf and NaN included.
+func TestSGDAndScaleMatchGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for rep := 0; rep < 3; rep++ {
+		for n := 0; n <= 300; n++ {
+			src, s := operand(rng, n), value(rng)
+			want, got := operand(rng, n), operand(rng, n)
+			scaleGo(want, src, s)
+			Scale(got, src, s)
+			compare(t, fmt.Sprintf("Scale n=%d s=%g", n, s), got, want)
+
+			want, got = clone(src), clone(src)
+			scaleGo(want, want, s)
+			Scale(got, got, s)
+			compare(t, fmt.Sprintf("in-place Scale n=%d s=%g", n, s), got, want)
+
+			w, h, g := operand(rng, n), operand(rng, n), operand(rng, n)
+			decay, lr, mom := value(rng), value(rng), value(rng)
+			wantW, wantH, gotW, gotH := clone(w), clone(h), clone(w), clone(h)
+			gIn := clone(g)
+			sgdGo(wantW, wantH, g, decay, lr, mom)
+			SGD(gotW, gotH, g, decay, lr, mom)
+			what := fmt.Sprintf("SGD n=%d decay=%g lr=%g mom=%g", n, decay, lr, mom)
+			compare(t, what+" w", gotW, wantW)
+			compare(t, what+" h", gotH, wantH)
+			if !BitsEqual(g[:cap(g)], gIn[:cap(g)]) {
+				t.Fatalf("%s: wrote the gradient", what)
+			}
+		}
+	}
+}
+
 // The Go loops themselves are the layer's old branches: v where 0 < v,
 // s·v elsewhere, NaN and both zeros included.
 func TestReLUSelectsAsTheBranch(t *testing.T) {
@@ -154,6 +188,9 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		{"ReLU", func() { ReLU(long, short, 0) }},
 		{"ReLUGrad in", func() { ReLUGrad(long, short, long, 0) }},
 		{"ReLUGrad dy", func() { ReLUGrad(long, long, short, 0) }},
+		{"Scale", func() { Scale(long, short, 2) }},
+		{"SGD h", func() { SGD(long, short, long, 0, 1, 0) }},
+		{"SGD g", func() { SGD(long, long, short, 0, 1, 0) }},
 	} {
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
@@ -198,6 +235,8 @@ func TestPrimitivesAllocateNothing(t *testing.T) {
 		{"Add", func() { Add(a, b) }},
 		{"ReLU", func() { ReLU(a, b, 0.01) }},
 		{"ReLUGrad", func() { ReLUGrad(a, b, c, 0.01) }},
+		{"Scale", func() { Scale(a, b, 0.5) }},
+		{"SGD", func() { SGD(a, b, c, 0.01, 0.1, 0.9) }},
 		{"BitsEqual", func() { BitsEqual(a, b) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, f.f); allocs != 0 {

@@ -10,6 +10,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"swcaffe/internal/f32"
 )
 
 // Rand is the randomness source the Fill* initializers draw from.
@@ -168,11 +170,7 @@ func (t *Tensor) FillMSRA(rng Rand, fanIn int) {
 }
 
 // Scale multiplies every element by s.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
+func (t *Tensor) Scale(s float32) { f32.Scale(t.Data, t.Data, s) }
 
 // AXPY computes t += alpha*o elementwise. Shapes must match; layouts
 // must match so that linear indices correspond.
