@@ -86,9 +86,9 @@ func (g *effGrid) at(minC, ci int) float64 {
 	fw := clampRange(float64(ci), g.widths)
 	c0, c1, ct := interpIdx(fc, g.chans)
 	w0, w1, wt := interpIdx(fw, g.widths)
-	e0 := g.grid[c0][w0]*(1-wt) + g.grid[c0][w1]*wt
-	e1 := g.grid[c1][w0]*(1-wt) + g.grid[c1][w1]*wt
-	return e0*(1-ct) + e1*ct
+	e0 := float64(g.grid[c0][w0]*(1-wt)) + float64(g.grid[c0][w1]*wt)
+	e1 := float64(g.grid[c1][w0]*(1-wt)) + float64(g.grid[c1][w1]*wt)
+	return float64(e0*(1-ct)) + float64(e1*ct)
 }
 
 // implicitEffGrid: fractions of CG peak sustained by the implicit
@@ -216,9 +216,9 @@ func convImplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	// is re-fetched per output-row block. The RCNB layout makes the
 	// mini-batch the innermost dimension, so the strided block
 	// granularity is B elements.
-	inBytes := 4 * float64(s.B*s.Ni*s.Ri*s.Ci)
-	outBytes := 4 * float64(s.B*s.No*ro*co)
-	filterBytes := 4 * float64(s.No*s.Ni*s.K*s.K) * float64(ro)
+	inBytes := float64(4 * float64(s.B*s.Ni*s.Ri*s.Ci))
+	outBytes := float64(4 * float64(s.B*s.No*ro*co))
+	filterBytes := float64(4 * float64(s.No*s.Ni*s.K*s.K) * float64(ro))
 	block := int64(s.B * 4)
 	bw := hw.DMABandwidth(sw26010.DMAGet, int64(hw.LDMBudget/2), sw26010.CPEsPerCG, block)
 	dma := (inBytes + outBytes + filterBytes) / bw
@@ -262,11 +262,11 @@ func convExplicitPlan(hw *sw26010.Model, s ConvShape, pass Pass) Plan {
 	// Streamed volumes: input read, output written, plus the column
 	// buffer written and re-read when lowering is needed.
 	kdim := s.K * s.K * s.Ni
-	inBytes := 4 * float64(s.B*s.Ni*s.Ri*s.Ci)
-	outBytes := 4 * float64(s.B*s.No*ro*co)
+	inBytes := float64(4 * float64(s.B*s.Ni*s.Ri*s.Ci))
+	outBytes := float64(4 * float64(s.B*s.No*ro*co))
 	colBytes := 0.0
 	if !(s.K == 1 && s.S == 1 && s.P == 0) {
-		colBytes = 2 * 4 * float64(s.B) * float64(kdim) * float64(ro*co)
+		colBytes = float64(2 * 4 * float64(s.B) * float64(kdim) * float64(ro*co))
 	}
 	rowBlock := int64(co * 4)
 	bw := hw.DMABandwidth(sw26010.DMAGet, int64(hw.LDMBudget/2), sw26010.CPEsPerCG, rowBlock)

@@ -68,3 +68,13 @@ func col2imNaive(col []float32, s ConvShape, dst []float32) {
 		}
 	}
 }
+
+// withGoGEMMs runs f with the reference GEMMs dispatched to their
+// portable bodies, as on a CPU without AVX, and then restores the
+// choice made at init.
+func withGoGEMMs(f func()) {
+	saved := useAVX
+	useAVX = false
+	defer func() { useAVX = saved }()
+	f()
+}

@@ -154,8 +154,9 @@ func gemmPadded(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n int) float64 {
 
 // microGEMM is the host-side stand-in for the CPE's register-blocked
 // SIMD inner loop: ct[tm×tn] += a[tm×tk]·b[tk×tn]. It is RefGEMM's body
-// without the argument check (gemmPadded sizes every tile): packed SSE2
-// on amd64, gemmNNGo elsewhere, the same bits either way.
+// without the argument check (gemmPadded sizes every tile): one AVX
+// call on amd64 CPUs that have AVX, gemmNNGo elsewhere, the same bits
+// either way.
 func microGEMM(ct, a, b []float32, tm, tk, tn int) {
 	gemmNN(a, b, ct, tm, tk, tn)
 }
@@ -185,10 +186,10 @@ func searchGEMMBlocks(hw *sw26010.Model, m, k, n int) (bm, bk, bn int) {
 					continue
 				}
 				flops := 2.0 * float64(cm) * float64(ck) * float64(cn)
-				bytes := 4.0 * (float64(cm)*float64(ck) + float64(ck)*float64(cn) + 2*float64(cm)*float64(cn))
+				bytes := 4.0 * (float64(float64(cm)*float64(ck)) + float64(float64(ck)*float64(cn)) + float64(2*float64(cm)*float64(cn)))
 				score := flops / bytes
 				// Prefer larger tiles at equal ratio (better DMA block sizes).
-				score += 1e-6 * float64(tm*tn)
+				score += float64(1e-6 * float64(tm*tn))
 				if score > best {
 					best, bm, bk, bn = score, cm, ck, cn
 				}
@@ -284,10 +285,10 @@ func priceGEMM(hw *sw26010.Model, m, k, n, bm, bk, bn int) (Plan, bool) {
 	cPut := hw.DMATime(sw26010.DMAPut, int64(tm*tn*4), sw26010.CPEsPerCG, int64(tn*4))
 	aGet := hw.DMATime(sw26010.DMAGet, int64(tm*tk*4), sw26010.CPEsPerCG, int64(tk*4))
 	bGet := hw.DMATime(sw26010.DMAGet, int64(tk*tn*4), sw26010.CPEsPerCG, int64(tn*4))
-	p.DMATime = float64(nBi*nBj) * (cGet + cPut + float64(nBt)*(aGet+bGet))
+	p.DMATime = float64(nBi*nBj) * (cGet + cPut + float64(float64(nBt)*(aGet+bGet)))
 
 	p.Flops = 2 * float64(mp) * float64(kp) * float64(np)
-	convFlops := convertFlopPerElem * float64(nBi*nBj*nBt) * float64(mesh) * float64(tm*tk+tk*tn) * sw26010.CPEsPerCG
+	convFlops := float64(convertFlopPerElem * float64(nBi*nBj*nBt) * float64(mesh) * float64(tm*tk+tk*tn) * sw26010.CPEsPerCG)
 	p.ComputeTime = hw.ComputeTime(p.Flops/simdEfficiency+convFlops, sw26010.CPEsPerCG)
 
 	rlcBytesPerCPE := int64(float64((tm*tk+tk*tn)*4) * hw.SinglePrecisionRLCPenalty)
@@ -342,7 +343,7 @@ func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) Plan {
 		// CPE per macro-block, straight from DRAM.
 		aGet := hw.DMATime(sw26010.DMAGet, int64(tm*tk*4), sw26010.CPEsPerCG, int64(tk*4))
 		bGet := hw.DMATime(sw26010.DMAGet, int64(tk*tn*4), sw26010.CPEsPerCG, int64(tn*4))
-		extra := float64(nBi*nBj*nBt) * float64(mesh-1) * (aGet + bGet)
+		extra := float64(float64(nBi*nBj*nBt) * float64(mesh-1) * (aGet + bGet))
 		p.DMATime += extra
 		p.RLCTime = 0
 		p.Time = combine(p.DMATime, p.ComputeTime, 0) + kernelLaunch
@@ -352,13 +353,14 @@ func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) Plan {
 
 // The host reference GEMMs. Each has one portable body here (gemmNNGo,
 // gemmTNGo, gemmNTGo), compiled on every GOARCH, and the body it runs
-// (gemmNN, gemmTN, gemmNT) comes from gemm_amd64.go on amd64, where the
-// arithmetic is packed SSE2, and from gemm_noasm.go elsewhere, where it
-// is the portable body itself. The two give the same bits: MULPS and
-// ADDPS round every lane exactly as MULSS and ADDSS round a scalar, and
-// both add each element's terms in the order stated below. The one
-// difference is which NaN comes out when two NaNs meet in an add; it is
-// a NaN either way.
+// (gemmNN, gemmTN, gemmNT) comes from gemm_amd64.go on amd64 and from
+// gemm_noasm.go elsewhere. On amd64 each GEMM is one call into AVX
+// assembly, chosen once at init by a CPUID/XGETBV check; a CPU or OS
+// without AVX runs the portable bodies. The two give the same bits:
+// VMULPS and VADDPS round every lane exactly as MULSS and ADDSS round a
+// scalar, no fused multiply-add is used, and both add each element's
+// terms in the order stated below. The one difference is which NaN
+// comes out when two NaNs meet in an add; it is a NaN either way.
 //
 // The portable bodies round every product before adding it
 // (float32(x*y)): without the conversion the compiler may fuse the

@@ -208,15 +208,15 @@ func Im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 
 func im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 	ro, co := s.OutDims()
-	lines := float64(s.B) * float64(s.Ni) * float64(s.K*s.K) * float64(ro)
-	getBytes := lines * float64(s.Ci) * 4
-	putBytes := lines * float64(co) * 4
+	lines := float64(float64(s.B) * float64(s.Ni) * float64(s.K*s.K) * float64(ro))
+	getBytes := float64(lines * float64(s.Ci) * 4)
+	putBytes := float64(lines * float64(co) * 4)
 
 	getBW := hw.DMABandwidth(sw26010.DMAGet, int64(s.Ci*4), sw26010.CPEsPerCG, int64(s.Ci*4))
 	putBW := hw.DMABandwidth(sw26010.DMAPut, int64(co*4), sw26010.CPEsPerCG, int64(co*4))
 	// Each line is an independent DMA descriptor; descriptors issue
 	// from 64 CPEs concurrently.
-	descTime := 2 * lines * hw.DMALatency / float64(sw26010.CPEsPerCG)
+	descTime := float64(2 * lines * hw.DMALatency / float64(sw26010.CPEsPerCG))
 	dma := getBytes/getBW + putBytes/putBW + descTime
 	compute := hw.ComputeTime(lines*float64(co)/simdEfficiency, sw26010.CPEsPerCG)
 
@@ -236,7 +236,7 @@ func im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
 func Col2imPlan(hw *sw26010.Model, s ConvShape) Plan {
 	p := Im2colPlan(hw, s)
 	p.Name = "col2im"
-	extra := p.DMATime * 0.5
+	extra := float64(p.DMATime * 0.5)
 	p.DMATime += extra
 	p.Time += extra
 	p.DMABytes += p.DMABytes / 2

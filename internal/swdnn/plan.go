@@ -113,7 +113,7 @@ func combine(dma, compute, rlc float64) float64 {
 	if rlc > compute {
 		busy = rlc
 	}
-	hidden := dma * dmaOverlap
+	hidden := float64(dma * dmaOverlap)
 	exposed := dma - hidden
 	if busy >= hidden {
 		return busy + exposed

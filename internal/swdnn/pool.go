@@ -41,8 +41,8 @@ func (p PoolShape) OutDims() (ro, co int) {
 // (Sec. IV-D).
 func PoolPlan(hw *sw26010.Model, s PoolShape) Plan {
 	ro, co := s.OutDims()
-	inBytes := 4 * float64(s.B*s.C*s.Ri*s.Ci)
-	outBytes := 4 * float64(s.B*s.C*ro*co)
+	inBytes := float64(4 * float64(s.B*s.C*s.Ri*s.Ci))
+	outBytes := float64(4 * float64(s.B*s.C*ro*co))
 
 	// Continuous block per DMA: K input rows when they fit, else a
 	// strided column chunk.

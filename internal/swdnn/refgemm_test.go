@@ -11,9 +11,11 @@ import (
 )
 
 // The reference GEMMs must give the bits of the naive triple loops
-// below on every platform: gemm_amd64.s computes four lanes at a time,
+// below on every platform: gemm_amd64.s computes eight lanes at a time,
 // gemmNNGo/gemmTNGo/gemmNTGo one element at a time, and the golden
-// files downstream of core's layers rest on their agreeing.
+// files downstream of core's layers rest on their agreeing. Each
+// dispatched form is checked twice, as init chose it (AVX where the
+// CPU has it) and forced to the portable body.
 
 type gemmOp int
 
@@ -53,18 +55,28 @@ func naiveGEMM(op gemmOp, a, b, c []float32, m, k, n int) {
 	}
 }
 
+type gemmFunc func(a, b, c []float32, m, k, n int)
+
+func microGEMMForm(a, b, c []float32, m, k, n int) { microGEMM(c, a, b, m, k, n) }
+
+// goBody runs f through the dispatch forced to the portable bodies.
+func goBody(f gemmFunc) gemmFunc {
+	return func(a, b, c []float32, m, k, n int) { withGoGEMMs(func() { f(a, b, c, m, k, n) }) }
+}
+
 var gemmForms = []struct {
 	name string
 	op   gemmOp
-	f    func(a, b, c []float32, m, k, n int)
+	f    gemmFunc
 }{
 	{"RefGEMM", opNN, RefGEMM},
-	{"microGEMM", opNN, func(a, b, c []float32, m, k, n int) { microGEMM(c, a, b, m, k, n) }},
-	{"gemmNNGo", opNN, gemmNNGo},
+	{"RefGEMM/go", opNN, goBody(RefGEMM)},
+	{"microGEMM", opNN, microGEMMForm},
+	{"microGEMM/go", opNN, goBody(microGEMMForm)},
 	{"RefGEMMTransA", opTN, RefGEMMTransA},
-	{"gemmTNGo", opTN, gemmTNGo},
+	{"RefGEMMTransA/go", opTN, goBody(RefGEMMTransA)},
 	{"RefGEMMTransB", opNT, RefGEMMTransB},
-	{"gemmNTGo", opNT, gemmNTGo},
+	{"RefGEMMTransB/go", opNT, goBody(RefGEMMTransB)},
 }
 
 // gemmInputs draws one operand class per case: a zero fraction (signed
@@ -139,14 +151,25 @@ func gemmDims(rng *rand.Rand, c int) (m, k, n int) {
 	return dim(c % 8), dim(c / 8 % 8), dim(c / 64 % 8)
 }
 
+// columnBlocks names the column blocks the NN/TN assembly walks for a
+// row of n: how many of 32, 16 and 8, and whether a masked tail follows.
+func columnBlocks(n int) [4]int {
+	return [4]int{n / 32, n % 32 / 16, n % 16 / 8, min(n%8, 1)}
+}
+
 func TestRefGEMMsMatchNaiveLoops(t *testing.T) {
+	if !useAVX {
+		t.Log("the AVX bodies are not in use here: every form runs a portable body")
+	}
 	rng := rand.New(rand.NewSource(27))
 	cases := 512
 	if testing.Short() {
 		cases = 64
 	}
+	blocks := map[[4]int]bool{}
 	for c := 0; c < cases; c++ {
 		m, k, n := gemmDims(rng, c)
+		blocks[columnBlocks(n)] = true
 		g := &gemmInputs{rng: rng, zeroFrac: float64(c%10) / 10, specials: c%2 == 1}
 		a, aTail := g.operand(m * k)
 		b, bTail := g.operand(k * n)
@@ -175,6 +198,13 @@ func TestRefGEMMsMatchNaiveLoops(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// Every mix of column blocks that some n in [1, 70] makes must have
+	// been drawn.
+	for n := 1; n <= 70 && !testing.Short(); n++ {
+		if !blocks[columnBlocks(n)] {
+			t.Errorf("no case has the column blocks of n = %d (%v)", n, columnBlocks(n))
 		}
 	}
 }
@@ -245,5 +275,39 @@ func TestStagingPoolAllocatesNothingWarm(t *testing.T) {
 	}
 	if ragged, aligned := warm(60, 52, 44), warm(64, 56, 48); ragged != aligned {
 		t.Errorf("warm ragged 60×52×44 GEMMRun: %v allocations, aligned 64×56×48: %v; staging should add none", ragged, aligned)
+	}
+}
+
+// BenchmarkRefGEMMs times the reference GEMMs at the shapes the
+// workloads run: the mesh's per-step tiles (microGEMM), the trainer's
+// inner-product layer at batch 2 and fc1's at batch 8, each in the
+// form its forward (NT), data gradient (NN) and weight gradient (TN)
+// use. Operands are normally distributed, with no zeros to skip.
+func BenchmarkRefGEMMs(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		op      gemmOp
+		m, k, n int
+		f       gemmFunc
+	}{
+		{"micro/16x16x16", opNN, 16, 16, 16, microGEMMForm},
+		{"micro/8x1x6", opNN, 8, 1, 6, microGEMMForm},
+		{"micro/1x1x32", opNN, 1, 1, 32, microGEMMForm},
+		{"NN/2x64x512", opNN, 2, 64, 512, RefGEMM},
+		{"TN/64x2x512", opTN, 64, 2, 512, RefGEMMTransA},
+		{"NT/2x512x64", opNT, 2, 512, 64, RefGEMMTransB},
+		{"NN/8x64x512", opNN, 8, 64, 512, RefGEMM},
+		{"TN/64x8x512", opTN, 64, 8, 512, RefGEMMTransA},
+		{"NT/8x512x64", opNT, 8, 512, 64, RefGEMMTransB},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y, c := randSlice(rng, bc.m*bc.k), randSlice(rng, bc.k*bc.n), randSlice(rng, bc.m*bc.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.f(x, y, c, bc.m, bc.k, bc.n)
+			}
+		})
 	}
 }
