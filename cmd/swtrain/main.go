@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,11 @@ func main() {
 	}
 	if *bucketKB < 0 || *ioBatchKB < 0 {
 		usage("-bucket-kb and -io-batch-kb must not be negative")
+	}
+	// Both become bytes by << 10; a larger value would wrap negative,
+	// which downstream reads as "default".
+	if maxKB := math.MaxInt >> 10; *bucketKB > maxKB || *ioBatchKB > maxKB {
+		usage("-bucket-kb and -io-batch-kb must be at most %d", maxKB)
 	}
 	// Validate -alg up front: an unknown name lists the registry
 	// instead of surfacing a bare construction error.

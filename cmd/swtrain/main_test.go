@@ -57,6 +57,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-io", "-stripes", "-3"},
 		{"-bucket-kb", "-5"},
 		{"-io", "-io-batch-kb", "-1"},
+		{"-bucket-kb", "9007199254740992", "-nodes", "2", "-overlap"},
+		{"-bucket-kb", "9223372036854775807", "-nodes", "2", "-overlap"},
+		{"-io", "-io-batch-kb", "9007199254740992", "-nodes", "2"},
 	} {
 		stdout, stderr, exit, err := run(args...)
 		if err != nil {

@@ -4,98 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"swcaffe/internal/dataset"
-	"swcaffe/internal/pario"
 	"swcaffe/internal/tensor"
 )
-
-func TestDataFeederSequential(t *testing.T) {
-	ds := dataset.NewClusters(64, 4, 1, 2, 2, 0.1, 80)
-	f := NewDataFeeder(ds, 8, false, 1)
-	defer f.Stop()
-	data := tensor.New(8, 1, 2, 2)
-	labels := tensor.New(8, 1, 1, 1)
-
-	// Two consecutive fetches cover examples 0..7 and 8..15.
-	f.Next(data, labels)
-	for b := 0; b < 8; b++ {
-		if int(labels.Data[b]) != b%4 {
-			t.Fatalf("batch 0 label[%d] = %g", b, labels.Data[b])
-		}
-	}
-	f.Next(data, labels)
-	for b := 0; b < 8; b++ {
-		if int(labels.Data[b]) != (8+b)%4 {
-			t.Fatalf("batch 1 label[%d] = %g", b, labels.Data[b])
-		}
-	}
-}
-
-func TestDataFeederRandomReproducible(t *testing.T) {
-	ds := dataset.NewClusters(256, 4, 1, 2, 2, 0.1, 81)
-	collect := func() []float32 {
-		f := NewDataFeeder(ds, 8, true, 99)
-		defer f.Stop()
-		data := tensor.New(8, 1, 2, 2)
-		labels := tensor.New(8, 1, 1, 1)
-		var out []float32
-		for i := 0; i < 4; i++ {
-			f.Next(data, labels)
-			out = append(out, labels.Data...)
-		}
-		return out
-	}
-	a, b := collect(), collect()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random feeder not reproducible from seed")
-		}
-	}
-}
-
-func TestDataFeederDrivesTraining(t *testing.T) {
-	ds := dataset.NewClusters(2048, 3, 1, 3, 3, 0.3, 82)
-	net := NewNet("feeder", "data", "label")
-	net.AddLayers(
-		NewInnerProduct(InnerProductConfig{Name: "fc", Bottom: "data", Top: "fc", NumOutput: 3, BiasTerm: true}),
-		NewSoftmaxLoss("loss", "fc", "label", "loss"),
-	)
-	inputs := map[string]*tensor.Tensor{
-		"data":  tensor.New(16, 1, 3, 3),
-		"label": tensor.New(16, 1, 1, 1),
-	}
-	if err := net.Setup(inputs); err != nil {
-		t.Fatal(err)
-	}
-	f := NewDataFeeder(ds, 16, true, 7)
-	defer f.Stop()
-	solver := NewSolver(net, SolverConfig{BaseLR: 0.1, Momentum: 0.9})
-	f.Next(inputs["data"], inputs["label"])
-	first := solver.Step()
-	var last float32
-	for i := 0; i < 50; i++ {
-		f.Next(inputs["data"], inputs["label"])
-		last = solver.Step()
-	}
-	if !(last < first/2) {
-		t.Fatalf("feeder-driven training failed to converge: %g -> %g", first, last)
-	}
-}
-
-func TestDataFeederStorageAccounting(t *testing.T) {
-	ds := dataset.NewClusters(64, 2, 1, 4, 4, 0.1, 83)
-	f := NewDataFeeder(ds, 4, false, 1)
-	defer f.Stop()
-	f.AttachStorage(pario.DefaultTaihuLight(32), 128)
-	data := tensor.New(4, 1, 4, 4)
-	labels := tensor.New(4, 1, 1, 1)
-	f.Next(data, labels)
-	f.Next(data, labels)
-	f.Next(data, labels) // at least two priced prefetches completed
-	if f.SimReadTime <= 0 {
-		t.Fatal("no simulated read time accumulated")
-	}
-}
 
 func TestGroupedConvGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))

@@ -262,7 +262,7 @@ func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	parallelFor(3*len(tiers), func(i int) {
 		ti, arm := i/3, i%3
 		tier := tiers[ti]
-		base := train.FunctionalSweepConfig{Backend: tier.backend}
+		base := train.FunctionalSweepConfig{DistConfig: train.DistConfig{Backend: tier.backend}}
 		switch arm {
 		case 0:
 			arms[ti][0] = sweep(base, tier.nodes)

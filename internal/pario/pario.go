@@ -7,10 +7,7 @@
 // per process and dividing the readers per array by the stripe count.
 package pario
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Config describes a striped dataset layout on the disk arrays.
 type Config struct {
@@ -113,20 +110,13 @@ func (c Config) AggregateBandwidth(procs int, readBytes int64) float64 {
 	return float64(procs) * float64(readBytes) / t
 }
 
-// Prefetcher models swCaffe's per-worker I/O thread: it fetches the
-// next mini-batch while the current one trains, so the exposed I/O
-// cost per iteration is max(0, readTime − computeTime).
-type Prefetcher struct {
-	Config    Config
-	Procs     int
-	BatchSize int64 // bytes per mini-batch per process
-}
-
-// ExposedTime returns the non-overlapped I/O time per iteration given
-// the compute time of one iteration.
-func (p Prefetcher) ExposedTime(computeTime float64) float64 {
-	rt := p.Config.ReadTime(p.Procs, p.BatchSize)
-	return math.Max(0, rt-computeTime)
+// ExposedTime is the prefetch rule of Sec. V-B: each worker's I/O
+// thread reads the next mini-batch while the current one trains, so
+// only max(0, read − window) of a read is exposed, window being the
+// compute it overlaps. Every exposed-read charge in the module is this
+// function.
+func ExposedTime(read, window float64) float64 {
+	return max(0, read-window)
 }
 
 // StripePlan is one candidate of SelectStripe's layout sweep: a stripe
@@ -155,11 +145,7 @@ func SelectStripe(base Config, procs int, readBytes int64, hideWindow float64) (
 		cfg := base
 		cfg.StripeCount = s
 		rt := cfg.ReadTime(procs, readBytes)
-		exp := rt - hideWindow
-		if exp < 0 {
-			exp = 0
-		}
-		cands = append(cands, StripePlan{StripeCount: s, ReadTime: rt, Exposed: exp})
+		cands = append(cands, StripePlan{StripeCount: s, ReadTime: rt, Exposed: ExposedTime(rt, hideWindow)})
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {

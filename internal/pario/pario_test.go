@@ -99,15 +99,21 @@ func TestAggregateBandwidthSaturates(t *testing.T) {
 }
 
 func TestPrefetcherOverlap(t *testing.T) {
-	pre := Prefetcher{Config: DefaultTaihuLight(32), Procs: 256, BatchSize: ImageNetBatchBytes(256)}
-	rt := pre.Config.ReadTime(256, pre.BatchSize)
-	// Fully hidden when compute exceeds the read.
-	if got := pre.ExposedTime(rt * 2); got != 0 {
-		t.Fatalf("exposed %g, want 0", got)
+	rt := DefaultTaihuLight(32).ReadTime(256, ImageNetBatchBytes(256))
+	// Fully hidden when compute exceeds the read, and when it exactly
+	// equals it.
+	for _, window := range []float64{rt * 2, rt} {
+		if got := ExposedTime(rt, window); got != 0 {
+			t.Fatalf("window %g: exposed %g, want 0", window, got)
+		}
 	}
-	// Partially exposed otherwise.
-	if got := pre.ExposedTime(rt / 2); got <= 0 || got > rt {
-		t.Fatalf("exposed %g out of range (0, %g]", got, rt)
+	// Partially exposed otherwise: exactly the remainder.
+	if got := ExposedTime(rt, rt/2); got != rt-rt/2 {
+		t.Fatalf("exposed %g, want %g", got, rt-rt/2)
+	}
+	// A cold read with nothing to hide behind is exposed in full.
+	if got := ExposedTime(rt, 0); got != rt {
+		t.Fatalf("exposed %g with no window, want the whole read %g", got, rt)
 	}
 }
 

@@ -69,29 +69,6 @@ func (io *IOConfig) storage() pario.Config {
 	return s
 }
 
-// ioStats prices the I/O stage of the step whose zero-based index is
-// step and whose compute + exposed-comm makespan (the prefetch hide
-// window) is hideWindow. The first step's read is fully exposed — the
-// prefetcher has nothing to hide a cold start behind; afterwards the
-// previous step's duration hides all but the remainder. Homogeneous
-// steps make the current step's own window the previous one's, which
-// keeps the charge a pure function of modeled quantities shared by
-// both backends.
-func (t *DistTrainer) ioStats(step int, hideWindow float64) (read, exposed float64) {
-	if t.cfg.IO == nil {
-		return 0, 0
-	}
-	read = t.ioReadTime
-	if step == 0 {
-		return read, read
-	}
-	exposed = read - hideWindow
-	if exposed < 0 {
-		exposed = 0
-	}
-	return read, exposed
-}
-
 // composeIO folds the priced I/O stage into LastStep (assembled by
 // Step without I/O), accumulates the trainer-level totals, and
 // emits the per-batch read span on the tracer's io lane. Must run
@@ -102,7 +79,15 @@ func (t *DistTrainer) composeIO(step int) {
 		return
 	}
 	t.ensureIO()
-	read, exposed := t.ioStats(step, t.LastStep.StepTime)
+	// The first read is fully exposed: the prefetcher has nothing to
+	// hide a cold start behind. Afterwards the previous step hides all
+	// but the remainder; homogeneous steps make this step's own
+	// no-I/O makespan the previous one's, which keeps the charge a pure
+	// function of modeled quantities shared by both backends.
+	read, exposed := t.ioReadTime, t.ioReadTime
+	if step > 0 {
+		exposed = pario.ExposedTime(read, t.LastStep.StepTime)
+	}
 	t.LastStep.IO = read
 	t.LastStep.ExposedIO = exposed
 	t.LastStep.StepTime += exposed

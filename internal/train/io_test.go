@@ -271,8 +271,8 @@ func TestIOSmokeP128(t *testing.T) {
 }
 
 // TestCGTrainerInputPipeline pins satellite coverage of the one-node
-// trainer: AttachInput's union-batch feeder must reproduce the direct
-// quarter loads bit for bit, and the feeder's priced read time must
+// trainer: AttachInput's prefetched quarter shards must reproduce the
+// direct quarter loads bit for bit, and the priced read time must
 // surface per step (cold fetch fully exposed, steady state hidden
 // behind the previous step's makespan) instead of accumulating unread.
 func TestCGTrainerInputPipeline(t *testing.T) {
@@ -323,6 +323,39 @@ func TestCGTrainerInputPipeline(t *testing.T) {
 			if d := tensor.MaxDiff(a[i].Data, b[i].Data); d != 0 {
 				t.Fatalf("CG %d param %d: fed trainer deviates by %g (must be bit-identical)", cg, i, d)
 			}
+		}
+	}
+}
+
+// TestCGTrainerReadIsPure: the one-node trainer prices its read once,
+// off the prefetch thread, so every step's LastRead is the
+// single-reader price of the four quarter shards bit for bit, and
+// LastExposedRead is the shared exposed-read rule against the previous
+// step's node makespan (the whole read on the cold first step).
+func TestCGTrainerReadIsPure(t *testing.T) {
+	const quarter, classes = 4, 3
+	ds := dataset.NewClusters(1000, classes, 1, 3, 3, 0.4, 14)
+	tr, err := NewCGTrainer(mlpFactory(quarter, classes), core.SolverConfig{BaseLR: 0.05, Momentum: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	storage := pario.DefaultTaihuLight(1)
+	tr.AttachInput(ds, storage)
+	shard := dataset.Shard{DS: ds, Rank: 0, Ranks: 4, Batch: quarter}
+	read := storage.ReadTime(1, 4*shard.Bytes())
+	for it := 0; it < 20; it++ {
+		window := tr.lastSpan
+		tr.Step()
+		if tr.LastRead != read {
+			t.Fatalf("step %d: LastRead %v, want ReadTime(1, 4×shard) = %v bit for bit", it, tr.LastRead, read)
+		}
+		exposed := read
+		if it > 0 {
+			exposed = pario.ExposedTime(read, window)
+		}
+		if tr.LastExposedRead != exposed {
+			t.Fatalf("step %d: LastExposedRead %v, want %v (window %v)", it, tr.LastExposedRead, exposed, window)
 		}
 	}
 }

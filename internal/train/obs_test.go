@@ -256,8 +256,8 @@ func TestFunctionalSweepCarriesHistory(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 61)
 	pts, err := FunctionalSweep(mlpFactory(4, classes), ds, []int{2}, FunctionalSweepConfig{
-		SubBatch: 4, Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		Iters: 3,
+		DistConfig: DistConfig{SubBatch: 4, Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}},
+		Iters:      3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,18 +8,17 @@ import (
 )
 
 // inputPrefetcher is the functional half of the input pipeline: the
-// cluster-trainer twin of core.DataFeeder's per-worker I/O thread
-// (paper Sec. V-B). One dedicated goroutine fills a per-rank staging
-// buffer with iteration k+1's shards while step k trains; the
-// trainer's LoadShards call becomes a copy out of the staging buffer
-// plus a request for the next iteration — double buffering, staging
-// against the live worker tensors. The shards are the deterministic
-// dataset.Shard views (exactly the direct path's indices), so a
-// prefetched run is bit-identical to an unprefetched one — losses,
-// parameters, StepStats; the race-enabled golden pins it on both
-// execution paths. The *modeled* read times live in io.go: this thread
-// moves the bytes, the analytic model prices them, and neither
-// observes the other.
+// per-worker I/O thread of paper Sec. V-B, one for both trainers. One
+// dedicated goroutine fills a per-worker staging buffer with iteration
+// k+1's shards while step k trains; the trainer's load becomes a copy
+// out of the staging buffer plus a request for the next iteration —
+// double buffering, staging against the live worker tensors. The
+// shards are the deterministic dataset.Shard views (exactly the direct
+// path's indices), so a prefetched run is bit-identical to an
+// unprefetched one — losses, parameters, StepStats; the race-enabled
+// goldens pin it. The *modeled* read times are priced off this thread
+// (io.go, CGTrainer.AttachInput): this thread moves the bytes, the
+// analytic model prices them, and neither observes the other.
 type inputPrefetcher struct {
 	ds     dataset.Dataset
 	shards []dataset.Shard
@@ -33,6 +32,23 @@ type inputPrefetcher struct {
 	stopped bool
 }
 
+// newInputPrefetcher starts the prefetch thread for workers: worker w
+// reads rank w.Rank's shard of ranks, batch examples each, into
+// staging shaped like its input tensors.
+func newInputPrefetcher(ds dataset.Dataset, workers []*Worker, ranks, batch int) *inputPrefetcher {
+	p := &inputPrefetcher{ds: ds, have: -1, want: -1}
+	for _, w := range workers {
+		p.shards = append(p.shards, dataset.Shard{DS: ds, Rank: w.Rank, Ranks: ranks, Batch: batch})
+		d, l := w.Data, w.Labels
+		p.data = append(p.data, tensor.New(d.N, d.C, d.H, d.W))
+		p.labels = append(p.labels, tensor.New(l.N, l.C, l.H, l.W))
+	}
+	p.cond = sync.NewCond(&p.mu)
+	//swvet:ignore straygo: the input-pipeline prefetch thread of paper Sec. V-B; bounded by stop, which both trainers' Close (and DistTrainer.Shrink) call
+	go p.loop()
+	return p
+}
+
 // AttachInput wires ds as the trainer's prefetched input pipeline:
 // from now on LoadShards(ds, it) drains the staging buffer and kicks
 // off iteration it+1's read on the prefetch thread instead of filling
@@ -41,26 +57,11 @@ type inputPrefetcher struct {
 // Shrink, whose re-ranked world invalidates the staged shards).
 func (t *DistTrainer) AttachInput(ds dataset.Dataset) {
 	t.detachInput()
-	p := &inputPrefetcher{ds: ds, have: -1, want: -1}
-	for _, w := range t.Workers {
-		p.shards = append(p.shards, dataset.Shard{
-			DS: ds, Rank: w.Rank, Ranks: t.cfg.Nodes, Batch: t.cfg.SubBatch,
-		})
-		d, l := w.Data, w.Labels
-		p.data = append(p.data, tensor.New(d.N, d.C, d.H, d.W))
-		p.labels = append(p.labels, tensor.New(l.N, l.C, l.H, l.W))
-	}
-	p.cond = sync.NewCond(&p.mu)
-	//swvet:ignore straygo: the input-pipeline prefetch thread of paper Sec. V-B (the DistTrainer twin of core.DataFeeder's); bounded by detachInput, which Close and Shrink call
-	go p.loop()
-	t.prefetch = p
+	t.prefetch = newInputPrefetcher(ds, t.Workers, t.cfg.Nodes, t.cfg.SubBatch)
 }
 
 // detachInput stops and drops the prefetch thread (idempotent).
 func (t *DistTrainer) detachInput() {
-	if t.prefetch == nil {
-		return
-	}
 	t.prefetch.stop()
 	t.prefetch = nil
 }
@@ -108,7 +109,7 @@ func (p *inputPrefetcher) load(it int, workers []*Worker) {
 	}
 	if p.stopped {
 		p.mu.Unlock()
-		panic("train: LoadShards on a Closed trainer's prefetcher")
+		panic("train: input load on a closed trainer's prefetcher")
 	}
 	for r, w := range workers {
 		w.Data.CopyFrom(p.data[r])
@@ -120,8 +121,11 @@ func (p *inputPrefetcher) load(it int, workers []*Worker) {
 }
 
 // stop terminates the prefetch goroutine; the prefetcher cannot be
-// reused.
+// reused. A nil prefetcher (nothing attached) is a no-op.
 func (p *inputPrefetcher) stop() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	p.stopped = true
 	p.cond.Broadcast()

@@ -155,12 +155,8 @@ func (n node) at(cfg *ScalingConfig, p int) Breakdown {
 		bd.Allreduce = c.Latency + (c.Intra+c.Inter)/effAt(p, cfg.AllreduceEff) + c.Reduction
 	}
 	if cfg.IO != nil {
-		pre := pario.Prefetcher{
-			Config:    *cfg.IO,
-			Procs:     p,
-			BatchSize: pario.ImageNetBatchBytes(cfg.SubBatch),
-		}
-		bd.IO = pre.ExposedTime(bd.Compute + bd.IntraSum + bd.Allreduce)
+		read := cfg.IO.ReadTime(p, pario.ImageNetBatchBytes(cfg.SubBatch))
+		bd.IO = pario.ExposedTime(read, bd.Compute+bd.IntraSum+bd.Allreduce)
 	}
 	return bd
 }
@@ -247,28 +243,14 @@ type FunctionalPoint struct {
 	Steps []StepStats
 }
 
-// FunctionalSweepConfig parameterizes FunctionalSweep.
+// FunctionalSweepConfig parameterizes FunctionalSweep: the run at
+// every point is DistConfig with Nodes set to the point's count. A
+// BackendDES sweep is what makes p = 1024/4096 points feasible; an IO
+// sweep prices each point's shard reads at p readers, the sweep's
+// contention story.
 type FunctionalSweepConfig struct {
-	SubBatch      int // per-node mini-batch of the replicas build produces
-	Solver        core.SolverConfig
-	Overlap       bool
-	BucketBytes   int
-	AutoBucket    bool   // α-β auto-selected bucket cap (see DistConfig)
-	AlgorithmName string // named collective + bucketing strategy
-	Iters         int    // steps per point (default 2)
-	Algorithm     allreduce.Algorithm
-	Network       *topology.Network
-	Mapping       topology.Mapping
-
-	// Backend selects the execution backend per DistConfig.Backend:
-	// BackendDES runs the sweep on the single-threaded discrete-event
-	// backend, which is what makes p = 1024/4096 points feasible.
-	Backend string
-
-	// IO prices each point's shard reads per DistConfig.IO (readers
-	// default to p at every point, the sweep's contention story); the
-	// per-step IO/ExposedIO land in the points' StepStats.
-	IO *IOConfig
+	DistConfig
+	Iters int // steps per point (default 2)
 
 	// Prefetch additionally attaches the functional prefetch thread
 	// (AttachInput) at every point, so the sweep exercises the staged
@@ -290,13 +272,9 @@ func FunctionalSweep(build func() (*core.Net, map[string]*tensor.Tensor, error),
 		return nil, fmt.Errorf("train: FunctionalSweep needs a positive SubBatch, got %d", cfg.SubBatch)
 	}
 	measure := func(p int) (StepStats, []StepStats, float32, error) {
-		tr, err := NewDistTrainer(DistConfig{
-			Nodes: p, SubBatch: cfg.SubBatch, Solver: cfg.Solver,
-			Overlap: cfg.Overlap, BucketBytes: cfg.BucketBytes, AutoBucket: cfg.AutoBucket,
-			Algorithm: cfg.Algorithm, AlgorithmName: cfg.AlgorithmName,
-			Network: cfg.Network, Mapping: cfg.Mapping,
-			Backend: cfg.Backend, IO: cfg.IO,
-		}, build)
+		dc := cfg.DistConfig
+		dc.Nodes = p
+		tr, err := NewDistTrainer(dc, build)
 		if err != nil {
 			return StepStats{}, nil, 0, err
 		}

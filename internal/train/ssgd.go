@@ -755,21 +755,18 @@ type CGTrainer struct {
 	SimTime float64
 	lastEnd float64
 
-	// Input pipeline (AttachInput): a core.DataFeeder prefetches the
-	// union mini-batch — the four CGs' quarters in one sequential read,
-	// the single-reader contention point of the one-node trainer — and
-	// Step scatters it. The read accounting is the feeder's priced
-	// SimReadTime, surfaced per step instead of accumulating unread:
-	// LastRead is the step's modeled read, LastExposedRead the part the
-	// previous step's makespan could not hide (the whole read on the
-	// cold first fetch). ReadTime/ExposedReadTime accumulate across
-	// steps; SimTime stays compute-only so the two costs stay separable.
-	feeder          *core.DataFeeder
-	unionData       *tensor.Tensor
-	unionLabels     *tensor.Tensor
-	feederRead      float64
+	// Input pipeline (AttachInput): the prefetch thread stages the
+	// four CGs' quarter shards of the next iteration while this one
+	// trains. The read is priced once, at attach: inputRead is all
+	// four quarters read by the node's one reader. LastRead is the
+	// step's modeled read, LastExposedRead the part the previous step's
+	// makespan could not hide (the whole read on the cold first step).
+	// ReadTime/ExposedReadTime accumulate across steps; SimTime stays
+	// compute-only so the two costs stay separable.
+	prefetch        *inputPrefetcher
+	inputIter       int
+	inputRead       float64
 	lastSpan        float64
-	firstFetch      bool
 	LastRead        float64
 	LastExposedRead float64
 	ReadTime        float64
@@ -797,60 +794,33 @@ func NewCGTrainer(build func() (*core.Net, map[string]*tensor.Tensor, error), so
 // Node exposes the underlying simulated node (stats, stream access).
 func (t *CGTrainer) Node() *swnode.Node { return t.node }
 
-// AttachInput wires ds as the trainer's prefetched input pipeline: a
-// core.DataFeeder (the paper's per-worker I/O thread) reads the union
-// mini-batch — all four quarter-batches in one sequential fetch — on a
-// background goroutine while the current step trains, priced against
+// AttachInput wires ds as the trainer's prefetched input pipeline: the
+// cluster trainer's prefetch thread over the four CGs, CG i reading
+// shard i of 4 at the quarter batch — the same (it·4+i)·quarter indices
+// the unprefetched swtrain driver passes to dataset.Batch, so attaching
+// the pipeline changes no training bits. The read is priced against
 // storage at procs = 1 (one node reads alone; the cluster trainer's
-// contention point is p). Sequential mode walks the same
-// (it·4+i)·quarter indices the unprefetched swtrain driver passes to
-// dataset.Batch, so attaching the pipeline changes no training bits.
+// contention point is p).
 func (t *CGTrainer) AttachInput(ds dataset.Dataset, storage pario.Config) {
-	if t.feeder != nil {
-		t.feeder.Stop()
-	}
-	quarter := t.CGs[0].Data.N
-	c, h, w := ds.Dims()
-	union := quarter * sw26010.CoreGroups
-	t.unionData = tensor.New(union, c, h, w)
-	t.unionLabels = tensor.New(union, 1, 1, 1)
-	// Seed is irrelevant in sequential mode; the cursor starts at 0,
-	// i.e. iteration 0's union batch.
-	f := core.NewDataFeeder(ds, union, false, 0)
-	f.AttachStorage(storage, 1)
-	t.feeder = f
-	t.feederRead = 0
-	t.lastSpan = 0
-	t.firstFetch = true
+	t.prefetch.stop()
+	t.prefetch = newInputPrefetcher(ds, t.CGs, sw26010.CoreGroups, t.CGs[0].Data.N)
+	t.inputIter = 0
+	t.inputRead = storage.ReadTime(1, sw26010.CoreGroups*t.prefetch.shards[0].Bytes())
 }
 
-// fetchInput drains the feeder's staged union batch into the four CGs'
-// quarter inputs and books the step's read cost (no-op without
-// AttachInput).
+// fetchInput drains the staged quarter shards into the four CGs' inputs
+// and books the step's read cost (no-op without AttachInput). The
+// window is the previous step's node makespan.
 func (t *CGTrainer) fetchInput() {
-	if t.feeder == nil {
+	if t.prefetch == nil {
 		return
 	}
-	t.feeder.Next(t.unionData, t.unionLabels)
-	quarter := t.CGs[0].Data.N
-	qElems := quarter * t.unionData.C * t.unionData.H * t.unionData.W
-	for i, w := range t.CGs {
-		copy(w.Data.Data, t.unionData.Data[i*qElems:(i+1)*qElems])
-		copy(w.Labels.Data, t.unionLabels.Data[i*quarter:(i+1)*quarter])
+	t.prefetch.load(t.inputIter, t.CGs)
+	read, exposed := t.inputRead, t.inputRead
+	if t.inputIter > 0 {
+		exposed = pario.ExposedTime(read, t.lastSpan)
 	}
-	total := t.feeder.ReadTimeTotal()
-	read := total - t.feederRead
-	t.feederRead = total
-	exposed := read
-	if !t.firstFetch {
-		// Steady state: the fetch overlapped the previous step's node
-		// makespan; only the excess is exposed.
-		exposed = read - t.lastSpan
-		if exposed < 0 {
-			exposed = 0
-		}
-	}
-	t.firstFetch = false
+	t.inputIter++
 	t.LastRead = read
 	t.LastExposedRead = exposed
 	t.ReadTime += read
@@ -858,12 +828,11 @@ func (t *CGTrainer) fetchInput() {
 }
 
 // Close ends the node's CPE coroutines (and the input-pipeline
-// feeder, if attached). The trainer must not be used after Close.
+// prefetch thread, if attached). The trainer must not be used after
+// Close.
 func (t *CGTrainer) Close() {
-	if t.feeder != nil {
-		t.feeder.Stop()
-		t.feeder = nil
-	}
+	t.prefetch.stop()
+	t.prefetch = nil
 	t.node.Close()
 }
 
