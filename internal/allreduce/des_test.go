@@ -1,7 +1,9 @@
 package allreduce
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,8 +101,9 @@ func checkDESMatch(t *testing.T, name string, p, q, length int, wantOut [][]floa
 }
 
 // TestDESDeterministicAcrossRuns: two DES runs of the same schedule
-// must agree exactly — the (time, rank, seq) tie-break leaves no room
-// for iteration-order or timing noise.
+// must agree exactly — one thread runs the ready continuations in the
+// order they became ready, which leaves no room for iteration-order or
+// timing noise.
 func TestDESDeterministicAcrossRuns(t *testing.T) {
 	net := sunwayQ(4)
 	m := topology.AdjacentMapping{Q: 4}
@@ -151,6 +154,61 @@ func TestDESHierPhaseHook(t *testing.T) {
 		for i := range gorPhases[r] {
 			if gorPhases[r][i] != desPhases[r][i] {
 				t.Fatalf("rank %d phase %d: goroutine %v des %v", r, i, gorPhases[r][i], desPhases[r][i])
+			}
+		}
+	}
+}
+
+// TestDESPaperScale pins the shape the paper's scaling figures run at:
+// p = 1024 ranks on the q = 256 adjacent-mapped machine, flat RHD and
+// the hierarchical schedule (about 2·10^4 and 5·10^5 messages a call).
+// On integer inputs every rank must end with the exact sum, the census
+// must be the one the schedule walked as data predicts, and a second
+// run on the cluster's recycled state must reproduce every clock. The
+// DES runs take a fraction of a second; the schedule walk's vector
+// clocks (p entries a message) take seconds, so -short skips the test.
+func TestDESPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("p = 1024 schedule walk; run without -short")
+	}
+	const p, q, n = 1024, 256, 2048
+	net, m := sunwayQ(q), topology.AdjacentMapping{Q: q}
+	inputs := intInputs(p, n)
+	sum := make([]float32, n)
+	for _, in := range inputs {
+		for i, v := range in {
+			sum[i] += v
+		}
+	}
+	for _, s := range []Schedule{schedRHD, schedHierarchical} {
+		name := schedules[s].name
+		cl := des.NewCluster(net, m, p)
+		var clocks []float64
+		for run := range 2 {
+			data := padded(inputs)
+			res, outs := cl.RunGather(func(r *des.Rank) {
+				s.RunDES(r, data[r.Rank], 0, n, r.Finish)
+			})
+			for r, out := range outs {
+				if !slices.Equal(out, sum) {
+					t.Fatalf("%s run %d: rank %d did not end with the exact sum", name, run, r)
+				}
+			}
+			if run == 0 {
+				census, bad := walkSchedule(s, topology.NewLayout(m, p), p, 0, n, n)
+				if bad != "" {
+					t.Fatalf("%s: schedule walk: %s", name, bad)
+				}
+				if got := [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}; got != census {
+					t.Fatalf("%s: census %v, the schedule walk counts %v", name, got, census)
+				}
+				clocks = slices.Clone(res.Clocks)
+				continue
+			}
+			for r := range clocks {
+				if math.Float64bits(res.Clocks[r]) != math.Float64bits(clocks[r]) {
+					t.Fatalf("%s: recycled run's rank %d clock %v, first run %v", name, r, res.Clocks[r], clocks[r])
+				}
 			}
 		}
 	}

@@ -1,34 +1,32 @@
 // Package des is the single-threaded discrete-event backend of the
 // cluster simulator: per-rank clocks priced by topology.Fabric, as in
-// internal/simnet, but ranks run as callback continuations on
-// one binary-heap event queue instead of one goroutine each. A p=4096
-// collective costs zero goroutines, zero channel rendezvous and zero
-// OS scheduling — the refactor that makes paper-scale functional
+// internal/simnet, but ranks run as callback continuations on one
+// ready queue instead of one goroutine each — zero goroutines, channel
+// rendezvous and OS scheduling, which makes paper-scale functional
 // sweeps (p = 1024/4096) feasible in CI.
 //
-// Determinism: events are keyed by (simTime, rank, seq) with seq
-// a per-run monotonic counter, so ties on the simulated clock break
-// identically on every run and under every GOMAXPROCS. Because the
-// collective bodies form a Kahn process network over per-(src,dst)
-// FIFO links (blocking receives, data-independent control flow), any
-// schedule yields the same floats and clocks — the goroutine backend
-// stays the bit-identity oracle at small p, and this backend must
-// match it hex-exactly.
+// Order is free. The collective bodies form a Kahn process network over
+// per-(src,dst) FIFO links (blocking receives, data-independent control
+// flow): a rank's clock and floats depend only on its own program order
+// and on the (length, send time) of what it takes off each link in FIFO
+// order, which no host order of continuations can change. So the engine
+// keeps no time order: a matched receive's continuation joins a FIFO
+// ring, stamped with its arrival time. The goroutine backend stays the
+// bit-identity oracle at small p, and this backend must match it
+// hex-exactly.
 //
 // Execution model: a rank's program runs inline until it needs a
 // message; Recv/SendRecv take an explicit continuation and park the
-// rank on the link. Matching a parked waiter with a queued wire always
-// goes through the event heap — never by direct call — so the stack
-// fully unwinds between hops and depth stays bounded by the rank's own
-// comm-free code. At most one waiter can be parked per link (each link
-// has a single fixed receiver and ranks are sequential); two parked
-// waiters on one link is a scheduler invariant violation worth a
-// panic.
+// rank. Ranks run one at a time, so a rank holds at most one parked
+// receive (a second is a panic); a wire nobody waits for yet joins its
+// receiver's chain. A match only enqueues, never calls, so the stack
+// unwinds between hops and depth stays bounded by the rank's own
+// comm-free code.
 package des
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"swcaffe/internal/scratch"
@@ -59,108 +57,69 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	return &Cluster{Fabric: topology.NewFabric(net, mapping, p)}
 }
 
-// wire is one queued message. Wires live in runState.wires and are
-// chained by index: next is the following wire on the same link, or
+// wire is one queued message, a slot in runState.wires chained by
+// index: next is the following wire queued for the same receiver, or
 // the following free slot once the wire is delivered.
 type wire struct {
 	data     []float32
 	sendTime float64
+	src      int32
 	next     int32
 }
 
-// waiter is the receiver parked on a link (always the link's dst).
-// sendElems is the outgoing payload size of a SendRecv (-1 for a plain
-// Recv): the full-duplex exchange charges one α+βn for the larger
-// direction, so the cost is resolved only when the incoming wire is
-// known.
+// inbox is the chain of wires queued for one receiver, in post order
+// (head < 0 = empty). Its first wire from src is the head of the
+// (src, dst) FIFO.
+type inbox struct{ head, tail int32 }
+
+// waiter is the receive a rank is parked on (k == nil = none).
+// sendElems is a SendRecv's outgoing payload size (-1 for a Recv): the
+// full-duplex exchange charges one α+βn for the larger direction, so
+// the cost is resolved only when the incoming wire is known.
 type waiter struct {
+	src       int
 	sendElems int
 	k         func([]float32)
 }
 
-// link is one directed (src, dst) FIFO: a chain of wires from head to
-// tail (head < 0 = empty) and at most one parked waiter, held by value
-// (w.k == nil = none).
-type link struct {
-	key        uint64 // src<<32 | dst
-	head, tail int32
-	w          waiter
-}
-
-func (l *link) parked() bool { return l.w.k != nil }
-
-func (l *link) ends() [2]int { return [2]int{int(l.key >> 32), int(uint32(l.key))} }
-
-// event is one scheduled resumption: at time, set rank's clock and call
-// k(data). It carries no closure — matching a message allocates
-// nothing.
+// event is one ready resumption: set rank's clock to time and call
+// k(data). It carries no closure: a match allocates nothing.
 type event struct {
 	time float64
 	rank int
-	seq  int64
 	k    func([]float32)
 	data []float32
 }
 
-// eventHeap is a hand-rolled binary min-heap over (time, rank, seq).
-type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	a, b := &h[i], &h[j]
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
+// ready is the FIFO ring of resumptions: a power-of-two buffer that
+// grows by doubling.
+type ready struct {
+	buf     []event
+	head, n int
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+func (q *ready) push(e event) {
+	if q.n == len(q.buf) {
+		buf := make([]event, max(16, 2*len(q.buf)))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
 	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
 }
 
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // release the continuation and payload
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).before(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
+func (q *ready) pop() event {
+	e := q.buf[q.head]
+	q.buf[q.head] = event{} // release the continuation and payload
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
 }
 
 // runState is the state of one RunGather, reused by the next when the
-// run ends clean (see Cluster.pool): ranks, clocks, links, wires, the
-// event heap, per-rank scratch and the traffic census (plain ints — the
-// whole run is one goroutine). Links are found through an
-// open-addressing table over their (src, dst) key; a warm run on the
-// same schedule finds every link it needs and every wire slot free.
+// run ends clean (see Cluster.pool), which leaves every chain empty and
+// every rank unparked: neither needs a reset. The census counters are
+// plain ints — the whole run is one goroutine.
 type runState struct {
 	cluster *Cluster
 	ranks   []Rank
@@ -168,41 +127,40 @@ type runState struct {
 	results [][]float32
 	scratch []scratch.Arena
 
-	links    []link
-	slots    []int32 // open addressing: index into links + 1, 0 = empty
+	waits    []waiter // waits[dst]: the receive dst is parked on
+	inbox    []inbox  // inbox[dst]: the wires queued for dst
 	wires    []wire
 	freeWire int32 // head of the free-wire chain, -1 = none
 
-	heap     eventHeap
-	seq      int64
+	ready    ready
 	cur      int // world rank whose code is running, for RankPanic
 	finished int
-	parked   int // waiters parked and not yet matched
+	parked   int // receives parked and not yet matched
 
 	msgs       int64 // wires posted
-	delivered  int64 // wires matched to a waiter
+	delivered  int64 // wires matched to a receive
 	crossMsgs  int64
 	crossBytes int64
 }
 
 func newRunState(c *Cluster) *runState {
-	slots := 16
-	for slots < 4*c.P {
-		slots *= 2
-	}
-	return &runState{
+	rs := &runState{
 		cluster: c,
 		ranks:   make([]Rank, c.P),
 		clocks:  make([]float64, c.P),
 		results: make([][]float32, c.P),
 		scratch: make([]scratch.Arena, c.P),
-		slots:   make([]int32, slots),
+		waits:   make([]waiter, c.P),
+		inbox:   make([]inbox, c.P),
 	}
+	for i := range rs.inbox {
+		rs.inbox[i] = inbox{head: -1, tail: -1}
+	}
+	return rs
 }
 
-// begin readies a fresh or recycled state for a run. A recycled state
-// comes from a drained run, so its links are empty and its heap is too;
-// only the per-run counters, the clocks and the scratch cursors move.
+// begin readies a fresh or recycled state for a run: only the per-run
+// counters, the clocks and the scratch cursors move (see runState).
 func (rs *runState) begin() {
 	for i := range rs.ranks {
 		rs.clocks[i] = 0
@@ -212,85 +170,81 @@ func (rs *runState) begin() {
 	}
 	rs.freeWire = -1
 	rs.wires = rs.wires[:0]
-	rs.seq, rs.finished = 0, 0
+	rs.finished = 0
 	rs.msgs, rs.delivered, rs.crossMsgs, rs.crossBytes = 0, 0, 0, 0
 }
 
-func slotOf(key uint64, mask int) int {
-	return int((key*0x9E3779B97F4A7C15)>>32) & mask
-}
-
-// link returns the (src, dst) link, creating it on first use. The
-// pointer is valid until the next call (creation may move the table).
-func (rs *runState) link(src, dst int) *link {
-	key := uint64(src)<<32 | uint64(dst)
-	mask := len(rs.slots) - 1
-	i := slotOf(key, mask)
-	for rs.slots[i] != 0 {
-		if l := &rs.links[rs.slots[i]-1]; l.key == key {
-			return l
-		}
-		i = (i + 1) & mask
-	}
-	rs.links = append(rs.links, link{key: key, head: -1, tail: -1})
-	rs.slots[i] = int32(len(rs.links))
-	if 2*len(rs.links) > len(rs.slots) {
-		rs.slots = make([]int32, 2*len(rs.slots))
-		mask = len(rs.slots) - 1
-		for li := range rs.links {
-			j := slotOf(rs.links[li].key, mask)
-			for rs.slots[j] != 0 {
-				j = (j + 1) & mask
-			}
-			rs.slots[j] = int32(li + 1)
-		}
-	}
-	return &rs.links[len(rs.links)-1]
-}
-
-// post queues data on the (src, dst) link, counts it, and resolves a
-// waiter already parked there.
+// post sends data from src to dst and counts it. A receive dst has
+// parked on src takes the payload at once — that link is empty, or the
+// receive would have matched when it parked; otherwise the wire joins
+// dst's chain.
 func (rs *runState) post(src, dst int, data []float32, now float64) {
 	rs.msgs++
 	if cross, bytes := rs.cluster.Cross(src, dst, len(data)); cross {
 		rs.crossMsgs++
 		rs.crossBytes += bytes
 	}
+	if w := &rs.waits[dst]; w.k != nil && w.src == src {
+		rs.deliver(src, dst, data, now)
+		return
+	}
 	wi := rs.freeWire
-	if wi >= 0 {
-		rs.freeWire = rs.wires[wi].next
-		rs.wires[wi] = wire{data: data, sendTime: now, next: -1}
-	} else {
+	if wi < 0 {
 		wi = int32(len(rs.wires))
-		rs.wires = append(rs.wires, wire{data: data, sendTime: now, next: -1})
-	}
-	l := rs.link(src, dst)
-	if l.head < 0 {
-		l.head = wi
+		rs.wires = append(rs.wires, wire{})
 	} else {
-		rs.wires[l.tail].next = wi
+		rs.freeWire = rs.wires[wi].next
 	}
-	l.tail = wi
-	if l.parked() {
-		rs.match(l, src, dst)
+	rs.wires[wi] = wire{data: data, sendTime: now, src: int32(src), next: -1}
+	box := &rs.inbox[dst]
+	if box.head < 0 {
+		box.head = wi
+	} else {
+		rs.wires[box.tail].next = wi
+	}
+	box.tail = wi
+}
+
+// park parks dst's receive from src and matches it against the first
+// wire from src in dst's chain, if there is one.
+func (rs *runState) park(src, dst, sendElems int, k func([]float32)) {
+	if w := &rs.waits[dst]; w.k != nil {
+		panic(fmt.Sprintf("des: second receiver parked on link [%d %d] while rank %d waits on [%d %d]",
+			src, dst, dst, w.src, dst))
+	}
+	rs.waits[dst] = waiter{src: src, sendElems: sendElems, k: k}
+	rs.parked++
+	box := &rs.inbox[dst]
+	for prev, wi := int32(-1), box.head; wi >= 0; prev, wi = wi, rs.wires[wi].next {
+		m := rs.wires[wi]
+		if int(m.src) != src {
+			continue
+		}
+		if prev < 0 {
+			box.head = m.next
+		} else {
+			rs.wires[prev].next = m.next
+		}
+		if box.tail == wi {
+			box.tail = prev
+		}
+		rs.wires[wi] = wire{next: rs.freeWire}
+		rs.freeWire = wi
+		rs.deliver(src, dst, m.data, m.sendTime)
+		return
 	}
 }
 
-// match resolves the link's parked waiter against its head wire and
-// schedules the continuation on the heap at the arrival time.
-func (rs *runState) match(l *link, src, dst int) {
-	w := l.w
-	l.w = waiter{}
+// deliver resolves dst's parked receive with a payload src sent at
+// sendTime and queues the continuation at the arrival time. It never
+// calls the continuation, so the stack unwinds between hops.
+func (rs *runState) deliver(src, dst int, data []float32, sendTime float64) {
+	w := rs.waits[dst]
+	rs.waits[dst] = waiter{}
 	rs.parked--
-	wi := l.head
-	m := rs.wires[wi]
-	l.head = m.next
-	rs.wires[wi] = wire{next: rs.freeWire}
-	rs.freeWire = wi
 	rs.delivered++
-	t := rs.cluster.Arrive(src, dst, max(len(m.data), w.sendElems), rs.clocks[dst], m.sendTime)
-	rs.heap.push(event{time: t, rank: dst, seq: rs.seq, k: w.k, data: m.data})
-	rs.seq++
+	t := rs.cluster.Arrive(src, dst, max(len(data), w.sendElems), rs.clocks[dst], sendTime)
+	rs.ready.push(event{time: t, rank: dst, k: w.k, data: data})
 }
 
 // Rank is the per-rank handle passed to DES collective bodies — the
@@ -335,6 +289,9 @@ func (r *Rank) Scratch(n int) []float32 {
 // rule in internal/allreduce.
 func (r *Rank) Send(peer int, data []float32) {
 	src, dst := r.Rank, peer
+	if uint(dst) >= uint(r.cluster.P) {
+		panic(r.badPeer("send to", dst))
+	}
 	if dst == src {
 		panic("des: send to self")
 	}
@@ -349,6 +306,9 @@ func (r *Rank) Send(peer int, data []float32) {
 // programs so Recv is a tail call. The engine keeps k only until it
 // fires, so one continuation may serve every round of a phase.
 func (r *Rank) Recv(peer int, k func([]float32)) {
+	if uint(peer) >= uint(r.cluster.P) {
+		panic(r.badPeer("receive from", peer))
+	}
 	r.run.park(peer, r.Rank, -1, k)
 }
 
@@ -357,6 +317,9 @@ func (r *Rank) Recv(peer int, k func([]float32)) {
 // simnet.Node.SendRecv. k receives the peer's payload.
 func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
 	src, dst := r.Rank, peer
+	if uint(dst) >= uint(r.cluster.P) {
+		panic(r.badPeer("sendrecv with", dst))
+	}
 	if dst == src {
 		panic("des: sendrecv with self")
 	}
@@ -364,16 +327,9 @@ func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
 	r.run.park(dst, src, len(sendData), k)
 }
 
-func (rs *runState) park(src, dst, sendElems int, k func([]float32)) {
-	l := rs.link(src, dst)
-	if l.parked() {
-		panic(fmt.Sprintf("des: second receiver parked on link [%d %d]", src, dst))
-	}
-	l.w = waiter{sendElems: sendElems, k: k}
-	rs.parked++
-	if l.head >= 0 {
-		rs.match(l, src, dst)
-	}
+// badPeer is the panic message for a peer outside [0, P).
+func (r *Rank) badPeer(op string, peer int) string {
+	return fmt.Sprintf("des: rank %d: %s peer %d outside [0, %d)", r.Rank, op, peer, r.cluster.P)
 }
 
 // ChargeReduce accounts a local elementwise reduction of elems values,
@@ -427,7 +383,7 @@ func (c *Cluster) Run(body func(r *Rank)) topology.Result {
 }
 
 // RunGather executes body on every rank of a clean run (zeroed clocks,
-// empty links, rewound scratch) and drains the event heap to
+// empty links, rewound scratch) and drains the ready queue to
 // completion. The body runs rank code inline until the first park; each
 // rank must eventually call Finish with its result. What is returned
 // follows simnet.Cluster.RunGather's contract: the slice, and the
@@ -451,13 +407,12 @@ func (c *Cluster) RunGather(body func(r *Rank)) (topology.Result, [][]float32) {
 	rs.execute(body)
 	if rs.finished != c.P {
 		panic(fmt.Sprintf("des: deadlock — %d of %d ranks finished, parked waiters on links %v",
-			rs.finished, c.P, rs.linksWhere((*link).parked)))
+			rs.finished, c.P, rs.parkedLinks()))
 	}
 	// A completed collective must have consumed every message it sent.
 	// The counters decide that; the sorted scan only names the link.
 	if rs.delivered != rs.msgs {
-		panic(fmt.Sprintf("des: unconsumed message on link %v",
-			rs.linksWhere(func(l *link) bool { return l.head >= 0 })[0]))
+		panic(fmt.Sprintf("des: unconsumed message on link %v", rs.queuedLinks()[0]))
 	}
 	res := topology.NewResult(rs.clocks, rs.msgs, rs.crossMsgs, rs.crossBytes)
 	// A waiter still parked (a receive nothing was ever sent to, on a
@@ -471,7 +426,7 @@ func (c *Cluster) RunGather(body func(r *Rank)) (topology.Result, [][]float32) {
 	return res, rs.results
 }
 
-// execute seeds every rank's body and drains the heap. One deferred
+// execute seeds every rank's body and drains the ready queue. One deferred
 // recover covers the lot: cur names the rank whose code is running.
 func (rs *runState) execute(body func(r *Rank)) {
 	defer rs.rewrap()
@@ -479,8 +434,8 @@ func (rs *runState) execute(body func(r *Rank)) {
 		rs.cur = i
 		body(&rs.ranks[i])
 	}
-	for len(rs.heap) > 0 {
-		ev := rs.heap.pop()
+	for rs.ready.n > 0 {
+		ev := rs.ready.pop()
 		rs.cur = ev.rank
 		rs.clocks[ev.rank] = ev.time
 		ev.k(ev.data)
@@ -498,20 +453,28 @@ func (rs *runState) rewrap() {
 	}
 }
 
-// linksWhere lists the (src, dst) ends of the links keep selects,
-// sorted, for the deadlock and unconsumed-message diagnostics.
-func (rs *runState) linksWhere(keep func(*link) bool) [][2]int {
-	var out [][2]int
-	for i := range rs.links {
-		if l := &rs.links[i]; keep(l) {
-			out = append(out, l.ends())
+// parkedLinks and queuedLinks list the (src, dst) links a receive is
+// parked on and those holding a wire, sorted, for the deadlock and
+// unconsumed-message diagnostics.
+func (rs *runState) parkedLinks() (out [][2]int) {
+	for dst, w := range rs.waits {
+		if w.k != nil {
+			out = append(out, [2]int{w.src, dst})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	return sorted(out)
+}
+
+func (rs *runState) queuedLinks() (out [][2]int) {
+	for dst, box := range rs.inbox {
+		for wi := box.head; wi >= 0; wi = rs.wires[wi].next {
+			out = append(out, [2]int{int(rs.wires[wi].src), dst})
 		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	}
+	return sorted(out)
+}
+
+func sorted(links [][2]int) [][2]int {
+	slices.SortFunc(links, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
+	return links
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestRankPanicCarriesRank(t *testing.T) {
 }
 
 // TestContinuationPanicCarriesRank: the rewrap must also catch panics
-// raised inside heap-scheduled continuations, not just the seed call.
+// raised inside queued continuations, not just the seed call.
 func TestContinuationPanicCarriesRank(t *testing.T) {
 	c := testCluster(2)
 	defer func() {
@@ -193,40 +194,39 @@ func TestContinuationPanicCarriesRank(t *testing.T) {
 	})
 }
 
-// TestEventHeapTieBreak pins the scheduler's total order directly:
-// events pop by (simTime, world rank, seq), so ties on the simulated
-// clock break by rank and then by scheduling sequence — never by
-// insertion accident.
-func TestEventHeapTieBreak(t *testing.T) {
-	events := []event{
-		{time: 2, rank: 0, seq: 9},
-		{time: 1, rank: 3, seq: 4},
-		{time: 1, rank: 1, seq: 7},
-		{time: 1, rank: 1, seq: 2},
-		{time: 0, rank: 5, seq: 8},
-		{time: 1, rank: 3, seq: 1},
-	}
-	want := []event{
-		{time: 0, rank: 5, seq: 8},
-		{time: 1, rank: 1, seq: 2},
-		{time: 1, rank: 1, seq: 7},
-		{time: 1, rank: 3, seq: 1},
-		{time: 1, rank: 3, seq: 4},
-		{time: 2, rank: 0, seq: 9},
-	}
-	// Every insertion order must yield the same pop order.
-	for shift := 0; shift < len(events); shift++ {
-		var h eventHeap
-		for i := range events {
-			h.push(events[(i+shift)%len(events)])
+// TestReadyQueueFIFO: the ready ring pops in push order across a
+// wrap-around of its buffer and a growth that unrolls one.
+func TestReadyQueueFIFO(t *testing.T) {
+	var q ready
+	next, want := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			q.push(event{rank: next})
+			next++
 		}
-		for i := range want {
-			got := h.pop()
-			if got.time != want[i].time || got.rank != want[i].rank || got.seq != want[i].seq {
-				t.Fatalf("shift %d pop %d: got (%v,%d,%d) want (%v,%d,%d)",
-					shift, i, got.time, got.rank, got.seq, want[i].time, want[i].rank, want[i].seq)
+	}
+	pop := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if got := q.pop().rank; got != want {
+				t.Fatalf("popped %d, want %d", got, want)
 			}
+			want++
 		}
+	}
+	push(10)
+	pop(6)
+	push(12) // wraps: the first buffer holds 16
+	if len(q.buf) != 16 || q.head+q.n <= len(q.buf) {
+		t.Fatalf("buffer %d head %d n %d: no wrap-around to test", len(q.buf), q.head, q.n)
+	}
+	push(5) // grows from a wrapped buffer
+	if len(q.buf) != 32 {
+		t.Fatalf("buffer %d after growth, want 32", len(q.buf))
+	}
+	pop(next - want)
+	if q.n != 0 {
+		t.Fatalf("%d events left", q.n)
 	}
 }
 
@@ -265,6 +265,59 @@ func TestSecondWaiterPanics(t *testing.T) {
 		}
 		r.Finish(nil)
 	})
+}
+
+// TestSecondReceivePanics: a rank holds at most one parked receive,
+// whichever link a second would wait on, and the panic names both.
+func TestSecondReceivePanics(t *testing.T) {
+	c := testCluster(3)
+	defer func() {
+		rp, ok := recover().(RankPanic)
+		if !ok || rp.FailedRank() != 1 || !strings.Contains(rp.Error(), "second receiver") ||
+			!strings.Contains(rp.Error(), "[2 1]") || !strings.Contains(rp.Error(), "[0 1]") {
+			t.Fatalf("expected a second-receiver panic naming [0 1] and [2 1], got %v", rp)
+		}
+	}()
+	c.Run(func(r *Rank) {
+		if r.Rank == 1 {
+			r.Recv(0, func([]float32) {})
+			r.Recv(2, func([]float32) {})
+			return
+		}
+		r.Finish(nil)
+	})
+}
+
+// TestPeerOutOfRangePanics: a peer outside [0, P) is refused by name on
+// every call, before it can reach the engine's per-rank tables.
+func TestPeerOutOfRangePanics(t *testing.T) {
+	const p = 4
+	calls := []struct {
+		op   string
+		call func(r *Rank, peer int)
+	}{
+		{"send to", func(r *Rank, peer int) { r.Send(peer, []float32{1}) }},
+		{"receive from", func(r *Rank, peer int) { r.Recv(peer, func([]float32) {}) }},
+		{"sendrecv with", func(r *Rank, peer int) { r.SendRecv(peer, []float32{1}, func([]float32) {}) }},
+	}
+	for _, c := range calls {
+		for _, peer := range []int{-1, p} {
+			func() {
+				want := fmt.Sprintf("des: rank 2: %s peer %d outside [0, %d)", c.op, peer, p)
+				defer func() {
+					if rp, ok := recover().(RankPanic); !ok || rp.FailedRank() != 2 || rp.Value != want {
+						t.Fatalf("%s %d: got %v, want a RankPanic %q", c.op, peer, rp, want)
+					}
+				}()
+				testCluster(p).Run(func(r *Rank) {
+					if r.Rank == 2 {
+						c.call(r, peer)
+					}
+					r.Finish(nil)
+				})
+			}()
+		}
+	}
 }
 
 // shiftStorm is a p-rank ring-shift body whose continuations are built

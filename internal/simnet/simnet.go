@@ -147,6 +147,9 @@ func (n *Node) countMsg(src, dst, elems int) {
 // internal/allreduce.
 func (n *Node) Send(peer int, data []float32) {
 	src, dst := n.Rank, peer
+	if uint(dst) >= uint(n.cluster.P) {
+		panic(n.badPeer("send to", dst))
+	}
 	if dst == src {
 		panic("simnet: send to self")
 	}
@@ -159,6 +162,9 @@ func (n *Node) Send(peer int, data []float32) {
 // arrival time: max(local, remote-send) + α + βn.
 func (n *Node) Recv(peer int) []float32 {
 	src, dst := peer, n.Rank
+	if uint(src) >= uint(n.cluster.P) {
+		panic(n.badPeer("receive from", src))
+	}
 	m := <-n.run.channel(src, dst)
 	*n.clock = n.cluster.Arrive(src, dst, len(m.data), *n.clock, m.sendTime)
 	return m.data
@@ -169,6 +175,9 @@ func (n *Node) Recv(peer int) []float32 {
 // α+βn for the larger of the two transfers.
 func (n *Node) SendRecv(peer int, sendData []float32) []float32 {
 	src, dst := n.Rank, peer
+	if uint(dst) >= uint(n.cluster.P) {
+		panic(n.badPeer("sendrecv with", dst))
+	}
 	if dst == src {
 		panic("simnet: sendrecv with self")
 	}
@@ -177,6 +186,11 @@ func (n *Node) SendRecv(peer int, sendData []float32) []float32 {
 	m := <-n.run.channel(dst, src)
 	*n.clock = n.cluster.Arrive(src, dst, max(len(sendData), len(m.data)), *n.clock, m.sendTime)
 	return m.data
+}
+
+// badPeer is the panic message for a peer outside [0, P).
+func (n *Node) badPeer(op string, peer int) string {
+	return fmt.Sprintf("simnet: rank %d: %s peer %d outside [0, %d)", n.Rank, op, peer, n.cluster.P)
 }
 
 // ChargeReduce accounts the local element-wise reduction of elems

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"swcaffe/internal/topology"
@@ -310,6 +311,38 @@ func TestSelfSendPanics(t *testing.T) {
 			n.Send(0, []float32{1})
 		}
 	})
+}
+
+// TestPeerOutOfRangePanics: a peer outside [0, P) is refused by name on
+// every call, before it can index a table or block on a link no rank
+// sends on.
+func TestPeerOutOfRangePanics(t *testing.T) {
+	const p = 4
+	calls := []struct {
+		op   string
+		call func(n *Node, peer int)
+	}{
+		{"send to", func(n *Node, peer int) { n.Send(peer, []float32{1}) }},
+		{"receive from", func(n *Node, peer int) { n.Recv(peer) }},
+		{"sendrecv with", func(n *Node, peer int) { n.SendRecv(peer, []float32{1}) }},
+	}
+	for _, c := range calls {
+		for _, peer := range []int{-1, p} {
+			func() {
+				want := fmt.Sprintf("simnet: rank 2: %s peer %d outside [0, %d)", c.op, peer, p)
+				defer func() {
+					if np, ok := recover().(NodePanic); !ok || np.FailedRank() != 2 || np.Value != want {
+						t.Fatalf("%s %d: got %v, want a NodePanic %q", c.op, peer, np, want)
+					}
+				}()
+				NewCluster(topology.Sunway(), topology.AdjacentMapping{Q: 2}, p).Run(func(n *Node) {
+					if n.Rank == 2 {
+						c.call(n, peer)
+					}
+				})
+			}()
+		}
+	}
 }
 
 // TestCrossTrafficCensus: Result must report the message count and the

@@ -141,8 +141,8 @@ type DistConfig struct {
 	// launches, and a private model replica per rank — the functional
 	// and concurrency oracle at small p. Its nodes own CPE worker
 	// pools: call Close when done. BackendDES is the single-threaded
-	// discrete-event backend: collectives run as continuation events on
-	// one binary-heap queue (internal/des) and passes execute inline on
+	// discrete-event backend: collectives run as continuations on one
+	// FIFO ready queue (internal/des) and passes execute inline on
 	// DES nodes (swnode.NewDESNode) — zero goroutines — through one
 	// model that all ranks share (see Worker): one net is built,
 	// initialised, updated and restored per cluster, not p of them,
