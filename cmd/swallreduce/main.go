@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -97,6 +98,49 @@ func crossingsTable(p, q int, nBytes float64) {
 	tw.Flush()
 }
 
+// liveLength is the element count of the live run's vectors; each
+// element is priced at bytes/liveLength on the wire.
+const liveLength = 4096
+
+// liveRun runs the named algorithm on a simulated p-node TaihuLight
+// under both rank mappings, prints each makespan, and checks every
+// element of rank 0's result. The inputs are small integers, so every
+// association order sums them exactly, and the reference is an int64
+// sum: a float32 sum of larger values rounds differently in different
+// orders once its partial sums pass 2^24, as p in the thousands makes
+// them.
+func liveRun(w io.Writer, name string, a allreduce.Algorithm, p int, bytes float64) error {
+	fmt.Fprintf(w, "\n=== live simulated run: %s, p=%d, %.4g bytes ===\n", name, p, bytes)
+	inputs := make([][]float32, p)
+	want := make([]int64, liveLength)
+	for r := range inputs {
+		inputs[r] = make([]float32, liveLength)
+		for i := range inputs[r] {
+			v := (r+i)%17 - 8
+			inputs[r][i] = float32(v)
+			want[i] += int64(v)
+		}
+	}
+	net := topology.Sunway()
+	for _, m := range []topology.Mapping{
+		topology.AdjacentMapping{Q: net.SupernodeSize},
+		topology.RoundRobinMapping{Q: net.SupernodeSize},
+	} {
+		cl := simnet.NewCluster(net, m, p)
+		cl.ReduceOnCPE = true
+		cl.BytesPerElem = bytes / liveLength
+		res, outs := cl.RunGather(func(n *simnet.Node) []float32 { return a(n, inputs[n.Rank]) })
+		for i, v := range outs[0] {
+			if v != float32(want[i]) {
+				return fmt.Errorf("%s allreduce sum wrong: rank 0 element %d is %g, want %d", m.Name(), i, v, want[i])
+			}
+		}
+		fmt.Fprintf(w, "%-22s makespan %.6fs (effective %.2f GB/s per node)\n",
+			m.Name(), res.Time, 2*bytes/res.Time/1e9)
+	}
+	return nil
+}
+
 func main() {
 	nodes := flag.Int("nodes", 64, "simulated node count for the live run")
 	bytes := flag.Float64("bytes", 232.6e6, "gradient size in bytes (AlexNet = 232.6e6)")
@@ -115,6 +159,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swallreduce: need -nodes >= 1, -q >= 1 and 0 < -bytes <= 1e15 (got -nodes %d -q %d -bytes %g)\n", *nodes, *q, *bytes)
 		os.Exit(2)
 	}
+	a, err := allreduce.ByName(*alg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swallreduce: %v\n", err)
+		os.Exit(2)
+	}
 
 	experiments.Figure6(os.Stdout)
 	experiments.Figure7(os.Stdout, *bytes)
@@ -122,42 +171,8 @@ func main() {
 	bucketAdvisory(*nodes, *bytes)
 	crossingsTable(*nodes, *q, *bytes)
 
-	fmt.Printf("\n=== live simulated run: %s, p=%d, %.4g bytes ===\n", *alg, *nodes, *bytes)
-	a, err := allreduce.ByName(*alg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	net := topology.Sunway()
-	for _, m := range []topology.Mapping{
-		topology.AdjacentMapping{Q: net.SupernodeSize},
-		topology.RoundRobinMapping{Q: net.SupernodeSize},
-	} {
-		cl := simnet.NewCluster(net, m, *nodes)
-		cl.ReduceOnCPE = true
-		length := 4096
-		cl.BytesPerElem = *bytes / float64(length)
-		inputs := make([][]float32, *nodes)
-		for r := range inputs {
-			inputs[r] = make([]float32, length)
-			for i := range inputs[r] {
-				inputs[r][i] = float32(r + i)
-			}
-		}
-		res := cl.Run(func(n *simnet.Node) {
-			out := a(n, inputs[n.Rank])
-			// Spot-check the sum on rank 0.
-			if n.Rank == 0 {
-				want := float32(0)
-				for r := 0; r < *nodes; r++ {
-					want += float32(r)
-				}
-				if out[0] != want {
-					panic(fmt.Sprintf("allreduce sum wrong: got %g want %g", out[0], want))
-				}
-			}
-		})
-		fmt.Printf("%-22s makespan %.6fs (effective %.2f GB/s per node)\n",
-			m.Name(), res.Time, 2**bytes/res.Time/1e9)
+	if err := liveRun(os.Stdout, *alg, a, *nodes, *bytes); err != nil {
+		fmt.Fprintf(os.Stderr, "swallreduce: %v\n", err)
+		os.Exit(1)
 	}
 }

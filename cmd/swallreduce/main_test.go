@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"swcaffe/internal/allreduce"
 )
 
 // bin is the swallreduce binary, built once for the whole package.
@@ -41,12 +43,12 @@ func run(args ...string) (stdout, stderr string, exit int, err error) {
 }
 
 // TestBadFlagsExitTwo: a cluster of no nodes, a supernode of no nodes,
-// an empty gradient and one the wire arithmetic cannot hold (infinite,
-// or past 1e15 bytes, where the int64 census wraps) are refused before
-// any work, with one line on stderr — not with a panic after three
+// an empty gradient, one the wire arithmetic cannot hold (infinite, or
+// past 1e15 bytes, where the int64 census wraps) and an unknown
+// algorithm are refused before any work, with one line on stderr — not with a panic after three
 // tables, nor with infinite makespans.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{{"-nodes", "0"}, {"-q", "0"}, {"-bytes", "0"}, {"-bytes", "Inf"}, {"-bytes", "1e30"}} {
+	for _, args := range [][]string{{"-nodes", "0"}, {"-q", "0"}, {"-bytes", "0"}, {"-bytes", "Inf"}, {"-bytes", "1e30"}, {"-alg", "bogus"}} {
 		stdout, stderr, exit, err := run(args...)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -86,5 +88,23 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 	}
 	if !strings.HasPrefix(stderr, "swallreduce: unexpected argument \"bogus\"\n") || !strings.Contains(stderr, "Usage of ") {
 		t.Errorf("stderr does not name the argument and print usage:\n%s", stderr)
+	}
+}
+
+// TestLiveRunSumsExactlyAtScale: at a few thousand nodes a float32 sum
+// of the old inputs, float32(r+i), passes 2^24, and a correct all-reduce
+// failed the check by rounding in another order than the reference.
+// The live run at p = 6000 now checks all of rank 0's result exactly.
+func TestLiveRunSumsExactlyAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("p = 6000 goroutine ranks")
+	}
+	a, err := allreduce.ByName(allreduce.NameRHD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := liveRun(&out, allreduce.NameRHD, a, 6000, 232.6e6); err != nil {
+		t.Errorf("%v\n%s", err, out.String())
 	}
 }

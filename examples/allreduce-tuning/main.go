@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"text/tabwriter"
 
 	"swcaffe/internal/allreduce"
 	"swcaffe/internal/simnet"
@@ -17,14 +19,15 @@ func main() {
 	net := topology.Sunway()
 
 	fmt.Println("best all-reduce per (gradient size, nodes) on TaihuLight:")
-	fmt.Printf("%-12s", "bytes\\nodes")
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprint(tw, "bytes\\nodes")
 	nodeCounts := []int{4, 16, 64, 256, 1024}
 	for _, p := range nodeCounts {
-		fmt.Printf(" %-16d", p)
+		fmt.Fprintf(tw, "\t%d", p)
 	}
-	fmt.Println()
+	fmt.Fprintln(tw)
 	for _, nBytes := range []float64{1 << 10, 256 << 10, 16 << 20, 232.6e6} {
-		fmt.Printf("%-12.3g", nBytes)
+		fmt.Fprintf(tw, "%.3g", nBytes)
 		for _, p := range nodeCounts {
 			type cand struct {
 				name string
@@ -43,10 +46,11 @@ func main() {
 					best = c
 				}
 			}
-			fmt.Printf(" %-16s", fmt.Sprintf("%s %.3gms", best.name, best.t*1e3))
+			fmt.Fprintf(tw, "\t%s %.3gms", best.name, best.t*1e3)
 		}
-		fmt.Println()
+		fmt.Fprintln(tw)
 	}
+	tw.Flush()
 
 	// Validate the headline cell (AlexNet gradient, 1024 nodes is too
 	// many goroutine-heavy runs for an example; use 256) against the

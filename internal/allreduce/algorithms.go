@@ -19,10 +19,11 @@
 // # Payload ownership
 //
 // Send and SendRecv pass the payload slice itself, on both backends; no
-// message is copied on the way, no cursor stages one, and every range
-// sent is a range of the vector being reduced — there is no untouched
-// input to send from. One rule makes that safe, and every cursor is
-// written to it:
+// message is copied on the way and no cursor stages one. A range the
+// rank has not written yet goes from the input, one it has from the
+// result; a call in place has one vector for both, so every send is a
+// range of the vector being reduced. One rule makes that safe, and
+// every cursor is written to it:
 //
 //	A sent slice belongs to the receiver until the sender next hears
 //	from that peer, directly or through a chain of messages begun
@@ -53,19 +54,37 @@
 // finished chunk coming back around the ring, which descends from the
 // neighbour's reduce of that message.
 //
+// # The one-shot rule
+//
+// A call reads its input and writes its result, and the cursor names
+// which of the two each range comes from: the first touch of a result
+// range — a load, a copy received over it, or a fresh reduce, which
+// writes input + payload — reads the input, and every later read is of
+// the result. A range is read from the input only while the result has
+// not written it, so the input is never needed again once it has, and
+// nothing copies it up front. Two shapes load the input whole instead:
+// a flat-RHD core rank whose vector needs a pad, as its halves cross the
+// input's end (the load zeroes the pad), and a lone rank, which has no
+// other write. In place a load is onto itself, and only zeroes the pad.
+// The schedule walk of the property test checks the rule too, element
+// by element.
+//
 // # Result lifetime
 //
 // A schedule reduces the vector it is given where it lies (Schedule.Run,
-// Schedule.RunDES): the result is that vector, the caller's, as long-
-// lived as the caller makes it. Only the one-shot Algorithm forms (Ring,
-// BinomialTree, RecursiveHalvingDoubling, Hierarchical) leave their
-// input alone and return memory taken from the rank's Scratch, under the
-// rule that covers everything a run hands out — the RunGather slice and
-// the arena vectors in it belong to the cluster and are valid until its
-// next run; a caller keeping one across runs copies it. A rank stranded
-// by a failed run finishes late, into whichever of the two it was given:
-// a failed run's arenas are abandoned with its state, and a caller that
-// lent its own vectors stops using them (collective.Engine.ResetStaging).
+// Schedule.RunDES): the input is the result, the caller's vector, as
+// long-lived as the caller makes it. Only the one-shot Algorithm forms
+// (Ring, BinomialTree, RecursiveHalvingDoubling, Hierarchical) leave
+// their input alone and reduce it into memory taken from the rank's
+// Scratch, which the first touches fill, under the rule that covers
+// everything a run hands out — the RunGather slice and the arena
+// vectors in it belong to the cluster and are valid until its next run;
+// a caller keeping one across runs copies it. An arena vector comes back
+// holding the last run's values, and the one-shot rule is why no call
+// reads them. A rank stranded by a failed run finishes late, into
+// whichever of the two it was given: a failed run's arenas are abandoned
+// with its state, and a caller that lent its own vectors stops using
+// them (collective.Engine.ResetStaging).
 package allreduce
 
 import (
@@ -177,7 +196,8 @@ func (s Schedule) Name() string { return schedules[s].name }
 // past len(data), inside data's own capacity: they are zeroed and
 // overwritten, and a vector without the capacity panics.
 func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int) []float32 {
-	return runBlocking(n, newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total), data)
+	c := newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total)
+	return runBlocking(n, c, newFrame(data, data, c.resultLen(len(data))))
 }
 
 // RunDES is Run on the discrete-event backend: k fires with data once
@@ -186,13 +206,15 @@ func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, k func([]fl
 	runResumable(r, newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total), data, k)
 }
 
-// oneShot is the boundary of the Algorithm forms: it runs the schedule
-// in a copy of data taken from the rank's arena, so the input is left
-// alone and the result belongs to the cluster.
+// oneShot is the boundary of the Algorithm forms: it reduces data into
+// a result vector taken from the rank's arena, so the input is only
+// read and the result belongs to the cluster. Nothing copies data
+// first: the cursor's first touch of each result range reads the input
+// (see round).
 func (s Schedule) oneShot(n *simnet.Node, data []float32, lo, total int) []float32 {
 	c := newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total)
-	res := n.Scratch(c.resultLen(len(data)))
-	return runBlocking(n, c, res[:copy(res, data)])
+	resLen := c.resultLen(len(data))
+	return runBlocking(n, c, newFrame(data, n.Scratch(resLen), resLen))
 }
 
 // Ring is the bandwidth-optimal ring all-reduce (paper ref [15]):

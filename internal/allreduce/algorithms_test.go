@@ -233,7 +233,7 @@ func TestRingSegmentRejectsUnalignedBounds(t *testing.T) {
 func TestLandChecksPayloadLength(t *testing.T) {
 	for _, reduce := range []bool{false, true} {
 		data := []float32{1, 1, 1, 1, 1, 1, 1, 1}
-		f := newFrame(data, len(data))
+		f := newFrame(data, data, len(data))
 		rd := round{sendTo: -1, recvFrom: 3, recv: span{result, 2, 6}, reduce: reduce}
 		if got := f.land(&rd, []float32{2, 3, 4, 5}); got != reduce {
 			t.Fatalf("reduce=%v: land reported a reduction %v", reduce, got)
@@ -255,6 +255,70 @@ func TestLandChecksPayloadLength(t *testing.T) {
 			}()
 			if !strings.Contains(msg, fmt.Sprintf("received %d elements, want recv.len() = 4", n)) || !strings.Contains(msg, "recvFrom:3") {
 				t.Errorf("reduce=%v: a %d-element payload for a 4-element span panicked with %q, want the length and the round", reduce, n, msg)
+			}
+		}
+	}
+}
+
+// TestFreshReduceAddsToTheInput: a fresh reduce writes input + payload
+// over whatever the result range held, and leaves the input alone.
+func TestFreshReduceAddsToTheInput(t *testing.T) {
+	in := []float32{1, 2, 3, 4, 5, 6, 7, 8}
+	res := []float32{9, 9, 9, 9, 9, 9, 9, 9}
+	f := newFrame(in, res, len(res))
+	rd := round{sendTo: -1, recvFrom: 3, recv: span{result, 2, 6}, reduce: true, fresh: true}
+	if !f.land(&rd, []float32{10, 20, 30, 40}) {
+		t.Fatal("a fresh reduce was not reported as a reduction")
+	}
+	want := []float32{9, 9, 13, 24, 35, 46, 9, 9}
+	for i := range want {
+		if res[i] != want[i] || in[i] != float32(i+1) {
+			t.Fatalf("result %v, input %v; want %v and the input unchanged", res, in, want)
+		}
+	}
+}
+
+// TestOneShotIgnoresStaleArena: a one-shot call reduces into arena
+// memory that still holds the cluster's last run, and must never read
+// it. A run over NaN inputs leaves NaN in every rank's arena; the next
+// run, over small integers, must give their exact sum on every rank —
+// a padded RHD core (n = 5) and a leader whose group of one never
+// reduced its chunk in phase A (q = 1) included.
+func TestOneShotIgnoresStaleArena(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, q := range []int{1, 4} {
+		for _, p := range []int{1, 3, 8, 24} {
+			for _, n := range []int{0, 5, 64} {
+				poison, inputs := make([][]float32, p), intInputs(p, n)
+				for r := range poison {
+					poison[r] = make([]float32, n)
+					for i := range poison[r] {
+						poison[r][i] = nan
+					}
+				}
+				sum := make([]float32, n)
+				for _, in := range inputs {
+					for i, v := range in {
+						sum[i] += v
+					}
+				}
+				for s := range schedules {
+					sched := Schedule(s)
+					cl := simnet.NewCluster(sunwayQ(q), topology.RoundRobinMapping{Q: q}, p)
+					cl.RunGather(func(nd *simnet.Node) []float32 { return sched.oneShot(nd, poison[nd.Rank], 0, n) })
+					_, outs := cl.RunGather(func(nd *simnet.Node) []float32 { return sched.oneShot(nd, inputs[nd.Rank], 0, n) })
+					for r, out := range outs {
+						if len(out) != n {
+							t.Fatalf("%s q=%d p=%d n=%d: rank %d returned %d elements", sched.Name(), q, p, n, r, len(out))
+						}
+						for i := range sum {
+							if math.Float32bits(out[i]) != math.Float32bits(sum[i]) {
+								t.Fatalf("%s q=%d p=%d n=%d: rank %d elem %d = %g after a NaN run, want %g",
+									sched.Name(), q, p, n, r, i, out[i], sum[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

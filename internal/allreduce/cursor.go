@@ -17,14 +17,16 @@ import (
 // resumable one over des.Rank — own every side effect.
 //
 // Adding an algorithm is one cursor type with a next method, one case
-// in cursor.next/newCursor and one row in the schedules table.
+// in cursor.next/newCursor and one row in the schedules table; the
+// cursor marks its first touch of every result range (see round).
 
-// vector names one of the two buffers a call works with.
+// vector names one of the three buffers a call works with.
 type vector uint8
 
 const (
-	result vector = iota // the caller's vector, reduced where it lies; RHD's exact halving pads it inside its capacity
+	result vector = iota // the vector the call reduces into and returns; RHD's exact halving pads it
 	work                 // the scratch sub-vector a padded hierarchical leader's RHD runs in
+	input                // the caller's vector, only read; in place it is result itself
 )
 
 // span is the element range [lo, hi) of a vector.
@@ -35,16 +37,27 @@ type span struct {
 
 func (s span) len() int { return s.hi - s.lo }
 
+// untouched is s's range of the input: what a rank reads for a result
+// range it has not written yet.
+func (s span) untouched() span { return span{input, s.lo, s.hi} }
+
 // round is one step of a rank's schedule. Exactly one of three shapes:
 // a phase boundary (phase set, nothing else); a local copy send → recv
-// on this rank (a recv in work first takes recv.hi floats of scratch
-// and zeroes what the copy leaves); or communication — an optional send
-// followed by an optional receive, or both at once as one full-duplex
-// exchange when paired. Peers are world ranks, -1 for none. The
-// payload sent is the range itself, never a copy — of the vector being
-// reduced, or of work: there is no untouched input to send from, so
-// every send is a loan under the package's ownership rule — and the
-// payload received has exactly recv.len() elements.
+// on this rank (a recv in work first takes recv.hi floats of scratch;
+// the copy zeroes what it leaves of recv, which pads a vector); or
+// communication — an optional send followed by an optional receive, or
+// both at once as one full-duplex exchange when paired. Peers are world
+// ranks, -1 for none. The payload sent is the range itself, never a
+// copy: of the input where the result range is still untouched, of the
+// result or of work otherwise — in place the input is the result, so
+// every send is a loan under the package's ownership rule. The payload
+// received has exactly recv.len() elements.
+//
+// The first write of a result range is a round's business too: a load
+// from the input, a copy received over it, or a fresh reduce, which
+// adds the payload to the input's range rather than the result's. Every
+// cursor marks its first touches so, and a one-shot call then needs no
+// copy of its input.
 type round struct {
 	phase HierPhase
 	local bool
@@ -55,6 +68,7 @@ type round struct {
 	recvFrom int
 	recv     span // where the payload lands
 	reduce   bool // add into recv (and charge the reduction) instead of copying
+	fresh    bool // the reduce's addend is recv's range of the input: recv is untouched
 
 	paired bool
 }
@@ -73,6 +87,8 @@ func (rd *round) exchange(peer int, send, recv span, reduce bool) {
 // move the per-call state to the heap.
 type cursor struct {
 	kind Schedule
+	lone bool // p = 1: nothing but a load of the input writes the result
+	n    int
 	ring ringCursor
 	tree treeCursor
 	rhd  rhdCursor // flat RHD, or the leader phase of hier
@@ -83,7 +99,7 @@ type cursor struct {
 // total-element vector on p ranks laid out as lay. The element-uniform
 // schedules (binomial tree, RHD) ignore lo and total.
 func newCursor(kind Schedule, rank, p int, lay *topology.Layout, lo, n, total int) cursor {
-	c := cursor{kind: kind}
+	c := cursor{kind: kind, lone: p == 1, n: n}
 	if p == 1 {
 		lo, total = 0, n // a lone rank moves nothing, whatever the segment
 	}
@@ -93,7 +109,7 @@ func newCursor(kind Schedule, rank, p int, lay *topology.Layout, lo, n, total in
 	case schedBinomial:
 		c.tree = treeCursor{rank: rank, p: p, n: n, mask: 1}
 	case schedRHD:
-		c.rhd = newRHDCursor(rank, p, n)
+		c.rhd = newRHDCursor(rank, p, n, true)
 	case schedHierarchical:
 		c.hier, c.rhd = newHierCursor(lay, rank, p, lo, n, total)
 	}
@@ -104,6 +120,11 @@ func newCursor(kind Schedule, rank, p int, lay *topology.Layout, lo, n, total in
 // schedule is complete.
 func (c *cursor) next(rd *round) bool {
 	*rd = round{sendTo: -1, recvFrom: -1}
+	if c.lone {
+		c.lone = false
+		rd.local, rd.send, rd.recv = true, span{input, 0, c.n}, span{result, 0, c.n}
+		return true
+	}
 	switch c.kind {
 	case schedRing:
 		return c.ring.next(rd)
@@ -137,7 +158,10 @@ func (c *cursor) resultLen(n int) int {
 // the finished chunk over it — and that chunk descends from the
 // neighbour's reduce of this very message, once around the ring and
 // back, so the neighbour's read came first although the rank never
-// hears from that neighbour directly.
+// hears from that neighbour directly. The chunk sent at step 0 is the
+// rank's own, untouched until the allgather brings it back finished, so
+// it goes from the input; every other chunk is scatter-received exactly
+// once, first, so each of those reduces is fresh.
 type ringCursor struct {
 	rank, p int
 	seg     segment
@@ -151,9 +175,13 @@ func (c *ringCursor) next(rd *round) bool {
 		scatter := t < c.p-1
 		if ch := mod(c.rank-t, c.p); c.seg.has(ch) {
 			rd.sendTo, rd.send = (c.rank+1)%c.p, c.seg.span(result, ch)
+			if t == 0 {
+				rd.send = rd.send.untouched()
+			}
 		}
 		if ch := mod(c.rank-t-1, c.p); c.seg.has(ch) {
-			rd.recvFrom, rd.recv, rd.reduce = mod(c.rank-1, c.p), c.seg.span(result, ch), scatter
+			rd.recvFrom, rd.recv = mod(c.rank-1, c.p), c.seg.span(result, ch)
+			rd.reduce, rd.fresh = scatter, scatter
 		}
 		if rd.sendTo >= 0 || rd.recvFrom >= 0 {
 			return true
@@ -220,11 +248,13 @@ func chunkIndexAt(total, k, off int) int {
 // broadcast back: a rank climbs, folding in the child at each level,
 // until its lowest set bit, where it ships the full vector to its
 // parent and waits there for the result; then it feeds the children
-// hanging below that level, nearest last.
+// hanging below that level, nearest last. The first child's reduce is
+// fresh, and a leaf, which has reduced nothing, ships its input.
 type treeCursor struct {
 	rank, p, n int
 	mask       int
 	down       bool
+	wrote      bool // a child's reduce has written the result
 }
 
 func (c *treeCursor) next(rd *round) bool {
@@ -234,12 +264,16 @@ func (c *treeCursor) next(rd *round) bool {
 		if c.rank&m != 0 {
 			c.down = true
 			rd.sendTo, rd.send = c.rank-m, whole
+			if !c.wrote {
+				rd.send = whole.untouched()
+			}
 			rd.recvFrom, rd.recv = c.rank-m, whole
 			return true
 		}
 		c.mask <<= 1
 		if c.rank+m < c.p {
 			rd.recvFrom, rd.recv, rd.reduce = c.rank+m, whole, true
+			rd.fresh, c.wrote = !c.wrote, true
 			return true
 		}
 	}
@@ -265,24 +299,33 @@ func (c *treeCursor) next(rd *round) bool {
 // unfolds. Every range goes in place: the half given away at distance
 // d is next written by the doubling exchange with the same peer, and
 // the span owned while doubling is finished.
+//
+// A fresh cursor starts on an untouched result. Its first touches read
+// the input: the folded rank's send, the core rank's fold receive, or
+// else its first halving exchange, which sends a half of the input and
+// reduces the other half fresh. A core rank whose vector needs a pad
+// cannot halve the input, which ends before the pad, so it first loads
+// the input into the result and zeroes the pad.
 type rhdCursor struct {
 	rank, n   int
 	pow2, rem int
 	stage     uint8
-	d         int // distance of the next exchange
-	off, cnt  int // the span the rank owns
+	fresh     bool // nothing has written the result yet
+	d         int  // distance of the next exchange
+	off, cnt  int  // the span the rank owns
 }
 
 const (
-	rhdFold uint8 = iota
+	rhdLoad uint8 = iota
+	rhdFold
 	rhdHalve
 	rhdDouble
 	rhdUnfold
 	rhdDone
 )
 
-func newRHDCursor(rank, p, n int) rhdCursor {
-	c := rhdCursor{rank: rank, n: n, pow2: 1}
+func newRHDCursor(rank, p, n int, fresh bool) rhdCursor {
+	c := rhdCursor{rank: rank, n: n, pow2: 1, fresh: fresh}
 	for c.pow2*2 <= p {
 		c.pow2 *= 2
 	}
@@ -306,16 +349,24 @@ func (c *rhdCursor) next(rd *round) bool {
 	whole := span{result, 0, c.n}
 	for {
 		switch c.stage {
+		case rhdLoad:
+			c.stage = rhdFold
+			if c.fresh && c.vecLen() != c.n {
+				c.fresh = false
+				rd.local, rd.send, rd.recv = true, whole.untouched(), span{result, 0, c.vecLen()}
+				return true
+			}
 		case rhdFold:
 			c.stage = rhdHalve
 			if c.folded() {
 				c.stage = rhdDone
-				rd.sendTo, rd.send = c.rank-c.pow2, whole
+				rd.sendTo, rd.send = c.rank-c.pow2, c.first(whole)
 				rd.recvFrom, rd.recv = c.rank-c.pow2, whole
 				return true
 			}
 			if c.rank < c.rem {
 				rd.recvFrom, rd.recv, rd.reduce = c.rank+c.pow2, whole, true
+				rd.fresh, c.fresh = c.fresh, false
 				return true
 			}
 		case rhdHalve:
@@ -328,7 +379,8 @@ func (c *rhdCursor) next(rd *round) bool {
 			if c.rank&c.d != 0 {
 				give, keep = c.off, c.off+half
 			}
-			rd.exchange(c.rank^c.d, span{result, give, give + half}, span{result, keep, keep + half}, true)
+			rd.exchange(c.rank^c.d, c.first(span{result, give, give + half}), span{result, keep, keep + half}, true)
+			rd.fresh, c.fresh = c.fresh, false
 			c.off, c.cnt, c.d = keep, half, c.d/2
 			return true
 		case rhdDouble:
@@ -353,4 +405,13 @@ func (c *rhdCursor) next(rd *round) bool {
 			return false
 		}
 	}
+}
+
+// first is s itself, or its range of the input while the result is
+// untouched.
+func (c *rhdCursor) first(s span) span {
+	if c.fresh {
+		return s.untouched()
+	}
+	return s
 }

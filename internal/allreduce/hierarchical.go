@@ -39,9 +39,10 @@ import "swcaffe/internal/topology"
 // exchanges: every pair of members meets exactly once per phase. In
 // phase A's exchange (j, pt), j ships its own chunk pt — phase A writes
 // only chunk j, and what next writes chunk pt is phase C's exchange
-// with pt itself, so it goes by reference — and adds pt's contribution
-// to its chunk j; in phase C the two hand over their finished chunks,
-// which are never rewritten.
+// with pt itself, so it goes by reference, untouched, from the input —
+// and adds pt's contribution to its chunk j, the first time fresh; in
+// phase C the two hand over their finished chunks, which are never
+// rewritten.
 // Phase B embeds the RHD cursor over chunk j's leaders — the j-th
 // member of every supernode (K = min group size, so every group has
 // one) — translating its leader indices to world ranks. The RHD runs in
@@ -49,6 +50,8 @@ import "swcaffe/internal/topology"
 // folded leader, which only ships and receives it, and on a core leader
 // whose chunk needs no pad. A core leader whose chunk does runs it in a
 // padded scratch vector loaded from, and stored back to, the chunk.
+// Where phase A never wrote chunk j (a one-member group), the RHD in
+// the chunk starts fresh, and the load into scratch reads the input.
 type hierCursor struct {
 	group   []int // world ranks of this rank's supernode, ascending
 	j       int   // this rank's index in group
@@ -56,6 +59,7 @@ type hierCursor struct {
 	leaders []int // chunk j's leaders; nil when the rank has no inter-supernode work
 	inPlace bool  // the leader RHD runs in the chunk, not in scratch
 	solo    bool  // p = 1: the schedule ends at its first boundary
+	wrote   bool  // phase A has reduced into chunk j
 	stage   uint8
 	round   int
 }
@@ -82,7 +86,7 @@ func newHierCursor(lay *topology.Layout, rank, p, lo, n, total int) (c hierCurso
 	if c.live(c.j) && len(lay.Groups) > 1 {
 		c.leaders = lay.Leaders(c.j)
 		n := c.seg.span(result, c.j).len()
-		rhd = newRHDCursor(lay.GroupOf[rank], len(c.leaders), n)
+		rhd = newRHDCursor(lay.GroupOf[rank], len(c.leaders), n, false)
 		c.inPlace = rhd.vecLen() == n
 	}
 	return c, rhd
@@ -110,7 +114,9 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 				if c.stage == hierGather {
 					rd.exchange(c.group[pt], mine, theirs, false)
 				} else {
-					rd.exchange(c.group[pt], theirs, mine, mine.len() > 0)
+					rd.exchange(c.group[pt], theirs.untouched(), mine, mine.len() > 0)
+					rd.fresh = rd.reduce && !c.wrote
+					c.wrote = c.wrote || rd.reduce
 				}
 				return true
 			}
@@ -125,10 +131,15 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 			return true
 		case hierLoad:
 			c.stage = hierLeaders
-			if !c.inPlace {
-				rd.local, rd.send, rd.recv = true, mine, span{work, 0, rhd.vecLen()}
-				return true
+			if c.inPlace {
+				rhd.fresh = !c.wrote
+				continue
 			}
+			rd.local, rd.send, rd.recv = true, mine, span{work, 0, rhd.vecLen()}
+			if !c.wrote {
+				rd.send = mine.untouched()
+			}
+			return true
 		case hierLeaders:
 			if rhd.next(rd) {
 				if rd.sendTo >= 0 {
@@ -158,11 +169,11 @@ func (c *hierCursor) next(rd *round, rhd *rhdCursor) bool {
 }
 
 // leaderSpan places a range of the leader RHD's vector: in the chunk
-// itself (at lo in the result) when the RHD runs in place, and in the
-// scratch vector otherwise.
+// itself (at lo in the result, or in the input for a first touch) when
+// the RHD runs in place, and in the scratch vector otherwise.
 func leaderSpan(s span, inPlace bool, lo int) span {
 	if inPlace {
-		return span{result, s.lo + lo, s.hi + lo}
+		return span{s.vec, s.lo + lo, s.hi + lo}
 	}
 	return span{work, s.lo, s.hi}
 }

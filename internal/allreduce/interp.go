@@ -9,37 +9,39 @@ import (
 )
 
 // The two interpreters of a schedule cursor. They own every side effect
-// of a collective — the writes to the caller's vector, scratch, the
+// of a collective — the writes to the result and scratch, the
 // messages, the arithmetic, the reduction charge, the phase hook — and
 // are the only callers of Send, Recv, SendRecv and ChargeReduce in this
 // package. Both execute a round the same way, in the same order; they
 // differ only in how a receive returns: the blocking one waits for it,
 // the event one parks the call and is resumed with the payload.
 
-// frame holds the vectors of one call (see vector). The result is the
-// caller's vector, reduced where it lies; only the work vector comes
-// from the rank's arena (Scratch).
+// frame holds the vectors of one call (see vector). The input is the
+// caller's vector and is only read. The result is the same vector in
+// place, or memory from the rank's arena (Scratch) in a one-shot call,
+// which the cursor's first touches fill from the input; the work
+// vector, too, comes from the arena.
 type frame struct {
-	vecs [2][]float32
+	vecs [3][]float32
 	n    int
 }
 
-// newFrame starts a call that reduces data in place, worked at resLen
-// elements: the pad past len(data) lies inside data's own capacity and
-// is zeroed. A caller that hands over less capacity than the schedule's
-// pad needs has broken the in-place contract (see Schedule.Run).
-func newFrame(data []float32, resLen int) frame {
-	if cap(data) < resLen {
+// newFrame starts a call that reduces in into res, worked at resLen
+// elements; res is in itself for a call in place. The pad past len(in)
+// lies inside res's capacity, and the cursor's load zeroes it. A caller
+// that hands over less capacity than the schedule's pad needs has
+// broken the in-place contract (see Schedule.Run).
+func newFrame(in, res []float32, resLen int) frame {
+	if cap(res) < resLen {
 		panic(fmt.Sprintf("allreduce: in-place vector of %d elements has capacity %d, the schedule pads it to %d",
-			len(data), cap(data), resLen))
+			len(res), cap(res), resLen))
 	}
-	f := frame{n: len(data)}
-	f.vecs[result] = data[:resLen]
-	clear(f.vecs[result][f.n:])
+	f := frame{n: len(in)}
+	f.vecs[result], f.vecs[input] = res[:resLen], in
 	return f
 }
 
-// out is the rank's result: the caller's vector again, without the pad.
+// out is the rank's result, without the pad.
 func (f *frame) out() []float32 { return f.vecs[result][:f.n:f.n] }
 
 func (f *frame) at(s span) []float32 { return f.vecs[s.vec][s.lo:s.hi] }
@@ -61,8 +63,11 @@ func (f *frame) prepare(rd *round, scratch []float32) []float32 {
 		if rd.recv.vec == work {
 			f.vecs[work] = scratch
 		}
-		dst := f.at(rd.recv)
-		clear(dst[copy(dst, f.at(rd.send)):])
+		dst, src := f.at(rd.recv), f.at(rd.send)
+		if len(src) > 0 && &src[0] != &dst[0] { // in place, a load of the input is onto itself
+			copy(dst, src)
+		}
+		clear(dst[len(src):])
 		return nil
 	case rd.sendTo < 0:
 		return nil
@@ -73,7 +78,8 @@ func (f *frame) prepare(rd *round, scratch []float32) []float32 {
 // land puts a received payload where rd says and reports whether it was
 // a reduction, to be charged. The payload must have exactly
 // rd.recv.len() elements (see round); one of any other length is a
-// broken schedule, not something to truncate or pad.
+// broken schedule, not something to truncate or pad. A fresh reduce
+// adds the payload to the input's range: the result's is untouched.
 func (f *frame) land(rd *round, in []float32) bool {
 	dst := f.at(rd.recv)
 	if len(in) != len(dst) {
@@ -83,14 +89,17 @@ func (f *frame) land(rd *round, in []float32) bool {
 		copy(dst, in)
 		return false
 	}
-	f32.Add(dst, in)
+	a := dst
+	if rd.fresh {
+		a = f.at(rd.recv.untouched())
+	}
+	f32.Add(dst, a, in)
 	return true
 }
 
-// runBlocking executes c on one rank of the goroutine backend, reducing
-// data in place. The cursor and the round stay on this stack.
-func runBlocking(n *simnet.Node, c cursor, data []float32) []float32 {
-	f := newFrame(data, c.resultLen(len(data)))
+// runBlocking executes c on one rank of the goroutine backend, in the
+// frame f. The cursor and the round stay on this stack.
+func runBlocking(n *simnet.Node, c cursor, f frame) []float32 {
 	var rd round
 	for c.next(&rd) {
 		if rd.phase != "" {
@@ -138,7 +147,7 @@ type desCall struct {
 // data in place; k fires with the result. A receive is always the last
 // thing a step does.
 func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
-	st := &desCall{r: r, c: c, f: newFrame(data, c.resultLen(len(data))), k: k}
+	st := &desCall{r: r, c: c, f: newFrame(data, data, c.resultLen(len(data))), k: k}
 	st.resume = st.landed
 	st.step()
 }

@@ -166,13 +166,19 @@ func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32)))
 // checks the payload-ownership rule every send by reference rests on
 // (see the package comment), with vector clocks: a rank writes a range
 // it sent only after it has heard, directly or through a chain of
-// messages, from a point after the peer took it. It returns the census
-// a run of the schedule must report (default 4-byte elements).
+// messages, from a point after the peer took it. And it checks the
+// first-touch rule a one-shot call rests on (see round), with each
+// rank's set of written result elements, a zeroed pad included: the
+// input is read — by a send, a load or a fresh reduce's addend — only
+// where the result is still untouched, the result only where it has
+// been written, and every element of [0, n) is written by the end. It
+// returns the census a run of the schedule must report (default 4-byte
+// elements).
 func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (census [3]int64, bad string) {
 	// loan is a range a rank sent — every send is one, there is no
-	// vector nobody writes: the peer's from the post until the sender
-	// has seen the peer's clock reach taken, the value it had once the
-	// peer consumed the message.
+	// vector nobody writes (in place the input is the result): the
+	// peer's from the post until the sender has seen the peer's clock
+	// reach taken, the value it had once the peer consumed the message.
 	type loan struct {
 		to    int
 		sp    span
@@ -192,14 +198,47 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 		done    bool
 		seen    []int32 // vector clock: seen[q] is the latest event of q this rank has heard of
 		loans   []*loan
+		written []bool // the result elements the rank has written
 	}, p)
 	for r := range ranks {
 		ranks[r].c = newCursor(sched, r, p, lay, lo, n, total)
 		ranks[r].seen = make([]int32, p)
+		ranks[r].written = make([]bool, ranks[r].c.resultLen(n))
 	}
-	// writes reports the loan, if any, that rank r's write of wr breaks.
+	// reads reports what is wrong with rank r reading s.
+	reads := func(r int, s span) string {
+		written := ranks[r].written
+		if s.len() == 0 || s.vec == work {
+			return ""
+		}
+		if s.vec == input && s.hi > n || s.lo < 0 || s.hi > len(written) {
+			return fmt.Sprintf("rank %d reads %+v, outside a %d-element input and a %d-element result", r, s, n, len(written))
+		}
+		for x := s.lo; x < s.hi; x++ {
+			if s.vec == input && written[x] {
+				return fmt.Sprintf("rank %d reads %+v, but the result has written element %d", r, s, x)
+			}
+			if s.vec == result && !written[x] {
+				return fmt.Sprintf("rank %d reads %+v before writing element %d", r, s, x)
+			}
+		}
+		return ""
+	}
+	// writes reports the loan, if any, that rank r's write of wr breaks,
+	// and marks what it writes of the result.
 	writes := func(r int, wr span) string {
 		w := &ranks[r]
+		if wr.vec == input {
+			return fmt.Sprintf("rank %d writes the input: %+v", r, wr)
+		}
+		if wr.vec == result {
+			if wr.lo < 0 || wr.hi > len(w.written) {
+				return fmt.Sprintf("rank %d writes %+v, outside its %d-element result", r, wr, len(w.written))
+			}
+			for x := wr.lo; x < wr.hi; x++ {
+				w.written[x] = true
+			}
+		}
 		out := w.loans[:0]
 		for _, l := range w.loans {
 			if l.taken != 0 && w.seen[l.to] >= l.taken {
@@ -233,6 +272,14 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 					if rd.paired && rd.sendTo != rd.recvFrom {
 						return census, fmt.Sprintf("rank %d: exchange with two peers: %+v", r, *rd)
 					}
+					if rd.fresh && (!rd.reduce || rd.recv.vec != result) {
+						return census, fmt.Sprintf("rank %d: a fresh round that reduces nothing into the result: %+v", r, *rd)
+					}
+					if rd.local || rd.sendTo >= 0 {
+						if bad := reads(r, rd.send); bad != "" {
+							return census, bad
+						}
+					}
 					if rd.local {
 						if bad := writes(r, rd.recv); bad != "" {
 							return census, bad
@@ -244,7 +291,11 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 						}
 						m := msg{elems: rd.send.len(), paired: rd.paired, seen: append([]int32(nil), w.seen...)}
 						if rd.send.len() > 0 {
-							m.loan = &loan{to: rd.sendTo, sp: rd.send}
+							sp := rd.send
+							if sp.vec == input {
+								sp.vec = result
+							}
+							m.loan = &loan{to: rd.sendTo, sp: sp}
 							w.loans = append(w.loans, m.loan)
 						}
 						key := [2]int{r, rd.sendTo}
@@ -276,6 +327,15 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 					for q, k := range m.seen {
 						w.seen[q] = max(w.seen[q], k)
 					}
+					if rd.reduce {
+						addend := rd.recv
+						if rd.fresh {
+							addend = rd.recv.untouched()
+						}
+						if bad := reads(r, addend); bad != "" {
+							return census, bad
+						}
+					}
 					if bad := writes(r, rd.recv); bad != "" {
 						return census, bad
 					}
@@ -287,6 +347,11 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 	for r := range ranks {
 		if !ranks[r].done {
 			return census, fmt.Sprintf("deadlock: rank %d waits on %d", r, ranks[r].rd.recvFrom)
+		}
+		for x, ok := range ranks[r].written[:n] {
+			if !ok {
+				return census, fmt.Sprintf("rank %d finishes without writing result element %d", r, x)
+			}
 		}
 	}
 	for key, q := range links {

@@ -17,7 +17,7 @@
 // The exported wrappers re-slice every operand to exactly the length
 // the assembly reads, so a short operand panics here, in Go, and never
 // lets the assembly read or write past a slice. Operands may be the
-// same slice (an in-place ReLU) but must not otherwise overlap.
+// same slice (an in-place add or ReLU) but must not otherwise overlap.
 package f32
 
 import (
@@ -25,9 +25,13 @@ import (
 	"unsafe"
 )
 
-// Add computes dst[i] += src[i] for i < len(dst). src must have at
-// least len(dst) elements.
-func Add(dst, src []float32) { add(dst, src[:len(dst)]) }
+// Add sets dst[i] to a[i] + b[i] for i < len(dst). a and b must have
+// at least len(dst) elements; a may be dst itself, which makes it the
+// in-place dst[i] += b[i].
+func Add(dst, a, b []float32) {
+	n := len(dst)
+	add(dst, a[:n], b[:n])
+}
 
 // ReLU sets out[i] to in[i] where 0 < in[i] and to s·in[i] elsewhere
 // (NaN included), for i < len(out). in must have at least len(out)
@@ -69,11 +73,11 @@ func asBytes(v []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
-// addGo is Add's portable body; len(src) == len(dst).
-func addGo(dst, src []float32) {
-	src = src[:len(dst)]
-	for i, v := range src {
-		dst[i] += v
+// addGo is Add's portable body; a and b have len(dst) elements.
+func addGo(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i, v := range a {
+		dst[i] = v + b[i]
 	}
 }
 

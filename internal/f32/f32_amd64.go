@@ -5,10 +5,10 @@ package f32
 // exactly len of the first one's elements; the exported wrappers in
 // f32.go pin that.
 
-// add computes dst[i] += src[i].
+// add computes dst[i] = a[i] + b[i].
 //
 //go:noescape
-func add(dst, src []float32)
+func add(dst, a, b []float32)
 
 // relu sets out[i] = in[i] where 0 < in[i], else s·in[i].
 //

@@ -27,11 +27,12 @@
 	ANDNPS b, m; \
 	ORPS   a, m
 
-// func add(dst, src []float32)
-TEXT ·add(SB), NOSPLIT, $0-48
+// func add(dst, a, b []float32)
+TEXT ·add(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
 	XORQ AX, AX
 	MOVQ CX, BX
 	ANDQ $-16, BX
@@ -39,14 +40,14 @@ TEXT ·add(SB), NOSPLIT, $0-48
 add16:
 	CMPQ   AX, BX
 	JAE    add4
-	MOVUPS (DI)(AX*4), X0
-	MOVUPS 16(DI)(AX*4), X1
-	MOVUPS 32(DI)(AX*4), X2
-	MOVUPS 48(DI)(AX*4), X3
-	MOVUPS (SI)(AX*4), X4
-	MOVUPS 16(SI)(AX*4), X5
-	MOVUPS 32(SI)(AX*4), X6
-	MOVUPS 48(SI)(AX*4), X7
+	MOVUPS (SI)(AX*4), X0
+	MOVUPS 16(SI)(AX*4), X1
+	MOVUPS 32(SI)(AX*4), X2
+	MOVUPS 48(SI)(AX*4), X3
+	MOVUPS (DX)(AX*4), X4
+	MOVUPS 16(DX)(AX*4), X5
+	MOVUPS 32(DX)(AX*4), X6
+	MOVUPS 48(DX)(AX*4), X7
 	ADDPS  X4, X0
 	ADDPS  X5, X1
 	ADDPS  X6, X2
@@ -63,8 +64,8 @@ add4:
 	SUBQ   AX, BX
 	CMPQ   BX, $4
 	JB     add1
-	MOVUPS (DI)(AX*4), X0
-	MOVUPS (SI)(AX*4), X4
+	MOVUPS (SI)(AX*4), X0
+	MOVUPS (DX)(AX*4), X4
 	ADDPS  X4, X0
 	MOVUPS X0, (DI)(AX*4)
 	ADDQ   $4, AX
@@ -73,8 +74,8 @@ add4:
 add1:
 	CMPQ  AX, CX
 	JAE   adddone
-	MOVSS (DI)(AX*4), X0
-	MOVSS (SI)(AX*4), X4
+	MOVSS (SI)(AX*4), X0
+	MOVSS (DX)(AX*4), X4
 	ADDSS X4, X0
 	MOVSS X0, (DI)(AX*4)
 	INCQ  AX

@@ -4,7 +4,7 @@ package f32
 
 // Off amd64 the primitives run their portable bodies.
 
-func add(dst, src []float32) { addGo(dst, src) }
+func add(dst, a, b []float32) { addGo(dst, a, b) }
 
 func relu(out, in []float32, s float32) { reluGo(out, in, s) }
 

@@ -94,11 +94,16 @@ func TestPrimitivesMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for rep := 0; rep < 8; rep++ {
 		for n := 0; n <= 67; n++ {
-			dst, src := operand(rng, n), operand(rng, n)
-			want, got := clone(dst), clone(dst)
-			addGo(want, src)
-			Add(got, src)
+			a, b := operand(rng, n), operand(rng, n)
+			want, got := operand(rng, n), operand(rng, n)
+			addGo(want, a, b)
+			Add(got, a, b)
 			compare(t, fmt.Sprintf("Add n=%d", n), got, want)
+
+			want, got = clone(a), clone(a)
+			addGo(want, want, b)
+			Add(got, got, b)
+			compare(t, fmt.Sprintf("in-place Add n=%d", n), got, want)
 
 			for _, s := range slopes {
 				in := operand(rng, n)
@@ -184,7 +189,8 @@ func TestShortOperandPanicsInGo(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"Add", func() { Add(long, short) }},
+		{"Add a", func() { Add(long, short, long) }},
+		{"Add b", func() { Add(long, long, short) }},
 		{"ReLU", func() { ReLU(long, short, 0) }},
 		{"ReLUGrad in", func() { ReLUGrad(long, short, long, 0) }},
 		{"ReLUGrad dy", func() { ReLUGrad(long, long, short, 0) }},
@@ -232,7 +238,7 @@ func TestPrimitivesAllocateNothing(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"Add", func() { Add(a, b) }},
+		{"Add", func() { Add(a, b, c) }},
 		{"ReLU", func() { ReLU(a, b, 0.01) }},
 		{"ReLUGrad", func() { ReLUGrad(a, b, c, 0.01) }},
 		{"Scale", func() { Scale(a, b, 0.5) }},

@@ -139,7 +139,8 @@ func Col2imRef(col []float32, s ConvShape, dst []float32) {
 					}
 					ix := (c*s.Ri+iy)*s.Ci + lo*s.S + kx - s.P
 					if s.S == 1 {
-						f32.Add(dst[ix:ix+len(line)], line)
+						d := dst[ix : ix+len(line)]
+						f32.Add(d, d, line)
 						continue
 					}
 					for _, v := range line {

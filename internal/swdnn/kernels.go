@@ -159,7 +159,7 @@ func SumRun(cg *sw26010.CoreGroup, acc, addend []float32) float64 {
 			nEl := hi - lo
 			pe.DMAGet(a[:nEl], acc[lo:hi])
 			pe.DMAGet(b[:nEl], addend[lo:hi])
-			f32.Add(a[:nEl], b[:nEl])
+			f32.Add(a[:nEl], a, b)
 			pe.ChargeFlops(float64(nEl))
 			pe.DMAPut(acc[lo:hi], a[:nEl])
 		}
