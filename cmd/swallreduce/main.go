@@ -45,7 +45,7 @@ func bucketAdvisory(p int, nBytes float64) {
 	mapping := topology.RoundRobinMapping{Q: netw.SupernodeSize}
 	fmt.Printf("\n=== auto-bucket advisory: p=%d, %.4g bytes, backward window %.4fs ===\n", p, nBytes, backward)
 	for _, name := range collective.AutoAlgorithms {
-		strat, err := collective.StrategyFor(name, nil, mapping, p)
+		strat, err := collective.StrategyFor(name, mapping, p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -2,13 +2,9 @@
 // paper's evaluation section. With no arguments it runs everything;
 // pass artifact names to select a subset.
 //
-//	swbench [-plancache file] [-p n,n,...] [-backend des|goroutine] [-io]
+//	swbench [-p n,n,...] [-backend des|goroutine] [-io]
 //	        [table1 figure2 table2 figure6 figure7 figure8 figure9
 //	         table3 figure10 figure11 funcscale io pack gemm allreduce]
-//
-// -plancache names a versioned on-disk plan cache: it is loaded before
-// the generators run (a warm file makes cold starts skip every
-// O(candidates³) tiling search) and written back atomically afterwards.
 //
 // -p, -backend and -io parameterize the funcscale artifact: -p is a
 // comma-separated rank list (e.g. -p 512,1024,4096), -backend picks
@@ -28,7 +24,6 @@ import (
 	"strings"
 
 	"swcaffe/internal/experiments"
-	"swcaffe/internal/swdnn"
 	"swcaffe/internal/train"
 )
 
@@ -103,17 +98,7 @@ func runFuncScale() {
 }
 
 func main() {
-	planCache := flag.String("plancache", "", "versioned plan-cache file: load on startup, atomic write-back on exit")
 	flag.Parse()
-
-	if *planCache != "" {
-		n, err := swdnn.LoadPlanCache(*planCache)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: loading plan cache: %v\n", err)
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "swbench: warmed %d plans from %s\n", n, *planCache)
-		}
-	}
 
 	want := map[string]bool{}
 	for _, a := range flag.Args() {
@@ -140,14 +125,5 @@ func main() {
 		if len(want) == 0 || want[a.Name] {
 			a.Run()
 		}
-	}
-
-	if *planCache != "" {
-		n, err := swdnn.SavePlanCache(*planCache)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: saving plan cache: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "swbench: persisted %d plans to %s\n", n, *planCache)
 	}
 }

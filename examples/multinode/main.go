@@ -56,7 +56,7 @@ func main() {
 	// all-reduced with recursive halving/doubling.
 	dist, err := train.NewDistTrainer(train.DistConfig{
 		Nodes: nodes, SubBatch: subBatch, Solver: solverCfg,
-		Algorithm: allreduce.RecursiveHalvingDoubling,
+		AlgorithmName: allreduce.NameRHD,
 	}, func() (*core.Net, map[string]*tensor.Tensor, error) { return buildNet(subBatch) })
 	if err != nil {
 		log.Fatal(err)

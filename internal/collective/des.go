@@ -8,13 +8,10 @@ import (
 // Discrete-event flush path. The engine's bucket layout, staging,
 // commit protocol and attribution are backend-agnostic — only the
 // collective execution differs: instead of RunGather over rank
-// goroutines calling Strategy.Run, the DES backend calls
-// Strategy.RunDES on a des.Cluster — the same schedule, run by the
+// goroutines calling the strategy's Schedule.Run, the DES backend calls
+// Schedule.RunDES on a des.Cluster — the same schedule, run by the
 // resumable interpreter. Both modes flush here: the barrier is the
-// one-bucket layout (Config.Barrier). A custom Config.Algorithm body is
-// a blocking Go function, not a schedule, so the trainer refuses to
-// combine one with the DES backend and the custom strategy's RunDES
-// backstops that with a panic.
+// one-bucket layout (Config.Barrier).
 
 // ReduceSegDES is the DES form of ReduceSeg: it runs the strategy's
 // collective over bucket b on one DES rank and fires done with the

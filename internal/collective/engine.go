@@ -91,12 +91,10 @@ type Config struct {
 	LayerDone  []float64
 	ComputeEnd float64
 
-	// Algorithm is an optional custom collective body (assumed
-	// element-uniform); AlgorithmName selects a built-in strategy
-	// (ring and hierarchical get chunk-aligned bucketing). Empty name
-	// = RHD; NameAuto lets SelectPlan choose the algorithm — not just
-	// the bucket cap — from the α-β cost models.
-	Algorithm     allreduce.Algorithm
+	// AlgorithmName selects a built-in strategy (see StrategyFor; ring
+	// and hierarchical get chunk-aligned bucketing). Empty name = RHD;
+	// NameAuto lets SelectPlan choose the algorithm — not just the
+	// bucket cap — from the α-β cost models.
 	AlgorithmName string
 
 	// BucketBytes caps one bucket (<=0 selects DefaultBucketBytes);
@@ -230,7 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		e.layerParams[p.Layer] = append(e.layerParams[p.Layer], i)
 	}
 
-	if allreduce.Canonical(cfg.AlgorithmName) == NameAuto && cfg.Algorithm == nil {
+	if allreduce.Canonical(cfg.AlgorithmName) == NameAuto {
 		// 2-D selection: the plan picks the (algorithm, bucket cap)
 		// pair minimizing the modeled exposed communication. The full
 		// per-algorithm sweep is kept so the decision stays auditable
@@ -243,13 +241,13 @@ func New(cfg Config) (*Engine, error) {
 		e.candidates = cands
 		plan := bestPlan(cands)
 		e.plan = &plan
-		e.strat, err = StrategyFor(plan.Algorithm, nil, cfg.Mapping, cfg.Ranks)
+		e.strat, err = StrategyFor(plan.Algorithm, cfg.Mapping, cfg.Ranks)
 		if err != nil {
 			return nil, err
 		}
 		e.bucketBytes = plan.BucketBytes
 	} else {
-		strat, err := StrategyFor(cfg.AlgorithmName, cfg.Algorithm, cfg.Mapping, cfg.Ranks)
+		strat, err := StrategyFor(cfg.AlgorithmName, cfg.Mapping, cfg.Ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +264,7 @@ func New(cfg Config) (*Engine, error) {
 		e.buckets = []Bucket{{Lo: 0, Hi: e.total, ReadyLayer: 0}}
 		e.bucketBytes = e.total * 4
 	} else {
-		e.buckets = layoutBuckets(e.strat, cfg.Params, e.offs, e.total, cfg.Ranks, e.bucketBytes, cfg.Layers)
+		e.buckets = layoutBuckets(e.strat, cfg.Params, e.offs, e.total, e.bucketBytes, cfg.Layers)
 	}
 
 	// An empty vector is priced at nothing: a frozen net's barrier flush.
@@ -385,8 +383,7 @@ func (e *Engine) RankViews() [][]float32 { return e.views }
 // ReduceSeg runs the strategy's collective over bucket b on one
 // simnet rank, in the rank's packed buffer — reached through the
 // caller's captured view (see RankViews) — and charges the final
-// averaging sweep. It returns the reduced bucket: that range of pack,
-// for every built-in strategy.
+// averaging sweep. It returns the reduced bucket: that range of pack.
 func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 	if e.cfg.FlushHook != nil {
 		e.cfg.FlushHook(n.Rank, b)
@@ -410,11 +407,10 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 // collective is broken, and 0 when every rank has its own set.
 //
 // outs[r] is what rank r's flush returned: bucket b's range of the
-// rank's view, reduced where it lay (a custom body returns memory of its
-// own instead, the cluster's until its next run). The engine keeps no
-// reference to it: the drain is the result's whole lifetime, and what
-// makes the range dead — free for a later bucket's pad to spill into
-// (see Bucket). So commit a bucket before flushing the next. On the
+// rank's view, reduced where it lay. The engine keeps no reference to
+// it: the drain is the result's whole lifetime, and what makes the
+// range dead — free for a later bucket's pad to spill into (see
+// Bucket). So commit a bucket before flushing the next. On the
 // overlap path Commit runs on the flush loop while the rest of backward
 // still computes; it writes only parameters of layers the bucket's
 // readiness already covers, which no later backward layer touches. Call
@@ -660,13 +656,12 @@ func (e *Engine) ResetStaging() {
 // placed only at gradient production boundaries — the offsets where a
 // layer's parameter block begins — because splitting gradients that
 // become ready at the same instant buys no overlap and only adds
-// per-collective α latency; each cut is then snapped down to the
-// strategy's alignment (a no-op for element-uniform algorithms, the
-// previous chunk bound for the ring). The second walk assigns each
-// bucket the forward layer whose backward completes it: the frontier
-// is the lowest produced offset, and a bucket is ready the moment the
-// frontier covers its Lo.
-func layoutBuckets(strat Strategy, params []ParamInfo, offs []int, total, p, maxBytes, layers int) []Bucket {
+// per-collective α latency; each cut is then snapped to the strategy's
+// chunk partition (a no-op for element-uniform algorithms). The second
+// walk assigns each bucket the forward layer whose backward completes
+// it: the frontier is the lowest produced offset, and a bucket is ready
+// the moment the frontier covers its Lo.
+func layoutBuckets(strat Strategy, params []ParamInfo, offs []int, total, maxBytes, layers int) []Bucket {
 	maxElems := maxBytes / 4
 	if maxElems < 1 {
 		maxElems = 1
@@ -686,9 +681,9 @@ func layoutBuckets(strat Strategy, params []ParamInfo, offs []int, total, p, max
 		// ready the moment this layer's backward completes (the
 		// spill-over below the boundary joins the next bucket). Fall
 		// back to the downward neighbor when up collides with Hi.
-		cut := strat.SnapUp(blockStart, total, p)
+		cut := snapChunkUp(blockStart, total, strat.chunks)
 		if cut <= 0 || cut >= hi {
-			cut = strat.Snap(blockStart, total, p)
+			cut = snapChunkDown(blockStart, total, strat.chunks)
 		}
 		if cut > 0 && cut < hi {
 			out = append(out, Bucket{Lo: cut, Hi: hi})
@@ -770,7 +765,7 @@ func PlanCandidates(netw *topology.Network, mapping topology.Mapping, p int, onC
 	params []ParamInfo, layers int, layerDone []float64, computeEnd float64) ([]Plan, error) {
 	cands := make([]Plan, 0, len(AutoAlgorithms))
 	for _, name := range AutoAlgorithms {
-		strat, err := StrategyFor(name, nil, mapping, p)
+		strat, err := StrategyFor(name, mapping, p)
 		if err != nil {
 			return nil, err
 		}
@@ -822,7 +817,7 @@ func SelectBucketBytes(strat Strategy, netw *topology.Network, p int, onCPE bool
 
 	best, bestExposed := -1, 0.0
 	for _, cand := range cands {
-		bks := layoutBuckets(strat, params, offs, total, p, cand, layers)
+		bks := layoutBuckets(strat, params, offs, total, cand, layers)
 		var commEnd float64
 		for _, bk := range bks {
 			c := strat.Cost(netw, p, bk.Lo, bk.Hi, total, onCPE).Total()

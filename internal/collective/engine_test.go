@@ -209,7 +209,7 @@ func TestAutoBucketBeatsFixedDefault(t *testing.T) {
 		{Layer: 4, Elems: 9000}, {Layer: 6, Elems: 123},
 	}
 	done, end := uniformTimeline(8, 1e-4)
-	strat, err := StrategyFor(allreduce.NameRHD, nil, nil, 8)
+	strat, err := StrategyFor(allreduce.NameRHD, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestAutoBucketBeatsFixedDefault(t *testing.T) {
 		total += p.Elems
 	}
 	var commEnd float64
-	for _, bk := range layoutBuckets(strat, params, offs, total, 8, DefaultBucketBytes, 8) {
+	for _, bk := range layoutBuckets(strat, params, offs, total, DefaultBucketBytes, 8) {
 		c := strat.Cost(netw, 8, bk.Lo, bk.Hi, total, true).Total()
 		start := done[bk.ReadyLayer]
 		if commEnd > start {

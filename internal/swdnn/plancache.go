@@ -67,7 +67,6 @@ var interned struct {
 	last atomic.Pointer[internedModel] // the latest lookup: one compare, no hash
 	mu   sync.Mutex
 	ids  map[sw26010.Model]uint32
-	vals []sw26010.Model // id -> value
 }
 
 type internedModel struct {
@@ -93,19 +92,11 @@ func internModel(m sw26010.Model) uint32 {
 		if interned.ids == nil {
 			interned.ids = make(map[sw26010.Model]uint32)
 		}
-		id = uint32(len(interned.vals))
+		id = uint32(len(interned.ids))
 		interned.ids[m] = id
-		interned.vals = append(interned.vals, m)
 	}
 	interned.last.Store(&internedModel{val: m, id: id})
 	return id
-}
-
-// internedValue returns the model value behind id.
-func internedValue(id uint32) sw26010.Model {
-	interned.mu.Lock()
-	defer interned.mu.Unlock()
-	return interned.vals[id]
 }
 
 // PlanCacheCounters reports cache hits and misses since the last

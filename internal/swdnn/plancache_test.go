@@ -1,7 +1,6 @@
 package swdnn
 
 import (
-	"path/filepath"
 	"testing"
 
 	"swcaffe/internal/sw26010"
@@ -32,35 +31,5 @@ func TestModelIDKeysByValue(t *testing.T) {
 	}
 	if got := GEMMPlan(a, 256, 256, 256); got != before {
 		t.Fatalf("restored model's plan %+v, was %+v", got, before)
-	}
-}
-
-// TestPlanCacheRoundTripTwoModels: the file stores each entry's model
-// by value, so plans priced on two models reload under their own
-// values and serve a cold table without a single planner search.
-func TestPlanCacheRoundTripTwoModels(t *testing.T) {
-	ResetPlanCache()
-	full, slow := sw26010.Default(), sw26010.Default()
-	slow.DMAPeak /= 4
-	wantFull, wantSlow := GEMMPlan(full, 384, 256, 512), GEMMPlan(slow, 384, 256, 512)
-	if wantFull == wantSlow {
-		t.Fatal("the two models priced the same plan")
-	}
-	path := filepath.Join(t.TempDir(), "plans.cache")
-	if _, err := SavePlanCache(path); err != nil {
-		t.Fatal(err)
-	}
-	ResetPlanCache()
-	if _, err := LoadPlanCache(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := GEMMPlan(slow, 384, 256, 512); got != wantSlow {
-		t.Fatalf("slow model reloaded %+v, want %+v", got, wantSlow)
-	}
-	if got := GEMMPlan(full, 384, 256, 512); got != wantFull {
-		t.Fatalf("full model reloaded %+v, want %+v", got, wantFull)
-	}
-	if _, misses := PlanCacheCounters(); misses != 0 {
-		t.Fatalf("reloaded cache still searched %d plans", misses)
 	}
 }

@@ -118,8 +118,8 @@ func TestDESBackendBitIdenticalToGoroutine(t *testing.T) {
 }
 
 // TestDESBackendRejectsIncompatibleConfig pins the validation surface:
-// the DES backend cannot host blocking custom algorithm bodies or the
-// fault machinery (the goroutine backend stays the failure oracle).
+// the DES backend cannot host the fault machinery (the goroutine
+// backend stays the failure oracle), nor a backend it does not know.
 func TestDESBackendRejectsIncompatibleConfig(t *testing.T) {
 	netw, mapping := hierNet(2)
 	base := desTwinConfig(4, netw, mapping, allreduce.NameRing, false, BackendDES)
@@ -128,12 +128,6 @@ func TestDESBackendRejectsIncompatibleConfig(t *testing.T) {
 	bad.Faults = &elastic.FaultPlan{}
 	if _, err := NewDistTrainer(bad, mlpFactory(4, 3)); err == nil {
 		t.Fatal("Faults + DES accepted")
-	}
-	bad = base
-	bad.AlgorithmName = ""
-	bad.Algorithm = allreduce.Ring
-	if _, err := NewDistTrainer(bad, mlpFactory(4, 3)); err == nil {
-		t.Fatal("custom Algorithm body + DES accepted")
 	}
 	bad = base
 	bad.Backend = "threads"

@@ -7,9 +7,8 @@ import (
 	"swcaffe/internal/obs"
 )
 
-// DefaultStepHistory is the StepHistory ring size when
-// DistConfig.HistorySize is unset: enough to show a trend without
-// growing with run length.
+// DefaultStepHistory is the StepHistory ring size: enough to show a
+// trend without growing with run length.
 const DefaultStepHistory = 64
 
 // Step-level metrics, registered once against the default registry so
@@ -34,11 +33,7 @@ func (t *DistTrainer) recordStep() {
 	metExposedUS.Add(t.LastStep.Exposed * 1e6)
 
 	if t.history == nil {
-		n := t.cfg.HistorySize
-		if n <= 0 {
-			n = DefaultStepHistory
-		}
-		t.history = make([]StepStats, n)
+		t.history = make([]StepStats, DefaultStepHistory)
 	}
 	slot := &t.history[t.histPos]
 	buckets := append(slot.Buckets[:0], t.LastStep.Buckets...)
@@ -51,7 +46,7 @@ func (t *DistTrainer) recordStep() {
 }
 
 // StepHistory appends the retained steps — oldest first, at most
-// DistConfig.HistorySize of them — to dst and returns it. The entries'
+// DefaultStepHistory of them — to dst and returns it. The entries'
 // Buckets alias the ring's storage: read them before the next Step, or
 // copy. LastStep is always the final entry once at least one Step ran.
 func (t *DistTrainer) StepHistory(dst []StepStats) []StepStats {

@@ -36,10 +36,7 @@ func (t *DistTrainer) ensureIO() {
 	}
 	io := t.cfg.IO
 	t.ioStorage = io.storage()
-	t.ioReaders = io.Readers
-	if t.ioReaders <= 0 {
-		t.ioReaders = len(t.Workers)
-	}
+	t.ioReaders = len(t.Workers)
 	t.ioBytes = io.BatchBytes
 	if t.ioBytes <= 0 {
 		t.ioBytes = t.Workers[0].Data.Bytes()

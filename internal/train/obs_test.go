@@ -207,14 +207,13 @@ func TestStepStatsInvariants(t *testing.T) {
 }
 
 // TestStepHistoryRing: the bounded ring keeps the most recent
-// HistorySize steps, oldest first, ending at LastStep, and hands out
-// self-consistent bucket attributions.
+// DefaultStepHistory steps, oldest first, ending at LastStep, and hands
+// out self-consistent bucket attributions.
 func TestStepHistoryRing(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 59)
 	tr, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 4,
-		Solver:      core.SolverConfig{BaseLR: 0.05, Momentum: 0.9},
-		HistorySize: 4}, mlpFactory(4, classes))
+		Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}}, mlpFactory(4, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestStepHistoryRing(t *testing.T) {
 		t.Fatalf("fresh trainer retains %d steps", n)
 	}
 	var want []StepStats
-	for it := 0; it < 6; it++ {
+	for it := 0; it < DefaultStepHistory+2; it++ {
 		tr.LoadShards(ds, it)
 		tr.Step()
 		// Deep-copy the bucket slice so later steps can't alias it.
@@ -232,8 +231,8 @@ func TestStepHistoryRing(t *testing.T) {
 		want = append(want, st)
 	}
 	got := tr.StepHistory(nil)
-	if len(got) != 4 {
-		t.Fatalf("StepHistory returned %d entries, want 4", len(got))
+	if len(got) != DefaultStepHistory {
+		t.Fatalf("StepHistory returned %d entries, want %d", len(got), DefaultStepHistory)
 	}
 	for i, st := range got {
 		if !st.Equal(want[2+i]) {
@@ -245,7 +244,7 @@ func TestStepHistoryRing(t *testing.T) {
 	}
 	// The accessor reuses the caller's slice without growing it.
 	again := tr.StepHistory(got[:0])
-	if len(again) != 4 {
+	if len(again) != DefaultStepHistory {
 		t.Fatalf("reused-slice StepHistory returned %d entries", len(again))
 	}
 }

@@ -94,12 +94,11 @@ func (w *Worker) rankView() *Worker {
 
 // DistConfig configures the functional SSGD trainer.
 type DistConfig struct {
-	Nodes     int
-	SubBatch  int // per-node mini-batch
-	Solver    core.SolverConfig
-	Network   *topology.Network
-	Mapping   topology.Mapping
-	Algorithm allreduce.Algorithm
+	Nodes    int
+	SubBatch int // per-node mini-batch
+	Solver   core.SolverConfig
+	Network  *topology.Network
+	Mapping  topology.Mapping
 
 	// Overlap selects the bucketed layout: the packed gradients are cut
 	// into per-layer buckets, and each bucket's all-reduce starts as
@@ -109,9 +108,9 @@ type DistConfig struct {
 	// after backward (collective.Config.Barrier). The collective engine
 	// keeps every algorithm bit-identical between the two: element-
 	// uniform algorithms (the default recursive halving/doubling, the
-	// binomial tree, custom bodies) bucket freely, and the ring gets
-	// chunk-aligned buckets reduced with the full ring's per-chunk
-	// schedule (allreduce.Schedule.Run).
+	// binomial tree) bucket freely, and the ring and the hierarchical
+	// schedule get chunk-aligned buckets reduced with the full
+	// schedule's per-chunk order (allreduce.Schedule.Run).
 	Overlap bool
 	// AlgorithmName selects a built-in collective by name (see
 	// allreduce.ByName) together with its bucketing strategy and cost
@@ -120,8 +119,7 @@ type DistConfig struct {
 	// special name "auto" (collective.NameAuto) hands the choice to
 	// the engine's 2-D plan selector, which picks the (algorithm,
 	// bucket cap) pair minimizing modeled exposed communication for
-	// this topology and mapping. Ignored when Algorithm supplies a
-	// custom body.
+	// this topology and mapping.
 	AlgorithmName string
 	// BucketBytes caps one gradient bucket (default 4 MB).
 	BucketBytes int
@@ -152,8 +150,8 @@ type DistConfig struct {
 	// goroutine backend (losses, params, per-replica layer state,
 	// StepStats, traffic census — the race-enabled goldens pin it at
 	// p ≤ 128), whose private replicas are the oracle that the sharing
-	// is sound. It rejects fault injection and custom Algorithm bodies
-	// — the goroutine backend stays authoritative for those.
+	// is sound. It rejects fault injection — the goroutine backend
+	// stays the failure oracle.
 	Backend string
 
 	// Faults, when non-nil, is a deterministic fault-injection plan:
@@ -172,12 +170,6 @@ type DistConfig struct {
 	// allocation budgets of alloc_test.go and the benchmark's
 	// dist_train_p8 bytes-per-op gate hold it).
 	Tracer *obs.Tracer
-
-	// HistorySize bounds the StepHistory ring (<= 0 selects
-	// DefaultStepHistory). The ring retains the most recent Steps'
-	// StepStats — per-bucket attribution included — so multi-step runs
-	// report trends without re-running.
-	HistorySize int
 
 	// IO, when non-nil, adds the paper Sec. V-B input pipeline as a
 	// third modeled stage of every Step, symmetric with exposed comm:
@@ -210,9 +202,6 @@ type IOConfig struct {
 	// ~768 KB/image — this is how sweeps model real batch volumes
 	// without materializing them.
 	BatchBytes int64
-	// Readers overrides the concurrent-reader count each read is priced
-	// at (0 = the trainer's world size p, re-resolved after a Shrink).
-	Readers int
 }
 
 // Backend names for DistConfig.Backend.
@@ -257,7 +246,7 @@ type DistTrainer struct {
 	LastStep StepStats
 	iter     int
 
-	// StepHistory ring: the most recent cfg.HistorySize steps'
+	// StepHistory ring: the most recent DefaultStepHistory steps'
 	// StepStats (recordStep). Slots own their bucket arrays and are
 	// reused in place, so the ring is allocation-free at steady state.
 	history []StepStats
@@ -408,15 +397,13 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	if cfg.Mapping == nil {
 		cfg.Mapping = topology.RoundRobinMapping{Q: cfg.Network.SupernodeSize}
 	}
-	if cfg.Algorithm == nil && cfg.AlgorithmName != "" {
-		// The engine resolves the name again (with the matching
-		// bucketing strategy); validate it here so misconfiguration is
-		// an error, not a panic inside Step. "auto" is the engine's
-		// plan-selector directive, not an algorithm name.
-		if allreduce.Canonical(cfg.AlgorithmName) != collective.NameAuto {
-			if _, err := allreduce.ByName(cfg.AlgorithmName); err != nil {
-				return nil, err
-			}
+	// The engine resolves the name again (with the matching bucketing
+	// strategy); validate it here so misconfiguration is an error, not a
+	// panic inside Step. "auto" is the engine's plan-selector directive,
+	// not an algorithm name.
+	if name := allreduce.Canonical(cfg.AlgorithmName); name != "" && name != collective.NameAuto {
+		if _, err := allreduce.ByName(name); err != nil {
+			return nil, err
 		}
 	}
 	if io := cfg.IO; io != nil {
@@ -433,9 +420,6 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	case BackendDES:
 		if cfg.Faults != nil {
 			return nil, fmt.Errorf("train: backend %q does not support fault injection — the goroutine backend is the failure oracle", cfg.Backend)
-		}
-		if cfg.Algorithm != nil {
-			return nil, fmt.Errorf("train: backend %q cannot run custom algorithm bodies (they are blocking functions)", cfg.Backend)
 		}
 	default:
 		return nil, fmt.Errorf("train: unknown backend %q (valid: %q, %q)", cfg.Backend, BackendGoroutine, BackendDES)

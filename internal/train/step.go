@@ -79,7 +79,6 @@ func (t *DistTrainer) ensureEngine() {
 		ReduceOnCPE:   true,
 		LayerDone:     t.layerDone,
 		ComputeEnd:    t.computeEnd,
-		Algorithm:     t.cfg.Algorithm,
 		AlgorithmName: t.cfg.AlgorithmName,
 		BucketBytes:   t.cfg.BucketBytes,
 		AutoBucket:    t.cfg.AutoBucket,

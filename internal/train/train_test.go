@@ -10,8 +10,8 @@ import (
 	"swcaffe/internal/allreduce"
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
+	"swcaffe/internal/elastic"
 	"swcaffe/internal/pario"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/tensor"
 )
 
@@ -425,29 +425,24 @@ func requireTracksTwin(t *testing.T, d *DistTrainer, cfg DistConfig, classes int
 }
 
 // TestOverlapCollectivePanicQuiescesPasses: if the collective itself
-// panics mid-flush (an Algorithm bug, or an injected simnet rank
-// fault) while workers are still mid-backward, Step must quiesce the
-// in-flight pass launches before re-raising — otherwise a caller that
-// recovers and Steps again races the stale passes on the reused
-// bucket staging. The fault hits the step's second flush, after the
-// first bucket's reduced gradient was already drained into the
-// workers' gradients: the half-drained step must leave nothing behind
-// that the recovered trainer's next Step can see. Run under -race by
-// `make race`.
+// panics mid-flush (a schedule bug, or an injected simnet rank fault)
+// while workers are still mid-backward, Step must quiesce the in-flight
+// pass launches before re-raising — otherwise a caller that recovers
+// and Steps again races the stale passes on the reused bucket staging.
+// The fault hits the step's second flush, after the first bucket's
+// reduced gradient was already drained into the workers' gradients:
+// the half-drained step must leave nothing behind that the recovered
+// trainer's next Step can see. Run under -race by `make race`.
 func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 	const classes, nodes = 3, 3
 	ds := dataset.NewClusters(500, classes, 1, 8, 8, 0.4, 34)
-	var poison atomic.Bool
-	var calls atomic.Int32 // collective calls since the poison was armed
-	alg := func(n *simnet.Node, data []float32) []float32 {
-		if poison.Load() && calls.Add(1) > nodes {
-			panic("injected collective fault")
-		}
-		return allreduce.RecursiveHalvingDoubling(n, data)
+	faults, err := elastic.ParseFaultPlan("1@1:flush-bucket-1")
+	if err != nil {
+		t.Fatal(err)
 	}
 	d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8,
-		Solver:    core.SolverConfig{BaseLR: 0.05},
-		Algorithm: alg, Overlap: true, BucketBytes: 8 << 10}, deepFactory(8, classes))
+		Solver:  core.SolverConfig{BaseLR: 0.05},
+		Overlap: true, BucketBytes: 8 << 10, Faults: faults}, deepFactory(8, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +453,6 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		t.Fatalf("%d buckets: the fault needs a flush to follow a drained one", d.Buckets())
 	}
 
-	poison.Store(true)
 	d.LoadShards(ds, 1)
 	func() {
 		defer func() {
@@ -468,7 +462,6 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		}()
 		d.Step()
 	}()
-	poison.Store(false)
 
 	// The failed step is half drained: the first bucket (the tail of the
 	// packed vector) holds the cluster average on every worker, the
@@ -481,35 +474,29 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		t.Fatal("the bucket the fault hit was drained anyway")
 	}
 
-	// Recover-and-reuse against a fresh twin, bit for bit.
+	// Recover-and-reuse against a fresh twin, bit for bit. The plan's one
+	// fault has fired, so the recovered trainer steps clean.
 	requireTracksTwin(t, d, DistConfig{Nodes: 3, SubBatch: 8,
 		Solver:  core.SolverConfig{BaseLR: 0.05},
 		Overlap: true, BucketBytes: 8 << 10}, classes, ds)
 }
 
 // TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer: a rank that
-// panics after its communication finished leaves its peers alive past
-// the re-raise (simnet.Run does not join them); their late result
-// stores must land in the failed run's private storage — never in the
-// reused staging a recovered trainer's next Step reads (RunGather).
-// Run under -race by `make race`.
+// panics inside a collective leaves its peers alive past the re-raise
+// (simnet.Run does not join them). Here rank 0 dies as the hierarchical
+// barrier flush enters its allgather, while the other supernode's ranks
+// sleep there and then finish the phase among themselves: their late
+// stores into their packed views must land in the failed step's staging
+// — never in the staging a recovered trainer's next Step reads
+// (Engine.ResetStaging). Run under -race by `make race`.
 func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
-	const classes = 3
+	const classes, nodes = 3, 4
 	ds := dataset.NewClusters(500, classes, 1, 8, 8, 0.4, 35)
-	var poison atomic.Bool
-	alg := func(n *simnet.Node, data []float32) []float32 {
-		out := allreduce.RecursiveHalvingDoubling(n, data)
-		if poison.Load() {
-			if n.Rank == 0 {
-				panic("late rank fault") // after all communication completed
-			}
-			time.Sleep(30 * time.Millisecond) // peers outlive the re-raise
-		}
-		return out
-	}
-	d, err := NewDistTrainer(DistConfig{Nodes: 3, SubBatch: 8,
-		Solver:    core.SolverConfig{BaseLR: 0.05},
-		Algorithm: alg}, deepFactory(8, classes))
+	netw, mapping := hierNet(2)
+	cfg := DistConfig{Nodes: nodes, SubBatch: 8,
+		Solver:  core.SolverConfig{BaseLR: 0.05},
+		Network: netw, Mapping: mapping, AlgorithmName: allreduce.NameHierarchical}
+	d, err := NewDistTrainer(cfg, deepFactory(8, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,6 +504,18 @@ func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 	d.LoadShards(ds, 0)
 	d.Step() // healthy warmup
 
+	var poison atomic.Bool
+	prev := allreduce.SetHierPhaseHook(func(rank int, _ float64, phase allreduce.HierPhase) {
+		if !poison.Load() || phase != allreduce.HierAllgather {
+			return
+		}
+		switch {
+		case rank == 0:
+			panic("late rank fault")
+		case mapping.Supernode(rank, nodes) != mapping.Supernode(0, nodes):
+			time.Sleep(30 * time.Millisecond) // peers outlive the re-raise
+		}
+	})
 	poison.Store(true)
 	d.LoadShards(ds, 1)
 	func() {
@@ -528,12 +527,12 @@ func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 		d.Step()
 	}()
 	poison.Store(false)
+	allreduce.SetHierPhaseHook(prev)
 
 	// Step again immediately: the stranded ranks from the failed
 	// collective are still sleeping and will store their results while
 	// these steps run. Compare against a fresh twin bit for bit.
-	requireTracksTwin(t, d, DistConfig{Nodes: 3, SubBatch: 8,
-		Solver: core.SolverConfig{BaseLR: 0.05}}, classes, ds)
+	requireTracksTwin(t, d, cfg, classes, ds)
 }
 
 // TestCGTrainerMatchesSeedTrainerBitForBit pins the simulated-CG
