@@ -18,7 +18,7 @@ func main() {
 	hw := sw26010.Default()
 
 	fmt.Println("VGG-16 convolution plan selection (batch 128, one core group):")
-	fmt.Printf("%-6s %-10s %-10s %-10s %-8s\n", "layer", "implicit", "explicit", "chosen", "GFlops")
+	fmt.Printf("%-6s %-10s %-10s %-10s %s\n", "layer", "implicit", "explicit", "chosen", "GFlops")
 	shapes := []struct {
 		name      string
 		ni, no, c int
@@ -38,7 +38,7 @@ func main() {
 			}
 			return fmt.Sprintf("%.2fs", p.Time)
 		}
-		fmt.Printf("%-6s %-10s %-10s %-10s %-8.1f\n", l.name, t(impl), t(expl), best.Name, best.Gflops())
+		fmt.Printf("%-6s %-10s %-10s %-10s %.1f\n", l.name, t(impl), t(expl), best.Name, best.Gflops())
 	}
 
 	// Functional verification: run the explicit conv pipeline (im2col

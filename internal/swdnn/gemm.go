@@ -23,24 +23,32 @@ const mesh = sw26010.MeshDim
 
 // GEMMRun executes C += A·B functionally on the given core group and
 // returns the simulated kernel time. A, B and C live in simulated main
-// memory (host slices). Dimensions need not be multiples of 8: the MPE
-// zero-pads operands into aligned staging buffers first (charged as an
-// MPE-side cost in the returned time only through DMA of the padded
-// sizes, as swCaffe's staging does).
+// memory (host slices). It runs the tiling GEMMPlan prices: when a
+// dimension is not a multiple of the plan's macro-block, the MPE
+// zero-pads the operands into staging buffers of the block multiples
+// first (charged only through the DMA of the padded sizes, as swCaffe's
+// staging does). C's bits do not depend on the padding: padded A
+// columns are zero coefficients, which the kernel skips, and padded
+// rows and columns of C are discarded.
 func GEMMRun(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n int) float64 {
 	checkGEMMArgs(a, b, c, m, k, n)
-	mp, kp, np := pad8(m), pad8(k), pad8(n)
-	if mp == m && kp == k && np == n {
-		return gemmPadded(cg, a, b, c, m, k, n)
+	p := GEMMPlan(cg.Model, m, k, n)
+	if !p.Feasible {
+		panic(fmt.Sprintf("swdnn: GEMM (%d,%d,%d): %s", m, k, n, p.Reason))
 	}
-	// Ragged dims stage through pooled zero-padded buffers (the MPE
+	bm, bk, bn := p.Block[0], p.Block[1], p.Block[2]
+	mp, kp, np := roundUp(m, bm), roundUp(k, bk), roundUp(n, bn)
+	if mp == m && kp == k && np == n {
+		return gemmPadded(cg, a, b, c, m, k, n, bm, bk, bn)
+	}
+	// Ragged dims stage through recycled zero-padded buffers (the MPE
 	// staging copy swCaffe performs); steady-state this allocates
 	// nothing.
 	ap, bp, cp := getStaging(mp*kp), getStaging(kp*np), getStaging(mp*np)
 	padMatrix(a, m, k, mp, kp, *ap)
 	padMatrix(b, k, n, kp, np, *bp)
 	padMatrix(c, m, n, mp, np, *cp)
-	t := gemmPadded(cg, *ap, *bp, *cp, mp, kp, np)
+	t := gemmPadded(cg, *ap, *bp, *cp, mp, kp, np, bm, bk, bn)
 	unpadMatrix(*cp, c, m, n, np)
 	putStaging(ap)
 	putStaging(bp)
@@ -57,20 +65,32 @@ func checkGEMMArgs(a, b, c []float32, m, k, n int) {
 	}
 }
 
-func pad8(x int) int { return (x + mesh - 1) / mesh * mesh }
+func roundUp(x, b int) int { return (x + b - 1) / b * b }
 
-// stagingPool recycles the zero-padded staging matrices (and the
-// explicit convolution's column buffers) across kernel invocations.
-// It holds *[]float32 boxes, and the box a caller got is the box it
-// hands back, so neither Get nor Put allocates once the pool is warm.
-var stagingPool sync.Pool
+// staging recycles the zero-padded staging matrices (and the explicit
+// convolution's column buffers) across kernel invocations. It is a
+// free list of *[]float32 boxes, and the box a caller got is the box it
+// hands back, so neither get nor put allocates once it is warm. Unlike
+// a sync.Pool it keeps its buffers across garbage collections: a
+// padded operand can exceed 100 KB, and reallocating it after every GC
+// would cost more than holding it.
+var staging struct {
+	mu   sync.Mutex
+	free []*[]float32
+}
 
-// getStaging returns a pooled box holding a length-n buffer whose
-// contents are unspecified; callers must fully overwrite or clear it,
-// and return the same box with putStaging. A buffer too small for n is
-// replaced inside its box, so a warm call allocates nothing.
+// getStaging returns a box holding a length-n buffer whose contents
+// are unspecified; callers must fully overwrite or clear it, and return
+// the same box with putStaging. A buffer too small for n is replaced
+// inside its box, so a warm call allocates nothing.
 func getStaging(n int) *[]float32 {
-	bp, _ := stagingPool.Get().(*[]float32)
+	var bp *[]float32
+	staging.mu.Lock()
+	if last := len(staging.free) - 1; last >= 0 {
+		bp = staging.free[last]
+		staging.free = staging.free[:last]
+	}
+	staging.mu.Unlock()
 	if bp == nil {
 		bp = new([]float32)
 	}
@@ -82,7 +102,9 @@ func getStaging(n int) *[]float32 {
 }
 
 func putStaging(bp *[]float32) {
-	stagingPool.Put(bp)
+	staging.mu.Lock()
+	staging.free = append(staging.free, bp)
+	staging.mu.Unlock()
 }
 
 // padMatrix zero-pads an (r x c) matrix into the (rp x cp) buffer dst.
@@ -100,12 +122,11 @@ func unpadMatrix(src, dst []float32, r, c, cp int) {
 }
 
 // gemmPadded runs the blocked SUMMA kernel for dimensions that are
-// multiples of 8. Macro-blocks of size (Bm, Bk, Bn) are chosen so the
-// per-CPE tiles plus two communication buffers fit the LDM budget;
-// inside each macro-block the mesh performs the 8-step register-
+// multiples of the macro-block (bm, bk, bn) GEMMPlan chose, whose
+// per-CPE tiles plus two communication buffers fit the LDM budget.
+// Inside each macro-block the mesh performs the 8-step register-
 // communication product.
-func gemmPadded(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n int) float64 {
-	bm, bk, bn := chooseGEMMBlocks(cg.Model, m, k, n)
+func gemmPadded(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n, bm, bk, bn int) float64 {
 	return cg.Run(func(pe *sw26010.CPE) {
 		i, j := pe.Row, pe.Col
 		tm, tk, tn := bm/mesh, bk/mesh, bn/mesh // per-CPE tile dims
@@ -161,60 +182,10 @@ func microGEMM(ct, a, b []float32, tm, tk, tn int) {
 	gemmNN(a, b, ct, tm, tk, tn)
 }
 
-// chooseGEMMBlocks picks macro-block dimensions (multiples of 8, at
-// most the padded matrix dims) maximizing the compute-to-DMA ratio
-// under the LDM budget. Per-CPE LDM holds one tile of each operand
-// plus two receive buffers (the largest of the A/B tiles, double-
-// buffered by the bus FIFO). Results are memoized per (model, shape).
-func chooseGEMMBlocks(hw *sw26010.Model, m, k, n int) (bm, bk, bn int) {
-	return cachedBlocks(gemmKey(hw, opGEMMBlocks, m, k, n), func() [3]int {
-		bm, bk, bn := searchGEMMBlocks(hw, m, k, n)
-		return [3]int{bm, bk, bn}
-	})
-}
-
-func searchGEMMBlocks(hw *sw26010.Model, m, k, n int) (bm, bk, bn int) {
-	budget := hw.LDMBudget
-	best := -1.0
-	bm, bk, bn = mesh, mesh, mesh
-	for _, cm := range blockCandidates(m) {
-		for _, ck := range blockCandidates(k) {
-			for _, cn := range blockCandidates(n) {
-				tm, tk, tn := cm/mesh, ck/mesh, cn/mesh
-				ldm := 4 * (tm*tk + tk*tn + tm*tn + 2*maxInt(tm*tk, tk*tn))
-				if ldm > budget {
-					continue
-				}
-				flops := 2.0 * float64(cm) * float64(ck) * float64(cn)
-				bytes := 4.0 * (float64(float64(cm)*float64(ck)) + float64(float64(ck)*float64(cn)) + float64(2*float64(cm)*float64(cn)))
-				score := flops / bytes
-				// Prefer larger tiles at equal ratio (better DMA block sizes).
-				score += float64(1e-6 * float64(tm*tn))
-				if score > best {
-					best, bm, bk, bn = score, cm, ck, cn
-				}
-			}
-		}
-	}
-	return bm, bk, bn
-}
-
-func blockCandidates(dim int) []int {
-	var out []int
-	for _, c := range []int{8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512} {
-		if c <= dim && dim%c == 0 {
-			out = append(out, c)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, mesh)
-	}
-	return out
-}
-
-// planBlockCandidates is the relaxed candidate set used by the
-// analytic planner: blocks need not divide the dimension exactly (the
-// ragged edge is padded, and the plan prices the padded volume).
+// planBlockCandidates is the candidate set of the tile search: blocks
+// need not divide the dimension (the ragged edge is padded, and the
+// plan prices the padded volume), which lets awkward dimensions such as
+// n = Ho·Wo = 3136 still use large DMA blocks.
 func planBlockCandidates(dim int) []int {
 	out := []int{mesh}
 	for _, c := range []int{16, 32, 48, 64, 96, 128, 192, 256, 384, 512} {
@@ -225,50 +196,30 @@ func planBlockCandidates(dim int) []int {
 	return out
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// choosePlanBlocks is the planner's counterpart of chooseGEMMBlocks:
-// block sizes may overhang the matrix (padded edges are priced), which
-// lets awkward dimensions such as n = Ho·Wo = 3136 still use large DMA
-// blocks. It prices every feasible candidate with the full cost model
-// and keeps the fastest. The O(candidates^3) search is memoized per
-// (model, shape).
-func choosePlanBlocks(hw *sw26010.Model, m, k, n int) (bm, bk, bn int) {
-	return cachedBlocks(gemmKey(hw, opPlanBlocks, m, k, n), func() [3]int {
-		bm, bk, bn := searchPlanBlocks(hw, m, k, n)
-		return [3]int{bm, bk, bn}
-	})
-}
-
-func searchPlanBlocks(hw *sw26010.Model, m, k, n int) (bm, bk, bn int) {
-	best := -1.0
-	bm, bk, bn = mesh, mesh, mesh
+// searchPlanBlocks is the GEMM's one tile search: it prices every
+// feasible candidate tiling with the full cost model and returns the
+// fastest plan (the first one on a tie). GEMMPlan memoizes it per
+// (model, shape), and GEMMRun executes the tiling it picks.
+func searchPlanBlocks(hw *sw26010.Model, m, k, n int) Plan {
+	best := Plan{Reason: "no tiling fits the LDM budget"}
 	for _, cm := range planBlockCandidates(m) {
 		for _, ck := range planBlockCandidates(k) {
 			for _, cn := range planBlockCandidates(n) {
-				t, ok := priceGEMM(hw, m, k, n, cm, ck, cn)
-				if !ok {
-					continue
-				}
-				if best < 0 || t.Time < best {
-					best, bm, bk, bn = t.Time, cm, ck, cn
+				p, ok := priceGEMM(hw, m, k, n, cm, ck, cn)
+				if ok && (!best.Feasible || p.Time < best.Time) {
+					best = p
 				}
 			}
 		}
 	}
-	return bm, bk, bn
+	return best
 }
 
 // priceGEMM evaluates the blocked SUMMA schedule for one candidate
 // tiling. ok is false when the tiles do not fit the LDM budget.
 func priceGEMM(hw *sw26010.Model, m, k, n, bm, bk, bn int) (Plan, bool) {
 	tm, tk, tn := bm/mesh, bk/mesh, bn/mesh
-	ldm := 4 * (tm*tk + tk*tn + tm*tn + 2*maxInt(tm*tk, tk*tn))
+	ldm := 4 * (tm*tk + tk*tn + tm*tn + 2*max(tm*tk, tk*tn))
 	if ldm > hw.LDMBudget {
 		return Plan{}, false
 	}
@@ -301,7 +252,7 @@ func priceGEMM(hw *sw26010.Model, m, k, n, bm, bk, bn int) (Plan, bool) {
 }
 
 // GEMMPlan prices C[m×n] += A[m×k]·B[k×n] on one core group without
-// executing it. It walks the same macro-block schedule as GEMMRun.
+// executing it. Its Block is the macro-block tiling GEMMRun executes.
 func GEMMPlan(hw *sw26010.Model, m, k, n int) Plan {
 	return gemmPlanNamed(hw, "gemm", m, k, n)
 }
@@ -311,12 +262,7 @@ func gemmPlanNamed(hw *sw26010.Model, name string, m, k, n int) Plan {
 		return Infeasible(name, "non-positive dimension")
 	}
 	p := cachedPlan(gemmKey(hw, opGEMMPlan, m, k, n), func() Plan {
-		bm, bk, bn := choosePlanBlocks(hw, m, k, n)
-		p, ok := priceGEMM(hw, m, k, n, bm, bk, bn)
-		if !ok {
-			return Plan{Feasible: false, Reason: "no tiling fits the LDM budget"}
-		}
-		return p
+		return searchPlanBlocks(hw, m, k, n)
 	})
 	p.Name = name
 	return p
@@ -329,12 +275,11 @@ func gemmPlanNamed(hw *sw26010.Model, name string, m, k, n int) Plan {
 // mesh dimension. This is the Principle-4 ablation.
 func GEMMPlanNoRLC(hw *sw26010.Model, m, k, n int) Plan {
 	return cachedPlan(gemmKey(hw, opGEMMNoRLC, m, k, n), func() Plan {
-		bm, bk, bn := choosePlanBlocks(hw, m, k, n)
-		p, ok := priceGEMM(hw, m, k, n, bm, bk, bn)
-		if !ok {
-			return Plan{Name: "gemm-no-rlc", Feasible: false, Reason: "no tiling fits the LDM budget"}
+		p := gemmPlanNamed(hw, "gemm-no-rlc", m, k, n)
+		if !p.Feasible {
+			return p
 		}
-		p.Name = "gemm-no-rlc"
+		bm, bk, bn := p.Block[0], p.Block[1], p.Block[2]
 		tm, tk, tn := bm/mesh, bk/mesh, bn/mesh
 		nBi := (m + bm - 1) / bm
 		nBj := (n + bn - 1) / bn

@@ -23,6 +23,13 @@ package swdnn_test
 // gemm_ragged were re-captured from the fixed engine (all other
 // scenarios are bit-identical to the seed). See barrier.release in
 // internal/sw26010/sim.go.
+//
+// A second: GEMMRun used to tile with a search of its own, restricted
+// to blocks dividing the 8-padded dims, while GEMMPlan priced another
+// tiling. It now runs GEMMPlan's blocks, padding to their multiples, so
+// the timing and traffic fields of gemm_ragged and conv_explicit (whose
+// GEMM is ragged) were re-captured. Their csums, every other scenario
+// and every plan are unchanged.
 
 import (
 	"encoding/json"

@@ -7,11 +7,12 @@ import (
 	"swcaffe/internal/sw26010"
 )
 
-// Plan memoization. The SSGD workers, the experiment tables and the
-// layer Cost() paths hammer the planners with identical (model, op,
-// shape) queries — and choosePlanBlocks alone prices O(candidates^3)
-// tilings per query. Planners are pure functions of the hardware
-// model and the shape, so their results are cached process-wide.
+// Plan memoization. The SSGD workers, the experiment tables, the layer
+// Cost() paths and every GEMMRun hammer the planners with identical
+// (model, op, shape) queries — and the GEMM tile search alone prices
+// O(candidates^3) tilings per query. Planners are pure functions of the
+// hardware model and the shape, so their results are cached
+// process-wide.
 //
 // Keying: a plan depends on the *value* of the sw26010.Model, not on
 // the pointer it is read through — two models with equal parameters
@@ -34,9 +35,7 @@ import (
 type planOp uint8
 
 const (
-	opGEMMBlocks   planOp = iota // chooseGEMMBlocks -> [3]int
-	opPlanBlocks                 // choosePlanBlocks -> [3]int
-	opGEMMPlan                   // gemmPlanNamed -> Plan
+	opGEMMPlan     planOp = iota // gemmPlanNamed -> Plan
 	opGEMMNoRLC                  // GEMMPlanNoRLC -> Plan
 	opConvImplicit               // ConvImplicitPlan -> Plan (aux = pass)
 	opConvExplicit               // ConvExplicitPlan -> Plan (aux = pass)
@@ -55,7 +54,7 @@ func newPlanKey(model uint32, op planOp, aux uint8, dims [8]int) planKey {
 }
 
 var (
-	planCache       sync.Map // planKey -> Plan or [3]int
+	planCache       sync.Map // planKey -> Plan
 	planCacheHits   atomic.Uint64
 	planCacheMisses atomic.Uint64
 )
@@ -132,17 +131,4 @@ func cachedPlan(key planKey, compute func() Plan) Plan {
 	p := compute()
 	planCache.Store(key, p)
 	return p
-}
-
-// cachedBlocks memoizes a tiling search returning (bm, bk, bn).
-func cachedBlocks(key planKey, compute func() [3]int) (bm, bk, bn int) {
-	if v, ok := planCache.Load(key); ok {
-		planCacheHits.Add(1)
-		b := v.([3]int)
-		return b[0], b[1], b[2]
-	}
-	planCacheMisses.Add(1)
-	b := compute()
-	planCache.Store(key, b)
-	return b[0], b[1], b[2]
 }
