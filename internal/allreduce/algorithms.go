@@ -195,26 +195,29 @@ func (s Schedule) Name() string { return schedules[s].name }
 // vector padded to a multiple of that power — fewer than p elements
 // past len(data), inside data's own capacity: they are zeroed and
 // overwritten, and a vector without the capacity panics.
-func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int) []float32 {
+//
+// A non-nil clk receives the rank's phase-entry clocks of the
+// hierarchical schedule, the only one with phases; nil records nothing.
+func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int, clk *PhaseClocks) []float32 {
 	c := newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total)
-	return runBlocking(n, c, newFrame(data, data, c.resultLen(len(data))))
+	return runBlocking(n, c, newFrame(data, data, c.resultLen(len(data)), clk))
 }
 
 // RunDES is Run on the discrete-event backend: k fires with data once
 // the rank's schedule completes.
-func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, k func([]float32)) {
-	runResumable(r, newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total), data, k)
+func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, clk *PhaseClocks, k func([]float32)) {
+	runResumable(r, newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total), data, clk, k)
 }
 
 // oneShot is the boundary of the Algorithm forms: it reduces data into
 // a result vector taken from the rank's arena, so the input is only
 // read and the result belongs to the cluster. Nothing copies data
 // first: the cursor's first touch of each result range reads the input
-// (see round).
+// (see round). It records no phase clocks.
 func (s Schedule) oneShot(n *simnet.Node, data []float32, lo, total int) []float32 {
 	c := newCursor(s, n.Rank, n.P(), n.Supernodes(), lo, len(data), total)
 	resLen := c.resultLen(len(data))
-	return runBlocking(n, c, newFrame(data, n.Scratch(resLen), resLen))
+	return runBlocking(n, c, newFrame(data, n.Scratch(resLen), resLen, nil))
 }
 
 // Ring is the bandwidth-optimal ring all-reduce (paper ref [15]):

@@ -195,7 +195,7 @@ func TestRingSegmentBitIdenticalToFullRing(t *testing.T) {
 					continue
 				}
 				simnet.NewCluster(net, m, p).Run(func(n *simnet.Node) {
-					schedRing.Run(n, got[n.Rank][lo:hi], lo, length)
+					schedRing.Run(n, got[n.Rank][lo:hi], lo, length, nil)
 				})
 			}
 			for r := 0; r < p; r++ {
@@ -223,7 +223,7 @@ func TestRingSegmentRejectsUnalignedBounds(t *testing.T) {
 		}
 	}()
 	cl.Run(func(n *simnet.Node) {
-		schedRing.Run(n, data[1:3], 1, 100) // 1 is not on ChunkBounds(100, 4)
+		schedRing.Run(n, data[1:3], 1, 100, nil) // 1 is not on ChunkBounds(100, 4)
 	})
 }
 
@@ -233,7 +233,7 @@ func TestRingSegmentRejectsUnalignedBounds(t *testing.T) {
 func TestLandChecksPayloadLength(t *testing.T) {
 	for _, reduce := range []bool{false, true} {
 		data := []float32{1, 1, 1, 1, 1, 1, 1, 1}
-		f := newFrame(data, data, len(data))
+		f := newFrame(data, data, len(data), nil)
 		rd := round{sendTo: -1, recvFrom: 3, recv: span{result, 2, 6}, reduce: reduce}
 		if got := f.land(&rd, []float32{2, 3, 4, 5}); got != reduce {
 			t.Fatalf("reduce=%v: land reported a reduction %v", reduce, got)
@@ -265,7 +265,7 @@ func TestLandChecksPayloadLength(t *testing.T) {
 func TestFreshReduceAddsToTheInput(t *testing.T) {
 	in := []float32{1, 2, 3, 4, 5, 6, 7, 8}
 	res := []float32{9, 9, 9, 9, 9, 9, 9, 9}
-	f := newFrame(in, res, len(res))
+	f := newFrame(in, res, len(res), nil)
 	rd := round{sendTo: -1, recvFrom: 3, recv: span{result, 2, 6}, reduce: true, fresh: true}
 	if !f.land(&rd, []float32{10, 20, 30, 40}) {
 		t.Fatal("a fresh reduce was not reported as a reduction")

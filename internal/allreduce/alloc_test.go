@@ -36,7 +36,7 @@ func TestRHDAllocationBudget(t *testing.T) {
 		sched := Schedule(s)
 		scl := simnet.NewCluster(net, m, p)
 		simRun := func() {
-			scl.RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, inputs[nd.Rank], 0, n) })
+			scl.RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, inputs[nd.Rank], 0, n, nil) })
 		}
 		simRun()
 		if got := testing.AllocsPerRun(10, simRun); got > simPerRank*p {
@@ -45,7 +45,7 @@ func TestRHDAllocationBudget(t *testing.T) {
 
 		dcl := des.NewCluster(net, m, p)
 		desRun := func() {
-			dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, inputs[r.Rank], 0, n, r.Finish) })
+			dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, inputs[r.Rank], 0, n, nil, r.Finish) })
 		}
 		desRun()
 		if got := testing.AllocsPerRun(10, desRun); got > desPerRank*p {
@@ -91,10 +91,10 @@ func TestWarmCollectiveAllocatesNoVector(t *testing.T) {
 				scl.RunGather(func(nd *simnet.Node) []float32 { return alg(nd, inputs[nd.Rank]) })
 			}},
 			{"goroutine in-place", func() {
-				scl.RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n) })
+				scl.RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n, nil) })
 			}},
 			{"DES in-place", func() {
-				dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, r.Finish) })
+				dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, nil, r.Finish) })
 			}},
 		} {
 			run.f() // cold: the one-shot run's vectors become the arenas
@@ -133,10 +133,10 @@ func TestInPlaceCollectiveTakesNoArenaVector(t *testing.T) {
 			f       func(data [][]float32)
 		}{
 			{"goroutine", func(data [][]float32) {
-				simnet.NewCluster(net, m, p).RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n) })
+				simnet.NewCluster(net, m, p).RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n, nil) })
 			}},
 			{"DES", func(data [][]float32) {
-				des.NewCluster(net, m, p).RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, r.Finish) })
+				des.NewCluster(net, m, p).RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, nil, r.Finish) })
 			}},
 		} {
 			data := padded(inputs)

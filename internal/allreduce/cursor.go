@@ -42,7 +42,7 @@ func (s span) len() int { return s.hi - s.lo }
 func (s span) untouched() span { return span{input, s.lo, s.hi} }
 
 // round is one step of a rank's schedule. Exactly one of three shapes:
-// a phase boundary (phase set, nothing else); a local copy send → recv
+// a phase boundary (a phase, nothing else); a local copy send → recv
 // on this rank (a recv in work first takes recv.hi floats of scratch;
 // the copy zeroes what it leaves of recv, which pads a vector); or
 // communication — an optional send followed by an optional receive, or
@@ -119,7 +119,7 @@ func newCursor(kind Schedule, rank, p int, lay *topology.Layout, lo, n, total in
 // next writes the rank's next round into rd, or reports that the
 // schedule is complete.
 func (c *cursor) next(rd *round) bool {
-	*rd = round{sendTo: -1, recvFrom: -1}
+	*rd = round{phase: noPhase, sendTo: -1, recvFrom: -1}
 	if c.lone {
 		c.lone = false
 		rd.local, rd.send, rd.recv = true, span{input, 0, c.n}, span{result, 0, c.n}

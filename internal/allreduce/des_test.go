@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,19 +9,41 @@ import (
 	"testing"
 
 	"swcaffe/internal/des"
+	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
 // gatherDES runs a schedule over a padded copy of inputs on a fresh
 // event-driven cluster and returns every rank's output — the copy,
-// reduced in place — plus the run result.
-func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule) ([][]float32, topology.Result) {
+// reduced in place — plus the run result. A non-nil clks takes each
+// rank's phase clocks.
+func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule, clks []PhaseClocks) ([][]float32, topology.Result) {
 	cl := des.NewCluster(net, m, p)
 	data := padded(inputs)
 	res, out := cl.RunGather(func(r *des.Rank) {
-		s.RunDES(r, data[r.Rank], 0, len(data[r.Rank]), r.Finish)
+		s.RunDES(r, data[r.Rank], 0, len(data[r.Rank]), slot(clks, r.Rank), r.Finish)
 	})
 	return out, res
+}
+
+// hierPhaseClocks runs the hierarchical schedule over a padded copy of
+// inputs on a fresh goroutine cluster and returns each rank's phase
+// clocks.
+func hierPhaseClocks(net *topology.Network, m topology.Mapping, p int, inputs [][]float32) []PhaseClocks {
+	clks := make([]PhaseClocks, p)
+	data := padded(inputs)
+	simnet.NewCluster(net, m, p).Run(func(n *simnet.Node) {
+		schedHierarchical.Run(n, data[n.Rank], 0, len(data[n.Rank]), &clks[n.Rank])
+	})
+	return clks
+}
+
+// slot is rank's entry of clks, or nil when clks is.
+func slot(clks []PhaseClocks, rank int) *PhaseClocks {
+	if clks == nil {
+		return nil
+	}
+	return &clks[rank]
 }
 
 // randInputs builds full-precision random vectors. The KPN argument
@@ -40,8 +63,10 @@ func randInputs(p, length int) [][]float32 {
 
 // TestDESBitIdenticalToGoroutine: every schedule's event-backend run
 // must agree with its goroutine-backend run hex-exactly — outputs,
-// per-rank clocks, makespan, and the message census — across uniform,
-// ragged, power-of-two and prime shapes under both mappings.
+// per-rank clocks, makespan, and the message census, and for the
+// hierarchical schedule each rank's phase clocks as the call records
+// them — across uniform, ragged, power-of-two and prime shapes under
+// both mappings.
 func TestDESBitIdenticalToGoroutine(t *testing.T) {
 	shapes := []struct{ p, q int }{
 		{1, 4},  // degenerate single rank
@@ -63,9 +88,17 @@ func TestDESBitIdenticalToGoroutine(t *testing.T) {
 			for _, length := range lengths {
 				inputs := randInputs(sh.p, length)
 				for s := range schedules {
+					var gotClks []PhaseClocks
+					if Schedule(s) == schedHierarchical {
+						gotClks = make([]PhaseClocks, sh.p)
+					}
 					wantOut, wantRes := gather(net, m, sh.p, inputs, schedules[s].alg)
-					gotOut, gotRes := gatherDES(net, m, sh.p, inputs, Schedule(s))
+					gotOut, gotRes := gatherDES(net, m, sh.p, inputs, Schedule(s), gotClks)
 					checkDESMatch(t, schedules[s].name, sh.p, sh.q, length, wantOut, wantRes, gotOut, gotRes)
+					if gotClks != nil {
+						checkPhaseClocks(t, fmt.Sprintf("p=%d q=%d %s len=%d", sh.p, sh.q, m.Name(), length),
+							hierPhaseClocks(net, m, sh.p, inputs), gotClks, wantRes.Clocks)
+					}
 				}
 			}
 		}
@@ -100,6 +133,30 @@ func checkDESMatch(t *testing.T, name string, p, q, length int, wantOut [][]floa
 	}
 }
 
+// checkPhaseClocks requires the DES run's phase clocks to be the
+// goroutine run's bit for bit, and both to be a rank's clocks in
+// schedule order: non-decreasing and no later than where the rank
+// finished. With more than one rank some rank must have entered its
+// allgather after a message, so a run that recorded nothing fails.
+func checkPhaseClocks(t *testing.T, label string, want, got []PhaseClocks, finish []float64) {
+	t.Helper()
+	var latest float64
+	for r := range want {
+		for i := range want[r] {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+				t.Fatalf("%s rank %d phase %d clock: DES %v goroutine %v", label, r, i, got[r][i], want[r][i])
+			}
+		}
+		if c := want[r]; !(c[0] <= c[1] && c[1] <= c[2] && c[2] <= finish[r]) {
+			t.Fatalf("%s rank %d: phase clocks %v out of order (finish %v)", label, r, c, finish[r])
+		}
+		latest = max(latest, want[r][2])
+	}
+	if len(want) > 1 && !(latest > 0) {
+		t.Fatalf("%s: no rank recorded an allgather entry past 0: %v", label, want)
+	}
+}
+
 // TestDESDeterministicAcrossRuns: two DES runs of the same schedule
 // must agree exactly — one thread runs the ready continuations in the
 // order they became ready, which leaves no room for iteration-order or
@@ -108,8 +165,8 @@ func TestDESDeterministicAcrossRuns(t *testing.T) {
 	net := sunwayQ(4)
 	m := topology.AdjacentMapping{Q: 4}
 	inputs := randInputs(10, 257)
-	out1, res1 := gatherDES(net, m, 10, inputs, schedHierarchical)
-	out2, res2 := gatherDES(net, m, 10, inputs, schedHierarchical)
+	out1, res1 := gatherDES(net, m, 10, inputs, schedHierarchical, nil)
+	out2, res2 := gatherDES(net, m, 10, inputs, schedHierarchical, nil)
 	if res1.Time != res2.Time || res1.Msgs != res2.Msgs {
 		t.Fatalf("DES not deterministic: %v/%d vs %v/%d", res1.Time, res1.Msgs, res2.Time, res2.Msgs)
 	}
@@ -122,8 +179,11 @@ func TestDESDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestDESHierPhaseHook: the hierarchical schedule must fire the same
-// phase-boundary hook sequence per rank on both backends.
+// TestDESHierPhaseHook: the hierarchical schedule must fire the tests'
+// fault seam (SetHierPhaseHook) with the same phase sequence per rank
+// on both backends, so a kill injected at a boundary means the same
+// thing on either. The phase clocks themselves are compared by
+// TestDESBitIdenticalToGoroutine.
 func TestDESHierPhaseHook(t *testing.T) {
 	net := sunwayQ(4)
 	m := topology.AdjacentMapping{Q: 4}
@@ -144,7 +204,7 @@ func TestDESHierPhaseHook(t *testing.T) {
 
 	desPhases := make(map[int][]HierPhase)
 	SetHierPhaseHook(record(desPhases))
-	gatherDES(net, m, p, inputs, schedHierarchical)
+	gatherDES(net, m, p, inputs, schedHierarchical, nil)
 	SetHierPhaseHook(prev)
 
 	for r := 0; r < p; r++ {
@@ -187,7 +247,7 @@ func TestDESPaperScale(t *testing.T) {
 		for run := range 2 {
 			data := padded(inputs)
 			res, outs := cl.RunGather(func(r *des.Rank) {
-				s.RunDES(r, data[r.Rank], 0, n, r.Finish)
+				s.RunDES(r, data[r.Rank], 0, n, nil, r.Finish)
 			})
 			for r, out := range outs {
 				if !slices.Equal(out, sum) {

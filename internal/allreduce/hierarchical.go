@@ -25,6 +25,27 @@ import "swcaffe/internal/topology"
 // (p <= q) makes phase B a no-op, and q = 1 makes every rank a
 // single-member group so phase B is exactly the flat RHD.
 
+// HierPhase names one phase boundary of the hierarchical schedule, in
+// schedule order; it indexes PhaseClocks.
+type HierPhase uint8
+
+const (
+	HierIntraReduceScatter HierPhase = iota // before phase A's tournament
+	HierLeaderRHD                           // before phase B's leader RHD, on every rank, leader or not
+	HierAllgather                           // before phase C's tournament
+	noPhase                                 // a round that is no boundary
+)
+
+func (p HierPhase) String() string {
+	return [...]string{"intra-reduce-scatter", "leader-rhd", "allgather"}[p]
+}
+
+// PhaseClocks is where a caller of Schedule.Run or RunDES asks a rank of
+// the hierarchical schedule for its simulated clock on entering each
+// phase (a lone rank enters the first only). It belongs to the call, so
+// two collectives in flight never share one.
+type PhaseClocks [noPhase]float64
+
 // hierCursor walks the three phases for one rank: its supernode group,
 // its position j in it (the chunk it owns), and the segment of the
 // K-chunk partition the call covers. Like the ring's, the segment's

@@ -124,7 +124,7 @@ func TestHierarchicalSegmentBitIdenticalToFull(t *testing.T) {
 					continue
 				}
 				simnet.NewCluster(net, m, sh.p).Run(func(n *simnet.Node) {
-					schedHierarchical.Run(n, got[n.Rank][lo:hi], lo, length)
+					schedHierarchical.Run(n, got[n.Rank][lo:hi], lo, length, nil)
 				})
 			}
 			for r := 0; r < sh.p; r++ {
@@ -152,7 +152,7 @@ func TestHierarchicalSegmentRejectsUnalignedBounds(t *testing.T) {
 		}
 	}()
 	cl.Run(func(n *simnet.Node) {
-		schedHierarchical.Run(n, data[1:3], 1, 100) // 1 not on HierChunkBounds(100, 2)
+		schedHierarchical.Run(n, data[1:3], 1, 100, nil) // 1 not on HierChunkBounds(100, 2)
 	})
 }
 

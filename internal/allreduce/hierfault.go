@@ -2,28 +2,16 @@ package allreduce
 
 import "sync/atomic"
 
-// Fault-injection seam for the hierarchical schedule. The flat
-// algorithms are killable from the collective engine's per-bucket
-// flush hook, but the hierarchical schedule has internal structure
-// worth failing *inside*: a rank dying between the intra-supernode
-// reduce-scatter and the leader RHD strands different peer sets (its
-// group's tournament partners vs. the other supernodes' leaders) on
-// different channels. The phase hook lets tests kill a rank at each
-// boundary and prove the surrounding Run teardown quiesces every
-// case.
-
-// HierPhase names one phase boundary of the hierarchical schedule.
-type HierPhase string
-
-const (
-	// HierIntraReduceScatter fires before phase A's tournament.
-	HierIntraReduceScatter HierPhase = "intra-reduce-scatter"
-	// HierLeaderRHD fires before phase B's leader RHD (on every rank,
-	// leader or not — the boundary, not the role, is the point).
-	HierLeaderRHD HierPhase = "leader-rhd"
-	// HierAllgather fires before phase C's tournament.
-	HierAllgather HierPhase = "allgather"
-)
+// Fault-injection seam of the hierarchical schedule, for tests only.
+// The flat algorithms are killable from the collective engine's
+// per-bucket flush hook, but the hierarchical schedule has internal
+// structure worth failing *inside*: a rank dying between the
+// intra-supernode reduce-scatter and the leader RHD strands different
+// peer sets (its group's tournament partners vs. the other supernodes'
+// leaders) on different channels. The phase hook lets tests kill a
+// rank at each boundary and prove the surrounding Run teardown
+// quiesces every case. Being process-global, it is no way to observe
+// a run: a trace passes PhaseClocks with the call.
 
 // PhaseHook observes a rank crossing a phase boundary: the rank, its
 // simulated clock on arrival, and the boundary. It is backend-neutral —
@@ -40,7 +28,10 @@ type PhaseHook func(rank int, clock float64, phase HierPhase)
 var hierPhaseHook atomic.Pointer[PhaseHook]
 
 // SetHierPhaseHook installs (or, with nil, removes) the hierarchical
-// phase hook and returns the previous one so tests can restore it.
+// phase hook and returns the previous one so tests can restore it. It
+// is the tests' fault-injection seam: no non-test code calls it.
+//
+//swvet:ignore deadexport: fault-injection seam; the hierfault, DES and train fault tests install it
 func SetHierPhaseHook(h PhaseHook) (prev PhaseHook) {
 	var p *PhaseHook
 	if h != nil {

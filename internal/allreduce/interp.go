@@ -9,8 +9,8 @@ import (
 )
 
 // The two interpreters of a schedule cursor. They own every side effect
-// of a collective — the writes to the result and scratch, the
-// messages, the arithmetic, the reduction charge, the phase hook — and
+// of a collective — the writes to the result and scratch, the messages,
+// the arithmetic, the reduction charge, the phase clocks and hook — and
 // are the only callers of Send, Recv, SendRecv and ChargeReduce in this
 // package. Both execute a round the same way, in the same order; they
 // differ only in how a receive returns: the blocking one waits for it,
@@ -24,6 +24,7 @@ import (
 type frame struct {
 	vecs [3][]float32
 	n    int
+	clk  *PhaseClocks // the caller's, or nil
 }
 
 // newFrame starts a call that reduces in into res, worked at resLen
@@ -31,12 +32,12 @@ type frame struct {
 // lies inside res's capacity, and the cursor's load zeroes it. A caller
 // that hands over less capacity than the schedule's pad needs has
 // broken the in-place contract (see Schedule.Run).
-func newFrame(in, res []float32, resLen int) frame {
+func newFrame(in, res []float32, resLen int, clk *PhaseClocks) frame {
 	if cap(res) < resLen {
 		panic(fmt.Sprintf("allreduce: in-place vector of %d elements has capacity %d, the schedule pads it to %d",
 			len(res), cap(res), resLen))
 	}
-	f := frame{n: len(in)}
+	f := frame{n: len(in), clk: clk}
 	f.vecs[result], f.vecs[input] = res[:resLen], in
 	return f
 }
@@ -45,6 +46,15 @@ func newFrame(in, res []float32, resLen int) frame {
 func (f *frame) out() []float32 { return f.vecs[result][:f.n:f.n] }
 
 func (f *frame) at(s span) []float32 { return f.vecs[s.vec][s.lo:s.hi] }
+
+// enter marks the rank crossing a phase boundary at clock: in the
+// caller's phase clocks, if any, and at the tests' fault seam.
+func (f *frame) enter(rank int, clock float64, phase HierPhase) {
+	if f.clk != nil {
+		f.clk[phase] = clock
+	}
+	hierPhase(rank, clock, phase)
+}
 
 // scratchNeed is how many floats of the rank's scratch rd takes: the
 // work vector a local load fills.
@@ -102,8 +112,8 @@ func (f *frame) land(rd *round, in []float32) bool {
 func runBlocking(n *simnet.Node, c cursor, f frame) []float32 {
 	var rd round
 	for c.next(&rd) {
-		if rd.phase != "" {
-			hierPhase(n.Rank, n.Clock(), rd.phase)
+		if rd.phase != noPhase {
+			f.enter(n.Rank, n.Clock(), rd.phase)
 			continue
 		}
 		var scratch, in []float32
@@ -144,10 +154,10 @@ type desCall struct {
 }
 
 // runResumable executes c on one rank of the event backend, reducing
-// data in place; k fires with the result. A receive is always the last
-// thing a step does.
-func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
-	st := &desCall{r: r, c: c, f: newFrame(data, data, c.resultLen(len(data))), k: k}
+// data in place and recording the phase clocks in clk (when non-nil); k
+// fires with the result. A receive is always the last thing a step does.
+func runResumable(r *des.Rank, c cursor, data []float32, clk *PhaseClocks, k func([]float32)) {
+	st := &desCall{r: r, c: c, f: newFrame(data, data, c.resultLen(len(data)), clk), k: k}
 	st.resume = st.landed
 	st.step()
 }
@@ -155,8 +165,8 @@ func runResumable(r *des.Rank, c cursor, data []float32, k func([]float32)) {
 func (st *desCall) step() {
 	r, rd := st.r, &st.rd
 	for st.c.next(rd) {
-		if rd.phase != "" {
-			hierPhase(r.Rank, r.Clock(), rd.phase)
+		if rd.phase != noPhase {
+			st.f.enter(r.Rank, r.Clock(), rd.phase)
 			continue
 		}
 		var scratch []float32

@@ -266,7 +266,7 @@ func walkSchedule(sched Schedule, lay *topology.Layout, p, lo, n, total int) (ce
 					progress = true
 					w.seen[r]++
 					comm := rd.sendTo >= 0 || rd.recvFrom >= 0
-					if (rd.phase != "" || rd.local) && comm {
+					if (rd.phase != noPhase || rd.local) && comm {
 						return census, fmt.Sprintf("rank %d: a phase or local round communicates: %+v", r, *rd)
 					}
 					if rd.paired && rd.sendTo != rd.recvFrom {
@@ -400,13 +400,13 @@ func TestCollectiveProperty(t *testing.T) {
 			inPlaceSim := func(cl *simnet.Cluster, f fault) (outcome, any) {
 				data := padded(c.inputs)
 				return runSim(cl, f, func(n *simnet.Node) []float32 {
-					return sched.Run(n, data[n.Rank][lo:hi], lo, c.total)
+					return sched.Run(n, data[n.Rank][lo:hi], lo, c.total, nil)
 				})
 			}
 			inPlaceDES := func(cl *des.Cluster, f fault) (outcome, any) {
 				data := padded(c.inputs)
 				return runDES(cl, f, func(r *des.Rank, k func([]float32)) {
-					sched.RunDES(r, data[r.Rank][lo:hi], lo, c.total, k)
+					sched.RunDES(r, data[r.Rank][lo:hi], lo, c.total, nil, k)
 				})
 			}
 
@@ -507,12 +507,12 @@ func TestInPlaceShortCapacityPanics(t *testing.T) {
 	const want = "in-place vector of 5 elements has capacity 5, the schedule pads it to 6"
 	inputs := intInputs(p, n)
 	_, failed := runSim(simnet.NewCluster(net, m, p), noFault,
-		func(nd *simnet.Node) []float32 { return schedRHD.Run(nd, inputs[nd.Rank], 0, n) })
+		func(nd *simnet.Node) []float32 { return schedRHD.Run(nd, inputs[nd.Rank], 0, n, nil) })
 	if np, ok := failed.(simnet.NodePanic); !ok || !strings.Contains(fmt.Sprint(np.Value), want) {
 		t.Errorf("goroutine backend: recovered %v, want a NodePanic saying %q", failed, want)
 	}
 	_, failed = runDES(des.NewCluster(net, m, p), noFault,
-		func(r *des.Rank, k func([]float32)) { schedRHD.RunDES(r, inputs[r.Rank], 0, n, k) })
+		func(r *des.Rank, k func([]float32)) { schedRHD.RunDES(r, inputs[r.Rank], 0, n, nil, k) })
 	if rp, ok := failed.(des.RankPanic); !ok || !strings.Contains(fmt.Sprint(rp.Value), want) {
 		t.Errorf("DES backend: recovered %v, want a RankPanic saying %q", failed, want)
 	}

@@ -13,27 +13,19 @@ import (
 // resumable interpreter. Both modes flush here: the barrier is the
 // one-bucket layout (Config.Barrier).
 
-// ReduceSegDES is the DES form of ReduceSeg: it runs the strategy's
-// collective over bucket b on one DES rank and fires done with the
-// reduced bucket after charging the final averaging sweep.
-func (e *Engine) ReduceSegDES(r *des.Rank, b int, pack []float32, done func([]float32)) {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(r.Rank, b)
-	}
-	bk := e.buckets[b]
-	e.strat.RunDES(r, pack[bk.Lo:bk.Hi], bk.Lo, e.total, func(out []float32) {
-		r.ChargeReduce(len(out))
-		done(out)
-	})
-}
-
-// FlushSegDES runs bucket b's collective over every rank of the DES
-// cluster and returns the makespan/census and the per-rank reduced
-// outputs — bucket b's range of each view, reduced in place: commit
-// them before flushing again (see Bucket).
+// FlushSegDES runs ReduceSeg's DES form for bucket b on every rank of
+// the DES cluster and returns the makespan/census and the per-rank
+// reduced outputs — bucket b's range of each view, reduced in place:
+// commit them before flushing again (see Bucket).
 func (e *Engine) FlushSegDES(c *des.Cluster, b int) (topology.Result, [][]float32) {
-	views := e.views
+	views, bk := e.views, e.buckets[b]
 	return c.RunGather(func(r *des.Rank) {
-		e.ReduceSegDES(r, b, views[r.Rank], r.Finish)
+		if e.cfg.FlushHook != nil {
+			e.cfg.FlushHook(r.Rank, b)
+		}
+		e.strat.RunDES(r, views[r.Rank][bk.Lo:bk.Hi], bk.Lo, e.total, e.phaseClocks(b, r.Rank), func(out []float32) {
+			r.ChargeReduce(len(out))
+			r.Finish(out)
+		})
 	})
 }

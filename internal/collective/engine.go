@@ -111,7 +111,7 @@ type Config struct {
 	Barrier bool
 
 	// FlushHook, when non-nil, runs on each rank's goroutine at the
-	// top of every bucket reduce (ReduceSeg and ReduceSegDES, with the
+	// top of every bucket reduce (ReduceSeg and FlushSegDES, with the
 	// bucket index; the barrier's single flush is bucket 0). It is the
 	// fault-injection seam: a hook that panics dies inside the simnet
 	// run, exercising the production collective-failure path. The hook
@@ -163,15 +163,14 @@ type Engine struct {
 
 	// Tracing (nil tracer = disabled, the hot-path default). traceBase
 	// anchors this step's flush windows on the cumulative trace
-	// timeline; hierNow/hierClks/clockSnaps capture the hierarchical
-	// schedule's internal phase clocks per rank per flush.
-	tracer       *obs.Tracer
-	tracePid     int
-	traceBase    float64
-	hierNow      [][3]float64   // per-rank phase-entry clocks of the flush in flight
-	hierClks     [][][3]float64 // [bucket][rank] snapshot at Commit
-	clockSnaps   [][]float64    // [bucket][rank] finishing clocks at Commit
-	prevHierHook allreduce.PhaseHook
+	// timeline; traced with the hierarchical strategy, hierClks and
+	// clockSnaps hold the schedule's phase-entry and finishing clocks per
+	// rank per flush (nil otherwise: a flush then records nothing).
+	tracer     *obs.Tracer
+	tracePid   int
+	traceBase  float64
+	hierClks   []allreduce.PhaseClocks // [bucket*Ranks + rank], filled by the flushes
+	clockSnaps [][]float64             // [bucket][rank] finishing clocks at Commit
 }
 
 // BucketStat is the per-bucket attribution of one committed step: the
@@ -389,9 +388,18 @@ func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
 		e.cfg.FlushHook(n.Rank, b)
 	}
 	bk := e.buckets[b]
-	out := e.strat.Run(n, pack[bk.Lo:bk.Hi], bk.Lo, e.total)
+	out := e.strat.Run(n, pack[bk.Lo:bk.Hi], bk.Lo, e.total, e.phaseClocks(b, n.Rank))
 	n.ChargeReduce(len(out))
 	return out
+}
+
+// phaseClocks is rank's own slot for its phase-entry clocks of bucket
+// b's flush, or nil when the engine traces no hierarchical schedule.
+func (e *Engine) phaseClocks(b, rank int) *allreduce.PhaseClocks {
+	if e.hierClks == nil {
+		return nil
+	}
+	return &e.hierClks[b*e.cfg.Ranks+rank]
 }
 
 // Commit drains bucket b's per-rank reduced outputs — averaged
@@ -428,8 +436,7 @@ func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][]
 	st.Priced = e.prices[b]
 	st.Msgs, st.CrossMsgs, st.CrossBytes = res.Msgs, res.CrossMsgs, res.CrossBytes
 	e.bytesMetric.Add(int64(st.Bytes))
-	if e.tracer != nil && e.hierClks != nil {
-		copy(e.hierClks[b], e.hierNow)
+	if e.hierClks != nil {
 		e.clockSnaps[b] = append(e.clockSnaps[b][:0], res.Clocks...)
 	}
 	return diverged
@@ -552,8 +559,8 @@ func (e *Engine) LastBuckets() []BucketStat { return e.stats }
 // cluster track (pid = tracePid, tid 0), carrying the bucket's layout,
 // priced vs. realized cost and traffic census as attrs — and, for the
 // hierarchical schedule, the three internal phase spans per rank on
-// each rank's CommLane, placed from the phase-entry clocks the hook
-// captured (collective-relative, so they anchor at the flush start).
+// each rank's CommLane, placed from the phase-entry clocks the ranks
+// recorded (collective-relative, so they anchor at the flush start).
 func (e *Engine) emitFlushSpans() {
 	base := e.traceBase
 	for i := range e.stats {
@@ -574,7 +581,7 @@ func (e *Engine) emitFlushSpans() {
 		}
 		s := base + st.Start
 		clocks := e.clockSnaps[i]
-		for r, c := range e.hierClks[i] {
+		for r, c := range e.hierClks[i*e.cfg.Ranks : (i+1)*e.cfg.Ranks] {
 			if r >= len(clocks) {
 				break
 			}
@@ -585,55 +592,26 @@ func (e *Engine) emitFlushSpans() {
 	}
 }
 
-// SetTrace attaches a tracer to the engine: Compose emits one flush
-// span per committed bucket (the barrier's one included) on the (pid,
-// 0) cluster track, and — when the active strategy is the hierarchical
-// schedule — the engine installs the allreduce hierarchical phase hook to capture
-// each rank's intra-RS / leader-RHD / allgather boundary clocks,
-// drawn as per-rank phase spans on CommLane. The previous phase hook
-// is chained (fault injection keeps working under tracing) and
-// restored by SetTrace(nil, 0). The hook is process-global, as PR 6
-// defined it: trace one hierarchical engine at a time.
+// SetTrace attaches a tracer to the engine (nil detaches it): Compose
+// emits one flush span per committed bucket (the barrier's one
+// included) on the (pid, 0) cluster track and, for the hierarchical
+// schedule, each rank's intra-RS / leader-RHD / allgather spans on
+// CommLane, placed from the phase-entry clocks every flush hands each
+// rank a slot of its own to record (phaseClocks): nothing global.
 func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
+	e.tracer, e.tracePid = tr, pid
+	e.hierClks, e.clockSnaps = nil, nil
 	if tr == nil {
-		if e.hierNow != nil {
-			allreduce.SetHierPhaseHook(e.prevHierHook)
-			e.prevHierHook = nil
-			e.hierNow, e.hierClks, e.clockSnaps = nil, nil, nil
-		}
-		e.tracer = nil
 		return
 	}
-	e.tracer, e.tracePid = tr, pid
 	tr.NameProcess(pid, "collectives")
 	tr.NameThread(pid, 0, "bucket flushes")
 	for r := 0; r < e.cfg.Ranks; r++ {
 		tr.NameThread(r, CommLane, "comm")
 	}
 	if e.strat.Name() == allreduce.NameHierarchical {
-		e.hierNow = make([][3]float64, e.cfg.Ranks)
-		e.hierClks = make([][][3]float64, len(e.buckets))
 		e.clockSnaps = make([][]float64, len(e.buckets))
-		for b := range e.hierClks {
-			e.hierClks[b] = make([][3]float64, e.cfg.Ranks)
-		}
-		// One hook serves both backends: the interpreters fire it with
-		// the rank and its clock, so Commit snapshots are backend-agnostic.
-		e.prevHierHook = allreduce.SetHierPhaseHook(func(rank int, clock float64, phase allreduce.HierPhase) {
-			if rank < len(e.hierNow) {
-				switch phase {
-				case allreduce.HierIntraReduceScatter:
-					e.hierNow[rank][0] = clock
-				case allreduce.HierLeaderRHD:
-					e.hierNow[rank][1] = clock
-				case allreduce.HierAllgather:
-					e.hierNow[rank][2] = clock
-				}
-			}
-			if e.prevHierHook != nil {
-				e.prevHierHook(rank, clock, phase)
-			}
-		})
+		e.hierClks = make([]allreduce.PhaseClocks, len(e.buckets)*e.cfg.Ranks)
 	}
 }
 
@@ -644,11 +622,14 @@ func (e *Engine) SetTraceBase(t float64) { e.traceBase = t }
 
 // ResetStaging re-allocates the buffers a rank goroutine stranded by a
 // failed collective might still use — the per-rank packed views, which
-// it reads its gradients from and reduces them in, and their view slice
-// — leaving the old arrays to the stragglers. Failure-path only; the hot
-// path reuses staging.
+// it reads its gradients from and reduces them in, their view slice and
+// the traced phase-clock slots — leaving the old arrays to the
+// stragglers. Failure-path only; the hot path reuses staging.
 func (e *Engine) ResetStaging() {
 	e.allocViews()
+	if e.hierClks != nil {
+		e.hierClks = make([]allreduce.PhaseClocks, len(e.hierClks))
+	}
 }
 
 // layoutBuckets partitions the packed vector into buckets of at least

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Sec. VI) plus the ablations called out in
-// DESIGN.md. Each generator writes a plain-text rendition of the
-// artifact to an io.Writer and returns the structured data so tests
-// can assert the paper's qualitative claims (winners, crossovers,
-// orderings) mechanically.
+// paper's evaluation (Sec. VI) plus the ablations and sweeps that
+// follow them in cmd/swbench's artifact list (io, pack, gemm,
+// allreduce, bn, sum, mapping, batch). Each generator writes a
+// plain-text rendition of the artifact to an io.Writer and returns the
+// structured data so tests can assert the paper's qualitative claims
+// (winners, crossovers, orderings) mechanically.
 package experiments
 
 import (

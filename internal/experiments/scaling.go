@@ -405,8 +405,8 @@ type IOStripingRow struct {
 
 // IOStriping evaluates mini-batch read time under the default
 // single-split layout versus the 32-stripe/256 MB layout swCaffe
-// configures (paper Sec. V-B; no figure in the paper, reported as the
-// X1 experiment in DESIGN.md).
+// configures (paper Sec. V-B; no figure in the paper, so it is
+// swbench's io artifact).
 func IOStriping(w io.Writer) []IOStripingRow {
 	batch := pario.ImageNetBatchBytes(256) // ~192 MB, the paper's example
 	var rows []IOStripingRow
@@ -479,7 +479,7 @@ type AllreduceRow struct {
 }
 
 // AllreduceAblation sweeps the four all-reduce variants over node
-// counts and message sizes (the X2 ablation of DESIGN.md), using the
+// counts and message sizes (swbench's allreduce artifact), using the
 // analytic cost models.
 func AllreduceAblation(w io.Writer) []AllreduceRow {
 	net := topology.Sunway()

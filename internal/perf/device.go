@@ -10,9 +10,12 @@
 // (flops over an efficiency-derated peak) and a memory term (bytes
 // over a derated bandwidth) plus fixed per-kernel overhead. The derate
 // constants are calibrated once against the paper's own measurements
-// (Table III throughputs and Figs. 8–9 per-layer times) and recorded
-// in EXPERIMENTS.md; the SW26010 numbers, in contrast, come from the
-// mechanistic kernel plans in internal/swdnn.
+// (Table III throughputs and Figs. 8–9 per-layer times). In
+// internal/experiments, TestTable3MatchesPaperBands holds the paper's
+// Table III numbers and the bands the model must stay in, and
+// TestFigures89Claims the per-layer orderings of Figs. 8–9. The SW26010
+// numbers, in contrast, come from the mechanistic kernel plans in
+// internal/swdnn.
 package perf
 
 import (

@@ -86,7 +86,8 @@ func Best(plans ...Plan) Plan {
 // pipeline realities the pure roofline misses (in-order dual issue,
 // address generation, loop control, partial SIMD at tile edges) and
 // were calibrated once against the absolute numbers the paper reports
-// in Table II; DESIGN.md documents the calibration.
+// in Table II. TestTable2ForwardAnchors (conv_test.go) lists the cells
+// they were fitted to and the ratio band the plans must stay in.
 const (
 	// simdEfficiency is the sustained fraction of the 8 flops/cycle
 	// peak inside the innermost register-blocked GEMM loop. DGEMM on

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
 	"swcaffe/internal/allreduce"
@@ -448,5 +449,22 @@ func TestAutoPlanTrainer(t *testing.T) {
 	if _, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 4, Solver: cfg,
 		AlgorithmName: "nope"}, mlpFactory(4, classes)); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestNewDistTrainerRejectsEmptySupernodes: a network whose supernodes
+// hold no node is a configuration error that names the field, on either
+// backend — not an integer divide by zero in the rank mapping.
+func TestNewDistTrainerRejectsEmptySupernodes(t *testing.T) {
+	for _, q := range []int{0, -1} {
+		for _, path := range distPaths {
+			netw := topology.Sunway()
+			netw.SupernodeSize = q
+			_, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 8, Backend: path.backend, Network: netw},
+				mlpFactory(4, 3))
+			if err == nil || !strings.Contains(err.Error(), "SupernodeSize") {
+				t.Fatalf("%s, SupernodeSize = %d: err = %v, want one naming SupernodeSize", path.name, q, err)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package train
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,8 +32,8 @@ var distPaths = []distPath{
 // execution paths (pooled nodes, DES nodes) a traced
 // trainer's losses, parameters and full StepStats must be
 // bit-identical to an untraced twin — including under overlap with the
-// hierarchical schedule, whose tracing installs the allreduce phase
-// hook. Run under -race by `make race`.
+// hierarchical schedule, whose tracing records each rank's phase
+// clocks. Run under -race by `make race`.
 func TestTracedRunBitIdentical(t *testing.T) {
 	const classes = 3
 	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
@@ -115,6 +118,66 @@ func TestTracedRunBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTracedHierarchicalLeavesNoPhaseHook: a traced hierarchical
+// trainer takes its phase clocks through the call, so once it has
+// stepped and closed the process-global fault seam is as it found it,
+// empty — a hook left behind would keep every later hierarchical
+// collective in the process writing into the closed trainer's engine.
+// The phase spans must still carry the clocks the ranks recorded: some
+// rank spends time in its intra-supernode reduce-scatter, and the
+// pooled and DES backends draw the same spans.
+func TestTracedHierarchicalLeavesNoPhaseHook(t *testing.T) {
+	const classes = 3
+	smallQ := topology.Sunway()
+	smallQ.SupernodeSize = 2
+	ds := dataset.NewClusters(500, classes, 1, 8, 8, 0.4, 47)
+	type span struct {
+		Name    string
+		Pid     int
+		Ts, Dur float64
+	}
+	var spans [][]span
+	for _, path := range distPaths {
+		tracer := obs.New()
+		d, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 8, Solver: core.SolverConfig{BaseLR: 0.05},
+			Backend: path.backend, Network: smallQ, AlgorithmName: allreduce.NameHierarchical,
+			Overlap: true, BucketBytes: 8 << 10, Tracer: tracer}, deepFactory(8, classes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.LoadShards(ds, 0)
+		d.Step()
+		d.Close()
+		if h := allreduce.SetHierPhaseHook(nil); h != nil {
+			t.Fatalf("%s: a traced trainer left a hierarchical phase hook installed", path.name)
+		}
+		var buf bytes.Buffer
+		if err := tracer.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var trace struct{ TraceEvents []span }
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatal(err)
+		}
+		var hier []span
+		busy := false
+		for _, ev := range trace.TraceEvents {
+			if strings.HasPrefix(ev.Name, "hier:") {
+				hier = append(hier, ev)
+				busy = busy || (ev.Name == "hier:intra-rs" && ev.Dur > 0)
+			}
+		}
+		if !busy {
+			t.Fatalf("%s: no rank spent time in its intra-RS phase: %+v", path.name, hier)
+		}
+		spans = append(spans, hier)
+	}
+	if !reflect.DeepEqual(spans[0], spans[1]) {
+		t.Fatalf("phase spans differ across backends:\n%s %+v\n%s %+v",
+			distPaths[0].name, spans[0], distPaths[1].name, spans[1])
 	}
 }
 

@@ -49,7 +49,9 @@ type ScalingConfig struct {
 	// fraction at the 1024-node end of the sweep and relaxes toward
 	// nearly full link efficiency at p=2 (see effAt). Calibrated once
 	// so the 1024-node communication shares match Fig. 11
-	// (EXPERIMENTS.md); default 0.035.
+	// (TestFigure10And11Claims in internal/experiments bounds the
+	// 1024-node shares; the repository's testdata/evaluation.golden
+	// pins the figure); default 0.035.
 	AllreduceEff float64
 
 	// Device prices layer compute; defaults to the SW26010 core group.

@@ -394,6 +394,9 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	if cfg.Network == nil {
 		cfg.Network = topology.Sunway()
 	}
+	if q := cfg.Network.SupernodeSize; q < 1 {
+		return nil, fmt.Errorf("train: Network.SupernodeSize = %d, want at least 1 node per supernode", q)
+	}
 	if cfg.Mapping == nil {
 		cfg.Mapping = topology.RoundRobinMapping{Q: cfg.Network.SupernodeSize}
 	}

@@ -3,8 +3,10 @@
 // TaihuLight" (Fang et al., CLUSTER 2018).
 //
 // The repository contains the full system the paper describes, with
-// every hardware dependency replaced by a faithful simulator (see
-// DESIGN.md for the substitution table):
+// every hardware dependency replaced by a faithful simulator; the list
+// below maps each part of the paper's system to the package that
+// stands in for it (README.md's "Layout" table has one row per
+// package):
 //
 //   - internal/sw26010: the SW26010 many-core processor — 8x8 CPE
 //     mesh, 64 KB LDMs, DMA engine with the paper's measured bandwidth
