@@ -406,13 +406,14 @@ func (e *Engine) phaseClocks(b, rank int) *allreduce.PhaseClocks {
 // (1/Ranks) straight into the parameter gradients, in pack order — and
 // records the bucket's simulated makespan and traffic census. grads
 // holds one gradient set per model replica, and grads[r] receives rank
-// r's output. A trainer whose ranks share one model passes that one
-// set: rank 0's output is drained into it once, and every other rank's
-// output is compared to rank 0's bit for bit instead — the invariant
-// the sharing rests on, checked by a read-only sweep where a private
-// replica pays a multiply-and-store one. Commit returns the worst
+// r's output. A trainer whose ranks share models passes one set per
+// model: ranks 0 to len(grads)-1 are drained into them. Every rank's
+// output but rank 0's is also compared to rank 0's bit for bit — the
+// invariant the sharing rests on, which comparing the models'
+// parameters afterwards could miss (an ulp of gradient can vanish in
+// the update), checked by a read-only sweep. Commit returns the worst
 // mismatch that sweep found (see mismatch): 0, always, unless a
-// collective is broken, and 0 when every rank has its own set.
+// collective is broken.
 //
 // outs[r] is what rank r's flush returned: bucket b's range of the
 // rank's view, reduced where it lay. The engine keeps no reference to
@@ -446,8 +447,8 @@ func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][]
 // holds the sum over ranks — into the parameter gradients it overlaps,
 // one multiply-and-store sweep per gradient set (the sum itself is left
 // as it was), and returns the worst mismatch between rank 0's output
-// and that of a rank without a set of its own. Buckets cut at element
-// granularity, so a parameter may span several buckets.
+// and any other rank's. Buckets cut at element granularity, so a
+// parameter may span several buckets.
 func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diverged float64) {
 	inv := float32(1) / float32(e.cfg.Ranks)
 	// First param whose end lies beyond lo.
@@ -462,7 +463,7 @@ func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diver
 			f32.Scale(grad[i][a-off:b-off], vec[a-lo:b-lo], inv)
 		}
 	}
-	for _, vec := range outs[len(grads):] {
+	for _, vec := range outs[1:] {
 		diverged = max(diverged, mismatch(outs[0], vec))
 	}
 	return diverged

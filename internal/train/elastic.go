@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
@@ -82,12 +83,13 @@ func (t *DistTrainer) Checkpoint() *elastic.State {
 	return st
 }
 
-// Restore loads a checkpoint into every worker replica: parameters,
-// solver momentum and iteration, sampler cursor, and the trainer's
-// step counter. The world size need not match the checkpoint's —
-// that is the point of shrink-and-continue — but the network
-// architecture must. After Restore the trainer is bit-identical to
-// one that trained to st.Step and never stopped.
+// Restore loads a checkpoint into every model (each private replica,
+// or each shared model): parameters, solver momentum and iteration,
+// sampler cursor, and the trainer's step counter. The world size need
+// not match the checkpoint's — that is the point of
+// shrink-and-continue — but the network architecture must. After
+// Restore the trainer is bit-identical to one that trained to st.Step
+// and never stopped.
 func (t *DistTrainer) Restore(st *elastic.State) error {
 	for _, w := range t.replicas() {
 		if err := restoreReplica(w, st); err != nil {
@@ -95,7 +97,9 @@ func (t *DistTrainer) Restore(st *elastic.State) error {
 		}
 	}
 	if t.shared() && t.Workers[0].state != nil {
-		t.restoreRankStates()
+		for _, m := range t.models {
+			t.restoreRankStates(m)
+		}
 	}
 	if st.HasSampler {
 		t.sampler = elastic.RestoreRNG(st.RNGSeed, st.RNGDraws)
@@ -142,14 +146,14 @@ func restoreReplica(w *Worker, st *elastic.State) error {
 	return nil
 }
 
-// restoreRankStates finishes a Restore where the ranks share one model:
-// the shared net now holds the checkpoint's non-learnable parameters —
-// the running statistics a private replica would have had overwritten
-// in place — and every rank's saved state must restart from them while
-// keeping what a checkpoint does not carry (a private replica's RNG
-// cursors survive a Restore too).
-func (t *DistTrainer) restoreRankStates() {
-	net := t.Workers[0].Net
+// restoreRankStates finishes a Restore for the ranks whose home is m, a
+// shared model: its net now holds the checkpoint's non-learnable
+// parameters — the running statistics a private replica would have had
+// overwritten in place — and every such rank's saved state must
+// restart from them while keeping what a checkpoint does not carry (a
+// private replica's RNG cursors survive a Restore too).
+func (t *DistTrainer) restoreRankStates(m *Worker) {
+	net := m.Net
 	var stats []*core.Param
 	var restored [][]float32
 	for _, p := range net.Params() {
@@ -159,6 +163,9 @@ func (t *DistTrainer) restoreRankStates() {
 		}
 	}
 	for _, w := range t.Workers {
+		if w.home != m {
+			continue
+		}
 		net.LoadReplicaState(w.state)
 		for i, p := range stats {
 			copy(p.Data.Data, restored[i])
@@ -226,6 +233,18 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	}
 	t.Workers = survivors
 	t.cfg.Nodes = len(survivors)
+	// A shared model none of the survivors runs on leaves the pool:
+	// every model drains one rank's reduced gradient, so there may be no
+	// more models than ranks. The others keep their ranks.
+	if t.shared() {
+		homes := t.models[:0]
+		for _, m := range t.models {
+			if slices.ContainsFunc(survivors, func(w *Worker) bool { return w.home == m }) {
+				homes = append(homes, m)
+			}
+		}
+		t.models = homes
+	}
 
 	// Fresh communicator at p'. Ranks stranded in the abandoned
 	// cluster's run state keep their private channels; nothing they do

@@ -2,6 +2,8 @@ package train
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
@@ -28,16 +30,17 @@ import (
 // update uses the same averaged gradient.
 //
 // On the goroutine backend every worker owns its replica. On the DES
-// backend, whose passes run inline one after another, the replicas
-// would be bit-equal copies of one another, so there is one model per
-// cluster: every worker's Net and Solver alias it — parameters,
-// activations, gradients, momentum history — and a worker owns only
-// what differs between ranks: its shard tensors, which a pass copies
-// into the net's input blobs, and the layer state a replica advances
-// on its own (core.ReplicaStateful), which a pass loads before and
-// saves after. Between passes the shared net therefore holds the
-// per-replica state of whichever rank ran last; the parameters, being
-// every rank's, are always current.
+// backend the replicas would be bit-equal copies of one another, so a
+// cluster builds only as many models as the host can run passes on at
+// once — k = min(GOMAXPROCS, p) — and rank r's Net and Solver alias
+// model r mod k, its home, for the trainer's life (a Shrink keeps it):
+// parameters, activations, gradients, momentum history. A worker owns
+// only what differs between ranks: its shard tensors, which a pass
+// copies into the home net's input blobs, and the layer state a replica
+// advances on its own (core.ReplicaStateful), which a pass loads before
+// and saves after. Between passes a model therefore holds the
+// per-replica state of whichever of its ranks ran last; the
+// parameters, being every rank's, are always current.
 type Worker struct {
 	Rank   int
 	Net    *core.Net
@@ -61,10 +64,17 @@ type Worker struct {
 	// reduced gradient into.
 	diffs [][]float32
 
-	// state is the rank's copy of the net's per-replica layer state
-	// where the ranks share one model; nil for a private replica, and
-	// for a net without such layers.
+	// home is the shared model the rank's passes run on, and state the
+	// rank's copy of that net's per-replica layer state (nil for a net
+	// without such layers); both nil for a private replica.
+	home  *Worker
 	state core.ReplicaState
+
+	// clock and failure are what the rank's pass on the DES pool
+	// charged and panicked with, for its launch to hand back (see
+	// launchPasses).
+	clock   float64
+	failure any
 }
 
 // newReplica builds a worker around a model of its own; its input
@@ -81,12 +91,12 @@ func newReplica(solver core.SolverConfig, buildNet func() (*core.Net, map[string
 	return w, nil
 }
 
-// rankView returns a worker that aliases w's model — net, solver,
-// gradient view — and owns what differs between the ranks sharing it:
-// copies of the net's input tensors and of its current per-replica
-// layer state.
+// rankView returns a worker whose home is w, a shared model: it
+// aliases w's net, solver and gradient view, and owns copies of the
+// net's input tensors and of its current per-replica layer state.
 func (w *Worker) rankView() *Worker {
 	v := *w
+	v.home = w
 	v.Data, v.Labels = w.Data.Clone(), w.Labels.Clone()
 	v.state = w.Net.ReplicaState()
 	return &v
@@ -138,20 +148,22 @@ type DistConfig struct {
 	// pooled swnode.Node per worker whose passes run as CoreGroup
 	// launches, and a private model replica per rank — the functional
 	// and concurrency oracle at small p. Its nodes own CPE worker
-	// pools: call Close when done. BackendDES is the single-threaded
-	// discrete-event backend: collectives run as continuations on one
-	// FIFO ready queue (internal/des) and passes execute inline on
-	// DES nodes (swnode.NewDESNode) — zero goroutines — through one
-	// model that all ranks share (see Worker): one net is built,
-	// initialised, updated and restored per cluster, not p of them,
-	// which is what makes p = 1024/4096 sweeps feasible. Every commit
-	// checks that all ranks reduced to the same gradient bits (see
-	// ParamsDiverged), and the DES backend is bit-identical to the
-	// goroutine backend (losses, params, per-replica layer state,
-	// StepStats, traffic census — the race-enabled goldens pin it at
-	// p ≤ 128), whose private replicas are the oracle that the sharing
-	// is sound. It rejects fault injection — the goroutine backend
-	// stays the failure oracle.
+	// pools: call Close when done. BackendDES is the discrete-event
+	// backend: collectives run as continuations on one FIFO ready queue
+	// (internal/des), on the calling goroutine, and passes execute on
+	// DES nodes (swnode.NewDESNode) through k = min(GOMAXPROCS, p)
+	// models shared by the ranks (see Worker) — one goroutine per model
+	// during the compute leg, joined before any collective, and none per
+	// rank. k nets are built, initialised, updated and restored per
+	// cluster, not p of them, which is what makes p = 1024/4096 sweeps
+	// feasible; the result does not depend on k. Every commit checks
+	// that the ranks reduced to the same gradient bits, and the models'
+	// parameters are compared too (see ParamsDiverged); the DES backend
+	// is bit-identical to the goroutine backend (losses, params,
+	// per-replica layer state, StepStats, traffic census — the
+	// race-enabled goldens pin it at p ≤ 128), whose private replicas
+	// are the oracle that the sharing is sound. It rejects fault
+	// injection — the goroutine backend stays the failure oracle.
 	Backend string
 
 	// Faults, when non-nil, is a deterministic fault-injection plan:
@@ -276,18 +288,18 @@ type DistTrainer struct {
 	// built with the timeline).
 	engine *collective.Engine
 	// grads is the engine's drain target: the diffs of each distinct
-	// model (see replicas) — every worker's, indexed by rank, or the one
-	// set the ranks share. Rebuilt with the engine (a Shrink re-ranks
-	// the workers).
+	// model (see replicas) — every worker's, indexed by rank, or the k
+	// sets the ranks share, rank j's output drained into model j.
+	// Rebuilt with the engine (a Shrink re-ranks the workers).
 	grads [][][]float32
 
-	// netData/netLabels are the input blobs of the one net the ranks
-	// share (nil where every rank has its own), and diverged the worst
-	// mismatch any commit found between rank 0's reduced gradient and
-	// another rank's — what ParamsDiverged reports in place of comparing
-	// replicas that no longer exist.
-	netData, netLabels *tensor.Tensor
-	diverged           float64
+	// models are the shared models of the DES backend (see Worker), the
+	// homes of the rank views; nil where every rank has its own.
+	// diverged is the worst mismatch any commit found between rank 0's
+	// reduced gradient and another rank's — what ParamsDiverged adds to
+	// comparing the models.
+	models   []*Worker
+	diverged float64
 
 	// Reused per-Step staging (both modes must stay allocation-free at
 	// steady state; the allocation budgets of alloc_test.go pin this).
@@ -437,20 +449,29 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	if cfg.Tracer != nil {
 		t.nodes.SetTracer(cfg.Tracer)
 	}
-	var model *Worker // the one model of a cluster whose ranks share it
+	if t.shared() {
+		// The k shared models are bit-equal replicas of the one factory,
+		// built on the pool they will run on.
+		t.models = make([]*Worker, min(runtime.GOMAXPROCS(0), cfg.Nodes))
+		errs := make([]error, len(t.models))
+		onPool(len(t.models), func(m int) {
+			t.models[m], errs[m] = newReplica(cfg.Solver, buildNet)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
 	for r := 0; r < cfg.Nodes; r++ {
-		w := model
-		if w == nil {
+		var w *Worker
+		if t.shared() {
+			w = t.models[r%len(t.models)].rankView()
+		} else {
 			var err error
 			if w, err = newReplica(cfg.Solver, buildNet); err != nil {
 				return nil, err
 			}
-		}
-		if t.shared() {
-			if model == nil {
-				model, t.netData, t.netLabels = w, w.Data, w.Labels
-			}
-			w = model.rankView()
 		}
 		w.Rank = r
 		// One pass at a time per worker: the node's 4-CG decomposition
@@ -469,26 +490,26 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 // Iter returns the number of completed iterations.
 func (t *DistTrainer) Iter() int { return t.iter }
 
-// shared reports whether the ranks share one model (see Worker): on
-// the DES backend, whose passes run inline, one after another.
+// shared reports whether the ranks share models (see Worker): on the
+// DES backend.
 func (t *DistTrainer) shared() bool { return t.cfg.Backend == BackendDES }
 
 // replicas returns the workers that stand for the distinct models:
-// all of them, or the first where the ranks share one.
+// every worker, or the shared models.
 func (t *DistTrainer) replicas() []*Worker {
 	if t.shared() {
-		return t.Workers[:1]
+		return t.models
 	}
 	return t.Workers
 }
 
 // replica returns rank's worker with its model replica ready to read:
-// where the ranks share one model, the shared net is first given this
-// rank's per-replica layer state, in place of that of whichever rank
-// ran last.
+// where the ranks share models, the home net is first given this
+// rank's per-replica layer state, in place of that of whichever of its
+// ranks ran last.
 func (t *DistTrainer) replica(rank int) *Worker {
 	w := t.Workers[rank]
-	if t.shared() {
+	if w.home != nil {
 		w.Net.LoadReplicaState(w.state)
 	}
 	return w
@@ -497,19 +518,19 @@ func (t *DistTrainer) replica(rank int) *Worker {
 // pass is rank i's forward and backward over its shard, leaving the
 // loss in t.losses[i] and the gradients in w.diffs; onLayer, when
 // non-nil, follows each layer's backward (see core.Net.BackwardEach).
-// Where the ranks share one model the net first becomes this rank's
-// replica — its shard in the input blobs, its per-replica layer state
-// loaded — and the state is saved back afterwards; the gradients last
-// only until the next rank's pass, so the caller packs them from
-// onLayer or right after.
+// Where the rank shares its home model the net first becomes this
+// rank's replica — its shard in the input blobs, its per-replica layer
+// state loaded — and the state is saved back afterwards; the gradients
+// last only until the home's next rank's pass, so the caller packs them
+// from onLayer or right after.
 func (t *DistTrainer) pass(i int, w *Worker, onLayer func(li int)) {
 	fp, step := t.cfg.Faults, t.iter
 	if fp != nil {
 		fp.Check(i, step, elastic.PhaseForward, -1)
 	}
-	if t.shared() {
-		t.netData.CopyFrom(w.Data)
-		t.netLabels.CopyFrom(w.Labels)
+	if h := w.home; h != nil {
+		h.Data.CopyFrom(w.Data)
+		h.Labels.CopyFrom(w.Labels)
 		w.Net.LoadReplicaState(w.state)
 	}
 	w.Net.ZeroParamDiffs()
@@ -518,14 +539,14 @@ func (t *DistTrainer) pass(i int, w *Worker, onLayer func(li int)) {
 		fp.Check(i, step, elastic.PhaseBackward, -1)
 	}
 	w.Net.BackwardEach(core.Train, onLayer)
-	if t.shared() {
+	if w.home != nil {
 		w.Net.SaveReplicaState(w.state)
 	}
 }
 
 // applyUpdate closes a Step: every model takes the SGD update from the
 // averaged gradient the commits left in its diffs — identical on every
-// replica (Algorithm 1 line 10), and applied once where there is one.
+// replica (Algorithm 1 line 10), and applied once per shared model.
 func (t *DistTrainer) applyUpdate() {
 	for _, w := range t.replicas() {
 		w.Solver.ApplyUpdate()
@@ -565,9 +586,16 @@ func (t *DistTrainer) Close() {
 // channel. There are two arms, one per backend. On a pooled node the
 // pass runs on a CoreGroup and tick charges modeled seconds to its CPE
 // clock; the caller overlaps the flushes between launch and join, and
-// completion ordering is the usual stream/event happens-before. On a
-// DES node the pass runs inline, before launchPasses returns, and tick
-// accumulates the same priced seconds into the launch's charge.
+// completion ordering is the usual stream/event happens-before. On DES
+// nodes every pass has run before launchPasses returns: first on the
+// pool, one goroutine per shared model, each taking its home ranks in
+// ascending order with tick accumulating the priced seconds into the
+// rank's clock and a panic recovered per rank — the weights are
+// read-only until the flush loop, which starts after the join. Then,
+// on the calling goroutine and in rank order, each rank's launch hands
+// back its clock or re-raises its panic, so node placement, launch
+// counts, trace spans and pass poisoning are those of a pass run
+// inline.
 //
 // failed is there because the caller blocks on signals a pass produces
 // mid-flight (the step's flush loop): a pass panic is recovered into
@@ -593,16 +621,28 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker, tick func(float64
 	// the time Step launches).
 	weight := t.computeEnd
 	if t.nodes.DES() {
-		for i, w := range t.Workers {
+		onPool(len(t.models), func(m int) {
+			for i, w := range t.Workers {
+				if w.home != t.models[m] {
+					continue
+				}
+				w.clock, w.failure = 0, nil
+				func() {
+					defer func() { w.failure = recover() }()
+					pass(i, w, func(dt float64) { w.clock += dt })
+				}()
+			}
+		})
+		for _, w := range t.Workers {
 			w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
-				var clock float64
-				pass(i, w, func(dt float64) { clock += dt })
-				return clock
+				if w.failure != nil {
+					panic(w.failure)
+				}
+				return w.clock
 			})
 		}
-		// Every pass already ran inline, so a failure — impossible today,
-		// since the DES backend rejects fault plans — is already known:
-		// surface it synchronously, no watcher goroutine.
+		// Every pass already ran, so a failure is already known: surface
+		// it synchronously, no watcher goroutine.
 		fc := make(chan any, 1)
 		for _, w := range t.Workers {
 			if r := passFailure(w.lastEv); r != nil {
@@ -678,25 +718,31 @@ func (t *DistTrainer) meanLoss() float32 {
 // offset, so a serial trainer can consume the identical union batch.
 // With a prefetcher attached for ds (AttachInput), the fill is a copy
 // out of the staging the I/O thread filled during the previous step —
-// same indices, same bytes, zero behavioral difference.
+// same indices, same bytes, zero behavioral difference. Without one,
+// the DES backend fills the shards on the pass pool: each load is a
+// pure function of its indices into a tensor of its own, so ds must
+// allow concurrent Example calls there.
 func (t *DistTrainer) LoadShards(ds dataset.Dataset, iteration int) {
 	if t.prefetch != nil && t.prefetch.ds == ds {
 		t.prefetch.load(iteration, t.Workers)
 		return
 	}
-	for _, w := range t.Workers {
-		sh := dataset.Shard{DS: ds, Rank: w.Rank, Ranks: t.cfg.Nodes, Batch: t.cfg.SubBatch}
-		sh.Load(iteration, w.Data, w.Labels)
-	}
+	k := max(len(t.models), 1)
+	onPool(k, func(m int) {
+		for i := m; i < len(t.Workers); i += k {
+			w := t.Workers[i]
+			sh := dataset.Shard{DS: ds, Rank: w.Rank, Ranks: t.cfg.Nodes, Batch: t.cfg.SubBatch}
+			sh.Load(iteration, w.Data, w.Labels)
+		}
+	})
 }
 
 // ParamsDiverged reports how far the ranks' models have drifted apart
 // — a consistency invariant (must stay 0) checked by the sweeps and the
-// failure-injection tests. Between private replicas it is the maximum
-// parameter difference now. Where the ranks share one model there is
-// nothing left to compare, so it is what would have made replicas
-// differ: the worst mismatch any commit so far found between rank 0's
-// reduced gradient, which the one update applies, and another rank's.
+// failure-injection tests: the larger of the maximum parameter
+// difference between the distinct models now — private replicas, or
+// the shared models — and the worst mismatch any commit so far found
+// between rank 0's reduced gradient and another rank's.
 func (t *DistTrainer) ParamsDiverged() float64 {
 	worst := t.diverged
 	replicas := t.replicas()
@@ -710,6 +756,38 @@ func (t *DistTrainer) ParamsDiverged() float64 {
 		}
 	}
 	return worst
+}
+
+// onPool runs fn(m) for every m in [0, k) and returns once all have:
+// m = 0 on the calling goroutine, each other m on a goroutine of its
+// own (k = 1 spawns none). A panic in any is re-raised here after the
+// join, the lowest m's, so no pool goroutine outlives the call.
+func onPool(k int, fn func(m int)) {
+	if k == 1 {
+		fn(0)
+		return
+	}
+	panics := make([]any, k)
+	run := func(m int) {
+		defer func() { panics[m] = recover() }()
+		fn(m)
+	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for m := 1; m < k; m++ {
+		//swvet:ignore straygo: the pass pool's worker, joined by onPool's wg.Wait before it returns
+		go func() {
+			defer wg.Done()
+			run(m)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 // CGTrainer is the single-node, 4-core-group trainer of Algorithm 1
