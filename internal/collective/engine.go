@@ -76,8 +76,9 @@ type Config struct {
 	Layers int         // forward layer count (ReadyLayer domain)
 	Ranks  int         // collective participants (= worker replicas)
 
-	Network     *topology.Network
-	ReduceOnCPE bool
+	// Network prices the plan; the all-reduce's sum is priced on the
+	// CPE clusters, where the executing cluster reduces.
+	Network *topology.Network
 	// Mapping is the rank-to-supernode mapping of the executing
 	// cluster (nil = the trainer default round-robin at TaihuLight q).
 	// The hierarchical strategy's chunk partition and the selector's
@@ -232,7 +233,7 @@ func New(cfg Config) (*Engine, error) {
 		// pair minimizing the modeled exposed communication. The full
 		// per-algorithm sweep is kept so the decision stays auditable
 		// (Candidates, swtrain -explain-plan).
-		cands, err := PlanCandidates(cfg.Network, cfg.Mapping, cfg.Ranks, cfg.ReduceOnCPE,
+		cands, err := PlanCandidates(cfg.Network, cfg.Mapping, cfg.Ranks, true,
 			cfg.Params, cfg.Layers, cfg.LayerDone, cfg.ComputeEnd)
 		if err != nil {
 			return nil, err
@@ -253,7 +254,7 @@ func New(cfg Config) (*Engine, error) {
 		e.strat = strat
 		e.bucketBytes = cfg.BucketBytes
 		if cfg.AutoBucket {
-			e.bucketBytes, _ = SelectBucketBytes(strat, cfg.Network, cfg.Ranks, cfg.ReduceOnCPE,
+			e.bucketBytes, _ = SelectBucketBytes(strat, cfg.Network, cfg.Ranks, true,
 				cfg.Params, cfg.Layers, cfg.LayerDone, cfg.ComputeEnd)
 		} else if e.bucketBytes <= 0 {
 			e.bucketBytes = DefaultBucketBytes
@@ -270,7 +271,7 @@ func New(cfg Config) (*Engine, error) {
 	e.prices = make([]float64, len(e.buckets))
 	for b, bk := range e.buckets {
 		if bk.Elems() > 0 {
-			e.prices[b] = e.strat.Cost(cfg.Network, cfg.Ranks, bk.Lo, bk.Hi, e.total, cfg.ReduceOnCPE).Total()
+			e.prices[b] = e.strat.Cost(cfg.Network, cfg.Ranks, bk.Lo, bk.Hi, e.total, true).Total()
 		}
 	}
 	e.stats = make([]BucketStat, len(e.buckets))

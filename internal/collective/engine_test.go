@@ -31,7 +31,7 @@ func testConfig(params []ParamInfo, layers, ranks int, name string) Config {
 	done, end := uniformTimeline(layers, 1e-4)
 	return Config{
 		Params: params, Layers: layers, Ranks: ranks,
-		Network: topology.Sunway(), ReduceOnCPE: true,
+		Network:   topology.Sunway(),
 		LayerDone: done, ComputeEnd: end,
 		AlgorithmName: name,
 	}

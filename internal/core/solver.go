@@ -51,11 +51,6 @@ type Solver struct {
 	iter int
 
 	history map[*Param]*tensor.Tensor // momentum buffers
-
-	// GradientHook, when non-nil, runs between backward and the
-	// parameter update: distributed training installs the all-reduce
-	// here (Algorithm 1, line 9).
-	GradientHook func(net *Net)
 }
 
 // NewSolver builds a solver over a net that has been Setup.
@@ -78,9 +73,6 @@ func (s *Solver) Step() float32 {
 	s.net.ZeroParamDiffs()
 	loss := s.net.Forward(Train)
 	s.net.Backward(Train)
-	if s.GradientHook != nil {
-		s.GradientHook(s.net)
-	}
 	s.ApplyUpdate()
 	return loss
 }

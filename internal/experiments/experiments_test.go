@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -288,12 +291,32 @@ func TestFigure10And11Claims(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/funcscale.golden from the current sweep")
+
+const funcScaleGolden = "testdata/funcscale.golden"
+
 // TestFunctionalScalingClaims: the measured (executed, not priced)
 // cluster-runtime sweep must hold the paper's qualitative claims —
 // the bucketed overlap hides communication the barrier exposes, and
-// the saving persists at every node count.
+// the saving persists at every node count. Its printed table is pinned
+// byte for byte by testdata/funcscale.golden; regenerate with -update
+// only for an intended change of the sweep or of the step model.
 func TestFunctionalScalingClaims(t *testing.T) {
-	rows := FunctionalScaling(io.Discard)
+	var table bytes.Buffer
+	rows := FunctionalScaling(&table)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(funcScaleGolden, table.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d bytes to %s", table.Len(), funcScaleGolden)
+	} else if want, err := os.ReadFile(funcScaleGolden); err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	} else if !bytes.Equal(table.Bytes(), want) {
+		t.Errorf("funcscale table differs from %s:\n got:\n%s\nwant:\n%s", funcScaleGolden, table.Bytes(), want)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -305,7 +328,7 @@ func TestFunctionalScalingClaims(t *testing.T) {
 		t.Fatalf("goroutine tiers should end with the pooled p=128 point, got %+v", g)
 	}
 	for _, r := range rows {
-		b, o := r.Barrier.Stats, r.Overlap.Stats
+		b, o := r.Barrier, r.Overlap
 		if b.Compute <= 0 || b.Comm <= 0 || b.StepTime <= 0 {
 			t.Fatalf("p=%d: degenerate barrier stats %+v", r.Nodes, b)
 		}
@@ -324,7 +347,7 @@ func TestFunctionalScalingClaims(t *testing.T) {
 		// The hierarchical arm executes on its own q=2 adjacent network
 		// (different comm regime, same priced compute) and must overlap:
 		// exposure strictly below its own summed collective time.
-		h := r.Hier.Stats
+		h := r.Hier
 		if h.Compute != b.Compute {
 			t.Errorf("p=%d: hierarchical arm compute %g != barrier %g", r.Nodes, h.Compute, b.Compute)
 		}
@@ -336,10 +359,49 @@ func TestFunctionalScalingClaims(t *testing.T) {
 		}
 	}
 	// Communication share of the measured step grows with scale.
+	commShare := func(st train.StepStats) float64 { return st.Comm / st.StepTime }
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Barrier.CommShare <= rows[i-1].Barrier.CommShare {
+		if commShare(rows[i].Barrier) <= commShare(rows[i-1].Barrier) {
 			t.Errorf("measured comm share should grow with p: %+v vs %+v", rows[i-1].Barrier, rows[i].Barrier)
 		}
+	}
+}
+
+// TestFunctionalScalingIOClaims: the executed input-pipeline sweep
+// tells Sec. V-B's contention story. At p = 128 the single-split layout
+// exposes read time behind the step and the stripe advisor's pick
+// (s = 8) hides all of it; at p = 4 neither layout exposes any and the
+// advisor keeps one stripe. I/O moves only the I/O terms, and the DES
+// backend reproduces the goroutine row field for field.
+func TestFunctionalScalingIOClaims(t *testing.T) {
+	rows := FunctionalScalingIO(io.Discard, []int{4, 128}, "")
+	if len(rows) != 2 || rows[0].Nodes != 4 || rows[1].Nodes != 128 {
+		t.Fatalf("rows %+v", rows)
+	}
+	small, big := rows[0], rows[1]
+	if got := fmtTime(big.Flat.ExposedIO); got != "3.46ms" {
+		t.Errorf("p=128 single-split exposes %s of read, want 3.46ms", got)
+	}
+	if big.Pick != 8 || big.Advised.ExposedIO != 0 {
+		t.Errorf("p=128 advisor picks s=%d exposing %g s, want s=8 exposing none", big.Pick, big.Advised.ExposedIO)
+	}
+	if small.Pick != 1 || small.Flat.ExposedIO != 0 || small.Advised.ExposedIO != 0 {
+		t.Errorf("p=4: pick s=%d, exposed %g / %g s, want s=1 and none exposed",
+			small.Pick, small.Flat.ExposedIO, small.Advised.ExposedIO)
+	}
+	for _, r := range rows {
+		f, a := r.Flat, r.Advised
+		if f.Compute != a.Compute || f.Comm != a.Comm || f.Exposed != a.Exposed {
+			t.Errorf("p=%d: striping moved a non-I/O term: single-split %+v, advised %+v", r.Nodes, f, a)
+		}
+	}
+	des := FunctionalScalingIO(io.Discard, []int{128}, train.BackendDES)
+	if len(des) != 1 || des[0].Backend != train.BackendDES {
+		t.Fatalf("DES rows %+v", des)
+	}
+	des[0].Backend = big.Backend
+	if !reflect.DeepEqual(des[0], big) {
+		t.Errorf("p=128 DES row differs from the goroutine row:\n des %+v\n gor %+v", des[0], big)
 	}
 }
 

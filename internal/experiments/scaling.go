@@ -149,6 +149,10 @@ func Figure11(w io.Writer) []ScalingSeries {
 	return out
 }
 
+// funcScaleClasses is the class count of the functional sweeps'
+// dataset and of funcScaleNet's classifier.
+const funcScaleClasses = 4
+
 // funcScaleNet is the small conv+fc workload of the functional scaling
 // sweep: big enough to span several gradient buckets, small enough to
 // simulate every CoreGroup at every node count.
@@ -175,6 +179,33 @@ func funcScaleNet(batch, classes int) (*core.Net, map[string]*tensor.Tensor, err
 	return net, inputs, nil
 }
 
+// runFuncScalePoint executes one functional-scaling point: a
+// DistTrainer over funcScaleNet under cfg — sub-batch 8, 8 KB buckets,
+// the sweeps' solver — runs two rounds of LoadShards + Step on ds, with
+// the prefetch thread attached when cfg.IO prices the reads. It returns
+// the last step's modeled decomposition and the stripe count the reads
+// were priced at (0 without cfg.IO).
+func runFuncScalePoint(cfg train.DistConfig, ds dataset.Dataset) (train.StepStats, int) {
+	cfg.SubBatch, cfg.BucketBytes = 8, 8<<10
+	cfg.Solver = core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
+	tr, err := train.NewDistTrainer(cfg, func() (*core.Net, map[string]*tensor.Tensor, error) {
+		return funcScaleNet(cfg.SubBatch, funcScaleClasses)
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer tr.Close()
+	if cfg.IO != nil {
+		tr.AttachInput(ds)
+	}
+	for it := 0; it < 2; it++ {
+		tr.LoadShards(ds, it)
+		tr.Step()
+	}
+	storage, _, _ := tr.IOStorage()
+	return tr.LastStep, storage.StripeCount
+}
+
 // FunctionalScalingRow is one measured point of the cluster-runtime
 // sweep: barrier and overlap modeled step decompositions at p nodes,
 // plus the topology-hierarchical overlap executed on a 2-node-
@@ -185,9 +216,9 @@ func funcScaleNet(batch, classes int) (*core.Net, map[string]*tensor.Tensor, err
 type FunctionalScalingRow struct {
 	Nodes   int
 	Backend string // train.BackendDES for event-driven rows, else goroutine
-	Barrier train.FunctionalPoint
-	Overlap train.FunctionalPoint
-	Hier    train.FunctionalPoint
+	Barrier train.StepStats
+	Overlap train.StepStats
+	Hier    train.StepStats
 }
 
 var (
@@ -239,42 +270,27 @@ func FunctionalScalingAt(w io.Writer, ranks []int, backend string) []FunctionalS
 // each arm is internally deterministic, so the host-side parallelism
 // never touches the modeled numbers.
 func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
-	const classes = 4
-	ds := dataset.NewClusters(4096, classes, 1, 8, 8, 0.35, 77)
-	build := func() (*core.Net, map[string]*tensor.Tensor, error) { return funcScaleNet(8, classes) }
-	solver := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-
-	sweep := func(cfg train.FunctionalSweepConfig, nodes []int) []train.FunctionalPoint {
-		cfg.SubBatch, cfg.Solver, cfg.Iters = 8, solver, 2
-		cfg.BucketBytes = 8 << 10
-		pts, err := train.FunctionalSweep(build, ds, nodes, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return pts
-	}
+	ds := dataset.NewClusters(4096, funcScaleClasses, 1, 8, 8, 0.35, 77)
 	// The hierarchical arm runs on a q=2 adjacent-mapped network so
 	// the schedule actually crosses supernodes at these node counts.
 	hierNet := topology.Sunway()
 	hierNet.SupernodeSize = 2
 
-	arms := make([][3][]train.FunctionalPoint, len(tiers))
+	arms := make([][3][]train.StepStats, len(tiers))
 	parallelFor(3*len(tiers), func(i int) {
 		ti, arm := i/3, i%3
 		tier := tiers[ti]
-		base := train.FunctionalSweepConfig{DistConfig: train.DistConfig{Backend: tier.backend}}
-		switch arm {
-		case 0:
-			arms[ti][0] = sweep(base, tier.nodes)
-		case 1:
-			base.Overlap = true
-			arms[ti][1] = sweep(base, tier.nodes)
-		case 2:
-			base.Overlap = true
-			base.AlgorithmName = allreduce.NameHierarchical
-			base.Network, base.Mapping = hierNet, topology.AdjacentMapping{Q: 2}
-			arms[ti][2] = sweep(base, tier.nodes)
+		cfg := train.DistConfig{Backend: tier.backend, Overlap: arm > 0}
+		if arm == 2 {
+			cfg.AlgorithmName = allreduce.NameHierarchical
+			cfg.Network, cfg.Mapping = hierNet, topology.AdjacentMapping{Q: 2}
 		}
+		pts := make([]train.StepStats, len(tier.nodes))
+		for j, p := range tier.nodes {
+			cfg.Nodes = p
+			pts[j], _ = runFuncScalePoint(cfg, ds)
+		}
+		arms[ti][arm] = pts
 	})
 
 	var rows []FunctionalScalingRow
@@ -292,7 +308,7 @@ func printFunctionalTable(w io.Writer, rows []FunctionalScalingRow) {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "nodes\tmode\tbarrier step\tbarrier exposed\toverlap step\toverlap exposed\toverlap speedup\thier step (q=2 adj)\thier exposed")
 	for _, r := range rows {
-		b, o, h := r.Barrier.Stats, r.Overlap.Stats, r.Hier.Stats
+		b, o, h := r.Barrier, r.Overlap, r.Hier
 		gain := 1.0
 		if o.StepTime > 0 {
 			gain = b.StepTime / o.StepTime
@@ -329,40 +345,21 @@ type IOScalingRow struct {
 // win is the ExposedIO column going to (or toward) zero while the
 // single-split column pays the paper's Sec. V-B contention.
 func FunctionalScalingIO(w io.Writer, ranks []int, backend string) []IOScalingRow {
-	const classes = 4
-	const batchBytes = 64 << 10
-	ds := dataset.NewClusters(4096, classes, 1, 8, 8, 0.35, 77)
-	build := func() (*core.Net, map[string]*tensor.Tensor, error) { return funcScaleNet(8, classes) }
-	solver := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-
+	ds := dataset.NewClusters(4096, funcScaleClasses, 1, 8, 8, 0.35, 77)
 	rows := make([]IOScalingRow, len(ranks))
 	parallelFor(2*len(ranks), func(i int) {
 		pi, arm := i/2, i%2
 		p := ranks[pi]
-		d, err := train.NewDistTrainer(train.DistConfig{
-			Nodes: p, SubBatch: 8, Solver: solver,
-			Overlap: true, BucketBytes: 8 << 10, Backend: backend,
+		st, stripes := runFuncScalePoint(train.DistConfig{
+			Nodes: p, Overlap: true, Backend: backend,
 			IO: &train.IOConfig{
-				Storage: pario.DefaultTaihuLight(1), BatchBytes: batchBytes, AutoStripe: arm == 1,
+				Storage: pario.DefaultTaihuLight(1), BatchBytes: 64 << 10, AutoStripe: arm == 1,
 			},
-		}, build)
-		if err != nil {
-			panic(err)
-		}
-		defer d.Close()
-		d.AttachInput(ds)
-		for it := 0; it < 2; it++ {
-			d.LoadShards(ds, it)
-			d.Step()
-		}
+		}, ds)
 		if arm == 0 {
-			rows[pi].Nodes, rows[pi].Backend = p, backend
-			rows[pi].Flat = d.LastStep
+			rows[pi].Nodes, rows[pi].Backend, rows[pi].Flat = p, backend, st
 		} else {
-			rows[pi].Advised = d.LastStep
-			if pick, _ := d.IOPlan(); pick != nil {
-				rows[pi].Pick = pick.StripeCount
-			}
+			rows[pi].Advised, rows[pi].Pick = st, stripes
 		}
 	})
 

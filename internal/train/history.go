@@ -7,10 +7,6 @@ import (
 	"swcaffe/internal/obs"
 )
 
-// DefaultStepHistory is the StepHistory ring size: enough to show a
-// trend without growing with run length.
-const DefaultStepHistory = 64
-
 // Step-level metrics, registered once against the default registry so
 // the per-step increments are plain atomic/mutex operations with no
 // lookups or allocations on the hot path.
@@ -19,10 +15,8 @@ var (
 	metExposedUS = obs.Default().FloatCounter("train.exposed_us")
 )
 
-// recordStep pushes LastStep into the bounded history ring and updates
-// the step metrics. Ring slots own their bucket arrays and are reused
-// in place (append into the slot's retained capacity), so after the
-// first lap the ring allocates nothing.
+// recordStep updates the step metrics and, when tracing, advances the
+// trace anchor past LastStep.
 func (t *DistTrainer) recordStep() {
 	if t.cfg.Tracer != nil {
 		// Advance the trace anchor to the next step's pass start on the
@@ -31,34 +25,6 @@ func (t *DistTrainer) recordStep() {
 	}
 	metSteps.Inc()
 	metExposedUS.Add(t.LastStep.Exposed * 1e6)
-
-	if t.history == nil {
-		t.history = make([]StepStats, DefaultStepHistory)
-	}
-	slot := &t.history[t.histPos]
-	buckets := append(slot.Buckets[:0], t.LastStep.Buckets...)
-	*slot = t.LastStep
-	slot.Buckets = buckets
-	t.histPos = (t.histPos + 1) % len(t.history)
-	if t.histLen < len(t.history) {
-		t.histLen++
-	}
-}
-
-// StepHistory appends the retained steps — oldest first, at most
-// DefaultStepHistory of them — to dst and returns it. The entries'
-// Buckets alias the ring's storage: read them before the next Step, or
-// copy. LastStep is always the final entry once at least one Step ran.
-func (t *DistTrainer) StepHistory(dst []StepStats) []StepStats {
-	dst = dst[:0]
-	if t.histLen == 0 {
-		return dst
-	}
-	start := (t.histPos - t.histLen + len(t.history)) % len(t.history)
-	for i := 0; i < t.histLen; i++ {
-		dst = append(dst, t.history[(start+i)%len(t.history)])
-	}
-	return dst
 }
 
 // Launches reports the total stream launches submitted across the

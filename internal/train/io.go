@@ -69,8 +69,7 @@ func (io *IOConfig) storage() pario.Config {
 // composeIO folds the priced I/O stage into LastStep (assembled by
 // Step without I/O), accumulates the trainer-level totals, and
 // emits the per-batch read span on the tracer's io lane. Must run
-// before recordStep so the history ring and metrics see the final
-// decomposition.
+// before recordStep so the metrics see the final decomposition.
 func (t *DistTrainer) composeIO(step int) {
 	if t.cfg.IO == nil {
 		return

@@ -269,73 +269,6 @@ func TestStepStatsInvariants(t *testing.T) {
 	}
 }
 
-// TestStepHistoryRing: the bounded ring keeps the most recent
-// DefaultStepHistory steps, oldest first, ending at LastStep, and hands
-// out self-consistent bucket attributions.
-func TestStepHistoryRing(t *testing.T) {
-	const classes = 3
-	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 59)
-	tr, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 4,
-		Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}}, mlpFactory(4, classes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if n := len(tr.StepHistory(nil)); n != 0 {
-		t.Fatalf("fresh trainer retains %d steps", n)
-	}
-	var want []StepStats
-	for it := 0; it < DefaultStepHistory+2; it++ {
-		tr.LoadShards(ds, it)
-		tr.Step()
-		// Deep-copy the bucket slice so later steps can't alias it.
-		st := tr.LastStep
-		st.Buckets = append(st.Buckets[:0:0], st.Buckets...)
-		want = append(want, st)
-	}
-	got := tr.StepHistory(nil)
-	if len(got) != DefaultStepHistory {
-		t.Fatalf("StepHistory returned %d entries, want %d", len(got), DefaultStepHistory)
-	}
-	for i, st := range got {
-		if !st.Equal(want[2+i]) {
-			t.Fatalf("history[%d] = %+v, want step %d = %+v", i, st, 2+i, want[2+i])
-		}
-	}
-	if !got[len(got)-1].Equal(tr.LastStep) {
-		t.Fatal("history does not end at LastStep")
-	}
-	// The accessor reuses the caller's slice without growing it.
-	again := tr.StepHistory(got[:0])
-	if len(again) != DefaultStepHistory {
-		t.Fatalf("reused-slice StepHistory returned %d entries", len(again))
-	}
-}
-
-// TestFunctionalSweepCarriesHistory: the sweep surfaces the per-step
-// trend from the trainer's ring, deep-copied past the trainer's death.
-func TestFunctionalSweepCarriesHistory(t *testing.T) {
-	const classes = 3
-	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 61)
-	pts, err := FunctionalSweep(mlpFactory(4, classes), ds, []int{2}, FunctionalSweepConfig{
-		DistConfig: DistConfig{SubBatch: 4, Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}},
-		Iters:      3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	steps := pts[0].Steps
-	if len(steps) != 3 {
-		t.Fatalf("point carries %d steps, want 3", len(steps))
-	}
-	if !steps[len(steps)-1].Equal(pts[0].Stats) {
-		t.Fatal("trend does not end at the point's LastStep")
-	}
-}
-
 // TestElasticTraceInstants: checkpoint/restore/shrink mark the
 // cluster-level event lane when a tracer is attached.
 func TestElasticTraceInstants(t *testing.T) {

@@ -138,9 +138,6 @@ type DistConfig struct {
 	// estimate for this (topology, p, layer histogram) — see
 	// collective.SelectBucketBytes.
 	AutoBucket bool
-	// Device prices the per-layer compute of the modeled step timeline
-	// (default one SW26010 core group).
-	Device perf.Device
 
 	// Backend selects the execution backend, and with it the node every
 	// worker's passes run on. "" or BackendGoroutine (the default) is
@@ -258,13 +255,6 @@ type DistTrainer struct {
 	LastStep StepStats
 	iter     int
 
-	// StepHistory ring: the most recent DefaultStepHistory steps'
-	// StepStats (recordStep). Slots own their bucket arrays and are
-	// reused in place, so the ring is allocation-free at steady state.
-	history []StepStats
-	histPos int // next slot to overwrite
-	histLen int // valid entries (<= len(history))
-
 	// bucketScratch backs LastStep.Buckets, reused across Steps.
 	bucketScratch []collective.BucketStat
 
@@ -275,7 +265,7 @@ type DistTrainer struct {
 	// spans. Maintained only when cfg.Tracer is set.
 	traceTime float64
 
-	// Modeled per-layer timeline (lazily built from cfg.Device). The
+	// Modeled per-layer timeline (lazily priced on one SW26010 CG). The
 	// same priced costs drive both views of compute: layerDone feeds
 	// the engine's overlap overlay and auto-bucket selector, and each
 	// node pass-launch is charged exactly computeEnd, so the node
@@ -342,10 +332,10 @@ type DistTrainer struct {
 }
 
 // StepStats is the modeled time decomposition of one Step of the
-// functional trainer: per-layer compute priced on cfg.Device composed
-// with the simulated all-reduce makespans, the step's simnet traffic
-// census, and the per-bucket attribution of where the communication
-// time went.
+// functional trainer: per-layer compute priced on one SW26010 core
+// group composed with the simulated all-reduce makespans, the step's
+// simnet traffic census, and the per-bucket attribution of where the
+// communication time went.
 type StepStats struct {
 	Compute  float64 // forward + backward
 	Comm     float64 // summed simulated all-reduce makespans

@@ -25,7 +25,7 @@ import (
 // keep computing: on the host, since the collective runs while worker
 // passes are still in backward, and on the modeled clock, where Compose
 // chains per-bucket communication behind the per-layer backward costs
-// priced on cfg.Device. Without it the layout is one bucket,
+// priced on one SW26010 core group. Without it the layout is one bucket,
 // [0, total), ready when the last layer's backward completes: the
 // barrier, whose flush Compose places at the end of compute and exposes
 // in full.
@@ -38,11 +38,8 @@ func (t *DistTrainer) ensureTimeline() {
 	if t.layerDone != nil {
 		return
 	}
-	if t.cfg.Device == nil {
-		t.cfg.Device = perf.NewSWCG()
-	}
 	net := t.Workers[0].Net
-	perLayer, total := net.Cost(t.cfg.Device)
+	perLayer, total := net.Cost(perf.NewSWCG())
 	t.computeEnd = total.Forward + total.Backward
 	t.layerDone = make([]float64, len(perLayer))
 	cum := total.Forward
@@ -76,7 +73,6 @@ func (t *DistTrainer) ensureEngine() {
 		Ranks:         len(t.Workers),
 		Network:       t.cfg.Network,
 		Mapping:       t.cfg.Mapping,
-		ReduceOnCPE:   true,
 		LayerDone:     t.layerDone,
 		ComputeEnd:    t.computeEnd,
 		AlgorithmName: t.cfg.AlgorithmName,
