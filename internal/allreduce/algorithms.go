@@ -15,6 +15,10 @@
 // loop over simnet.Node and a resumable one over des.Rank — so the two
 // backends cannot disagree on a message, a range, an association order
 // or a clock addition; testdata/collectives.golden pins all of them.
+// The blocking one lands each payload as it arrives; the resumable one
+// logs where each goes, and its DESRun lands the log in tiles after the
+// run (replay.go), so the payload has two independent implementations,
+// which TestReplayMatchesInline holds to the same bits.
 //
 // # Payload ownership
 //
@@ -38,8 +42,9 @@
 // so on the goroutine backend the peer's reads happen-before its next
 // post, each hop of the chain happens-before the next, and the last
 // happens-before the sender's receive; on the DES backend the same
-// order is program order. The schedule walk of the property test
-// checks the rule on every generated schedule, with vector clocks.
+// order is program order, and the log lands the payload in it. The
+// schedule walk of the property test checks the rule on every generated
+// schedule, with vector clocks.
 //
 // What the cursors emit under the rule: a finished chunk is never
 // written again in the run; recursive halving/doubling sends the
@@ -203,10 +208,15 @@ func (s Schedule) Run(n *simnet.Node, data []float32, lo, total int, clk *PhaseC
 	return runBlocking(n, c, newFrame(data, data, c.resultLen(len(data)), clk))
 }
 
-// RunDES is Run on the discrete-event backend: k fires with data once
-// the rank's schedule completes.
-func (s Schedule) RunDES(r *des.Rank, data []float32, lo, total int, clk *PhaseClocks, k func([]float32)) {
-	runResumable(r, newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total), data, clk, k)
+// RunDES is Run on the discrete-event backend, for a body of
+// run.Gather: k fires with r and data once the rank's schedule
+// completes, and data holds the sum once Gather returns (the run lands
+// the payload after the schedules, see replay.go).
+func (s Schedule) RunDES(run *DESRun, r *des.Rank, data []float32, lo, total int, clk *PhaseClocks, k func(*des.Rank, []float32)) {
+	c := newCursor(s, r.Rank, r.P(), r.Supernodes(), lo, len(data), total)
+	st := &run.calls[r.Rank]
+	st.r, st.c, st.f, st.k = r, c, newFrame(data, data, c.resultLen(len(data)), clk), k
+	st.step()
 }
 
 // oneShot is the boundary of the Algorithm forms: it reduces data into

@@ -18,16 +18,18 @@ import (
 //
 // What is left, per rank — goroutine backend: the rank's goroutine and
 // its closure; the cursor and the round in flight stay on the
-// interpreter's stack. DES backend: the call's state (which holds the
-// cursor), its one continuation, the Finish method value. The result
-// is the vector the rank was given, reduced where it lies, on both. Per
-// run, on both: the Result's clocks and a few run-scoped objects. Measured: 2.1 and 3.0
-// per rank for every schedule. The budgets leave slack for the runtime
-// (goroutine reuse is not exact), not for a per-round object: 12 of
-// those would blow them.
+// interpreter's stack. DES backend: nothing — the call's state, which
+// holds the cursor, and its one continuation live in the DESRun, which
+// keeps them from call to call. The result is the vector the rank was
+// given, reduced where it lies, on both. Per run, on both: the Result's
+// clocks and a few run-scoped objects. Measured: 2.1 per rank on the
+// goroutine backend and 1 per run on the DES backend, for every
+// schedule (3.0 per rank while each DES call built its own state). The
+// budgets leave slack for the runtime (goroutine reuse is not exact),
+// not for a per-round object: 12 of those would blow them.
 func TestRHDAllocationBudget(t *testing.T) {
 	const p, n = 64, 4096
-	const simPerRank, desPerRank = 3, 4
+	const simPerRank, desPerRun = 3, 4
 	net := sunwayQ(8)
 	m := topology.RoundRobinMapping{Q: 8}
 	inputs := padded(intInputs(p, n)) // reduced in place, over and over: only the counts matter
@@ -43,13 +45,13 @@ func TestRHDAllocationBudget(t *testing.T) {
 			t.Errorf("goroutine %s p=%d n=%d: %v allocations per run, budget %d per rank", sched.Name(), p, n, got, simPerRank)
 		}
 
-		dcl := des.NewCluster(net, m, p)
+		dcl, run := des.NewCluster(net, m, p), NewDESRun(p, n)
 		desRun := func() {
-			dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, inputs[r.Rank], 0, n, nil, r.Finish) })
+			run.Gather(dcl, Pool{}, func(r *des.Rank) { sched.RunDES(run, r, inputs[r.Rank], 0, n, nil, (*des.Rank).Finish) })
 		}
 		desRun()
-		if got := testing.AllocsPerRun(10, desRun); got > desPerRank*p {
-			t.Errorf("DES %s p=%d n=%d: %v allocations per run, budget %d per rank", sched.Name(), p, n, got, desPerRank)
+		if got := testing.AllocsPerRun(10, desRun); got > desPerRun {
+			t.Errorf("DES %s p=%d n=%d: %v allocations per run, budget %d", sched.Name(), p, n, got, desPerRun)
 		}
 	}
 }
@@ -82,7 +84,7 @@ func TestWarmCollectiveAllocatesNoVector(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched, _ := ScheduleByName(name)
-		scl, dcl := simnet.NewCluster(net, m, p), des.NewCluster(net, m, p)
+		scl, dcl, dr := simnet.NewCluster(net, m, p), des.NewCluster(net, m, p), NewDESRun(p, n)
 		for _, run := range []struct {
 			form string
 			f    func()
@@ -94,7 +96,7 @@ func TestWarmCollectiveAllocatesNoVector(t *testing.T) {
 				scl.RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n, nil) })
 			}},
 			{"DES in-place", func() {
-				dcl.RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, nil, r.Finish) })
+				dr.Gather(dcl, Pool{}, func(r *des.Rank) { sched.RunDES(dr, r, data[r.Rank], 0, n, nil, (*des.Rank).Finish) })
 			}},
 		} {
 			run.f() // cold: the one-shot run's vectors become the arenas
@@ -121,6 +123,7 @@ func TestInPlaceCollectiveTakesNoArenaVector(t *testing.T) {
 	net := sunwayQ(q)
 	m := topology.RoundRobinMapping{Q: q}
 	inputs := intInputs(p, n)
+	run := NewDESRun(p, n) // the engine's, built once: what a call takes is the question
 	for s := range schedules {
 		sched := Schedule(s)
 		budget := p * n / 8
@@ -136,7 +139,8 @@ func TestInPlaceCollectiveTakesNoArenaVector(t *testing.T) {
 				simnet.NewCluster(net, m, p).RunGather(func(nd *simnet.Node) []float32 { return sched.Run(nd, data[nd.Rank], 0, n, nil) })
 			}},
 			{"DES", func(data [][]float32) {
-				des.NewCluster(net, m, p).RunGather(func(r *des.Rank) { sched.RunDES(r, data[r.Rank], 0, n, nil, r.Finish) })
+				dcl := des.NewCluster(net, m, p)
+				run.Gather(dcl, Pool{}, func(r *des.Rank) { sched.RunDES(run, r, data[r.Rank], 0, n, nil, (*des.Rank).Finish) })
 			}},
 		} {
 			data := padded(inputs)

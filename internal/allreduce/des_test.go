@@ -20,8 +20,9 @@ import (
 func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, s Schedule, clks []PhaseClocks) ([][]float32, topology.Result) {
 	cl := des.NewCluster(net, m, p)
 	data := padded(inputs)
-	res, out := cl.RunGather(func(r *des.Rank) {
-		s.RunDES(r, data[r.Rank], 0, len(data[r.Rank]), slot(clks, r.Rank), r.Finish)
+	run := NewDESRun(p, len(inputs[0]))
+	res, out := run.Gather(cl, Pool{}, func(r *des.Rank) {
+		s.RunDES(run, r, data[r.Rank], 0, len(data[r.Rank]), slot(clks, r.Rank), (*des.Rank).Finish)
 	})
 	return out, res
 }
@@ -242,12 +243,12 @@ func TestDESPaperScale(t *testing.T) {
 	}
 	for _, s := range []Schedule{schedRHD, schedHierarchical} {
 		name := schedules[s].name
-		cl := des.NewCluster(net, m, p)
+		cl, dr := des.NewCluster(net, m, p), NewDESRun(p, n)
 		var clocks []float64
 		for run := range 2 {
 			data := padded(inputs)
-			res, outs := cl.RunGather(func(r *des.Rank) {
-				s.RunDES(r, data[r.Rank], 0, n, nil, r.Finish)
+			res, outs := dr.Gather(cl, Pool{}, func(r *des.Rank) {
+				s.RunDES(dr, r, data[r.Rank], 0, n, nil, (*des.Rank).Finish)
 			})
 			for r, out := range outs {
 				if !slices.Equal(out, sum) {

@@ -8,21 +8,30 @@ import (
 	"swcaffe/internal/simnet"
 )
 
-// The two interpreters of a schedule cursor. They own every side effect
-// of a collective — the writes to the result and scratch, the messages,
-// the arithmetic, the reduction charge, the phase clocks and hook — and
-// are the only callers of Send, Recv, SendRecv and ChargeReduce in this
-// package. Both execute a round the same way, in the same order; they
-// differ only in how a receive returns: the blocking one waits for it,
-// the event one parks the call and is resumed with the payload.
+// The two interpreters of a schedule cursor. Between them they own every
+// side effect of a collective — the messages, the reduction charge, the
+// phase clocks and hook, and the payload: the writes to the result and
+// scratch and the arithmetic — and are the only callers of Send, Recv,
+// SendRecv and ChargeReduce in this package. Both step a round the same
+// way, in the same order; they differ in how a receive returns and in
+// when the payload moves. The blocking one waits for its receive and
+// lands the payload there and then (land); the event one parks the call,
+// is resumed with the payload, and only logs where it goes: the run's
+// log lands it after the run, in tiles (replay.go). The event backend
+// reads lengths, never values, so nothing it decides can see the
+// difference.
 
 // frame holds the vectors of one call (see vector). The input is the
 // caller's vector and is only read. The result is the same vector in
 // place, or memory from the rank's arena (Scratch) in a one-shot call,
 // which the cursor's first touches fill from the input; the work
-// vector, too, comes from the arena.
+// vector, too, comes from the arena. base maps each vector's offsets to
+// logical indices, the ones both ends of a message share: a result or
+// input offset is its own logical index, and a work offset lies at the
+// leader's chunk, which its load round gives (see logical).
 type frame struct {
 	vecs [3][]float32
+	base [3]int
 	n    int
 	clk  *PhaseClocks // the caller's, or nil
 }
@@ -65,36 +74,49 @@ func (rd *round) scratchNeed() int {
 	return 0
 }
 
-// prepare does rd's local part, given the scratch it needs, and returns
-// the payload to send (nil for a round that sends nothing).
-func (f *frame) prepare(rd *round, scratch []float32) []float32 {
-	switch {
-	case rd.local:
-		if rd.recv.vec == work {
-			f.vecs[work] = scratch
-		}
-		dst, src := f.at(rd.recv), f.at(rd.send)
-		if len(src) > 0 && &src[0] != &dst[0] { // in place, a load of the input is onto itself
-			copy(dst, src)
-		}
-		clear(dst[len(src):])
-		return nil
-	case rd.sendTo < 0:
+// payload is what rd sends: its send range, or nil for a round that
+// sends nothing.
+func (f *frame) payload(rd *round) []float32 {
+	if rd.local || rd.sendTo < 0 {
 		return nil
 	}
 	return f.at(rd.send)
 }
 
-// land puts a received payload where rd says and reports whether it was
-// a reduction, to be charged. The payload must have exactly
-// rd.recv.len() elements (see round); one of any other length is a
-// broken schedule, not something to truncate or pad. A fresh reduce
-// adds the payload to the input's range: the result's is untouched.
-func (f *frame) land(rd *round, in []float32) bool {
+// load readies the local round rd, given the scratch it needs, and
+// returns its ranges: the round copies src over the front of dst and
+// zeroes the rest, which pads a vector. A load into work places the
+// work vector at the chunk it loads.
+func (f *frame) load(rd *round, scratch []float32) (dst, src []float32) {
+	if rd.recv.vec == work {
+		f.vecs[work], f.base[work] = scratch, rd.send.lo-rd.recv.lo
+	}
+	return f.at(rd.recv), f.at(rd.send)
+}
+
+// logical is the logical index of s's first element (see frame).
+func (f *frame) logical(s span) int { return f.base[s.vec] + s.lo }
+
+// onItself reports whether src starts where dst does: a load of the
+// input onto itself in place, which copies nothing.
+func onItself(dst, src []float32) bool { return len(src) == 0 || &src[0] == &dst[0] }
+
+// landing is where a payload received in rd lands. The payload must
+// have exactly rd.recv.len() elements (see round); one of any other
+// length is a broken schedule, not something to truncate or pad.
+func (f *frame) landing(rd *round, in []float32) []float32 {
 	dst := f.at(rd.recv)
 	if len(in) != len(dst) {
 		panic(fmt.Sprintf("allreduce: round %+v received %d elements, want recv.len() = %d", *rd, len(in), len(dst)))
 	}
+	return dst
+}
+
+// land puts a received payload where rd says and reports whether it was
+// a reduction, to be charged (see landing). A fresh reduce adds the
+// payload to the input's range: the result's is untouched.
+func (f *frame) land(rd *round, in []float32) bool {
+	dst := f.landing(rd, in)
 	if !rd.reduce {
 		copy(dst, in)
 		return false
@@ -116,16 +138,24 @@ func runBlocking(n *simnet.Node, c cursor, f frame) []float32 {
 			f.enter(n.Rank, n.Clock(), rd.phase)
 			continue
 		}
-		var scratch, in []float32
-		if k := rd.scratchNeed(); k > 0 {
-			scratch = n.Scratch(k)
+		if rd.local {
+			var scratch []float32
+			if k := rd.scratchNeed(); k > 0 {
+				scratch = n.Scratch(k)
+			}
+			dst, src := f.load(&rd, scratch)
+			if !onItself(dst, src) {
+				copy(dst, src)
+			}
+			clear(dst[len(src):])
+			continue
 		}
-		payload := f.prepare(&rd, scratch)
+		var in []float32
 		switch {
 		case rd.paired:
-			in = n.SendRecv(rd.sendTo, payload)
+			in = n.SendRecv(rd.sendTo, f.payload(&rd))
 		case rd.sendTo >= 0:
-			n.Send(rd.sendTo, payload)
+			n.Send(rd.sendTo, f.payload(&rd))
 			fallthrough
 		default:
 			if rd.recvFrom < 0 {
@@ -142,44 +172,51 @@ func runBlocking(n *simnet.Node, c cursor, f frame) []float32 {
 
 // desCall is one rank's call on the event backend: the cursor, the
 // round whose receive is parked, and the one continuation every receive
-// of the call resumes — so a call allocates a constant number of
-// objects however many rounds it runs.
+// of the call resumes. It lives in its DESRun, one per rank, with the
+// continuation bound once, so a warm call allocates nothing however
+// many rounds it runs.
 type desCall struct {
+	run    *DESRun
 	r      *des.Rank
 	c      cursor
 	rd     round
 	f      frame
-	k      func([]float32)
+	k      func(*des.Rank, []float32)
 	resume func([]float32)
 }
 
-// runResumable executes c on one rank of the event backend, reducing
-// data in place and recording the phase clocks in clk (when non-nil); k
-// fires with the result. A receive is always the last thing a step does.
-func runResumable(r *des.Rank, c cursor, data []float32, clk *PhaseClocks, k func([]float32)) {
-	st := &desCall{r: r, c: c, f: newFrame(data, data, c.resultLen(len(data)), clk), k: k}
-	st.resume = st.landed
-	st.step()
-}
-
 func (st *desCall) step() {
-	r, rd := st.r, &st.rd
+	r, rd, log := st.r, &st.rd, &st.run.log
 	for st.c.next(rd) {
 		if rd.phase != noPhase {
+			if hierPhaseHook.Load() != nil {
+				log.land() // the tests' hook may read or write the views
+			}
 			st.f.enter(r.Rank, r.Clock(), rd.phase)
 			continue
 		}
-		var scratch []float32
-		if k := rd.scratchNeed(); k > 0 {
-			scratch = r.Scratch(k)
+		if rd.local {
+			var scratch []float32
+			if k := rd.scratchNeed(); k > 0 {
+				scratch = r.Scratch(k)
+			}
+			dst, src := st.f.load(rd, scratch)
+			lo := st.f.logical(rd.recv)
+			if lo != st.f.logical(rd.send) {
+				panic(fmt.Sprintf("allreduce: local round %+v moves logical index %d to %d", *rd, st.f.logical(rd.send), lo))
+			}
+			if !onItself(dst, src) {
+				log.add(opCopy, dst[:len(src)], src, lo)
+			}
+			log.add(opZero, dst[len(src):], nil, lo+len(src))
+			continue
 		}
-		payload := st.f.prepare(rd, scratch)
 		switch {
 		case rd.paired:
-			r.SendRecv(rd.sendTo, payload, st.resume)
+			r.SendRecv(rd.sendTo, st.f.payload(rd), st.resume)
 			return
 		case rd.sendTo >= 0:
-			r.Send(rd.sendTo, payload)
+			r.Send(rd.sendTo, st.f.payload(rd))
 			fallthrough
 		default:
 			if rd.recvFrom >= 0 {
@@ -188,12 +225,20 @@ func (st *desCall) step() {
 			}
 		}
 	}
-	st.k(st.f.out())
+	st.k(r, st.f.out())
 }
 
+// landed logs where the payload of the parked receive goes, and goes on
+// with the call. The sender's range has the same logical indices as the
+// landing, and a fresh reduce adds to the landing itself: RunDES is
+// always in place, so the input's range is the result's.
 func (st *desCall) landed(in []float32) {
-	if st.f.land(&st.rd, in) {
+	rd := &st.rd
+	dst, kind := st.f.landing(rd, in), opCopy
+	if rd.reduce {
+		kind = opAdd
 		st.r.ChargeReduce(len(in))
 	}
+	st.run.log.add(kind, dst, in, st.f.logical(rd.recv))
 	st.step()
 }

@@ -142,15 +142,15 @@ func runSim(cl *simnet.Cluster, f fault, body func(n *simnet.Node) []float32) (o
 	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
 }
 
-func runDES(cl *des.Cluster, f fault, body func(r *des.Rank, k func([]float32))) (o outcome, failed any) {
+func runDES(cl *des.Cluster, run *DESRun, f fault, body func(r *des.Rank, k func(*des.Rank, []float32))) (o outcome, failed any) {
 	defer func() { failed = recover() }()
-	res, outs := cl.RunGather(func(r *des.Rank) {
+	res, outs := run.Gather(cl, Pool{}, func(r *des.Rank) {
 		if r.Rank == f.victim && f.early {
 			panic("boom")
 		}
-		k := r.Finish
+		k := (*des.Rank).Finish
 		if r.Rank == f.victim {
-			k = func([]float32) { panic("boom") }
+			k = func(*des.Rank, []float32) { panic("boom") }
 		}
 		body(r, k)
 	})
@@ -403,10 +403,10 @@ func TestCollectiveProperty(t *testing.T) {
 					return sched.Run(n, data[n.Rank][lo:hi], lo, c.total, nil)
 				})
 			}
-			inPlaceDES := func(cl *des.Cluster, f fault) (outcome, any) {
+			inPlaceDES := func(cl *des.Cluster, run *DESRun, f fault) (outcome, any) {
 				data := padded(c.inputs)
-				return runDES(cl, f, func(r *des.Rank, k func([]float32)) {
-					sched.RunDES(r, data[r.Rank][lo:hi], lo, c.total, nil, k)
+				return runDES(cl, run, f, func(r *des.Rank, k func(*des.Rank, []float32)) {
+					sched.RunDES(run, r, data[r.Rank][lo:hi], lo, c.total, nil, k)
 				})
 			}
 
@@ -433,7 +433,7 @@ func TestCollectiveProperty(t *testing.T) {
 			} else if census != fresh.census {
 				t.Fatalf("%s: schedule walk counts census %v, the live run %v", label, census, fresh.census)
 			}
-			freshDES, failed := inPlaceDES(des.NewCluster(net, c.m, c.p), noFault)
+			freshDES, failed := inPlaceDES(des.NewCluster(net, c.m, c.p), NewDESRun(c.p, c.total), noFault)
 			if failed != nil {
 				t.Fatalf("%s: DES run panicked: %v", label, failed)
 			}
@@ -463,7 +463,7 @@ func TestCollectiveProperty(t *testing.T) {
 			if c.p > 8 {
 				simFault.early = false
 			}
-			scl, dcl := simnet.NewCluster(net, c.m, c.p), des.NewCluster(net, c.m, c.p)
+			scl, dcl, run := simnet.NewCluster(net, c.m, c.p), des.NewCluster(net, c.m, c.p), NewDESRun(c.p, c.total)
 			for _, step := range []struct {
 				what string
 				f    fault
@@ -473,7 +473,7 @@ func TestCollectiveProperty(t *testing.T) {
 					sf = simFault
 				}
 				got, failed := inPlaceSim(scl, sf)
-				gotDES, failedDES := inPlaceDES(dcl, step.f)
+				gotDES, failedDES := inPlaceDES(dcl, run, step.f)
 				if step.f.victim >= 0 {
 					if np, ok := failed.(simnet.NodePanic); !ok || np.FailedRank() != f.victim {
 						t.Fatalf("%s: goroutine %s: recovered %v, want NodePanic on rank %d", label, step.what, failed, f.victim)
@@ -511,8 +511,9 @@ func TestInPlaceShortCapacityPanics(t *testing.T) {
 	if np, ok := failed.(simnet.NodePanic); !ok || !strings.Contains(fmt.Sprint(np.Value), want) {
 		t.Errorf("goroutine backend: recovered %v, want a NodePanic saying %q", failed, want)
 	}
-	_, failed = runDES(des.NewCluster(net, m, p), noFault,
-		func(r *des.Rank, k func([]float32)) { schedRHD.RunDES(r, inputs[r.Rank], 0, n, nil, k) })
+	run := NewDESRun(p, n)
+	_, failed = runDES(des.NewCluster(net, m, p), run, noFault,
+		func(r *des.Rank, k func(*des.Rank, []float32)) { schedRHD.RunDES(run, r, inputs[r.Rank], 0, n, nil, k) })
 	if rp, ok := failed.(des.RankPanic); !ok || !strings.Contains(fmt.Sprint(rp.Value), want) {
 		t.Errorf("DES backend: recovered %v, want a RankPanic saying %q", failed, want)
 	}

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -161,6 +162,9 @@ type Engine struct {
 	candidates []Plan
 
 	bytesMetric *obs.Counter // comm.bytes.<algorithm>, cached to keep Commit allocation-free
+
+	desRun *allreduce.DESRun // the DES flushes' call state and payload log (see FlushSegDES)
+	worst  []float64         // Commit's per-worker mismatches
 
 	// Tracing (nil tracer = disabled, the hot-path default). traceBase
 	// anchors this step's flush windows on the cumulative trace
@@ -412,9 +416,9 @@ func (e *Engine) phaseClocks(b, rank int) *allreduce.PhaseClocks {
 // output but rank 0's is also compared to rank 0's bit for bit — the
 // invariant the sharing rests on, which comparing the models'
 // parameters afterwards could miss (an ulp of gradient can vanish in
-// the update), checked by a read-only sweep. Commit returns the worst
-// mismatch that sweep found (see mismatch): 0, always, unless a
-// collective is broken.
+// the update), checked by a read-only sweep split among pool's workers.
+// Commit returns the worst mismatch that sweep found (see mismatch): 0,
+// always, unless a collective is broken.
 //
 // outs[r] is what rank r's flush returned: bucket b's range of the
 // rank's view, reduced where it lay. The engine keeps no reference to
@@ -426,9 +430,10 @@ func (e *Engine) phaseClocks(b, rank int) *allreduce.PhaseClocks {
 // readiness already covers, which no later backward layer touches. Call
 // only on the clean path: after a failed run the views belong to the
 // ranks it stranded (see ResetStaging).
-func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][][]float32) float64 {
+func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][][]float32, pool allreduce.Pool) float64 {
 	bk := e.buckets[b]
-	diverged := e.drain(outs, bk.Lo, bk.Hi, grads)
+	e.drain(outs, bk.Lo, bk.Hi, grads)
+	diverged := e.diverged(outs, pool)
 	e.commTimes[b] = res.Time
 	st := &e.stats[b]
 	st.Index, st.Lo, st.Hi = b, bk.Lo, bk.Hi
@@ -447,10 +452,9 @@ func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][]
 // drain writes the average of the reduced [lo, hi) range — outs[rank]
 // holds the sum over ranks — into the parameter gradients it overlaps,
 // one multiply-and-store sweep per gradient set (the sum itself is left
-// as it was), and returns the worst mismatch between rank 0's output
-// and any other rank's. Buckets cut at element granularity, so a
-// parameter may span several buckets.
-func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diverged float64) {
+// as it was). Buckets cut at element granularity, so a parameter may
+// span several buckets.
+func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) {
 	inv := float32(1) / float32(e.cfg.Ranks)
 	// First param whose end lies beyond lo.
 	first := sort.Search(len(e.offs), func(i int) bool {
@@ -464,10 +468,32 @@ func (e *Engine) drain(outs [][]float32, lo, hi int, grads [][][]float32) (diver
 			f32.Scale(grad[i][a-off:b-off], vec[a-lo:b-lo], inv)
 		}
 	}
-	for _, vec := range outs[1:] {
-		diverged = max(diverged, mismatch(outs[0], vec))
+}
+
+// diverged is the worst mismatch between rank 0's output and any other
+// rank's. Each of pool's workers compares a run of ranks; the worst of
+// the runs' worsts is the same whatever the split.
+func (e *Engine) diverged(outs [][]float32, pool allreduce.Pool) float64 {
+	k := 1
+	if pool.Run != nil {
+		k = max(1, min(pool.K, len(outs)-1))
 	}
-	return diverged
+	e.worst = append(e.worst[:0], make([]float64, k)...)
+	if k == 1 {
+		e.compare(outs, 0, 1)
+	} else {
+		pool.Run(k, func(m int) { e.compare(outs, m, k) })
+	}
+	return slices.Max(e.worst)
+}
+
+// compare is worker m's run of diverged's k: the worst mismatch of its
+// ranks, into worst[m].
+func (e *Engine) compare(outs [][]float32, m, k int) {
+	others := len(outs) - 1
+	for _, vec := range outs[1+m*others/k : 1+(m+1)*others/k] {
+		e.worst[m] = max(e.worst[m], mismatch(outs[0], vec))
+	}
 }
 
 // mismatch is the largest |a[i] - b[i]| over the elements whose bits
@@ -664,9 +690,12 @@ func layoutBuckets(strat Strategy, params []ParamInfo, offs []int, total, maxByt
 		// ready the moment this layer's backward completes (the
 		// spill-over below the boundary joins the next bucket). Fall
 		// back to the downward neighbor when up collides with Hi.
-		cut := snapChunkUp(blockStart, total, strat.chunks)
-		if cut <= 0 || cut >= hi {
-			cut = snapChunkDown(blockStart, total, strat.chunks)
+		cut := blockStart
+		if !strat.uniform {
+			cut = snapChunkUp(blockStart, total, strat.chunks)
+			if cut <= 0 || cut >= hi {
+				cut = snapChunkDown(blockStart, total, strat.chunks)
+			}
 		}
 		if cut > 0 && cut < hi {
 			out = append(out, Bucket{Lo: cut, Hi: hi})

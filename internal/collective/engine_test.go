@@ -441,6 +441,14 @@ func TestEngineAutoAlgorithm(t *testing.T) {
 	}
 }
 
+// backwardPool runs a pool's workers one at a time, last first: a split
+// whose result depends on which worker runs when shows.
+func backwardPool(k int, fn func(m int)) {
+	for m := k - 1; m >= 0; m-- {
+		fn(m)
+	}
+}
+
 // TestCommitChecksRanksWithoutGradients: with one gradient set for all
 // ranks (a trainer whose ranks share one model) Commit drains rank 0's
 // reduced output, once, and compares every other rank's to it bit for
@@ -452,6 +460,16 @@ func TestEngineAutoAlgorithm(t *testing.T) {
 // whole-vector checks commit the one bucket of a barrier engine.
 func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	const ranks = 4
+	// commit commits on the calling goroutine and split among three
+	// workers, which must find the same worst mismatch.
+	commit := func(e *Engine, b int, outs [][]float32, grads [][][]float32) float64 {
+		t.Helper()
+		d := e.Commit(b, outs, stubResult, grads, allreduce.Pool{})
+		if split := e.Commit(b, outs, stubResult, grads, allreduce.Pool{K: 3, Run: backwardPool}); math.Float64bits(split) != math.Float64bits(d) {
+			t.Fatalf("bucket %d: the compare split among 3 workers found %g, on one %g", b, split, d)
+		}
+		return d
+	}
 	params := []ParamInfo{{Layer: 0, Elems: 5}, {Layer: 1, Elems: 3}}
 	cfg := testConfig(params, 2, ranks, allreduce.NameRHD)
 	cfg.BucketBytes = 8 // one bucket per layer
@@ -481,7 +499,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	shared := [][][]float32{{make([]float32, 5), make([]float32, 3)}}
 	drained := func() []float32 { return append(append([]float32(nil), shared[0][0]...), shared[0][1]...) }
 
-	if d := full.Commit(0, newOuts(), stubResult, shared); d != 0 {
+	if d := commit(full, 0, newOuts(), shared); d != 0 {
 		t.Fatalf("identical outputs reported a mismatch of %g", d)
 	}
 	want := drained()
@@ -493,12 +511,12 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 
 	ulp := newOuts()
 	ulp[2][3] = math.Nextafter32(sum[3], 1)
-	if d := full.Commit(0, ulp, stubResult, shared); !(d > 0) || d > 1e-7 {
+	if d := commit(full, 0, ulp, shared); !(d > 0) || d > 1e-7 {
 		t.Fatalf("rank 2 off by one ulp reported %g, want the ulp", d)
 	}
 	zero := newOuts()
 	zero[3][2] = float32(math.Copysign(0, -1))
-	if d := full.Commit(0, zero, stubResult, shared); !math.IsInf(d, 1) {
+	if d := commit(full, 0, zero, shared); !math.IsInf(d, 1) {
 		t.Fatalf("rank 3 differing in the sign of a zero reported %g, want +Inf", d)
 	}
 	for i, v := range drained() {
@@ -513,18 +531,18 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	for r := range nan {
 		nan[r][6] = math.Float32frombits(0x7fc00000)
 	}
-	if d := full.Commit(0, nan, stubResult, shared); d != 0 {
+	if d := commit(full, 0, nan, shared); d != 0 {
 		t.Fatalf("the same NaN in every view reported a mismatch of %g", d)
 	}
 	nan[1][6] = math.Float32frombits(0x7fc00001)
-	if d := full.Commit(0, nan, stubResult, shared); !math.IsInf(d, 1) {
+	if d := commit(full, 0, nan, shared); !math.IsInf(d, 1) {
 		t.Fatalf("rank 1 holding another NaN payload than rank 0 reported %g, want +Inf", d)
 	}
 	// The byte compare answers only for equal views; a difference still
 	// reports the scan's exact worst |a - b|.
 	milli := newOuts()
 	milli[3][5] = 0
-	if d := full.Commit(0, milli, stubResult, shared); d != float64(sum[5]) {
+	if d := commit(full, 0, milli, shared); d != float64(sum[5]) {
 		t.Fatalf("rank 3 off by %g reported %g, want exactly the difference", sum[5], d)
 	}
 
@@ -535,7 +553,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 			outs[r] = append([]float32(nil), sum[bk.Lo:bk.Hi]...)
 		}
 		outs[1][0]++
-		if d := e.Commit(b, outs, stubResult, shared); math.Abs(d-1) > 1e-6 {
+		if d := commit(e, b, outs, shared); math.Abs(d-1) > 1e-6 {
 			t.Fatalf("bucket %d: rank 1 off by 1 reported %g", b, d)
 		}
 	}
@@ -544,7 +562,7 @@ func TestCommitChecksRanksWithoutGradients(t *testing.T) {
 	for r := range private {
 		private[r] = [][]float32{make([]float32, 5), make([]float32, 3)}
 	}
-	if d := full.Commit(0, ulp, stubResult, private); !(d > 0) || d > 1e-7 {
+	if d := commit(full, 0, ulp, private); !(d > 0) || d > 1e-7 {
 		t.Fatalf("private gradient sets: rank 2 off by one ulp reported %g, want the ulp", d)
 	}
 	if got, w := private[2][0][3], ulp[2][3]/ranks; got != w {

@@ -89,6 +89,7 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 		flush func(e *Engine, b int) (topology.Result, [][]float32)
 	}
 	scl, dcl := simnet.NewCluster(netw, mapping, ranks), des.NewCluster(netw, mapping, ranks)
+	pool := allreduce.Pool{K: 2, Run: backwardPool}
 	barrier := cfg
 	barrier.Barrier = true
 	for _, be := range []backend{
@@ -96,7 +97,7 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 			views := e.RankViews()
 			return scl.RunGather(func(n *simnet.Node) []float32 { return e.ReduceSeg(n, b, views[n.Rank]) })
 		}},
-		{"DES", func(e *Engine, b int) (topology.Result, [][]float32) { return e.FlushSegDES(dcl, b) }},
+		{"DES", func(e *Engine, b int) (topology.Result, [][]float32) { return e.FlushSegDES(dcl, b, pool) }},
 	} {
 		for _, mode := range []struct {
 			name    string
@@ -122,7 +123,7 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 					for ; b < len(e.Buckets()) && e.Buckets()[b].ReadyLayer == li; b++ {
 						<-e.Ready(b)
 						res, outs := be.flush(e, b)
-						e.Commit(b, outs, res, grads)
+						e.Commit(b, outs, res, grads, pool)
 						bk := e.Buckets()[b]
 						requireDrained(fmt.Sprintf("%s bucket %d %+v at its commit", label, b, bk), grads, bk.Lo, bk.Hi)
 					}
@@ -133,5 +134,68 @@ func TestPaddedBucketsSpillOnlyIntoCommittedMemory(t *testing.T) {
 				requireDrained(label, grads, 0, e.TotalElems())
 			}
 		}
+	}
+}
+
+// TestFlushSegDESPanicDropsItsRun: a DES flush lands its payload from a
+// log after the run (see allreduce.DESRun), and one that panics — here
+// the fault hook of rank 4, after ranks 0 to 3 have started and logged —
+// takes its DESRun and the ops it had not landed with it, as a panicked
+// des.Cluster run takes its state. The next flush builds a fresh one,
+// lands exact sums, and keeps it.
+func TestFlushSegDESPanicDropsItsRun(t *testing.T) {
+	const ranks = 6
+	params := []ParamInfo{{Layer: 0, Elems: 37}, {Layer: 1, Elems: 20}}
+	cfg := testConfig(params, 2, ranks, allreduce.NameHierarchical)
+	cfg.Barrier = true
+	cfg.Mapping = topology.AdjacentMapping{Q: 3}
+	armed := true
+	cfg.FlushHook = func(rank, _ int) {
+		if armed && rank == 4 {
+			panic("boom")
+		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcl := des.NewCluster(cfg.Network, cfg.Mapping, ranks)
+	pool := allreduce.Pool{K: 2, Run: backwardPool}
+	fill := func() {
+		for r, v := range e.RankViews() {
+			for i := range v {
+				v[i] = float32(r*7 + i%11)
+			}
+		}
+	}
+	fill()
+	func() {
+		defer func() {
+			if rp, ok := recover().(des.RankPanic); !ok || rp.Rank != 4 {
+				t.Fatalf("recovered %v, want a RankPanic on rank 4", rp)
+			}
+		}()
+		e.FlushSegDES(dcl, 0, pool)
+	}()
+	if e.desRun != nil {
+		t.Fatal("the engine kept the DESRun of a flush that panicked")
+	}
+	armed = false
+	e.ResetStaging()
+	fill()
+	_, outs := e.FlushSegDES(dcl, 0, pool)
+	for r, out := range outs {
+		for i, v := range out {
+			var want float32
+			for s := 0; s < ranks; s++ {
+				want += float32(s*7 + i%11)
+			}
+			if v != want {
+				t.Fatalf("rank %d elem %d after the panic: %v, want the exact sum %v", r, i, v, want)
+			}
+		}
+	}
+	if e.desRun == nil {
+		t.Fatal("the engine dropped the DESRun of a clean flush")
 	}
 }

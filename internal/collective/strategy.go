@@ -24,14 +24,17 @@ import (
 // the association order it would use on the whole packed vector, so
 // bucketed and barrier flushes agree bit for bit. That holds only for
 // buckets on the schedule's chunk partition: bounds floor(i*total/chunks),
-// where chunks is 1 (any cut) for the element-uniform schedules —
-// recursive halving/doubling and the binomial tree reduce every element
-// alike — p for the ring, whose rotation depends on the chunk, and
-// topology.MinGroupSize for the hierarchical schedule's leader chunks.
+// where chunks is p for the ring, whose rotation depends on the chunk,
+// and topology.MinGroupSize for the hierarchical schedule's leader
+// chunks — a partition of one chunk admits only the whole vector. The
+// element-uniform schedules (recursive halving/doubling and the binomial
+// tree reduce every element alike) and a lone rank, which moves nothing,
+// admit any cut.
 type Strategy struct {
 	allreduce.Schedule
-	chunks int
-	cost   allreduce.CostFunc
+	chunks  int
+	uniform bool // any cut: chunks does not bound the buckets
+	cost    allreduce.CostFunc
 }
 
 // Cost prices the flush of the [lo, hi) bucket of a packed float32
@@ -59,9 +62,8 @@ func (s Strategy) Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) 
 
 // snapChunkDown returns the largest bound of the k-chunk partition of
 // total elements that is <= cut; snapChunkUp the smallest >= cut.
-// k <= 1 admits every cut.
 func snapChunkDown(cut, total, k int) int {
-	if total == 0 || k <= 1 {
+	if total == 0 {
 		return cut
 	}
 	// Candidate index is ceil((cut+1)*k/total)-1, nudged down while it
@@ -77,7 +79,7 @@ func snapChunkDown(cut, total, k int) int {
 }
 
 func snapChunkUp(cut, total, k int) int {
-	if total == 0 || k <= 1 {
+	if total == 0 {
 		return cut
 	}
 	i := cut * k / total
@@ -111,15 +113,15 @@ func StrategyFor(name string, mapping topology.Mapping, p int) (Strategy, error)
 	if err != nil {
 		return Strategy{}, err
 	}
-	s := Strategy{Schedule: sched, chunks: 1}
+	s := Strategy{Schedule: sched, chunks: 1, uniform: true}
 	if s.cost, err = allreduce.CostByName(name); err != nil {
 		return Strategy{}, fmt.Errorf("collective: %w", err)
 	}
 	switch name {
 	case allreduce.NameRing:
-		s.chunks = p
+		s.chunks, s.uniform = p, p == 1
 	case allreduce.NameHierarchical:
-		s.chunks = topology.MinGroupSize(mapping, p)
+		s.chunks, s.uniform = topology.MinGroupSize(mapping, p), p == 1
 	case allreduce.NameRHD:
 		if mapping.Name() == (topology.AdjacentMapping{}).Name() {
 			s.cost = allreduce.OriginalRHDCost

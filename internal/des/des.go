@@ -15,6 +15,13 @@
 // bit-identity oracle at small p, and this backend must match it
 // hex-exactly.
 //
+// The engine moves payloads by reference and never reads one: it
+// prices and matches by length. So the collectives it runs land no
+// float while it runs — internal/allreduce logs each landing and
+// replays the log in tiles once the run is done (allreduce.DESRun) —
+// and a run is pure event matching, its memory traffic the engine's
+// own.
+//
 // Execution model: a rank's program runs inline until it needs a
 // message; Recv/SendRecv take an explicit continuation and park the
 // rank. Ranks run one at a time, so a rank holds at most one parked

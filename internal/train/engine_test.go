@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -302,6 +303,63 @@ func TestHierarchicalOverlapBitIdenticalToBarrier(t *testing.T) {
 		if overlap.ExposedCommTime >= barrier.ExposedCommTime {
 			t.Fatalf("nodes=%d: hierarchical overlap exposed %g >= barrier %g",
 				nodes, overlap.ExposedCommTime, barrier.ExposedCommTime)
+		}
+	}
+}
+
+// TestHierarchicalSingletonSupernodeOverlap: a mapping whose last
+// supernode has one member gives the hierarchical schedule a partition
+// of one chunk (topology.MinGroupSize = 1), which admits no cut but the
+// whole vector. The overlap layout must collapse to that one bucket —
+// it once cut between layers and panicked at the first flush — and
+// train hex-identically to its barrier twin on both backends.
+func TestHierarchicalSingletonSupernodeOverlap(t *testing.T) {
+	const classes = 3
+	ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 61)
+	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
+	for _, nodes := range []int{3, 5} { // supernodes of q=2: {2, 1} and {2, 2, 1}
+		netw, mapping := hierNet(2)
+		mk := func(overlap bool, backend string) *DistTrainer {
+			d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 8, Solver: cfg,
+				Network: netw, Mapping: mapping,
+				AlgorithmName: allreduce.NameHierarchical,
+				Overlap:       overlap, BucketBytes: 2 << 10,
+				Backend: backend}, deepFactory(8, classes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		all := []*DistTrainer{mk(false, BackendGoroutine), mk(true, BackendGoroutine), mk(false, BackendDES), mk(true, BackendDES)}
+		for _, d := range all {
+			defer d.Close()
+		}
+		for it := 0; it < 3; it++ {
+			for i, d := range all {
+				d.LoadShards(ds, it)
+				if l, want := d.Step(), all[0].meanLoss(); i > 0 && math.Float32bits(l) != math.Float32bits(want) {
+					t.Fatalf("nodes=%d iter %d: trainer %d loss %v, barrier %v", nodes, it, i, l, want)
+				}
+			}
+		}
+		bp := all[0].Workers[0].Net.LearnableParams()
+		for i, d := range all {
+			if d.Buckets() != 1 {
+				t.Fatalf("nodes=%d trainer %d: %d buckets, want the one the 1-chunk partition admits", nodes, i, d.Buckets())
+			}
+			if twin := all[i%2]; !d.LastStep.Equal(twin.LastStep) {
+				t.Fatalf("nodes=%d trainer %d: StepStats %+v, its goroutine twin's %+v", nodes, i, d.LastStep, twin.LastStep)
+			}
+			for pi, p := range d.Workers[0].Net.LearnableParams() {
+				for j, v := range p.Data.Data {
+					if math.Float32bits(v) != math.Float32bits(bp[pi].Data.Data[j]) {
+						t.Fatalf("nodes=%d trainer %d param %d elem %d: %v, barrier %v", nodes, i, pi, j, v, bp[pi].Data.Data[j])
+					}
+				}
+			}
+			if div := d.ParamsDiverged(); div != 0 {
+				t.Fatalf("nodes=%d trainer %d: replicas diverged by %g", nodes, i, div)
+			}
 		}
 	}
 }

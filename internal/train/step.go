@@ -1,6 +1,7 @@
 package train
 
 import (
+	"swcaffe/internal/allreduce"
 	"swcaffe/internal/collective"
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/perf"
@@ -147,6 +148,7 @@ func (t *DistTrainer) Step() float32 {
 	// it to the stragglers (resetCommStaging) and nothing they still do
 	// can reach a recovered trainer.
 	views := eng.RankViews()
+	pool := allreduce.Pool{K: len(t.models), Run: onPool}
 	flushErr := func() (r any) {
 		defer func() { r = recover() }()
 		for b := 0; b < nb; b++ {
@@ -164,13 +166,13 @@ func (t *DistTrainer) Step() float32 {
 			var res topology.Result
 			var outs [][]float32
 			if t.desCluster != nil {
-				res, outs = eng.FlushSegDES(t.desCluster, b)
+				res, outs = eng.FlushSegDES(t.desCluster, b, pool)
 			} else {
 				res, outs = t.cluster.RunGather(func(n *simnet.Node) []float32 {
 					return eng.ReduceSeg(n, b, views[n.Rank])
 				})
 			}
-			t.diverged = max(t.diverged, eng.Commit(b, outs, res, t.grads))
+			t.diverged = max(t.diverged, eng.Commit(b, outs, res, t.grads, pool))
 		}
 		return nil
 	}()
