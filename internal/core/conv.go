@@ -29,6 +29,13 @@ type ConvConfig struct {
 // explicit-GEMM transformation (im2col + GEMM, paper Sec. IV-B1); the
 // costing path asks the device, which on SW26010 runs the
 // mixed-strategy plan selection (explicit vs implicit).
+//
+// Forward keeps the whole batch's im2col columns and Backward computes
+// the weight gradient from them, so Backward uses the columns of the
+// last Forward, not the bottom blob as it is when Backward runs (as
+// batch norm and pooling keep their forward state). The price is
+// column memory for every image, not one: B·groups·(Ni/groups)·K²·Ro·Co
+// floats, K² times the bottom blob at unit stride.
 type ConvLayer struct {
 	base
 	cfg    ConvConfig
@@ -37,7 +44,7 @@ type ConvLayer struct {
 	weight *Param
 	bias   *Param
 
-	colBuf  []float32 // per-image per-group column buffer
+	colBuf  []float32 // the last Forward's columns, per image and group
 	dcolBuf []float32 // column-gradient scratch for Backward
 }
 
@@ -101,7 +108,7 @@ func (l *ConvLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	}
 	ro, co := l.shape.OutDims()
 	kdim := l.gshape.Ni * l.cfg.Kernel * l.cfg.Kernel
-	if need := kdim * ro * co; cap(l.colBuf) < need {
+	if need := in.N * g * kdim * ro * co; cap(l.colBuf) < need {
 		l.colBuf = make([]float32, need)
 	}
 	return [][4]int{{in.N, l.cfg.NumOutput, ro, co}}, nil
@@ -129,11 +136,12 @@ func (l *ConvLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	grpIn := gs.Ni * s.Ri * s.Ci
 	grpOut := gs.No * spatial
 	wPerGroup := gs.No * kdim
-	col := l.colBuf[:kdim*spatial]
+	cols := kdim * spatial
 	for n := 0; n < s.B; n++ {
 		for gi := 0; gi < g; gi++ {
 			src := in.Data[n*imgIn+gi*grpIn : n*imgIn+(gi+1)*grpIn]
 			dst := out.Data[n*imgOut+gi*grpOut : n*imgOut+(gi+1)*grpOut]
+			col := l.colBuf[(n*g+gi)*cols : (n*g+gi+1)*cols]
 			swdnn.Im2colRef(src, gs, col)
 			clear(dst)
 			swdnn.RefGEMM(l.weight.Data.Data[gi*wPerGroup:(gi+1)*wPerGroup], col, dst, gs.No, kdim, spatial)
@@ -152,7 +160,6 @@ func (l *ConvLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 }
 
 func (l *ConvLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
-	in := bottoms[0]
 	dOut := topDiffs[0]
 	s, gs := l.shape, l.gshape
 	g := l.cfg.Groups
@@ -164,23 +171,26 @@ func (l *ConvLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDif
 	grpIn := gs.Ni * s.Ri * s.Ci
 	grpOut := gs.No * spatial
 	wPerGroup := gs.No * kdim
-	col := l.colBuf[:kdim*spatial]
-	// Backward-only scratch, allocated lazily so inference-only nets
-	// never pay for it; reused across iterations once grown.
-	if cap(l.dcolBuf) < kdim*spatial {
-		l.dcolBuf = make([]float32, kdim*spatial)
+	cols := kdim * spatial
+	var dcol []float32
+	if bottomDiffs[0] != nil {
+		// Input-gradient scratch, allocated lazily so a net whose
+		// convolutions all read inputs never pays for it; reused across
+		// iterations once grown.
+		if cap(l.dcolBuf) < cols {
+			l.dcolBuf = make([]float32, cols)
+		}
+		dcol = l.dcolBuf[:cols]
 	}
-	dcol := l.dcolBuf[:kdim*spatial]
 
 	for n := 0; n < s.B; n++ {
 		for gi := 0; gi < g; gi++ {
-			src := in.Data[n*imgIn+gi*grpIn : n*imgIn+(gi+1)*grpIn]
 			dy := dOut.Data[n*imgOut+gi*grpOut : n*imgOut+(gi+1)*grpOut]
-			// Weight gradient: dW_g += dY_g · col_gᵀ.
-			swdnn.Im2colRef(src, gs, col)
+			// Weight gradient: dW_g += dY_g · col_gᵀ, from Forward's columns.
+			col := l.colBuf[(n*g+gi)*cols : (n*g+gi+1)*cols]
 			swdnn.RefGEMMTransB(dy, col, l.weight.Diff.Data[gi*wPerGroup:(gi+1)*wPerGroup], gs.No, spatial, kdim)
 			// Input gradient: dCol = W_gᵀ · dY_g, then col2im.
-			if bottomDiffs[0] != nil {
+			if dcol != nil {
 				clear(dcol)
 				swdnn.RefGEMMTransA(l.weight.Data.Data[gi*wPerGroup:(gi+1)*wPerGroup], dy, dcol, kdim, gs.No, spatial)
 				swdnn.Col2imRef(dcol, gs, bottomDiffs[0].Data[n*imgIn+gi*grpIn:n*imgIn+(gi+1)*grpIn])
@@ -204,7 +214,9 @@ func (l *ConvLayer) Cost(dev perf.Device) LayerCost {
 	g := float64(l.cfg.Groups)
 	fwd := g * dev.Conv(l.gshape, swdnn.Forward)
 	bwd := g * dev.Conv(l.gshape, swdnn.BackwardWeight)
-	if l.cfg.Bottom != "data" { // no gradient flows into the data blob
+	// No gradient flows into the data blob; the host pass follows the
+	// same rule, as Net.Setup gives no declared input a gradient.
+	if l.cfg.Bottom != "data" {
 		bwd += g * dev.Conv(l.gshape, swdnn.BackwardInput)
 	}
 	return LayerCost{Forward: fwd, Backward: bwd}

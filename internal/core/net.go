@@ -21,7 +21,8 @@ type Net struct {
 	blobs  map[string]*tensor.Tensor
 	diffs  map[string]*tensor.Tensor
 
-	// needsDiff marks blobs on some gradient path to a parameter.
+	// needsDiff marks the blobs that get a gradient (see
+	// markGradientPaths).
 	needsDiff map[string]bool
 	lossBlob  string
 
@@ -42,7 +43,7 @@ type Net struct {
 }
 
 // layerBlobs is one layer's view of the blob graph. A gradient entry is
-// nil where the blob has none (e.g. labels).
+// nil where the blob has none (a declared input).
 type layerBlobs struct {
 	bottoms, tops, bottomDiffs, topDiffs []*tensor.Tensor
 }
@@ -193,28 +194,27 @@ func (n *Net) LoadReplicaState(s ReplicaState) {
 	}
 }
 
-// markGradientPaths computes which blobs require gradients: any blob
-// produced by a layer with parameters, or consumed/produced along a
-// path that reaches one, walking backward from the loss.
+// markGradientPaths computes which blobs get a gradient: every blob
+// but the declared inputs and the tops of Accuracy layers. No gradient
+// flows into an input (Caffe's propagate_down to the data layer is
+// false, and Cost prices no BackwardInput for a layer reading
+// "data"), so the layer reading one finds a nil bottom gradient and
+// skips that work. Every other blob gets one, whether or not some
+// parameter lies below it.
 func (n *Net) markGradientPaths() {
-	// A blob needs a diff if some layer consuming or producing it can
-	// propagate gradient. Labels and accuracy blobs do not. We use a
-	// simple fixed point: blobs produced by layers whose inputs need
-	// gradients, seeded by parameterized layers' inputs and all
-	// intermediate activations.
-	// Conservative and simple: every blob that is not a declared label
-	// input and not the top of an Accuracy layer gets a diff.
-	skip := map[string]bool{}
+	skip := make(map[string]bool, len(n.inputs))
+	for _, in := range n.inputs {
+		skip[in] = true
+	}
 	for _, l := range n.layers {
 		if l.Type() == "Accuracy" {
 			skip[l.Tops()[0]] = true
 		}
 	}
 	for name := range n.blobs {
-		if strings.Contains(name, "label") || skip[name] {
-			continue
+		if !skip[name] {
+			n.needsDiff[name] = true
 		}
-		n.needsDiff[name] = true
 	}
 }
 
@@ -307,7 +307,7 @@ func (n *Net) BackwardEach(phase Phase, onLayer func(li int)) {
 func gather(names []string, from map[string]*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(names))
 	for i, name := range names {
-		out[i] = from[name] // nil is allowed (e.g. label diffs)
+		out[i] = from[name] // nil is allowed (an input's diff)
 	}
 	return out
 }

@@ -104,7 +104,9 @@ func (l *LayerSpec) Cost(dev perf.Device) core.LayerCost {
 	case KConv:
 		fwd := dev.Conv(l.Conv, swdnn.Forward)
 		bwd := dev.Conv(l.Conv, swdnn.BackwardWeight)
-		// The first layer propagates no gradient into the data blob.
+		// The first layer propagates no gradient into the data blob;
+		// the host pass follows the same rule (core.Net.Setup gives no
+		// declared input a gradient).
 		if len(l.Bottoms) == 0 || l.Bottoms[0] != "data" {
 			bwd += dev.Conv(l.Conv, swdnn.BackwardInput)
 		}

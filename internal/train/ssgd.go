@@ -573,19 +573,19 @@ func (t *DistTrainer) Close() {
 
 // launchPasses starts pass for every worker as one stream launch on
 // its simulated node and returns a join function plus a failure
-// channel. There are two arms, one per backend. On a pooled node the
-// pass runs on a CoreGroup and tick charges modeled seconds to its CPE
-// clock; the caller overlaps the flushes between launch and join, and
-// completion ordering is the usual stream/event happens-before. On DES
-// nodes every pass has run before launchPasses returns: first on the
-// pool, one goroutine per shared model, each taking its home ranks in
-// ascending order with tick accumulating the priced seconds into the
-// rank's clock and a panic recovered per rank — the weights are
-// read-only until the flush loop, which starts after the join. Then,
-// on the calling goroutine and in rank order, each rank's launch hands
-// back its clock or re-raises its panic, so node placement, launch
-// counts, trace spans and pass poisoning are those of a pass run
-// inline.
+// channel. pass returns the modeled seconds its launch is charged.
+// There are two arms, one per backend. On a pooled node the pass runs
+// on a CoreGroup and its charge advances the CPE clock; the caller
+// overlaps the flushes between launch and join, and completion
+// ordering is the usual stream/event happens-before. On DES nodes
+// every pass has run before launchPasses returns: first on the pool,
+// one goroutine per shared model, each taking its home ranks in
+// ascending order with the charge kept as the rank's clock and a
+// panic recovered per rank — the weights are read-only until the
+// flush loop, which starts after the join. Then, on the calling
+// goroutine and in rank order, each rank's launch hands back its clock
+// or re-raises its panic, so node placement, launch counts, trace
+// spans and pass poisoning are those of a pass run inline.
 //
 // failed is there because the caller blocks on signals a pass produces
 // mid-flight (the step's flush loop): a pass panic is recovered into
@@ -594,7 +594,7 @@ func (t *DistTrainer) Close() {
 // signal that never comes. failed delivers the first pass panic after
 // every pass has quiesced (healthy workers never block on the cap-1
 // bucket signals, so quiescence is guaranteed).
-func (t *DistTrainer) launchPasses(pass func(i int, w *Worker, tick func(float64))) (join func(), failed <-chan any) {
+func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) (join func(), failed <-chan any) {
 	// Recovery bookkeeping, a no-op on the healthy path: a failed launch
 	// poisons its stream's future launches, so continue poisoned workers
 	// on a fresh stream — a recovered trainer must not silently skip
@@ -619,7 +619,7 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker, tick func(float64
 				w.clock, w.failure = 0, nil
 				func() {
 					defer func() { w.failure = recover() }()
-					pass(i, w, func(dt float64) { w.clock += dt })
+					w.clock = pass(i, w)
 				}()
 			}
 		})
@@ -645,7 +645,7 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker, tick func(float64
 	for i, w := range t.Workers {
 		w.lastEv = w.stream.LaunchWeighted(weight, func(cg *sw26010.CoreGroup) float64 {
 			return cg.RunN(1, func(pe *sw26010.CPE) {
-				pass(i, w, pe.AdvanceClock)
+				pe.AdvanceClock(pass(i, w))
 			})
 		})
 	}

@@ -123,7 +123,7 @@ func (t *DistTrainer) Step() float32 {
 	// and shed bits); the per-layer production offsets of the modeled
 	// overlay come from layerDone, where the engine flushes buckets.
 	fp, step := t.cfg.Faults, t.iter
-	join, failed := t.launchPasses(func(i int, w *Worker, tick func(float64)) {
+	join, failed := t.launchPasses(func(i int, w *Worker) float64 {
 		t.pass(i, w, func(li int) {
 			if fp != nil {
 				// Packing is incremental: the pack fault fires (once) at
@@ -132,7 +132,7 @@ func (t *DistTrainer) Step() float32 {
 			}
 			eng.Produce(i, li, w.diffs)
 		})
-		tick(t.computeEnd)
+		return t.computeEnd
 	})
 
 	// Flush loop: bucket b's collective starts the moment the last
