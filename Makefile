@@ -8,8 +8,11 @@ GO ?= go
 check: fmt vet lint build test
 
 # lint runs swvet, the repo's static analyzers (internal/analysis):
-# wallclock, rawrand, maporder, straygo, printless, deadexport. Non-zero exit on any unsuppressed finding; see the
-# "Static analysis" section of the README for the suppression policy.
+# wallclock, rawrand, maporder, straygo, printless and deadexport (exported
+# types, vars and consts only; whether a function is linked into a program
+# is reach_test.go's question, run by `test`). Non-zero exit on any
+# unsuppressed finding; see the "Static analysis" section of the README
+# for the suppression policy.
 lint:
 	$(GO) run ./cmd/swvet ./...
 

@@ -260,8 +260,9 @@ func tournamentPartner(j, r, g int) int {
 // HierChunkBounds exposes the hierarchical schedule's chunk partition
 // of an n-element vector: k chunks (k = topology.MinGroupSize of the
 // active mapping), chunk c spanning [b[c], b[c+1]). The collective
-// engine snaps hierarchical bucket boundaries onto these bounds so
-// each bucket is a whole number of leader-owned chunks (see hierCursor).
-//
-//swvet:ignore deadexport: test oracle; the bucket-bound tests of allreduce, collective and train check layouts against the hierarchical partition
+// engine snaps hierarchical bucket boundaries onto these bounds (it
+// calls ChunkBounds) so each bucket is a whole number of leader-owned
+// chunks (see hierCursor). No program calls it: it is the name the
+// collective and train tests check bucket layouts against, and the
+// module root's reachability test allowlists it as such.
 func HierChunkBounds(n, k int) []int { return ChunkBounds(n, k) }

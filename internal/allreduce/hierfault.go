@@ -29,9 +29,8 @@ var hierPhaseHook atomic.Pointer[PhaseHook]
 
 // SetHierPhaseHook installs (or, with nil, removes) the hierarchical
 // phase hook and returns the previous one so tests can restore it. It
-// is the tests' fault-injection seam: no non-test code calls it.
-//
-//swvet:ignore deadexport: fault-injection seam; the hierfault, DES and train fault tests install it
+// is the tests' fault-injection seam: no program links it, which the
+// module root's reachability test asserts.
 func SetHierPhaseHook(h PhaseHook) (prev PhaseHook) {
 	var p *PhaseHook
 	if h != nil {

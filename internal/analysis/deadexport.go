@@ -6,22 +6,20 @@ import (
 	"strings"
 )
 
-// Deadexport flags exported identifiers declared under internal/ that
-// no non-test file of the module references. cmd/, bench/, examples/
-// and the root facade all count as references; _test.go files do not,
-// because the loader never parses them. A declaration's references to
-// itself (recursion, a method's receiver type) do not count either.
+// Deadexport flags exported types, vars and consts declared under
+// internal/ that no non-test file of the module references. cmd/,
+// bench/, examples/ and the root facade all count as references;
+// _test.go files do not, because the loader never parses them. A
+// declaration's references to itself (a method's receiver type, a var
+// initialized from itself) do not count either.
 //
-// Methods are matched by name: a method is used when any non-test file
-// selects a method of that name on any type. That covers interface
-// dispatch, including anonymous interface assertions, at the price of
-// missing a dead method whose name some other type's method shares.
-// Methods the standard library calls through its own interfaces
-// (stdlibCalled) count as used too.
+// Functions and methods are not its business: the module root's
+// TestEveryInternalFunctionIsLinked asks the linker which of them some
+// program reaches, which also sees through interface dispatch.
 func Deadexport() *Analyzer {
 	return &Analyzer{
 		Name:      "deadexport",
-		Doc:       "flag exported internal/ identifiers that no non-test file in the module references",
+		Doc:       "flag exported internal/ types, vars and consts that no non-test file in the module references",
 		Run:       runDeadexport,
 		needsRefs: true,
 	}
@@ -40,22 +38,17 @@ func runDeadexport(p *Pass) {
 	}
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					check(d.Name)
-				} else if d.Name.IsExported() && !p.refs.methods[d.Name.Name] && !stdlibCalled[d.Name.Name] {
-					p.Reportf(d.Name.Pos(), "method %s is exported but no non-test file in the module selects a method of that name: delete it with its tests, or suppress with the test, golden or role that keeps it", d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						check(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							check(id)
-						}
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					check(s.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						check(id)
 					}
 				}
 			}
@@ -63,26 +56,17 @@ func runDeadexport(p *Pass) {
 	}
 }
 
-// stdlibCalled are the method names fmt and errors invoke through
-// interface assertions that no module file spells out: Stringer,
-// GoStringer, Formatter, error, and the Unwrap/Is/As chain.
-var stdlibCalled = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true,
-	"Unwrap": true, "Is": true, "As": true,
-}
-
-// refIndex is what the module's non-test files reference: objects by
-// identity, methods by name.
+// refIndex is what the module's non-test files reference, by object
+// identity.
 type refIndex struct {
-	used    map[types.Object]bool
-	methods map[string]bool
+	used map[types.Object]bool
 }
 
 // buildRefs indexes every use in the given packages. A top-level
 // declaration's uses of what it declares itself, and a method's uses of
 // its receiver's type, do not count.
 func buildRefs(pkgs []*pkgInfo) *refIndex {
-	idx := &refIndex{used: map[types.Object]bool{}, methods: map[string]bool{}}
+	idx := &refIndex{used: map[types.Object]bool{}}
 	for _, pi := range pkgs {
 		for _, file := range pi.files {
 			for _, decl := range file.Decls {
@@ -135,9 +119,6 @@ func (idx *refIndex) add(info *types.Info, decl ast.Node) {
 			return true
 		}
 		idx.used[obj] = true
-		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
-			idx.methods[fn.Name()] = true
-		}
 		return true
 	})
 }

@@ -9,18 +9,18 @@ type Dead struct{} // finding
 
 func (d Dead) area() float64 { return 0 }
 
-// TestOnly is called only from deadexport_test.go, which the loader
+// TestOnly is read only from deadexport_test.go, which the loader
 // never parses.
-func TestOnly() int { return 2 } // finding
+var TestOnly = 2 // finding
 
 // Square is used by cmd/tool.
 type Square struct{}
 
-// Area is only ever called through an anonymous interface assertion in
-// cmd/tool; a selection of the name anywhere in the module exempts it.
-func (Square) Area() float64 { return 1 } // no finding
+// Unreached is a function nothing calls: whether a program links it is
+// the linker's question, not this analyzer's.
+func Unreached() int { return 1 } // no finding
 
 // Kept carries an explained exception.
 //
 //swvet:ignore deadexport: fixture; a surviving test needs it as an oracle
-func Kept() int { return 3 }
+const Kept = 3

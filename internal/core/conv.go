@@ -64,10 +64,6 @@ func NewConv(cfg ConvConfig) *ConvLayer {
 	return l
 }
 
-// Shape exposes the layer's whole convolution geometry after Setup
-// (used by the experiment harness).
-func (l *ConvLayer) Shape() swdnn.ConvShape { return l.shape }
-
 func (l *ConvLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	in, err := checkOneBottom(l, bottoms)
 	if err != nil {

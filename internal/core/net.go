@@ -128,9 +128,7 @@ func (n *Net) Setup(inputs map[string]*tensor.Tensor) error {
 	// Allocate gradients for blobs that need them.
 	for name, b := range n.blobs {
 		if n.needsDiff[name] {
-			d := tensor.New(b.N, b.C, b.H, b.W)
-			d.Layout = b.Layout
-			n.diffs[name] = d
+			n.diffs[name] = tensor.New(b.N, b.C, b.H, b.W)
 		}
 	}
 	// Default loss blob: the top of the last loss-typed layer.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"swcaffe/internal/f32"
@@ -133,19 +132,5 @@ func (s *Solver) clipGradients() {
 	scale := float32(s.cfg.ClipGradients / norm)
 	for _, p := range s.net.LearnableParams() {
 		p.Diff.Scale(scale)
-	}
-}
-
-// CheckFinite panics with a diagnostic if any parameter or gradient is
-// NaN/Inf — a debugging aid for failure-injection tests.
-//
-//swvet:ignore deadexport: safety check nothing calls yet; TestSolverCheckFiniteCatchesNaN pins it
-func (s *Solver) CheckFinite() {
-	for _, p := range s.net.Params() {
-		for i, v := range p.Data.Data {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				panic(fmt.Sprintf("core: parameter %s[%d] is %v at iter %d", p.Name, i, v, s.iter))
-			}
-		}
 	}
 }

@@ -102,23 +102,3 @@ func (s Shard) Bytes() int64 {
 	c, h, w := s.DS.Dims()
 	return int64(s.Batch) * int64(c*h*w) * 4
 }
-
-// Sampler is the index source RandomBatch draws from. *detrand.RNG
-// satisfies it; so does *elastic.RNG, whose cursor rides inside
-// checkpoints so a restored trainer resumes the identical sample
-// stream.
-type Sampler interface {
-	Intn(n int) int
-}
-
-// RandomBatch fills a batch by random sampling with the given rng —
-// the "random sampling prior to each iteration" of Sec. V-B.
-func RandomBatch(d Dataset, rng Sampler, data, labels *tensor.Tensor) {
-	c, h, w := d.Dims()
-	per := c * h * w
-	for b := 0; b < data.N; b++ {
-		idx := rng.Intn(d.Len())
-		lbl := d.Example(idx, data.Data[b*per:(b+1)*per])
-		labels.Data[b] = float32(lbl)
-	}
-}

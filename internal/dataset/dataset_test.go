@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math/rand"
 	"testing"
 
 	"swcaffe/internal/tensor"
@@ -72,25 +71,5 @@ func TestBatchFill(t *testing.T) {
 		if data.Data[4+j] != buf[j] {
 			t.Fatal("batch row 1 mismatch")
 		}
-	}
-}
-
-func TestRandomBatch(t *testing.T) {
-	ds := NewClusters(100, 5, 1, 2, 2, 0.1, 3)
-	data := tensor.New(16, 1, 2, 2)
-	labels := tensor.New(16, 1, 1, 1)
-	rng := rand.New(rand.NewSource(4))
-	RandomBatch(ds, rng, data, labels)
-	for b := 0; b < 16; b++ {
-		if l := int(labels.Data[b]); l < 0 || l >= 5 {
-			t.Fatalf("label out of range: %d", l)
-		}
-	}
-	// Same seed reproduces the same batch.
-	data2 := tensor.New(16, 1, 2, 2)
-	labels2 := tensor.New(16, 1, 1, 1)
-	RandomBatch(ds, rand.New(rand.NewSource(4)), data2, labels2)
-	if !tensor.AllClose(data, data2, 0, 0) {
-		t.Fatal("random batch not reproducible from seed")
 	}
 }

@@ -269,9 +269,6 @@ type Rank struct {
 // Clock returns the rank's logical time in seconds.
 func (r *Rank) Clock() float64 { return *r.clock }
 
-// AdvanceClock adds local computation time.
-func (r *Rank) AdvanceClock(dt float64) { *r.clock += dt }
-
 // P returns the cluster size.
 func (r *Rank) P() int { return r.cluster.P }
 

@@ -1,15 +1,11 @@
 // Package detrand is the repo-wide deterministic PRNG: a counted
 // splitmix64 stream whose k-th draw is a pure function of (seed, k).
-// It exists so that no package outside internal/elastic needs
-// math/rand — a contract the rawrand analyzer (cmd/swvet) enforces.
+// It exists so that no package needs math/rand outside its tests, a
+// contract the rawrand analyzer (cmd/swvet) enforces.
 // math/rand's generators hide unbounded internal state (Intn
 // rejection-samples a data-dependent number of draws), so a stream
 // position cannot be named, checkpointed, or sought to; here the
 // cursor is one integer.
-//
-// elastic.RNG — the checkpointed batch sampler — delegates to Mix, so
-// the two packages share one generator definition and produce
-// identical streams for identical (seed, draw) cursors.
 //
 // Splitmix64 (Steele, Lea, Flood; JPDC 2014) passes BigCrush; its
 // statistical quality is far beyond what weight init, dropout masks,

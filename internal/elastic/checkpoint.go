@@ -1,16 +1,17 @@
 // Package elastic provides the fault-tolerance substrate for the
 // distributed trainer: deterministic checkpoint/restore of full
-// trainer state, a reproducible fault-injection plan, and a counted
-// RNG whose cursor rides inside checkpoints.
+// trainer state and a reproducible fault-injection plan.
 //
 // The paper's cluster trains for days at p = 1024 nodes, where a
 // single-node failure is the expected case. The recovery story built
 // here is shrink-and-continue: a failed rank is detected, the world
 // re-forms at p' < p, and training resumes bit-reproducibly from the
 // last checkpoint. Everything in this package is therefore designed
-// around determinism first — a checkpoint restores to the exact bits,
-// a fault plan kills the same rank at the same point every run, and
-// the RNG cursor names one position in one fixed stream.
+// around determinism first: a checkpoint restores to the exact bits,
+// and a fault plan kills the same rank at the same point every run.
+// The trainers load batches from shard schedules indexed by step
+// (dataset.Shard), so the step counter names the input stream's
+// position and a checkpoint carries no sampler state.
 package elastic
 
 import (
@@ -28,7 +29,7 @@ import (
 // which silently ignores a mismatched file because recomputing is
 // always correct — a checkpoint IS the training state, so loading a
 // foreign generation must fail loudly rather than guess.
-const Version = "swcaffe-elastic-checkpoint-v1"
+const Version = "swcaffe-elastic-checkpoint-v2"
 
 // Blob is one named tensor captured from the trainer: a learnable
 // parameter, a batch-norm running statistic, or a solver momentum
@@ -54,13 +55,6 @@ type State struct {
 	// SolverIter is the solver's completed-update counter, which
 	// drives the learning-rate policy.
 	SolverIter int
-	// HasSampler records whether the trainer sampled batches through a
-	// checkpointable RNG; RNGSeed/RNGDraws are that sampler's cursor.
-	// (A flag rather than a zero-cursor convention: seed 0 at draw 0
-	// is a legitimate cursor.)
-	HasSampler bool
-	RNGSeed    uint64
-	RNGDraws   uint64
 	// Params holds every network parameter (learnables and BN running
 	// statistics) in net order; History holds the solver's momentum
 	// buffers for the learnables that have one, in the same order.

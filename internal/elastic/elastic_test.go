@@ -13,8 +13,6 @@ func sampleState() *State {
 		Step:       7,
 		World:      8,
 		SolverIter: 7,
-		RNGSeed:    42,
-		RNGDraws:   1234,
 		Params: []Blob{
 			{Name: "fc1.weight", Shape: [4]int{4, 3, 1, 1}, Data: []float32{0.5, -1.25, float32(math.Pi), 1e-30, -0, 3, 7, 8, 9, 10, 11, 12}},
 			{Name: "fc1.bias", Shape: [4]int{4, 1, 1, 1}, Data: []float32{0, 1, 2, 3}},
@@ -52,8 +50,7 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Step != want.Step || got.World != want.World || got.SolverIter != want.SolverIter ||
-		got.RNGSeed != want.RNGSeed || got.RNGDraws != want.RNGDraws {
+	if got.Step != want.Step || got.World != want.World || got.SolverIter != want.SolverIter {
 		t.Fatalf("scalar state mismatch: got %+v", got)
 	}
 	if !blobsEqualBits(got.Params, want.Params) || !blobsEqualBits(got.History, want.History) {
@@ -127,35 +124,6 @@ func TestCheckpointTruncatedAndMissing(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatalf("truncated checkpoint loaded without error")
-	}
-}
-
-func TestRNGCursorRestore(t *testing.T) {
-	r := NewRNG(99)
-	for i := 0; i < 1000; i++ {
-		r.Intn(17 + i%5)
-	}
-	seed, draws := r.Cursor()
-	if draws != 1000 {
-		t.Fatalf("draws = %d, want 1000", draws)
-	}
-	s := RestoreRNG(seed, draws)
-	for i := 0; i < 100; i++ {
-		n := 3 + i%7
-		if a, b := r.Intn(n), s.Intn(n); a != b {
-			t.Fatalf("restored stream diverged at draw %d: %d vs %d", i, a, b)
-		}
-	}
-	// Distinct seeds give distinct streams.
-	a, b := NewRNG(1), NewRNG(2)
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same == 64 {
-		t.Fatalf("seeds 1 and 2 produced identical streams")
 	}
 }
 

@@ -5,8 +5,8 @@
 // Each model is a ModelSpec: a shape-resolved layer graph that can be
 // (a) priced on any perf.Device without allocating activations — a
 // VGG-16 batch-128 blob set would not fit host memory — and
-// (b) materialized into a functional core.Net at a small batch for
-// numerical tests and demos. Both views come from the same builder, so
+// (b) materialized into a functional core.Net at a small batch by the
+// package's numerical tests. Both views come from the same builder, so
 // they cannot drift apart.
 package models
 
@@ -17,7 +17,6 @@ import (
 	"swcaffe/internal/core"
 	"swcaffe/internal/perf"
 	"swcaffe/internal/swdnn"
-	"swcaffe/internal/tensor"
 )
 
 // Kind enumerates layer kinds a spec can hold.
@@ -378,69 +377,6 @@ func (b *builder) convBNReLU(name, bottom string, out, k, s, p int, withReLU boo
 		return b.relu(name+"/relu", t3)
 	}
 	return t3
-}
-
-// --- materialization ---------------------------------------------------
-
-// Net materializes the spec into a functional core.Net ready for
-// Setup. The caller supplies the data/label tensors via core.Net.Setup
-// using InputTensors.
-//
-//swvet:ignore deadexport: test oracle; the functional tests of train, collective, allreduce, experiments and netdef build their nets through it
-func (m *ModelSpec) Net() *core.Net {
-	n := core.NewNet(m.Name, "data", "label")
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		switch l.Kind {
-		case KConv:
-			n.AddLayer(core.NewConv(core.ConvConfig{
-				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
-				NumOutput: l.NumOutput, Kernel: l.Kernel, Stride: l.Stride,
-				Pad: l.Pad, BiasTerm: l.BiasTerm,
-			}))
-		case KPool:
-			n.AddLayer(core.NewPool(core.PoolConfig{
-				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
-				Method: l.PoolMethod, Kernel: l.Kernel, Stride: l.Stride,
-				Pad: l.Pad, Global: l.Global,
-			}))
-		case KReLU:
-			n.AddLayer(core.NewReLU(l.Name, l.Bottoms[0], l.Top, 0))
-		case KBatchNorm:
-			n.AddLayer(core.NewBatchNorm(l.Name, l.Bottoms[0], l.Top))
-		case KScale:
-			n.AddLayer(core.NewScale(l.Name, l.Bottoms[0], l.Top))
-		case KLRN:
-			n.AddLayer(core.NewLRN(l.Name, l.Bottoms[0], l.Top))
-		case KDropout:
-			n.AddLayer(core.NewDropout(l.Name, l.Bottoms[0], l.Top, l.DropRatio))
-		case KInnerProduct:
-			n.AddLayer(core.NewInnerProduct(core.InnerProductConfig{
-				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
-				NumOutput: l.NumOutput, BiasTerm: l.BiasTerm,
-			}))
-		case KConcat:
-			n.AddLayer(core.NewConcat(l.Name, l.Bottoms, l.Top))
-		case KEltwise:
-			n.AddLayer(core.NewEltwise(l.Name, l.Bottoms, l.Top, core.EltSum))
-		case KSoftmaxLoss:
-			n.AddLayer(core.NewSoftmaxLoss(l.Name, l.Bottoms[0], l.Bottoms[1], l.Top))
-		case KAccuracy:
-			n.AddLayer(core.NewAccuracy(l.Name, l.Bottoms[0], l.Bottoms[1], l.Top, 1))
-		}
-	}
-	return n
-}
-
-// InputTensors allocates data and label tensors matching the spec.
-//
-//swvet:ignore deadexport: test oracle; the models tests feed the functional nets through it
-func (m *ModelSpec) InputTensors() map[string]*tensor.Tensor {
-	d := m.InputDim
-	return map[string]*tensor.Tensor{
-		"data":  tensor.New(d[0], d[1], d[2], d[3]),
-		"label": tensor.New(d[0], 1, 1, 1),
-	}
 }
 
 var registry = map[string]func(batch int) *ModelSpec{}

@@ -9,7 +9,6 @@ import (
 	"swcaffe/internal/core"
 	"swcaffe/internal/perf"
 	"swcaffe/internal/swdnn"
-	"swcaffe/internal/tensor"
 )
 
 // Known parameter counts (weights + biases) of the reference
@@ -320,5 +319,4 @@ func TestAlexNetForwardBackwardFunctional(t *testing.T) {
 	if nonzero < len(net.LearnableParams())/2 {
 		t.Fatalf("only %d of %d params received gradient", nonzero, len(net.LearnableParams()))
 	}
-	_ = tensor.NCHW
 }

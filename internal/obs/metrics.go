@@ -125,17 +125,6 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 	r.mu.Unlock()
 }
 
-// Reset drops every instrument and registered gauge func. Tests and
-// fresh swtrain runs use it to start from a clean registry.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counts = make(map[string]*Counter)
-	r.fcnts = make(map[string]*FloatCounter)
-	r.gauges = make(map[string]*Gauge)
-	r.gfuncs = make(map[string]func() float64)
-	r.mu.Unlock()
-}
-
 // Sample is one snapshotted metric line.
 type Sample struct {
 	Name  string

@@ -109,9 +109,6 @@ type Node struct {
 // Clock returns the node's logical time in seconds.
 func (n *Node) Clock() float64 { return *n.clock }
 
-// AdvanceClock adds local computation time.
-func (n *Node) AdvanceClock(dt float64) { *n.clock += dt }
-
 // P returns the cluster size.
 func (n *Node) P() int { return n.cluster.P }
 

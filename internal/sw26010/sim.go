@@ -155,9 +155,6 @@ type CPE struct {
 	waitBarrier bool  // parked at the barrier
 }
 
-// Clock returns the CPE's simulated time in seconds since kernel launch.
-func (pe *CPE) Clock() float64 { return pe.clock }
-
 // AdvanceClock adds dt seconds of opaque busy time (used by planners
 // layering extra costs onto functional runs).
 func (pe *CPE) AdvanceClock(dt float64) { pe.clock += dt }
@@ -371,14 +368,6 @@ func (pe *CPE) RowBroadcast(data []float32) {
 // RowRecv receives a message sent on this row by the CPE in column
 // fromCol (either broadcast or P2P).
 func (pe *CPE) RowRecv(fromCol int) []float32 { return pe.recv(&pe.rowIn[fromCol]) }
-
-// RowSend performs a P2P transfer to (Row, toCol).
-func (pe *CPE) RowSend(toCol int, data []float32) {
-	if toCol == pe.Col {
-		panic("sw26010: RowSend to self")
-	}
-	pe.send(pe.peer(pe.Row, toCol), true, message{data, pe.chargeRLCSend(int64(len(data)) * 4)})
-}
 
 // ColBroadcast sends data to every other CPE in the same column.
 func (pe *CPE) ColBroadcast(data []float32) {

@@ -196,50 +196,3 @@ func Im2colRun(cg *sw26010.CoreGroup, src []float32, s ConvShape, dst []float32)
 		}
 	})
 }
-
-// Im2colPlan prices the im2col lowering of a full mini-batch. The data
-// volume is read B·Ni·K²·Ro input rows (Ci values each, strided) and
-// written B·Ni·K²·Ro column-matrix lines (Co values each), exactly the
-// per-row DMA schedule of Fig. 4.
-func Im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
-	return cachedPlan(convKey(hw, opIm2col, s, 0), func() Plan {
-		return im2colPlan(hw, s)
-	})
-}
-
-func im2colPlan(hw *sw26010.Model, s ConvShape) Plan {
-	ro, co := s.OutDims()
-	lines := float64(float64(s.B) * float64(s.Ni) * float64(s.K*s.K) * float64(ro))
-	getBytes := float64(lines * float64(s.Ci) * 4)
-	putBytes := float64(lines * float64(co) * 4)
-
-	getBW := hw.DMABandwidth(sw26010.DMAGet, int64(s.Ci*4), sw26010.CPEsPerCG, int64(s.Ci*4))
-	putBW := hw.DMABandwidth(sw26010.DMAPut, int64(co*4), sw26010.CPEsPerCG, int64(co*4))
-	// Each line is an independent DMA descriptor; descriptors issue
-	// from 64 CPEs concurrently.
-	descTime := float64(2 * lines * hw.DMALatency / float64(sw26010.CPEsPerCG))
-	dma := getBytes/getBW + putBytes/putBW + descTime
-	compute := hw.ComputeTime(lines*float64(co)/simdEfficiency, sw26010.CPEsPerCG)
-
-	return Plan{
-		Name: "im2col", Feasible: true,
-		Time:    combine(dma, compute, 0) + kernelLaunch,
-		DMATime: dma, ComputeTime: compute,
-		DMABytes: int64(getBytes + putBytes),
-	}
-}
-
-// Col2imPlan prices the adjoint scatter. It moves the same volume as
-// im2col but the put side is a read-modify-write accumulation into
-// overlapping rows, so the write path is charged twice (read + write).
-//
-//swvet:ignore deadexport: invariance.json pins plan_col2im
-func Col2imPlan(hw *sw26010.Model, s ConvShape) Plan {
-	p := Im2colPlan(hw, s)
-	p.Name = "col2im"
-	extra := float64(p.DMATime * 0.5)
-	p.DMATime += extra
-	p.Time += extra
-	p.DMABytes += p.DMABytes / 2
-	return p
-}

@@ -19,8 +19,8 @@ package swdnn_test
 // host scheduling — the seed produced three different "simulated"
 // times for one kernel across GOMAXPROCS settings, inflated up to
 // ~40x. The pooled engine snapshots the release clock per generation,
-// making those times deterministic; conv_explicit, conv_implicit and
-// gemm_ragged were re-captured from the fixed engine (all other
+// making those times deterministic; conv_explicit, the since-deleted
+// conv_implicit and gemm_ragged were re-captured from the fixed engine (all other
 // scenarios are bit-identical to the seed). See barrier.release in
 // internal/sw26010/sim.go.
 //
@@ -43,7 +43,6 @@ import (
 
 	"swcaffe/internal/sw26010"
 	"swcaffe/internal/swdnn"
-	"swcaffe/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/invariance.json from the current engine")
@@ -158,42 +157,6 @@ func collect(t *testing.T) map[string]record {
 	}
 
 	{
-		s := swdnn.ConvShape{B: 2, Ni: 8, Ri: 6, Ci: 6, No: 8, K: 3, S: 1, P: 1}
-		ro, co := s.OutDims()
-		cg := sw26010.NewCoreGroup(nil)
-		x := make([]float32, s.Ri*s.Ci*s.Ni*s.B)
-		w := make([]float32, s.K*s.K*s.No*s.Ni)
-		y := make([]float32, ro*co*s.No*s.B)
-		fill(x, 9)
-		fill(w, 10)
-		elapsed, err := swdnn.ConvImplicitRun(cg, x, w, s, y)
-		if err != nil {
-			t.Fatalf("ConvImplicitRun: %v", err)
-		}
-		out["conv_implicit"] = statsRecord(elapsed, cg.Stats())
-	}
-
-	{
-		s := swdnn.PoolShape{B: 1, C: 5, Ri: 9, Ci: 9, K: 3, S: 2}
-		ro, co := s.OutDims()
-		cg := sw26010.NewCoreGroup(nil)
-		src := make([]float32, s.C*s.Ri*s.Ci)
-		dst := make([]float32, s.C*ro*co)
-		fill(src, 11)
-		elapsed := swdnn.PoolMaxRun(cg, src, s, dst)
-		out["pool_max"] = statsRecord(elapsed, cg.Stats())
-	}
-
-	{
-		cg := sw26010.NewCoreGroup(nil)
-		src := tensor.NewWithLayout(4, 6, 5, 5, tensor.NCHW)
-		dst := tensor.NewWithLayout(4, 6, 5, 5, tensor.RCNB)
-		fill(src.Data, 12)
-		elapsed := swdnn.TransformRun(cg, src, dst)
-		out["transform"] = statsRecord(elapsed, cg.Stats())
-	}
-
-	{
 		cg := sw26010.NewCoreGroup(nil)
 		acc := make([]float32, 5000)
 		add := make([]float32, 5000)
@@ -225,10 +188,8 @@ func collect(t *testing.T) map[string]record {
 	out["plan_conv_exp_small"] = planRecord(exp)
 
 	out["plan_im2col"] = planRecord(swdnn.Im2colPlan(hw, vgg))
-	out["plan_col2im"] = planRecord(swdnn.Col2imPlan(hw, vgg))
 	out["plan_pool"] = planRecord(swdnn.PoolPlan(hw, swdnn.PoolShape{B: 128, C: 64, Ri: 112, Ci: 112, K: 2, S: 2}))
 	out["plan_elementwise"] = planRecord(swdnn.ElementwisePlan(hw, 1<<20, 1, 1, 1))
-	out["plan_transform"] = planRecord(swdnn.TransformPlan(hw, 128, 64, 56, 56))
 	return out
 }
 

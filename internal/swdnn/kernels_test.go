@@ -6,48 +6,7 @@ import (
 	"testing"
 
 	"swcaffe/internal/sw26010"
-	"swcaffe/internal/tensor"
 )
-
-func TestPoolMaxRunMatchesRef(t *testing.T) {
-	cg := sw26010.NewCoreGroup(nil)
-	rng := rand.New(rand.NewSource(31))
-	for _, s := range []PoolShape{
-		{B: 1, C: 8, Ri: 12, Ci: 12, K: 2, S: 2},
-		{B: 1, C: 3, Ri: 11, Ci: 9, K: 3, S: 2},
-		{B: 1, C: 5, Ri: 8, Ci: 8, K: 3, S: 2, Pad: 1},
-		{B: 1, C: 70, Ri: 6, Ci: 6, K: 2, S: 2}, // more channels than CPEs
-	} {
-		ro, co := s.OutDims()
-		src := randSlice(rng, s.C*s.Ri*s.Ci)
-		got := make([]float32, s.C*ro*co)
-		want := make([]float32, s.C*ro*co)
-		simT := PoolMaxRun(cg, src, s, got)
-		RefPoolMax(src, s, want)
-		if d := maxAbsDiff(got, want); d != 0 {
-			t.Fatalf("shape %+v: mesh pooling differs by %g", s, d)
-		}
-		if simT <= 0 {
-			t.Fatalf("shape %+v: no simulated time", s)
-		}
-	}
-}
-
-func TestTransformRunMatchesHost(t *testing.T) {
-	cg := sw26010.NewCoreGroup(nil)
-	rng := rand.New(rand.NewSource(32))
-	src := tensor.New(5, 7, 4, 6)
-	src.FillGaussian(rng, 0, 1)
-	dst := tensor.NewWithLayout(5, 7, 4, 6, tensor.RCNB)
-	simT := TransformRun(cg, src, dst)
-	want := tensor.Transform(src, tensor.RCNB)
-	if !tensor.AllClose(dst, want, 0, 0) {
-		t.Fatal("mesh transform differs from host transform")
-	}
-	if simT <= 0 {
-		t.Fatal("no simulated time")
-	}
-}
 
 func TestSumRunMatchesAndBeatsMPE(t *testing.T) {
 	hw := sw26010.Default()

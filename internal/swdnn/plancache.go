@@ -30,7 +30,7 @@ import (
 // Mutation safety: Plans are stored and returned by value — a Plan is
 // strings, numbers and a [3]int, so what a caller receives is its own
 // copy, a hit allocates nothing, and callers may freely mutate the
-// result (e.g. Col2imPlan derives from Im2colPlan's).
+// result.
 
 type planOp uint8
 
@@ -39,7 +39,6 @@ const (
 	opGEMMNoRLC                  // GEMMPlanNoRLC -> Plan
 	opConvImplicit               // ConvImplicitPlan -> Plan (aux = pass)
 	opConvExplicit               // ConvExplicitPlan -> Plan (aux = pass)
-	opIm2col                     // Im2colPlan -> Plan
 )
 
 // planKey is all integers with no padding, so the runtime hashes and

@@ -6,8 +6,7 @@ import (
 	"swcaffe/internal/sw26010"
 )
 
-// Pooling, activation, normalization and tensor-transformation kernels
-// (paper Secs. IV-C and IV-D). These layers are bandwidth-bound on
+// Pooling, activation and normalization kernels (paper Sec. IV-D). These layers are bandwidth-bound on
 // SW26010 — the paper notes they remain a "significant amount of time"
 // there while GPUs hide them in 288 GB/s device memory — so their
 // plans are dominated by the DMA movement schedule.
@@ -93,33 +92,6 @@ func BatchNormPlan(hw *sw26010.Model, n int) Plan {
 	p := ElementwisePlan(hw, n, 3, 1, 8)
 	p.Name = "batchnorm"
 	return p
-}
-
-// TransformPlan prices the tensor-transformation layer (Sec. IV-C):
-// a 4-D transposition between the NCHW and RCNB layouts, implemented
-// with strided DMA gathers and SIMD shuffles. One of the two sides
-// necessarily moves in small blocks, so the achieved bandwidth follows
-// the strided curve with the batch (innermost RCNB dim) as block.
-//
-//swvet:ignore deadexport: invariance.json pins plan_transform
-func TransformPlan(hw *sw26010.Model, b, c, h, w int) Plan {
-	n := b * c * h * w
-	bytes := 8 * float64(n) // read once + write once
-	block := int64(b * 4)   // RCNB innermost run
-	if block < 4 {
-		block = 4
-	}
-	bw := hw.DMABandwidth(sw26010.DMAGet, int64(hw.LDMBudget/2), sw26010.CPEsPerCG, block)
-	dma := bytes / bw
-	compute := hw.ComputeTime(float64(n)*2/simdEfficiency, sw26010.CPEsPerCG)
-	return Plan{
-		Name: "transform", Feasible: true,
-		Time:        combine(dma, compute, 0) + kernelLaunch,
-		DMATime:     dma,
-		ComputeTime: compute,
-		Flops:       float64(n) * 2,
-		DMABytes:    int64(bytes),
-	}
 }
 
 // SoftmaxPlan prices a softmax over (B, C): three sweeps (max,

@@ -53,19 +53,7 @@ type Event struct {
 
 // CGIndex reports which CoreGroup the launch was placed on (decided
 // synchronously at Launch time).
-//
-//swvet:ignore deadexport: test oracle; the placement tests of swnode and TestWeightedPassPlacementDeterministic read it
 func (e *Event) CGIndex() int { return e.cg }
-
-// Done reports whether the launch has completed without blocking.
-func (e *Event) Done() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
 
 // Wait blocks until the launch completes and returns the kernel's own
 // simulated duration. If the kernel panicked, Wait re-raises the
@@ -80,14 +68,10 @@ func (e *Event) Wait() float64 {
 
 // SimStart returns the modeled start time of the launch on the node
 // timeline. Valid after Wait (or Node.Sync).
-//
-//swvet:ignore deadexport: test oracle; TestStreamOrdering and the swnode trace tests check the modeled timeline with it
 func (e *Event) SimStart() float64 { return e.simStart }
 
 // SimEnd returns the modeled completion time of the launch on the
 // node timeline. Valid after Wait (or Node.Sync).
-//
-//swvet:ignore deadexport: test oracle; TestStreamOrdering and the swnode trace tests check the modeled timeline with it
 func (e *Event) SimEnd() float64 { return e.simEnd }
 
 // Launch submits kernel to the stream with scheduling weight 1. See
@@ -194,20 +178,6 @@ func (s *Stream) Poisoned() bool {
 	default:
 		return false
 	}
-}
-
-// Wait blocks until every launch submitted to the stream so far has
-// completed and returns the stream's modeled finish time (0 when the
-// stream never launched).
-func (s *Stream) Wait() float64 {
-	s.mu.Lock()
-	tail := s.tail
-	s.mu.Unlock()
-	if tail == nil {
-		return 0
-	}
-	tail.Wait()
-	return tail.simEnd
 }
 
 // run executes the launch once its ordering constraints resolve.

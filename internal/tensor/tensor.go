@@ -1,10 +1,9 @@
 // Package tensor provides the 4-D dense tensors used throughout swCaffe.
 //
 // Caffe blobs are 4-dimensional (N, C, H, W): batch, channel, height,
-// width. swCaffe additionally uses the (H, W, C, N) layout — called RCNB
-// in the paper — for convolutional layers that run the implicit-GEMM
-// plan, together with an explicit tensor-transformation layer that
-// converts between the two (paper Sec. IV-C).
+// width, stored row-major with width innermost. The paper's implicit-
+// GEMM (H, W, C, N) layout, RCNB, is priced by the swdnn planner but
+// never materialized: every tensor a program builds is NCHW.
 package tensor
 
 import (
@@ -23,54 +22,18 @@ type Rand interface {
 	NormFloat64() float64
 }
 
-// Layout identifies the in-memory ordering of a 4-D tensor.
-type Layout uint8
-
-const (
-	// NCHW is the default Caffe blob layout: batch outermost, width
-	// innermost. The paper calls this (B, N, R, C).
-	NCHW Layout = iota
-	// RCNB is the implicit-GEMM layout used by swDNN: rows, columns,
-	// channels, batch — the batch dimension is innermost so that one
-	// DMA transfer fetches the same pixel across the whole mini-batch.
-	RCNB
-)
-
-func (l Layout) String() string {
-	switch l {
-	case NCHW:
-		return "NCHW"
-	case RCNB:
-		return "RCNB"
-	default:
-		return fmt.Sprintf("Layout(%d)", uint8(l))
-	}
-}
-
-// Tensor is a dense 4-D array of float32. The logical dimensions are
-// always stored as (N, C, H, W) regardless of layout; Layout controls
-// only the linearization of Data.
+// Tensor is a dense 4-D array of float32 in (N, C, H, W) order.
 type Tensor struct {
 	N, C, H, W int
-	Layout     Layout
 	Data       []float32
 }
 
-// New allocates a zero-filled NCHW tensor of the given logical shape.
+// New allocates a zero-filled tensor of the given shape.
 func New(n, c, h, w int) *Tensor {
 	if n < 0 || c < 0 || h < 0 || w < 0 {
 		panic(fmt.Sprintf("tensor: negative dimension (%d,%d,%d,%d)", n, c, h, w))
 	}
-	return &Tensor{N: n, C: c, H: h, W: w, Layout: NCHW, Data: make([]float32, n*c*h*w)}
-}
-
-// NewWithLayout allocates a zero-filled tensor with an explicit layout.
-//
-//swvet:ignore deadexport: test helper; the swdnn kernel tests and invariance.json scenarios allocate RCNB tensors with it
-func NewWithLayout(n, c, h, w int, l Layout) *Tensor {
-	t := New(n, c, h, w)
-	t.Layout = l
-	return t
+	return &Tensor{N: n, C: c, H: h, W: w, Data: make([]float32, n*c*h*w)}
 }
 
 // Len returns the number of elements.
@@ -87,38 +50,20 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return t.N == o.N && t.C == o.C && t.H == o.H && t.W == o.W
 }
 
-// Index returns the linear offset of logical element (n, c, h, w)
-// under the tensor's layout.
-func (t *Tensor) Index(n, c, h, w int) int {
-	switch t.Layout {
-	case NCHW:
-		return ((n*t.C+c)*t.H+h)*t.W + w
-	case RCNB:
-		return ((h*t.W+w)*t.C+c)*t.N + n
-	default:
-		panic("tensor: unknown layout")
-	}
-}
-
-// At returns the logical element (n, c, h, w).
-//
-//swvet:ignore deadexport: test helper of the core layer tests
-func (t *Tensor) At(n, c, h, w int) float32 { return t.Data[t.Index(n, c, h, w)] }
-
-// Set stores v at logical element (n, c, h, w).
-func (t *Tensor) Set(n, c, h, w int, v float32) { t.Data[t.Index(n, c, h, w)] = v }
+// At returns the element (n, c, h, w).
+func (t *Tensor) At(n, c, h, w int) float32 { return t.Data[((n*t.C+c)*t.H+h)*t.W+w] }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{N: t.N, C: t.C, H: t.H, W: t.W, Layout: t.Layout, Data: make([]float32, len(t.Data))}
+	c := &Tensor{N: t.N, C: t.C, H: t.H, W: t.W, Data: make([]float32, len(t.Data))}
 	copy(c.Data, t.Data)
 	return c
 }
 
-// CopyFrom copies o's data into t. Shapes and layouts must match.
+// CopyFrom copies o's data into t. Shapes must match.
 func (t *Tensor) CopyFrom(o *Tensor) {
-	if !t.SameShape(o) || t.Layout != o.Layout {
-		panic("tensor: CopyFrom shape/layout mismatch")
+	if !t.SameShape(o) {
+		panic("tensor: CopyFrom shape mismatch")
 	}
 	copy(t.Data, o.Data)
 }
@@ -172,11 +117,10 @@ func (t *Tensor) FillMSRA(rng Rand, fanIn int) {
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) { f32.Scale(t.Data, t.Data, s) }
 
-// AXPY computes t += alpha*o elementwise. Shapes must match; layouts
-// must match so that linear indices correspond.
+// AXPY computes t += alpha*o elementwise. Lengths must match.
 func (t *Tensor) AXPY(alpha float32, o *Tensor) {
-	if len(t.Data) != len(o.Data) || t.Layout != o.Layout {
-		panic("tensor: AXPY shape/layout mismatch")
+	if len(t.Data) != len(o.Data) {
+		panic("tensor: AXPY length mismatch")
 	}
 	for i, v := range o.Data {
 		t.Data[i] += alpha * v
@@ -185,8 +129,6 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) {
 
 // Dot returns the flat inner product of two same-shaped tensors,
 // accumulated in float64 for stability.
-//
-//swvet:ignore deadexport: test helper; the core gradient checks use it
 func (t *Tensor) Dot(o *Tensor) float64 {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Dot length mismatch")
@@ -207,18 +149,7 @@ func (t *Tensor) SumSquares() float64 {
 	return s
 }
 
-// Sum returns the float64 sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
 // MaxAbs returns max |x|.
-//
-//swvet:ignore deadexport: test helper of the core and models tests
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
@@ -234,13 +165,11 @@ func (t *Tensor) MaxAbs() float32 {
 }
 
 func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor(%d,%d,%d,%d)[%s]", t.N, t.C, t.H, t.W, t.Layout)
+	return fmt.Sprintf("Tensor(%d,%d,%d,%d)", t.N, t.C, t.H, t.W)
 }
 
 // AllClose reports whether every pair of corresponding elements differs
 // by at most atol + rtol*|b|.
-//
-//swvet:ignore deadexport: test helper of the tensor, core, dataset and swdnn tests
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if len(a.Data) != len(b.Data) {
 		return false

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewShapesAndIndexing(t *testing.T) {
@@ -35,69 +34,11 @@ func TestNewShapesAndIndexing(t *testing.T) {
 	}
 }
 
-func TestIndexBijectionRCNB(t *testing.T) {
-	tt := NewWithLayout(3, 4, 2, 5, RCNB)
-	seen := make(map[int]bool)
-	for n := 0; n < 3; n++ {
-		for c := 0; c < 4; c++ {
-			for h := 0; h < 2; h++ {
-				for w := 0; w < 5; w++ {
-					idx := tt.Index(n, c, h, w)
-					if seen[idx] {
-						t.Fatalf("duplicate RCNB index %d", idx)
-					}
-					seen[idx] = true
-				}
-			}
-		}
-	}
-	if len(seen) != tt.Len() {
-		t.Fatalf("RCNB indexing not a bijection: %d of %d", len(seen), tt.Len())
-	}
-}
-
 func TestSetAtRoundTrip(t *testing.T) {
-	for _, layout := range []Layout{NCHW, RCNB} {
-		tt := NewWithLayout(2, 3, 4, 5, layout)
-		tt.Set(1, 2, 3, 4, 42)
-		if got := tt.At(1, 2, 3, 4); got != 42 {
-			t.Fatalf("layout %v: At = %g, want 42", layout, got)
-		}
-	}
-}
-
-func TestTransformRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src := New(3, 5, 7, 2)
-	src.FillGaussian(rng, 0, 1)
-	rc := Transform(src, RCNB)
-	back := Transform(rc, NCHW)
-	if !AllClose(src, back, 0, 0) {
-		t.Fatal("NCHW -> RCNB -> NCHW is not the identity")
-	}
-	// Logical elements must agree across layouts.
-	for n := 0; n < 3; n++ {
-		for c := 0; c < 5; c++ {
-			if src.At(n, c, 6, 1) != rc.At(n, c, 6, 1) {
-				t.Fatal("logical element changed by Transform")
-			}
-		}
-	}
-}
-
-func TestTransformRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	f := func(n8, c8, h8, w8 uint8) bool {
-		n := int(n8)%4 + 1
-		c := int(c8)%6 + 1
-		h := int(h8)%5 + 1
-		w := int(w8)%5 + 1
-		src := New(n, c, h, w)
-		src.FillGaussian(rng, 0, 1)
-		return AllClose(Transform(Transform(src, RCNB), NCHW), src, 0, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	tt := New(2, 3, 4, 5)
+	tt.Set(1, 2, 3, 4, 42)
+	if got := tt.At(1, 2, 3, 4); got != 42 {
+		t.Fatalf("At = %g, want 42", got)
 	}
 }
 

@@ -220,21 +220,6 @@ func (l *Layout) Same(a, b int) bool { return l.GroupOf[a] == l.GroupOf[b] }
 // supernodes. The slice is shared; callers must not modify it.
 func (l *Layout) Leaders(c int) []int { return l.leaders[c] }
 
-// Leaders returns the leader of each occupied supernode — its
-// smallest-ranked member — in supernode-index order. The hierarchical
-// all-reduce generalizes this: member j of each group acts as the
-// supernode's leader for chunk j of the packed vector.
-//
-//swvet:ignore deadexport: test oracle; the topology tests check Layout.Leaders against it
-func Leaders(m Mapping, p int) []int {
-	groups := Members(m, p)
-	out := make([]int, len(groups))
-	for i, g := range groups {
-		out[i] = g[0]
-	}
-	return out
-}
-
 // MinGroupSize returns the smallest occupied supernode's member count
 // under the mapping. The hierarchical all-reduce partitions the vector
 // into exactly this many chunks, so every supernode has an owner for
@@ -253,14 +238,28 @@ func MinGroupSize(m Mapping, p int) int {
 	return min
 }
 
-// Validate checks that a mapping distributes p ranks over supernodes
-// of at most q nodes; used by property tests.
-//
-//swvet:ignore deadexport: safety check nothing calls yet; TestMappingsCoverAllSupernodes pins it
+// Validate checks that a mapping puts p ranks on supernodes of at most
+// q nodes each, naming the lowest-numbered over-full supernode. A
+// mapping of this package with Q < 1 is an error rather than the
+// division by zero its Supernode would panic with.
 func Validate(m Mapping, p, q int) error {
-	counts := map[int]int{}
+	mq := 1
+	switch mm := m.(type) {
+	case AdjacentMapping:
+		mq = mm.Q
+	case RoundRobinMapping:
+		mq = mm.Q
+	}
+	if mq < 1 {
+		return fmt.Errorf("topology: mapping %s has Q = %d, want at least 1 node per supernode", m.Name(), mq)
+	}
+	var counts []int
 	for r := 0; r < p; r++ {
-		counts[m.Supernode(r, p)]++
+		sn := m.Supernode(r, p)
+		if sn >= len(counts) {
+			counts = append(counts, make([]int, sn+1-len(counts))...)
+		}
+		counts[sn]++
 	}
 	for sn, c := range counts {
 		if c > q {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +23,25 @@ func TestMappingsCoverAllSupernodes(t *testing.T) {
 			if err := Validate(rr, p, q); err != nil {
 				t.Errorf("round-robin p=%d q=%d: %v", p, q, err)
 			}
+		}
+	}
+}
+
+// TestValidateRejectsBadMappings: a mapping with Q < 1 is an error, not
+// a division by zero, and an over-full mapping names its lowest
+// over-full supernode on every call.
+func TestValidateRejectsBadMappings(t *testing.T) {
+	for _, m := range []Mapping{AdjacentMapping{Q: 0}, RoundRobinMapping{Q: 0}} {
+		err := Validate(m, 8, 4)
+		if err == nil || !strings.Contains(err.Error(), "Q = 0") {
+			t.Errorf("%s Q = 0: got %v, want a Q error", m.Name(), err)
+		}
+	}
+	// Q = 8 on a q = 4 network: supernodes 0, 1 and 2 each hold 8 ranks.
+	const want = "topology: mapping adjacent puts 8 ranks in supernode 0 (max 4)"
+	for i := 0; i < 20; i++ {
+		if err := Validate(AdjacentMapping{Q: 8}, 24, 4); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
 		}
 	}
 }

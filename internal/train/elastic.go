@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"swcaffe/internal/core"
-	"swcaffe/internal/dataset"
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/obs"
 	"swcaffe/internal/tensor"
@@ -55,7 +54,7 @@ func blobOf(name string, tn *tensor.Tensor) elastic.Blob {
 
 // Checkpoint captures the full trainer state from rank 0 — parameters
 // (learnables and BN running statistics), solver momentum buffers and
-// iteration counter, the sampler cursor, and the step counter — as a
+// iteration counter, and the step counter — as a
 // self-contained elastic.State. Replicas are identical by the SSGD
 // invariant, so one rank's bits are the world's. Call it between
 // Steps (the trainer is quiescent then, even after a recovered
@@ -66,10 +65,6 @@ func (t *DistTrainer) Checkpoint() *elastic.State {
 		Step:       t.iter,
 		World:      len(t.Workers),
 		SolverIter: w.Solver.Iter(),
-	}
-	if t.sampler != nil {
-		st.HasSampler = true
-		st.RNGSeed, st.RNGDraws = t.sampler.Cursor()
 	}
 	for _, p := range w.Net.Params() {
 		st.Params = append(st.Params, blobOf(p.Name, p.Data))
@@ -85,7 +80,7 @@ func (t *DistTrainer) Checkpoint() *elastic.State {
 
 // Restore loads a checkpoint into every model (each private replica,
 // or each shared model): parameters, solver momentum and iteration,
-// sampler cursor, and the trainer's step counter. The world size need
+// and the trainer's step counter. The world size need
 // not match the checkpoint's — that is the point of
 // shrink-and-continue — but the network architecture must. After
 // Restore the trainer is bit-identical to one that trained to st.Step
@@ -100,9 +95,6 @@ func (t *DistTrainer) Restore(st *elastic.State) error {
 		for _, m := range t.models {
 			t.restoreRankStates(m)
 		}
-	}
-	if st.HasSampler {
-		t.sampler = elastic.RestoreRNG(st.RNGSeed, st.RNGDraws)
 	}
 	t.iter = st.Step
 	t.traceInstant("restore", obs.I64("step", int64(st.Step)), obs.I64("ckpt_world", int64(st.World)))
@@ -267,30 +259,6 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	t.ioReady = false
 	t.traceInstant("shrink", obs.I64("world", int64(len(survivors))), obs.I64("failed", int64(len(failed))))
 	return nil
-}
-
-// UseSampler installs a checkpointable RNG (seeded splitmix64 stream)
-// for LoadRandomShards. Its cursor rides inside checkpoints, so a
-// restored trainer consumes the identical sample stream — including
-// across a shrink, where the smaller world simply draws fewer samples
-// per step from the same stream.
-//
-//swvet:ignore deadexport: the sampler cursor is a field of the versioned checkpoint schema; the elastic tests drive it
-func (t *DistTrainer) UseSampler(seed uint64) { t.sampler = elastic.NewRNG(seed) }
-
-// LoadRandomShards fills every worker's inputs by sampling with the
-// trainer's checkpointable RNG — the "random sampling prior to each
-// iteration" of Sec. V-B, in a form whose exact position survives
-// checkpoint/restore.
-//
-//swvet:ignore deadexport: the sampler cursor is a field of the versioned checkpoint schema; the elastic tests drive it
-func (t *DistTrainer) LoadRandomShards(ds dataset.Dataset) {
-	if t.sampler == nil {
-		panic("train: LoadRandomShards before UseSampler (or a sampler-bearing Restore)")
-	}
-	for _, w := range t.Workers {
-		dataset.RandomBatch(ds, t.sampler, w.Data, w.Labels)
-	}
 }
 
 // flushHook builds the collective engine's fault-injection hook (nil

@@ -230,53 +230,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		requireSameState(t, "resumed vs straight-through", resumed, straight)
 	})
 
-	t.Run("sampler", func(t *testing.T) {
-		straight, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		straight.UseSampler(7)
-		for straight.Iter() < 10 {
-			straight.LoadRandomShards(ds)
-			straight.Step()
-		}
-
-		half, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		half.UseSampler(7)
-		for half.Iter() < 5 {
-			half.LoadRandomShards(ds)
-			half.Step()
-		}
-		st := half.Checkpoint()
-		if !st.HasSampler {
-			t.Fatal("checkpoint dropped the sampler cursor")
-		}
-
-		resumed, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// No UseSampler: the cursor must come from the checkpoint.
-		if err := resumed.Restore(st); err != nil {
-			t.Fatal(err)
-		}
-		if resumed.sampler == nil {
-			t.Fatal("restore did not install the sampler")
-		}
-		for resumed.Iter() < 10 {
-			resumed.LoadRandomShards(ds)
-			resumed.Step()
-		}
-		requireSameState(t, "sampler resumed vs straight-through", resumed, straight)
-		rs, rd := resumed.sampler.Cursor()
-		ss, sd := straight.sampler.Cursor()
-		if rs != ss || rd != sd {
-			t.Fatalf("sampler cursors diverged: (%d,%d) vs (%d,%d)", rs, rd, ss, sd)
-		}
-	})
 }
 
 // TestShrinkReselectsPlan: an auto-plan trainer that picked the

@@ -526,3 +526,26 @@ func TestNewDistTrainerRejectsEmptySupernodes(t *testing.T) {
 		}
 	}
 }
+
+// TestNewDistTrainerValidatesMapping: a mapping with Q = 0 is an error,
+// not the divide by zero of AdjacentMapping.Supernode, and so is one
+// that packs more ranks into a supernode than the network's q holds.
+func TestNewDistTrainerValidatesMapping(t *testing.T) {
+	netw := topology.Sunway()
+	netw.SupernodeSize = 4
+	for _, tc := range []struct {
+		m    topology.Mapping
+		want string
+	}{
+		{topology.AdjacentMapping{Q: 0}, "Q = 0"},
+		{topology.AdjacentMapping{Q: 8}, "puts 8 ranks in supernode 0 (max 4)"},
+	} {
+		for _, path := range distPaths {
+			_, err := NewDistTrainer(DistConfig{Nodes: 16, SubBatch: 2, Backend: path.backend,
+				Network: netw, Mapping: tc.m}, mlpFactory(4, 3))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, %+v: err = %v, want one containing %q", path.name, tc.m, err, tc.want)
+			}
+		}
+	}
+}

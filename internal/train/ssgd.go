@@ -309,10 +309,6 @@ type DistTrainer struct {
 	// main-goroutine state.
 	stepNo atomic.Int64
 
-	// sampler is the checkpointable batch RNG (see UseSampler); its
-	// cursor rides inside checkpoints.
-	sampler *elastic.RNG
-
 	// Resolved input-pipeline model (lazily built by ensureIO, nil/zero
 	// unless cfg.IO is set): the storage layout with the advisor's
 	// stripe pick applied, the priced per-step concurrent read, and the
@@ -401,6 +397,9 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	}
 	if cfg.Mapping == nil {
 		cfg.Mapping = topology.RoundRobinMapping{Q: cfg.Network.SupernodeSize}
+	}
+	if err := topology.Validate(cfg.Mapping, cfg.Nodes, cfg.Network.SupernodeSize); err != nil {
+		return nil, err
 	}
 	// The engine resolves the name again (with the matching bucketing
 	// strategy); validate it here so misconfiguration is an error, not a

@@ -12,9 +12,11 @@
 //     mesh, 64 KB LDMs, DMA engine with the paper's measured bandwidth
 //     curves, register-level communication buses — as both a
 //     functional simulator and an analytic timing model;
-//   - internal/swdnn: the redesigned DNN kernels (register-
-//     communication GEMM, explicit and implicit GEMM convolution,
-//     im2col/col2im DMA plans, pooling/transform/elementwise plans);
+//   - internal/swdnn: the redesigned DNN kernels. The register-
+//     communication GEMM, the explicit-GEMM convolution (im2col + GEMM)
+//     and the gradient sum run on the simulated mesh; implicit-GEMM
+//     convolution, pooling and the elementwise layers are priced by
+//     analytic plans, not executed;
 //   - internal/core: the Caffe-style framework (layers, net, solver);
 //   - internal/models: AlexNet-BN, VGG-16/19, ResNet-50, GoogLeNet;
 //   - internal/topology, internal/simnet, internal/allreduce: the
