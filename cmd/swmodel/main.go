@@ -10,6 +10,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"swcaffe/internal/core"
 	"swcaffe/internal/models"
 	"swcaffe/internal/perf"
 )
@@ -63,7 +64,7 @@ func main() {
 	fmt.Fprintln(tw, "layer\tkind\toutput\tparams\tfwd\tbwd\tshare")
 	for i := range spec.Layers {
 		l := &spec.Layers[i]
-		interesting := l.Kind == models.KConv || l.Kind == models.KInnerProduct || l.Kind == models.KPool
+		interesting := l.Kind == core.KConv || l.Kind == core.KInnerProduct || l.Kind == core.KPool
 		if !*verbose && !interesting {
 			continue
 		}

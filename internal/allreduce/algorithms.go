@@ -189,8 +189,9 @@ func (s Schedule) Name() string { return schedules[s].name }
 // element-uniform schedules (binomial tree, RHD) ignore lo and total.
 //
 // The ring and the hierarchical schedule reduce chunk c of their
-// partition of the whole vector (ChunkBounds, HierChunkBounds) in an
-// order that depends on c, so a segment's bounds must lie on the
+// partition of the whole vector (ChunkBounds into p chunks for the
+// ring, into K = topology.MinGroupSize for the hierarchical schedule)
+// in an order that depends on c, so a segment's bounds must lie on the
 // partition — Run panics otherwise — and the call executes exactly the
 // full schedule's steps for the chunks the segment covers: reducing a
 // vector segment by segment is bit-identical to reducing it at once,
@@ -238,10 +239,12 @@ func Ring(n *simnet.Node, data []float32) []float32 {
 	return schedRing.oneShot(n, data, 0, len(data))
 }
 
-// ChunkBounds exposes the ring's chunk partition of an n-element
-// vector over p ranks: chunk i spans [b[i], b[i+1]). The collective
-// engine snaps ring bucket boundaries onto these bounds so each bucket
-// is a whole number of ring chunks (see Schedule.Run).
+// ChunkBounds exposes the chunk partition of an n-element vector into
+// p chunks: chunk i spans [b[i], b[i+1]). It is the ring's partition
+// over p ranks and the hierarchical schedule's over its K
+// leader-owned chunks (see hierCursor). The collective engine snaps
+// ring and hierarchical bucket boundaries onto these bounds so each
+// bucket is a whole number of chunks (see Schedule.Run).
 func ChunkBounds(n, p int) []int {
 	b := make([]int, p+1)
 	for i := 0; i <= p; i++ {

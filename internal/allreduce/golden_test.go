@@ -53,7 +53,7 @@ func TestCollectivesGolden(t *testing.T) {
 					goldenCase(&got, cl, fmt.Sprintf("%s p=%d q=%d %s n=%d [%d,%d)", NameRing, p, q, m.Name(), n, lo, hi),
 						func(nd *simnet.Node) []float32 { return schedRing.oneShot(nd, inputs[nd.Rank][lo:hi], lo, n) })
 					k := topology.MinGroupSize(m, p)
-					hb := HierChunkBounds(n, k)
+					hb := ChunkBounds(n, k)
 					hlo, hhi := hb[k/3], hb[(2*k+2)/3]
 					goldenCase(&got, cl, fmt.Sprintf("%s p=%d q=%d %s n=%d [%d,%d)", NameHierarchical, p, q, m.Name(), n, hlo, hhi),
 						func(nd *simnet.Node) []float32 {

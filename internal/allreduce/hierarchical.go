@@ -49,7 +49,7 @@ type PhaseClocks [noPhase]float64
 // hierCursor walks the three phases for one rank: its supernode group,
 // its position j in it (the chunk it owns), and the segment of the
 // K-chunk partition the call covers. Like the ring's, the segment's
-// bounds must lie on the partition — HierChunkBounds(total, K) — because
+// bounds must lie on the partition — ChunkBounds(total, K) — because
 // chunk j's association order (leader j's own value, then its group in
 // tournament-round order, then the RHD tree over supernodes) depends on
 // the chunk index; each bucket then executes exactly the full
@@ -256,13 +256,3 @@ func tournamentPartner(j, r, g int) int {
 	}
 	return pt
 }
-
-// HierChunkBounds exposes the hierarchical schedule's chunk partition
-// of an n-element vector: k chunks (k = topology.MinGroupSize of the
-// active mapping), chunk c spanning [b[c], b[c+1]). The collective
-// engine snaps hierarchical bucket boundaries onto these bounds (it
-// calls ChunkBounds) so each bucket is a whole number of leader-owned
-// chunks (see hierCursor). No program calls it: it is the name the
-// collective and train tests check bucket layouts against, and the
-// module root's reachability test allowlists it as such.
-func HierChunkBounds(n, k int) []int { return ChunkBounds(n, k) }

@@ -116,7 +116,7 @@ func TestHierarchicalSegmentBitIdenticalToFull(t *testing.T) {
 			inputs := randInputs(sh.p, length)
 			full, _ := gather(net, m, sh.p, inputs, Hierarchical)
 
-			bounds := HierChunkBounds(length, K)
+			bounds := ChunkBounds(length, K)
 			got := padded(inputs)
 			for c := 0; c < K; c++ {
 				lo, hi := bounds[c], bounds[c+1]
@@ -152,7 +152,7 @@ func TestHierarchicalSegmentRejectsUnalignedBounds(t *testing.T) {
 		}
 	}()
 	cl.Run(func(n *simnet.Node) {
-		schedHierarchical.Run(n, data[1:3], 1, 100, nil) // 1 not on HierChunkBounds(100, 2)
+		schedHierarchical.Run(n, data[1:3], 1, 100, nil) // 1 not on ChunkBounds(100, 2)
 	})
 }
 

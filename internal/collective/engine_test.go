@@ -295,7 +295,7 @@ func adjacentConfig(params []ParamInfo, layers, ranks, q int, name string) Confi
 
 // TestHierBucketsChunkAligned: with the hierarchical strategy every
 // interior bucket boundary must land on the leader-chunk partition
-// HierChunkBounds(total, MinGroupSize) — including ragged group sizes
+// ChunkBounds(total, MinGroupSize) — including ragged group sizes
 // where the partition is coarser than the rank count.
 func TestHierBucketsChunkAligned(t *testing.T) {
 	for _, tc := range []struct{ ranks, q int }{{4, 2}, {6, 2}, {6, 3}, {8, 4}} {
@@ -312,13 +312,13 @@ func TestHierBucketsChunkAligned(t *testing.T) {
 		checkBuckets(t, e)
 		K := topology.MinGroupSize(cfg.Mapping, tc.ranks)
 		bounds := map[int]bool{}
-		for _, b := range allreduce.HierChunkBounds(e.TotalElems(), K) {
+		for _, b := range allreduce.ChunkBounds(e.TotalElems(), K) {
 			bounds[b] = true
 		}
 		for _, bk := range e.Buckets() {
 			if !bounds[bk.Lo] || !bounds[bk.Hi] {
 				t.Fatalf("ranks=%d q=%d: bucket %+v not on leader-chunk bounds %v",
-					tc.ranks, tc.q, bk, allreduce.HierChunkBounds(e.TotalElems(), K))
+					tc.ranks, tc.q, bk, allreduce.ChunkBounds(e.TotalElems(), K))
 			}
 		}
 	}

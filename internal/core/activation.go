@@ -4,7 +4,6 @@ import (
 	"swcaffe/internal/detrand"
 	"swcaffe/internal/f32"
 
-	"swcaffe/internal/perf"
 	"swcaffe/internal/tensor"
 )
 
@@ -13,17 +12,12 @@ import (
 type ReLULayer struct {
 	base
 	negSlope float32
-	n        int
 }
 
 // NewReLU builds a ReLU layer. bottom and top may be the same blob
 // name for in-place operation, as Caffe networks conventionally do.
 func NewReLU(name, bottom, top string, negSlope float32) *ReLULayer {
-	l := &ReLULayer{negSlope: negSlope}
-	l.name, l.typ = name, "ReLU"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
+	return &ReLULayer{base: newBase(name, KReLU, top, bottom), negSlope: negSlope}
 }
 
 func (l *ReLULayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -31,7 +25,7 @@ func (l *ReLULayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.n = in.Len()
+	l.Elems = in.Len()
 	return [][4]int{in.Shape()}, nil
 }
 
@@ -50,31 +44,19 @@ func (l *ReLULayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDif
 	f32.ReLUGrad(bottomDiffs[0].Data, bottoms[0].Data, topDiffs[0].Data, l.negSlope)
 }
 
-func (l *ReLULayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, 1, 1, 1),
-		Backward: dev.Elementwise(l.n, 2, 1, 1),
-	}
-}
-
 // DropoutLayer zeroes each activation with probability p during
 // training and rescales survivors by 1/(1-p) (inverted dropout, as
 // Caffe implements it). At test time it is the identity.
 type DropoutLayer struct {
 	base
 	ratio float32
-	n     int
 	mask  []float32
 	rng   *detrand.RNG
 }
 
 // NewDropout builds a dropout layer with drop probability ratio.
 func NewDropout(name, bottom, top string, ratio float32) *DropoutLayer {
-	l := &DropoutLayer{ratio: ratio, rng: detrand.New(uint64(len(name)) * 31337)}
-	l.name, l.typ = name, "Dropout"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
+	return &DropoutLayer{base: newBase(name, KDropout, top, bottom), ratio: ratio, rng: detrand.New(uint64(len(name)) * 31337)}
 }
 
 func (l *DropoutLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -82,9 +64,9 @@ func (l *DropoutLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.n = in.Len()
-	if cap(l.mask) < l.n {
-		l.mask = make([]float32, l.n)
+	l.Elems = in.Len()
+	if cap(l.mask) < l.Elems {
+		l.mask = make([]float32, l.Elems)
 	}
 	return [][4]int{in.Shape()}, nil
 }
@@ -108,7 +90,7 @@ func (l *DropoutLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 		return
 	}
 	scale := 1 / (1 - l.ratio)
-	mask := l.mask[:l.n]
+	mask := l.mask[:l.Elems]
 	for i, v := range in.Data {
 		if l.rng.Float32() < l.ratio {
 			mask[i] = 0
@@ -129,16 +111,9 @@ func (l *DropoutLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottom
 		dx.AXPY(1, dy)
 		return
 	}
-	mask := l.mask[:l.n]
+	mask := l.mask[:l.Elems]
 	for i, m := range mask {
 		dx.Data[i] += float32(dy.Data[i] * m)
-	}
-}
-
-func (l *DropoutLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, 1, 2, 2),
-		Backward: dev.Elementwise(l.n, 2, 1, 1),
 	}
 }
 
@@ -147,18 +122,13 @@ func (l *DropoutLayer) Cost(dev perf.Device) LayerCost {
 // as Caffe's Scale layer.
 type ScaleLayer struct {
 	base
-	c, n  int
 	gamma *Param
 	beta  *Param
 }
 
 // NewScale builds a per-channel scale+bias layer.
 func NewScale(name, bottom, top string) *ScaleLayer {
-	l := &ScaleLayer{}
-	l.name, l.typ = name, "Scale"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
+	return &ScaleLayer{base: newBase(name, KScale, top, bottom)}
 }
 
 func (l *ScaleLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -166,8 +136,7 @@ func (l *ScaleLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.c = in.C
-	l.n = in.Len()
+	l.Elems = in.Len()
 	if l.gamma == nil {
 		l.gamma = NewParam(l.name+".gamma", 1, in.C, 1, 1)
 		l.gamma.Data.Fill(1)
@@ -218,12 +187,5 @@ func (l *ScaleLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDi
 				}
 			}
 		}
-	}
-}
-
-func (l *ScaleLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, 1, 1, 2),
-		Backward: dev.Elementwise(l.n, 3, 1, 4),
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"swcaffe/internal/perf"
 	"swcaffe/internal/tensor"
 )
 
@@ -16,7 +15,7 @@ type BatchNormLayer struct {
 	base
 	eps      float32
 	momentum float32
-	c, n     int
+	c        int
 
 	runningMean *Param
 	runningVar  *Param
@@ -28,11 +27,7 @@ type BatchNormLayer struct {
 
 // NewBatchNorm builds a batch-normalization layer.
 func NewBatchNorm(name, bottom, top string) *BatchNormLayer {
-	l := &BatchNormLayer{eps: 1e-5, momentum: 0.9}
-	l.name, l.typ = name, "BatchNorm"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
+	return &BatchNormLayer{base: newBase(name, KBatchNorm, top, bottom), eps: 1e-5, momentum: 0.9}
 }
 
 func (l *BatchNormLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -41,7 +36,7 @@ func (l *BatchNormLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		return nil, err
 	}
 	l.c = in.C
-	l.n = in.Len()
+	l.Elems = in.Len()
 	if l.runningMean == nil {
 		l.runningMean = NewParam(l.name+".mean", 1, in.C, 1, 1)
 		l.runningVar = NewParam(l.name+".var", 1, in.C, 1, 1)
@@ -56,8 +51,8 @@ func (l *BatchNormLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		l.mean = make([]float32, in.C)
 		l.invStd = make([]float32, in.C)
 	}
-	if cap(l.xhat) < l.n {
-		l.xhat = make([]float32, l.n)
+	if cap(l.xhat) < l.Elems {
+		l.xhat = make([]float32, l.Elems)
 	}
 	return [][4]int{in.Shape()}, nil
 }
@@ -159,30 +154,21 @@ func (l *BatchNormLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bott
 	}
 }
 
-func (l *BatchNormLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{Forward: dev.BatchNorm(l.n), Backward: dev.BatchNorm(l.n)}
-}
-
 // LRNLayer is Caffe's local response normalization (across channels),
 // kept for fidelity with the original AlexNet even though swCaffe's
 // refined AlexNet replaces it with BN.
 type LRNLayer struct {
 	base
-	size  int
 	alpha float32
 	beta  float32
 	k     float32
-	n     int
 	scale []float32
 }
 
-// NewLRN builds a cross-channel LRN layer with AlexNet defaults.
+// NewLRN builds a cross-channel LRN layer with AlexNet defaults: a
+// window of lrnSize channels.
 func NewLRN(name, bottom, top string) *LRNLayer {
-	l := &LRNLayer{size: 5, alpha: 1e-4, beta: 0.75, k: 1}
-	l.name, l.typ = name, "LRN"
-	l.bottoms = []string{bottom}
-	l.tops = []string{top}
-	return l
+	return &LRNLayer{base: newBase(name, KLRN, top, bottom), alpha: 1e-4, beta: 0.75, k: 1}
 }
 
 func (l *LRNLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -190,9 +176,9 @@ func (l *LRNLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.n = in.Len()
-	if cap(l.scale) < l.n {
-		l.scale = make([]float32, l.n)
+	l.Elems = in.Len()
+	if cap(l.scale) < l.Elems {
+		l.scale = make([]float32, l.Elems)
 	}
 	return [][4]int{in.Shape()}, nil
 }
@@ -200,8 +186,8 @@ func (l *LRNLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 func (l *LRNLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	in, out := bottoms[0], tops[0]
 	hw := in.H * in.W
-	half := l.size / 2
-	norm := l.alpha / float32(l.size)
+	half := lrnSize / 2
+	norm := l.alpha / lrnSize
 	for n := 0; n < in.N; n++ {
 		for c := 0; c < in.C; c++ {
 			off := (n*in.C + c) * hw
@@ -229,8 +215,8 @@ func (l *LRNLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiff
 	}
 	in, top, dy, dx := bottoms[0], tops[0], topDiffs[0], bottomDiffs[0]
 	hw := in.H * in.W
-	half := l.size / 2
-	norm := 2 * l.alpha * l.beta / float32(l.size)
+	half := lrnSize / 2
+	norm := 2 * l.alpha * l.beta / lrnSize
 	for n := 0; n < in.N; n++ {
 		for c := 0; c < in.C; c++ {
 			off := (n*in.C + c) * hw
@@ -249,12 +235,5 @@ func (l *LRNLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiff
 				dx.Data[off+i] += g - norm*in.Data[off+i]*cross
 			}
 		}
-	}
-}
-
-func (l *LRNLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, 1, 2, float64(2*l.size+5)),
-		Backward: dev.Elementwise(l.n, 4, 1, float64(3*l.size+5)),
 	}
 }

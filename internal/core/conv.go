@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"swcaffe/internal/detrand"
-	"swcaffe/internal/perf"
 	"swcaffe/internal/swdnn"
 	"swcaffe/internal/tensor"
 )
@@ -39,8 +38,7 @@ type ConvConfig struct {
 type ConvLayer struct {
 	base
 	cfg    ConvConfig
-	shape  swdnn.ConvShape // whole-layer geometry (all groups)
-	gshape swdnn.ConvShape // per-group geometry
+	shape  swdnn.ConvShape // whole-layer geometry (all groups); Conv is one group's
 	weight *Param
 	bias   *Param
 
@@ -57,11 +55,7 @@ func NewConv(cfg ConvConfig) *ConvLayer {
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
 	}
-	l := &ConvLayer{cfg: cfg}
-	l.name, l.typ = cfg.Name, "Convolution"
-	l.bottoms = []string{cfg.Bottom}
-	l.tops = []string{cfg.Top}
-	return l
+	return &ConvLayer{base: newBase(cfg.Name, KConv, cfg.Top, cfg.Bottom), cfg: cfg}
 }
 
 func (l *ConvLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -81,9 +75,9 @@ func (l *ConvLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err := l.shape.Validate(); err != nil {
 		return nil, fmt.Errorf("layer %q: %w", l.name, err)
 	}
-	l.gshape = l.shape
-	l.gshape.Ni = in.C / g
-	l.gshape.No = l.cfg.NumOutput / g
+	l.Conv, l.Groups = l.shape, g
+	l.Conv.Ni = in.C / g
+	l.Conv.No = l.cfg.NumOutput / g
 	if l.weight == nil {
 		l.weight = NewParam(l.name+".weight", l.cfg.NumOutput, in.C/g, l.cfg.Kernel, l.cfg.Kernel)
 		fanIn := in.C / g * l.cfg.Kernel * l.cfg.Kernel
@@ -103,7 +97,7 @@ func (l *ConvLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		}
 	}
 	ro, co := l.shape.OutDims()
-	kdim := l.gshape.Ni * l.cfg.Kernel * l.cfg.Kernel
+	kdim := l.Conv.Ni * l.cfg.Kernel * l.cfg.Kernel
 	if need := in.N * g * kdim * ro * co; cap(l.colBuf) < need {
 		l.colBuf = make([]float32, need)
 	}
@@ -122,7 +116,7 @@ func (l *ConvLayer) Params() []*Param {
 
 func (l *ConvLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	in, out := bottoms[0], tops[0]
-	s, gs := l.shape, l.gshape
+	s, gs := l.shape, l.Conv
 	g := l.cfg.Groups
 	ro, co := s.OutDims()
 	kdim := gs.Ni * s.K * s.K
@@ -157,7 +151,7 @@ func (l *ConvLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 
 func (l *ConvLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
 	dOut := topDiffs[0]
-	s, gs := l.shape, l.gshape
+	s, gs := l.shape, l.Conv
 	g := l.cfg.Groups
 	ro, co := s.OutDims()
 	kdim := gs.Ni * s.K * s.K
@@ -204,16 +198,4 @@ func (l *ConvLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDif
 			}
 		}
 	}
-}
-
-func (l *ConvLayer) Cost(dev perf.Device) LayerCost {
-	g := float64(l.cfg.Groups)
-	fwd := g * dev.Conv(l.gshape, swdnn.Forward)
-	bwd := g * dev.Conv(l.gshape, swdnn.BackwardWeight)
-	// No gradient flows into the data blob; the host pass follows the
-	// same rule, as Net.Setup gives no declared input a gradient.
-	if l.cfg.Bottom != "data" {
-		bwd += g * dev.Conv(l.gshape, swdnn.BackwardInput)
-	}
-	return LayerCost{Forward: fwd, Backward: bwd}
 }

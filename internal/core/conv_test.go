@@ -14,7 +14,7 @@ import (
 // image's columns from the bottom blob: the oracle for ConvLayer's
 // Backward, which reads the columns its Forward kept.
 func refConvBackward(l *ConvLayer, in, dOut, dIn *tensor.Tensor) {
-	s, gs := l.shape, l.gshape
+	s, gs := l.shape, l.Conv
 	g := l.cfg.Groups
 	ro, co := s.OutDims()
 	kdim := gs.Ni * s.K * s.K

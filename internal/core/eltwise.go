@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"swcaffe/internal/perf"
 	"swcaffe/internal/tensor"
 )
 
@@ -21,16 +21,11 @@ const (
 type EltwiseLayer struct {
 	base
 	op EltwiseOp
-	n  int
 }
 
 // NewEltwise builds an elementwise combination of the given bottoms.
 func NewEltwise(name string, bottoms []string, top string, op EltwiseOp) *EltwiseLayer {
-	l := &EltwiseLayer{op: op}
-	l.name, l.typ = name, "Eltwise"
-	l.bottoms = append([]string(nil), bottoms...)
-	l.tops = []string{top}
-	return l
+	return &EltwiseLayer{base: newBase(name, KEltwise, top, slices.Clone(bottoms)...), op: op}
 }
 
 func (l *EltwiseLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -42,7 +37,7 @@ func (l *EltwiseLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 			return nil, shapeErr(l.name, "eltwise bottom", b.Shape())
 		}
 	}
-	l.n = bottoms[0].Len()
+	l.Elems = bottoms[0].Len()
 	return [][4]int{bottoms[0].Shape()}, nil
 }
 
@@ -111,29 +106,16 @@ func (l *EltwiseLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottom
 	}
 }
 
-func (l *EltwiseLayer) Cost(dev perf.Device) LayerCost {
-	k := len(l.bottoms)
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, k, 1, float64(k-1)),
-		Backward: dev.Elementwise(l.n, 1, k, float64(k-1)),
-	}
-}
-
 // ConcatLayer concatenates bottoms along the channel axis (the
 // inception-module join of GoogLeNet).
 type ConcatLayer struct {
 	base
 	chans []int
-	n     int
 }
 
 // NewConcat builds a channel concatenation of the given bottoms.
 func NewConcat(name string, bottoms []string, top string) *ConcatLayer {
-	l := &ConcatLayer{}
-	l.name, l.typ = name, "Concat"
-	l.bottoms = append([]string(nil), bottoms...)
-	l.tops = []string{top}
-	return l
+	return &ConcatLayer{base: newBase(name, KConcat, top, slices.Clone(bottoms)...)}
 }
 
 func (l *ConcatLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -150,7 +132,7 @@ func (l *ConcatLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		l.chans = append(l.chans, b.C)
 		total += b.C
 	}
-	l.n = first.N * total * first.H * first.W
+	l.Elems = first.N * total * first.H * first.W
 	return [][4]int{{first.N, total, first.H, first.W}}, nil
 }
 
@@ -185,12 +167,5 @@ func (l *ConcatLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomD
 			}
 			cOff += c
 		}
-	}
-}
-
-func (l *ConcatLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{
-		Forward:  dev.Elementwise(l.n, 1, 1, 0),
-		Backward: dev.Elementwise(l.n, 1, 1, 0),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"swcaffe/internal/detrand"
-	"swcaffe/internal/perf"
 	"swcaffe/internal/swdnn"
 	"swcaffe/internal/tensor"
 )
@@ -24,18 +23,13 @@ type InnerProductConfig struct {
 type InnerProductLayer struct {
 	base
 	cfg    InnerProductConfig
-	b, cin int
 	weight *Param // (Cout, Cin) stored as (Cout, Cin, 1, 1)
 	bias   *Param
 }
 
 // NewInnerProduct builds a fully-connected layer.
 func NewInnerProduct(cfg InnerProductConfig) *InnerProductLayer {
-	l := &InnerProductLayer{cfg: cfg}
-	l.name, l.typ = cfg.Name, "InnerProduct"
-	l.bottoms = []string{cfg.Bottom}
-	l.tops = []string{cfg.Top}
-	return l
+	return &InnerProductLayer{base: newBase(cfg.Name, KInnerProduct, cfg.Top, cfg.Bottom), cfg: cfg}
 }
 
 func (l *InnerProductLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -43,22 +37,21 @@ func (l *InnerProductLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.b = in.N
-	l.cin = in.C * in.H * in.W
-	if l.cin == 0 {
+	l.B, l.Cin, l.Cout = in.N, in.C*in.H*in.W, l.cfg.NumOutput
+	if l.Cin == 0 {
 		return nil, fmt.Errorf("layer %q: empty input", l.name)
 	}
 	if l.weight == nil {
-		l.weight = NewParam(l.name+".weight", l.cfg.NumOutput, l.cin, 1, 1)
+		l.weight = NewParam(l.name+".weight", l.cfg.NumOutput, l.Cin, 1, 1)
 		rng := detrand.New(uint64(len(l.name))*104729 + 7)
-		l.weight.Data.FillXavier(rng, l.cin)
+		l.weight.Data.FillXavier(rng, l.Cin)
 		if l.cfg.BiasTerm {
 			l.bias = NewParam(l.name+".bias", 1, l.cfg.NumOutput, 1, 1)
 			l.bias.DecayMult = 0
 			l.bias.LRMult = 2
 		}
-	} else if l.weight.Data.C != l.cin {
-		return nil, fmt.Errorf("layer %q: input size changed from %d to %d", l.name, l.weight.Data.C, l.cin)
+	} else if l.weight.Data.C != l.Cin {
+		return nil, fmt.Errorf("layer %q: input size changed from %d to %d", l.name, l.weight.Data.C, l.Cin)
 	}
 	return [][4]int{{in.N, l.cfg.NumOutput, 1, 1}}, nil
 }
@@ -75,14 +68,14 @@ func (l *InnerProductLayer) Params() []*Param {
 
 func (l *InnerProductLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	in, out := bottoms[0], tops[0]
-	cout := l.cfg.NumOutput
+	cout := l.Cout
 	for i := range out.Data {
 		out.Data[i] = 0
 	}
 	// Y = X · Wᵀ
-	swdnn.RefGEMMTransB(in.Data, l.weight.Data.Data, out.Data, l.b, l.cin, cout)
+	swdnn.RefGEMMTransB(in.Data, l.weight.Data.Data, out.Data, l.B, l.Cin, cout)
 	if l.bias != nil {
-		for n := 0; n < l.b; n++ {
+		for n := 0; n < l.B; n++ {
 			row := out.Data[n*cout : (n+1)*cout]
 			for j := range row {
 				row[j] += l.bias.Data.Data[j]
@@ -94,11 +87,11 @@ func (l *InnerProductLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase)
 func (l *InnerProductLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
 	in := bottoms[0]
 	dy := topDiffs[0]
-	cout := l.cfg.NumOutput
+	cout := l.Cout
 	// dW += dYᵀ · X   (Cout×B · B×Cin)
-	swdnn.RefGEMMTransA(dy.Data, in.Data, l.weight.Diff.Data, cout, l.b, l.cin)
+	swdnn.RefGEMMTransA(dy.Data, in.Data, l.weight.Diff.Data, cout, l.B, l.Cin)
 	if l.bias != nil {
-		for n := 0; n < l.b; n++ {
+		for n := 0; n < l.B; n++ {
 			row := dy.Data[n*cout : (n+1)*cout]
 			for j, v := range row {
 				l.bias.Diff.Data[j] += v
@@ -107,13 +100,6 @@ func (l *InnerProductLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, b
 	}
 	// dX += dY · W   (B×Cout · Cout×Cin)
 	if bottomDiffs[0] != nil {
-		swdnn.RefGEMM(dy.Data, l.weight.Data.Data, bottomDiffs[0].Data, l.b, cout, l.cin)
+		swdnn.RefGEMM(dy.Data, l.weight.Data.Data, bottomDiffs[0].Data, l.B, cout, l.Cin)
 	}
-}
-
-func (l *InnerProductLayer) Cost(dev perf.Device) LayerCost {
-	fwd := dev.InnerProduct(l.b, l.cin, l.cfg.NumOutput, swdnn.Forward)
-	bwd := dev.InnerProduct(l.b, l.cin, l.cfg.NumOutput, swdnn.BackwardWeight) +
-		dev.InnerProduct(l.b, l.cin, l.cfg.NumOutput, swdnn.BackwardInput)
-	return LayerCost{Forward: fwd, Backward: bwd}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"swcaffe/internal/perf"
+	"swcaffe/internal/swdnn"
 	"swcaffe/internal/tensor"
 )
 
@@ -53,6 +54,107 @@ type LayerCost struct {
 
 // Total returns forward + backward time.
 func (c LayerCost) Total() float64 { return c.Forward + c.Backward }
+
+// Kind is a layer kind; its String is the Caffe type name.
+type Kind uint8
+
+// Layer kinds.
+const (
+	KConv Kind = iota
+	KPool
+	KReLU
+	KBatchNorm
+	KScale
+	KLRN
+	KDropout
+	KInnerProduct
+	KConcat
+	KEltwise
+	KSoftmaxLoss
+	KAccuracy
+)
+
+var kindNames = [...]string{
+	KConv: "Convolution", KPool: "Pooling", KReLU: "ReLU",
+	KBatchNorm: "BatchNorm", KScale: "Scale", KLRN: "LRN",
+	KDropout: "Dropout", KInnerProduct: "InnerProduct",
+	KConcat: "Concat", KEltwise: "Eltwise",
+	KSoftmaxLoss: "SoftmaxWithLoss", KAccuracy: "Accuracy",
+}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// LayerShape is what pricing a layer needs: its kind, its bottoms and
+// the sizes fixed once shapes are known. A core layer fills it in
+// Setup and a models.LayerSpec embeds one its builder fills, so both
+// price a kind through the one switch in Cost.
+type LayerShape struct {
+	Kind    Kind
+	Bottoms []string
+
+	Conv   swdnn.ConvShape // one convolution group's geometry
+	Groups int             // convolution groups
+	Pool   swdnn.PoolShape
+	// B and Cin are an inner product's batch and input size; Cout is
+	// its output count, or the class count of a softmax or accuracy
+	// layer over B images.
+	B, Cin, Cout int
+	Elems        int // top elements of every other kind
+}
+
+// lrnSize is the channel window of every LRN layer (AlexNet's 5).
+const lrnSize = 5
+
+// Cost prices one forward and one backward pass of the layer on dev.
+// Products are rounded explicitly, so no target fuses them into a
+// multiply-add.
+func (s *LayerShape) Cost(dev perf.Device) LayerCost {
+	switch s.Kind {
+	case KConv:
+		g := float64(s.Groups)
+		fwd := float64(g * dev.Conv(s.Conv, swdnn.Forward))
+		bwd := float64(g * dev.Conv(s.Conv, swdnn.BackwardWeight))
+		// No gradient flows into the data blob; the host pass follows
+		// the same rule, as Net.Setup gives no declared input a
+		// gradient.
+		if s.Bottoms[0] != "data" {
+			bwd += float64(g * dev.Conv(s.Conv, swdnn.BackwardInput))
+		}
+		return LayerCost{Forward: fwd, Backward: bwd}
+	case KInnerProduct:
+		fwd := dev.InnerProduct(s.B, s.Cin, s.Cout, swdnn.Forward)
+		bwd := dev.InnerProduct(s.B, s.Cin, s.Cout, swdnn.BackwardWeight) +
+			dev.InnerProduct(s.B, s.Cin, s.Cout, swdnn.BackwardInput)
+		return LayerCost{Forward: fwd, Backward: bwd}
+	case KPool:
+		t := dev.Pool(s.Pool)
+		return LayerCost{Forward: t, Backward: t}
+	case KReLU:
+		return LayerCost{Forward: dev.Elementwise(s.Elems, 1, 1, 1), Backward: dev.Elementwise(s.Elems, 2, 1, 1)}
+	case KBatchNorm:
+		return LayerCost{Forward: dev.BatchNorm(s.Elems), Backward: dev.BatchNorm(s.Elems)}
+	case KScale:
+		return LayerCost{Forward: dev.Elementwise(s.Elems, 1, 1, 2), Backward: dev.Elementwise(s.Elems, 3, 1, 4)}
+	case KLRN:
+		return LayerCost{
+			Forward:  dev.Elementwise(s.Elems, 1, 2, 2*lrnSize+5),
+			Backward: dev.Elementwise(s.Elems, 4, 1, 3*lrnSize+5),
+		}
+	case KDropout:
+		return LayerCost{Forward: dev.Elementwise(s.Elems, 1, 2, 2), Backward: dev.Elementwise(s.Elems, 2, 1, 1)}
+	case KConcat, KEltwise:
+		// A concat is priced as a k-way sum: it reads k·Elems and does
+		// k−1 flops an element, where the copy reads Elems and adds
+		// nothing (ROADMAP item 4).
+		k := len(s.Bottoms)
+		return LayerCost{Forward: dev.Elementwise(s.Elems, k, 1, float64(k-1)), Backward: dev.Elementwise(s.Elems, 1, k, float64(k-1))}
+	case KSoftmaxLoss:
+		return LayerCost{Forward: dev.Softmax(s.B, s.Cout), Backward: dev.Elementwise(s.B*s.Cout, 2, 1, 2)}
+	case KAccuracy:
+		return LayerCost{Forward: dev.Elementwise(s.B*s.Cout, 1, 0, 1)}
+	}
+	panic(fmt.Sprintf("core: no price for layer kind %d", s.Kind))
+}
 
 // Layer is one network operation. Shapes are fixed at Setup time.
 //
@@ -105,17 +207,21 @@ type ReplicaStateful interface {
 	LoadReplicaState(s any)
 }
 
-// base carries the bookkeeping every layer shares.
+// base carries the bookkeeping every layer shares. Its LayerShape's
+// Cost is the layer's Cost.
 type base struct {
-	name    string
-	typ     string
-	bottoms []string
-	tops    []string
+	LayerShape
+	name string
+	tops []string
+}
+
+func newBase(name string, k Kind, top string, bottoms ...string) base {
+	return base{LayerShape: LayerShape{Kind: k, Bottoms: bottoms}, name: name, tops: []string{top}}
 }
 
 func (b *base) Name() string      { return b.name }
-func (b *base) Type() string      { return b.typ }
-func (b *base) Bottoms() []string { return b.bottoms }
+func (b *base) Type() string      { return b.Kind.String() }
+func (b *base) Bottoms() []string { return b.LayerShape.Bottoms }
 func (b *base) Tops() []string    { return b.tops }
 func (b *base) Params() []*Param  { return nil }
 

@@ -242,7 +242,7 @@ func TestSoftmaxLossGradients(t *testing.T) {
 		}
 	}
 	// Probabilities must sum to one per row.
-	prob := l.prob[:l.b*l.c]
+	prob := l.prob[:l.B*l.Cout]
 	for n := 0; n < 4; n++ {
 		var s float64
 		for c := 0; c < 5; c++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"swcaffe/internal/perf"
 	"swcaffe/internal/swdnn"
 	"swcaffe/internal/tensor"
 )
@@ -36,7 +35,6 @@ type PoolConfig struct {
 type PoolLayer struct {
 	base
 	cfg    PoolConfig
-	shape  swdnn.PoolShape
 	ro, co int
 	argmax []int32 // max-pool switch indices for backward
 }
@@ -46,11 +44,7 @@ func NewPool(cfg PoolConfig) *PoolLayer {
 	if cfg.Stride == 0 {
 		cfg.Stride = cfg.Kernel
 	}
-	l := &PoolLayer{cfg: cfg}
-	l.name, l.typ = cfg.Name, "Pooling"
-	l.bottoms = []string{cfg.Bottom}
-	l.tops = []string{cfg.Top}
-	return l
+	return &PoolLayer{base: newBase(cfg.Name, KPool, cfg.Top, cfg.Bottom), cfg: cfg}
 }
 
 func (l *PoolLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -63,9 +57,9 @@ func (l *PoolLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		l.cfg.Stride = 1
 		l.cfg.Pad = 0
 	}
-	l.shape = swdnn.PoolShape{B: in.N, C: in.C, Ri: in.H, Ci: in.W,
+	l.Pool = swdnn.PoolShape{B: in.N, C: in.C, Ri: in.H, Ci: in.W,
 		K: l.cfg.Kernel, S: l.cfg.Stride, Pad: l.cfg.Pad}
-	l.ro, l.co = l.shape.OutDims()
+	l.ro, l.co = l.Pool.OutDims()
 	if l.cfg.Method == MaxPool {
 		need := in.N * in.C * l.ro * l.co
 		if cap(l.argmax) < need {
@@ -168,9 +162,4 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func (l *PoolLayer) Cost(dev perf.Device) LayerCost {
-	t := dev.Pool(l.shape)
-	return LayerCost{Forward: t, Backward: t}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"swcaffe/internal/perf"
 	"swcaffe/internal/tensor"
 )
 
@@ -14,17 +13,12 @@ import (
 // as float32). The top is a scalar loss.
 type SoftmaxLossLayer struct {
 	base
-	b, c int
 	prob []float32
 }
 
 // NewSoftmaxLoss builds the fused softmax + NLL loss layer.
 func NewSoftmaxLoss(name, scores, labels, top string) *SoftmaxLossLayer {
-	l := &SoftmaxLossLayer{}
-	l.name, l.typ = name, "SoftmaxWithLoss"
-	l.bottoms = []string{scores, labels}
-	l.tops = []string{top}
-	return l
+	return &SoftmaxLossLayer{base: newBase(name, KSoftmaxLoss, top, scores, labels)}
 }
 
 func (l *SoftmaxLossLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
@@ -32,13 +26,13 @@ func (l *SoftmaxLossLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 		return nil, fmt.Errorf("core: layer %q wants 2 bottoms (scores, labels), got %d", l.name, len(bottoms))
 	}
 	scores, labels := bottoms[0], bottoms[1]
-	l.b = scores.N
-	l.c = scores.C * scores.H * scores.W
+	l.B = scores.N
+	l.Cout = scores.C * scores.H * scores.W
 	if labels.N != scores.N {
 		return nil, fmt.Errorf("core: layer %q: label batch %d != score batch %d", l.name, labels.N, scores.N)
 	}
-	if cap(l.prob) < l.b*l.c {
-		l.prob = make([]float32, l.b*l.c)
+	if cap(l.prob) < l.B*l.Cout {
+		l.prob = make([]float32, l.B*l.Cout)
 	}
 	return [][4]int{{1, 1, 1, 1}}, nil
 }
@@ -46,9 +40,9 @@ func (l *SoftmaxLossLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 func (l *SoftmaxLossLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	scores, labels := bottoms[0], bottoms[1]
 	var loss float64
-	for n := 0; n < l.b; n++ {
-		row := scores.Data[n*l.c : (n+1)*l.c]
-		prow := l.prob[n*l.c : (n+1)*l.c]
+	for n := 0; n < l.B; n++ {
+		row := scores.Data[n*l.Cout : (n+1)*l.Cout]
+		prow := l.prob[n*l.Cout : (n+1)*l.Cout]
 		maxV := row[0]
 		for _, v := range row[1:] {
 			if v > maxV {
@@ -66,8 +60,8 @@ func (l *SoftmaxLossLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) 
 			prow[i] *= inv
 		}
 		lbl := int(labels.Data[n])
-		if lbl < 0 || lbl >= l.c {
-			panic(fmt.Sprintf("core: %s: label %d out of range [0,%d)", l.name, lbl, l.c))
+		if lbl < 0 || lbl >= l.Cout {
+			panic(fmt.Sprintf("core: %s: label %d out of range [0,%d)", l.name, lbl, l.Cout))
 		}
 		p := float64(prow[lbl])
 		if p < 1e-38 {
@@ -75,7 +69,7 @@ func (l *SoftmaxLossLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) 
 		}
 		loss -= math.Log(p)
 	}
-	tops[0].Data[0] = float32(loss / float64(l.b))
+	tops[0].Data[0] = float32(loss / float64(l.B))
 }
 
 func (l *SoftmaxLossLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
@@ -92,12 +86,12 @@ func (l *SoftmaxLossLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bo
 			w = 1
 		}
 	}
-	scale := w / float32(l.b)
+	scale := w / float32(l.B)
 	dx := bottomDiffs[0]
-	for n := 0; n < l.b; n++ {
-		prow := l.prob[n*l.c : (n+1)*l.c]
+	for n := 0; n < l.B; n++ {
+		prow := l.prob[n*l.Cout : (n+1)*l.Cout]
 		lbl := int(labels.Data[n])
-		off := n * l.c
+		off := n * l.Cout
 		for i, p := range prow {
 			g := p
 			if i == lbl {
@@ -108,16 +102,11 @@ func (l *SoftmaxLossLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bo
 	}
 }
 
-func (l *SoftmaxLossLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{Forward: dev.Softmax(l.b, l.c), Backward: dev.Elementwise(l.b*l.c, 2, 1, 2)}
-}
-
 // AccuracyLayer reports top-k classification accuracy. It produces no
 // gradient.
 type AccuracyLayer struct {
 	base
 	topK int
-	b, c int
 }
 
 // NewAccuracy builds a top-k accuracy layer.
@@ -125,27 +114,23 @@ func NewAccuracy(name, scores, labels, top string, topK int) *AccuracyLayer {
 	if topK <= 0 {
 		topK = 1
 	}
-	l := &AccuracyLayer{topK: topK}
-	l.name, l.typ = name, "Accuracy"
-	l.bottoms = []string{scores, labels}
-	l.tops = []string{top}
-	return l
+	return &AccuracyLayer{base: newBase(name, KAccuracy, top, scores, labels), topK: topK}
 }
 
 func (l *AccuracyLayer) Setup(bottoms []*tensor.Tensor) ([][4]int, error) {
 	if len(bottoms) != 2 {
 		return nil, fmt.Errorf("core: layer %q wants 2 bottoms, got %d", l.name, len(bottoms))
 	}
-	l.b = bottoms[0].N
-	l.c = bottoms[0].C * bottoms[0].H * bottoms[0].W
+	l.B = bottoms[0].N
+	l.Cout = bottoms[0].C * bottoms[0].H * bottoms[0].W
 	return [][4]int{{1, 1, 1, 1}}, nil
 }
 
 func (l *AccuracyLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 	scores, labels := bottoms[0], bottoms[1]
 	correct := 0
-	for n := 0; n < l.b; n++ {
-		row := scores.Data[n*l.c : (n+1)*l.c]
+	for n := 0; n < l.B; n++ {
+		row := scores.Data[n*l.Cout : (n+1)*l.Cout]
 		lbl := int(labels.Data[n])
 		target := row[lbl]
 		// Count entries strictly greater than the target score; the
@@ -160,12 +145,8 @@ func (l *AccuracyLayer) Forward(bottoms, tops []*tensor.Tensor, phase Phase) {
 			correct++
 		}
 	}
-	tops[0].Data[0] = float32(correct) / float32(l.b)
+	tops[0].Data[0] = float32(correct) / float32(l.B)
 }
 
 func (l *AccuracyLayer) Backward(bottoms, tops, topDiffs []*tensor.Tensor, bottomDiffs []*tensor.Tensor, phase Phase) {
-}
-
-func (l *AccuracyLayer) Cost(dev perf.Device) LayerCost {
-	return LayerCost{Forward: dev.Elementwise(l.b*l.c, 1, 0, 1)}
 }

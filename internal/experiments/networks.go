@@ -49,7 +49,7 @@ func perLayerComparison(w io.Writer, title, model string, batch int) []LayerTimi
 	for i := range spec.Layers {
 		l := &spec.Layers[i]
 		lt := out[i]
-		if l.Kind == models.KSoftmaxLoss || l.Kind == models.KAccuracy {
+		if l.Kind == core.KSoftmaxLoss {
 			continue
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", l.Name,

@@ -6,8 +6,11 @@
 // (a) priced on any perf.Device without allocating activations — a
 // VGG-16 batch-128 blob set would not fit host memory — and
 // (b) materialized into a functional core.Net at a small batch by the
-// package's numerical tests. Both views come from the same builder, so
-// they cannot drift apart.
+// package's numerical tests. A spec layer embeds the core.LayerShape a
+// core layer fills in Setup, so the two views share the layer kinds
+// and the one price switch (core.LayerShape.Cost) and cannot drift
+// apart there. What stays here is shape propagation (the builder) and
+// the parameter count (Params).
 package models
 
 import (
@@ -19,41 +22,12 @@ import (
 	"swcaffe/internal/swdnn"
 )
 
-// Kind enumerates layer kinds a spec can hold.
-type Kind uint8
-
-// Layer kinds.
-const (
-	KConv Kind = iota
-	KPool
-	KReLU
-	KBatchNorm
-	KScale
-	KLRN
-	KDropout
-	KInnerProduct
-	KConcat
-	KEltwise
-	KSoftmaxLoss
-	KAccuracy
-)
-
-var kindNames = map[Kind]string{
-	KConv: "Convolution", KPool: "Pooling", KReLU: "ReLU",
-	KBatchNorm: "BatchNorm", KScale: "Scale", KLRN: "LRN",
-	KDropout: "Dropout", KInnerProduct: "InnerProduct",
-	KConcat: "Concat", KEltwise: "Eltwise",
-	KSoftmaxLoss: "SoftmaxWithLoss", KAccuracy: "Accuracy",
-}
-
-func (k Kind) String() string { return kindNames[k] }
-
-// LayerSpec is one shape-resolved layer.
+// LayerSpec is one shape-resolved layer: the core.LayerShape it is
+// priced by (its Cost) plus what materializing it needs.
 type LayerSpec struct {
-	Kind    Kind
-	Name    string
-	Bottoms []string
-	Top     string
+	core.LayerShape
+	Name string
+	Top  string
 
 	// Static configuration.
 	NumOutput  int
@@ -65,76 +39,28 @@ type LayerSpec struct {
 	DropRatio  float32
 	BiasTerm   bool
 
-	// Shape-resolved costing inputs.
-	Conv     swdnn.ConvShape
-	Pool     swdnn.PoolShape
-	B        int
-	Cin      int
-	Cout     int
-	Elems    int
 	OutShape [4]int
 }
 
 // Params returns the learnable parameter count of the layer.
 func (l *LayerSpec) Params() int64 {
 	switch l.Kind {
-	case KConv:
+	case core.KConv:
 		p := int64(l.Conv.No) * int64(l.Conv.Ni) * int64(l.Conv.K) * int64(l.Conv.K)
 		if l.BiasTerm {
 			p += int64(l.Conv.No)
 		}
 		return p
-	case KInnerProduct:
+	case core.KInnerProduct:
 		p := int64(l.Cin) * int64(l.Cout)
 		if l.BiasTerm {
 			p += int64(l.Cout)
 		}
 		return p
-	case KScale:
+	case core.KScale:
 		return 2 * int64(l.OutShape[1])
 	default:
 		return 0
-	}
-}
-
-// Cost prices the layer on a device.
-func (l *LayerSpec) Cost(dev perf.Device) core.LayerCost {
-	switch l.Kind {
-	case KConv:
-		fwd := dev.Conv(l.Conv, swdnn.Forward)
-		bwd := dev.Conv(l.Conv, swdnn.BackwardWeight)
-		// The first layer propagates no gradient into the data blob;
-		// the host pass follows the same rule (core.Net.Setup gives no
-		// declared input a gradient).
-		if len(l.Bottoms) == 0 || l.Bottoms[0] != "data" {
-			bwd += dev.Conv(l.Conv, swdnn.BackwardInput)
-		}
-		return core.LayerCost{Forward: fwd, Backward: bwd}
-	case KInnerProduct:
-		fwd := dev.InnerProduct(l.B, l.Cin, l.Cout, swdnn.Forward)
-		bwd := dev.InnerProduct(l.B, l.Cin, l.Cout, swdnn.BackwardWeight) +
-			dev.InnerProduct(l.B, l.Cin, l.Cout, swdnn.BackwardInput)
-		return core.LayerCost{Forward: fwd, Backward: bwd}
-	case KPool:
-		t := dev.Pool(l.Pool)
-		return core.LayerCost{Forward: t, Backward: t}
-	case KReLU:
-		return core.LayerCost{Forward: dev.Elementwise(l.Elems, 1, 1, 1), Backward: dev.Elementwise(l.Elems, 2, 1, 1)}
-	case KBatchNorm:
-		return core.LayerCost{Forward: dev.BatchNorm(l.Elems), Backward: dev.BatchNorm(l.Elems)}
-	case KScale:
-		return core.LayerCost{Forward: dev.Elementwise(l.Elems, 1, 1, 2), Backward: dev.Elementwise(l.Elems, 3, 1, 4)}
-	case KLRN:
-		return core.LayerCost{Forward: dev.Elementwise(l.Elems, 1, 2, 15), Backward: dev.Elementwise(l.Elems, 4, 1, 20)}
-	case KDropout:
-		return core.LayerCost{Forward: dev.Elementwise(l.Elems, 1, 2, 2), Backward: dev.Elementwise(l.Elems, 2, 1, 1)}
-	case KConcat, KEltwise:
-		k := len(l.Bottoms)
-		return core.LayerCost{Forward: dev.Elementwise(l.Elems, k, 1, float64(k-1)), Backward: dev.Elementwise(l.Elems, 1, k, float64(k-1))}
-	case KSoftmaxLoss:
-		return core.LayerCost{Forward: dev.Softmax(l.B, l.Cout), Backward: dev.Elementwise(l.B*l.Cout, 2, 1, 2)}
-	default:
-		return core.LayerCost{}
 	}
 }
 
@@ -219,10 +145,10 @@ func (m *ModelSpec) Flops() float64 {
 	for i := range m.Layers {
 		l := &m.Layers[i]
 		switch l.Kind {
-		case KConv:
-			total += l.Conv.Flops()
-		case KInnerProduct:
-			total += 2 * float64(l.B) * float64(l.Cin) * float64(l.Cout)
+		case core.KConv:
+			total += float64(l.Conv.Flops())
+		case core.KInnerProduct:
+			total += float64(2 * float64(l.B) * float64(l.Cin) * float64(l.Cout))
 		}
 	}
 	return total
@@ -278,13 +204,14 @@ func (b *builder) add(l LayerSpec, out [4]int) {
 
 func elems(s [4]int) int { return s[0] * s[1] * s[2] * s[3] }
 
-// conv adds a convolution (+ optional bias); returns the top name.
+// conv adds an ungrouped convolution with bias, so its one group is
+// the whole layer; returns the top name.
 func (b *builder) conv(name, bottom string, out, k, s, p int) string {
 	in := b.shape(bottom)
 	cs := swdnn.ConvShape{B: in[0], Ni: in[1], Ri: in[2], Ci: in[3], No: out, K: k, S: s, P: p}
 	ro, co := cs.OutDims()
-	b.add(LayerSpec{Kind: KConv, Name: name, Bottoms: []string{bottom}, Top: name,
-		NumOutput: out, Kernel: k, Stride: s, Pad: p, BiasTerm: true, Conv: cs},
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: core.KConv, Bottoms: []string{bottom}, Conv: cs, Groups: 1},
+		Name: name, Top: name, NumOutput: out, Kernel: k, Stride: s, Pad: p, BiasTerm: true},
 		[4]int{in[0], out, ro, co})
 	return name
 }
@@ -296,48 +223,51 @@ func (b *builder) pool(name, bottom string, method core.PoolMethod, k, s, p int,
 		ps.K, ps.S, ps.Pad = in[2], 1, 0
 	}
 	ro, co := ps.OutDims()
-	b.add(LayerSpec{Kind: KPool, Name: name, Bottoms: []string{bottom}, Top: name,
-		PoolMethod: method, Kernel: ps.K, Stride: ps.S, Pad: ps.Pad, Global: global, Pool: ps},
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: core.KPool, Bottoms: []string{bottom}, Pool: ps},
+		Name: name, Top: name, PoolMethod: method, Kernel: ps.K, Stride: ps.S, Pad: ps.Pad, Global: global},
 		[4]int{in[0], in[1], ro, co})
 	return name
 }
 
+// elementwise adds a layer of the given kind whose top has its
+// bottoms' shape.
+func (b *builder) elementwise(k core.Kind, name string, bottoms ...string) *LayerSpec {
+	in := b.shape(bottoms[0])
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: k, Bottoms: bottoms, Elems: elems(in)}, Name: name, Top: name}, in)
+	return &b.m.Layers[len(b.m.Layers)-1]
+}
+
 func (b *builder) relu(name, bottom string) string {
-	in := b.shape(bottom)
-	b.add(LayerSpec{Kind: KReLU, Name: name, Bottoms: []string{bottom}, Top: name, Elems: elems(in)}, in)
-	return name
+	return b.elementwise(core.KReLU, name, bottom).Name
 }
 
 func (b *builder) bn(name, bottom string) string {
-	in := b.shape(bottom)
-	b.add(LayerSpec{Kind: KBatchNorm, Name: name, Bottoms: []string{bottom}, Top: name, Elems: elems(in)}, in)
-	return name
+	return b.elementwise(core.KBatchNorm, name, bottom).Name
 }
 
 func (b *builder) scale(name, bottom string) string {
-	in := b.shape(bottom)
-	b.add(LayerSpec{Kind: KScale, Name: name, Bottoms: []string{bottom}, Top: name, Elems: elems(in)}, in)
-	return name
+	return b.elementwise(core.KScale, name, bottom).Name
 }
 
 func (b *builder) lrn(name, bottom string) string {
-	in := b.shape(bottom)
-	b.add(LayerSpec{Kind: KLRN, Name: name, Bottoms: []string{bottom}, Top: name, Elems: elems(in)}, in)
-	return name
+	return b.elementwise(core.KLRN, name, bottom).Name
 }
 
 func (b *builder) dropout(name, bottom string, ratio float32) string {
-	in := b.shape(bottom)
-	b.add(LayerSpec{Kind: KDropout, Name: name, Bottoms: []string{bottom}, Top: name,
-		DropRatio: ratio, Elems: elems(in)}, in)
+	l := b.elementwise(core.KDropout, name, bottom)
+	l.DropRatio = ratio
 	return name
+}
+
+func (b *builder) eltsum(name string, bottoms ...string) string {
+	return b.elementwise(core.KEltwise, name, bottoms...).Name
 }
 
 func (b *builder) fc(name, bottom string, out int) string {
 	in := b.shape(bottom)
 	cin := in[1] * in[2] * in[3]
-	b.add(LayerSpec{Kind: KInnerProduct, Name: name, Bottoms: []string{bottom}, Top: name,
-		NumOutput: out, BiasTerm: true, B: in[0], Cin: cin, Cout: out},
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: core.KInnerProduct, Bottoms: []string{bottom}, B: in[0], Cin: cin, Cout: out},
+		Name: name, Top: name, NumOutput: out, BiasTerm: true},
 		[4]int{in[0], out, 1, 1})
 	return name
 }
@@ -349,22 +279,14 @@ func (b *builder) concat(name string, bottoms ...string) string {
 		total += b.shape(bt)[1]
 	}
 	out := [4]int{first[0], total, first[2], first[3]}
-	b.add(LayerSpec{Kind: KConcat, Name: name, Bottoms: append([]string(nil), bottoms...), Top: name,
-		Elems: elems(out)}, out)
-	return name
-}
-
-func (b *builder) eltsum(name string, bottoms ...string) string {
-	in := b.shape(bottoms[0])
-	b.add(LayerSpec{Kind: KEltwise, Name: name, Bottoms: append([]string(nil), bottoms...), Top: name,
-		Elems: elems(in)}, in)
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: core.KConcat, Bottoms: bottoms, Elems: elems(out)}, Name: name, Top: name}, out)
 	return name
 }
 
 func (b *builder) softmaxLoss(name, scores string) string {
 	in := b.shape(scores)
-	b.add(LayerSpec{Kind: KSoftmaxLoss, Name: name, Bottoms: []string{scores, "label"}, Top: name,
-		B: in[0], Cout: in[1] * in[2] * in[3]}, [4]int{1, 1, 1, 1})
+	b.add(LayerSpec{LayerShape: core.LayerShape{Kind: core.KSoftmaxLoss, Bottoms: []string{scores, "label"}, B: in[0], Cout: in[1] * in[2] * in[3]},
+		Name: name, Top: name}, [4]int{1, 1, 1, 1})
 	return name
 }
 

@@ -14,41 +14,39 @@ func (m *ModelSpec) Net() *core.Net {
 	for i := range m.Layers {
 		l := &m.Layers[i]
 		switch l.Kind {
-		case KConv:
+		case core.KConv:
 			n.AddLayer(core.NewConv(core.ConvConfig{
 				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
 				NumOutput: l.NumOutput, Kernel: l.Kernel, Stride: l.Stride,
 				Pad: l.Pad, BiasTerm: l.BiasTerm,
 			}))
-		case KPool:
+		case core.KPool:
 			n.AddLayer(core.NewPool(core.PoolConfig{
 				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
 				Method: l.PoolMethod, Kernel: l.Kernel, Stride: l.Stride,
 				Pad: l.Pad, Global: l.Global,
 			}))
-		case KReLU:
+		case core.KReLU:
 			n.AddLayer(core.NewReLU(l.Name, l.Bottoms[0], l.Top, 0))
-		case KBatchNorm:
+		case core.KBatchNorm:
 			n.AddLayer(core.NewBatchNorm(l.Name, l.Bottoms[0], l.Top))
-		case KScale:
+		case core.KScale:
 			n.AddLayer(core.NewScale(l.Name, l.Bottoms[0], l.Top))
-		case KLRN:
+		case core.KLRN:
 			n.AddLayer(core.NewLRN(l.Name, l.Bottoms[0], l.Top))
-		case KDropout:
+		case core.KDropout:
 			n.AddLayer(core.NewDropout(l.Name, l.Bottoms[0], l.Top, l.DropRatio))
-		case KInnerProduct:
+		case core.KInnerProduct:
 			n.AddLayer(core.NewInnerProduct(core.InnerProductConfig{
 				Name: l.Name, Bottom: l.Bottoms[0], Top: l.Top,
 				NumOutput: l.NumOutput, BiasTerm: l.BiasTerm,
 			}))
-		case KConcat:
+		case core.KConcat:
 			n.AddLayer(core.NewConcat(l.Name, l.Bottoms, l.Top))
-		case KEltwise:
+		case core.KEltwise:
 			n.AddLayer(core.NewEltwise(l.Name, l.Bottoms, l.Top, core.EltSum))
-		case KSoftmaxLoss:
+		case core.KSoftmaxLoss:
 			n.AddLayer(core.NewSoftmaxLoss(l.Name, l.Bottoms[0], l.Bottoms[1], l.Top))
-		case KAccuracy:
-			n.AddLayer(core.NewAccuracy(l.Name, l.Bottoms[0], l.Bottoms[1], l.Top, 1))
 		}
 	}
 	return n

@@ -86,13 +86,13 @@ func TestSpecShapesTerminate(t *testing.T) {
 			t.Fatalf("%s: empty spec", name)
 		}
 		last := spec.Layers[len(spec.Layers)-1]
-		if last.Kind != KSoftmaxLoss {
+		if last.Kind != core.KSoftmaxLoss {
 			t.Fatalf("%s: last layer is %v, want softmax loss", name, last.Kind)
 		}
 		// The classifier must emit 1000 classes.
 		for i := range spec.Layers {
 			l := &spec.Layers[i]
-			if l.Kind == KSoftmaxLoss && l.Cout != 1000 {
+			if l.Kind == core.KSoftmaxLoss && l.Cout != 1000 {
 				t.Fatalf("%s: loss over %d classes", name, l.Cout)
 			}
 		}
@@ -274,8 +274,11 @@ func TestFlopsPerImage(t *testing.T) {
 // TestNetMaterialization builds the functional nets at a tiny batch
 // and checks shape propagation end to end (running a full ImageNet
 // model functionally is covered by the small nets in core's tests; a
-// 224x224 forward in pure Go is too slow for the suite).
+// 224x224 forward in pure Go is too slow for the suite), and that each
+// spec layer and the net layer it became have the same type and the
+// same price, bit for bit, on every device kind.
 func TestNetMaterialization(t *testing.T) {
+	devs := []perf.Device{perf.NewSWCG(), perf.NewK40m(), perf.NewXeonCPU()}
 	for _, name := range Names() {
 		build, _ := ByName(name)
 		spec := build(1)
@@ -287,6 +290,26 @@ func TestNetMaterialization(t *testing.T) {
 		if net.ParamBytes() != spec.ParamBytes() {
 			t.Fatalf("%s: net params %d != spec params %d (the two views drifted)",
 				name, net.ParamBytes(), spec.ParamBytes())
+		}
+		layers := net.Layers()
+		if len(layers) != len(spec.Layers) {
+			t.Fatalf("%s: net has %d layers, spec %d", name, len(layers), len(spec.Layers))
+		}
+		for _, dev := range devs {
+			netCost, _ := net.Cost(dev)
+			specCost, _ := spec.Cost(dev)
+			for i := range spec.Layers {
+				l := &spec.Layers[i]
+				if got := layers[i].Type(); got != l.Kind.String() {
+					t.Fatalf("%s: layer %s is a %s in the net, a %s in the spec", name, l.Name, got, l.Kind)
+				}
+				n, s := netCost[i], specCost[i]
+				if math.Float64bits(n.Forward) != math.Float64bits(s.Forward) ||
+					math.Float64bits(n.Backward) != math.Float64bits(s.Backward) {
+					t.Errorf("%s on %s: %s layer %s priced %+v in the net, %+v in the spec",
+						name, dev.Name(), l.Kind, l.Name, n, s)
+				}
+			}
 		}
 	}
 }

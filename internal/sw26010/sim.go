@@ -155,10 +155,6 @@ type CPE struct {
 	waitBarrier bool  // parked at the barrier
 }
 
-// AdvanceClock adds dt seconds of opaque busy time (used by planners
-// layering extra costs onto functional runs).
-func (pe *CPE) AdvanceClock(dt float64) { pe.clock += dt }
-
 // --- LDM management -------------------------------------------------
 
 // maxLDMFree bounds the per-CPE freelist; LDM is only 64 KB so a

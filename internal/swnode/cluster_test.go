@@ -22,9 +22,7 @@ func TestClusterNodesAreIndependent(t *testing.T) {
 	// Node i runs i+1 unit launches back to back.
 	for i := 0; i < p; i++ {
 		for j := 0; j <= i; j++ {
-			streams[i].Launch(func(cg *sw26010.CoreGroup) float64 {
-				return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(1) })
-			})
+			streams[i].Launch(func(cg *sw26010.CoreGroup) float64 { return 1 })
 		}
 	}
 	cl.Sync()
@@ -46,9 +44,7 @@ func TestClusterDeterministicTimes(t *testing.T) {
 			st := cl.Node(i).PinnedStream(i % sw26010.CoreGroups)
 			for j := 0; j < 5; j++ {
 				cost := float64(i*7+j+1) * 1e-6
-				st.Launch(func(cg *sw26010.CoreGroup) float64 {
-					return cg.RunN(2, func(pe *sw26010.CPE) { pe.AdvanceClock(cost) })
-				})
+				st.Launch(func(cg *sw26010.CoreGroup) float64 { return cost })
 			}
 		}
 		cl.Sync()
@@ -78,10 +74,8 @@ func TestClusterSyncPropagatesPanicAfterQuiesce(t *testing.T) {
 	})
 	done := false
 	cl.Node(1).PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) {
-			pe.AdvanceClock(1e-6)
-			done = true
-		})
+		done = true
+		return 1e-6
 	})
 
 	recovered := func() (r any) {
@@ -97,9 +91,7 @@ func TestClusterSyncPropagatesPanicAfterQuiesce(t *testing.T) {
 	}
 
 	// The cluster stays usable after the failure, like a Node does.
-	ev := cl.Node(0).PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(1e-6) })
-	})
+	ev := cl.Node(0).PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 { return 1e-6 })
 	cl.Sync()
 	if !ev.Done() {
 		t.Fatal("post-failure launch did not complete")

@@ -111,10 +111,8 @@ func TestIndependentLaunchesOverlapWallClock(t *testing.T) {
 	defer node.Close()
 	const pause = 100 * time.Millisecond
 	kernel := func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) {
-			time.Sleep(pause)
-			pe.AdvanceClock(1)
-		})
+		time.Sleep(pause)
+		return 1
 	}
 
 	single := time.Now()
@@ -150,12 +148,10 @@ func TestStreamOrdering(t *testing.T) {
 	var mu sync.Mutex
 	record := func(id int) func(cg *sw26010.CoreGroup) float64 {
 		return func(cg *sw26010.CoreGroup) float64 {
-			return cg.RunN(1, func(pe *sw26010.CPE) {
-				mu.Lock()
-				order = append(order, id)
-				mu.Unlock()
-				pe.AdvanceClock(1)
-			})
+			mu.Lock()
+			order = append(order, id)
+			mu.Unlock()
+			return 1
 		}
 	}
 
@@ -175,19 +171,15 @@ func TestStreamOrdering(t *testing.T) {
 	// Cross-stream dependency: consumer waits for producer's event.
 	var flag atomic.Bool
 	prod := node.PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) {
-			time.Sleep(20 * time.Millisecond)
-			flag.Store(true)
-			pe.AdvanceClock(3)
-		})
+		time.Sleep(20 * time.Millisecond)
+		flag.Store(true)
+		return 3
 	})
 	cons := node.PinnedStream(1).Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) {
-			if !flag.Load() {
-				t.Error("consumer ran before its dependency resolved")
-			}
-			pe.AdvanceClock(2)
-		})
+		if !flag.Load() {
+			t.Error("consumer ran before its dependency resolved")
+		}
+		return 2
 	}, prod)
 	node.Sync()
 	if prod.SimEnd() != 3 {
@@ -207,9 +199,7 @@ func TestSchedulerPlacementDeterminism(t *testing.T) {
 		node := swnode.NewNode(nil)
 		defer node.Close()
 		kernel := func(d float64) func(cg *sw26010.CoreGroup) float64 {
-			return func(cg *sw26010.CoreGroup) float64 {
-				return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(d) })
-			}
+			return func(cg *sw26010.CoreGroup) float64 { return d }
 		}
 		var cgs []int
 		var ends []float64
@@ -287,9 +277,7 @@ func TestLaunchPanicPropagation(t *testing.T) {
 
 	// The node (and its CoreGroups) stay usable after the panic; a
 	// poisoned stream is abandoned and a fresh one takes its place.
-	ok := node.PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(1) })
-	})
+	ok := node.PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 { return 1 })
 	if ok.Wait() != 1 {
 		t.Fatal("node unusable after kernel panic")
 	}
@@ -313,9 +301,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			st := node.NewStream()
 			for i := 0; i < perG; i++ {
 				d := float64(g*perG + i + 1)
-				e := st.Launch(func(cg *sw26010.CoreGroup) float64 {
-					return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(d) })
-				})
+				e := st.Launch(func(cg *sw26010.CoreGroup) float64 { return d })
 				if got := e.Wait(); got != d {
 					t.Errorf("launch sim time %v != %v", got, d)
 					return
@@ -425,9 +411,7 @@ func TestNodeCloseIdempotent(t *testing.T) {
 		node.Sync()
 	}()
 	repl := node.PinnedStream(0)
-	if e := repl.Launch(func(cg *sw26010.CoreGroup) float64 {
-		return cg.RunN(1, func(pe *sw26010.CPE) { pe.AdvanceClock(1) })
-	}); e.Wait() != 1 {
+	if e := repl.Launch(func(cg *sw26010.CoreGroup) float64 { return 1 }); e.Wait() != 1 {
 		t.Fatal("replacement stream unusable")
 	}
 

@@ -300,8 +300,9 @@ func TestShrinkReselectsPlan(t *testing.T) {
 
 // TestPassFaultRecoverContinuesClean injects a fault into every pass
 // phase (forward, backward, pack) and the collective flush, on both
-// step variants. Each time: the Step
-// panics, the victim is identifiable, and — because the failure path
+// step variants. Each time: the Step panics, the victim is
+// identifiable, both from the trainer and from the recovered panic
+// value itself (elastic.FailedRank), and — because the failure path
 // quiesces in-flight passes and never applies a partial update — the
 // same full-size world simply retries the iteration and finishes
 // hex-identical to a twin that never faulted.
@@ -350,6 +351,9 @@ func TestPassFaultRecoverContinuesClean(t *testing.T) {
 					sawFault = true
 					if got := victims(d, pan); !reflect.DeepEqual(got, []int{tc.victim}) {
 						t.Fatalf("victims %v (panic %v), want [%d]", got, pan, tc.victim)
+					}
+					if r, ok := elastic.FailedRank(pan); !ok || r != tc.victim {
+						t.Fatalf("elastic.FailedRank(%v) = %d, %v, want rank %d", pan, r, ok, tc.victim)
 					}
 					// Retry the same iteration on the full world.
 				}

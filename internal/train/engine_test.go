@@ -240,7 +240,7 @@ func hierNet(q int) (*topology.Network, topology.Mapping) {
 // partition with an association order that depends on c (leader c's
 // own value, tournament-ordered peers, the RHD tree over supernodes),
 // so the collective engine snaps hierarchical buckets onto
-// allreduce.HierChunkBounds and reduces each with the full schedule
+// allreduce.ChunkBounds and reduces each with the full schedule
 // restricted to the bucket (allreduce.Schedule.Run). Losses
 // and every replica's parameters must match the one-shot barrier
 // hierarchical bit for bit — on pooled nodes and on the DES backend.

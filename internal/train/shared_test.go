@@ -213,7 +213,7 @@ func TestOverlapStepFoldsCommitDivergence(t *testing.T) {
 	}
 	// The first element of the chunk the victim leads: it sits at index
 	// victim of its supernode, under the adjacent mapping.
-	at := allreduce.HierChunkBounds(eng.TotalElems(), topology.MinGroupSize(mapping, p))[victim]
+	at := allreduce.ChunkBounds(eng.TotalElems(), topology.MinGroupSize(mapping, p))[victim]
 	flush, flipped := -1, false
 	prev := allreduce.SetHierPhaseHook(func(rank int, _ float64, phase allreduce.HierPhase) {
 		if rank != victim {

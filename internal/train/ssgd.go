@@ -574,9 +574,10 @@ func (t *DistTrainer) Close() {
 // its simulated node and returns a join function plus a failure
 // channel. pass returns the modeled seconds its launch is charged.
 // There are two arms, one per backend. On a pooled node the pass runs
-// on a CoreGroup and its charge advances the CPE clock; the caller
-// overlaps the flushes between launch and join, and completion
-// ordering is the usual stream/event happens-before. On DES nodes
+// on its launch goroutine as a LaunchFunc charged the pass's seconds,
+// so a pass panic reaches the caller as the value it was raised with;
+// the caller overlaps the flushes between launch and join, and
+// completion ordering is the usual stream/event happens-before. On DES nodes
 // every pass has run before launchPasses returns: first on the pool,
 // one goroutine per shared model, each taking its home ranks in
 // ascending order with the charge kept as the rank's clock and a
@@ -642,11 +643,7 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) (join fu
 		return t.nodes.Sync, fc
 	}
 	for i, w := range t.Workers {
-		w.lastEv = w.stream.LaunchWeighted(weight, func(cg *sw26010.CoreGroup) float64 {
-			return cg.RunN(1, func(pe *sw26010.CPE) {
-				pe.AdvanceClock(pass(i, w))
-			})
-		})
+		w.lastEv = w.stream.LaunchFunc(weight, func() float64 { return pass(i, w) })
 	}
 	// Snapshot the events: the watcher can outlive this Step, and the
 	// next Step overwrites each worker's lastEv.
@@ -899,13 +896,11 @@ func (t *CGTrainer) Step() float32 {
 	passes := make([]*swnode.Event, sw26010.CoreGroups)
 	for i, w := range t.CGs {
 		i, w := i, w
-		passes[i] = t.streams[i].Launch(func(cg *sw26010.CoreGroup) float64 {
-			return cg.RunN(1, func(pe *sw26010.CPE) {
-				w.Net.ZeroParamDiffs()
-				losses[i] = w.Net.Forward(core.Train)
-				w.Net.Backward(core.Train)
-				pe.AdvanceClock(t.passCost)
-			})
+		passes[i] = t.streams[i].LaunchFunc(1, func() float64 {
+			w.Net.ZeroParamDiffs()
+			losses[i] = w.Net.Forward(core.Train)
+			w.Net.Backward(core.Train)
+			return t.passCost
 		})
 	}
 

@@ -32,9 +32,9 @@ import (
 // in full.
 
 // ensureTimeline lazily prices the per-layer modeled compute timeline.
-// The node-backed passes advance their CPE clocks to exactly these
-// offsets, so layerDone doubles as the per-node modeled production time
-// of each layer's gradient.
+// Each node's pass launch is charged the whole pass, computeEnd, so
+// layerDone doubles as the per-node modeled production time of each
+// layer's gradient.
 func (t *DistTrainer) ensureTimeline() {
 	if t.layerDone != nil {
 		return

@@ -21,7 +21,6 @@ import (
 // package's _test.go files instead.
 var reachAllow = map[string]string{
 	"allreduce.SetHierPhaseHook": "train",
-	"allreduce.HierChunkBounds":  "collective, train",
 	"swnode.(*Event).CGIndex":    "train",
 	"swnode.(*Event).SimStart":   "swdnn",
 	"swnode.(*Event).SimEnd":     "swdnn",
