@@ -86,10 +86,9 @@
 // vectors in it belong to the cluster and are valid until its next run;
 // a caller keeping one across runs copies it. An arena vector comes back
 // holding the last run's values, and the one-shot rule is why no call
-// reads them. A rank stranded by a failed run finishes late, into
-// whichever of the two it was given: a failed run's arenas are abandoned
-// with its state, and a caller that lent its own vectors stops using
-// them (collective.Engine.ResetStaging).
+// reads them. A failed run returns only after every rank has stopped,
+// leaving an in-place vector partly reduced and a failed run's arenas
+// dropped with its state; a caller that retries refills its vectors.
 package allreduce
 
 import (

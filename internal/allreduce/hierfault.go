@@ -1,15 +1,13 @@
 package allreduce
 
-import "sync/atomic"
-
 // Fault-injection seam of the hierarchical schedule, for tests only.
 // The flat algorithms are killable from the collective engine's
 // per-bucket flush hook, but the hierarchical schedule has internal
 // structure worth failing *inside*: a rank dying between the
-// intra-supernode reduce-scatter and the leader RHD strands different
+// intra-supernode reduce-scatter and the leader RHD leaves different
 // peer sets (its group's tournament partners vs. the other supernodes'
-// leaders) on different channels. The phase hook lets tests kill a
-// rank at each boundary and prove the surrounding Run teardown
+// leaders) waiting on different channels. The phase hook lets tests
+// kill a rank at each boundary and prove the surrounding Run teardown
 // quiesces every case. Being process-global, it is no way to observe
 // a run: a trace passes PhaseClocks with the call.
 
@@ -20,30 +18,22 @@ type PhaseHook func(rank int, clock float64, phase HierPhase)
 
 // hierPhaseHook runs on every rank at each phase boundary of the
 // hierarchical schedule, on either backend; the nil fast path keeps
-// the production schedule untouched. It is atomic rather than a plain
-// var because a killed collective strands its surviving rank goroutines
-// without joining them (see simnet.Cluster.Run), and a stranded rank
-// may still cross a phase boundary while the test goroutine re-arms the
-// hook for the next kill.
-var hierPhaseHook atomic.Pointer[PhaseHook]
+// the production schedule untouched. Both backends join every rank of
+// a run before it returns, failed or not, so a test that sets the hook
+// between runs races no rank.
+var hierPhaseHook PhaseHook
 
 // SetHierPhaseHook installs (or, with nil, removes) the hierarchical
 // phase hook and returns the previous one so tests can restore it. It
 // is the tests' fault-injection seam: no program links it, which the
 // module root's reachability test asserts.
 func SetHierPhaseHook(h PhaseHook) (prev PhaseHook) {
-	var p *PhaseHook
-	if h != nil {
-		p = &h
-	}
-	if old := hierPhaseHook.Swap(p); old != nil {
-		return *old
-	}
-	return nil
+	prev, hierPhaseHook = hierPhaseHook, h
+	return prev
 }
 
 func hierPhase(rank int, clock float64, phase HierPhase) {
-	if h := hierPhaseHook.Load(); h != nil {
-		(*h)(rank, clock, phase)
+	if hierPhaseHook != nil {
+		hierPhaseHook(rank, clock, phase)
 	}
 }

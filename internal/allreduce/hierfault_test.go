@@ -15,8 +15,8 @@ import (
 // kill must surface as simnet's rank-carrying NodePanic on the
 // calling goroutine, and the *same* cluster must then run a clean
 // hierarchical all-reduce that matches the flat Ring hex-exactly:
-// the teardown strands only run-private state, so a recovered
-// failure never poisons the next collective.
+// the teardown joins every rank and drops the run's state, so a
+// recovered failure never poisons the next collective.
 func TestHierarchicalPhaseKillQuiesces(t *testing.T) {
 	const p, q, length = 6, 2, 257
 	net := sunwayQ(q)

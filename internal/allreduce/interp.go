@@ -189,7 +189,7 @@ func (st *desCall) step() {
 	r, rd, log := st.r, &st.rd, &st.run.log
 	for st.c.next(rd) {
 		if rd.phase != noPhase {
-			if hierPhaseHook.Load() != nil {
+			if hierPhaseHook != nil {
 				log.land() // the tests' hook may read or write the views
 			}
 			st.f.enter(r.Rank, r.Clock(), rd.phase)

@@ -395,8 +395,7 @@ func TestCollectiveProperty(t *testing.T) {
 				c.seed, *propertySeed, i, name, c.p, c.q, c.m.Name(), c.total, lo, hi, f)
 
 			sched, _ := ScheduleByName(name)
-			// Each in-place run gets its own copy: a run consumes it, and a
-			// rank a fault stranded may still be writing the last one.
+			// Each in-place run gets its own copy: a run consumes it.
 			inPlaceSim := func(cl *simnet.Cluster, f fault) (outcome, any) {
 				data := padded(c.inputs)
 				return runSim(cl, f, func(n *simnet.Node) []float32 {
@@ -457,22 +456,12 @@ func TestCollectiveProperty(t *testing.T) {
 				}
 			}
 
-			// Leaked goroutines count against the race detector's limit,
-			// so only small worlds strand their peers.
-			simFault := f
-			if c.p > 8 {
-				simFault.early = false
-			}
 			scl, dcl, run := simnet.NewCluster(net, c.m, c.p), des.NewCluster(net, c.m, c.p), NewDESRun(c.p, c.total)
 			for _, step := range []struct {
 				what string
 				f    fault
 			}{{"first run", noFault}, {"warm run", noFault}, {"faulted run", f}, {"run after the fault", noFault}} {
-				sf := step.f
-				if sf.victim >= 0 {
-					sf = simFault
-				}
-				got, failed := inPlaceSim(scl, sf)
+				got, failed := inPlaceSim(scl, step.f)
 				gotDES, failedDES := inPlaceDES(dcl, run, step.f)
 				if step.f.victim >= 0 {
 					if np, ok := failed.(simnet.NodePanic); !ok || np.FailedRank() != f.victim {

@@ -142,9 +142,7 @@ type Engine struct {
 
 	// Reused per-step staging. views holds each rank's packed gradient,
 	// which the flushes reduce in place (see Bucket): input and output
-	// are the same memory. It is replaced wholesale by ResetStaging so
-	// goroutines stranded by a failed collective keep only orphaned
-	// arrays, to read and to write.
+	// are the same memory.
 	views   [][]float32
 	cursors []int           // per-rank next-bucket index, reset per step
 	ready   []chan struct{} // cap-1 flush signal per bucket
@@ -292,19 +290,15 @@ func New(cfg Config) (*Engine, error) {
 	e.counts = make([]int32, nb)
 	e.cursors = make([]int, nw)
 	e.commTimes = make([]float64, nb)
-	e.allocViews()
-	return e, nil
-}
-
-// allocViews gives every rank its packed view, with the slack past the
-// packed vector that a padding schedule spills into when it reduces the
-// tail bucket or the whole vector: flat RHD pads to a multiple of its
-// power-of-two core, so by fewer than Ranks elements.
-func (e *Engine) allocViews() {
+	// Every rank's packed view has slack past the packed vector that a
+	// padding schedule spills into when it reduces the tail bucket or
+	// the whole vector: flat RHD pads to a multiple of its power-of-two
+	// core, so by fewer than Ranks elements.
 	e.views = make([][]float32, e.cfg.Ranks)
 	for r := range e.views {
 		e.views[r] = make([]float32, e.total, e.total+e.cfg.Ranks)
 	}
+	return e, nil
 }
 
 // Buckets returns the flush units in flush order (descending offsets:
@@ -377,11 +371,8 @@ func (e *Engine) Produce(rank, li int, diffs [][]float32) {
 // rank has produced the bucket.
 func (e *Engine) Ready(b int) <-chan struct{} { return e.ready[b] }
 
-// RankViews returns the current per-rank packed-gradient buffers. The
-// flush caller must capture this slice locally and index it inside
-// the collective body, so ranks stranded by a failed run keep reading
-// and writing the orphaned buffers after ResetStaging installs fresh
-// ones.
+// RankViews returns the per-rank packed-gradient buffers, which a
+// flush reduces in place.
 func (e *Engine) RankViews() [][]float32 { return e.views }
 
 // ReduceSeg runs the strategy's collective over bucket b on one
@@ -428,8 +419,7 @@ func (e *Engine) phaseClocks(b, rank int) *allreduce.PhaseClocks {
 // overlap path Commit runs on the flush loop while the rest of backward
 // still computes; it writes only parameters of layers the bucket's
 // readiness already covers, which no later backward layer touches. Call
-// only on the clean path: after a failed run the views belong to the
-// ranks it stranded (see ResetStaging).
+// only on the clean path: a failed run leaves its bucket half reduced.
 func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][][]float32, pool allreduce.Pool) float64 {
 	bk := e.buckets[b]
 	e.drain(outs, bk.Lo, bk.Hi, grads)
@@ -647,18 +637,6 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 // the cumulative trace timeline (the trainer passes its running
 // compute frontier).
 func (e *Engine) SetTraceBase(t float64) { e.traceBase = t }
-
-// ResetStaging re-allocates the buffers a rank goroutine stranded by a
-// failed collective might still use — the per-rank packed views, which
-// it reads its gradients from and reduces them in, their view slice and
-// the traced phase-clock slots — leaving the old arrays to the
-// stragglers. Failure-path only; the hot path reuses staging.
-func (e *Engine) ResetStaging() {
-	e.allocViews()
-	if e.hierClks != nil {
-		e.hierClks = make([]allreduce.PhaseClocks, len(e.hierClks))
-	}
-}
 
 // layoutBuckets partitions the packed vector into buckets of at least
 // maxBytes, walking layers from the tail (flush order). Cuts are

@@ -181,7 +181,6 @@ func TestFlushSegDESPanicDropsItsRun(t *testing.T) {
 		t.Fatal("the engine kept the DESRun of a flush that panicked")
 	}
 	armed = false
-	e.ResetStaging()
 	fill()
 	_, outs := e.FlushSegDES(dcl, 0, pool)
 	for r, out := range outs {

@@ -396,9 +396,8 @@ func (c *Cluster) Run(body func(r *Rank)) topology.Result {
 //
 // A panic in rank code propagates as RankPanic, and a deadlock or an
 // unconsumed message as a plain panic; in each case the run state is
-// dropped, never reused, so the cluster is reusable afterwards — and
-// unlike the goroutine backend, a failed run strands nothing: there are
-// no goroutines to leak.
+// dropped, never reused, so the cluster is reusable afterwards, and
+// nothing of the failed run is left running.
 func (c *Cluster) RunGather(body func(r *Rank)) (topology.Result, [][]float32) {
 	c.mu.Lock()
 	rs := c.pool

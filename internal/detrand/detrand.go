@@ -66,8 +66,11 @@ func (r *RNG) Float32() float32 {
 // cached spare — so the cursor advances by a fixed, predictable
 // amount and a stream position still names the whole future.
 func (r *RNG) NormFloat64() float64 {
-	// 1-Float64 lies in (0, 1], keeping the log argument nonzero.
-	u := 1 - r.Float64()
+	// 1-Float64 lies in (0, 1], keeping the log argument nonzero. The
+	// draw is rounded explicitly: inlined, its scaling would otherwise
+	// fuse with the subtraction where the target has a fused
+	// multiply-add.
+	u := 1 - float64(r.Float64())
 	v := r.Float64()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }

@@ -144,9 +144,8 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 // Check panics with an Injected value if the plan holds an unfired
 // fault matching (rank, step, phase, bucket). bucket is compared only
 // for PhaseFlush, where a planned Bucket of -1 matches the first
-// flush the rank attempts. Each fault fires at most once, so a rank
-// stranded by an abandoned collective replaying a phase cannot
-// re-trigger it.
+// flush the rank attempts. Each fault fires at most once, so a step
+// retried after recovery cannot re-trigger it.
 func (p *FaultPlan) Check(rank, step int, phase Phase, bucket int) {
 	if p == nil {
 		return

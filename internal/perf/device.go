@@ -152,7 +152,8 @@ func (d *Roofline) Conv(s swdnn.ConvShape, pass swdnn.Pass) float64 {
 
 func (d *Roofline) InnerProduct(b, cin, cout int, pass swdnn.Pass) float64 {
 	flops := 2 * float64(b) * float64(cin) * float64(cout)
-	bytes := 4 * (float64(cin)*float64(cout) + float64(b)*float64(cin+cout))
+	// Rounded products: arm64 must not fuse them into the sum.
+	bytes := 4 * (float64(float64(cin)*float64(cout)) + float64(float64(b)*float64(cin+cout)))
 	return d.op(flops, bytes, d.EffGEMM)
 }
 

@@ -9,6 +9,9 @@
 // numerical correctness; for large-scale timing studies BytesPerElem
 // can inflate the virtual wire size so that a short vector stands in
 // for a multi-hundred-megabyte gradient without allocating it.
+//
+// A rank that panics revokes its run, as ULFM's revoke does an MPI
+// communicator, and the run returns only once every rank has (see Run).
 package simnet
 
 import (
@@ -27,9 +30,9 @@ type Cluster struct {
 	topology.Fabric
 
 	// pool holds the runState of the last cleanly-completed Run for
-	// reuse (its channels are provably drained and nothing references
-	// them). A failed Run never returns its state here, so the hot
-	// path stays allocation-light without weakening failure isolation.
+	// reuse: its channels are drained, its ranks joined. A failed Run
+	// never returns its state here — its links may still hold wires
+	// the dead run posted — so the next Run starts clean.
 	mu   sync.Mutex
 	pool *runState
 }
@@ -39,27 +42,32 @@ type wire struct {
 	sendTime float64
 }
 
-// runState is the message-passing state of one Run. A Run only ever
-// starts on a state no failed Run has touched (fresh, or recycled
-// from a Run that completed cleanly with all channels drained), so
-// wires buffered — or goroutines still blocked in Send/Recv — when a
-// rank panicked can never leak into, and silently corrupt, a later
-// Run on the same cluster.
+// abort is the panic value with which a Send, Recv or SendRecv leaves a
+// revoked run (see runState.dead). It unwinds the rank's body like any
+// panic, but it names no failure: RunGather reports the rank that
+// revoked the run, never the ranks the revoke interrupted.
+type abort struct{}
+
+// runState is the message-passing state of one Run, reused by the
+// next Run only when this one completed cleanly.
 type runState struct {
 	mu    sync.Mutex
 	inbox map[[2]int]chan wire // (src, dst) -> channel
 
-	// results holds RunGather's per-rank return values. It lives and
-	// dies with the run state for the same reason the channels do: a
-	// rank goroutine stranded by a peer's panic may still finish its
-	// algorithm and store its result arbitrarily late, and that late
-	// write must land in the abandoned run's private storage, never in
-	// a later call's.
-	results [][]float32
+	// dead is closed by the first rank that panics. Every blocking
+	// message operation selects on it, so no rank stays parked on a
+	// peer that will never send or receive again. failure, guarded by
+	// mu, is the lowest rank whose body panicked with anything but
+	// abort; nil while the run is alive.
+	dead    chan struct{}
+	failure *NodePanic
 
-	// nodes, clocks and scratch are the per-rank handles, logical clocks
-	// and bump arenas (see Node.Scratch). They are private to the run
-	// for the reason results is: a stranded rank keeps using them.
+	wg sync.WaitGroup
+
+	// results, nodes, clocks and scratch are RunGather's per-rank
+	// return values, handles, logical clocks and bump arenas (see
+	// Node.Scratch), recycled with the channels.
+	results [][]float32
 	nodes   []Node
 	clocks  []float64
 	scratch []scratch.Arena
@@ -84,6 +92,24 @@ func (rs *runState) channel(src, dst int) chan wire {
 		rs.inbox[key] = ch
 	}
 	return ch
+}
+
+// fail records rank's panic value. The first failure revokes the run;
+// of the failures, the lowest rank's is the one RunGather re-raises, so
+// which rank is named does not depend on which goroutine the host
+// scheduled first. An abort only follows a revoke and is not recorded.
+func (rs *runState) fail(rank int, v any) {
+	if _, ok := v.(abort); ok {
+		return
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.failure == nil {
+		close(rs.dead)
+	}
+	if rs.failure == nil || rank < rs.failure.Rank {
+		rs.failure = &NodePanic{Rank: rank, Value: v}
+	}
 }
 
 // NewCluster builds a cluster of p nodes.
@@ -122,8 +148,7 @@ func (n *Node) Supernodes() *topology.Layout { return n.cluster.Supernodes() }
 // when the cluster's next run starts and never within one, so the
 // slice stays valid until then: for this rank, for a peer it was sent
 // to, and for the caller of RunGather when the body returns it as the
-// rank's result. A failed run's arenas are abandoned with the rest of
-// its state, so a stranded rank can keep using its own.
+// rank's result.
 func (n *Node) Scratch(k int) []float32 {
 	return n.run.scratch[n.Rank].Take(k)
 }
@@ -151,7 +176,7 @@ func (n *Node) Send(peer int, data []float32) {
 		panic("simnet: send to self")
 	}
 	n.countMsg(src, dst, len(data))
-	n.run.channel(src, dst) <- wire{data: data, sendTime: *n.clock}
+	n.post(src, dst, data)
 	*n.clock = n.cluster.Send(src, dst, len(data), *n.clock)
 }
 
@@ -162,7 +187,7 @@ func (n *Node) Recv(peer int) []float32 {
 	if uint(src) >= uint(n.cluster.P) {
 		panic(n.badPeer("receive from", src))
 	}
-	m := <-n.run.channel(src, dst)
+	m := n.take(src, dst)
 	*n.clock = n.cluster.Arrive(src, dst, len(m.data), *n.clock, m.sendTime)
 	return m.data
 }
@@ -179,10 +204,31 @@ func (n *Node) SendRecv(peer int, sendData []float32) []float32 {
 		panic("simnet: sendrecv with self")
 	}
 	n.countMsg(src, dst, len(sendData))
-	n.run.channel(src, dst) <- wire{data: sendData, sendTime: *n.clock}
-	m := <-n.run.channel(dst, src)
+	n.post(src, dst, sendData)
+	m := n.take(dst, src)
 	*n.clock = n.cluster.Arrive(src, dst, max(len(sendData), len(m.data)), *n.clock, m.sendTime)
 	return m.data
+}
+
+// post queues data on the src→dst link, stamped with the sender's
+// clock, unless the run is revoked first.
+func (n *Node) post(src, dst int, data []float32) {
+	select {
+	case n.run.channel(src, dst) <- wire{data: data, sendTime: *n.clock}:
+	case <-n.run.dead:
+		panic(abort{})
+	}
+}
+
+// take waits for the next wire on the src→dst link, unless the run is
+// revoked first.
+func (n *Node) take(src, dst int) wire {
+	select {
+	case m := <-n.run.channel(src, dst):
+		return m
+	case <-n.run.dead:
+		panic(abort{})
+	}
 }
 
 // badPeer is the panic message for a peer outside [0, P).
@@ -231,15 +277,14 @@ type Result = topology.Result
 // makespan. Each invocation starts from zeroed clocks and a fresh set
 // of message channels.
 //
-// Failure semantics: a panic on any rank is re-raised on the calling
-// goroutine as soon as it is observed — peers blocked on the failed
-// rank's channels are not joined first. Those stranded goroutines (and
-// any wires they buffered, and any results they store late) reference
-// only this Run's private state, so they can never deliver into a
-// later Run: after recovering the panic the same Cluster can be reused
-// and the next collective runs on clean state. The stranded goroutines
-// themselves stay parked until process exit — one bounded leak per
-// injected failure, the same trade an aborted MPI job makes.
+// Failure semantics: a panic on any rank revokes the run. Every Send,
+// Recv or SendRecv of the run that is blocked, or called later, then
+// unwinds its rank, so every rank returns; Run joins them all and
+// re-raises, as a NodePanic, the panic of the lowest rank that failed
+// on its own (a rank only unwound by the revoke is not one). Nothing
+// of the failed run is left running, and its channels are dropped, so
+// after recovering the panic the same Cluster can be reused and the
+// next collective runs on clean state.
 func (c *Cluster) Run(body func(n *Node)) topology.Result {
 	res, _ := c.RunGather(func(n *Node) []float32 {
 		body(n)
@@ -254,15 +299,10 @@ func (c *Cluster) Run(body func(n *Node)) topology.Result {
 // vectors in it when they came from Scratch, as a one-shot
 // allreduce.Algorithm's result does — is owned by the cluster and valid
 // only until its next Run/RunGather: a caller keeping a result across
-// runs copies it out. Collecting through here instead of through
-// caller-owned shared storage matters for failure isolation: a rank
-// that outlives a peer's panic stores its late result in the abandoned
-// run's private memory. A body that instead reduces a vector of the
-// caller's in place (allreduce.Schedule.Run) returns that vector, and a
-// stranded rank writes it late: the caller abandons such vectors after
-// a failed run, as collective.Engine.ResetStaging does.
+// runs copies it out. A body that instead reduces a vector of the
+// caller's in place (allreduce.Schedule.Run) returns that vector. It
+// fails as Run does.
 func (c *Cluster) RunGather(body func(n *Node) []float32) (topology.Result, [][]float32) {
-	var wg sync.WaitGroup
 	c.mu.Lock()
 	rs := c.pool
 	c.pool = nil
@@ -270,6 +310,7 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (topology.Result, [][]
 	if rs == nil {
 		rs = &runState{
 			inbox:   make(map[[2]int]chan wire),
+			dead:    make(chan struct{}),
 			results: make([][]float32, c.P),
 			nodes:   make([]Node, c.P),
 			clocks:  make([]float64, c.P),
@@ -284,54 +325,39 @@ func (c *Cluster) RunGather(body func(n *Node) []float32) (topology.Result, [][]
 		rs.scratch[r].Rewind()
 		rs.nodes[r] = Node{Rank: r, cluster: c, run: rs, clock: &rs.clocks[r]}
 	}
-	wg.Add(c.P)
-	panicCh := make(chan NodePanic, c.P)
+	rs.wg.Add(c.P)
 	for r := range rs.nodes {
-		go func(nd *Node) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					panicCh <- NodePanic{Rank: nd.Rank, Value: rec}
-				}
-			}()
-			rs.results[nd.Rank] = body(nd)
-		}(&rs.nodes[r])
+		go rs.rank(&rs.nodes[r], body)
 	}
-	// A panicking rank can leave peers blocked on its channels; do not
-	// insist on joining everyone before reporting the failure.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case np := <-panicCh:
-		panic(np)
-	case <-done:
-	}
-	select {
-	case np := <-panicCh:
-		panic(np)
-	default:
+	rs.wg.Wait()
+	if rs.failure != nil {
+		panic(*rs.failure)
 	}
 	res := topology.NewResult(rs.clocks, rs.msgs.Load(), rs.crossMsgs.Load(), rs.crossBytes.Load())
 	// A completed collective must have consumed every message it sent
 	// (an unconsumed wire on a clean exit is an algorithm bug worth
 	// failing loudly on). Only a state that passes this check goes back
-	// to the pool; the failure paths above abandoned rs with its
-	// channels, so nothing stale can reach a later Run.
-	rs.mu.Lock()
+	// to the pool.
 	for k, ch := range rs.inbox {
 		select {
 		case <-ch:
-			rs.mu.Unlock()
 			panic(fmt.Sprintf("simnet: unconsumed message on link %v", k))
 		default:
 		}
 	}
-	rs.mu.Unlock()
 	c.mu.Lock()
 	c.pool = rs
 	c.mu.Unlock()
 	return res, rs.results
+}
+
+// rank runs body on nd's goroutine and records its panic, if any.
+func (rs *runState) rank(nd *Node, body func(n *Node) []float32) {
+	defer rs.wg.Done()
+	defer func() {
+		if rec := recover(); rec != nil {
+			rs.fail(nd.Rank, rec)
+		}
+	}()
+	rs.results[nd.Rank] = body(nd)
 }

@@ -2,7 +2,10 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"swcaffe/internal/topology"
 )
@@ -201,9 +204,7 @@ func TestPanicDoesNotPoisonNextRun(t *testing.T) {
 
 	// The same isolation holds for what a run returns. A rank's result
 	// is its arena memory (Scratch): a warm clean run hands back the
-	// previous run's, a run after a failure never the failed run's — so
-	// a rank the failure stranded can finish and write its result as
-	// late as it likes without reaching a later run's outputs.
+	// previous run's, a run after a failure never the failed run's.
 	result := func(n *Node) []float32 {
 		out := n.Scratch(2)
 		out[0], out[1] = float32(n.Rank), 1
@@ -215,46 +216,110 @@ func TestPanicDoesNotPoisonNextRun(t *testing.T) {
 		t.Fatal("a warm clean run did not reuse the previous run's result memory")
 	}
 
-	stranded, release, wrote := make(chan []float32, 1), make(chan struct{}), make(chan struct{})
+	// A failed run is joined before its panic reaches the caller: rank
+	// 1, which holds its result while rank 0 panics, has returned by
+	// then, so no rank of the failed run can write anything later.
+	var returned atomic.Bool
+	held := make(chan []float32, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("injected rank panic was not re-raised")
+			}
+			if !returned.Load() {
+				t.Fatal("the panic reached the caller before rank 1's body returned")
 			}
 		}()
 		cl.RunGather(func(n *Node) []float32 {
 			out := result(n)
 			switch n.Rank {
 			case 0:
-				stranded <- <-stranded // rank 1 holds its result
+				held <- <-held // rank 1 holds its result
 				panic("injected fault")
 			case 1:
-				stranded <- out
-				<-release // outlives the re-raise
+				defer returned.Store(true)
+				held <- out
+				time.Sleep(10 * time.Millisecond) // returns well after the panic
 				out[0], out[1] = -9999, -9999
-				close(wrote)
 			}
 			return out
 		})
 	}()
-	late := <-stranded
+	late := <-held
 	_, outs = cl.RunGather(result)
 	if &outs[1][0] == &late[0] {
 		t.Fatal("the run after a rank panic reused the failed run's result memory")
 	}
-	close(release)
-	<-wrote
 	for r, out := range outs {
 		if out[0] != float32(r) || out[1] != 1 {
-			t.Fatalf("a stranded rank's late write reached the next run's outputs: rank %d = %v", r, out)
+			t.Fatalf("the failed run's write reached the next run's outputs: rank %d = %v", r, out)
 		}
+	}
+}
+
+// TestFailedRunLeavesNoGoroutine: ranks parked in Recv on a rank that
+// panicked are interrupted and joined, so ten failed runs leave the
+// goroutine count where it was.
+func TestFailedRunLeavesNoGoroutine(t *testing.T) {
+	const p, runs = 8, 10
+	cl := NewCluster(topology.Sunway(), topology.AdjacentMapping{Q: 4}, p)
+	base := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		func() {
+			defer func() {
+				if np, ok := recover().(NodePanic); !ok || np.Rank != 0 {
+					t.Fatalf("run %d: recovered %v, want a NodePanic on rank 0", i, np)
+				}
+			}()
+			cl.Run(func(n *Node) {
+				if n.Rank == 0 {
+					panic("injected fault")
+				}
+				n.Recv(0)
+			})
+		}()
+	}
+	// A joined rank has signalled the WaitGroup but may not have exited
+	// its goroutine yet; give the scheduler a moment.
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); got > base && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if got > base {
+		t.Fatalf("%d failed runs at p = %d: %d goroutines, %d before", runs, p, got, base)
+	}
+}
+
+// TestLowestFailedRankIsRaised: when several ranks panic in one run,
+// the lowest of them is named, however the host schedules them.
+func TestLowestFailedRankIsRaised(t *testing.T) {
+	const p = 8
+	cl := NewCluster(topology.Sunway(), topology.AdjacentMapping{Q: 4}, p)
+	for i := 0; i < 20; i++ {
+		func() {
+			defer func() {
+				if np, ok := recover().(NodePanic); !ok || np.Rank != 3 || np.Value != "fault on 3" {
+					t.Fatalf("run %d: recovered %v, want rank 3's NodePanic", i, np)
+				}
+			}()
+			cl.Run(func(n *Node) {
+				switch n.Rank {
+				case 3, 5, 6:
+					if n.Rank == 3 {
+						time.Sleep(time.Millisecond) // fails last
+					}
+					panic(fmt.Sprintf("fault on %d", n.Rank))
+				default:
+					n.Recv((n.Rank + 1) % p) // parked until the revoke
+				}
+			})
+		}()
 	}
 }
 
 // TestPanicWithBlockedReceiverDoesNotPoisonNextRun injects the other
 // failure shape: a peer still parked inside Recv when a rank panics.
-// The stranded goroutine must stay bound to the failed Run's channels
-// and never intercept a message of a later Run.
+// The revoke unwinds it, and no message of a later Run reaches it.
 func TestPanicWithBlockedReceiverDoesNotPoisonNextRun(t *testing.T) {
 	net := topology.Sunway()
 	cl := NewCluster(net, topology.AdjacentMapping{Q: net.SupernodeSize}, 2)
@@ -273,9 +338,8 @@ func TestPanicWithBlockedReceiverDoesNotPoisonNextRun(t *testing.T) {
 		})
 	}()
 
-	// The stranded rank-1 goroutine from Run 1 is still blocked in Recv
-	// on the dead Run's channel; this send must reach the new Run's
-	// rank 1, not the ghost.
+	// This send must reach the new Run's rank 1 on the new Run's
+	// channel.
 	var got []float32
 	cl.Run(func(n *Node) {
 		if n.Rank == 0 {
@@ -285,7 +349,7 @@ func TestPanicWithBlockedReceiverDoesNotPoisonNextRun(t *testing.T) {
 		}
 	})
 	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("message stolen by a stranded receiver from the failed run: %v", got)
+		t.Fatalf("message lost to the failed run: %v", got)
 	}
 
 	// The collective numerics stay clean too.
@@ -375,9 +439,8 @@ func TestCrossTrafficCensus(t *testing.T) {
 
 // TestScratch: a rank's scratch is its own and holds for the whole run;
 // what a cold run was handed is the arena every later run of the shape
-// is served from; and a failed run's arenas are abandoned with its
-// state, so a rank it stranded can go on writing its own while the
-// next run stages into fresh ones.
+// is served from; and a failed run's arenas are dropped with its
+// state, so the next run stages into fresh ones.
 func TestScratch(t *testing.T) {
 	net := topology.Sunway()
 	cl := NewCluster(net, topology.AdjacentMapping{Q: net.SupernodeSize}, 3)
@@ -405,7 +468,7 @@ func TestScratch(t *testing.T) {
 		t.Fatal("the warm run did not reuse the cold run's scratch")
 	}
 
-	// Rank 1 stages, then blocks forever on the rank that panics.
+	// Rank 1 stages, then blocks on the rank that panics.
 	staged := make(chan []float32, 1)
 	func() {
 		defer func() {
@@ -424,9 +487,9 @@ func TestScratch(t *testing.T) {
 			}
 		})
 	}()
-	stranded := <-staged
+	failed := <-staged
 	cl.Run(ring)
-	if &stranded[0] == base[1] {
+	if &failed[0] == base[1] {
 		t.Fatal("the run after a failure reused the failed run's scratch")
 	}
 }

@@ -82,17 +82,20 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// FillGaussian fills with N(mean, std) samples from rng.
+// FillGaussian fills with N(mean, std) samples from rng. Here and
+// below, a product that feeds a sum is rounded explicitly
+// (float64(x*y)): arm64 would otherwise fuse the two into one
+// multiply-add and compute other bits than amd64.
 func (t *Tensor) FillGaussian(rng Rand, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(rng.NormFloat64()*std + mean)
+		t.Data[i] = float32(float64(rng.NormFloat64()*std) + mean)
 	}
 }
 
 // FillUniform fills with U[lo, hi) samples from rng.
 func (t *Tensor) FillUniform(rng Rand, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.Data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 }
 
@@ -123,7 +126,7 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) {
 		panic("tensor: AXPY length mismatch")
 	}
 	for i, v := range o.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 
@@ -135,7 +138,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	}
 	var s float64
 	for i, v := range t.Data {
-		s += float64(v) * float64(o.Data[i])
+		s += float64(float64(v) * float64(o.Data[i]))
 	}
 	return s
 }
@@ -144,7 +147,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 func (t *Tensor) SumSquares() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return s
 }
@@ -179,7 +182,7 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return false
 		}
-		if math.Abs(x-y) > atol+rtol*math.Abs(y) {
+		if math.Abs(x-y) > atol+float64(rtol*math.Abs(y)) {
 			return false
 		}
 	}

@@ -238,17 +238,10 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 		t.models = homes
 	}
 
-	// Fresh communicator at p'. Ranks stranded in the abandoned
-	// cluster's run state keep their private channels; nothing they do
-	// can reach the new world.
+	// Fresh communicator and engine at p': bucket alignment and the
+	// plan selection both depend on p.
 	t.newCommunicator()
-
-	// Discard the engine: bucket alignment and the plan selection both
-	// depend on p. The stranded ranks above may still read and write the
-	// old engine's staging, but they hold the only references to it now,
-	// so no orphaning dance is needed.
 	t.engine = nil
-	t.commDirty = false
 	t.losses = make([]float32, len(survivors))
 	// The input pipeline is world-size-dependent on both halves: the
 	// prefetcher's staged shards index by (rank, p), so detach it (the
@@ -263,14 +256,14 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 
 // flushHook builds the collective engine's fault-injection hook (nil
 // when no fault plan is configured, keeping the hot path untouched).
-// It runs on simnet rank goroutines, so the step number comes from
-// the atomic mirror Step maintains rather than t.iter.
+// It runs on rank goroutines inside a flush, which Step joins before
+// it moves t.iter.
 func (t *DistTrainer) flushHook() func(rank, bucket int) {
 	fp := t.cfg.Faults
 	if fp == nil {
 		return nil
 	}
 	return func(rank, bucket int) {
-		fp.Check(rank, int(t.stepNo.Load()), elastic.PhaseFlush, bucket)
+		fp.Check(rank, t.iter, elastic.PhaseFlush, bucket)
 	}
 }

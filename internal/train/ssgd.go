@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
 	"swcaffe/internal/collective"
@@ -294,20 +293,6 @@ type DistTrainer struct {
 	// Reused per-Step staging (both modes must stay allocation-free at
 	// steady state; the allocation budgets of alloc_test.go pin this).
 	losses []float32
-
-	// commDirty is set when a collective panicked out of a Step. simnet
-	// does not join ranks stranded by a peer's failure, and those ranks
-	// still hold references into the engine's reused packed staging,
-	// which they read and reduce in place — so the next Step must
-	// re-allocate that staging and orphan the old buffers to them
-	// instead of racing them. Failure-path-only;
-	// the hot path stays allocation-free.
-	commDirty bool
-
-	// stepNo mirrors t.iter atomically for readers on rank/CPE
-	// goroutines (the fault-injection flush hook); t.iter itself is
-	// main-goroutine state.
-	stepNo atomic.Int64
 
 	// Resolved input-pipeline model (lazily built by ensureIO, nil/zero
 	// unless cfg.IO is set): the storage layout with the advisor's

@@ -108,10 +108,6 @@ func (t *DistTrainer) ensureEngine() {
 // cfg.Overlap picks the layout — per-layer buckets, or the barrier's
 // one.
 func (t *DistTrainer) Step() float32 {
-	t.stepNo.Store(int64(t.iter))
-	if t.commDirty {
-		t.resetCommStaging()
-	}
 	t.ensureEngine()
 	eng := t.engine
 	nb := len(eng.Buckets())
@@ -140,13 +136,6 @@ func (t *DistTrainer) Step() float32 {
 	// pass panic is recovered into its launch Event, so a poisoned
 	// worker can never complete a bucket: without the failed arm the
 	// loop would wait forever on a signal that cannot come.
-	//
-	// views is captured locally on purpose. A flush reduces each rank's
-	// bucket where it lies in its view, so a rank stranded by a failed
-	// collective keeps reading *and writing* through this snapshot; the
-	// failure path below marks the staging dirty, the next Step orphans
-	// it to the stragglers (resetCommStaging) and nothing they still do
-	// can reach a recovered trainer.
 	views := eng.RankViews()
 	pool := allreduce.Pool{K: len(t.models), Run: onPool}
 	flushErr := func() (r any) {
@@ -182,11 +171,8 @@ func (t *DistTrainer) Step() float32 {
 		// in-flight pass before letting the failure escape, so a caller
 		// that recovers can reuse the trainer without racing them. join
 		// also clears the node-level pass poison by re-raising it, which
-		// we swallow in favor of the root failure. Ranks stranded by a
-		// failed collective cannot be quiesced (simnet does not join
-		// them) and may still read and write the packed staging, so mark
-		// it for re-allocation instead.
-		t.commDirty = true
+		// we swallow in favor of the root failure. A failed collective
+		// has already joined its ranks.
 		func() {
 			defer func() { recover() }()
 			join()
@@ -233,16 +219,6 @@ func (t *DistTrainer) Step() float32 {
 	t.ExposedCommTime += t.LastStep.Exposed
 	t.recordStep()
 	return t.meanLoss()
-}
-
-// resetCommStaging re-allocates every buffer a rank goroutine stranded
-// by a failed collective might still read or write, leaving the old
-// buffers to the stragglers (see commDirty).
-func (t *DistTrainer) resetCommStaging() {
-	t.commDirty = false
-	if t.engine != nil {
-		t.engine.ResetStaging()
-	}
 }
 
 // Buckets reports the collective engine's bucket count — 1 for the

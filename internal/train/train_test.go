@@ -479,14 +479,14 @@ func TestOverlapCollectivePanicQuiescesPasses(t *testing.T) {
 		Overlap: true, BucketBytes: 8 << 10}, classes, ds)
 }
 
-// TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer: a rank that
-// panics inside a collective leaves its peers alive past the re-raise
-// (simnet.Run does not join them). Here rank 0 dies as the hierarchical
-// barrier flush enters its allgather, while the other supernode's ranks
-// sleep there and then finish the phase among themselves: their late
-// stores into their packed views must land in the failed step's staging
-// — never in the staging a recovered trainer's next Step reads
-// (Engine.ResetStaging). Run under -race by `make race`.
+// TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer: rank 0 dies
+// as the hierarchical barrier flush enters its allgather, while the
+// other supernode's ranks sleep there and then try to finish the phase.
+// simnet joins them before the panic leaves Step, so none of them
+// outlives the re-raise, and the trainer that recovers and steps on
+// must still match a fresh twin bit for bit: nothing the failed flush
+// left in the packed views may reach it. Run under -race by `make
+// race`.
 func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 	const classes, nodes = 3, 4
 	ds := dataset.NewClusters(500, classes, 1, 8, 8, 0.4, 35)
@@ -511,7 +511,7 @@ func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 		case rank == 0:
 			panic("late rank fault")
 		case mapping.Supernode(rank, nodes) != mapping.Supernode(0, nodes):
-			time.Sleep(30 * time.Millisecond) // peers outlive the re-raise
+			time.Sleep(30 * time.Millisecond) // peers finish after rank 0 dies
 		}
 	})
 	poison.Store(true)
@@ -527,9 +527,8 @@ func TestBarrierLateRankPanicDoesNotCorruptRecoveredTrainer(t *testing.T) {
 	poison.Store(false)
 	allreduce.SetHierPhaseHook(prev)
 
-	// Step again immediately: the stranded ranks from the failed
-	// collective are still sleeping and will store their results while
-	// these steps run. Compare against a fresh twin bit for bit.
+	// Step again immediately and compare against a fresh twin bit for
+	// bit.
 	requireTracksTwin(t, d, cfg, classes, ds)
 }
 
