@@ -19,9 +19,9 @@ var metFaults = obs.Default().Counter("elastic.faults_injected")
 // reproducible test instead of a flake. A matched Check panics with
 // an Injected value carrying the coordinates; the panic then travels
 // the same recovery machinery a real kernel or collective panic
-// would (launch-event poisoning, simnet run teardown), which is the
-// point: the injected fault exercises the production failure path,
-// not a parallel test-only one.
+// would (launch-event poisoning, the join of a failed step or run),
+// which is the point: the injected fault exercises the production
+// failure path, not a parallel test-only one.
 
 // Phase names one point in a training step where a fault can fire.
 type Phase string

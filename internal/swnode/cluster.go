@@ -73,20 +73,15 @@ func (c *Cluster) Launches() int {
 }
 
 // Sync joins every node's outstanding launches. If any node recorded a
-// kernel panic, Sync re-raises the first one — but only after every
-// node has quiesced, so the cluster is never left with in-flight work
-// behind a re-raised failure.
+// kernel panic, Sync re-raises the lowest-indexed such node's first one
+// — but only after every node has quiesced, so the cluster is never
+// left with in-flight work behind a re-raised failure.
 func (c *Cluster) Sync() {
 	var first any
 	for _, n := range c.nodes {
-		func() {
-			defer func() {
-				if r := recover(); r != nil && first == nil {
-					first = r
-				}
-			}()
-			n.Sync()
-		}()
+		if err := n.join(); first == nil {
+			first = err
+		}
 	}
 	if first != nil {
 		panic(first)

@@ -1,14 +1,7 @@
 package swnode
 
 // Done reports whether the launch has completed without blocking.
-func (e *Event) Done() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
+func (e *Event) Done() bool { return e.done.Load() }
 
 // Wait blocks until every launch submitted to the stream so far has
 // completed and returns the stream's modeled finish time (0 when the

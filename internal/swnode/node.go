@@ -71,10 +71,10 @@ func NewNode(m *sw26010.Model) *Node {
 // deterministic 4-slot least-loaded scheduler and the modeled
 // [SimStart, SimEnd] timeline all behave exactly as on a pooled node.
 // Running inline is valid because DES launches are only submitted from
-// one single-threaded driver, so every dependency's done channel is
-// already closed when a launch is placed — the DAG resolves in
-// submission order. A p = 4096 sweep therefore costs zero goroutines
-// on the compute side too.
+// one single-threaded driver, so every launch a new one depends on has
+// already completed when it is placed — the DAG resolves in submission
+// order, and a launch has resolved before it returns. A p = 4096 sweep
+// therefore costs zero goroutines on the compute side too.
 func NewDESNode(m *sw26010.Model) *Node { return newNode(m, true) }
 
 func newNode(m *sw26010.Model, des bool) *Node {
@@ -148,14 +148,20 @@ func (n *Node) Launches() int {
 // launch panicked, Sync re-raises the first panic (the node remains
 // usable, as a CoreGroup does after a kernel panic).
 func (n *Node) Sync() {
-	n.pending.Wait()
-	n.mu.Lock()
-	err := n.firstErr
-	n.firstErr = nil
-	n.mu.Unlock()
-	if err != nil {
+	if err := n.join(); err != nil {
 		panic(err)
 	}
+}
+
+// join waits for every submitted launch and returns, and clears, the
+// first panic any of them recorded.
+func (n *Node) join() any {
+	n.pending.Wait()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	err := n.firstErr
+	n.firstErr = nil
+	return err
 }
 
 // SimTime returns the node's modeled makespan: the latest SimEnd over
@@ -201,10 +207,7 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	n.mu.Unlock()
-	n.pending.Wait()
-	n.mu.Lock()
-	n.firstErr = nil
-	n.mu.Unlock()
+	n.join()
 	for _, cg := range n.cgs {
 		if cg != nil {
 			cg.Close()

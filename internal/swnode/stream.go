@@ -2,6 +2,7 @@ package swnode
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"swcaffe/internal/obs"
 	"swcaffe/internal/sw26010"
@@ -31,14 +32,19 @@ func (s *Stream) SetLabel(name string) {
 	s.mu.Unlock()
 }
 
-// Event is the completion handle of one launch. It resolves when the
-// launch's kernel (and every launch it waits on) has finished.
+// Event is the completion handle of one launch, and the launch itself:
+// it runs the kernel or fn it was given, and resolves when that (and
+// every launch it waits on) has finished.
 type Event struct {
-	node *Node
-	cg   int
-	done chan struct{}
+	node   *Node
+	cg     int
+	kernel func(cg *sw26010.CoreGroup) float64 // a CoreGroup launch, or
+	fn     func() float64                      // a host launch (LaunchFunc)
 
-	// Written by the launch goroutine before done is closed.
+	wg   sync.WaitGroup // released when the launch completes
+	done atomic.Bool    // set just before wg is released
+
+	// Written by the launch before it completes.
 	simTime  float64 // the kernel's own simulated duration
 	simStart float64 // modeled start: max SimEnd over the waited-on events
 	simEnd   float64 // simStart + simTime
@@ -59,7 +65,7 @@ func (e *Event) CGIndex() int { return e.cg }
 // simulated duration. If the kernel panicked, Wait re-raises the
 // panic.
 func (e *Event) Wait() float64 {
-	<-e.done
+	e.wg.Wait()
 	if e.err != nil {
 		panic(e.err)
 	}
@@ -74,29 +80,20 @@ func (e *Event) SimStart() float64 { return e.simStart }
 // node timeline. Valid after Wait (or Node.Sync).
 func (e *Event) SimEnd() float64 { return e.simEnd }
 
-// Launch submits kernel to the stream with scheduling weight 1. See
-// LaunchWeighted.
+// Launch submits kernel and returns its Event immediately. The kernel
+// receives the CoreGroup it was placed on and returns its simulated
+// duration (typically by calling cg.Run/RunN or a swdnn *Run entry
+// point). It executes asynchronously once the stream's previous
+// launch, the CoreGroup's previously assigned launch and every listed
+// dependency have completed, so per-CG execution order equals
+// assignment order and the modeled timeline is deterministic. On an
+// unpinned stream the launch weighs 1 in the least-loaded scheduler
+// (see LaunchFunc).
 func (s *Stream) Launch(kernel func(cg *sw26010.CoreGroup) float64, deps ...*Event) *Event {
-	return s.LaunchWeighted(1, kernel, deps...)
-}
-
-// LaunchWeighted submits kernel and returns its Event immediately.
-// The kernel receives the CoreGroup it was placed on and returns its
-// simulated duration (typically by calling cg.Run/RunN or a swdnn
-// *Run entry point). It executes asynchronously once the stream's
-// previous launch, the CoreGroup's previously assigned launch and
-// every listed dependency have completed, so per-CG execution order
-// equals assignment order and the modeled timeline is deterministic.
-//
-// weight biases the least-loaded scheduler for unpinned streams
-// (e.g. a modeled cost estimate, such as the swdnn plan time of the
-// kernel); placement uses cumulative assigned weight only, never
-// completion times, so it is reproducible.
-func (s *Stream) LaunchWeighted(weight float64, kernel func(cg *sw26010.CoreGroup) float64, deps ...*Event) *Event {
 	if s.node.des {
 		panic("swnode: CoreGroup launch on a DES node, which has no CoreGroups; use LaunchFunc")
 	}
-	return s.launch(weight, func(e *Event) float64 { return kernel(s.node.cgs[e.cg]) }, deps)
+	return s.launch(1, &Event{kernel: kernel}, deps)
 }
 
 // LaunchFunc submits fn as a launch that runs on the host with no
@@ -106,12 +103,19 @@ func (s *Stream) LaunchWeighted(weight float64, kernel func(cg *sw26010.CoreGrou
 // This is the only launch a DES node accepts, and it also works on
 // pooled nodes (for work that needs scheduling and a timeline but no
 // simulated mesh).
+//
+// weight biases the least-loaded scheduler for unpinned streams (e.g.
+// a modeled cost estimate of the work); placement uses cumulative
+// assigned weight only, never completion times, so it is reproducible.
 func (s *Stream) LaunchFunc(weight float64, fn func() float64, deps ...*Event) *Event {
-	return s.launch(weight, func(*Event) float64 { return fn() }, deps)
+	return s.launch(weight, &Event{fn: fn}, deps)
 }
 
-func (s *Stream) launch(weight float64, exec func(e *Event) float64, deps []*Event) *Event {
+// launch places e, which holds only what it runs, and starts it.
+func (s *Stream) launch(weight float64, e *Event, deps []*Event) *Event {
 	n := s.node
+	e.node = n
+	e.wg.Add(1)
 
 	// The stream lock spans placement so that concurrent Launch calls
 	// on one stream serialize and the stream/CG chains stay consistent.
@@ -122,39 +126,34 @@ func (s *Stream) launch(weight float64, exec func(e *Event) float64, deps []*Eve
 		s.mu.Unlock()
 		panic("swnode: Launch on a closed Node")
 	}
-	cg := s.pin
-	if cg == Unpinned {
-		cg = n.leastLoaded()
+	e.cg = s.pin
+	if e.cg == Unpinned {
+		e.cg = n.leastLoaded()
 	}
-	n.load[cg] += weight
+	n.load[e.cg] += weight
 	n.launches++
-	e := &Event{node: n, cg: cg, done: make(chan struct{})}
 	if n.tracer != nil {
 		e.tracer, e.tracePid, e.label = n.tracer, n.tracePid, s.label
 		if e.label == "" {
 			e.label = "launch"
 		}
 	}
-	cgPrev := n.lastOnCG[cg]
-	n.lastOnCG[cg] = e
+	cgPrev := n.lastOnCG[e.cg]
+	n.lastOnCG[e.cg] = e
 	n.pending.Add(1)
 	n.mu.Unlock()
-	waits := make([]*Event, 0, 1+len(deps))
-	if s.tail != nil {
-		waits = append(waits, s.tail)
-	}
+	tail := s.tail
 	s.tail = e
 	s.mu.Unlock()
 
-	waits = append(waits, deps...)
 	if n.des {
 		// DES node: everything this launch could wait on already ran
 		// inline (single-threaded submission), so the DAG resolves here
 		// and now — run synchronously, spawn nothing.
-		e.run(exec, cgPrev, waits)
-		return e
+		e.run(cgPrev, tail, deps)
+	} else {
+		go e.run(cgPrev, tail, deps)
 	}
-	go e.run(exec, cgPrev, waits)
 	return e
 }
 
@@ -169,40 +168,29 @@ func (s *Stream) Poisoned() bool {
 	s.mu.Lock()
 	tail := s.tail
 	s.mu.Unlock()
-	if tail == nil {
-		return false
-	}
-	select {
-	case <-tail.done:
-		return tail.err != nil
-	default:
-		return false
-	}
+	return tail != nil && tail.done.Load() && tail.err != nil
 }
 
 // run executes the launch once its ordering constraints resolve.
 // cgPrev is the launch previously assigned to the same CoreGroup: it
 // orders execution and the modeled timeline but does not propagate
 // failure (unrelated streams sharing a CG must not poison each other).
-// The stream predecessor and explicit deps are data dependencies: a
-// failed producer poisons its dependents, which skip their kernels and
-// re-raise the root panic value from Wait.
-func (e *Event) run(exec func(e *Event) float64, cgPrev *Event, waits []*Event) {
+// The stream predecessor tail and the explicit deps are data
+// dependencies (see after).
+func (e *Event) run(cgPrev, tail *Event, deps []*Event) {
 	defer e.node.pending.Done()
-	defer close(e.done)
+	defer e.wg.Done()
+	defer e.done.Store(true)
 	var start float64
 	if cgPrev != nil {
-		<-cgPrev.done
+		cgPrev.wg.Wait()
 		start = cgPrev.simEnd
 	}
-	for _, w := range waits {
-		<-w.done
-		if w.err != nil && e.err == nil {
-			e.err = w.err
-		}
-		if w.simEnd > start {
-			start = w.simEnd
-		}
+	if tail != nil {
+		start = e.after(tail, start)
+	}
+	for _, d := range deps {
+		start = e.after(d, start)
 	}
 	e.simStart = start
 	e.simEnd = start
@@ -219,10 +207,29 @@ func (e *Event) run(exec func(e *Event) float64, cgPrev *Event, waits []*Event) 
 			e.node.mu.Unlock()
 		}
 	}()
-	t := exec(e)
+	var t float64
+	if e.fn != nil {
+		t = e.fn()
+	} else {
+		t = e.kernel(e.node.cgs[e.cg])
+	}
 	e.simTime = t
 	e.simEnd = start + t
 	if e.tracer != nil {
 		e.tracer.Span(e.tracePid, e.cg, e.label, e.simStart, e.simEnd)
 	}
+}
+
+// after waits for w, a data dependency of e, and returns start moved
+// past w's modeled end. A failed w poisons e: e skips its kernel and
+// re-raises the root panic value from Wait.
+func (e *Event) after(w *Event, start float64) float64 {
+	w.wg.Wait()
+	if w.err != nil && e.err == nil {
+		e.err = w.err
+	}
+	if w.simEnd > start {
+		return w.simEnd
+	}
+	return start
 }

@@ -212,7 +212,8 @@ func TestSchedulerPlacementDeterminism(t *testing.T) {
 			case i%4 == 3:
 				e = pinned.Launch(kernel(float64(i)))
 			case i%2 == 0:
-				e = node.NewStream().LaunchWeighted(2, kernel(float64(i)))
+				d := float64(i)
+				e = node.NewStream().LaunchFunc(2, func() float64 { return d })
 			default:
 				e = st.Launch(kernel(float64(i)))
 			}
@@ -372,6 +373,19 @@ func TestDESNodeLaunchFunc(t *testing.T) {
 		}()
 		node.NewStream().Launch(func(cg *sw26010.CoreGroup) float64 { return 0 })
 	}()
+}
+
+// TestDESLaunchAllocatesOnlyItsEvent: a DES launch has resolved before
+// LaunchFunc returns, so with a pre-bound fn it allocates one object,
+// its Event — no wrapper closure, completion channel or wait list.
+func TestDESLaunchAllocatesOnlyItsEvent(t *testing.T) {
+	node := swnode.NewDESNode(nil)
+	defer node.Close()
+	st := node.NewStream()
+	fn := func() float64 { return 1e-6 }
+	if got := testing.AllocsPerRun(100, func() { st.LaunchFunc(1, fn) }); got != 1 {
+		t.Fatalf("a DES LaunchFunc allocates %v objects, want 1", got)
+	}
 }
 
 // TestLaunchFuncOnPooledNode: LaunchFunc also works on pooled nodes,

@@ -12,46 +12,51 @@ import (
 )
 
 // TestDESOverlapStepAllocationBudget holds a warm p = 64 DES overlap
-// step to a constant number of objects per rank per bucket. At two
-// buckets a step measures 7.6 per rank per bucket for every schedule —
-// 15 per rank per step: the inline pass's handful, and per flush the
-// collective's state, its continuation, the engine's averaging
-// continuation and the Finish method value. The result is the rank's
-// view, so no vector is among them, and nothing is per round or per
-// message: one such object would add 12 or more (RHD runs 12 exchanges
-// per rank per flush at p = 64, and the same step allocated 95, 134 and
-// 281 per rank per bucket before the communication path stopped
-// copying, 22 to 25 while every rank had a model of its own).
+// step to one object per rank per bucket. At two buckets and
+// GOMAXPROCS 4 a step measures 97 objects — 0.8 per rank per bucket —
+// for every schedule: the Event of each rank's pass launch, 64, and 33
+// that do not grow with p (the failure signal, the pass pool's
+// goroutines, and per flush the collective's state and continuations).
+// Nothing is per round or per message: one such object would add 12
+// or more (RHD runs 12 exchanges per rank per flush at p = 64), and the
+// same step allocated 95, 134 and 281 per rank per bucket before the
+// communication path stopped copying, 22 to 25 while every rank had a
+// model of its own, and 2.7 while each launch also built a wrapper, a
+// done channel and a wait list and each rank a hand-back closure.
+// GOMAXPROCS is pinned because every pool goroutine a flush starts
+// costs an object: at GOMAXPROCS 16 the step measures 145.
 func TestDESOverlapStepAllocationBudget(t *testing.T) {
-	const p, perRankPerBucket = 64, 10
+	const p, perRankPerBucket = 64, 1
 	netw := topology.Sunway()
 	netw.SupernodeSize = 8
 	ds := dataset.NewClusters(2000, 3, 1, 3, 3, 0.4, 23)
-	for _, alg := range []string{allreduce.NameRHD, allreduce.NameHierarchical, allreduce.NameRing} {
-		cfg := desTwinConfig(p, netw, topology.AdjacentMapping{Q: 8}, alg, true, BackendDES)
-		cfg.BucketBytes = 64 // one bucket per parameter layer of the test MLP
-		d, err := NewDistTrainer(cfg, mlpFactory(cfg.SubBatch, 3))
-		if err != nil {
-			t.Fatal(err)
+	withGOMAXPROCS(4, func() {
+		for _, alg := range []string{allreduce.NameRHD, allreduce.NameHierarchical, allreduce.NameRing} {
+			cfg := desTwinConfig(p, netw, topology.AdjacentMapping{Q: 8}, alg, true, BackendDES)
+			cfg.BucketBytes = 64 // one bucket per parameter layer of the test MLP
+			d, err := NewDistTrainer(cfg, mlpFactory(cfg.SubBatch, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := 0
+			step := func() {
+				d.LoadShards(ds, it)
+				d.Step()
+				it++
+			}
+			step() // builds the engine, its views and the links
+			step()
+			nb := len(d.LastStep.Buckets)
+			if nb != 2 {
+				t.Fatalf("%s: %d buckets, want 2", alg, nb)
+			}
+			if got := testing.AllocsPerRun(3, step); got > float64(perRankPerBucket*p*nb) {
+				t.Errorf("%s: %v allocations per warm step = %.1f per rank per bucket, budget %d",
+					alg, got, got/float64(p*nb), perRankPerBucket)
+			}
+			d.Close()
 		}
-		it := 0
-		step := func() {
-			d.LoadShards(ds, it)
-			d.Step()
-			it++
-		}
-		step() // builds the engine, its views and the links
-		step()
-		nb := len(d.LastStep.Buckets)
-		if nb != 2 {
-			t.Fatalf("%s: %d buckets, want 2", alg, nb)
-		}
-		if got := testing.AllocsPerRun(3, step); got > float64(perRankPerBucket*p*nb) {
-			t.Errorf("%s: %v allocations per warm step = %.1f per rank per bucket, budget %d",
-				alg, got, got/float64(p*nb), perRankPerBucket)
-		}
-		d.Close()
-	}
+	})
 }
 
 // budgetFactory is a two-layer MLP whose packed gradient (about 0.56 MB,

@@ -373,28 +373,39 @@ func TestPassFaultRecoverContinuesClean(t *testing.T) {
 	}
 }
 
-// TestTwoFaultVictimIsLowestRank: ranks 1 and 2 both die in the same
-// flush. The goroutine backend joins every rank before it re-raises,
-// so the victim it names is the lower of the two, rank 1, every time —
+// TestTwoFaultVictimIsLowestRank: two ranks die in the same step —
+// both in one flush, or both in their passes — under the barrier and
+// under overlap. The goroutine backend joins every rank of a failed
+// collective, and every pass of a failed step, before it re-raises, so
+// the victim it names is the lowest failed rank, rank 1, every time —
 // not whichever failure the host happened to schedule first.
 func TestTwoFaultVictimIsLowestRank(t *testing.T) {
 	const classes, nodes, trials = 3, 4, 30
 	ds := dataset.NewClusters(200, classes, 1, 3, 3, 0.4, 11)
-	for i := 0; i < trials; i++ {
-		fp := mustParseFaultPlan(t, "1@0:flush-bucket-0,2@0:flush-bucket-0")
-		d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2,
-			Solver: core.SolverConfig{BaseLR: 0.05}, Faults: fp}, mlpFactory(2, classes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.LoadShards(ds, 0)
-		_, pan := stepRecover(d)
-		d.Close()
-		if r, ok := elastic.FailedRank(pan); !ok || r != 1 {
-			t.Fatalf("trial %d: elastic.FailedRank(%v) = %d, %v, want rank 1", i, pan, r, ok)
-		}
-		if fp.Pending() != 0 {
-			t.Fatalf("trial %d: %d planned faults never fired", i, fp.Pending())
+	plans := []string{
+		"1@0:flush-bucket-0,2@0:flush-bucket-0",
+		"1@0:forward,2@0:forward",
+		"1@0:backward,3@0:pack",
+	}
+	for _, plan := range plans {
+		for _, overlap := range []bool{false, true} {
+			for i := 0; i < trials; i++ {
+				fp := mustParseFaultPlan(t, plan)
+				d, err := NewDistTrainer(DistConfig{Nodes: nodes, SubBatch: 2, Overlap: overlap,
+					Solver: core.SolverConfig{BaseLR: 0.05}, Faults: fp}, mlpFactory(2, classes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.LoadShards(ds, 0)
+				_, pan := stepRecover(d)
+				d.Close()
+				if r, ok := elastic.FailedRank(pan); !ok || r != 1 {
+					t.Fatalf("%s, overlap %v, trial %d: elastic.FailedRank(%v) = %d, %v, want rank 1", plan, overlap, i, pan, r, ok)
+				}
+				if fp.Pending() != 0 {
+					t.Fatalf("%s, overlap %v, trial %d: %d planned faults never fired", plan, overlap, i, fp.Pending())
+				}
+			}
 		}
 	}
 }

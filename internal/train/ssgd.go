@@ -69,11 +69,12 @@ type Worker struct {
 	home  *Worker
 	state core.ReplicaState
 
-	// clock and failure are what the rank's pass on the DES pool
-	// charged and panicked with, for its launch to hand back (see
-	// launchPasses).
-	clock   float64
-	failure any
+	// clock and failure are what the rank's last pass charged and
+	// panicked with, and handBack, bound once per rank, is the launch fn
+	// that hands them back to the rank's node (see launchPasses).
+	clock    float64
+	failure  any
+	handBack func() float64
 }
 
 // newReplica builds a worker around a model of its own; its input
@@ -165,8 +166,10 @@ type DistConfig struct {
 	// Faults, when non-nil, is a deterministic fault-injection plan:
 	// matching (rank, step, phase) checkpoints inside the passes and
 	// the collective panic with elastic.Injected, killing the rank
-	// through the production failure machinery (event poisoning,
-	// simnet run teardown). Nil costs nothing on the hot path.
+	// through the production failure machinery: a failed pass poisons
+	// its launch stream and Step joins every pass, a failed collective
+	// joins every rank, and either re-raises the lowest failed rank's
+	// panic. Nil costs nothing on the hot path.
 	Faults *elastic.FaultPlan
 
 	// Tracer, when non-nil, records the run on the simulated clock:
@@ -448,6 +451,12 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 			}
 		}
 		w.Rank = r
+		w.handBack = func() float64 {
+			if w.failure != nil {
+				panic(w.failure)
+			}
+			return w.clock
+		}
 		// One pass at a time per worker: the node's 4-CG decomposition
 		// is collapsed into one functional pass (Algorithm 1 lines 3-8).
 		// The stream is unpinned so the launch's plan-priced weight
@@ -556,30 +565,25 @@ func (t *DistTrainer) Close() {
 }
 
 // launchPasses starts pass for every worker as one stream launch on
-// its simulated node and returns a join function plus a failure
-// channel. pass returns the modeled seconds its launch is charged.
-// There are two arms, one per backend. On a pooled node the pass runs
-// on its launch goroutine as a LaunchFunc charged the pass's seconds,
-// so a pass panic reaches the caller as the value it was raised with;
-// the caller overlaps the flushes between launch and join, and
-// completion ordering is the usual stream/event happens-before. On DES nodes
-// every pass has run before launchPasses returns: first on the pool,
-// one goroutine per shared model, each taking its home ranks in
-// ascending order with the charge kept as the rank's clock and a
-// panic recovered per rank — the weights are read-only until the
-// flush loop, which starts after the join. Then, on the calling
-// goroutine and in rank order, each rank's launch hands back its clock
-// or re-raises its panic, so node placement, launch counts, trace
-// spans and pass poisoning are those of a pass run inline.
+// its simulated node, charged the seconds pass returns, and returns the
+// step's failure signal: a pass that panics keeps its panic as the
+// rank's failure and sends on the cap-1 channel without blocking. The
+// caller blocks on signals a pass produces mid-flight (the step's flush
+// loop), which a failed pass never sends, so it selects on this one as
+// well and then joins every pass with Cluster.Sync, which re-raises the
+// lowest failed rank's panic; a healthy pass never blocks on the
+// caller, so the join always returns.
 //
-// failed is there because the caller blocks on signals a pass produces
-// mid-flight (the step's flush loop): a pass panic is recovered into
-// its launch Event, so a poisoned worker goes quiet instead of
-// crashing; without a side channel the caller would wait forever on a
-// signal that never comes. failed delivers the first pass panic after
-// every pass has quiesced (healthy workers never block on the cap-1
-// bucket signals, so quiescence is guaranteed).
-func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) (join func(), failed <-chan any) {
+// There are two arms, one per backend. On a pooled node the pass runs
+// on its launch goroutine, and the caller overlaps the flushes with it.
+// On DES nodes every pass has run before launchPasses returns: first
+// on the pool, one goroutine per shared model, each taking its home
+// ranks in ascending order — the weights are read-only until the flush
+// loop, which starts after the pool's join. Then, on the calling
+// goroutine and in rank order, each rank's launch hands back its clock
+// or re-raises its panic, so node placement, launch counts, trace spans
+// and pass poisoning are those of a pass run inline.
+func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) <-chan struct{} {
 	// Recovery bookkeeping, a no-op on the healthy path: a failed launch
 	// poisons its stream's future launches, so continue poisoned workers
 	// on a fresh stream — a recovered trainer must not silently skip
@@ -590,6 +594,18 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) (join fu
 			w.stream.SetLabel("pass")
 		}
 	}
+	failed := make(chan struct{}, 1)
+	run := func(i int, w *Worker) {
+		defer func() {
+			if w.failure = recover(); w.failure != nil {
+				select {
+				case failed <- struct{}{}:
+				default:
+				}
+			}
+		}()
+		w.clock = pass(i, w)
+	}
 	// The launch weight is the swdnn-plan-priced pass cost, so the
 	// deterministic least-loaded scheduler places passes by modeled
 	// kernel cost rather than launch count (ensureTimeline has run by
@@ -598,65 +614,23 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) (join fu
 	if t.nodes.DES() {
 		onPool(len(t.models), func(m int) {
 			for i, w := range t.Workers {
-				if w.home != t.models[m] {
-					continue
+				if w.home == t.models[m] {
+					run(i, w)
 				}
-				w.clock, w.failure = 0, nil
-				func() {
-					defer func() { w.failure = recover() }()
-					w.clock = pass(i, w)
-				}()
 			}
 		})
 		for _, w := range t.Workers {
-			w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
-				if w.failure != nil {
-					panic(w.failure)
-				}
-				return w.clock
-			})
+			w.lastEv = w.stream.LaunchFunc(weight, w.handBack)
 		}
-		// Every pass already ran, so a failure is already known: surface
-		// it synchronously, no watcher goroutine.
-		fc := make(chan any, 1)
-		for _, w := range t.Workers {
-			if r := passFailure(w.lastEv); r != nil {
-				fc <- r
-				break
-			}
-		}
-		return t.nodes.Sync, fc
+		return failed
 	}
 	for i, w := range t.Workers {
-		w.lastEv = w.stream.LaunchFunc(weight, func() float64 { return pass(i, w) })
+		w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
+			run(i, w)
+			return w.handBack()
+		})
 	}
-	// Snapshot the events: the watcher can outlive this Step, and the
-	// next Step overwrites each worker's lastEv.
-	events := make([]*swnode.Event, len(t.Workers))
-	for i, w := range t.Workers {
-		events[i] = w.lastEv
-	}
-	fc := make(chan any, 1)
-	//swvet:ignore straygo: fault watcher; drains by construction — it only blocks on event Waits the scheduler is already committed to firing
-	go func() {
-		var first any
-		for _, e := range events {
-			if r := passFailure(e); r != nil && first == nil {
-				first = r
-			}
-		}
-		if first != nil {
-			fc <- first
-		}
-	}()
-	return t.nodes.Sync, fc
-}
-
-// passFailure waits for one pass launch and returns its panic, or nil.
-func passFailure(e *swnode.Event) (r any) {
-	defer func() { r = recover() }()
-	e.Wait()
-	return nil
+	return failed
 }
 
 // stepCompute closes out the compute leg of one Step: the maximum of
@@ -664,7 +638,8 @@ func passFailure(e *swnode.Event) (r any) {
 // launch is charged exactly the priced pass cost in one clock tick,
 // so this equals computeEnd bit for bit at any iteration count —
 // differencing the cumulative node timeline instead would shed
-// floating-point bits as the timeline grows. Call after join.
+// floating-point bits as the timeline grows. Call after the passes'
+// join.
 func (t *DistTrainer) stepCompute() float64 {
 	var max float64
 	for _, w := range t.Workers {

@@ -119,7 +119,7 @@ func (t *DistTrainer) Step() float32 {
 	// and shed bits); the per-layer production offsets of the modeled
 	// overlay come from layerDone, where the engine flushes buckets.
 	fp, step := t.cfg.Faults, t.iter
-	join, failed := t.launchPasses(func(i int, w *Worker) float64 {
+	failed := t.launchPasses(func(i int, w *Worker) float64 {
 		t.pass(i, w, func(li int) {
 			if fp != nil {
 				// Packing is incremental: the pack fault fires (once) at
@@ -135,7 +135,9 @@ func (t *DistTrainer) Step() float32 {
 	// worker produced it, concurrent with the remaining backward. A
 	// pass panic is recovered into its launch Event, so a poisoned
 	// worker can never complete a bucket: without the failed arm the
-	// loop would wait forever on a signal that cannot come.
+	// loop would wait forever on a signal that cannot come. On that
+	// signal the loop joins every pass, and the join re-raises the
+	// lowest failed rank's panic.
 	views := eng.RankViews()
 	pool := allreduce.Pool{K: len(t.models), Run: onPool}
 	flushErr := func() (r any) {
@@ -143,8 +145,8 @@ func (t *DistTrainer) Step() float32 {
 		for b := 0; b < nb; b++ {
 			select {
 			case <-eng.Ready(b):
-			case err := <-failed:
-				panic(err)
+			case <-failed:
+				t.nodes.Sync()
 			}
 			b := b
 			// outs[r] is bucket b's range of rank r's view, reduced in place.
@@ -166,20 +168,19 @@ func (t *DistTrainer) Step() float32 {
 		return nil
 	}()
 	if flushErr != nil {
-		// Whatever failed — a poisoned pass, or the collective itself
-		// panicking while workers are still mid-backward — quiesce every
-		// in-flight pass before letting the failure escape, so a caller
-		// that recovers can reuse the trainer without racing them. join
-		// also clears the node-level pass poison by re-raising it, which
-		// we swallow in favor of the root failure. A failed collective
-		// has already joined its ranks.
+		// A failed pass was joined above. A collective panicking while
+		// workers are still mid-backward has joined its own ranks but not
+		// the passes: quiesce them before letting the failure escape, so
+		// a caller that recovers can reuse the trainer without racing
+		// them. The join also clears the node-level pass poison by
+		// re-raising it, which we swallow in favor of the root failure.
 		func() {
 			defer func() { recover() }()
-			join()
+			t.nodes.Sync()
 		}()
 		panic(flushErr)
 	}
-	join()
+	t.nodes.Sync()
 	compute := t.stepCompute()
 
 	// Every bucket was averaged into the gradients as it committed:
