@@ -159,7 +159,8 @@ func checkConvBackward(t *testing.T, cfg ConvConfig, batch int) {
 	// The contract: after Forward, overwriting the bottom blob does not
 	// change what Backward computes; the weight gradient is still that
 	// of the data Forward saw.
-	seen := in.Clone()
+	seen := tensor.New(in.N, in.C, in.H, in.W)
+	seen.CopyFrom(in)
 	in.FillUniform(rng, -1, 1)
 	want := run(dIn, oracle(seen, dIn))
 	if msg := run(dIn, layer(dIn)).mismatch(want); msg != "" {

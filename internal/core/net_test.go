@@ -138,7 +138,9 @@ func TestPackUnpackGradients(t *testing.T) {
 	}
 	before := make([]*tensor.Tensor, 0)
 	for _, p := range net.LearnableParams() {
-		before = append(before, p.Diff.Clone())
+		c := tensor.New(p.Diff.N, p.Diff.C, p.Diff.H, p.Diff.W)
+		c.CopyFrom(p.Diff)
+		before = append(before, c)
 	}
 	net.UnpackGradients(packed)
 	for i, p := range net.LearnableParams() {

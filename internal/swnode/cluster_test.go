@@ -93,7 +93,7 @@ func TestClusterSyncPropagatesPanicAfterQuiesce(t *testing.T) {
 	// The cluster stays usable after the failure, like a Node does.
 	ev := cl.Node(0).PinnedStream(0).Launch(func(cg *sw26010.CoreGroup) float64 { return 1e-6 })
 	cl.Sync()
-	if !ev.Done() {
+	if ev.Wait() != 1e-6 {
 		t.Fatal("post-failure launch did not complete")
 	}
 }

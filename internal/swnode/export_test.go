@@ -1,7 +1,20 @@
 package swnode
 
-// Done reports whether the launch has completed without blocking.
-func (e *Event) Done() bool { return e.done.Load() }
+import (
+	"unsafe"
+
+	"swcaffe/internal/sw26010"
+)
+
+// EventBytes is the size of an Event, which a pooled node allocates per
+// launch.
+const EventBytes = unsafe.Sizeof(Event{})
+
+// NewDESNode builds one DES node (see NewDESCluster).
+func NewDESNode(m *sw26010.Model) *Node { return NewDESCluster(1, m).Node(0) }
+
+// DES reports whether this is a DES node.
+func (n *Node) DES() bool { return n.des }
 
 // Wait blocks until every launch submitted to the stream so far has
 // completed and returns the stream's modeled finish time (0 when the

@@ -38,17 +38,24 @@ const Unpinned = -1
 type Node struct {
 	Model *sw26010.Model
 
-	cgs [sw26010.CoreGroups]*sw26010.CoreGroup
-	des bool // no CoreGroups: LaunchFunc-only, run inline (no goroutines)
+	cgs    [sw26010.CoreGroups]*sw26010.CoreGroup
+	des    bool   // no CoreGroups: LaunchFunc-only, run inline (no goroutines)
+	stream Stream // the default stream
 
 	mu       sync.Mutex
 	load     [sw26010.CoreGroups]float64 // cumulative scheduling weight per CG
-	lastOnCG [sw26010.CoreGroups]*Event  // tail of each CG's assignment chain
+	lastOnCG [sw26010.CoreGroups]*Event  // tail of each CG's chain (pooled)
+	cgEnd    [sw26010.CoreGroups]float64 // modeled end of each CG's chain
 	launches int
 	firstErr any
 	closed   bool
 	tracer   *obs.Tracer // nil = tracing disabled (the hot-path default)
 	tracePid int         // trace track (rank) for this node's launch spans
+
+	// A DES node's launch records, linked from rec0: next is the first
+	// one unused since the last Sync, last the one before it.
+	rec0       Event
+	next, last *Event
 
 	pending sync.WaitGroup
 }
@@ -56,36 +63,27 @@ type Node struct {
 // NewNode builds a node of four CoreGroups around one hardware model
 // (nil selects the calibrated default). The CoreGroups' CPE
 // coroutines are created lazily by their first launch.
-func NewNode(m *sw26010.Model) *Node {
-	n := newNode(m, false)
-	for i := range n.cgs {
-		n.cgs[i] = sw26010.NewCoreGroup(n.Model)
+func NewNode(m *sw26010.Model) *Node { return NewCluster(1, m).Node(0) }
+
+// record returns a zeroed Event for a launch, called with n.mu held: on
+// a DES node the next of its records (one more if all are in use since
+// the last Sync), on a pooled node a new one.
+func (n *Node) record() *Event {
+	if !n.des {
+		return new(Event)
 	}
-	return n
+	if n.next == nil {
+		n.next = new(Event)
+		n.last.link = n.next
+	}
+	e := n.next
+	n.next, n.last = e.link, e
+	*e = Event{link: e.link}
+	return e
 }
 
-// NewDESNode builds a node for the discrete-event backend, with no
-// CoreGroups behind it: launches go through Stream.LaunchFunc, run
-// inline on the submitting goroutine and are charged the modeled
-// seconds they return. Stream ordering, event dependencies, the
-// deterministic 4-slot least-loaded scheduler and the modeled
-// [SimStart, SimEnd] timeline all behave exactly as on a pooled node.
-// Running inline is valid because DES launches are only submitted from
-// one single-threaded driver, so every launch a new one depends on has
-// already completed when it is placed — the DAG resolves in submission
-// order, and a launch has resolved before it returns. A p = 4096 sweep
-// therefore costs zero goroutines on the compute side too.
-func NewDESNode(m *sw26010.Model) *Node { return newNode(m, true) }
-
-func newNode(m *sw26010.Model, des bool) *Node {
-	if m == nil {
-		m = sw26010.Default()
-	}
-	return &Node{Model: m, des: des}
-}
-
-// DES reports whether this is a DES node (see NewDESNode).
-func (n *Node) DES() bool { return n.des }
+// Stream returns the node's default stream, unpinned and built with it.
+func (n *Node) Stream() *Stream { return &n.stream }
 
 // NewStream returns a stream whose launches the scheduler places on
 // the least-loaded CoreGroup (deterministically: cumulative assigned
@@ -102,9 +100,8 @@ func (n *Node) PinnedStream(cg int) *Stream {
 	return &Stream{node: n, pin: cg}
 }
 
-// leastLoaded picks the placement for an unpinned launch. Called with
-// n.mu held; depends only on the sequence of prior Launch calls, so
-// placement is reproducible.
+// leastLoaded places an unpinned launch, with n.mu held. It depends only
+// on the sequence of prior Launch calls, so placement is reproducible.
 func (n *Node) leastLoaded() int {
 	best := 0
 	for i := 1; i < sw26010.CoreGroups; i++ {
@@ -115,19 +112,16 @@ func (n *Node) leastLoaded() int {
 	return best
 }
 
-// SetTracer attaches an obs.Tracer to the node: every subsequent
-// launch that completes without failing emits one span on (pid, CG)
-// covering its modeled [SimStart, SimEnd] window. pid is the trace
-// process track — a cluster passes the node's rank. A nil tracer
-// detaches (the default), and detached launches pay only a nil check:
-// the tracer pointer is copied into the Event under the launch locks,
-// so enabling or disabling mid-run is race-free and affects only
-// launches submitted afterwards. Tracing never touches the modeled
-// clocks — spans are read from the DAG after the fact.
+// SetTracer attaches an obs.Tracer to the node: every later launch
+// that completes without failing emits one span on (pid, CG) covering
+// its modeled [SimStart, SimEnd] window; pid is the trace process
+// track (a cluster passes the node's rank). A nil tracer detaches (the
+// default; launches then pay a nil check). Each launch copies the
+// tracer under the launch locks, so switching mid-run is race-free.
+// Tracing never touches the modeled clocks.
 func (n *Node) SetTracer(tr *obs.Tracer, pid int) {
 	n.mu.Lock()
-	n.tracer = tr
-	n.tracePid = pid
+	n.tracer, n.tracePid = tr, pid
 	n.mu.Unlock()
 	if tr != nil {
 		tr.NameProcess(pid, fmt.Sprintf("rank %d", pid))
@@ -161,6 +155,7 @@ func (n *Node) join() any {
 	defer n.mu.Unlock()
 	err := n.firstErr
 	n.firstErr = nil
+	n.next, n.last = &n.rec0, nil
 	return err
 }
 
@@ -170,9 +165,9 @@ func (n *Node) SimTime() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var t float64
-	for _, e := range n.lastOnCG {
-		if e != nil && e.simEnd > t {
-			t = e.simEnd
+	for _, end := range n.cgEnd {
+		if end > t {
+			t = end
 		}
 	}
 	return t
@@ -183,22 +178,19 @@ func (n *Node) SimTime() float64 {
 func (n *Node) Stats() sw26010.Stats {
 	var agg sw26010.Stats
 	for _, cg := range n.cgs {
-		if cg == nil {
-			continue
+		if cg != nil {
+			s := cg.Stats()
+			agg.Add(&s)
 		}
-		s := cg.Stats()
-		agg.Add(&s)
 	}
 	return agg
 }
 
 // Close drains outstanding launches and ends the CoreGroups' CPE
-// coroutines. The node must not be used afterwards. Close is idempotent —
-// a node reached through both a direct handle and Cluster.Close (the
-// shrink protocol closes a failed rank's node before the cluster
-// winds down) drains exactly once. The closed flag is set before the
-// drain so a racing Launch either lands fully before the drain or
-// fails fast, never half-registers against a completed Wait.
+// coroutines; the node must not be used afterwards. Close is
+// idempotent (the shrink protocol closes a failed rank's node before
+// Cluster.Close does). The closed flag is set before the drain, so a
+// racing Launch lands fully before it or fails fast.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {

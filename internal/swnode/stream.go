@@ -1,8 +1,8 @@
 package swnode
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"swcaffe/internal/obs"
 	"swcaffe/internal/sw26010"
@@ -19,13 +19,14 @@ type Stream struct {
 	pin  int // CoreGroup index, or Unpinned
 
 	mu    sync.Mutex
-	tail  *Event
-	label string // span name for traced launches (default "launch")
+	tail  *Event  // the last launch, on a pooled node
+	end   float64 // the modeled end and failure of the last launch to
+	err   any     // complete: a DES node reads its tail by value
+	label string  // span name for traced launches (default "launch")
 }
 
 // SetLabel names the spans of launches submitted to this stream from
-// now on (e.g. "fwd", "bwd", "pass"). Only read when the node has a
-// tracer attached.
+// now on (e.g. "fwd", "bwd", "pass"), when the node has a tracer.
 func (s *Stream) SetLabel(name string) {
 	s.mu.Lock()
 	s.label = name
@@ -34,15 +35,17 @@ func (s *Stream) SetLabel(name string) {
 
 // Event is the completion handle of one launch, and the launch itself:
 // it runs the kernel or fn it was given, and resolves when that (and
-// every launch it waits on) has finished.
+// every launch it waits on) has finished. A DES node reuses its launch
+// records, so an Event a DES launch returns stays valid until the
+// node's first launch after its next Sync.
 type Event struct {
-	node   *Node
+	s      *Stream
+	link   *Event // a DES node's next launch record
 	cg     int
 	kernel func(cg *sw26010.CoreGroup) float64 // a CoreGroup launch, or
 	fn     func() float64                      // a host launch (LaunchFunc)
 
-	wg   sync.WaitGroup // released when the launch completes
-	done atomic.Bool    // set just before wg is released
+	wg sync.WaitGroup // released when the launch completes
 
 	// Written by the launch before it completes.
 	simTime  float64 // the kernel's own simulated duration
@@ -50,8 +53,7 @@ type Event struct {
 	simEnd   float64 // simStart + simTime
 	err      any     // recovered kernel panic, re-raised by Wait/Sync
 
-	// Tracing state, copied from the node under the launch locks so
-	// run() needs no lock to read it. nil tracer = disabled.
+	// Tracing state, copied under the launch locks (nil = disabled).
 	tracer   *obs.Tracer
 	tracePid int
 	label    string
@@ -82,41 +84,37 @@ func (e *Event) SimEnd() float64 { return e.simEnd }
 
 // Launch submits kernel and returns its Event immediately. The kernel
 // receives the CoreGroup it was placed on and returns its simulated
-// duration (typically by calling cg.Run/RunN or a swdnn *Run entry
-// point). It executes asynchronously once the stream's previous
-// launch, the CoreGroup's previously assigned launch and every listed
-// dependency have completed, so per-CG execution order equals
-// assignment order and the modeled timeline is deterministic. On an
-// unpinned stream the launch weighs 1 in the least-loaded scheduler
-// (see LaunchFunc).
+// duration (e.g. from cg.RunN or a swdnn *Run entry point). It runs
+// asynchronously once the stream's previous launch, the CoreGroup's
+// previously assigned launch and every listed dependency have
+// completed, so per-CG execution order equals assignment order. It
+// weighs 1 in the least-loaded scheduler (see LaunchFunc).
 func (s *Stream) Launch(kernel func(cg *sw26010.CoreGroup) float64, deps ...*Event) *Event {
 	if s.node.des {
 		panic("swnode: CoreGroup launch on a DES node, which has no CoreGroups; use LaunchFunc")
 	}
-	return s.launch(1, &Event{kernel: kernel}, deps)
+	return s.launch(1, kernel, nil, deps)
 }
 
 // LaunchFunc submits fn as a launch that runs on the host with no
 // CoreGroup behind it: fn executes once the launch's ordering
 // constraints resolve — on a launch goroutine, or inline on a DES node
 // — and the launch is charged exactly the modeled seconds fn returns.
-// This is the only launch a DES node accepts, and it also works on
+// It is the only launch a DES node accepts, and it also works on
 // pooled nodes (for work that needs scheduling and a timeline but no
-// simulated mesh).
+// simulated mesh). A warm DES launch allocates nothing: its Event is a
+// record the node reuses, valid until the node's next Sync (see Event).
 //
 // weight biases the least-loaded scheduler for unpinned streams (e.g.
 // a modeled cost estimate of the work); placement uses cumulative
 // assigned weight only, never completion times, so it is reproducible.
 func (s *Stream) LaunchFunc(weight float64, fn func() float64, deps ...*Event) *Event {
-	return s.launch(weight, &Event{fn: fn}, deps)
+	return s.launch(weight, nil, fn, deps)
 }
 
-// launch places e, which holds only what it runs, and starts it.
-func (s *Stream) launch(weight float64, e *Event, deps []*Event) *Event {
+// launch places a launch of kernel or fn and starts it.
+func (s *Stream) launch(weight float64, kernel func(cg *sw26010.CoreGroup) float64, fn func() float64, deps []*Event) *Event {
 	n := s.node
-	e.node = n
-	e.wg.Add(1)
-
 	// The stream lock spans placement so that concurrent Launch calls
 	// on one stream serialize and the stream/CG chains stay consistent.
 	s.mu.Lock()
@@ -126,7 +124,8 @@ func (s *Stream) launch(weight float64, e *Event, deps []*Event) *Event {
 		s.mu.Unlock()
 		panic("swnode: Launch on a closed Node")
 	}
-	e.cg = s.pin
+	e := n.record()
+	e.s, e.kernel, e.fn, e.cg = s, kernel, fn, s.pin
 	if e.cg == Unpinned {
 		e.cg = n.leastLoaded()
 	}
@@ -138,50 +137,50 @@ func (s *Stream) launch(weight float64, e *Event, deps []*Event) *Event {
 			e.label = "launch"
 		}
 	}
-	cgPrev := n.lastOnCG[e.cg]
-	n.lastOnCG[e.cg] = e
+	e.wg.Add(1)
 	n.pending.Add(1)
-	n.mu.Unlock()
-	tail := s.tail
-	s.tail = e
-	s.mu.Unlock()
-
-	if n.des {
-		// DES node: everything this launch could wait on already ran
-		// inline (single-threaded submission), so the DAG resolves here
-		// and now — run synchronously, spawn nothing.
-		e.run(cgPrev, tail, deps)
-	} else {
-		go e.run(cgPrev, tail, deps)
+	if !n.des {
+		cgPrev, tail := n.lastOnCG[e.cg], s.tail
+		n.lastOnCG[e.cg], s.tail = e, e
+		n.mu.Unlock()
+		s.mu.Unlock()
+		go e.run(cgPrev, tail, slices.Clone(deps)) // the caller's deps stay on its stack
+		return e
 	}
+	// DES node: everything this launch could wait on already ran inline
+	// (single-threaded submission), so it runs now, from the ends and
+	// failure its predecessors left (their records may be reused).
+	e.simStart, e.err = n.cgEnd[e.cg], s.err
+	if s.end > e.simStart {
+		e.simStart = s.end
+	}
+	n.mu.Unlock()
+	s.mu.Unlock()
+	e.run(nil, nil, deps)
 	return e
 }
 
-// Poisoned reports whether the stream's most recent launch failed —
-// panicked, or inherited a predecessor's panic — which poisons every
-// later launch submitted to this stream. Callers that recover from a
-// launch failure and want to keep the node should check this on the
-// quiescent stream and continue on a fresh one (a launch still in
-// flight reports false). Cf. the Stream doc: "after handling the
-// failure, continue on a fresh stream".
+// Poisoned reports whether the stream's last launch to complete failed
+// (panicked, or inherited a predecessor's panic), which poisons every
+// later launch on it: a caller that keeps the node after a failure
+// checks this on the quiescent stream and continues on a fresh one.
 func (s *Stream) Poisoned() bool {
 	s.mu.Lock()
-	tail := s.tail
-	s.mu.Unlock()
-	return tail != nil && tail.done.Load() && tail.err != nil
+	defer s.mu.Unlock()
+	return s.err != nil
 }
 
 // run executes the launch once its ordering constraints resolve.
-// cgPrev is the launch previously assigned to the same CoreGroup: it
-// orders execution and the modeled timeline but does not propagate
-// failure (unrelated streams sharing a CG must not poison each other).
-// The stream predecessor tail and the explicit deps are data
-// dependencies (see after).
+// cgPrev, the launch previously assigned to the same CoreGroup, orders
+// execution and the modeled timeline but does not propagate failure
+// (unrelated streams sharing a CG must not poison each other). The
+// stream predecessor tail and the deps are data dependencies (see
+// after). A DES launch has neither: launch set its start and failure.
 func (e *Event) run(cgPrev, tail *Event, deps []*Event) {
-	defer e.node.pending.Done()
+	s, n := e.s, e.s.node
+	defer n.pending.Done()
 	defer e.wg.Done()
-	defer e.done.Store(true)
-	var start float64
+	start := e.simStart
 	if cgPrev != nil {
 		cgPrev.wg.Wait()
 		start = cgPrev.simEnd
@@ -194,24 +193,28 @@ func (e *Event) run(cgPrev, tail *Event, deps []*Event) {
 	}
 	e.simStart = start
 	e.simEnd = start
-	if e.err != nil {
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			e.err = r
-			e.node.mu.Lock()
-			if e.node.firstErr == nil {
-				e.node.firstErr = r
+			n.mu.Lock()
+			if n.firstErr == nil {
+				n.firstErr = r
 			}
-			e.node.mu.Unlock()
+			n.mu.Unlock()
 		}
+		n.cgEnd[e.cg] = e.simEnd
+		s.mu.Lock()
+		s.end, s.err = e.simEnd, e.err
+		s.mu.Unlock()
 	}()
+	if e.err != nil {
+		return
+	}
 	var t float64
 	if e.fn != nil {
 		t = e.fn()
 	} else {
-		t = e.kernel(e.node.cgs[e.cg])
+		t = e.kernel(n.cgs[e.cg])
 	}
 	e.simTime = t
 	e.simEnd = start + t

@@ -375,16 +375,85 @@ func TestDESNodeLaunchFunc(t *testing.T) {
 	}()
 }
 
-// TestDESLaunchAllocatesOnlyItsEvent: a DES launch has resolved before
-// LaunchFunc returns, so with a pre-bound fn it allocates one object,
-// its Event — no wrapper closure, completion channel or wait list.
-func TestDESLaunchAllocatesOnlyItsEvent(t *testing.T) {
+// TestWarmDESLaunchAllocatesNothing: a DES launch has resolved before
+// LaunchFunc returns, and its Event is a record the node reuses after
+// Sync. Once a node holds as many records as it launches between
+// Syncs, a launch with a pre-bound fn allocates nothing — no Event,
+// wrapper closure, completion channel or wait list — with or without
+// dependencies, on the default stream or another.
+func TestWarmDESLaunchAllocatesNothing(t *testing.T) {
 	node := swnode.NewDESNode(nil)
 	defer node.Close()
-	st := node.NewStream()
+	st, other := node.Stream(), node.NewStream()
 	fn := func() float64 { return 1e-6 }
-	if got := testing.AllocsPerRun(100, func() { st.LaunchFunc(1, fn) }); got != 1 {
-		t.Fatalf("a DES LaunchFunc allocates %v objects, want 1", got)
+	step := func() {
+		a := st.LaunchFunc(1, fn)
+		other.LaunchFunc(1, fn, a)
+		st.LaunchFunc(1, fn)
+		node.Sync()
+	}
+	step()
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Fatalf("three warm DES launches and a Sync allocate %v objects, want 0", got)
+	}
+}
+
+// TestDESTimelineMatchesPooled: a DES node reuses its launch records
+// after each Sync and starts a launch from the ends its predecessors
+// left, by value. The modeled timeline must still be a pooled node's:
+// two streams and a pinned one, interleaved launches with dependencies,
+// three rounds between Syncs, and every launch's placement, SimStart,
+// SimEnd and Wait, and SimTime after each round, equal on both. A DES
+// node that kept one record per stream fails here: after the Sync, a
+// reads its stream's last launch, f.
+func TestDESTimelineMatchesPooled(t *testing.T) {
+	type launch struct {
+		cg               int
+		start, end, wait float64
+	}
+	run := func(node *swnode.Node) (got []launch, simTimes []float64) {
+		defer node.Close()
+		s1, s2 := node.Stream(), node.NewStream()
+		for round := 0; round < 3; round++ {
+			d := func(i int) func() float64 {
+				x := float64(round*7+i) * 0.25
+				return func() float64 { return x }
+			}
+			a := s1.LaunchFunc(3, d(1))
+			b := s2.LaunchFunc(1, d(2))
+			c := s1.LaunchFunc(2, d(3), b)
+			e := s2.LaunchFunc(1, d(4), a)
+			f := s1.LaunchFunc(1, d(5))
+			g := node.PinnedStream(round).LaunchFunc(1, d(6), c, e)
+			node.Sync()
+			for _, ev := range []*swnode.Event{a, b, c, e, f, g} {
+				got = append(got, launch{ev.CGIndex(), ev.SimStart(), ev.SimEnd(), ev.Wait()})
+			}
+			simTimes = append(simTimes, node.SimTime())
+		}
+		return got, simTimes
+	}
+	pooled, pooledTimes := run(swnode.NewNode(nil))
+	des, desTimes := run(swnode.NewDESNode(nil))
+	for i := range pooled {
+		if des[i] != pooled[i] {
+			t.Errorf("round %d launch %d: DES %+v, pooled %+v", i/6, i%6, des[i], pooled[i])
+		}
+	}
+	for r := range pooledTimes {
+		if desTimes[r] != pooledTimes[r] {
+			t.Errorf("round %d: DES SimTime %g, pooled %g", r, desTimes[r], pooledTimes[r])
+		}
+	}
+}
+
+// TestEventFitsItsSizeClass: a pooled node allocates an Event per
+// launch, and 128 bytes is a malloc size class. One field more would
+// move every launch up to the 144-byte class, which grows node_mesh's
+// allocated bytes per op by about 4 %.
+func TestEventFitsItsSizeClass(t *testing.T) {
+	if swnode.EventBytes > 128 {
+		t.Fatalf("an Event is %d bytes, want at most 128", swnode.EventBytes)
 	}
 }
 

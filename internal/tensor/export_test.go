@@ -14,3 +14,10 @@ func (t *Tensor) Sum() float64 {
 	}
 	return s
 }
+
+// Clone returns a deep copy.
+func (t *Tensor) Clone() *Tensor {
+	c := &Tensor{N: t.N, C: t.C, H: t.H, W: t.W, Data: make([]float32, len(t.Data))}
+	copy(c.Data, t.Data)
+	return c
+}

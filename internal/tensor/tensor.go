@@ -53,13 +53,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 // At returns the element (n, c, h, w).
 func (t *Tensor) At(n, c, h, w int) float32 { return t.Data[((n*t.C+c)*t.H+h)*t.W+w] }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{N: t.N, C: t.C, H: t.H, W: t.W, Data: make([]float32, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
 // CopyFrom copies o's data into t. Shapes must match.
 func (t *Tensor) CopyFrom(o *Tensor) {
 	if !t.SameShape(o) {

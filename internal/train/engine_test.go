@@ -1,6 +1,8 @@
 package train
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -9,7 +11,9 @@ import (
 	"swcaffe/internal/collective"
 	"swcaffe/internal/core"
 	"swcaffe/internal/dataset"
+	"swcaffe/internal/obs"
 	"swcaffe/internal/simnet"
+	"swcaffe/internal/sw26010"
 	"swcaffe/internal/tensor"
 	"swcaffe/internal/topology"
 )
@@ -160,18 +164,39 @@ func TestPooledClusterP128Smoke(t *testing.T) {
 		t.Fatalf("overlap exposed everything at p=%d: %+v", p, st)
 	}
 	for _, r := range []int{0, p - 1} {
-		if n := d.Node(r); n.DES() || n.Launches() == 0 {
-			t.Fatalf("rank %d did not run on a pooled node", r)
+		n := d.Node(r)
+		if n.Launches() == 0 {
+			t.Fatalf("rank %d ran no pass on its node", r)
 		}
+		// Only a pooled node takes a CoreGroup launch: a DES node panics.
+		n.NewStream().Launch(func(*sw26010.CoreGroup) float64 { return 0 }).Wait()
 	}
 }
 
 // passPlacements reports, for each worker, which of its node's four
-// CoreGroup slots the most recent pass launch was placed on.
-func passPlacements(d *DistTrainer) []int {
+// CoreGroup slots its pass launch was placed on since tr was last
+// reset: the CG track of the rank's "pass" span.
+func passPlacements(t *testing.T, d *DistTrainer, tr *obs.Tracer) []int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr.Reset()
+	var trace struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Pid, Tid int
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
 	out := make([]int, len(d.Workers))
-	for i, w := range d.Workers {
-		out[i] = w.lastEv.CGIndex()
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "pass" {
+			out[ev.Pid] = ev.Tid
+		}
 	}
 	return out
 }
@@ -184,15 +209,16 @@ func passPlacements(d *DistTrainer) []int {
 func TestWeightedPassPlacementDeterministic(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(500, classes, 1, 3, 3, 0.4, 59)
-	mk := func() *DistTrainer {
+	trA, trB := obs.New(), obs.New()
+	mk := func(tr *obs.Tracer) *DistTrainer {
 		d, err := NewDistTrainer(DistConfig{Nodes: 2, SubBatch: 4,
-			Solver: core.SolverConfig{BaseLR: 0.05}}, mlpFactory(4, classes))
+			Solver: core.SolverConfig{BaseLR: 0.05}, Tracer: tr}, mlpFactory(4, classes))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	a, b := mk(), mk()
+	a, b := mk(trA), mk(trB)
 	defer a.Close()
 	defer b.Close()
 	var seqA, seqB [][]int
@@ -202,7 +228,7 @@ func TestWeightedPassPlacementDeterministic(t *testing.T) {
 		b.LoadShards(ds, it)
 		a.Step()
 		b.Step()
-		pa, pb := passPlacements(a), passPlacements(b)
+		pa, pb := passPlacements(t, a, trA), passPlacements(t, b, trB)
 		if len(pa) != 2 || len(pb) != 2 {
 			t.Fatalf("iter %d: placements %v / %v", it, pa, pb)
 		}

@@ -48,15 +48,10 @@ type Worker struct {
 	Labels *tensor.Tensor
 
 	// node/stream are the worker's simulated SW26010: every
-	// forward/backward pass runs as a stream launch on it,
-	// charged with the modeled compute cost. lastEv is the pass
-	// launch of the current Step; its own simulated duration is the
-	// worker's per-step compute (reading it per-launch, rather than
-	// differencing the cumulative node timeline, keeps the makespan
-	// bit-identical to the priced cost at any iteration count).
+	// forward/backward pass runs as a stream launch on it, charged with
+	// the modeled compute cost.
 	node   *swnode.Node
 	stream *swnode.Stream
-	lastEv *swnode.Event
 
 	// diffs caches the learnable-parameter gradient slices in pack
 	// order — the view the collective engine packs from and drains the
@@ -70,11 +65,15 @@ type Worker struct {
 	state core.ReplicaState
 
 	// clock and failure are what the rank's last pass charged and
-	// panicked with, and handBack, bound once per rank, is the launch fn
-	// that hands them back to the rank's node (see launchPasses).
-	clock    float64
-	failure  any
-	handBack func() float64
+	// panicked with, which its launch hands back to the rank's node (see
+	// launchPasses). clock is therefore the launch's own simulated
+	// duration, the worker's per-step compute: reading it, rather than
+	// differencing the cumulative node timeline, keeps the makespan
+	// bit-identical to the priced cost at any iteration count. launch,
+	// on the goroutine backend, is the rank's pass launch, bound once.
+	clock   float64
+	failure any
+	launch  func() float64
 }
 
 // newReplica builds a worker around a model of its own; its input
@@ -91,15 +90,35 @@ func newReplica(solver core.SolverConfig, buildNet func() (*core.Net, map[string
 	return w, nil
 }
 
-// rankView returns a worker whose home is w, a shared model: it
-// aliases w's net, solver and gradient view, and owns copies of the
-// net's input tensors and of its current per-replica layer state.
-func (w *Worker) rankView() *Worker {
-	v := *w
-	v.home = w
-	v.Data, v.Labels = w.Data.Clone(), w.Labels.Clone()
-	v.state = w.Net.ReplicaState()
-	return &v
+// rankViews returns p workers whose homes are the shared models, rank
+// r's model r mod k: each aliases its home's net, solver and gradient
+// view, and owns copies of the net's input tensors and of its current
+// per-replica layer state. The workers are one slice, and each input's
+// copies one slice of tensors over one backing array.
+func rankViews(models []*Worker, p int) []Worker {
+	views := make([]Worker, p)
+	data, labels := tensorSlab(models[0].Data, p), tensorSlab(models[0].Labels, p)
+	for r := range views {
+		home := models[r%len(models)]
+		v := &views[r]
+		*v = *home
+		v.home = home
+		v.Data, v.Labels = &data[r], &labels[r]
+		v.Data.CopyFrom(home.Data)
+		v.Labels.CopyFrom(home.Labels)
+		v.state = home.Net.ReplicaState()
+	}
+	return views
+}
+
+// tensorSlab returns p zero tensors shaped like t, over one array.
+func tensorSlab(t *tensor.Tensor, p int) []tensor.Tensor {
+	n := t.Len()
+	ts, buf := make([]tensor.Tensor, p), make([]float32, p*n)
+	for i := range ts {
+		ts[i] = tensor.Tensor{N: t.N, C: t.C, H: t.H, W: t.W, Data: buf[i*n : (i+1)*n : (i+1)*n]}
+	}
+	return ts
 }
 
 // DistConfig configures the functional SSGD trainer.
@@ -148,11 +167,12 @@ type DistConfig struct {
 	// pools: call Close when done. BackendDES is the discrete-event
 	// backend: collectives run as continuations on one FIFO ready queue
 	// (internal/des), on the calling goroutine, and passes execute on
-	// DES nodes (swnode.NewDESNode) through k = min(GOMAXPROCS, p)
-	// models shared by the ranks (see Worker) — one goroutine per model
-	// during the compute leg, joined before any collective, and none per
-	// rank. k nets are built, initialised, updated and restored per
-	// cluster, not p of them, which is what makes p = 1024/4096 sweeps
+	// DES nodes (swnode.NewDESCluster) through k = min(GOMAXPROCS, p)
+	// models shared by the ranks (see Worker) — one pass pool worker per
+	// model, k − 1 of them goroutines that start with the trainer and
+	// stop at Close, and none per rank. k nets are built, initialised,
+	// updated and restored per cluster, not p of them, which is what
+	// makes p = 1024/4096 sweeps
 	// feasible; the result does not depend on k. Every commit checks
 	// that the ranks reduced to the same gradient bits, and the models'
 	// parameters are compared too (see ParamsDiverged); the DES backend
@@ -297,6 +317,21 @@ type DistTrainer struct {
 	// steady state; the allocation budgets of alloc_test.go pin this).
 	losses []float32
 
+	// pool runs the DES backend's passes, shard loads and flush replays
+	// (see passPool); on the goroutine backend its one worker is the
+	// caller. failed is the passes' failure signal (see launchPasses).
+	// passes, loads and handBack are what the pool and the DES pass
+	// launches run, bound once so that handing them over allocates
+	// nothing: handBack serves the launch of worker launching, and loads
+	// the LoadShards call of shardDS and shardIter.
+	pool          *passPool
+	failed        chan struct{}
+	passes, loads func(m int)
+	handBack      func() float64
+	launching     *Worker
+	shardDS       dataset.Dataset
+	shardIter     int
+
 	// Resolved input-pipeline model (lazily built by ensureIO, nil/zero
 	// unless cfg.IO is set): the storage layout with the advisor's
 	// stripe pick applied, the priced per-step concurrent read, and the
@@ -416,7 +451,7 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	default:
 		return nil, fmt.Errorf("train: unknown backend %q (valid: %q, %q)", cfg.Backend, BackendGoroutine, BackendDES)
 	}
-	t := &DistTrainer{cfg: cfg}
+	t := &DistTrainer{cfg: cfg, failed: make(chan struct{}, 1)}
 	t.newCommunicator()
 	if cfg.Backend == BackendDES {
 		t.nodes = swnode.NewDESCluster(cfg.Nodes, nil)
@@ -426,45 +461,53 @@ func NewDistTrainer(cfg DistConfig, buildNet func() (*core.Net, map[string]*tens
 	if cfg.Tracer != nil {
 		t.nodes.SetTracer(cfg.Tracer)
 	}
-	if t.shared() {
+	t.passes, t.loads = t.homePasses, t.loadShards
+	t.handBack = func() float64 { return t.launching.handBack() }
+	var views []Worker
+	if !t.shared() {
+		t.pool = newPassPool(1)
+	} else {
 		// The k shared models are bit-equal replicas of the one factory,
 		// built on the pool they will run on.
-		t.models = make([]*Worker, min(runtime.GOMAXPROCS(0), cfg.Nodes))
+		t.pool = newPassPool(min(runtime.GOMAXPROCS(0), cfg.Nodes))
+		t.models = make([]*Worker, t.pool.K)
 		errs := make([]error, len(t.models))
-		onPool(len(t.models), func(m int) {
+		t.pool.Run(len(t.models), func(m int) {
 			t.models[m], errs[m] = newReplica(cfg.Solver, buildNet)
 		})
 		for _, err := range errs {
 			if err != nil {
+				t.pool.close()
 				return nil, err
 			}
 		}
+		views = rankViews(t.models, cfg.Nodes)
 	}
-	for r := 0; r < cfg.Nodes; r++ {
+	t.Workers = make([]*Worker, cfg.Nodes)
+	for r := range t.Workers {
 		var w *Worker
 		if t.shared() {
-			w = t.models[r%len(t.models)].rankView()
+			w = &views[r]
 		} else {
 			var err error
 			if w, err = newReplica(cfg.Solver, buildNet); err != nil {
 				return nil, err
 			}
+			w.launch = func() float64 {
+				t.runPass(w)
+				return w.handBack()
+			}
 		}
 		w.Rank = r
-		w.handBack = func() float64 {
-			if w.failure != nil {
-				panic(w.failure)
-			}
-			return w.clock
-		}
 		// One pass at a time per worker: the node's 4-CG decomposition
 		// is collapsed into one functional pass (Algorithm 1 lines 3-8).
-		// The stream is unpinned so the launch's plan-priced weight
-		// drives the deterministic least-loaded placement.
+		// The node's default stream is unpinned so the launch's
+		// plan-priced weight drives the deterministic least-loaded
+		// placement.
 		w.node = t.nodes.Node(r)
-		w.stream = w.node.NewStream()
+		w.stream = w.node.Stream()
 		w.stream.SetLabel("pass")
-		t.Workers = append(t.Workers, w)
+		t.Workers[r] = w
 	}
 	t.losses = make([]float32, cfg.Nodes)
 	return t, nil
@@ -562,28 +605,29 @@ func (t *DistTrainer) newCommunicator() {
 func (t *DistTrainer) Close() {
 	t.detachInput()
 	t.nodes.Close()
+	t.pool.close()
 }
 
-// launchPasses starts pass for every worker as one stream launch on
-// its simulated node, charged the seconds pass returns, and returns the
-// step's failure signal: a pass that panics keeps its panic as the
-// rank's failure and sends on the cap-1 channel without blocking. The
-// caller blocks on signals a pass produces mid-flight (the step's flush
-// loop), which a failed pass never sends, so it selects on this one as
-// well and then joins every pass with Cluster.Sync, which re-raises the
-// lowest failed rank's panic; a healthy pass never blocks on the
-// caller, so the join always returns.
+// launchPasses starts every worker's pass (stepPass) as one stream
+// launch on its simulated node, charged the seconds the pass returns. A
+// pass that panics keeps its panic as the rank's failure and signals
+// t.failed without blocking (cap 1, drained here). The caller blocks
+// on signals a pass produces mid-flight (the step's flush loop), which
+// a failed pass never sends, so it selects on t.failed as well and then
+// joins every pass with Cluster.Sync, which re-raises the lowest failed
+// rank's panic; a healthy pass never blocks on the caller, so the join
+// always returns.
 //
 // There are two arms, one per backend. On a pooled node the pass runs
 // on its launch goroutine, and the caller overlaps the flushes with it.
 // On DES nodes every pass has run before launchPasses returns: first
-// on the pool, one goroutine per shared model, each taking its home
-// ranks in ascending order — the weights are read-only until the flush
-// loop, which starts after the pool's join. Then, on the calling
+// on the pool, one worker per shared model, each taking its home ranks
+// in ascending order (homePasses) — the weights are read-only until the
+// flush loop, which starts after the pool's join. Then, on the calling
 // goroutine and in rank order, each rank's launch hands back its clock
 // or re-raises its panic, so node placement, launch counts, trace spans
 // and pass poisoning are those of a pass run inline.
-func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) <-chan struct{} {
+func (t *DistTrainer) launchPasses() {
 	// Recovery bookkeeping, a no-op on the healthy path: a failed launch
 	// poisons its stream's future launches, so continue poisoned workers
 	// on a fresh stream — a recovered trainer must not silently skip
@@ -594,43 +638,60 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) <-chan s
 			w.stream.SetLabel("pass")
 		}
 	}
-	failed := make(chan struct{}, 1)
-	run := func(i int, w *Worker) {
-		defer func() {
-			if w.failure = recover(); w.failure != nil {
-				select {
-				case failed <- struct{}{}:
-				default:
-				}
-			}
-		}()
-		w.clock = pass(i, w)
+	select {
+	case <-t.failed:
+	default:
 	}
 	// The launch weight is the swdnn-plan-priced pass cost, so the
 	// deterministic least-loaded scheduler places passes by modeled
 	// kernel cost rather than launch count (ensureTimeline has run by
 	// the time Step launches).
 	weight := t.computeEnd
-	if t.nodes.DES() {
-		onPool(len(t.models), func(m int) {
-			for i, w := range t.Workers {
-				if w.home == t.models[m] {
-					run(i, w)
-				}
-			}
-		})
+	if t.shared() {
+		t.pool.Run(len(t.models), t.passes)
 		for _, w := range t.Workers {
-			w.lastEv = w.stream.LaunchFunc(weight, w.handBack)
+			// A DES launch runs inline, so handBack reads this worker.
+			t.launching = w
+			w.stream.LaunchFunc(weight, t.handBack)
 		}
-		return failed
+		return
 	}
-	for i, w := range t.Workers {
-		w.lastEv = w.stream.LaunchFunc(weight, func() float64 {
-			run(i, w)
-			return w.handBack()
-		})
+	for _, w := range t.Workers {
+		w.stream.LaunchFunc(weight, w.launch)
 	}
-	return failed
+}
+
+// homePasses is pool worker m's share of a DES step's passes: those of
+// the ranks whose home is shared model m, in rank order.
+func (t *DistTrainer) homePasses(m int) {
+	for _, w := range t.Workers {
+		if w.home == t.models[m] {
+			t.runPass(w)
+		}
+	}
+}
+
+// runPass runs w's pass of the step and keeps what it charged in
+// w.clock, or its panic in w.failure, which it signals on t.failed.
+func (t *DistTrainer) runPass(w *Worker) {
+	defer func() {
+		if w.failure = recover(); w.failure != nil {
+			select {
+			case t.failed <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	w.clock = t.stepPass(w.Rank, w)
+}
+
+// handBack is the fn of w's pass launch: it charges the node what the
+// pass charged, or re-raises the pass's panic there.
+func (w *Worker) handBack() float64 {
+	if w.failure != nil {
+		panic(w.failure)
+	}
+	return w.clock
 }
 
 // stepCompute closes out the compute leg of one Step: the maximum of
@@ -643,8 +704,8 @@ func (t *DistTrainer) launchPasses(pass func(i int, w *Worker) float64) <-chan s
 func (t *DistTrainer) stepCompute() float64 {
 	var max float64
 	for _, w := range t.Workers {
-		if d := w.lastEv.Wait(); d > max {
-			max = d
+		if w.clock > max {
+			max = w.clock
 		}
 	}
 	return max
@@ -673,14 +734,18 @@ func (t *DistTrainer) LoadShards(ds dataset.Dataset, iteration int) {
 		t.prefetch.load(iteration, t.Workers)
 		return
 	}
-	k := max(len(t.models), 1)
-	onPool(k, func(m int) {
-		for i := m; i < len(t.Workers); i += k {
-			w := t.Workers[i]
-			sh := dataset.Shard{DS: ds, Rank: w.Rank, Ranks: t.cfg.Nodes, Batch: t.cfg.SubBatch}
-			sh.Load(iteration, w.Data, w.Labels)
-		}
-	})
+	t.shardDS, t.shardIter = ds, iteration
+	t.pool.Run(t.pool.K, t.loads)
+}
+
+// loadShards is pool worker m's share of a LoadShards call: every K-th
+// worker's shard from the m-th on.
+func (t *DistTrainer) loadShards(m int) {
+	for i := m; i < len(t.Workers); i += t.pool.K {
+		w := t.Workers[i]
+		sh := dataset.Shard{DS: t.shardDS, Rank: w.Rank, Ranks: t.cfg.Nodes, Batch: t.cfg.SubBatch}
+		sh.Load(t.shardIter, w.Data, w.Labels)
+	}
 }
 
 // ParamsDiverged reports how far the ranks' models have drifted apart
@@ -704,36 +769,69 @@ func (t *DistTrainer) ParamsDiverged() float64 {
 	return worst
 }
 
-// onPool runs fn(m) for every m in [0, k) and returns once all have:
-// m = 0 on the calling goroutine, each other m on a goroutine of its
-// own (k = 1 spawns none). A panic in any is re-raised here after the
-// join, the lowest m's, so no pool goroutine outlives the call.
-func onPool(k int, fn func(m int)) {
-	if k == 1 {
-		fn(0)
-		return
-	}
-	panics := make([]any, k)
-	run := func(m int) {
-		defer func() { panics[m] = recover() }()
-		fn(m)
-	}
-	var wg sync.WaitGroup
-	wg.Add(k - 1)
+// passPool is a trainer's K workers: worker 0 is the goroutine calling
+// Run, and workers 1 to K − 1 are goroutines started with the pool and
+// stopped by close. Run(k, fn), for k up to K, calls fn(m) for every m
+// in [0, k) and returns once all have; a panic in any is re-raised
+// after the join, the lowest m's, so no call outlives Run. A Run
+// allocates nothing: the workers are waiting for fn, and the embedded
+// allreduce.Pool is bound once.
+type passPool struct {
+	allreduce.Pool
+	work   []chan func(m int) // work[m] feeds worker m ≥ 1
+	wg     sync.WaitGroup     // a Run's workers
+	exited sync.WaitGroup     // the goroutines, for close
+	panics []any
+}
+
+// newPassPool starts a pool of k workers.
+func newPassPool(k int) *passPool {
+	p := &passPool{work: make([]chan func(m int), k), panics: make([]any, k)}
+	p.Pool = allreduce.Pool{K: k, Run: p.run}
+	p.exited.Add(k - 1)
 	for m := 1; m < k; m++ {
-		//swvet:ignore straygo: the pass pool's worker, joined by onPool's wg.Wait before it returns
+		p.work[m] = make(chan func(m int), 1)
+		//swvet:ignore straygo: a pass pool worker, which close stops and waits for
 		go func() {
-			defer wg.Done()
-			run(m)
+			defer p.exited.Done()
+			for fn := range p.work[m] {
+				p.call(m, fn)
+				p.wg.Done()
+			}
 		}()
 	}
-	run(0)
-	wg.Wait()
-	for _, r := range panics {
+	return p
+}
+
+// run is the embedded Pool's Run.
+func (p *passPool) run(k int, fn func(m int)) {
+	p.wg.Add(k - 1)
+	for m := 1; m < k; m++ {
+		p.work[m] <- fn
+	}
+	p.call(0, fn)
+	p.wg.Wait()
+	for _, r := range p.panics[:k] {
 		if r != nil {
 			panic(r)
 		}
 	}
+}
+
+// call runs worker m's fn(m), keeping its panic.
+func (p *passPool) call(m int, fn func(m int)) {
+	defer func() { p.panics[m] = recover() }()
+	fn(m)
+}
+
+// close stops the workers and returns once they have exited; a second
+// close does nothing.
+func (p *passPool) close() {
+	for _, w := range p.work[1:] {
+		close(w)
+	}
+	p.exited.Wait()
+	p.work = p.work[:1]
 }
 
 // CGTrainer is the single-node, 4-core-group trainer of Algorithm 1

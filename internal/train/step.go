@@ -1,7 +1,6 @@
 package train
 
 import (
-	"swcaffe/internal/allreduce"
 	"swcaffe/internal/collective"
 	"swcaffe/internal/elastic"
 	"swcaffe/internal/perf"
@@ -113,23 +112,9 @@ func (t *DistTrainer) Step() float32 {
 	nb := len(eng.Buckets())
 	eng.BeginStep()
 
-	// Each worker's pass runs as a launch on its simulated node. The
-	// launch is charged the whole priced pass cost in one tick (an
-	// incremental walk would rebuild computeEnd from float differences
-	// and shed bits); the per-layer production offsets of the modeled
-	// overlay come from layerDone, where the engine flushes buckets.
-	fp, step := t.cfg.Faults, t.iter
-	failed := t.launchPasses(func(i int, w *Worker) float64 {
-		t.pass(i, w, func(li int) {
-			if fp != nil {
-				// Packing is incremental: the pack fault fires (once) at
-				// the rank's first Produce of the step.
-				fp.Check(i, step, elastic.PhasePack, -1)
-			}
-			eng.Produce(i, li, w.diffs)
-		})
-		return t.computeEnd
-	})
+	// Each worker's pass runs as a launch on its simulated node.
+	step := t.iter
+	t.launchPasses()
 
 	// Flush loop: bucket b's collective starts the moment the last
 	// worker produced it, concurrent with the remaining backward. A
@@ -139,16 +124,14 @@ func (t *DistTrainer) Step() float32 {
 	// signal the loop joins every pass, and the join re-raises the
 	// lowest failed rank's panic.
 	views := eng.RankViews()
-	pool := allreduce.Pool{K: len(t.models), Run: onPool}
 	flushErr := func() (r any) {
 		defer func() { r = recover() }()
 		for b := 0; b < nb; b++ {
 			select {
 			case <-eng.Ready(b):
-			case <-failed:
+			case <-t.failed:
 				t.nodes.Sync()
 			}
-			b := b
 			// outs[r] is bucket b's range of rank r's view, reduced in place.
 			// Commit drains it into the workers' gradients right here — on
 			// the clean path only, and before the next flush, whose pad may
@@ -157,13 +140,13 @@ func (t *DistTrainer) Step() float32 {
 			var res topology.Result
 			var outs [][]float32
 			if t.desCluster != nil {
-				res, outs = eng.FlushSegDES(t.desCluster, b, pool)
+				res, outs = eng.FlushSegDES(t.desCluster, b, t.pool.Pool)
 			} else {
 				res, outs = t.cluster.RunGather(func(n *simnet.Node) []float32 {
 					return eng.ReduceSeg(n, b, views[n.Rank])
 				})
 			}
-			t.diverged = max(t.diverged, eng.Commit(b, outs, res, t.grads, pool))
+			t.diverged = max(t.diverged, eng.Commit(b, outs, res, t.grads, t.pool.Pool))
 		}
 		return nil
 	}()
@@ -220,6 +203,26 @@ func (t *DistTrainer) Step() float32 {
 	t.ExposedCommTime += t.LastStep.Exposed
 	t.recordStep()
 	return t.meanLoss()
+}
+
+// stepPass is rank i's pass of a Step, run as the launch on its node:
+// each layer's gradients are packed into the engine as backward
+// produces them (Produce), and the launch is charged the whole priced
+// pass cost in one tick (an incremental walk would rebuild computeEnd
+// from float differences and shed bits); the per-layer production
+// offsets of the modeled overlay come from layerDone, where the engine
+// flushes buckets.
+func (t *DistTrainer) stepPass(i int, w *Worker) float64 {
+	fp, step, eng := t.cfg.Faults, t.iter, t.engine
+	t.pass(i, w, func(li int) {
+		if fp != nil {
+			// Packing is incremental: the pack fault fires (once) at
+			// the rank's first Produce of the step.
+			fp.Check(i, step, elastic.PhasePack, -1)
+		}
+		eng.Produce(i, li, w.diffs)
+	})
+	return t.computeEnd
 }
 
 // Buckets reports the collective engine's bucket count — 1 for the
