@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func runSim(cl *simnet.Cluster, f fault, body func(n *simnet.Node) []float32) (o
 		}
 		return out
 	})
-	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
+	return outcome{copyOuts(outs), slices.Clone(res.Clocks), res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
 }
 
 func runDES(cl *des.Cluster, run *DESRun, f fault, body func(r *des.Rank, k func(*des.Rank, []float32))) (o outcome, failed any) {
@@ -154,7 +155,7 @@ func runDES(cl *des.Cluster, run *DESRun, f fault, body func(r *des.Rank, k func
 		}
 		body(r, k)
 	})
-	return outcome{copyOuts(outs), res.Clocks, res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
+	return outcome{copyOuts(outs), slices.Clone(res.Clocks), res.Time, [3]int64{res.Msgs, res.CrossMsgs, res.CrossBytes}}, nil
 }
 
 // walkSchedule steps the p cursors of one call against per-link FIFO

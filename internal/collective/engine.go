@@ -476,7 +476,10 @@ func (e *Engine) diverged(outs [][]float32, pool allreduce.Pool) float64 {
 	if pool.Run != nil {
 		k = max(1, min(pool.K, len(outs)-1))
 	}
-	e.worst = append(e.worst[:0], make([]float64, k)...)
+	// Grown and cleared, not appended from a make: the race detector's
+	// build allocates for the make.
+	e.worst = slices.Grow(e.worst[:0], k)[:k]
+	clear(e.worst)
 	e.compared = outs
 	if k == 1 {
 		e.compare(0)

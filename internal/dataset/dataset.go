@@ -4,6 +4,8 @@
 package dataset
 
 import (
+	"sync/atomic"
+
 	"swcaffe/internal/detrand"
 	"swcaffe/internal/tensor"
 )
@@ -23,13 +25,23 @@ type Dataset interface {
 // task: class k is a Gaussian blob around a fixed random center.
 // Small nets reach high accuracy on it within a few hundred
 // iterations, which the convergence tests and examples exploit.
+// Example i is a pure function of i, so each is drawn once, into a
+// table of the N·C·H·W values (1 MiB for 4096 examples of 1×8×8).
 type Clusters struct {
 	N       int
 	K       int
 	C, H, W int
 	noise   float64
 	centers [][]float32
+	n, dim  int             // the table's examples and their size
+	chunks  [][]float32     // chunk c: examples [16c, 16c+16) once state[c] is 2
+	state   []atomic.Uint32 // per chunk: 0 empty, 1 being filled, 2 filled
 }
+
+// chunk is the examples a table chunk holds. A chunk is allocated by
+// the first load of one of them: a whole table allocated by NewClusters
+// would be zeroed and faulted in there, a quarter of a small set-up.
+const chunk = 16
 
 // NewClusters builds a k-class cluster task over (c, h, w) inputs.
 func NewClusters(n, k, c, h, w int, noise float64, seed int64) *Clusters {
@@ -42,7 +54,9 @@ func NewClusters(n, k, c, h, w int, noise float64, seed int64) *Clusters {
 			centers[i][j] = float32(rng.NormFloat64())
 		}
 	}
-	return &Clusters{N: n, K: k, C: c, H: h, W: w, noise: noise, centers: centers}
+	chunks := (n + chunk - 1) / chunk
+	return &Clusters{N: n, K: k, C: c, H: h, W: w, noise: noise, centers: centers,
+		n: n, dim: dim, chunks: make([][]float32, chunks), state: make([]atomic.Uint32, chunks)}
 }
 
 // Len implements Dataset.
@@ -51,8 +65,34 @@ func (d *Clusters) Len() int { return d.N }
 // Dims implements Dataset.
 func (d *Clusters) Dims() (int, int, int) { return d.C, d.H, d.W }
 
-// Example implements Dataset.
+// Example implements Dataset. A chunk's first load allocates it and
+// draws its examples; later loads copy. Concurrent calls are safe (one
+// that finds the chunk being filled draws into dst), and an index
+// outside the table or a K changed since construction bypasses it.
 func (d *Clusters) Example(i int, dst []float32) int {
+	if uint(i) >= uint(d.n) || d.K != len(d.centers) {
+		return d.draw(i, dst)
+	}
+	c, st := i/chunk, &d.state[i/chunk]
+	switch {
+	case st.Load() == 2:
+	case st.CompareAndSwap(0, 1):
+		lo, hi := c*chunk, min(c*chunk+chunk, d.n)
+		rows := make([]float32, (hi-lo)*d.dim)
+		for j := lo; j < hi; j++ {
+			d.draw(j, rows[(j-lo)*d.dim:])
+		}
+		d.chunks[c] = rows
+		st.Store(2)
+	default:
+		return d.draw(i, dst)
+	}
+	copy(dst[:d.dim], d.chunks[c][i%chunk*d.dim:][:d.dim])
+	return i % d.K
+}
+
+// draw writes example i into dst and returns its label.
+func (d *Clusters) draw(i int, dst []float32) int {
 	lbl := i % d.K
 	rng := detrand.New(uint64(i)*7919 + 13)
 	center := d.centers[lbl]

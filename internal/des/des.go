@@ -380,7 +380,8 @@ func (p RankPanic) Unwrap() error {
 
 // Run executes body on every rank and returns the makespan; the DES
 // analogue of simnet.Cluster.Run for bodies without a gathered result
-// (bodies still call Finish, with nil).
+// (bodies still call Finish, with nil). The returned Clocks are valid
+// until the next run, as RunGather's are.
 func (c *Cluster) Run(body func(r *Rank)) topology.Result {
 	res, _ := c.RunGather(body)
 	return res
@@ -390,9 +391,9 @@ func (c *Cluster) Run(body func(r *Rank)) topology.Result {
 // empty links, rewound scratch) and drains the ready queue to
 // completion. The body runs rank code inline until the first park; each
 // rank must eventually call Finish with its result. What is returned
-// follows simnet.Cluster.RunGather's contract: the slice, and the
-// vectors in it that came from Scratch, are owned by the cluster and
-// valid only until its next Run/RunGather.
+// follows simnet.Cluster.RunGather's contract: the Result's Clocks, the
+// slice, and the vectors in it that came from Scratch, are owned by the
+// cluster and valid only until its next Run/RunGather.
 //
 // A panic in rank code propagates as RankPanic, and a deadlock or an
 // unconsumed message as a plain panic; in each case the run state is

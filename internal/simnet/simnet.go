@@ -275,7 +275,8 @@ type Result = topology.Result
 
 // Run executes body on every rank concurrently and returns the
 // makespan. Each invocation starts from zeroed clocks and a fresh set
-// of message channels.
+// of message channels; the returned Clocks are valid until the next
+// run, as RunGather's are.
 //
 // Failure semantics: a panic on any rank revokes the run. Every Send,
 // Recv or SendRecv of the run that is blocked, or called later, then
@@ -295,13 +296,13 @@ func (c *Cluster) Run(body func(n *Node)) topology.Result {
 
 // RunGather is Run for bodies that produce a per-rank result (the
 // shape of an all-reduce): it additionally returns the ranks' return
-// values, indexed by rank. Everything returned — the slice, and the
-// vectors in it when they came from Scratch, as a one-shot
-// allreduce.Algorithm's result does — is owned by the cluster and valid
-// only until its next Run/RunGather: a caller keeping a result across
-// runs copies it out. A body that instead reduces a vector of the
-// caller's in place (allreduce.Schedule.Run) returns that vector. It
-// fails as Run does.
+// values, indexed by rank. Everything returned — the Result's Clocks,
+// the slice, and the vectors in it when they came from Scratch, as a
+// one-shot allreduce.Algorithm's result does — is owned by the cluster
+// and valid only until its next Run/RunGather: a caller keeping a
+// result across runs copies it out. A body that instead reduces a
+// vector of the caller's in place (allreduce.Schedule.Run) returns that
+// vector. It fails as Run does.
 func (c *Cluster) RunGather(body func(n *Node) []float32) (topology.Result, [][]float32) {
 	c.mu.Lock()
 	rs := c.pool

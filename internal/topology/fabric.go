@@ -81,6 +81,9 @@ type Result struct {
 	// Time is the makespan: the maximum finishing clock over nodes.
 	Time float64
 	// Clocks holds each node's finishing clock, for skew inspection.
+	// Like RunGather's outputs it is owned by the cluster and valid only
+	// until the cluster's next run: a caller keeping it across runs
+	// copies it out.
 	Clocks []float64
 	// Msgs counts the point-to-point messages the run posted;
 	// CrossMsgs the subset whose endpoints sit in different supernodes
@@ -92,10 +95,11 @@ type Result struct {
 	CrossBytes int64
 }
 
-// NewResult copies the finishing clocks and takes their maximum.
+// NewResult takes the maximum of the finishing clocks and keeps the
+// slice itself, not a copy.
 func NewResult(clocks []float64, msgs, crossMsgs, crossBytes int64) Result {
-	res := Result{Clocks: append([]float64(nil), clocks...), Msgs: msgs, CrossMsgs: crossMsgs, CrossBytes: crossBytes}
-	for _, t := range res.Clocks {
+	res := Result{Clocks: clocks, Msgs: msgs, CrossMsgs: crossMsgs, CrossBytes: crossBytes}
+	for _, t := range clocks {
 		if t > res.Time {
 			res.Time = t
 		}

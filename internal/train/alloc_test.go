@@ -11,24 +11,25 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// TestDESOverlapStepAllocationBudget holds a warm DES overlap step to a
-// constant number of objects, whatever p and the pass pool's size: at
-// p = 64 and 256, GOMAXPROCS 1, 4 and 16 and two buckets, every
-// schedule's step measures 2, each flush's copy of the ranks' finishing
-// clocks (topology.NewResult). Nothing is per rank — a pass launch
-// reuses its node's launch record, the hand-back is bound once per
-// trainer, and the pool's workers start with the trainer and are handed
-// closures bound once — and nothing is per round or per message: one
-// such object would add 64 or more. The same p = 64 step allocated 95,
-// 134 and 281 objects per rank per bucket before the communication path
-// stopped copying, 22 to 25 while every rank had a model of its own,
-// and 97 objects at GOMAXPROCS 4 (145 at 16) while each launch
-// allocated its Event and each pool call started its goroutines.
+// TestDESOverlapStepAllocationBudget holds a warm DES overlap step,
+// shard loads from a dataset read once before included, to no
+// allocation at all, whatever p and the pass pool's size: at p = 64 and
+// 256, GOMAXPROCS 1, 4 and 16 and two buckets, every schedule's step
+// measures 0. Nothing is per rank — a pass launch reuses its node's
+// launch record, the hand-back is bound once per trainer, and the
+// pool's workers start with the trainer and are handed closures bound
+// once — nothing is per round or per message, and a flush's result
+// keeps the cluster's clocks instead of copying them. The same p = 64
+// step allocated 95, 134 and 281 objects per rank per bucket before the
+// communication path stopped copying, 22 to 25 while every rank had a
+// model of its own, 97 objects at GOMAXPROCS 4 (145 at 16) while each
+// launch allocated its Event and each pool call started its goroutines,
+// and 2 while each flush copied the clocks.
 func TestDESOverlapStepAllocationBudget(t *testing.T) {
-	const budget = 8
+	const budget = 0
 	netw := topology.Sunway()
 	netw.SupernodeSize = 8
-	ds := dataset.NewClusters(2000, 3, 1, 3, 3, 0.4, 23)
+	ds := readOnce(dataset.NewClusters(2000, 3, 1, 3, 3, 0.4, 23))
 	for _, procs := range []int{1, 4, 16} {
 		withGOMAXPROCS(procs, func() {
 			for _, p := range []int{64, 256} {
@@ -68,10 +69,12 @@ func TestDESOverlapStepAllocationBudget(t *testing.T) {
 // node, worker, stream, launch record and shard tensors come from slabs
 // of the cluster and the trainer; what remains per rank is the
 // collective's: the rank's packed view and its continuation state
-// (measured 2.6). It was 11.4 (RHD) and 11.6 (ring) while each rank had
-// a node, stream, worker, hand-back closure and shard tensors of its
-// own. The hierarchical schedule's figure is logged (5.1 measured, 14.2
-// before): its leaders' arenas grow with p too.
+// (measured 2.6), plus the dataset table chunks its first shard load
+// fills (one per 16 examples: 1/4 at 4 per rank). It was 11.4 (RHD)
+// and 11.6 (ring) while each rank had a node, stream, worker,
+// hand-back closure and shard tensors of its own. The hierarchical
+// schedule's figure is logged (5.1 measured, 14.2 before): its
+// leaders' arenas grow with p too.
 func TestDESTrainerLifeAllocationSlope(t *testing.T) {
 	const budget = 3.0
 	netw := topology.Sunway()
@@ -254,6 +257,19 @@ func TestDESTrainerAllocatesOneModelPerPoolWorker(t *testing.T) {
 	}
 }
 
+// readOnce loads every example of ds once, so that its table is
+// filled: the first load of an example allocates its table chunk
+// (dataset.TestExampleAllocations), which is the dataset's allocation,
+// not a step's.
+func readOnce(ds *dataset.Clusters) *dataset.Clusters {
+	c, h, w := ds.Dims()
+	buf := make([]float32, c*h*w)
+	for i := range ds.Len() {
+		ds.Example(i, buf)
+	}
+	return ds
+}
+
 // mallocs is the heap objects one call of fn allocates, on any
 // goroutine.
 func mallocs(fn func()) uint64 {
@@ -272,4 +288,34 @@ func allocBytes(step func()) uint64 {
 	step()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCGTrainerWarmStepAllocations pins what a warm 4-CG step
+// allocates: 68 objects. The pass closures and their losses are bound
+// once by NewCGTrainer and the pass events are a stack array (the step
+// made all three, 73 objects, before). What is left is per launch:
+// each of the 4 pass launches allocates its Event and its goroutine's
+// closure (2 each), and each of the 12 gradient summations (3 peer CGs
+// × the test MLP's 4 parameter blobs) those two, its copy of the deps,
+// SumAsync's kernel closure and SumRun's CPE closure (5 each).
+func TestCGTrainerWarmStepAllocations(t *testing.T) {
+	const budget = 68
+	cg, err := NewCGTrainer(mlpFactory(4, 3), core.SolverConfig{BaseLR: 0.05, Momentum: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cg.Close()
+	ds := readOnce(dataset.NewClusters(1000, 3, 1, 3, 3, 0.4, 14))
+	it := 0
+	step := func() {
+		for i, w := range cg.CGs {
+			dataset.Batch(ds, (it*4+i)*4, w.Data, w.Labels)
+		}
+		cg.Step()
+		it++
+	}
+	step()
+	if got := testing.AllocsPerRun(20, step); got > budget {
+		t.Errorf("a warm CGTrainer step allocates %v objects, budget %d", got, budget)
+	}
 }

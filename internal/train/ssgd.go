@@ -728,7 +728,9 @@ func (t *DistTrainer) meanLoss() float32 {
 // same indices, same bytes, zero behavioral difference. Without one,
 // the DES backend fills the shards on the pass pool: each load is a
 // pure function of its indices into a tensor of its own, so ds must
-// allow concurrent Example calls there.
+// allow concurrent Example calls there, as dataset.Clusters does (the
+// pool's first loads from a table chunk race to fill it; a loser draws
+// into its shard directly).
 func (t *DistTrainer) LoadShards(ds dataset.Dataset, iteration int) {
 	if t.prefetch != nil && t.prefetch.ds == ds {
 		t.prefetch.load(iteration, t.Workers)
@@ -858,6 +860,11 @@ type CGTrainer struct {
 	// quarter-batch pass on one CG, charged to the launch's clock.
 	passCost float64
 
+	// The per-CG pass closures, bound once by NewCGTrainer, and the
+	// losses they write.
+	pass   [sw26010.CoreGroups]func() float64
+	losses [sw26010.CoreGroups]float32
+
 	// SimTime accumulates the modeled per-step makespan of the node
 	// (the compute + intra-node summation time of Algorithm 1 lines
 	// 3-8); lastEnd tracks the node timeline across steps.
@@ -891,8 +898,15 @@ func NewCGTrainer(build func() (*core.Net, map[string]*tensor.Tensor, error), so
 		if err != nil {
 			return nil, err
 		}
-		t.CGs = append(t.CGs, &Worker{Rank: i, Net: net, Data: inputs["data"], Labels: inputs["label"]})
+		w := &Worker{Rank: i, Net: net, Data: inputs["data"], Labels: inputs["label"]}
+		t.CGs = append(t.CGs, w)
 		t.streams = append(t.streams, t.node.PinnedStream(i))
+		t.pass[i] = func() float64 {
+			w.Net.ZeroParamDiffs()
+			t.losses[i] = w.Net.Forward(core.Train)
+			w.Net.Backward(core.Train)
+			return t.passCost
+		}
 	}
 	t.solver = core.NewSolver(t.CGs[0].Net, solverCfg)
 	_, total := t.CGs[0].Net.Cost(perf.NewSWCG())
@@ -950,16 +964,9 @@ func (t *CGTrainer) Close() {
 // chained behind the passes, update on CG0, parameter broadcast back.
 func (t *CGTrainer) Step() float32 {
 	t.fetchInput()
-	losses := make([]float32, sw26010.CoreGroups)
-	passes := make([]*swnode.Event, sw26010.CoreGroups)
-	for i, w := range t.CGs {
-		i, w := i, w
-		passes[i] = t.streams[i].LaunchFunc(1, func() float64 {
-			w.Net.ZeroParamDiffs()
-			losses[i] = w.Net.Forward(core.Train)
-			w.Net.Backward(core.Train)
-			return t.passCost
-		})
+	var passes [sw26010.CoreGroups]*swnode.Event
+	for i, pass := range t.pass {
+		passes[i] = t.streams[i].LaunchFunc(1, pass)
 	}
 
 	// CG0 accumulates the three peer gradients on its own mesh: each
@@ -991,8 +998,8 @@ func (t *CGTrainer) Step() float32 {
 		}
 	}
 	var mean float32
-	for _, l := range losses {
+	for _, l := range t.losses {
 		mean += l
 	}
-	return mean / float32(len(losses))
+	return mean / float32(len(t.losses))
 }
