@@ -38,7 +38,7 @@ func BNAblation(w io.Writer) []BNRow {
 		}
 		r := BNRow{Device: dev.Name(), LRN: lrnBuild(batch).Total(dev).Total(), BN: bnBuild(batch).Total(dev).Total()}
 		rows = append(rows, r)
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.2f\n", r.Device, fmtTime(r.LRN), fmtTime(r.BN), r.BN/r.LRN)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", r.Device, fmtTime(r.LRN), fmtTime(r.BN), fixed(r.BN/r.LRN, 2))
 	}
 	tw.Flush()
 	return rows
@@ -62,7 +62,7 @@ func SumAblation(w io.Writer) []SumRow {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "elements\tMPE\tCPE mesh\tspeedup")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2fx\n", r.Elems, fmtTime(r.MPETime), fmtTime(r.CPETime), r.MPETime/r.CPETime)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%sx\n", r.Elems, fmtTime(r.MPETime), fmtTime(r.CPETime), fixed(r.MPETime/r.CPETime, 2))
 	}
 	tw.Flush()
 	return rows
@@ -119,8 +119,8 @@ func MappingAblation(w io.Writer) []MappingRow {
 			r := MappingRow{Model: wl.model, SubBatch: wl.b, Nodes: p,
 				Adjacent: adj.Total(), Topo: rr.Total()}
 			rows = append(rows, r)
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.2fx\n",
-				wl.model, wl.b, p, fmtTime(r.Adjacent), fmtTime(r.Topo), r.Adjacent/r.Topo)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%sx\n",
+				wl.model, wl.b, p, fmtTime(r.Adjacent), fmtTime(r.Topo), fixed(r.Adjacent/r.Topo, 2))
 		}
 	}
 	tw.Flush()
@@ -169,7 +169,7 @@ func BatchSweep(w io.Writer) []BatchRow {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "model\tsub-batch\timg/s (1 node)\tcomm %% (1024 nodes)")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.1f\n", r.Model, r.SubBatch, r.ImgPerSec, r.CommFrac*100)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", r.Model, r.SubBatch, fixed(r.ImgPerSec, 2), fixed(r.CommFrac*100, 1))
 	}
 	tw.Flush()
 	return rows

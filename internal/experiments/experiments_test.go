@@ -7,12 +7,16 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"swcaffe/internal/allreduce"
+	"swcaffe/internal/simnet"
 	"swcaffe/internal/sw26010"
 	"swcaffe/internal/swdnn"
+	"swcaffe/internal/topology"
 	"swcaffe/internal/train"
 )
 
@@ -165,6 +169,64 @@ func TestFigure7Improvement(t *testing.T) {
 		if rel > 0.1 {
 			t.Fatalf("analytic %g vs simulated %g disagree", pair[0], pair[1])
 		}
+	}
+}
+
+// figure7At4096 is Figure 7's simulated run as it was before the
+// vectors shrank to p elements, kept as the reference: 4096-element
+// zero vectors, each element standing for nBytes/4096 wire bytes.
+func figure7At4096(nBytes float64, m topology.Mapping) float64 {
+	net := topology.Sunway()
+	net.SupernodeSize = 4
+	const p, length = 8, 4096
+	cl := simnet.NewCluster(net, m, p)
+	cl.ReduceOnCPE = true
+	cl.BytesPerElem = nBytes / length
+	inputs := make([][]float32, p)
+	for r := range inputs {
+		inputs[r] = make([]float32, length)
+	}
+	return cl.Run(func(n *simnet.Node) {
+		allreduce.RecursiveHalvingDoubling(n, inputs[n.Rank])
+	}).Time
+}
+
+// TestFigure7SimulatedTimesIndependentOfLength: Figure 7's p-element
+// runs give both mappings' simulated times bit for bit as the
+// 4096-element runs did, from one byte to a GiB, round sizes or not.
+func TestFigure7SimulatedTimesIndependentOfLength(t *testing.T) {
+	for _, nBytes := range []float64{1, 3, 1.7e3, 4e3, 4096, 12345.678, 1e6, 97.7e6, 100e6, 232.6e6, 1 << 30} {
+		res := Figure7(io.Discard, nBytes)
+		for _, c := range []struct {
+			m   topology.Mapping
+			got float64
+		}{
+			{topology.AdjacentMapping{Q: 4}, res.OriginalSimulated},
+			{topology.RoundRobinMapping{Q: 4}, res.ImprovedSimulated},
+		} {
+			if want := figure7At4096(nBytes, c.m); math.Float64bits(c.got) != math.Float64bits(want) {
+				t.Errorf("%g bytes, %s: simulated %v at p elements, %v at 4096", nBytes, c.m.Name(), c.got, want)
+			}
+		}
+	}
+}
+
+// TestFigure7AllocationBudget: Figure 7's two simulated runs reduce
+// 8-element vectors: 28.4 kB a call measured, 29.4 kB under the race
+// detector (552 kB while they reduced 4096-element ones).
+func TestFigure7AllocationBudget(t *testing.T) {
+	Figure7(io.Discard, 100e6) // warm
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		Figure7(io.Discard, 100e6)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("Figure7: %d bytes a call", perCall)
+	if perCall > 36<<10 {
+		t.Errorf("Figure7 allocated %d bytes a call, budget 36 KiB", perCall)
 	}
 }
 

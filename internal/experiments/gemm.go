@@ -35,8 +35,8 @@ func GEMMAblation(w io.Writer) []GEMMRow {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "n (square)\twith RLC\tGflops\twithout RLC\tslowdown\tblocks")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%.1f\t%s\t%.2fx\t%v\n",
-			r.Dim, fmtTime(r.PlanTime), r.PlanGflops, fmtTime(r.NoRLCTime), r.NoRLCTime/r.PlanTime, r.Block)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%sx\t%v\n",
+			r.Dim, fmtTime(r.PlanTime), fixed(r.PlanGflops, 1), fmtTime(r.NoRLCTime), fixed(r.NoRLCTime/r.PlanTime, 2), r.Block)
 	}
 	tw.Flush()
 	return rows

@@ -16,9 +16,9 @@ func Table1(w io.Writer) []perf.Spec {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Specifications\tSW26010\tNvidia K40m\tIntel KNL")
 	fmt.Fprintf(tw, "Release Year\t%d\t%d\t%d\n", specs[0].ReleaseYear, specs[1].ReleaseYear, specs[2].ReleaseYear)
-	fmt.Fprintf(tw, "Bandwidth(GB/s)\t%.0f\t%.0f\t%.0f\n", specs[0].BandwidthGB, specs[1].BandwidthGB, specs[2].BandwidthGB)
-	fmt.Fprintf(tw, "float perf. (TFlops)\t%.2f\t%.2f\t%.2f\n", specs[0].FloatTFlops, specs[1].FloatTFlops, specs[2].FloatTFlops)
-	fmt.Fprintf(tw, "double perf. (TFlops)\t%.2f\t%.2f\t%.2f\n", specs[0].DoubleTFlops, specs[1].DoubleTFlops, specs[2].DoubleTFlops)
+	fmt.Fprintf(tw, "Bandwidth(GB/s)\t%s\t%s\t%s\n", fixed(specs[0].BandwidthGB, 0), fixed(specs[1].BandwidthGB, 0), fixed(specs[2].BandwidthGB, 0))
+	fmt.Fprintf(tw, "float perf. (TFlops)\t%s\t%s\t%s\n", fixed(specs[0].FloatTFlops, 2), fixed(specs[1].FloatTFlops, 2), fixed(specs[2].FloatTFlops, 2))
+	fmt.Fprintf(tw, "double perf. (TFlops)\t%s\t%s\t%s\n", fixed(specs[0].DoubleTFlops, 2), fixed(specs[1].DoubleTFlops, 2), fixed(specs[2].DoubleTFlops, 2))
 	tw.Flush()
 	return specs
 }
@@ -132,7 +132,7 @@ func Figure6(w io.Writer) []P2PPoint {
 			P2PPoint{Network: "SW", Bytes: sz, LatencyMS: swT},
 			P2PPoint{Network: "IB", Bytes: sz, LatencyMS: ibT},
 		)
-		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\n", fmtBytes(sz), swT, ibT)
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", fmtBytes(sz), fixed(swT, 4), fixed(ibT, 4))
 	}
 	tw.Flush()
 	return out

@@ -131,8 +131,8 @@ func Table3(w io.Writer) []Table3Row {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "network\tbatch\tCPU\tNV K40m\tSW\tSW/NV\tSW/CPU")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			r.Network, r.Batch, r.CPU, r.GPU, r.SW, r.SW/r.GPU, r.SW/r.CPU)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\n",
+			r.Network, r.Batch, fixed(r.CPU, 2), fixed(r.GPU, 2), fixed(r.SW, 2), fixed(r.SW/r.GPU, 2), fixed(r.SW/r.CPU, 2))
 	}
 	tw.Flush()
 	return rows

@@ -28,7 +28,14 @@ type Figure7Result struct {
 
 // Figure7 reproduces the 8-node example of paper Fig. 7: recursive
 // halving/doubling all-reduce under adjacent vs round-robin rank
-// numbering with 2 supernodes of 4 nodes.
+// numbering with 2 supernodes of 4 nodes. The simulated runs reduce
+// p-element zero vectors, each element standing for nBytes/p wire
+// bytes. RHD moves half, a quarter and an eighth of the vector a round,
+// and the simulator charges each message and reduce for elements ×
+// BytesPerElem, which is nBytes/2, nBytes/4 and nBytes/8 exactly at any
+// power-of-two length (scaling a double by a power of two is exact). So
+// p elements give every clock, and Time, the bits 4096 elements gave,
+// for a 512th of the vectors.
 func Figure7(w io.Writer, nBytes float64) Figure7Result {
 	net := topology.Sunway()
 	net.SupernodeSize = 4
@@ -41,11 +48,10 @@ func Figure7(w io.Writer, nBytes float64) Figure7Result {
 	run := func(m topology.Mapping) float64 {
 		cl := simnet.NewCluster(net, m, p)
 		cl.ReduceOnCPE = true
-		length := 4096
-		cl.BytesPerElem = nBytes / float64(length)
+		cl.BytesPerElem = nBytes / p
 		inputs := make([][]float32, p)
 		for r := range inputs {
-			inputs[r] = make([]float32, length)
+			inputs[r] = make([]float32, p)
 		}
 		return cl.Run(func(n *simnet.Node) {
 			allreduce.RecursiveHalvingDoubling(n, inputs[n.Rank])
@@ -59,9 +65,9 @@ func Figure7(w io.Writer, nBytes float64) Figure7Result {
 	fmt.Fprintln(tw, "variant\tanalytic (Eqns 2-6)\tsimulated")
 	fmt.Fprintf(tw, "original (adjacent)\t%s\t%s\n", fmtTime(res.OriginalAnalytic), fmtTime(res.OriginalSimulated))
 	fmt.Fprintf(tw, "improved (round-robin)\t%s\t%s\n", fmtTime(res.ImprovedAnalytic), fmtTime(res.ImprovedSimulated))
-	fmt.Fprintf(tw, "improvement\t%.2fx\t%.2fx\n",
-		res.OriginalAnalytic/res.ImprovedAnalytic,
-		res.OriginalSimulated/res.ImprovedSimulated)
+	fmt.Fprintf(tw, "improvement\t%sx\t%sx\n",
+		fixed(res.OriginalAnalytic/res.ImprovedAnalytic, 2),
+		fixed(res.OriginalSimulated/res.ImprovedSimulated, 2))
 	tw.Flush()
 	return res
 }
@@ -120,7 +126,7 @@ func Figure10(w io.Writer) []ScalingSeries {
 	for i, p := range scalingNodeCounts {
 		fmt.Fprintf(tw, "%d", p)
 		for _, s := range out {
-			fmt.Fprintf(tw, "\t%.1f", s.Points[i].Speedup)
+			fmt.Fprintf(tw, "\t%s", fixed(s.Points[i].Speedup, 1))
 		}
 		fmt.Fprintf(tw, "\t%d\n", p)
 	}
@@ -141,7 +147,7 @@ func Figure11(w io.Writer) []ScalingSeries {
 	for i, p := range scalingNodeCounts {
 		fmt.Fprintf(tw, "%d", p)
 		for _, s := range out {
-			fmt.Fprintf(tw, "\t%.2f", s.Points[i].CommFraction*100)
+			fmt.Fprintf(tw, "\t%s", fixed(s.Points[i].CommFraction*100, 2))
 		}
 		fmt.Fprintln(tw)
 	}
@@ -266,9 +272,10 @@ func FunctionalScalingAt(w io.Writer, ranks []int, backend string) []FunctionalS
 }
 
 // functionalSweepRows measures every tier's three arms (barrier,
-// overlap, hierarchical-overlap), all arms of all tiers in parallel —
-// each arm is internally deterministic, so the host-side parallelism
-// never touches the modeled numbers.
+// overlap, hierarchical-overlap), the arms of all tiers spread over at
+// most GOMAXPROCS workers by parallelFor — each arm is internally
+// deterministic, so the host-side parallelism never touches the modeled
+// numbers.
 func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	ds := dataset.NewClusters(4096, funcScaleClasses, 1, 8, 8, 0.35, 77)
 	// The hierarchical arm runs on a q=2 adjacent-mapped network so
@@ -317,8 +324,8 @@ func printFunctionalTable(w io.Writer, rows []FunctionalScalingRow) {
 		if r.Backend == train.BackendDES {
 			mode = "des"
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%.3fx\t%s\t%s\n", r.Nodes, mode,
-			fmtTime(b.StepTime), fmtTime(b.Exposed), fmtTime(o.StepTime), fmtTime(o.Exposed), gain,
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%sx\t%s\t%s\n", r.Nodes, mode,
+			fmtTime(b.StepTime), fmtTime(b.Exposed), fmtTime(o.StepTime), fmtTime(o.Exposed), fixed(gain, 3),
 			fmtTime(h.StepTime), fmtTime(h.Exposed))
 	}
 	tw.Flush()
@@ -420,7 +427,7 @@ func IOStriping(w io.Writer) []IOStripingRow {
 				AggregateGB: cfg.AggregateBandwidth(procs, batch) / 1e9,
 			}
 			rows = append(rows, r)
-			fmt.Fprintf(tw, "%d\t%d\t%s\t%.1f\n", stripes, procs, fmtTime(r.ReadTime), r.AggregateGB)
+			fmt.Fprintf(tw, "%d\t%d\t%s\t%s\n", stripes, procs, fmtTime(r.ReadTime), fixed(r.AggregateGB, 1))
 		}
 	}
 	tw.Flush()
@@ -460,7 +467,7 @@ func PackAblation(w io.Writer) []PackRow {
 				Packed:   allreduce.PackedAllreduceCost(net, p, sizes, true),
 			}
 			rows = append(rows, r)
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%.2fx\n", name, p, fmtTime(r.PerLayer), fmtTime(r.Packed), r.PerLayer/r.Packed)
+			fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%sx\n", name, p, fmtTime(r.PerLayer), fmtTime(r.Packed), fixed(r.PerLayer/r.Packed, 2))
 		}
 	}
 	tw.Flush()

@@ -74,16 +74,16 @@ func Table2(w io.Writer) []Table2Row {
 			if !p.Feasible {
 				return "-"
 			}
-			return fmt.Sprintf("%.2f", p.Time)
+			return fixed(p.Time, 2)
 		}
 		// in-diff is not computed for the first layer (no gradient to data)
 		indI, indE := t(r.BwdI.Implicit), t(r.BwdI.Explicit)
 		if r.Name == "1_1" {
 			indI, indE = "NA", "NA"
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%s\t%.2f\t%s\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			r.Name, r.Shape.Ni, r.Shape.No, r.Shape.Ci,
-			t(r.Fwd.Implicit), t(r.Fwd.Explicit), r.Fwd.Best.Gflops(),
+			t(r.Fwd.Implicit), t(r.Fwd.Explicit), fixed(r.Fwd.Best.Gflops(), 2),
 			t(r.BwdW.Implicit), t(r.BwdW.Explicit), indI, indE)
 	}
 	tw.Flush()
