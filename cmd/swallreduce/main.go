@@ -59,13 +59,13 @@ func bucketAdvisory(p int, nBytes float64) {
 	}
 }
 
-// crossingsTable runs every algorithm live under both rank mappings
-// on a q-sized-supernode cluster and reports the simulated makespan
-// next to the traffic that actually crossed supernode boundaries —
-// the column that makes the hierarchy win legible: the round-robin
-// renumbering moves RHD's crossings to the cheap rounds (fewer bytes,
-// same messages), while the hierarchical schedule eliminates all but
-// the leaders' 1/g-sized exchanges under either mapping.
+// crossingsTable prices every algorithm under both rank mappings on a
+// q-sized-supernode cluster and reports the makespan next to the
+// traffic that crossed supernode boundaries — the column that makes the
+// hierarchy win legible: the round-robin renumbering moves RHD's
+// crossings to the cheap rounds (fewer bytes, same messages), while the
+// hierarchical schedule eliminates all but the leaders' 1/g-sized
+// exchanges under either mapping.
 func crossingsTable(p, q int, nBytes float64) {
 	netw := topology.Sunway()
 	netw.SupernodeSize = q
@@ -73,7 +73,7 @@ func crossingsTable(p, q int, nBytes float64) {
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tmapping\tmakespan\tcross msgs\tcross MB\ttotal msgs")
 	for _, name := range allreduce.Names() {
-		a, err := allreduce.ByName(name)
+		sched, err := allreduce.ScheduleByName(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -82,15 +82,10 @@ func crossingsTable(p, q int, nBytes float64) {
 			topology.AdjacentMapping{Q: q},
 			topology.RoundRobinMapping{Q: q},
 		} {
-			cl := simnet.NewCluster(netw, m, p)
-			cl.ReduceOnCPE = true
-			length := 4096
-			cl.BytesPerElem = nBytes / float64(length)
-			inputs := make([][]float32, p)
-			for r := range inputs {
-				inputs[r] = make([]float32, length)
-			}
-			res := cl.Run(func(n *simnet.Node) { a(n, inputs[n.Rank]) })
+			fab := topology.NewFabric(netw, m, p)
+			fab.ReduceOnCPE = true
+			fab.BytesPerElem = nBytes / liveLength
+			res := sched.Price(&fab, 0, liveLength, liveLength)
 			fmt.Fprintf(tw, "%s\t%s\t%.6fs\t%d\t%.1f\t%d\n",
 				name, m.Name(), res.Time, res.CrossMsgs, float64(res.CrossBytes)/1e6, res.Msgs)
 		}
@@ -98,8 +93,8 @@ func crossingsTable(p, q int, nBytes float64) {
 	tw.Flush()
 }
 
-// liveLength is the element count of the live run's vectors; each
-// element is priced at bytes/liveLength on the wire.
+// liveLength is the element count of the live run's and the crossings
+// table's vectors; each element is priced at bytes/liveLength.
 const liveLength = 4096
 
 // liveRun runs the named algorithm on a simulated p-node TaihuLight

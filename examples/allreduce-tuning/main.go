@@ -11,7 +11,6 @@ import (
 	"text/tabwriter"
 
 	"swcaffe/internal/allreduce"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
@@ -52,11 +51,11 @@ func main() {
 	}
 	tw.Flush()
 
-	// Validate the headline cell (AlexNet gradient, 1024 nodes is too
-	// many goroutine-heavy runs for an example; use 256) against the
-	// message-level simulation.
+	// Validate the headline cell (AlexNet gradient, 256 nodes) against the
+	// message-level simulator's clocks, walked by Schedule.Price.
 	const p = 256
 	const nBytes = 232.6e6
+	rhd, _ := allreduce.ScheduleByName(allreduce.NameRHD)
 	fmt.Printf("\nvalidating p=%d, %.4g bytes against the simulator:\n", p, nBytes)
 	for _, m := range []topology.Mapping{
 		topology.AdjacentMapping{Q: 64},
@@ -64,17 +63,11 @@ func main() {
 	} {
 		net := topology.Sunway()
 		net.SupernodeSize = 64 // 4 supernodes at p=256
-		cl := simnet.NewCluster(net, m, p)
-		cl.ReduceOnCPE = true
-		length := 2048
-		cl.BytesPerElem = nBytes / float64(length)
-		inputs := make([][]float32, p)
-		for r := range inputs {
-			inputs[r] = make([]float32, length)
-		}
-		res := cl.Run(func(n *simnet.Node) {
-			allreduce.RecursiveHalvingDoubling(n, inputs[n.Rank])
-		})
+		fab := topology.NewFabric(net, m, p)
+		fab.ReduceOnCPE = true
+		const length = 2048
+		fab.BytesPerElem = nBytes / length
+		res := rhd.Price(&fab, 0, length, length)
 		var analytic float64
 		if m.Name() == "adjacent" {
 			analytic = allreduce.OriginalRHDCost(net, p, nBytes, true).Total()

@@ -18,7 +18,9 @@
 // The blocking one lands each payload as it arrives; the resumable one
 // logs where each goes, and its DESRun lands the log in tiles after the
 // run (replay.go), so the payload has two independent implementations,
-// which TestReplayMatchesInline holds to the same bits.
+// which TestReplayMatchesInline holds to the same bits. Schedule.Price
+// (price.go) walks the cursors with no payload at all, on scalar clocks,
+// and gives the event backend's Result without running a rank.
 //
 // # Payload ownership
 //

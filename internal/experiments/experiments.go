@@ -18,8 +18,33 @@ import (
 	"text/tabwriter"
 )
 
-func newTab(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// tabs holds idle table writers, which keep their buffers across Init.
+// Unlike a sync.Pool, no garbage collection or race detector thins it.
+// A generator holds one table at a time, so 16 covers the generators a
+// caller runs at once; a writer handed back to a full list is dropped.
+var tabs = make(chan *tabwriter.Writer, 16)
+
+// table is a writer from tabs. Its one Flush hands the writer back, aimed
+// at io.Discard so as not to keep w alive: nothing may write to a table
+// once it is flushed.
+type table struct{ *tabwriter.Writer }
+
+func newTab(w io.Writer) table {
+	select {
+	case tw := <-tabs:
+		return table{tw.Init(w, 2, 4, 2, ' ', 0)}
+	default:
+		return table{tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)}
+	}
+}
+
+func (t table) Flush() error {
+	err := t.Writer.Flush()
+	select {
+	case tabs <- t.Init(io.Discard, 2, 4, 2, ' ', 0):
+	default:
+	}
+	return err
 }
 
 // parallelFor runs fn(0..n-1) on k = min(n, GOMAXPROCS) workers — the

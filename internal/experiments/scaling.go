@@ -9,7 +9,6 @@ import (
 	"swcaffe/internal/dataset"
 	"swcaffe/internal/models"
 	"swcaffe/internal/pario"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/tensor"
 	"swcaffe/internal/topology"
 	"swcaffe/internal/train"
@@ -17,7 +16,7 @@ import (
 
 // Figure7Result compares the original and improved all-reduce on the
 // paper's 8-node / 2-supernode worked example, both analytically
-// (Eqns. 2-6) and by running the algorithm on the simulator.
+// (Eqns. 2-6) and by pricing its schedule on the simulator.
 type Figure7Result struct {
 	Bytes             float64
 	OriginalAnalytic  float64
@@ -28,14 +27,12 @@ type Figure7Result struct {
 
 // Figure7 reproduces the 8-node example of paper Fig. 7: recursive
 // halving/doubling all-reduce under adjacent vs round-robin rank
-// numbering with 2 supernodes of 4 nodes. The simulated runs reduce
-// p-element zero vectors, each element standing for nBytes/p wire
-// bytes. RHD moves half, a quarter and an eighth of the vector a round,
-// and the simulator charges each message and reduce for elements ×
-// BytesPerElem, which is nBytes/2, nBytes/4 and nBytes/8 exactly at any
-// power-of-two length (scaling a double by a power of two is exact). So
-// p elements give every clock, and Time, the bits 4096 elements gave,
-// for a 512th of the vectors.
+// numbering with 2 supernodes of 4 nodes. The simulated column is
+// Schedule.Price — the simulator's clocks, without running a rank — of
+// p-element vectors, each element standing for nBytes/p wire bytes: RHD
+// moves a half, a quarter and an eighth of the vector a round, so every
+// charge is nBytes/2, /4 or /8 exactly at any power-of-two length, and
+// the clocks are the bits 4096 elements give.
 func Figure7(w io.Writer, nBytes float64) Figure7Result {
 	net := topology.Sunway()
 	net.SupernodeSize = 4
@@ -45,20 +42,15 @@ func Figure7(w io.Writer, nBytes float64) Figure7Result {
 	res.OriginalAnalytic = allreduce.OriginalRHDCost(net, p, nBytes, true).Total()
 	res.ImprovedAnalytic = allreduce.ImprovedRHDCost(net, p, nBytes, true).Total()
 
-	run := func(m topology.Mapping) float64 {
-		cl := simnet.NewCluster(net, m, p)
-		cl.ReduceOnCPE = true
-		cl.BytesPerElem = nBytes / p
-		inputs := make([][]float32, p)
-		for r := range inputs {
-			inputs[r] = make([]float32, p)
-		}
-		return cl.Run(func(n *simnet.Node) {
-			allreduce.RecursiveHalvingDoubling(n, inputs[n.Rank])
-		}).Time
+	rhd, _ := allreduce.ScheduleByName(allreduce.NameRHD)
+	price := func(m topology.Mapping) float64 {
+		fab := topology.NewFabric(net, m, p)
+		fab.ReduceOnCPE = true
+		fab.BytesPerElem = nBytes / p
+		return rhd.Price(&fab, 0, p, p).Time
 	}
-	res.OriginalSimulated = run(topology.AdjacentMapping{Q: 4})
-	res.ImprovedSimulated = run(topology.RoundRobinMapping{Q: 4})
+	res.OriginalSimulated = price(topology.AdjacentMapping{Q: 4})
+	res.ImprovedSimulated = price(topology.RoundRobinMapping{Q: 4})
 
 	section(w, "Figure 7: all-reduce, 8 nodes in 2 supernodes (q=4)")
 	tw := newTab(w)
