@@ -12,17 +12,19 @@ import (
 var gemmSeed = flag.Uint64("gemm-seed", 20261017, "seed of the shapes TestGEMMPlanMatchesSimulatedTime and TestGEMMSimulatedTrafficAccounting generate")
 
 // crossShapes returns the GEMM shapes the cross-validation tests run:
-// aligned shapes, the ragged GEMMs the node_mesh workload runs (its
-// 60×52×44 GEMM and its convolution's 8×72×256), ragged shapes of the
-// models' layers, and 16 shapes drawn from -gemm-seed. Replay a failure
-// with the seed it names.
-func crossShapes() [][3]int {
+// gemmShapes of -gemm-seed. Replay a failure with the seed it names.
+func crossShapes() [][3]int { return gemmShapes(*gemmSeed) }
+
+// gemmShapes returns aligned shapes, the ragged GEMMs the node_mesh
+// workload runs (its 60×52×44 GEMM and its convolution's 8×72×256),
+// ragged shapes of the models' layers, and 16 shapes drawn from seed.
+func gemmShapes(seed uint64) [][3]int {
 	shapes := [][3]int{
 		{64, 64, 64}, {128, 64, 128}, {256, 128, 64},
 		{60, 52, 44}, {8, 72, 256},
 		{96, 363, 64}, {128, 1152, 196}, {64, 576, 196}, {64, 27, 784}, {100, 30, 70},
 	}
-	rng := detrand.New(*gemmSeed)
+	rng := detrand.New(seed)
 	for range 16 {
 		shapes = append(shapes, [3]int{32 + rng.Intn(225), 8 + rng.Intn(633), 16 + rng.Intn(385)})
 	}
