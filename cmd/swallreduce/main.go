@@ -69,7 +69,7 @@ func bucketAdvisory(p int, nBytes float64) {
 func crossingsTable(p, q int, nBytes float64) {
 	netw := topology.Sunway()
 	netw.SupernodeSize = q
-	fmt.Printf("\n=== supernode crossings: p=%d, q=%d, %.4g bytes (live simulation) ===\n", p, q, nBytes)
+	fmt.Printf("\n=== supernode crossings: p=%d, q=%d, %.4g bytes (priced) ===\n", p, q, nBytes)
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tmapping\tmakespan\tcross msgs\tcross MB\ttotal msgs")
 	for _, name := range allreduce.Names() {

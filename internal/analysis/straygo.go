@@ -12,7 +12,7 @@ import (
 // receivers each once fixed by hand: a goroutine that outlives its Run
 // and corrupts the next one.
 // The discrete-event scheduler (internal/des) and the CPE mesh
-// (internal/sw26010, whose CPEs are coroutines resumed by the launching
+// (internal/sw26010, whose launches run their supersteps on the calling
 // goroutine) are deliberately NOT here: both run single-threaded, so a
 // `go` statement inside either is a finding, not a pooled runtime's
 // business.

@@ -11,8 +11,8 @@
 //   - Model: an analytic hardware model (peak rates, the DMA bandwidth
 //     curves of paper Fig. 2, RLC costs) used by kernel planners to
 //     estimate execution time of full-scale layers.
-//   - CoreGroup/CPE: a functional simulator in which CPEs are
-//     coroutines, resumed by the launching goroutine, with real LDM
+//   - CoreGroup/CPE: a functional simulator whose launches run on the
+//     calling goroutine in bulk-synchronous supersteps, with real LDM
 //     buffers, DMA copies and register-bus FIFOs; every operation also
 //     advances a per-CPE simulated clock using the same Model, so
 //     small-shape functional runs cross-validate the planner estimates.

@@ -1,9 +1,7 @@
 package sw26010
 
 import (
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -23,53 +21,64 @@ func mustPanic(t *testing.T, f func()) (msg string) {
 	return ""
 }
 
-// TestKernelPanicUnblocksPeers launches kernels where one CPE panics
-// while every peer is blocked on a bus receive or a barrier — the
-// situation that leaked goroutines in the pre-pool engine. The pool
-// must unwind all workers and stay usable.
-func TestKernelPanicUnblocksPeers(t *testing.T) {
+// launchWithin runs launch on its own goroutine and returns what it
+// panicked with, failing the test if it has not returned in 10 s (a
+// launch lock a panic left held would hang it).
+func launchWithin(t *testing.T, launch func()) (panicked any) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		launch()
+	}()
+	select {
+	case <-done:
+		return panicked
+	case <-time.After(10 * time.Second):
+		t.Fatal("launch still blocked after 10 s")
+		return nil
+	}
+}
+
+// TestKernelPanicLeavesGroupUsable: a kernel panic is re-raised on the
+// caller naming its CPE, after peers have posted messages nobody
+// received and while CPEs hold LDM. The CoreGroup stays usable: its
+// FIFOs are emptied, the launch lock is released, and the next launch
+// reports a fresh CoreGroup's time and payloads.
+func TestKernelPanicLeavesGroupUsable(t *testing.T) {
 	cg := NewCoreGroup(nil)
-	cg.Run(func(pe *CPE) {}) // warm the pool
-	runtime.GC()
-	base := runtime.NumGoroutine()
-
-	blockers := []func(pe *CPE){
-		func(pe *CPE) { pe.RowRecv((pe.Col + 1) % MeshDim) }, // never sent
-		func(pe *CPE) { pe.Barrier() },                       // never completed
-	}
-	for round, block := range blockers {
-		msg := mustPanic(t, func() {
-			cg.Run(func(pe *CPE) {
-				if pe.ID == 13 {
-					panic("boom")
-				}
-				block(pe)
-			})
+	r := launchWithin(t, func() {
+		cg.Run(func(pe *CPE) {
+			pe.Alloc(16)
+			if pe.ID == 13 {
+				panic("boom")
+			}
+			pe.RowSend((pe.Col+1)%MeshDim, []float32{-1}) // never received
 		})
-		if !strings.Contains(msg, "CPE(1,5): boom") {
-			t.Fatalf("round %d: panic message %q does not identify CPE(1,5)", round, msg)
-		}
-	}
-
-	// All workers must be back in the pool (no goroutines leaked
-	// beyond the persistent 64 counted in base).
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("goroutines leaked after kernel panics: %d > %d", n, base)
-	}
-
-	// The CoreGroup must remain fully usable after an aborted launch.
-	var count int64
-	elapsed := cg.Run(func(pe *CPE) {
-		atomic.AddInt64(&count, 1)
-		pe.ChargeFlops(8)
-		pe.Barrier()
 	})
-	if count != CPEsPerCG || elapsed <= 0 {
-		t.Fatalf("pool unusable after panic: count=%d elapsed=%g", count, elapsed)
+	if msg, _ := r.(string); !strings.Contains(msg, "kernel panic on CPE(1,5): boom") {
+		t.Fatalf("panic %v does not identify CPE(1,5)", r)
+	}
+
+	kernel := func(m *Mesh) {
+		m.Each(func(pe *CPE) {
+			pe.ChargeFlops(float64(pe.ID) * 100)
+			if pe.Col == 0 {
+				pe.RowBroadcast([]float32{float32(pe.Row)})
+			}
+		})
+		m.Barrier()
+		m.Each(func(pe *CPE) {
+			if pe.Col != 0 && pe.RowRecv(0)[0] != float32(pe.Row) {
+				t.Errorf("CPE(%d,%d) received a stale message", pe.Row, pe.Col)
+			}
+		})
+	}
+	want := NewCoreGroup(nil).RunSteps(CPEsPerCG, kernel)
+	var got float64
+	if r := launchWithin(t, func() { got = cg.RunSteps(CPEsPerCG, kernel) }); r != nil || got != want {
+		t.Fatalf("after a kernel panic: launch took %g and panicked with %v, want %g from a fresh CoreGroup", got, r, want)
 	}
 }
 
@@ -104,9 +113,8 @@ func TestLaunchStateResets(t *testing.T) {
 	kernel := func(pe *CPE) {
 		buf := pe.Alloc(256)
 		defer pe.Release(256)
-		pe.ChargeFlops(1000)
+		pe.ChargeFlops(float64(1000 * pe.ID))
 		_ = buf
-		pe.Barrier()
 	}
 	t1 := cg.Run(kernel)
 	s1 := cg.Stats()
@@ -124,34 +132,26 @@ func TestLaunchStateResets(t *testing.T) {
 	}
 }
 
-// TestLDMBufferRecycling verifies Alloc hands back zeroed buffers even
-// when recycling a previously released (dirtied) one.
+// TestLDMBufferRecycling: Alloc hands back a released buffer rather
+// than a new one, within a launch and across launches.
 func TestLDMBufferRecycling(t *testing.T) {
 	cg := NewCoreGroup(nil)
+	var first *float32
 	cg.RunN(1, func(pe *CPE) {
 		a := pe.Alloc(64)
-		for i := range a {
-			a[i] = 7
-		}
+		first = &a[0]
 		pe.Release(64)
 		b := pe.Alloc(64)
 		defer pe.Release(64)
-		for i, v := range b {
-			if v != 0 {
-				t.Errorf("recycled Alloc not zeroed at %d: %g", i, v)
-				break
-			}
+		if &b[0] != first {
+			t.Error("Alloc after Release did not recycle the released buffer")
 		}
 	})
-	// Across launches too.
 	cg.RunN(1, func(pe *CPE) {
-		b := pe.Alloc(64)
-		defer pe.Release(64)
-		for i, v := range b {
-			if v != 0 {
-				t.Errorf("cross-launch Alloc not zeroed at %d: %g", i, v)
-				break
-			}
+		b := pe.Alloc(32)
+		defer pe.Release(32)
+		if &b[0] != first {
+			t.Error("a later launch did not recycle the released buffer")
 		}
 	})
 }
@@ -161,20 +161,18 @@ func TestLDMBufferRecycling(t *testing.T) {
 // match the single-threaded value.
 func TestConcurrentLaunchesSerialize(t *testing.T) {
 	cg := NewCoreGroup(nil)
-	want := cg.Run(func(pe *CPE) {
-		pe.ChargeFlops(float64(pe.ID) * 100)
-		pe.Barrier()
-	})
+	kernel := func(m *Mesh) {
+		m.Each(func(pe *CPE) { pe.ChargeFlops(float64(pe.ID) * 100) })
+		m.Barrier()
+		m.Each(func(pe *CPE) { pe.ChargeFlops(8) })
+	}
+	want := cg.RunSteps(CPEsPerCG, kernel)
 	const goroutines = 8
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			for i := 0; i < 10; i++ {
-				got := cg.Run(func(pe *CPE) {
-					pe.ChargeFlops(float64(pe.ID) * 100)
-					pe.Barrier()
-				})
-				if got != want {
+				if got := cg.RunSteps(CPEsPerCG, kernel); got != want {
 					errs <- &mismatchError{got, want}
 					return
 				}
@@ -195,73 +193,19 @@ func (e *mismatchError) Error() string {
 	return "concurrent launch time mismatch"
 }
 
-// TestBarrierDeterministicAcrossSchedules pins the fix for the seed
-// engine's wake race: a kernel that loops over barriers with
-// free-running work in between must report one simulated time no
-// matter how the host schedules the workers.
-func TestBarrierDeterministicAcrossSchedules(t *testing.T) {
-	run := func() float64 {
-		cg := NewCoreGroup(nil)
-		defer cg.Close()
-		return cg.Run(func(pe *CPE) {
-			for step := 0; step < 16; step++ {
-				pe.ChargeFlops(float64((pe.ID*31+step*17)%97) * 50)
-				pe.Barrier()
-			}
-		})
-	}
-	want := run()
-	for i := 0; i < 20; i++ {
-		if got := run(); got != want {
-			t.Fatalf("simulated time depends on scheduling: %g != %g", got, want)
-		}
-	}
-}
-
-// TestCloseStopsWorkers verifies Close terminates the pool's
-// goroutines and is idempotent.
-func TestCloseStopsWorkers(t *testing.T) {
-	runtime.GC()
-	base := runtime.NumGoroutine()
-	cg := NewCoreGroup(nil)
-	cg.Run(func(pe *CPE) {})
-	if n := runtime.NumGoroutine(); n < base+CPEsPerCG {
-		t.Fatalf("expected %d pool workers, have %d extra goroutines", CPEsPerCG, n-base)
-	}
-	cg.Close()
-	cg.Close() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("workers survived Close: %d > %d", n, base)
-	}
-	// Launching after Close must fail with the intended diagnostic,
-	// not a raw send-on-closed-channel runtime panic.
-	msg := mustPanic(t, func() { cg.Run(func(pe *CPE) {}) })
-	if !strings.Contains(msg, "closed CoreGroup") {
-		t.Fatalf("Run after Close panicked with %q", msg)
-	}
-}
-
 // TestMeshBuiltToDemand: a launch builds the CPEs it runs on and no
 // more — one, with no FIFO storage, for the one-CPE pass launches the
-// trainers make, where it used to build all 64 with their 1024 FIFOs
-// (2.5 MB); a FIFO holds a backing array only once something is sent
-// on it — later, larger launches extend the mesh and keep what is
+// trainers make; a FIFO holds a backing array only once something is
+// sent on it — later, larger launches extend the mesh and keep what is
 // there, and a bus send to a position no launch has built panics
 // naming both CPEs.
 func TestMeshBuiltToDemand(t *testing.T) {
-	runtime.GC()
-	base := runtime.NumGoroutine()
 	cg := NewCoreGroup(nil)
-	defer cg.Close()
 	cg.RunN(1, func(pe *CPE) { pe.ChargeFlops(8) })
 	first := cg.pes[0]
-	if n := runtime.NumGoroutine(); cg.built != 1 || n > base+1 || first.rowIn[1].q != nil {
-		t.Fatalf("after RunN(1): %d CPEs built, %d coroutines, bus FIFO storage %v, want 1, 1 and none (a mesh of one has no peers)",
-			cg.built, n-base, first.rowIn[1].q != nil)
+	if cg.built != 1 || first.rowIn[1].q != nil {
+		t.Fatalf("after RunN(1): %d CPEs built, bus FIFO storage %v, want 1 and none (a mesh of one has no peers)",
+			cg.built, first.rowIn[1].q != nil)
 	}
 
 	msg := mustPanic(t, func() {
@@ -272,17 +216,27 @@ func TestMeshBuiltToDemand(t *testing.T) {
 	}
 
 	var got float32
-	cg.RunN(4, func(pe *CPE) {
-		switch pe.ID {
-		case 0: // built by the first launch, reaches one built by this
-			pe.RowSend(3, []float32{7})
-			got += pe.RowRecv(3)[0] // and is wired now that it has peers
-		case 3:
-			pe.RowSend(0, pe.RowRecv(0))
-		}
+	cg.RunSteps(4, func(m *Mesh) {
+		// CPE 0, built by the first launch, reaches CPE 3, built by this
+		// one, and is wired now that it has peers.
+		m.Each(func(pe *CPE) {
+			if pe.ID == 0 {
+				pe.RowSend(3, []float32{7})
+			}
+		})
+		m.Each(func(pe *CPE) {
+			if pe.ID == 3 {
+				pe.RowSend(0, pe.RowRecv(0))
+			}
+		})
+		m.Each(func(pe *CPE) {
+			if pe.ID == 0 {
+				got += pe.RowRecv(3)[0]
+			}
+		})
 	})
 	if cg.built != 4 || cg.pes[0] != first || got != 7 {
-		t.Fatalf("after RunN(4): %d CPEs built, CPE 0 rebuilt %v, CPE 3 received %g, want 4, false, 7", cg.built, cg.pes[0] != first, got)
+		t.Fatalf("after RunSteps(4): %d CPEs built, CPE 0 rebuilt %v, CPE 0 received %g, want 4, false, 7", cg.built, cg.pes[0] != first, got)
 	}
 	cg.RunN(2, func(pe *CPE) {})
 	if cg.built != 4 {
@@ -290,10 +244,7 @@ func TestMeshBuiltToDemand(t *testing.T) {
 	}
 
 	var count int64
-	cg.Run(func(pe *CPE) {
-		atomic.AddInt64(&count, 1)
-		pe.Barrier()
-	})
+	cg.Run(func(pe *CPE) { count++ })
 	if cg.built != CPEsPerCG || count != CPEsPerCG {
 		t.Fatalf("after Run: %d CPEs built, %d ran, want %d", cg.built, count, CPEsPerCG)
 	}
@@ -326,98 +277,88 @@ func TestReleaseRecyclesNewestSameSize(t *testing.T) {
 	})
 }
 
-// TestDeadlockPanicsNamingWaits: a launch whose unfinished CPEs all
-// wait panics instead of hanging, with one line per waiting CPE naming
-// the bus and its source or the barrier, and the CoreGroup stays
-// usable. The launch runs on its own goroutine under a deadline so an
-// engine that hangs fails the test instead of the suite.
-func TestDeadlockPanicsNamingWaits(t *testing.T) {
+// TestRecvBeforeSendPanicsNamingBus: a receive whose message no CPE
+// has posted earlier on the host — none at all, or one a higher-numbered
+// CPE posts later in the same superstep — panics naming the bus and its
+// source, and the CoreGroup stays usable.
+func TestRecvBeforeSendPanicsNamingBus(t *testing.T) {
 	cg := NewCoreGroup(nil)
-	launch := func(n int, kernel func(pe *CPE)) (elapsed float64, panicked any) {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer func() { panicked = recover() }()
-			elapsed = cg.RunN(n, kernel)
-		}()
-		select {
-		case <-done:
-			return elapsed, panicked
-		case <-time.After(10 * time.Second):
-			t.Fatal("RunN still blocked 10 s after every CPE began to wait")
-			return 0, nil
-		}
-	}
-	_, r := launch(4, func(pe *CPE) {
-		switch pe.ID {
-		case 0:
-			pe.RowRecv(1)
-		case 1:
-			pe.ColRecv(1)
-		case 2:
-			pe.Barrier()
-		}
-	})
-	msg, _ := r.(string)
-	for _, want := range []string{
-		"launch deadlocked",
-		"CPE(0,0) waits on the row bus from CPE(0,1)",
-		"CPE(0,1) waits on the column bus from CPE(1,1)",
-		"CPE(0,2) waits at the barrier",
+	for _, c := range []struct {
+		kernel func(pe *CPE)
+		want   string
+	}{
+		{func(pe *CPE) {
+			switch pe.ID {
+			case 0:
+				pe.RowRecv(1)
+			case 1:
+				pe.RowSend(0, []float32{1}) // too late: CPE 0 ran first
+			}
+		}, "kernel panic on CPE(0,0): sw26010: CPE(0,0) receives on the row bus from CPE(0,1), which has sent it nothing"},
+		{func(pe *CPE) {
+			if pe.ID == 2 {
+				pe.ColRecv(1)
+			}
+		}, "kernel panic on CPE(0,2): sw26010: CPE(0,2) receives on the column bus from CPE(1,2), which has sent it nothing"},
 	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("deadlock panic %q does not contain %q", msg, want)
+		if r := launchWithin(t, func() { cg.RunN(4, c.kernel) }); r == nil || !strings.Contains(r.(string), c.want) {
+			t.Errorf("panic %v, want it to contain %q", r, c.want)
 		}
-	}
-	if strings.Contains(msg, "CPE(0,3)") {
-		t.Errorf("deadlock panic %q names CPE(0,3), which finished", msg)
-	}
-	if lines := strings.Count(msg, "\n"); lines != 3 {
-		t.Errorf("deadlock panic has %d CPE lines, want 3: %q", lines, msg)
 	}
 
-	kernel := func(pe *CPE) {
-		pe.ChargeFlops(float64(pe.ID) * 100)
-		pe.Barrier()
-		if pe.Col == 0 {
-			pe.RowBroadcast([]float32{1})
-		} else {
-			pe.RowRecv(0)
-		}
+	var got float32
+	if r := launchWithin(t, func() {
+		cg.RunN(2, func(pe *CPE) {
+			if pe.ID == 0 {
+				pe.RowSend(1, []float32{3})
+			} else {
+				got = pe.RowRecv(0)[0]
+			}
+		})
+	}); r != nil || got != 3 {
+		t.Fatalf("launch after a receive-before-send panic: received %g, panicked with %v, want 3 and no panic", got, r)
 	}
-	fresh := NewCoreGroup(nil)
-	defer fresh.Close()
-	want := fresh.Run(kernel)
-	if got, r := launch(CPEsPerCG, kernel); r != nil || got != want {
-		t.Fatalf("after a deadlock: launch took %g and panicked with %v, want %g from a fresh CoreGroup", got, r, want)
-	}
-	cg.Close()
 }
 
 // TestWarmLaunchAllocatesNothing: a warm 64-CPE launch with row and
 // column broadcasts, receives and two barriers allocates nothing on the
-// host — no per-launch abort channel, no FIFO growth.
+// host — no FIFO growth, and neither the program closure nor the steps
+// it builds escape.
 func TestWarmLaunchAllocatesNothing(t *testing.T) {
 	cg := NewCoreGroup(nil)
-	defer cg.Close()
-	kernel := func(pe *CPE) {
-		buf := pe.Alloc(8)
-		defer pe.Release(8)
-		if pe.Col == 0 {
-			pe.RowBroadcast(buf)
-		} else {
-			pe.RowRecv(0)
-		}
-		pe.Barrier()
-		if pe.Row == 0 {
-			pe.ColBroadcast(buf)
-		} else {
-			pe.ColRecv(0)
-		}
-		pe.Barrier()
+	launch := func() {
+		cg.RunSteps(CPEsPerCG, func(m *Mesh) {
+			var bufs [CPEsPerCG][]float32
+			m.Each(func(pe *CPE) {
+				bufs[pe.ID] = pe.Alloc(8)
+				if pe.Col == 0 {
+					pe.RowBroadcast(bufs[pe.ID])
+				}
+			})
+			m.Each(func(pe *CPE) {
+				if pe.Col != 0 {
+					pe.RowRecv(0)
+				}
+			})
+			m.Barrier()
+			m.Each(func(pe *CPE) {
+				if pe.Row == 0 {
+					pe.ColBroadcast(bufs[pe.ID])
+				}
+			})
+			m.Each(func(pe *CPE) {
+				if pe.Row != 0 {
+					pe.ColRecv(0)
+				}
+				pe.Release(8)
+			})
+			m.Barrier()
+		})
+		n := 3
+		cg.Run(func(pe *CPE) { pe.ChargeFlops(float64(n)) })
 	}
-	cg.Run(kernel)
-	if n := testing.AllocsPerRun(20, func() { cg.Run(kernel) }); n != 0 {
+	launch()
+	if n := testing.AllocsPerRun(20, launch); n != 0 {
 		t.Fatalf("warm launch allocates %g objects, want 0", n)
 	}
 }

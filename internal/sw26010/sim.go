@@ -1,10 +1,7 @@
 package sw26010
 
 import (
-	"errors"
 	"fmt"
-	"iter"
-	"strings"
 	"sync"
 )
 
@@ -53,22 +50,21 @@ type fifo struct {
 	head int
 }
 
-// errAborted is the sentinel panic that unwinds the CPEs of an aborted
-// launch. runKernel recovers it; it never escapes to callers.
-var errAborted = errors.New("sw26010: launch aborted")
-
 // CoreGroup is one of the four CGs of an SW26010: an 8x8 CPE mesh plus
-// register buses. A CoreGroup is single-kernel: Run launches a kernel
+// register buses. A CoreGroup is single-kernel: a launch runs a kernel
 // across the mesh and returns its simulated execution time.
 //
-// Each CPE is a persistent coroutine (iter.Pull), built by the first
-// launch that reaches its position. RunN resumes the launch's CPEs on
-// the calling goroutine from a FIFO run queue, first in CPE-ID order; a
-// CPE runs until its kernel returns or it waits on an empty bus FIFO or
-// the barrier, and the send or last arrival that ends the wait queues
-// it again. Simulated time never depends on that order. Warm launches
-// allocate nothing; launches on one CoreGroup are serialized, and
-// different CoreGroups run concurrently.
+// A launch runs on the calling goroutine in bulk-synchronous supersteps
+// (Valiant, "A Bridging Model for Parallel Computation", CACM 1990): a
+// superstep runs its step on each CPE to completion, in CPE-ID order.
+// Run and RunN are one superstep; RunSteps runs a program of several,
+// with Mesh.Barrier where the CPEs synchronize. A register-bus receive
+// takes a message posted earlier on the host, by an earlier superstep
+// or a lower-numbered CPE of this one. A CPE's clock moves only by its
+// own charges and by a receive's max(own, sent), so simulated time
+// never depends on the host order. Warm launches allocate nothing;
+// launches on one CoreGroup are serialized, and different CoreGroups
+// run concurrently.
 type CoreGroup struct {
 	Model *Model
 
@@ -78,19 +74,8 @@ type CoreGroup struct {
 	launchMu sync.Mutex // serializes launches on this CoreGroup
 	pes      [CPEsPerCG]*CPE
 	built    int
-	closed   bool
-
-	// Per-launch state, touched only by the launching goroutine and the
-	// coroutines it resumes.
-	kernel          func(pe *CPE)
-	n, finished     int
-	runq            [CPEsPerCG]*CPE // ring: each CPE is queued at most once
-	runHead, runLen int
-	queued          int     // messages sent and not yet received
-	arrived         int     // barrier arrivals of the current generation
-	barrierMax      float64 // their maximum clock
-	aborted         bool
-	failure         string // why the launch aborted, for the caller's panic
+	mesh     Mesh // the running launch's handle
+	queued   int  // messages sent and not yet received
 }
 
 // NewCoreGroup builds a CG around the given hardware model.
@@ -115,22 +100,13 @@ func (cg *CoreGroup) ResetStats() {
 	cg.stats = Stats{}
 }
 
-// Close ends the CPE coroutines. The CoreGroup must not be used after
-// Close; Close is idempotent.
-func (cg *CoreGroup) Close() {
-	cg.launchMu.Lock()
-	defer cg.launchMu.Unlock()
-	if !cg.closed {
-		for _, pe := range cg.pes[:cg.built] {
-			pe.stop()
-		}
-	}
-	cg.closed = true
-}
+// Close releases the CoreGroup. A CoreGroup holds no goroutine or
+// other resource beyond its memory, so Close does nothing; it is kept
+// so owners can release every CoreGroup alike.
+func (cg *CoreGroup) Close() {}
 
 // CPE is one computing processing element executing inside a kernel.
-// Its methods are called only from the kernel body running on it. CPEs
-// run one at a time: a kernel waits on peers only via buses and Barrier.
+// Its methods are called only from the kernel body running on it.
 type CPE struct {
 	Row, Col int // mesh coordinates, 0..7
 	ID       int // Row*8 + Col
@@ -147,12 +123,6 @@ type CPE struct {
 
 	rowIn [MeshDim]fifo // rowIn[srcCol]: messages from (Row, srcCol)
 	colIn [MeshDim]fifo // colIn[srcRow]: messages from (srcRow, Col)
-
-	resume      func() (struct{}, bool) // runs the coroutine to its next yield
-	stop        func()
-	yield       func(struct{}) bool
-	waitBus     *fifo // the empty FIFO this CPE is parked on, if any
-	waitBarrier bool  // parked at the barrier
 }
 
 // --- LDM management -------------------------------------------------
@@ -161,11 +131,13 @@ type CPE struct {
 // handful of retained buffers covers every kernel's working set.
 const maxLDMFree = 32
 
-// Alloc reserves n float32 slots of LDM and returns the buffer, zeroed.
-// It panics if the 64 KB budget would be exceeded — kernels are
-// expected to plan their tiling so everything fits (Principle 2).
-// Buffers are recycled across Alloc/Release cycles and launches, so a
-// kernel must not touch a buffer after releasing its slots.
+// Alloc reserves n float32 slots of LDM and returns the buffer. Its
+// contents are unspecified, as the hardware's LDM is: a kernel writes
+// every element it reads. Alloc panics if the 64 KB budget would be
+// exceeded — kernels are expected to plan their tiling so everything
+// fits (Principle 2). Buffers are recycled across Alloc/Release cycles
+// and launches, so a kernel must not touch a buffer after releasing
+// its slots.
 func (pe *CPE) Alloc(n int) []float32 {
 	bytes := n * 4
 	if pe.ldmUsed+bytes > pe.cg.Model.LDMBudget {
@@ -181,7 +153,6 @@ func (pe *CPE) Alloc(n int) []float32 {
 			buf := pe.ldmFree[i][:n]
 			pe.ldmFree[i] = pe.ldmFree[len(pe.ldmFree)-1]
 			pe.ldmFree = pe.ldmFree[:len(pe.ldmFree)-1]
-			clear(buf)
 			pe.ldmLive = append(pe.ldmLive, buf)
 			return buf
 		}
@@ -317,8 +288,7 @@ func (pe *CPE) chargeRLCRecv(ts float64, bytes int64) {
 	pe.stats.RLCTime += t
 }
 
-// send enqueues msg on to's row (or column) FIFO from pe, and queues
-// to if it waits on that FIFO.
+// send enqueues msg on to's row (or column) FIFO from pe.
 func (pe *CPE) send(to *CPE, row bool, msg message) {
 	f := &to.colIn[pe.Row]
 	if row {
@@ -326,19 +296,16 @@ func (pe *CPE) send(to *CPE, row bool, msg message) {
 	}
 	f.q = append(f.q, msg)
 	pe.cg.queued++
-	if to.waitBus == f {
-		to.waitBus = nil
-		pe.cg.ready(to)
-	}
 }
 
-// recv dequeues the next message on f, parking while f is empty, and
-// charges its transfer. The popped slot is zeroed so a drained FIFO
-// holds no payload.
-func (pe *CPE) recv(f *fifo) []float32 {
-	for f.head == len(f.q) {
-		pe.waitBus = f
-		pe.park()
+// recv dequeues the next message on f, from the CPE at (row, col), and
+// charges its transfer. The message must have been posted earlier on
+// the host; an empty FIFO panics naming the bus and its source. The
+// popped slot is zeroed so a drained FIFO holds no payload.
+func (pe *CPE) recv(f *fifo, bus string, row, col int) []float32 {
+	if f.head == len(f.q) {
+		panic(fmt.Sprintf("sw26010: CPE(%d,%d) receives on the %s bus from CPE(%d,%d), which has sent it nothing",
+			pe.Row, pe.Col, bus, row, col))
 	}
 	msg := f.q[f.head]
 	f.q[f.head] = message{}
@@ -363,7 +330,9 @@ func (pe *CPE) RowBroadcast(data []float32) {
 
 // RowRecv receives a message sent on this row by the CPE in column
 // fromCol (either broadcast or P2P).
-func (pe *CPE) RowRecv(fromCol int) []float32 { return pe.recv(&pe.rowIn[fromCol]) }
+func (pe *CPE) RowRecv(fromCol int) []float32 {
+	return pe.recv(&pe.rowIn[fromCol], "row", pe.Row, fromCol)
+}
 
 // ColBroadcast sends data to every other CPE in the same column.
 func (pe *CPE) ColBroadcast(data []float32) {
@@ -377,7 +346,9 @@ func (pe *CPE) ColBroadcast(data []float32) {
 
 // ColRecv receives a message sent on this column by the CPE in row
 // fromRow.
-func (pe *CPE) ColRecv(fromRow int) []float32 { return pe.recv(&pe.colIn[fromRow]) }
+func (pe *CPE) ColRecv(fromRow int) []float32 {
+	return pe.recv(&pe.colIn[fromRow], "column", fromRow, pe.Col)
+}
 
 // peer returns the CPE at (row, col), which must be one the launches
 // so far have built: the buses of a position no launch ever reached do
@@ -390,190 +361,114 @@ func (pe *CPE) peer(row, col int) *CPE {
 		pe.Row, pe.Col, row, col, pe.Active))
 }
 
-// Barrier synchronizes all CPEs of the launch and aligns their clocks
-// to the maximum (athread-style mesh synchronization): every arrival
-// but the last parks, and the last releases the others at the maximum.
-func (pe *CPE) Barrier() {
-	cg := pe.cg
-	if pe.clock > cg.barrierMax {
-		cg.barrierMax = pe.clock
-	}
-	if cg.arrived++; cg.arrived < cg.n {
-		pe.waitBarrier = true
-		pe.park()
-		return
-	}
-	for _, w := range cg.pes[:cg.n] {
-		if w.waitBarrier {
-			w.waitBarrier, w.clock = false, cg.barrierMax
-			cg.ready(w)
-		}
-	}
-	pe.clock = cg.barrierMax
-	cg.arrived, cg.barrierMax = 0, 0
-}
-
-// park yields to the launching goroutine until a peer makes pe
-// runnable, and unwinds with errAborted if the launch is aborted.
-func (pe *CPE) park() {
-	if !pe.cg.aborted {
-		pe.yield(struct{}{})
-	}
-	if pe.cg.aborted {
-		pe.waitBus, pe.waitBarrier = nil, false
-		panic(errAborted)
-	}
-}
-
 // --- kernel launch ----------------------------------------------------
 
-// Run launches kernel on the full 8x8 mesh (athread_spawn) and blocks
-// until all CPEs finish (athread_join). It returns the simulated
-// execution time: the maximum per-CPE clock.
+// Mesh is a RunSteps program's handle on the CPEs of its launch.
+type Mesh struct {
+	pes []*CPE
+	cur *CPE // the CPE Each is running, named by a kernel panic
+}
+
+// Each runs step on every CPE of the launch in ID order: one superstep.
+func (m *Mesh) Each(step func(pe *CPE)) {
+	for _, pe := range m.pes {
+		m.cur = pe
+		step(pe)
+	}
+	m.cur = nil
+}
+
+// Barrier synchronizes all CPEs of the launch and aligns their clocks
+// to the maximum (athread-style mesh synchronization).
+func (m *Mesh) Barrier() {
+	var t float64
+	for _, pe := range m.pes {
+		if pe.clock > t {
+			t = pe.clock
+		}
+	}
+	for _, pe := range m.pes {
+		pe.clock = t
+	}
+}
+
+// Run launches kernel on the full 8x8 mesh (athread_spawn) and returns
+// when all CPEs finish (athread_join): one superstep. It returns the
+// simulated execution time: the maximum per-CPE clock.
 func (cg *CoreGroup) Run(kernel func(pe *CPE)) float64 {
 	return cg.RunN(CPEsPerCG, kernel)
 }
 
-// build extends the mesh to the first n positions: a CPE and its
-// coroutine for each position in [built, n).
+// RunN launches kernel on the first n CPEs in row-major order, as one
+// superstep. Only they participate, and DMA contention is charged for
+// n active CPEs.
+func (cg *CoreGroup) RunN(n int, kernel func(pe *CPE)) float64 {
+	return cg.RunSteps(n, func(m *Mesh) { m.Each(kernel) })
+}
+
+// build extends the mesh to the first n positions: a CPE for each
+// position in [built, n).
 func (cg *CoreGroup) build(n int) {
 	for i := cg.built; i < n; i++ {
-		pe := &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, cg: cg}
-		pe.resume, pe.stop = iter.Pull(pe.run)
-		cg.pes[i] = pe
+		cg.pes[i] = &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, cg: cg}
 	}
 	cg.built = max(cg.built, n)
 }
 
-// run is pe's coroutine: one kernel per launch, until Close stops it.
-func (pe *CPE) run(yield func(struct{}) bool) {
-	pe.yield = yield
-	for more := true; more; more = yield(struct{}{}) {
-		pe.cg.runKernel(pe)
-		pe.cg.finished++
+// drop empties every bus FIFO, so the next launch starts clean.
+func (cg *CoreGroup) drop() {
+	for _, pe := range cg.pes[:cg.built] {
+		pe.rowIn, pe.colIn = [MeshDim]fifo{}, [MeshDim]fifo{}
 	}
+	cg.queued = 0
 }
 
-// runKernel executes the kernel on pe unless the launch is aborted. The
-// first real kernel panic is recorded for the caller and aborts it.
-func (cg *CoreGroup) runKernel(pe *CPE) {
-	defer func() {
-		if r := recover(); r != nil && r != errAborted && !cg.aborted {
-			cg.failure = fmt.Sprintf("kernel panic on CPE(%d,%d): %v", pe.Row, pe.Col, r)
-			cg.abort()
-		}
-	}()
-	if !cg.aborted {
-		cg.kernel(pe)
-	}
-}
-
-// ready appends pe to the run queue.
-func (cg *CoreGroup) ready(pe *CPE) {
-	cg.runq[(cg.runHead+cg.runLen)%CPEsPerCG] = pe
-	cg.runLen++
-}
-
-// schedule resumes queued CPEs until the run queue is empty.
-func (cg *CoreGroup) schedule() {
-	for cg.runLen > 0 {
-		pe := cg.runq[cg.runHead]
-		cg.runHead = (cg.runHead + 1) % CPEsPerCG
-		cg.runLen--
-		pe.resume()
-	}
-}
-
-// abort marks the launch aborted and queues every parked CPE, which
-// unwinds with errAborted when resumed.
-func (cg *CoreGroup) abort() {
-	cg.aborted = true
-	for _, pe := range cg.pes[:cg.n] {
-		if pe.waitBus != nil || pe.waitBarrier {
-			pe.waitBus, pe.waitBarrier = nil, false
-			cg.ready(pe)
-		}
-	}
-}
-
-// deadlock describes a launch whose unfinished CPEs all wait: one line
-// per CPE naming the bus and its source, or the barrier.
-func (cg *CoreGroup) deadlock() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "launch deadlocked: %d of %d CPEs wait and none can run", cg.n-cg.finished, cg.n)
-	for _, pe := range cg.pes[:cg.n] {
-		if pe.waitBarrier {
-			fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits at the barrier", pe.Row, pe.Col)
-		}
-		for j := range MeshDim {
-			switch pe.waitBus {
-			case &pe.rowIn[j]:
-				fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits on the row bus from CPE(%d,%d)", pe.Row, pe.Col, pe.Row, j)
-			case &pe.colIn[j]:
-				fmt.Fprintf(&b, "\n\tCPE(%d,%d) waits on the column bus from CPE(%d,%d)", pe.Row, pe.Col, j, pe.Col)
-			}
-		}
-	}
-	return b.String()
-}
-
-// RunN launches kernel on the first n CPEs in row-major order. Only
-// they participate, and DMA contention is charged for n active CPEs; a
+// RunSteps launches program on the first n CPEs in row-major order.
+// The program runs on the calling goroutine and drives the CPEs in
+// supersteps through its Mesh; it must not keep the Mesh. A
 // register-bus send may also target a position an earlier, larger
 // launch built (the message is dropped afterwards), but one to a
 // position no launch has reached panics.
 //
-// Concurrent calls on one CoreGroup are serialized. If the kernel
-// panics on any CPE, or every unfinished CPE waits (deadlock), the
-// launch aborts: every CPE unwinds, the buses are emptied, and the
-// panic is re-raised on the caller; the CoreGroup remains usable.
-func (cg *CoreGroup) RunN(n int, kernel func(pe *CPE)) float64 {
+// Concurrent calls on one CoreGroup are serialized. A panic in a step
+// is re-raised on the caller naming its CPE; the buses are emptied and
+// the CoreGroup remains usable.
+func (cg *CoreGroup) RunSteps(n int, program func(m *Mesh)) float64 {
 	if n <= 0 || n > CPEsPerCG {
 		panic(fmt.Sprintf("sw26010: RunN n=%d out of range", n))
 	}
 	cg.launchMu.Lock()
 	defer cg.launchMu.Unlock()
-	if cg.closed {
-		panic("sw26010: RunN on a closed CoreGroup")
-	}
 	cg.build(n)
-
-	// Reset per-launch state in place and queue the CPEs in ID order.
-	cg.kernel, cg.n = kernel, n
-	cg.finished, cg.arrived, cg.barrierMax = 0, 0, 0
-	cg.aborted, cg.failure = false, ""
-	for i, pe := range cg.pes[:n] {
+	m := &cg.mesh
+	m.pes = cg.pes[:n]
+	for _, pe := range m.pes {
 		pe.Active = n
 		pe.clock = 0
 		pe.stats = Stats{}
 		pe.ldmUsed, pe.ldmPeak = 0, 0
 		pe.ldmLive = pe.ldmLive[:0]
-		cg.runq[i] = pe
 	}
-	cg.runHead, cg.runLen = 0, n
-	cg.schedule()
-	if cg.finished < n {
-		cg.failure = cg.deadlock()
-		cg.abort()
-		cg.schedule()
-	}
-	cg.kernel = nil
+	defer func() {
+		if r := recover(); r != nil {
+			cg.drop()
+			if pe := m.cur; pe != nil {
+				m.cur = nil
+				panic(fmt.Sprintf("sw26010: kernel panic on CPE(%d,%d): %v", pe.Row, pe.Col, r))
+			}
+			panic(r)
+		}
+	}()
+	program(m)
 
 	// A well-formed kernel consumes every message it sends; if not,
 	// drop the FIFOs so the next launch starts clean.
 	if cg.queued != 0 {
-		for _, pe := range cg.pes[:cg.built] {
-			pe.rowIn, pe.colIn = [MeshDim]fifo{}, [MeshDim]fifo{}
-		}
-		cg.queued = 0
+		cg.drop()
 	}
-	if cg.failure != "" {
-		panic("sw26010: " + cg.failure)
-	}
-
 	var maxClock float64
 	var agg Stats
-	for _, pe := range cg.pes[:n] {
+	for _, pe := range m.pes {
 		if pe.clock > maxClock {
 			maxClock = pe.clock
 		}

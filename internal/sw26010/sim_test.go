@@ -1,9 +1,6 @@
 package sw26010
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestDMAGetPutFunctional(t *testing.T) {
 	cg := NewCoreGroup(nil)
@@ -69,32 +66,40 @@ func TestDMAStrided(t *testing.T) {
 func TestRowColBroadcastAndP2P(t *testing.T) {
 	cg := NewCoreGroup(nil)
 	var rowSum, colSum, p2p int64
-	cg.Run(func(pe *CPE) {
+	cg.RunSteps(CPEsPerCG, func(m *Mesh) {
 		// Column 0 broadcasts its row id along the row.
-		if pe.Col == 0 {
-			pe.RowBroadcast([]float32{float32(pe.Row)})
-		} else {
-			v := pe.RowRecv(0)
-			atomic.AddInt64(&rowSum, int64(v[0]))
-		}
-		pe.Barrier()
+		m.Each(func(pe *CPE) {
+			if pe.Col == 0 {
+				pe.RowBroadcast([]float32{float32(pe.Row)})
+			}
+		})
+		m.Each(func(pe *CPE) {
+			if pe.Col != 0 {
+				rowSum += int64(pe.RowRecv(0)[0])
+			}
+		})
+		m.Barrier()
 		// Row 0 broadcasts its column id along the column.
-		if pe.Row == 0 {
-			pe.ColBroadcast([]float32{float32(pe.Col)})
-		} else {
-			v := pe.ColRecv(0)
-			atomic.AddInt64(&colSum, int64(v[0]))
-		}
-		pe.Barrier()
+		m.Each(func(pe *CPE) {
+			if pe.Row == 0 {
+				pe.ColBroadcast([]float32{float32(pe.Col)})
+			}
+		})
+		m.Each(func(pe *CPE) {
+			if pe.Row != 0 {
+				colSum += int64(pe.ColRecv(0)[0])
+			}
+		})
+		m.Barrier()
 		// P2P ring within each row: send to the right neighbour.
-		next := (pe.Col + 1) % MeshDim
-		prev := (pe.Col - 1 + MeshDim) % MeshDim
-		pe.RowSend(next, []float32{float32(pe.ID)})
-		v := pe.RowRecv(prev)
-		if int(v[0]) != pe.Row*MeshDim+prev {
-			t.Errorf("CPE(%d,%d) p2p received %v, want %d", pe.Row, pe.Col, v[0], pe.Row*MeshDim+prev)
-		}
-		atomic.AddInt64(&p2p, 1)
+		m.Each(func(pe *CPE) { pe.RowSend((pe.Col+1)%MeshDim, []float32{float32(pe.ID)}) })
+		m.Each(func(pe *CPE) {
+			prev := (pe.Col - 1 + MeshDim) % MeshDim
+			if v := pe.RowRecv(prev); int(v[0]) != pe.Row*MeshDim+prev {
+				t.Errorf("CPE(%d,%d) p2p received %v, want %d", pe.Row, pe.Col, v[0], pe.Row*MeshDim+prev)
+			}
+			p2p++
+		})
 	})
 	// Each of 8 rows: 7 receivers of row id r -> sum = 7 * (0+..+7).
 	if rowSum != 7*28 {
@@ -108,14 +113,17 @@ func TestRowColBroadcastAndP2P(t *testing.T) {
 	}
 }
 
+// TestBarrierAlignsClocks: Mesh.Barrier sets every CPE's clock to the
+// slowest CPE's, and a loop of barriers with unequal work in between
+// ends at the sum of each round's slowest work.
 func TestBarrierAlignsClocks(t *testing.T) {
 	cg := NewCoreGroup(nil)
 	clocks := make([]float64, CPEsPerCG)
-	cg.Run(func(pe *CPE) {
+	cg.RunSteps(CPEsPerCG, func(m *Mesh) {
 		// Unequal work before the barrier.
-		pe.ChargeFlops(float64(pe.ID+1) * 1000)
-		pe.Barrier()
-		clocks[pe.ID] = pe.Clock()
+		m.Each(func(pe *CPE) { pe.ChargeFlops(float64(pe.ID+1) * 1000) })
+		m.Barrier()
+		m.Each(func(pe *CPE) { clocks[pe.ID] = pe.Clock() })
 	})
 	for i := 1; i < CPEsPerCG; i++ {
 		if clocks[i] != clocks[0] {
@@ -127,19 +135,43 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	if diff := clocks[0] - want; diff < -1e-12 || diff > 1e-12 {
 		t.Fatalf("barrier clock %g, want %g", clocks[0], want)
 	}
+
+	work := func(id, step int) float64 { return float64((id*31+step*17)%97) * 50 }
+	var wantLoop float64
+	for step := 0; step < 16; step++ {
+		var slowest float64
+		for id := range CPEsPerCG {
+			slowest = max(slowest, work(id, step)/CPEPeakFlops)
+		}
+		wantLoop += slowest
+	}
+	got := cg.RunSteps(CPEsPerCG, func(m *Mesh) {
+		for step := 0; step < 16; step++ {
+			m.Each(func(pe *CPE) { pe.ChargeFlops(work(pe.ID, step)) })
+			m.Barrier()
+		}
+	})
+	if diff := got - wantLoop; diff < -1e-12 || diff > 1e-12 {
+		t.Fatalf("16 barrier rounds took %g, want the summed maxima %g", got, wantLoop)
+	}
 }
 
 func TestMessageTimestampPropagation(t *testing.T) {
 	cg := NewCoreGroup(nil)
 	var receiverClock float64
-	cg.RunN(2, func(pe *CPE) {
-		if pe.ID == 0 {
-			pe.ChargeFlops(1e6) // sender is busy first
-			pe.RowSend(1, []float32{1})
-		} else {
-			pe.RowRecv(0)
-			receiverClock = pe.Clock()
-		}
+	cg.RunSteps(2, func(m *Mesh) {
+		m.Each(func(pe *CPE) {
+			if pe.ID == 0 {
+				pe.ChargeFlops(1e6) // sender is busy first
+				pe.RowSend(1, []float32{1})
+			}
+		})
+		m.Each(func(pe *CPE) {
+			if pe.ID == 1 {
+				pe.RowRecv(0)
+				receiverClock = pe.Clock()
+			}
+		})
 	})
 	// The receiver cannot finish before the sender's send time.
 	senderBusy := 1e6 / CPEPeakFlops
@@ -197,7 +229,7 @@ func TestRunNPartialMesh(t *testing.T) {
 	cg := NewCoreGroup(nil)
 	var count int64
 	elapsed := cg.RunN(16, func(pe *CPE) {
-		atomic.AddInt64(&count, 1)
+		count++
 		if pe.Active != 16 {
 			t.Errorf("Active = %d, want 16", pe.Active)
 		}

@@ -125,51 +125,75 @@ func unpadMatrix(src, dst []float32, r, c, cp int) {
 // multiples of the macro-block (bm, bk, bn) GEMMPlan chose, whose
 // per-CPE tiles plus two communication buffers fit the LDM budget.
 // Inside each macro-block the mesh performs the 8-step register-
-// communication product.
+// communication product, each step three supersteps: the CPEs of
+// column t broadcast their A tiles along their rows; every other CPE
+// receives its A, and the CPEs of row t broadcast their B tiles down
+// their columns; every other CPE receives its B, and all multiply.
+// Each CPE keeps its program order and every send precedes its
+// receives, so the clocks are those of a concurrent run.
 func gemmPadded(cg *sw26010.CoreGroup, a, b, c []float32, m, k, n, bm, bk, bn int) float64 {
-	return cg.Run(func(pe *sw26010.CPE) {
-		i, j := pe.Row, pe.Col
-		tm, tk, tn := bm/mesh, bk/mesh, bn/mesh // per-CPE tile dims
-		at := pe.Alloc(tm * tk)
-		bt := pe.Alloc(tk * tn)
-		ct := pe.Alloc(tm * tn)
-		defer func() {
+	tm, tk, tn := bm/mesh, bk/mesh, bn/mesh // per-CPE tile dims
+	flops := 2 * float64(tm) * float64(tk) * float64(tn) / simdEfficiency
+	convert := convertFlopPerElem * float64(tm*tk+tk*tn)
+	return cg.RunSteps(sw26010.CPEsPerCG, func(ms *sw26010.Mesh) {
+		// Each CPE's A, B and C tiles, and the A tile of the current step.
+		var at, bt, ct, aCur [sw26010.CPEsPerCG][]float32
+		ms.Each(func(pe *sw26010.CPE) {
+			at[pe.ID] = pe.Alloc(tm * tk)
+			bt[pe.ID] = pe.Alloc(tk * tn)
+			ct[pe.ID] = pe.Alloc(tm * tn)
+		})
+		for bi := 0; bi < m; bi += bm {
+			for bj := 0; bj < n; bj += bn {
+				// Load each CPE's C tile: rows bi+i*tm .. , cols bj+j*tn ..
+				ms.Each(func(pe *sw26010.CPE) {
+					pe.DMAGetStrided(ct[pe.ID], c[(bi+pe.Row*tm)*n+bj+pe.Col*tn:], tm, tn, n)
+				})
+				for bt0 := 0; bt0 < k; bt0 += bk {
+					// Load A(i, j) and B(i, j) tiles of this macro-block.
+					ms.Each(func(pe *sw26010.CPE) {
+						i, j := pe.Row, pe.Col
+						pe.DMAGetStrided(at[pe.ID], a[(bi+i*tm)*k+bt0+j*tk:], tm, tk, k)
+						pe.DMAGetStrided(bt[pe.ID], b[(bt0+i*tk)*n+bj+j*tn:], tk, tn, n)
+					})
+					ms.Barrier()
+					for t := 0; t < mesh; t++ {
+						ms.Each(func(pe *sw26010.CPE) {
+							if pe.Col == t {
+								pe.RowBroadcast(at[pe.ID])
+								aCur[pe.ID] = at[pe.ID]
+							}
+						})
+						ms.Each(func(pe *sw26010.CPE) {
+							if pe.Col != t {
+								aCur[pe.ID] = pe.RowRecv(t)
+							}
+							if pe.Row == t {
+								pe.ColBroadcast(bt[pe.ID])
+							}
+						})
+						ms.Each(func(pe *sw26010.CPE) {
+							bCur := bt[pe.ID]
+							if pe.Row != t {
+								bCur = pe.ColRecv(t)
+							}
+							microGEMM(ct[pe.ID], aCur[pe.ID], bCur, tm, tk, tn)
+							pe.ChargeFlops(flops)
+							pe.ChargeFlops(convert)
+						})
+					}
+					ms.Barrier()
+				}
+				ms.Each(func(pe *sw26010.CPE) {
+					pe.DMAPutStrided(c[(bi+pe.Row*tm)*n+bj+pe.Col*tn:], ct[pe.ID], tm, tn, n)
+				})
+			}
+		}
+		ms.Each(func(pe *sw26010.CPE) {
 			pe.Release(tm * tk)
 			pe.Release(tk * tn)
 			pe.Release(tm * tn)
-		}()
-		for bi := 0; bi < m; bi += bm {
-			for bj := 0; bj < n; bj += bn {
-				// Load this CPE's C tile: rows bi+i*tm .. , cols bj+j*tn ..
-				pe.DMAGetStrided(ct, c[(bi+i*tm)*n+bj+j*tn:], tm, tn, n)
-				for bt0 := 0; bt0 < k; bt0 += bk {
-					// Load A(i, j) and B(i, j) tiles of this macro-block.
-					pe.DMAGetStrided(at, a[(bi+i*tm)*k+bt0+j*tk:], tm, tk, k)
-					pe.DMAGetStrided(bt, b[(bt0+i*tk)*n+bj+j*tn:], tk, tn, n)
-					pe.Barrier()
-					for t := 0; t < mesh; t++ {
-						var aCur, bCur []float32
-						if j == t {
-							pe.RowBroadcast(at)
-							aCur = at
-						} else {
-							aCur = pe.RowRecv(t)
-						}
-						if i == t {
-							pe.ColBroadcast(bt)
-							bCur = bt
-						} else {
-							bCur = pe.ColRecv(t)
-						}
-						microGEMM(ct, aCur, bCur, tm, tk, tn)
-						pe.ChargeFlops(2 * float64(tm) * float64(tk) * float64(tn) / simdEfficiency)
-						pe.ChargeFlops(convertFlopPerElem * float64(tm*tk+tk*tn))
-					}
-					pe.Barrier()
-				}
-				pe.DMAPutStrided(c[(bi+i*tm)*n+bj+j*tn:], ct, tm, tn, n)
-			}
-		}
+		})
 	})
 }
 

@@ -1,7 +1,7 @@
 package swdnn_test
 
-// Engine-invariance harness. The execution engine (CPE coroutines, plan
-// cache, buffer pools) is host-side machinery only: simulated kernel
+// Engine-invariance harness. The execution engine (superstep launches,
+// plan cache, buffer pools) is host-side machinery only: simulated kernel
 // times and Stats must be bit-identical to the seed implementation.
 // This test runs a representative set of functional kernels and
 // analytic plans and compares every simulated time and counter against
@@ -21,8 +21,8 @@ package swdnn_test
 // ~40x. The pooled engine snapshots the release clock per generation,
 // making those times deterministic; conv_explicit, the since-deleted
 // conv_implicit and gemm_ragged were re-captured from the fixed engine (all other
-// scenarios are bit-identical to the seed). See barrier.release in
-// internal/sw26010/sim.go.
+// scenarios are bit-identical to the seed). Mesh.Barrier in
+// internal/sw26010/sim.go now aligns the clocks between supersteps.
 //
 // A second: GEMMRun used to tile with a search of its own, restricted
 // to blocks dividing the 8-padded dims, while GEMMPlan priced another
@@ -246,7 +246,7 @@ func TestEngineInvariance(t *testing.T) {
 
 // TestEngineDeterminism runs the same kernel twice on one CoreGroup
 // and on a fresh CoreGroup and demands identical simulated times:
-// engine reuse (the persistent CPE coroutines) must be invisible.
+// engine reuse (the persistent CPEs and their LDM) must be invisible.
 func TestEngineDeterminism(t *testing.T) {
 	mk := func() ([]float32, []float32, []float32) {
 		a := make([]float32, 96*96)

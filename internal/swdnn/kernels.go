@@ -25,6 +25,9 @@ func SumRun(cg *sw26010.CoreGroup, acc, addend []float32) float64 {
 	chunk := 1024
 	nChunks := (total + chunk - 1) / chunk
 	return cg.Run(func(pe *sw26010.CPE) {
+		if pe.ID >= nChunks {
+			return // no chunk: the CPE allocates nothing
+		}
 		a := pe.Alloc(chunk)
 		b := pe.Alloc(chunk)
 		defer func() {

@@ -19,8 +19,8 @@ type Cluster struct {
 }
 
 // NewCluster builds p simulated nodes around one hardware model (nil
-// selects the calibrated default). CPE coroutines are built lazily by
-// each node's first launch, so an idle cluster costs no goroutines.
+// selects the calibrated default). CPEs are built lazily by each
+// node's first launch, so an idle cluster costs no mesh.
 func NewCluster(p int, m *sw26010.Model) *Cluster { return newCluster(p, m, false) }
 
 // NewDESCluster builds p nodes for the discrete-event backend, with no
@@ -93,8 +93,8 @@ func (c *Cluster) Sync() {
 	}
 }
 
-// Close drains every node and ends its CPE coroutines. The cluster
-// must not be used afterwards.
+// Close drains every node and closes its CoreGroups. The cluster must
+// not be used afterwards.
 func (c *Cluster) Close() {
 	for i := range c.nodes {
 		c.nodes[i].Close()

@@ -7,9 +7,8 @@
 // The design splits wall-clock concurrency from simulated time:
 //
 //   - Launches placed on different CoreGroups execute concurrently on
-//     the host (each CoreGroup's CPEs are coroutines resumed by the
-//     goroutine running its launch), so independent kernels overlap in
-//     real time.
+//     the host (a CoreGroup runs its launch on the goroutine that
+//     calls it), so independent kernels overlap in real time.
 //   - Simulated clocks stay deterministic: a launch's modeled interval
 //     [SimStart, SimEnd] is derived from a dependency DAG fixed
 //     synchronously at Launch time (program order within a Stream,
@@ -61,8 +60,8 @@ type Node struct {
 }
 
 // NewNode builds a node of four CoreGroups around one hardware model
-// (nil selects the calibrated default). The CoreGroups' CPE
-// coroutines are created lazily by their first launch.
+// (nil selects the calibrated default). The CoreGroups' CPEs are
+// built lazily by their first launch.
 func NewNode(m *sw26010.Model) *Node { return NewCluster(1, m).Node(0) }
 
 // record returns a zeroed Event for a launch, called with n.mu held: on
@@ -186,8 +185,8 @@ func (n *Node) Stats() sw26010.Stats {
 	return agg
 }
 
-// Close drains outstanding launches and ends the CoreGroups' CPE
-// coroutines; the node must not be used afterwards. Close is
+// Close drains outstanding launches and closes the CoreGroups; the
+// node must not be used afterwards. Close is
 // idempotent (the shrink protocol closes a failed rank's node before
 // Cluster.Close does). The closed flag is set before the drain, so a
 // racing Launch lands fully before it or fails fast.

@@ -950,7 +950,7 @@ func (t *CGTrainer) fetchInput() {
 	t.ExposedReadTime += exposed
 }
 
-// Close ends the node's CPE coroutines (and the input-pipeline
+// Close drains the node's launches (and stops the input-pipeline
 // prefetch thread, if attached). The trainer must not be used after
 // Close.
 func (t *CGTrainer) Close() {
