@@ -435,7 +435,7 @@ func (cg *CoreGroup) drop() {
 // the CoreGroup remains usable.
 func (cg *CoreGroup) RunSteps(n int, program func(m *Mesh)) float64 {
 	if n <= 0 || n > CPEsPerCG {
-		panic(fmt.Sprintf("sw26010: RunN n=%d out of range", n))
+		panic(fmt.Sprintf("sw26010: a launch on n=%d CPEs is out of range", n))
 	}
 	cg.launchMu.Lock()
 	defer cg.launchMu.Unlock()
