@@ -193,6 +193,48 @@ func (e *mismatchError) Error() string {
 	return "concurrent launch time mismatch"
 }
 
+// TestBarrierDeterministicAcrossSchedules: a kernel that loops over
+// barriers with unequal work in between reports one simulated time
+// whether it runs on a fresh CoreGroup, again on a reused one, or on
+// groups launched from several goroutines at once.
+func TestBarrierDeterministicAcrossSchedules(t *testing.T) {
+	kernel := func(m *Mesh) {
+		for step := 0; step < 16; step++ {
+			m.Each(func(pe *CPE) { pe.ChargeFlops(float64((pe.ID*31+step*17)%97) * 50) })
+			m.Barrier()
+		}
+	}
+	reused := NewCoreGroup(nil)
+	want := reused.RunSteps(CPEsPerCG, kernel)
+	for i := 0; i < 20; i++ {
+		if got := reused.RunSteps(CPEsPerCG, kernel); got != want {
+			t.Fatalf("reused group, run %d: simulated time %g != %g", i, got, want)
+		}
+		if got := NewCoreGroup(nil).RunSteps(CPEsPerCG, kernel); got != want {
+			t.Fatalf("fresh group, run %d: simulated time %g != %g", i, got, want)
+		}
+	}
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			cg := NewCoreGroup(nil)
+			for i := 0; i < 5; i++ {
+				if got := cg.RunSteps(CPEsPerCG, kernel); got != want {
+					errs <- &mismatchError{got, want}
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestMeshBuiltToDemand: a launch builds the CPEs it runs on and no
 // more — one, with no FIFO storage, for the one-CPE pass launches the
 // trainers make; a FIFO holds a backing array only once something is
