@@ -12,8 +12,8 @@
 // backend that makes the paper-scale points feasible, "goroutine" for
 // the concurrent oracle), and -io appends the input-pipeline sweep
 // (shard reads priced through the pario model at p concurrent readers,
-// prefetch attached, single-split layout vs the stripe advisor's
-// pick). They apply only to funcscale.
+// each hidden behind the previous step as far as the modeled prefetch
+// allows, single-split layout vs the stripe advisor's pick). They apply only to funcscale.
 package main
 
 import (
@@ -55,7 +55,7 @@ var artifacts = []struct {
 var (
 	rankList = flag.String("p", "", "funcscale: comma-separated rank list (e.g. 512,1024,4096); empty = the default tiers")
 	backend  = flag.String("backend", "", `funcscale: cluster scheduler, "des" or "goroutine" (default goroutine)`)
-	ioPipe   = flag.Bool("io", false, "funcscale: add the input-pipeline sweep (priced prefetch reads, single-split vs stripe advisor)")
+	ioPipe   = flag.Bool("io", false, "funcscale: add the input-pipeline sweep (shard reads priced with a modeled prefetch, single-split vs stripe advisor)")
 )
 
 // funcScaleIORanks is the default rank list of the -io sweep: the

@@ -72,7 +72,7 @@ func main() {
 	showMetrics := flag.Bool("metrics", false, "multi-node: print the deterministic metrics snapshot (sorted name/value lines) after training")
 	explainPlan := flag.Bool("explain-plan", false, "multi-node: print the collective engine's plan audit — the selector's candidate sweep and the last step's per-bucket priced vs realized costs")
 	qSize := flag.Int("q", 0, "multi-node: override the supernode size q (0 = TaihuLight's 256); a small q makes small runs cross supernode links, e.g. -q 4 -nodes 8 -alg hier")
-	ioPipe := flag.Bool("io", false, "enable the input pipeline: shard reads prefetched on a dedicated I/O thread and priced through the pario striped-storage model (p concurrent readers multi-node, 1 with -cg4); exposed read time joins the step report")
+	ioPipe := flag.Bool("io", false, "enable the input pipeline: each step's shard read is priced through the pario striped-storage model (p concurrent readers multi-node, 1 with -cg4) with the next batch's read prefetched behind the step; exposed read time joins the step report")
 	stripeCount := flag.Int("stripes", 0, "with -io: dataset stripe count on the 32 disk arrays (0 = multi-node stripe advisor picks it; -cg4 defaults to single-split)")
 	ioBatchKB := flag.Int("io-batch-kb", 0, "with -io: modeled mini-batch bytes per reader in KB (0 = the actual input tensor size)")
 	flag.Parse()
@@ -88,8 +88,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swtrain: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *nodes < 1 || *batch < 1 || *classes < 1 {
-		usage("-nodes, -batch and -classes must be at least 1")
+	if *nodes < 1 || *batch < 1 || *classes < 1 || *iters < 1 {
+		usage("-nodes, -batch, -classes and -iters must be at least 1")
+	}
+	if math.IsNaN(*lr) || math.IsInf(*lr, 0) {
+		usage("-lr must be finite")
 	}
 	if *qSize < 0 {
 		usage("-q must not be negative")
@@ -190,10 +193,8 @@ func main() {
 			trainer.AttachInput(ds, pario.DefaultTaihuLight(s))
 		}
 		for it := 0; it < *iters; it++ {
-			if !*ioPipe {
-				for i, w := range trainer.CGs {
-					dataset.Batch(ds, (it*4+i)*quarter, w.Data, w.Labels)
-				}
+			for i, w := range trainer.CGs {
+				dataset.Batch(ds, (it*4+i)*quarter, w.Data, w.Labels)
 			}
 			loss := trainer.Step()
 			if it%20 == 0 || it == *iters-1 {
@@ -269,9 +270,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer trainer.Close()
-	if *ioPipe {
-		trainer.AttachInput(ds)
-	}
 	if *resume != "" {
 		st, err := elastic.Load(*resume)
 		if err != nil {

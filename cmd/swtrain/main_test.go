@@ -40,9 +40,9 @@ func run(args ...string) (stdout, stderr string, exit int, err error) {
 	return o.String(), e.String(), exit, err
 }
 
-// TestBadFlagsExitTwo: no classes, a negative supernode size, a stripe
-// count the 32-array store cannot hold, negative sizes and the -cg4
-// conflicts are refused before any work, with one line on stderr — not
+// TestBadFlagsExitTwo: no classes, no iterations, a non-finite
+// learning rate, a negative supernode size, a stripe count the 32-array
+// store cannot hold, negative sizes and the -cg4 conflicts are refused before any work, with one line on stderr — not
 // with a divide-by-zero panic, silently, or with exit 1.
 func TestBadFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
@@ -50,6 +50,10 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-q", "-3"},
 		{"-nodes", "0"},
 		{"-batch", "0"},
+		{"-nodes", "2", "-batch", "4", "-iters", "-1"},
+		{"-nodes", "2", "-batch", "4", "-iters", "0"},
+		{"-lr", "NaN", "-iters", "2"},
+		{"-lr", "-Inf", "-iters", "2"},
 		{"-cg4", "-nodes", "2"},
 		{"-cg4", "-overlap"},
 		{"-cg4", "-batch", "6"},

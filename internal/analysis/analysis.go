@@ -15,7 +15,8 @@
 // Findings are suppressed, one line at a time, with an annotated
 // comment carrying a mandatory reason:
 //
-//	go f.loop()	//swvet:ignore straygo: prefetch I/O thread, joined by Stop
+//	//swvet:ignore straygo: a pass pool worker, which close stops and waits for
+//	go func() {
 //
 // A suppression without an analyzer name or a reason is itself a
 // finding — the contract is "every exception is explained", not

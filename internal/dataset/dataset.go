@@ -118,8 +118,7 @@ func Batch(d Dataset, start int, data, labels *tensor.Tensor) {
 // data-parallel training: rank r of n ranks reads iteration k's
 // sub-batch at example indices [(k·n + r)·B, (k·n + r + 1)·B) — the
 // exact indices DistTrainer.LoadShards uses — so the n shards of one
-// iteration concatenate to the serial trainer's union batch, and a
-// prefetched shard is bit-identical to a directly-loaded one.
+// iteration concatenate to the serial trainer's union batch.
 type Shard struct {
 	DS    Dataset
 	Rank  int

@@ -179,8 +179,8 @@ func funcScaleNet(batch, classes int) (*core.Net, map[string]*tensor.Tensor, err
 
 // runFuncScalePoint executes one functional-scaling point: a
 // DistTrainer over funcScaleNet under cfg — sub-batch 8, 8 KB buckets,
-// the sweeps' solver — runs two rounds of LoadShards + Step on ds, with
-// the prefetch thread attached when cfg.IO prices the reads. It returns
+// the sweeps' solver — runs two rounds of LoadShards + Step on ds, the
+// Steps pricing the reads when cfg.IO is set. It returns
 // the last step's modeled decomposition and the stripe count the reads
 // were priced at (0 without cfg.IO).
 func runFuncScalePoint(cfg train.DistConfig, ds dataset.Dataset) (train.StepStats, int) {
@@ -193,9 +193,6 @@ func runFuncScalePoint(cfg train.DistConfig, ds dataset.Dataset) (train.StepStat
 		panic(err)
 	}
 	defer tr.Close()
-	if cfg.IO != nil {
-		tr.AttachInput(ds)
-	}
 	for it := 0; it < 2; it++ {
 		tr.LoadShards(ds, it)
 		tr.Step()
@@ -324,8 +321,8 @@ func printFunctionalTable(w io.Writer, rows []FunctionalScalingRow) {
 }
 
 // IOScalingRow is one measured point of the input-pipeline sweep: the
-// overlap trainer executed end to end with the prefetch thread attached
-// and the read stage priced, under the single-split layout vs. the
+// overlap trainer executed end to end with the read stage priced,
+// under the single-split layout vs. the
 // stripe advisor's pick.
 type IOScalingRow struct {
 	Nodes   int
@@ -338,7 +335,7 @@ type IOScalingRow struct {
 // FunctionalScalingIO is the `swbench funcscale -io` entry: at each
 // rank count it runs the overlapped cluster runtime with the input
 // pipeline enabled — per-rank shard reads priced through the pario
-// model at p concurrent readers, prefetch thread attached — once in
+// model at p concurrent readers, the prefetch modeled — once in
 // single-split mode and once under the stripe-count advisor, and
 // reports the measured step decompositions side by side. The advisor's
 // win is the ExposedIO column going to (or toward) zero while the

@@ -243,12 +243,9 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	t.newCommunicator()
 	t.engine = nil
 	t.losses = make([]float32, len(survivors))
-	// The input pipeline is world-size-dependent on both halves: the
-	// prefetcher's staged shards index by (rank, p), so detach it (the
-	// driver falls back to direct loads), and the priced read model
-	// re-resolves at p' — including a re-run of the stripe advisor —
-	// on the next Step.
-	t.detachInput()
+	// The priced read model depends on the world size: it re-resolves
+	// at p' — including a re-run of the stripe advisor — on the next
+	// Step.
 	t.ioReady = false
 	t.traceInstant("shrink", obs.I64("world", int64(len(survivors))), obs.I64("failed", int64(len(failed))))
 	return nil

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"swcaffe/internal/dataset"
 	"swcaffe/internal/obs"
 	"swcaffe/internal/pario"
 )
@@ -9,8 +10,10 @@ import (
 // StepStats symmetrically with exposed communication: every Step reads
 // one per-rank shard through the striped disk-array model at the true
 // contention point — p concurrent readers in the cluster trainer — and
-// the double-buffered prefetch overlaps the *next* batch's read with
-// the current step, so only max(0, read − hide window) is exposed.
+// the modeled double-buffered prefetch overlaps the *next* batch's read
+// with the current step, so only max(0, read − hide window) is exposed.
+// It is a price only: LoadShards loads the shards themselves when the
+// step asks for them.
 // Both backends (goroutine and DES) charge the identical analytic read
 // time: the I/O stage is a pure function of (storage layout, readers,
 // bytes), never of host scheduling, which is what lets the DES <->
@@ -51,6 +54,11 @@ func (t *DistTrainer) ensureIO() {
 	t.ioReady = true
 }
 
+// AttachInput does nothing: LoadShards loads every shard directly, and
+// Step prices the read when DistConfig.IO is set. It remains for the
+// callers in bench/wl_dist_train.go, its last ones.
+func (t *DistTrainer) AttachInput(ds dataset.Dataset) {}
+
 // storage resolves the storage defaults: a zero Arrays field selects
 // pario.DefaultTaihuLight at StripeCount, single-split when that is
 // zero too.
@@ -75,8 +83,8 @@ func (t *DistTrainer) composeIO(step int) {
 		return
 	}
 	t.ensureIO()
-	// The first read is fully exposed: the prefetcher has nothing to
-	// hide a cold start behind. Afterwards the previous step hides all
+	// The first read is fully exposed: the modeled prefetch has nothing
+	// to hide a cold start behind. Afterwards the previous step hides all
 	// but the remainder; homogeneous steps make this step's own
 	// no-I/O makespan the previous one's, which keeps the charge a pure
 	// function of modeled quantities shared by both backends.
@@ -91,7 +99,7 @@ func (t *DistTrainer) composeIO(step int) {
 	t.ExposedIOTime += exposed
 	if tr := t.cfg.Tracer; tr != nil {
 		// The read of batch step+1 launches at this step's start and
-		// runs concurrently with it on the prefetch thread; the span
+		// runs concurrently with it in the modeled prefetch; the span
 		// shows how far it reaches into (or past) the step.
 		pid := len(t.Workers)
 		tr.NameThread(pid, ioTraceLane, "io")

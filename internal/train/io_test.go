@@ -13,60 +13,6 @@ import (
 	"swcaffe/internal/tensor"
 )
 
-// TestPrefetchBitIdentical is the input-pipeline golden: attaching the
-// prefetch thread (AttachInput) must not change a single training bit
-// relative to direct LoadShards — losses, parameters, and the full
-// StepStats decomposition including the priced I/O stage — on every
-// execution path. Run under -race by `make race`, which is what makes
-// this a determinism test of the staging protocol and not just of the
-// shard arithmetic.
-func TestPrefetchBitIdentical(t *testing.T) {
-	const classes = 3
-	solver := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-	for _, path := range distPaths {
-		for _, overlap := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/overlap%v", path.name, overlap), func(t *testing.T) {
-				ds := dataset.NewClusters(2000, classes, 1, 8, 8, 0.4, 61)
-				mk := func() *DistTrainer {
-					d, err := NewDistTrainer(DistConfig{
-						Nodes: 4, SubBatch: 8, Solver: solver,
-						Overlap: overlap, BucketBytes: 8 << 10, Backend: path.backend,
-						IO: &IOConfig{Storage: pario.DefaultTaihuLight(1), BatchBytes: 1 << 20},
-					}, deepFactory(8, classes))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return d
-				}
-				direct := mk()
-				fetched := mk()
-				defer direct.Close()
-				defer fetched.Close()
-				fetched.AttachInput(ds)
-				for it := 0; it < 4; it++ {
-					direct.LoadShards(ds, it)
-					fetched.LoadShards(ds, it)
-					ld, lf := direct.Step(), fetched.Step()
-					if ld != lf {
-						t.Fatalf("iter %d: prefetched loss %v != direct %v", it, lf, ld)
-					}
-					if !direct.LastStep.Equal(fetched.LastStep) {
-						t.Fatalf("iter %d: prefetched StepStats %+v != direct %+v",
-							it, fetched.LastStep, direct.LastStep)
-					}
-				}
-				pd := direct.Workers[0].Net.LearnableParams()
-				pf := fetched.Workers[0].Net.LearnableParams()
-				for i := range pd {
-					if d := tensor.MaxDiff(pd[i].Data, pf[i].Data); d != 0 {
-						t.Fatalf("param %d: prefetched run deviates by %g (must be bit-identical)", i, d)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestIOComposition pins the arithmetic of the I/O stage: the cold
 // first read is fully exposed, steady-state exposure is the read minus
 // the step's no-I/O makespan, the trainer-level accumulators telescope
@@ -86,7 +32,6 @@ func TestIOComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.AttachInput(ds)
 
 	var wantIO, wantExposed float64
 	for it := 0; it < 3; it++ {
@@ -137,7 +82,8 @@ func TestIOComposition(t *testing.T) {
 // golden to I/O-enabled runs: because the read charge is a pure
 // analytic function of (storage, readers, bytes), the DES backend must
 // reproduce the goroutine backend's StepStats — now including IO and
-// ExposedIO — bit for bit, with the prefetch thread attached on both.
+// ExposedIO — bit for bit. The DES backend loads its shards on the pass
+// pool, which the race-enabled CI run of this test exercises.
 func TestDESBackendBitIdenticalWithIO(t *testing.T) {
 	const classes = 3
 	ds := dataset.NewClusters(2000, classes, 1, 3, 3, 0.4, 71)
@@ -158,7 +104,6 @@ func TestDESBackendBitIdenticalWithIO(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					d.AttachInput(ds)
 					losses := make([]float32, 2)
 					for it := range losses {
 						d.LoadShards(ds, it)
@@ -222,7 +167,6 @@ func TestIOSmokeP128(t *testing.T) {
 	}
 	run := func(d *DistTrainer) StepStats {
 		defer d.Close()
-		d.AttachInput(ds)
 		for it := 0; it < iters; it++ {
 			d.LoadShards(ds, it)
 			d.Step()
@@ -270,68 +214,12 @@ func TestIOSmokeP128(t *testing.T) {
 	}
 }
 
-// TestCGTrainerInputPipeline pins satellite coverage of the one-node
-// trainer: AttachInput's prefetched quarter shards must reproduce the
-// direct quarter loads bit for bit, and the priced read time must
-// surface per step (cold fetch fully exposed, steady state hidden
-// behind the previous step's makespan) instead of accumulating unread.
-func TestCGTrainerInputPipeline(t *testing.T) {
-	const quarter, classes = 4, 3
-	ds := dataset.NewClusters(1000, classes, 1, 3, 3, 0.4, 14)
-	cfg := core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}
-
-	fed, err := NewCGTrainer(mlpFactory(quarter, classes), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	direct, err := NewCGTrainer(mlpFactory(quarter, classes), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-
-	fed.AttachInput(ds, pario.DefaultTaihuLight(1))
-	var readSum, exposedSum float64
-	for it := 0; it < 8; it++ {
-		for i, w := range direct.CGs {
-			dataset.Batch(ds, (it*4+i)*quarter, w.Data, w.Labels)
-		}
-		lf, ld := fed.Step(), direct.Step()
-		if lf != ld {
-			t.Fatalf("iter %d: fed loss %v != direct %v", it, lf, ld)
-		}
-		if fed.LastRead <= 0 {
-			t.Fatalf("iter %d: no read surfaced", it)
-		}
-		if fed.LastExposedRead > fed.LastRead {
-			t.Fatalf("iter %d: exposed %g > read %g", it, fed.LastExposedRead, fed.LastRead)
-		}
-		if it == 0 && fed.LastExposedRead != fed.LastRead {
-			t.Fatalf("cold fetch must be fully exposed: %g != %g", fed.LastExposedRead, fed.LastRead)
-		}
-		readSum += fed.LastRead
-		exposedSum += fed.LastExposedRead
-	}
-	if fed.ReadTime != readSum || fed.ExposedReadTime != exposedSum {
-		t.Fatalf("accumulators %g/%g, want %g/%g", fed.ReadTime, fed.ExposedReadTime, readSum, exposedSum)
-	}
-	for cg := 0; cg < 4; cg++ {
-		a := fed.CGs[cg].Net.LearnableParams()
-		b := direct.CGs[cg].Net.LearnableParams()
-		for i := range a {
-			if d := tensor.MaxDiff(a[i].Data, b[i].Data); d != 0 {
-				t.Fatalf("CG %d param %d: fed trainer deviates by %g (must be bit-identical)", cg, i, d)
-			}
-		}
-	}
-}
-
 // TestCGTrainerReadIsPure: the one-node trainer prices its read once,
-// off the prefetch thread, so every step's LastRead is the
-// single-reader price of the four quarter shards bit for bit, and
-// LastExposedRead is the shared exposed-read rule against the previous
-// step's node makespan (the whole read on the cold first step).
+// at AttachInput, so every step's LastRead is the single-reader price
+// of the four quarter shards bit for bit, LastExposedRead is the shared
+// exposed-read rule against the previous step's node makespan (the
+// whole read on the cold first step), and the trainer's accumulators
+// sum the per-step values.
 func TestCGTrainerReadIsPure(t *testing.T) {
 	const quarter, classes = 4, 3
 	ds := dataset.NewClusters(1000, classes, 1, 3, 3, 0.4, 14)
@@ -344,7 +232,11 @@ func TestCGTrainerReadIsPure(t *testing.T) {
 	tr.AttachInput(ds, storage)
 	shard := dataset.Shard{DS: ds, Rank: 0, Ranks: 4, Batch: quarter}
 	read := storage.ReadTime(1, 4*shard.Bytes())
+	var readSum, exposedSum float64
 	for it := 0; it < 20; it++ {
+		for i, w := range tr.CGs {
+			dataset.Batch(ds, (it*4+i)*quarter, w.Data, w.Labels)
+		}
 		window := tr.lastSpan
 		tr.Step()
 		if tr.LastRead != read {
@@ -357,12 +249,16 @@ func TestCGTrainerReadIsPure(t *testing.T) {
 		if tr.LastExposedRead != exposed {
 			t.Fatalf("step %d: LastExposedRead %v, want %v (window %v)", it, tr.LastExposedRead, exposed, window)
 		}
+		readSum += tr.LastRead
+		exposedSum += tr.LastExposedRead
+	}
+	if tr.ReadTime != readSum || tr.ExposedReadTime != exposedSum {
+		t.Fatalf("accumulators %g/%g, want %g/%g", tr.ReadTime, tr.ExposedReadTime, readSum, exposedSum)
 	}
 }
 
-// TestShrinkReplansIO pins the elastic interaction: Shrink detaches the
-// prefetcher (stale per-rank shards) and re-resolves the read model at
-// p', so the reader count — and an AutoStripe advisor pick — track the
+// TestShrinkReplansIO pins the elastic interaction: Shrink re-resolves
+// the read model at p', so the reader count — and an AutoStripe advisor pick — track the
 // surviving world.
 func TestShrinkReplansIO(t *testing.T) {
 	const classes = 3
@@ -376,7 +272,6 @@ func TestShrinkReplansIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.AttachInput(ds)
 	d.LoadShards(ds, 0)
 	d.Step()
 	if _, readers, _ := d.IOStorage(); readers != 4 {
@@ -388,9 +283,6 @@ func TestShrinkReplansIO(t *testing.T) {
 	}
 	if err := d.Restore(ckpt); err != nil {
 		t.Fatal(err)
-	}
-	if d.prefetch != nil {
-		t.Fatal("Shrink left the prefetcher attached to a re-ranked world")
 	}
 	d.LoadShards(ds, 1)
 	d.Step()

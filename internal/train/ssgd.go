@@ -344,10 +344,6 @@ type DistTrainer struct {
 	ioPlan     *pario.StripePlan
 	ioCands    []pario.StripePlan
 	ioReady    bool
-
-	// prefetch is the functional double-buffered input thread (see
-	// AttachInput); nil means LoadShards fills worker tensors directly.
-	prefetch *inputPrefetcher
 }
 
 // StepStats is the modeled time decomposition of one Step of the
@@ -363,7 +359,7 @@ type StepStats struct {
 
 	// The input-pipeline stage (zero unless DistConfig.IO is set): IO
 	// is the modeled concurrent shard read of this step's batch,
-	// ExposedIO the part the double-buffered prefetch could not hide
+	// ExposedIO the part the modeled prefetch could not hide
 	// behind the previous step (the whole read on the cold first step).
 	IO        float64
 	ExposedIO float64
@@ -599,11 +595,10 @@ func (t *DistTrainer) newCommunicator() {
 	t.cluster.ReduceOnCPE = true
 }
 
-// Close drains the workers' simulated nodes, stops their CPE worker
-// pools and stops the input prefetch thread. The trainer must not be
-// used after Close. Safe to defer on either backend.
+// Close drains the workers' simulated nodes and stops their CPE worker
+// pools. The trainer must not be used after Close. Safe to defer on
+// either backend.
 func (t *DistTrainer) Close() {
-	t.detachInput()
 	t.nodes.Close()
 	t.pool.close()
 }
@@ -723,19 +718,13 @@ func (t *DistTrainer) meanLoss() float32 {
 // LoadShards fills every worker's input tensors with consecutive
 // shards of the dataset starting at a deterministic per-iteration
 // offset, so a serial trainer can consume the identical union batch.
-// With a prefetcher attached for ds (AttachInput), the fill is a copy
-// out of the staging the I/O thread filled during the previous step —
-// same indices, same bytes, zero behavioral difference. Without one,
-// the DES backend fills the shards on the pass pool: each load is a
-// pure function of its indices into a tensor of its own, so ds must
-// allow concurrent Example calls there, as dataset.Clusters does (the
-// pool's first loads from a table chunk race to fill it; a loser draws
-// into its shard directly).
+// The goroutine backend fills the shards on the caller, the DES backend
+// on the pass pool: each load is a pure function of its indices into a
+// tensor of its own, so ds must allow concurrent Example calls there,
+// as dataset.Clusters does (the pool's first loads from a table chunk
+// race to fill it; a loser draws into its shard directly). The read's
+// modeled time is priced separately, by the IO stage of Step (io.go).
 func (t *DistTrainer) LoadShards(ds dataset.Dataset, iteration int) {
-	if t.prefetch != nil && t.prefetch.ds == ds {
-		t.prefetch.load(iteration, t.Workers)
-		return
-	}
 	t.shardDS, t.shardIter = ds, iteration
 	t.pool.Run(t.pool.K, t.loads)
 }
@@ -871,15 +860,15 @@ type CGTrainer struct {
 	SimTime float64
 	lastEnd float64
 
-	// Input pipeline (AttachInput): the prefetch thread stages the
+	// Input pipeline (AttachInput): the modeled prefetch reads the
 	// four CGs' quarter shards of the next iteration while this one
 	// trains. The read is priced once, at attach: inputRead is all
-	// four quarters read by the node's one reader. LastRead is the
-	// step's modeled read, LastExposedRead the part the previous step's
-	// makespan could not hide (the whole read on the cold first step).
-	// ReadTime/ExposedReadTime accumulate across steps; SimTime stays
-	// compute-only so the two costs stay separable.
-	prefetch        *inputPrefetcher
+	// four quarters read by the node's one reader (0: not attached).
+	// LastRead is the step's modeled read, LastExposedRead the part the
+	// previous step's makespan could not hide (the whole read on the
+	// cold first step). ReadTime/ExposedReadTime accumulate across
+	// steps; SimTime stays compute-only so the two costs stay
+	// separable.
 	inputIter       int
 	inputRead       float64
 	lastSpan        float64
@@ -917,28 +906,24 @@ func NewCGTrainer(build func() (*core.Net, map[string]*tensor.Tensor, error), so
 // Node exposes the underlying simulated node (stats, stream access).
 func (t *CGTrainer) Node() *swnode.Node { return t.node }
 
-// AttachInput wires ds as the trainer's prefetched input pipeline: the
-// cluster trainer's prefetch thread over the four CGs, CG i reading
-// shard i of 4 at the quarter batch — the same (it·4+i)·quarter indices
-// the unprefetched swtrain driver passes to dataset.Batch, so attaching
-// the pipeline changes no training bits. The read is priced against
-// storage at procs = 1 (one node reads alone; the cluster trainer's
-// contention point is p).
+// AttachInput prices ds as the trainer's input pipeline: from the next
+// Step on, each step books the modeled read of the four CGs' quarter
+// shards, against storage at procs = 1 (one node reads alone; the
+// cluster trainer's contention point is p). The caller still loads the
+// quarter batches, CG i iteration it's at (it·4+i)·quarter, as
+// dataset.Shard{Rank: i, Ranks: 4} indexes them.
 func (t *CGTrainer) AttachInput(ds dataset.Dataset, storage pario.Config) {
-	t.prefetch.stop()
-	t.prefetch = newInputPrefetcher(ds, t.CGs, sw26010.CoreGroups, t.CGs[0].Data.N)
+	sh := dataset.Shard{DS: ds, Ranks: sw26010.CoreGroups, Batch: t.CGs[0].Data.N}
 	t.inputIter = 0
-	t.inputRead = storage.ReadTime(1, sw26010.CoreGroups*t.prefetch.shards[0].Bytes())
+	t.inputRead = storage.ReadTime(1, sw26010.CoreGroups*sh.Bytes())
 }
 
-// fetchInput drains the staged quarter shards into the four CGs' inputs
-// and books the step's read cost (no-op without AttachInput). The
-// window is the previous step's node makespan.
-func (t *CGTrainer) fetchInput() {
-	if t.prefetch == nil {
+// bookRead books the step's read cost (no-op without AttachInput).
+// The window is the previous step's node makespan.
+func (t *CGTrainer) bookRead() {
+	if t.inputRead == 0 {
 		return
 	}
-	t.prefetch.load(t.inputIter, t.CGs)
 	read, exposed := t.inputRead, t.inputRead
 	if t.inputIter > 0 {
 		exposed = pario.ExposedTime(read, t.lastSpan)
@@ -950,12 +935,9 @@ func (t *CGTrainer) fetchInput() {
 	t.ExposedReadTime += exposed
 }
 
-// Close drains the node's launches (and stops the input-pipeline
-// prefetch thread, if attached). The trainer must not be used after
+// Close drains the node's launches. The trainer must not be used after
 // Close.
 func (t *CGTrainer) Close() {
-	t.prefetch.stop()
-	t.prefetch = nil
 	t.node.Close()
 }
 
@@ -963,7 +945,7 @@ func (t *CGTrainer) Close() {
 // on the 4 simulated CGs, gradient summation onto CG0 as mesh kernels
 // chained behind the passes, update on CG0, parameter broadcast back.
 func (t *CGTrainer) Step() float32 {
-	t.fetchInput()
+	t.bookRead()
 	var passes [sw26010.CoreGroups]*swnode.Event
 	for i, pass := range t.pass {
 		passes[i] = t.streams[i].LaunchFunc(1, pass)
