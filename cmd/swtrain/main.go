@@ -213,8 +213,8 @@ func main() {
 		fmt.Printf("4 simulated CGs: modeled step time total %.4fs, %.0f MFlops summed on the meshes\n",
 			trainer.SimTime, st.Flops/1e6)
 		if *ioPipe {
-			fmt.Printf("input pipeline: modeled read total %.4fs, exposed %.4fs (single reader)\n",
-				trainer.ReadTime, trainer.ExposedReadTime)
+			fmt.Printf("input pipeline: modeled read total %.2fus, exposed %.2fus (single reader)\n",
+				trainer.ReadTime*1e6, trainer.ExposedReadTime*1e6)
 		}
 		return
 	}

@@ -165,3 +165,17 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 		t.Errorf("stderr does not name the argument and print usage:\n%s", stderr)
 	}
 }
+
+// TestCG4ReadTotalsInMicroseconds: the -cg4 -io run's closing line
+// prints its read totals in µs, as the per-iteration lines do: forty
+// 1.02 µs reads, the first exposed. In seconds to four places they
+// read 0.0000s.
+func TestCG4ReadTotalsInMicroseconds(t *testing.T) {
+	stdout, stderr, exit, err := run("-cg4", "-batch", "8", "-iters", "40", "-io")
+	if err != nil || exit != 0 {
+		t.Fatalf("exit %d, err %v, stderr:\n%s", exit, err, stderr)
+	}
+	if want := "input pipeline: modeled read total 40.96us, exposed 1.02us (single reader)\n"; !strings.HasSuffix(stdout, want) {
+		t.Errorf("output does not end in %q:\n%s", want, stdout)
+	}
+}

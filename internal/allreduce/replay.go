@@ -67,10 +67,17 @@ const (
 func NewDESRun(p, n int) *DESRun {
 	d := &DESRun{}
 	d.bind(p)
-	window := min(maxWindow, max(minWindow, p*n*4/windowShare/payOpBytes))
-	d.log = newPayLog(tileElems, window)
+	d.log = newPayLog(tileElems, window(p, n))
 	return d
 }
+
+func window(p, n int) int { return min(maxWindow, max(minWindow, p*n*4/windowShare/payOpBytes)) }
+
+// Fits reports whether d's log is at least the one NewDESRun(p, n)
+// would allocate, so that d serves those calls as well as a new DESRun:
+// the bits do not depend on the window, and Gather binds the ranks d
+// lacks.
+func (d *DESRun) Fits(p, n int) bool { return d.log.window >= window(p, n) }
 
 // bind gives each of p ranks its call state, its continuation bound
 // once.

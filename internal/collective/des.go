@@ -23,14 +23,20 @@ import (
 // again (see Bucket).
 //
 // The engine's DESRun — each rank's call state and the payload log —
-// is built at the first flush and reused after every clean one, the
-// rule des.Cluster keeps for its run state: a flush that panics takes
-// its DESRun, and the ops it had not landed, with it.
+// is taken at the first flush, from a closed engine if one left a run
+// that fits (see Close), and reused after every clean one, the rule
+// des.Cluster keeps for its run state: a flush that panics takes its
+// DESRun, and the ops it had not landed, with it.
 func (e *Engine) FlushSegDES(c *des.Cluster, b int, pool allreduce.Pool) (topology.Result, [][]float32) {
 	run := e.desRun
 	e.desRun = nil
 	if run == nil {
-		run = allreduce.NewDESRun(e.cfg.Ranks, e.total)
+		if run, _ = desRunPool.Get().(*allreduce.DESRun); run == nil || !run.Fits(e.cfg.Ranks, e.total) {
+			run = allreduce.NewDESRun(e.cfg.Ranks, e.total)
+		}
+		if takeRunHook != nil {
+			run = takeRunHook(run, e.cfg.Ranks, e.total)
+		}
 	}
 	views, bk := e.views, e.buckets[b]
 	res, outs := run.Gather(c, pool, func(r *des.Rank) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
@@ -142,7 +143,7 @@ type Engine struct {
 
 	// Reused per-step staging. views holds each rank's packed gradient,
 	// which the flushes reduce in place (see Bucket): input and output
-	// are the same memory.
+	// are the same memory. Close boxes each as &views[r] for viewPool.
 	views   [][]float32
 	cursors []int           // per-rank next-bucket index, reset per step
 	ready   []chan struct{} // cap-1 flush signal per bucket
@@ -302,11 +303,47 @@ func New(cfg Config) (*Engine, error) {
 	// objects, but measured on the benchmark's p = 1024 sweep it raised
 	// the peak RSS from about 274 MB to 408 MB (the per-rank views read
 	// 271–284 MB) — one live array the size of every view together.
+	// The views a closed engine hands back serve the next one, as they
+	// are: Produce writes every element of the packed vector before a
+	// flush reads it, and a cursor's load zeroes the pad it spills into.
 	e.views = make([][]float32, e.cfg.Ranks)
 	for r := range e.views {
-		e.views[r] = make([]float32, e.total, e.total+e.cfg.Ranks)
+		b, _ := viewPool.Get().(*[]float32)
+		if b == nil || cap(*b) < e.total+e.cfg.Ranks {
+			b = &e.views[r]
+			*b = make([]float32, e.total+e.cfg.Ranks)
+		}
+		if takeViewHook != nil {
+			takeViewHook((*b)[:cap(*b)])
+		}
+		e.views[r] = (*b)[:e.total]
 	}
 	return e, nil
+}
+
+// What closed engines leave for the next (Close): view boxes and DES run
+// state. A sync.Pool, unlike a free list, lets the GC take what no
+// engine takes back within two collections. The hooks are the tests'
+// seams (export_test.go): New hands them each view's whole array, and
+// FlushSegDES runs on the DES run state they return for (p, n).
+var (
+	viewPool, desRunPool sync.Pool
+	takeViewHook         func([]float32)
+	takeRunHook          func(run *allreduce.DESRun, p, n int) *allreduce.DESRun
+)
+
+// Close hands the per-rank views and the DES run state to the next
+// engine New builds. The views, and every output a flush returned, are
+// invalid after Close, and RankViews returns nil; a second Close hands
+// out nothing. Call it once no flush runs.
+func (e *Engine) Close() {
+	for r := range e.views {
+		viewPool.Put(&e.views[r])
+	}
+	if e.desRun != nil {
+		desRunPool.Put(e.desRun)
+	}
+	e.views, e.desRun = nil, nil
 }
 
 // Buckets returns the flush units in flush order (descending offsets:
@@ -380,7 +417,7 @@ func (e *Engine) Produce(rank, li int, diffs [][]float32) {
 func (e *Engine) Ready(b int) <-chan struct{} { return e.ready[b] }
 
 // RankViews returns the per-rank packed-gradient buffers, which a
-// flush reduces in place.
+// flush reduces in place; nil after Close, which hands them on.
 func (e *Engine) RankViews() [][]float32 { return e.views }
 
 // ReduceSeg runs the strategy's collective over bucket b on one

@@ -51,13 +51,14 @@ func (t table) Flush() error {
 // caller and k-1 goroutines — which take indices from a shared counter,
 // and joins them. The generators use it to compute independent rows
 // concurrently (a planner/cost-model evaluation backed by the memoized
-// plan cache, or a funcscale arm's whole training sweep) and then render
-// in index order; each fn(i) writes only row i, so output stays
-// byte-identical to the serial loops whatever the split. A warm row is
-// a plan-cache lookup and a funcscale arm already spreads its passes
-// over GOMAXPROCS workers of its own, so goroutines beyond the cores add
-// scheduling and live memory rather than throughput; a cold row (set-up,
-// a process's first swbench) still keeps every core busy. Every index
+// plan cache, or a funcscale tier) and then render in index order; each
+// fn(i) writes only row i, so output stays byte-identical to the serial
+// loops whatever the split. A warm row is a plan-cache lookup, so
+// goroutines beyond the cores add scheduling and live memory rather
+// than throughput; a cold row (set-up, a process's first swbench) still
+// keeps every core busy. A funcscale tier's arms do not run here: one
+// at a time, each reuses the views the trainer before it closed
+// (functionalSweepRows). Every index
 // runs even if some panic; once all workers are joined, the panic of the
 // lowest failed index is re-raised on the caller.
 func parallelFor(n int, fn func(i int)) {

@@ -261,10 +261,12 @@ func FunctionalScalingAt(w io.Writer, ranks []int, backend string) []FunctionalS
 }
 
 // functionalSweepRows measures every tier's three arms (barrier,
-// overlap, hierarchical-overlap), the arms of all tiers spread over at
-// most GOMAXPROCS workers by parallelFor — each arm is internally
-// deterministic, so the host-side parallelism never touches the modeled
-// numbers.
+// overlap, hierarchical-overlap). The tiers run side by side on
+// parallelFor's workers; a tier's arms run one at a time, so that each
+// trainer takes the per-rank views the one before it closed (see
+// collective.Engine.Close) and a tier holds one trainer's views, not
+// three. Each arm is internally deterministic, so the host-side
+// parallelism never touches the modeled numbers.
 func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	ds := dataset.NewClusters(4096, funcScaleClasses, 1, 8, 8, 0.35, 77)
 	// The hierarchical arm runs on a q=2 adjacent-mapped network so
@@ -273,20 +275,21 @@ func functionalSweepRows(tiers []functionalTier) []FunctionalScalingRow {
 	hierNet.SupernodeSize = 2
 
 	arms := make([][3][]train.StepStats, len(tiers))
-	parallelFor(3*len(tiers), func(i int) {
-		ti, arm := i/3, i%3
+	parallelFor(len(tiers), func(ti int) {
 		tier := tiers[ti]
-		cfg := train.DistConfig{Backend: tier.backend, Overlap: arm > 0}
-		if arm == 2 {
-			cfg.AlgorithmName = allreduce.NameHierarchical
-			cfg.Network, cfg.Mapping = hierNet, topology.AdjacentMapping{Q: 2}
+		for arm := range 3 {
+			cfg := train.DistConfig{Backend: tier.backend, Overlap: arm > 0}
+			if arm == 2 {
+				cfg.AlgorithmName = allreduce.NameHierarchical
+				cfg.Network, cfg.Mapping = hierNet, topology.AdjacentMapping{Q: 2}
+			}
+			pts := make([]train.StepStats, len(tier.nodes))
+			for j, p := range tier.nodes {
+				cfg.Nodes = p
+				pts[j], _ = runFuncScalePoint(cfg, ds)
+			}
+			arms[ti][arm] = pts
 		}
-		pts := make([]train.StepStats, len(tier.nodes))
-		for j, p := range tier.nodes {
-			cfg.Nodes = p
-			pts[j], _ = runFuncScalePoint(cfg, ds)
-		}
-		arms[ti][arm] = pts
 	})
 
 	var rows []FunctionalScalingRow
@@ -337,13 +340,14 @@ type IOScalingRow struct {
 // pipeline enabled — per-rank shard reads priced through the pario
 // model at p concurrent readers, the prefetch modeled — once in
 // single-split mode and once under the stripe-count advisor, and
-// reports the measured step decompositions side by side. The advisor's
-// win is the ExposedIO column going to (or toward) zero while the
-// single-split column pays the paper's Sec. V-B contention.
+// reports the measured step decompositions side by side, one trainer at
+// a time (see functionalSweepRows). The advisor's win is the ExposedIO
+// column going to (or toward) zero while the single-split column pays
+// the paper's Sec. V-B contention.
 func FunctionalScalingIO(w io.Writer, ranks []int, backend string) []IOScalingRow {
 	ds := dataset.NewClusters(4096, funcScaleClasses, 1, 8, 8, 0.35, 77)
 	rows := make([]IOScalingRow, len(ranks))
-	parallelFor(2*len(ranks), func(i int) {
+	for i := range 2 * len(ranks) {
 		pi, arm := i/2, i%2
 		p := ranks[pi]
 		st, stripes := runFuncScalePoint(train.DistConfig{
@@ -357,7 +361,7 @@ func FunctionalScalingIO(w io.Writer, ranks []int, backend string) []IOScalingRo
 		} else {
 			rows[pi].Advised, rows[pi].Pick = st, stripes
 		}
-	})
+	}
 
 	section(w, "Input pipeline: priced prefetch at p concurrent readers, single-split vs stripe advisor")
 	tw := newTab(w)

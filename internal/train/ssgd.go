@@ -595,12 +595,16 @@ func (t *DistTrainer) newCommunicator() {
 	t.cluster.ReduceOnCPE = true
 }
 
-// Close drains the workers' simulated nodes and stops their CPE worker
-// pools. The trainer must not be used after Close. Safe to defer on
-// either backend.
+// Close drains the workers' simulated nodes, stops their CPE worker
+// pools and closes the engine, whose views, invalid from then on (and
+// RankViews nil), serve the next trainer. The trainer must not be used
+// after Close. Safe to defer on either backend, and to call twice.
 func (t *DistTrainer) Close() {
 	t.nodes.Close()
 	t.pool.close()
+	if t.engine != nil {
+		t.engine.Close()
+	}
 }
 
 // launchPasses starts every worker's pass (stepPass) as one stream
