@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -177,5 +178,46 @@ func TestCG4ReadTotalsInMicroseconds(t *testing.T) {
 	}
 	if want := "input pipeline: modeled read total 40.96us, exposed 1.02us (single reader)\n"; !strings.HasSuffix(stdout, want) {
 		t.Errorf("output does not end in %q:\n%s", want, stdout)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current swtrain")
+
+// TestTranscriptGolden pins the whole stdout of three multi-node runs,
+// -metrics block included, at GOMAXPROCS 1 and at the default: README's
+// example, an elastic run that loses rank 3 mid-flush and continues on
+// seven nodes, and an input-pipeline run with an auto-selected plan.
+// Regenerate with -update only for an intended change of output.
+func TestTranscriptGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"readme", []string{"-nodes", "8", "-overlap", "-alg", "hier", "-q", "4", "-bucket-kb", "2", "-iters", "3", "-metrics", "-explain-plan"}},
+		{"fault", []string{"-nodes", "8", "-iters", "6", "-batch", "4", "-overlap", "-alg", "auto", "-faultplan", "3@2:flush-bucket-1", "-metrics"}},
+		{"io", []string{"-nodes", "4", "-iters", "3", "-batch", "4", "-io", "-alg", "auto", "-metrics"}},
+	} {
+		path := filepath.Join("testdata", tc.name+".golden")
+		for _, procs := range []string{"", "1"} {
+			var o, e bytes.Buffer
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+			cmd.Stdout, cmd.Stderr = &o, &e
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s GOMAXPROCS=%q: %v, stderr:\n%s", tc.name, procs, err, e.String())
+			}
+			if *updateGolden && procs == "" {
+				if err := os.WriteFile(path, o.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update to create): %v", err)
+			}
+			if got := o.String(); got != string(want) {
+				t.Errorf("%s GOMAXPROCS=%q: stdout differs from %s:\n%s", tc.name, procs, path, got)
+			}
+		}
 	}
 }
