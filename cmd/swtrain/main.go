@@ -8,9 +8,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"swcaffe/internal/allreduce"
@@ -69,7 +71,7 @@ func main() {
 	resume := flag.String("resume", "", "multi-node: checkpoint file to restore before training (bit-exact: the resumed run continues the saved run's stream)")
 	faultplan := flag.String("faultplan", "", `multi-node: deterministic fault plan "r@s:phase[,...]" — kill rank r at step s during forward | backward | pack | flush | flush-bucket-k; the driver shrinks the world and resumes from the last checkpoint`)
 	traceOut := flag.String("trace", "", "multi-node: write a Chrome/Perfetto trace-event JSON of the run on the simulated clock (pass launches per rank/CG, bucket flushes, hierarchical phases, elastic events) to this file; open it at ui.perfetto.dev")
-	showMetrics := flag.Bool("metrics", false, "multi-node: print the deterministic metrics snapshot (sorted name/value lines) after training")
+	showMetrics := flag.Bool("metrics", false, "multi-node: print the run's metrics (sorted name/value lines: committed bytes per algorithm, faults fired, plan cache, launches, steps and their exposed comm) after training")
 	explainPlan := flag.Bool("explain-plan", false, "multi-node: print the collective engine's plan audit — the selector's candidate sweep and the last step's per-bucket priced vs realized costs")
 	qSize := flag.Int("q", 0, "multi-node: override the supernode size q (0 = TaihuLight's 256); a small q makes small runs cross supernode links, e.g. -q 4 -nodes 8 -alg hier")
 	ioPipe := flag.Bool("io", false, "enable the input pipeline: each step's shard read is priced through the pario striped-storage model (p concurrent readers multi-node, 1 with -cg4) with the next batch's read prefetched behind the step; exposed read time joins the step report")
@@ -83,30 +85,43 @@ func main() {
 	}
 
 	// Usage errors are refused up front, before any output, with one
-	// stderr line and exit status 2 (the flag package's own).
+	// stderr line naming the flag at fault and exit status 2 (the flag
+	// package's own). firstBad names the first check that fails.
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "swtrain: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *nodes < 1 || *batch < 1 || *classes < 1 || *iters < 1 {
-		usage("-nodes, -batch, -classes and -iters must be at least 1")
+	type check struct {
+		flag string
+		bad  bool
+	}
+	firstBad := func(checks ...check) string {
+		for _, c := range checks {
+			if c.bad {
+				return c.flag
+			}
+		}
+		return ""
+	}
+	if f := firstBad(check{"nodes", *nodes < 1}, check{"batch", *batch < 1},
+		check{"classes", *classes < 1}, check{"iters", *iters < 1}); f != "" {
+		usage("-%s must be at least 1", f)
 	}
 	if math.IsNaN(*lr) || math.IsInf(*lr, 0) {
 		usage("-lr must be finite")
 	}
-	if *qSize < 0 {
-		usage("-q must not be negative")
+	if f := firstBad(check{"q", *qSize < 0}, check{"bucket-kb", *bucketKB < 0},
+		check{"io-batch-kb", *ioBatchKB < 0}, check{"checkpoint-every", *checkpointEvery < 0}); f != "" {
+		usage("-%s must not be negative", f)
 	}
 	if arrays := pario.DefaultTaihuLight(0).Arrays; *stripeCount < 0 || *stripeCount > arrays {
 		usage("-stripes must be in [0, %d], the disk arrays the store stripes over", arrays)
 	}
-	if *bucketKB < 0 || *ioBatchKB < 0 {
-		usage("-bucket-kb and -io-batch-kb must not be negative")
-	}
 	// Both become bytes by << 10; a larger value would wrap negative,
 	// which downstream reads as "default".
-	if maxKB := math.MaxInt >> 10; *bucketKB > maxKB || *ioBatchKB > maxKB {
-		usage("-bucket-kb and -io-batch-kb must be at most %d", maxKB)
+	maxKB := math.MaxInt >> 10
+	if f := firstBad(check{"bucket-kb", *bucketKB > maxKB}, check{"io-batch-kb", *ioBatchKB > maxKB}); f != "" {
+		usage("-%s must be at most %d", f, maxKB)
 	}
 	// Validate -alg up front: an unknown name lists the registry
 	// instead of surfacing a bare construction error.
@@ -116,21 +131,21 @@ func main() {
 		}
 	}
 
-	elasticUsed := *checkpointDir != "" || *checkpointEvery > 0 || *resume != "" || *faultplan != ""
-	obsUsed := *traceOut != "" || *showMetrics || *explainPlan || *qSize > 0
-	if (elasticUsed || obsUsed) && (*cg4 || *nodes == 1) {
-		usage("-checkpoint-dir/-checkpoint-every/-resume/-faultplan/-trace/-metrics/-explain-plan/-q are multi-node flags")
+	if f := firstBad(check{"checkpoint-dir", *checkpointDir != ""}, check{"checkpoint-every", *checkpointEvery > 0},
+		check{"resume", *resume != ""}, check{"faultplan", *faultplan != ""}, check{"trace", *traceOut != ""},
+		check{"metrics", *showMetrics}, check{"explain-plan", *explainPlan}, check{"q", *qSize > 0}); f != "" && (*cg4 || *nodes == 1) {
+		usage("-%s is a multi-node flag", f)
 	}
-	if !*ioPipe && (*stripeCount != 0 || *ioBatchKB != 0) {
-		usage("-stripes/-io-batch-kb need -io")
+	if f := firstBad(check{"stripes", *stripeCount != 0}, check{"io-batch-kb", *ioBatchKB != 0}); f != "" && !*ioPipe {
+		usage("-%s needs -io", f)
 	}
 	if *ioPipe && *nodes == 1 && !*cg4 {
 		usage("-io needs a trainer with an input pipeline (-cg4 or -nodes > 1)")
 	}
 	if *cg4 {
-		if *nodes != 4 || *overlap || *bucketKB != 0 {
-			// -nodes defaults to 4, which -cg4 repurposes as the CG count.
-			usage("-cg4 is single-node; it conflicts with -nodes/-overlap/-bucket-kb")
+		// -nodes defaults to 4, which -cg4 repurposes as the CG count.
+		if f := firstBad(check{"nodes", *nodes != 4}, check{"overlap", *overlap}, check{"bucket-kb", *bucketKB != 0}); f != "" {
+			usage("-cg4 is single-node; it conflicts with -%s", f)
 		}
 		// With -net the netdef declares its own input batch, which
 		// becomes the per-CG quarter batch; the built-in architecture
@@ -294,6 +309,10 @@ func main() {
 		defer func() { pan = recover() }()
 		return trainer.Step(), nil
 	}
+	// The -metrics block's step figures: the steps that completed, and
+	// their exposed comm in µs, each product rounded before it is added
+	// (no target may fuse the two).
+	steps, exposedUS := 0, 0.0
 	for trainer.Iter() < *iters {
 		it := trainer.Iter()
 		trainer.LoadShards(ds, it)
@@ -322,6 +341,8 @@ func main() {
 				p, len(trainer.Workers), last.Step)
 			continue
 		}
+		steps++
+		exposedUS += float64(trainer.LastStep.Exposed * 1e6)
 		if *checkpointEvery > 0 && trainer.Iter()%*checkpointEvery == 0 {
 			last = trainer.Checkpoint()
 			if *checkpointDir != "" {
@@ -393,16 +414,23 @@ func main() {
 		fmt.Printf("trace: %d events written to %s (open at ui.perfetto.dev)\n", tracer.Len(), *traceOut)
 	}
 	if *showMetrics {
-		reg := obs.Default()
-		// Pull-style bridges for values owned outside the registry.
-		reg.GaugeFunc("plan_cache.hits", func() float64 { h, _ := swdnn.PlanCacheCounters(); return float64(h) })
-		reg.GaugeFunc("plan_cache.misses", func() float64 { _, m := swdnn.PlanCacheCounters(); return float64(m) })
-		reg.Gauge("swnode.launches").Set(float64(trainer.Launches()))
-		fmt.Println()
-		fmt.Println("metrics:")
-		if err := reg.Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "swtrain:", err)
-			os.Exit(1)
+		// Each value is read from its owner; counts print as integers,
+		// the rest with %g.
+		hits, misses := swdnn.PlanCacheCounters()
+		metrics := map[string]string{
+			"elastic.faults_injected": fmt.Sprint(faults.Fired()),
+			"plan_cache.hits":         fmt.Sprintf("%g", float64(hits)),
+			"plan_cache.misses":       fmt.Sprintf("%g", float64(misses)),
+			"swnode.launches":         fmt.Sprintf("%g", float64(trainer.Launches())),
+			"train.exposed_us":        fmt.Sprintf("%g", exposedUS),
+			"train.steps":             fmt.Sprint(steps),
+		}
+		for alg, n := range trainer.CommittedBytes() {
+			metrics["comm.bytes."+alg] = fmt.Sprint(n)
+		}
+		fmt.Print("\nmetrics:\n")
+		for _, name := range slices.Sorted(maps.Keys(metrics)) {
+			fmt.Println(name, metrics[name])
 		}
 	}
 }

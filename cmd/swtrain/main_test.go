@@ -42,42 +42,51 @@ func run(args ...string) (stdout, stderr string, exit int, err error) {
 }
 
 // TestBadFlagsExitTwo: no classes, no iterations, a non-finite
-// learning rate, a negative supernode size, a stripe count the 32-array
-// store cannot hold, negative sizes and the -cg4 conflicts are refused before any work, with one line on stderr — not
-// with a divide-by-zero panic, silently, or with exit 1.
+// learning rate, a negative supernode size or checkpoint interval, a
+// stripe count the 32-array store cannot hold, negative sizes and the
+// -cg4 conflicts are refused before any work, with one stderr line
+// that names the one flag at fault — not with a divide-by-zero panic,
+// silently, or with exit 1.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-nodes", "2", "-classes", "0"},
-		{"-q", "-3"},
-		{"-nodes", "0"},
-		{"-batch", "0"},
-		{"-nodes", "2", "-batch", "4", "-iters", "-1"},
-		{"-nodes", "2", "-batch", "4", "-iters", "0"},
-		{"-lr", "NaN", "-iters", "2"},
-		{"-lr", "-Inf", "-iters", "2"},
-		{"-cg4", "-nodes", "2"},
-		{"-cg4", "-overlap"},
-		{"-cg4", "-batch", "6"},
-		{"-nodes", "4", "-iters", "2", "-batch", "4", "-io", "-stripes", "64"},
-		{"-io", "-stripes", "-3"},
-		{"-bucket-kb", "-5"},
-		{"-io", "-io-batch-kb", "-1"},
-		{"-bucket-kb", "9007199254740992", "-nodes", "2", "-overlap"},
-		{"-bucket-kb", "9223372036854775807", "-nodes", "2", "-overlap"},
-		{"-io", "-io-batch-kb", "9007199254740992", "-nodes", "2"},
+	const maxKB = "9007199254740991"
+	for _, tc := range []struct {
+		args []string
+		want string // the stderr line after "swtrain: "
+	}{
+		{[]string{"-nodes", "2", "-classes", "0"}, "-classes must be at least 1"},
+		{[]string{"-q", "-3"}, "-q must not be negative"},
+		{[]string{"-nodes", "0"}, "-nodes must be at least 1"},
+		{[]string{"-batch", "0"}, "-batch must be at least 1"},
+		{[]string{"-nodes", "2", "-batch", "4", "-iters", "-1"}, "-iters must be at least 1"},
+		{[]string{"-nodes", "2", "-batch", "4", "-iters", "0"}, "-iters must be at least 1"},
+		{[]string{"-lr", "NaN", "-iters", "2"}, "-lr must be finite"},
+		{[]string{"-lr", "-Inf", "-iters", "2"}, "-lr must be finite"},
+		{[]string{"-cg4", "-nodes", "2"}, "-cg4 is single-node; it conflicts with -nodes"},
+		{[]string{"-cg4", "-overlap"}, "-cg4 is single-node; it conflicts with -overlap"},
+		{[]string{"-cg4", "-batch", "6"}, "-cg4 needs -batch divisible by 4"},
+		{[]string{"-nodes", "4", "-iters", "2", "-batch", "4", "-io", "-stripes", "64"}, "-stripes must be in [0, 32], the disk arrays the store stripes over"},
+		{[]string{"-io", "-stripes", "-3"}, "-stripes must be in [0, 32], the disk arrays the store stripes over"},
+		{[]string{"-bucket-kb", "-5"}, "-bucket-kb must not be negative"},
+		{[]string{"-io", "-io-batch-kb", "-1"}, "-io-batch-kb must not be negative"},
+		{[]string{"-bucket-kb", "9007199254740992", "-nodes", "2", "-overlap"}, "-bucket-kb must be at most " + maxKB},
+		{[]string{"-bucket-kb", "9223372036854775807", "-nodes", "2", "-overlap"}, "-bucket-kb must be at most " + maxKB},
+		{[]string{"-io", "-io-batch-kb", "9007199254740992", "-nodes", "2"}, "-io-batch-kb must be at most " + maxKB},
+		{[]string{"-nodes", "2", "-iters", "2", "-checkpoint-every", "-2"}, "-checkpoint-every must not be negative"},
+		{[]string{"-nodes", "1", "-metrics"}, "-metrics is a multi-node flag"},
+		{[]string{"-stripes", "3"}, "-stripes needs -io"},
 	} {
-		stdout, stderr, exit, err := run(args...)
+		stdout, stderr, exit, err := run(tc.args...)
 		if err != nil {
-			t.Fatalf("%v: %v", args, err)
+			t.Fatalf("%v: %v", tc.args, err)
 		}
 		if exit != 2 {
-			t.Errorf("%v: exit %d, want 2", args, exit)
+			t.Errorf("%v: exit %d, want 2", tc.args, exit)
 		}
 		if stdout != "" {
-			t.Errorf("%v: printed %d bytes to stdout before refusing", args, len(stdout))
+			t.Errorf("%v: printed %d bytes to stdout before refusing", tc.args, len(stdout))
 		}
-		if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "swtrain: ") || strings.Contains(stderr, "goroutine") {
-			t.Errorf("%v: stderr is not a one-line message:\n%s", args, stderr)
+		if want := "swtrain: " + tc.want + "\n"; stderr != want {
+			t.Errorf("%v: stderr %q, want %q", tc.args, stderr, want)
 		}
 	}
 }

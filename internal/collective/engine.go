@@ -160,7 +160,7 @@ type Engine struct {
 	stats      []BucketStat
 	candidates []Plan
 
-	bytesMetric *obs.Counter // comm.bytes.<algorithm>, cached to keep Commit allocation-free
+	committed int64 // gradient bytes Commit drained over the engine's life
 
 	desRun *allreduce.DESRun // the DES flushes' call state and payload log (see FlushSegDES)
 	worst  []float64         // Commit's per-worker mismatches
@@ -282,7 +282,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.stats = make([]BucketStat, len(e.buckets))
-	e.bytesMetric = obs.Default().Counter("comm.bytes." + e.strat.Name())
 
 	nb, nw := len(e.buckets), cfg.Ranks
 	e.ready = make([]chan struct{}, nb)
@@ -373,6 +372,10 @@ func (e *Engine) StrategyName() string { return e.strat.Name() }
 
 // TotalElems returns the packed gradient vector length.
 func (e *Engine) TotalElems() int { return e.total }
+
+// CommittedBytes reports the gradient bytes of every bucket Commit has
+// drained, those of a step that failed later included.
+func (e *Engine) CommittedBytes() int64 { return e.committed }
 
 // BeginStep resets the per-step flush state: arrival counts, rank
 // cursors, and any ready token left by a step that panicked between a
@@ -477,7 +480,7 @@ func (e *Engine) Commit(b int, outs [][]float32, res topology.Result, grads [][]
 	st.Comm = res.Time
 	st.Priced = e.prices[b]
 	st.Msgs, st.CrossMsgs, st.CrossBytes = res.Msgs, res.CrossMsgs, res.CrossBytes
-	e.bytesMetric.Add(int64(st.Bytes))
+	e.committed += int64(st.Bytes)
 	if e.hierClks != nil {
 		e.clockSnaps[b] = append(e.clockSnaps[b][:0], res.Clocks...)
 	}

@@ -5,13 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"swcaffe/internal/obs"
 )
-
-// metFaults counts faults the plan actually injected — the
-// elastic.faults_injected metric of swtrain -metrics.
-var metFaults = obs.Default().Counter("elastic.faults_injected")
 
 // Deterministic fault injection. A FaultPlan names exactly where a
 // rank dies — "rank r, step s, phase p" — and the trainer threads
@@ -162,10 +156,18 @@ func (p *FaultPlan) Check(rank, step int, phase Phase, bucket int) {
 		f.fired = true
 		inj := Injected{Rank: rank, Step: step, Phase: phase, Bucket: f.Bucket}
 		p.mu.Unlock()
-		metFaults.Inc()
 		panic(inj)
 	}
 	p.mu.Unlock()
+}
+
+// Fired reports how many faults have fired: swtrain's
+// elastic.faults_injected.
+func (p *FaultPlan) Fired() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.faults) - p.Pending()
 }
 
 // Pending reports how many faults have not fired yet.

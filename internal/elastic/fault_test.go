@@ -6,8 +6,9 @@ import "testing"
 // accepts holds only faults Check can match — a non-negative rank and
 // step, a known phase, and a bucket (-1 = any) that only a flush
 // names. The seeds are the documented syntax and TestParseFaultPlan's
-// inputs; `go test -fuzz '^FuzzParseFaultPlan$' ./internal/elastic`
-// explores from them.
+// inputs; testdata/fuzz/FuzzParseFaultPlan holds 60 inputs an earlier
+// fuzzing run found, which `go test` replays and
+// `go test -fuzz '^FuzzParseFaultPlan$' ./internal/elastic` explores from.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, seed := range []string{
 		"3@5:flush-bucket-0",

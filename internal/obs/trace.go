@@ -1,5 +1,5 @@
-// Package obs is the observability layer of the simulator: tracing
-// and metrics keyed to the *simulated* clock, never wall time. The
+// Package obs is the simulator's tracer: spans and instants keyed to
+// the *simulated* clock, never wall time. The
 // paper's whole argument is a time decomposition — where each
 // microsecond of a step goes at scale — and every signal already
 // exists internally (swnode's [SimStart, SimEnd] launch DAG, simnet's

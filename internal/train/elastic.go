@@ -185,12 +185,13 @@ func (t *DistTrainer) FailedRanks() []int {
 // Shrink re-forms the world without the failed ranks: survivors are
 // re-ranked densely in their old order, the failed ranks' simulated
 // nodes are closed, a fresh simnet communicator is built at p', and
-// the collective engine is discarded so the next Step re-selects the
-// plan (algorithm × bucket cap) for the new shape and re-lays the
-// buckets on its chunk partition. The caller is expected to have
-// recovered from the failed Step already — its failure path quiesced
-// every in-flight pass — and to Restore a checkpoint afterwards,
-// since the interrupted step left replicas mid-update.
+// the collective engine is closed, its views handed to the engine the
+// next Step builds, which re-selects the plan (algorithm × bucket cap)
+// for the new shape and re-lays the buckets on its chunk partition.
+// The caller is expected to have recovered from the failed Step
+// already — its failure path quiesced every in-flight pass — and to
+// Restore a checkpoint afterwards, since the interrupted step left
+// replicas mid-update.
 func (t *DistTrainer) Shrink(failed ...int) error {
 	if len(failed) == 0 {
 		return fmt.Errorf("train: Shrink with no failed ranks")
@@ -241,7 +242,14 @@ func (t *DistTrainer) Shrink(failed ...int) error {
 	// Fresh communicator and engine at p': bucket alignment and the
 	// plan selection both depend on p.
 	t.newCommunicator()
-	t.engine = nil
+	if eng := t.engine; eng != nil {
+		if t.retiredBytes == nil {
+			t.retiredBytes = make(map[string]int64)
+		}
+		t.retiredBytes[eng.StrategyName()] += eng.CommittedBytes()
+		eng.Close()
+		t.engine = nil
+	}
 	t.losses = make([]float32, len(survivors))
 	// The priced read model depends on the world size: it re-resolves
 	// at p' — including a re-run of the stripe advisor — on the next

@@ -90,6 +90,54 @@ func mustParseFaultPlan(t *testing.T, spec string) *elastic.FaultPlan {
 	return p
 }
 
+// TestCountsBelongToTheirTrainer: the same elastic run, twice in one
+// process, reports the same steps, committed bytes and fired faults:
+// the counts live in the trainer and its plan, not in process state.
+// Rank 1 dies flushing bucket 1 of step 1, after bucket 0 committed,
+// whose bytes count with the four whole steps.
+func TestCountsBelongToTheirTrainer(t *testing.T) {
+	ds := dataset.NewClusters(512, 3, 1, 8, 8, 0.4, 61)
+	type counts struct {
+		steps, fired int
+		bytes        map[string]int64
+	}
+	run := func() counts {
+		plan := mustParseFaultPlan(t, "1@1:flush-bucket-1")
+		d, err := NewDistTrainer(DistConfig{Nodes: 4, SubBatch: 4, Overlap: true, BucketBytes: 8 << 10,
+			Solver: core.SolverConfig{BaseLR: 0.05, Momentum: 0.9}, Faults: plan}, deepFactory(4, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		ckpt := d.Checkpoint()
+		steps, partial := 0, int64(0)
+		for d.Iter() < 3 {
+			d.LoadShards(ds, d.Iter())
+			_, pan := stepRecover(d)
+			if pan == nil {
+				steps++
+				continue
+			}
+			partial = int64(d.Engine().Buckets()[0].Elems()) * 4
+			if err := d.Shrink(victims(d, pan)...); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Restore(ckpt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(steps*d.Engine().TotalElems()*4) + partial
+		if got := d.CommittedBytes(); !reflect.DeepEqual(got, map[string]int64{allreduce.NameRHD: want}) || partial == 0 {
+			t.Fatalf("committed %v, want %d bytes of %s (%d of them from the failed step)", got, want, allreduce.NameRHD, partial)
+		}
+		return counts{steps, plan.Fired(), d.CommittedBytes()}
+	}
+	first, second := run(), run()
+	if first.steps != 4 || first.fired != 1 || !reflect.DeepEqual(first, second) {
+		t.Fatalf("first run %+v, second %+v; want 4 steps and 1 fault each", first, second)
+	}
+}
+
 // TestShrinkContinueGolden is the acceptance golden: at p = 8 rank 3
 // is killed at step 5 inside the collective (flush of bucket 0), the
 // world shrinks to p' = 7, the last checkpoint is restored, and
@@ -129,8 +177,12 @@ func TestShrinkContinueGolden(t *testing.T) {
 			if got := victims(d, pan); !reflect.DeepEqual(got, []int{3}) {
 				t.Fatalf("victims %v (panic %v), want [3]", got, pan)
 			}
+			old := d.Engine()
 			if err := d.Shrink(3); err != nil {
 				t.Fatal(err)
+			}
+			if old.RankViews() != nil {
+				t.Fatal("Shrink dropped the p = 8 engine without closing it: its views are still live")
 			}
 			if err := d.Restore(ckpt); err != nil {
 				t.Fatal(err)

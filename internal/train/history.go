@@ -3,34 +3,26 @@ package train
 import (
 	"fmt"
 	"io"
-
-	"swcaffe/internal/obs"
+	"maps"
 )
-
-// Step-level metrics, registered once against the default registry so
-// the per-step increments are plain atomic/mutex operations with no
-// lookups or allocations on the hot path.
-var (
-	metSteps     = obs.Default().Counter("train.steps")
-	metExposedUS = obs.Default().FloatCounter("train.exposed_us")
-)
-
-// recordStep updates the step metrics and, when tracing, advances the
-// trace anchor past LastStep.
-func (t *DistTrainer) recordStep() {
-	if t.cfg.Tracer != nil {
-		// Advance the trace anchor to the next step's pass start on the
-		// node timelines (stream chaining starts pass k at k·compute).
-		t.traceTime += t.LastStep.Compute
-	}
-	metSteps.Inc()
-	metExposedUS.Add(t.LastStep.Exposed * 1e6)
-}
 
 // Launches reports the total stream launches submitted across the
-// workers' simulated nodes — the value swtrain exports as the
-// swnode.launches gauge.
+// workers' simulated nodes: swtrain's swnode.launches.
 func (t *DistTrainer) Launches() int { return t.nodes.Launches() }
+
+// CommittedBytes reports the gradient bytes committed over the
+// trainer's life, per collective algorithm: by the live engine and by
+// every engine Shrink retired, buckets of failed steps included.
+func (t *DistTrainer) CommittedBytes() map[string]int64 {
+	m := maps.Clone(t.retiredBytes)
+	if m == nil {
+		m = make(map[string]int64)
+	}
+	if t.engine != nil {
+		m[t.engine.StrategyName()] += t.engine.CommittedBytes()
+	}
+	return m
+}
 
 // ExplainPlan writes a human-readable audit of the collective engine's
 // plan: the selector's per-algorithm candidate sweep (when the plan

@@ -77,7 +77,7 @@ func (io *IOConfig) storage() pario.Config {
 // composeIO folds the priced I/O stage into LastStep (assembled by
 // Step without I/O), accumulates the trainer-level totals, and
 // emits the per-batch read span on the tracer's io lane. Must run
-// before recordStep so the metrics see the final decomposition.
+// before Step advances the trace anchor past the step.
 func (t *DistTrainer) composeIO(step int) {
 	if t.cfg.IO == nil {
 		return

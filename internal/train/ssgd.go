@@ -299,6 +299,9 @@ type DistTrainer struct {
 	// packed staging and the makespan composition of both modes (lazily
 	// built with the timeline).
 	engine *collective.Engine
+	// retiredBytes is what the engines Shrink closed committed, per
+	// algorithm (see CommittedBytes).
+	retiredBytes map[string]int64
 	// grads is the engine's drain target: the diffs of each distinct
 	// model (see replicas) — every worker's, indexed by rank, or the k
 	// sets the ranks share, rank j's output drained into model j.

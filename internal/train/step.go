@@ -201,7 +201,11 @@ func (t *DistTrainer) Step() float32 {
 	t.ComputeTime += compute
 	t.CommTime += commSum
 	t.ExposedCommTime += t.LastStep.Exposed
-	t.recordStep()
+	if t.cfg.Tracer != nil {
+		// Advance the trace anchor to the next step's pass start on the
+		// node timelines (stream chaining starts pass k at k·compute).
+		t.traceTime += compute
+	}
 	return t.meanLoss()
 }
 
